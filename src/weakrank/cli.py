@@ -27,14 +27,15 @@ from .corpus import (
     save_documents_jsonl,
     split_annotations,
 )
+from .controller import Configuration
 from .embeddings import EmbeddingTable
 from .graph import build_graph
-from .ioutil import canonical_json, derive_seed, read_json, write_json
+from .ioutil import canonical_json, read_json, stable_hash, write_json
 from .metrics import all_metrics, build_eval_lists, score_lists_with_matrix
 from .scores import ScoreMatrix
-from .sup_rankers import RankerBackbone, ensemble_scores, load_checkpoint
+from .sup_rankers import ENSEMBLE_BLOCK, ensemble_scores, load_checkpoint
 from .synthetic import generate_synthetic
-from .trainer import ablation_run, build_backbone, joint_train, pretrain_all, sweep_k
+from .trainer import ablation_run, backbone_from_table, joint_train, pretrain_all, sweep_k
 
 MANIFEST_FORMAT_VERSION = 1
 
@@ -194,28 +195,37 @@ def cmd_eval(args) -> int:
 
 
 def cmd_score(args) -> int:
+    """Serve the rankers the search selected, refusing checkpoints written
+    under another configuration."""
     run_dir = Path(args.run)
     config = ExperimentConfig.from_file(run_dir / "config.cfg", args.overrides)
+    run_config = config.to_run_config()
     corpus = Corpus.load(args.corpus or config.corpus)
+    best = Configuration.from_dict(read_json(run_dir / "best_config.json"))
+    registry = run_config.sup_registry
+    if len(best.sup_mask) != len(registry):
+        raise ValueError(f"best_config.json selects from {len(best.sup_mask)} rankers, "
+                         f"the configuration has {len(registry)}")
+    specs = [spec for spec, keep in zip(registry, best.sup_mask) if keep]
+    needs_graph = any(spec.kind == "graph-aggregation" for spec in specs)
     table = EmbeddingTable.load(run_dir / "checkpoints" / "backbone.bin")
-    needs_graph = "graph-aggregation" in config.sup_models
-    backbone = RankerBackbone(
-        corpus, table,
-        graph=build_graph(corpus) if needs_graph else None,
-        graph_sample_size=config.graph_sample_size,
-        graph_seed=derive_seed(config.seed, "backbone-graph"),
-    )
-    checkpoints = sorted((run_dir / "checkpoints").glob("*.ckpt"))
-    if not checkpoints:
-        raise FileNotFoundError(f"no checkpoints under {run_dir / 'checkpoints'}")
-    models = [load_checkpoint(p, backbone) for p in checkpoints]
+    backbone = backbone_from_table(
+        corpus, table, build_graph(corpus) if needs_graph else None, run_config)
+    config_hash = stable_hash(run_config.signature())
+    models = [load_checkpoint(run_dir / "checkpoints" / f"{spec.name}.ckpt", backbone,
+                              config_hash=config_hash) for spec in specs]
+    matrices = [m.score_matrix() for m in models]
+    query_ids, candidate_ids = corpus.query_ids, corpus.candidate_ids
+    cols = np.arange(len(candidate_ids))[None, :]
     out = Path(args.out)
     with open(out, "w", encoding="utf-8") as fh:
-        for qid in corpus.query_ids:
-            scores = ensemble_scores(models, qid, corpus.candidate_ids)
-            for cid, score in zip(corpus.candidate_ids, scores):
-                fh.write(f"{qid}\t{cid}\t{float(score)!r}\n")
-    print(f"wrote {out} ({len(corpus.query_ids) * len(corpus.candidate_ids)} pairs "
+        for start in range(0, len(query_ids), ENSEMBLE_BLOCK):
+            qids = query_ids[start:start + ENSEMBLE_BLOCK]
+            block = ensemble_scores(matrices, np.arange(start, start + len(qids)), cols)
+            for qid, scores in zip(qids, block):
+                for cid, score in zip(candidate_ids, scores):
+                    fh.write(f"{qid}\t{cid}\t{float(score)!r}\n")
+    print(f"wrote {out} ({len(query_ids) * len(candidate_ids)} pairs "
           f"from {len(models)} models)")
     return 0
 

@@ -62,47 +62,49 @@ def build_eval_lists(
     return lists
 
 
+def ranks_of_positives(lists, scores) -> np.ndarray:
+    """1-based rank of each list's positive, descending score, ties by id
+    ascending. ``scores`` holds one row per list, the positive's score first."""
+    scores = np.asarray(scores, dtype=np.float64)
+    if len(scores) != len(lists):
+        raise ValueError("need one score row per eval list")
+    if not lists:
+        return np.zeros(0, dtype=np.int64)
+    for el in lists:
+        if len(el.candidate_ids) != scores.shape[1]:
+            raise ValueError(f"got {scores.shape[1]} scores for {len(el.candidate_ids)} candidates")
+    pos = scores[:, :1]
+    neg = scores[:, 1:]
+    ranks = 1 + np.count_nonzero(neg > pos, axis=1)
+    for r, j in zip(*np.nonzero(neg == pos)):
+        ranks[r] += lists[r].negative_ids[j] < lists[r].positive_id
+    return ranks
+
+
 def rank_of_positive(eval_list: EvalList, scores: np.ndarray) -> int:
     """1-based rank of the positive, descending score, ties by id ascending."""
-    scores = np.asarray(scores, dtype=np.float64)
-    ids = eval_list.candidate_ids
-    if len(scores) != len(ids):
-        raise ValueError(f"got {len(scores)} scores for {len(ids)} candidates")
-    pos_score = scores[0]
-    neg_scores = scores[1:]
-    above = int(np.count_nonzero(neg_scores > pos_score))
-    tied = neg_scores == pos_score
-    if tied.any():
-        neg_ids = np.asarray(eval_list.negative_ids, dtype=object)
-        above += int(np.count_nonzero(neg_ids[tied] < eval_list.positive_id))
-    return 1 + above
-
-
-def _ranks(lists, scores) -> np.ndarray:
-    if len(lists) != len(scores):
-        raise ValueError("need one score row per eval list")
-    return np.array([rank_of_positive(el, s) for el, s in zip(lists, scores)])
+    return int(ranks_of_positives([eval_list], np.asarray(scores, dtype=np.float64)[None])[0])
 
 
 def hr_at_k(lists, scores, k: int = 5) -> float:
     """Fraction of lists whose positive ranks within the top k."""
-    return float(np.mean(_ranks(lists, scores) <= k))
+    return float(np.mean(ranks_of_positives(lists, scores) <= k))
 
 
 def ndcg_at_k(lists, scores, k: int = 5) -> float:
     """Single-positive discounted gain: 1/log2(rank+1) inside the cutoff."""
-    ranks = _ranks(lists, scores)
+    ranks = ranks_of_positives(lists, scores)
     gains = np.where(ranks <= k, 1.0 / np.log2(ranks + 1.0), 0.0)
     return float(np.mean(gains))
 
 
 def mrr(lists, scores) -> float:
     """Mean reciprocal rank of the positive, no cutoff."""
-    return float(np.mean(1.0 / _ranks(lists, scores)))
+    return float(np.mean(1.0 / ranks_of_positives(lists, scores)))
 
 
 def all_metrics(lists, scores, k: int = 5) -> dict:
-    ranks = _ranks(lists, scores)
+    ranks = ranks_of_positives(lists, scores)
     gains = np.where(ranks <= k, 1.0 / np.log2(ranks + 1.0), 0.0)
     return {
         f"hr@{k}": float(np.mean(ranks <= k)),

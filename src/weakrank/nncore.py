@@ -2,8 +2,15 @@
 
 No autodiff graph. Every op returns (output, cache); the matching backward
 consumes the cache, returns input gradients, and accumulates parameter
-gradients in place. All values are float64 and checked finite, so a NaN or
-Inf fails fast with the offending name.
+gradients in place. All values are float64.
+
+A model's parameters form a ``ParamGroup``: each tensor's value and gradient
+are views into one flat value buffer and one flat gradient buffer. Zeroing
+the gradients is then one fill, and an optimizer step is a few vector
+operations over the whole model, elementwise identical to updating tensor
+by tensor. Finiteness is checked once per step: on the flat gradient before
+the update and on the flat values after it. Only a failing check looks for
+the offending tensor, and its error names it.
 """
 
 from __future__ import annotations
@@ -36,11 +43,37 @@ class ParamTensor:
     def shape(self):
         return self.value.shape
 
-    def zero_grad(self) -> None:
-        self.grad.fill(0.0)
-
     def __repr__(self):
         return f"ParamTensor({self.name!r}, shape={self.value.shape})"
+
+
+class ParamGroup(tuple):
+    """An ordered, fixed set of tensors backed by two flat buffers.
+
+    Creating the group copies every value and gradient into ``values`` and
+    ``grads`` and rebinds each tensor's ``value`` and ``grad`` to a view of
+    its slice, so writes through either side are seen by the other.
+    """
+
+    def __new__(cls, tensors):
+        self = super().__new__(cls, tensors)
+        sizes = [p.value.size for p in self]
+        self.bounds = np.cumsum([0] + sizes)
+        self.layout = tuple((p.name, p.value.shape) for p in self)
+        self.values = np.zeros(self.bounds[-1])
+        self.grads = np.zeros(self.bounds[-1])
+        for p, lo, hi in zip(self, self.bounds[:-1], self.bounds[1:]):
+            shape = p.value.shape
+            self.values[lo:hi] = p.value.ravel()
+            self.grads[lo:hi] = p.grad.ravel()
+            p.value = self.values[lo:hi].reshape(shape)
+            p.grad = self.grads[lo:hi].reshape(shape)
+        return self
+
+    def first_nonfinite(self, flat: np.ndarray) -> str:
+        """Name of the first tensor whose slice of ``flat`` is not finite."""
+        bad = int(np.flatnonzero(~np.isfinite(flat))[0])
+        return self[int(np.searchsorted(self.bounds, bad, side="right")) - 1].name
 
 
 def init_param(name: str, shape, rng: np.random.Generator, scale: float = 0.1) -> ParamTensor:
@@ -49,8 +82,11 @@ def init_param(name: str, shape, rng: np.random.Generator, scale: float = 0.1) -
 
 
 def zero_grads(params) -> None:
-    for p in params:
-        p.zero_grad()
+    if isinstance(params, ParamGroup):
+        params.grads.fill(0.0)
+    else:
+        for p in params:
+            p.grad.fill(0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -268,29 +304,17 @@ def lstm_backward(dh: np.ndarray, dc: np.ndarray, cache):
 
 
 # ---------------------------------------------------------------------------
-# softmax helpers
-
-
-def softmax(z: np.ndarray) -> np.ndarray:
-    z = np.asarray(z, dtype=np.float64)
-    _ensure_finite("softmax logits", z)
-    e = np.exp(z - z.max())
-    return e / e.sum()
-
-
-def log_softmax(z: np.ndarray) -> np.ndarray:
-    z = np.asarray(z, dtype=np.float64)
-    _ensure_finite("log_softmax logits", z)
-    m = z.max()
-    return z - m - np.log(np.exp(z - m).sum())
-
-
-# ---------------------------------------------------------------------------
 # optimizers
 
 
 @dataclass
 class OptimizerState:
+    """Optimizer hyperparameters and Adam's step count and moments.
+
+    ``moments`` maps each tensor name to its (m, v) pair. Once a step has run
+    they are views into two flat buffers laid out like the group's values.
+    """
+
     algorithm: str  # "sgd" | "adam"
     lr: float
     beta1: float = 0.9
@@ -298,36 +322,55 @@ class OptimizerState:
     eps: float = 1e-8
     t: int = 0
     moments: dict = field(default_factory=dict)
+    _flat: tuple | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         if self.algorithm not in ("sgd", "adam"):
             raise ValueError(f"unknown optimizer {self.algorithm!r}")
 
+    def flat_moments(self, group: ParamGroup) -> tuple[np.ndarray, np.ndarray]:
+        """Flat (m, v) laid out like ``group``; built, from ``moments`` where
+        a tensor has them and zeros elsewhere, when the layout changes."""
+        if self._flat is None or self._flat[0] != group.layout:
+            m = np.zeros_like(group.values)
+            v = np.zeros_like(group.values)
+            for p, lo, hi in zip(group, group.bounds[:-1], group.bounds[1:]):
+                if p.name in self.moments:
+                    old_m, old_v = self.moments[p.name]
+                    m[lo:hi] = np.ravel(old_m)
+                    v[lo:hi] = np.ravel(old_v)
+                self.moments[p.name] = (m[lo:hi].reshape(p.shape), v[lo:hi].reshape(p.shape))
+            self._flat = (group.layout, m, v)
+        return self._flat[1], self._flat[2]
+
 
 def optimizer_step(params, state: OptimizerState) -> None:
-    """Apply one update from each parameter's accumulated gradient."""
-    params = list(params)
-    for p in params:
-        if not np.all(np.isfinite(p.grad)):
-            raise ValueError(f"non-finite gradient for parameter {p.name!r}")
+    """Apply one update from the accumulated gradients.
+
+    The update runs on the group's flat buffers. A plain sequence of tensors
+    is first packed into a new ``ParamGroup``, which rebinds their values and
+    gradients to views of its buffers.
+    """
+    group = params if isinstance(params, ParamGroup) else ParamGroup(params)
+    g = group.grads
+    if not np.isfinite(g).all():
+        raise ValueError(f"non-finite gradient for parameter {group.first_nonfinite(g)!r}")
     if state.algorithm == "sgd":
-        for p in params:
-            p.value -= state.lr * p.grad
+        group.values -= state.lr * g
     else:
         state.t += 1
         bc1 = 1.0 - state.beta1 ** state.t
         bc2 = 1.0 - state.beta2 ** state.t
-        for p in params:
-            m, v = state.moments.setdefault(
-                p.name, (np.zeros_like(p.value), np.zeros_like(p.value))
-            )
-            m *= state.beta1
-            m += (1.0 - state.beta1) * p.grad
-            v *= state.beta2
-            v += (1.0 - state.beta2) * p.grad * p.grad
-            p.value -= state.lr * (m / bc1) / (np.sqrt(v / bc2) + state.eps)
-    for p in params:
-        _ensure_finite(f"parameter {p.name!r} after update", p.value)
+        m, v = state.flat_moments(group)
+        m *= state.beta1
+        m += (1.0 - state.beta1) * g
+        v *= state.beta2
+        v += (1.0 - state.beta2) * g * g
+        group.values -= state.lr * (m / bc1) / (np.sqrt(v / bc2) + state.eps)
+    if not np.isfinite(group.values).all():
+        raise ValueError(
+            f"non-finite values in parameter {group.first_nonfinite(group.values)!r} after update"
+        )
 
 
 # ---------------------------------------------------------------------------

@@ -8,19 +8,12 @@ from pathlib import Path
 import numpy as np
 
 from .ioutil import canonical_json
-from .scores import ScoreMatrix
+from .scores import ScoreMatrix, min_max_rows
 
 
 def normalize_per_query(m: ScoreMatrix) -> ScoreMatrix:
     """Min-max scale each query row to [0, 1]; constant rows become all 0.5."""
-    lo = m.values.min(axis=1, keepdims=True)
-    hi = m.values.max(axis=1, keepdims=True)
-    span = hi - lo
-    flat = span[:, 0] == 0.0
-    safe = np.where(span == 0.0, 1.0, span)
-    values = (m.values - lo) / safe
-    values[flat] = 0.5
-    return ScoreMatrix(m.model_name, m.query_ids, m.candidate_ids, values)
+    return ScoreMatrix(m.model_name, m.query_ids, m.candidate_ids, min_max_rows(m.values))
 
 
 def aggregate(matrices: list[ScoreMatrix], mask, normalize: bool = True) -> ScoreMatrix:

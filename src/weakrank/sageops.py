@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from .graph import HetGraph
-from .nncore import ParamTensor, dense_backward, dense_forward, init_param
+from .nncore import ParamGroup, ParamTensor, dense_backward, dense_forward, init_param
 
 
 def build_neighbor_matrix(graph: HetGraph, sample_size: int, rng: np.random.Generator) -> np.ndarray:
@@ -35,12 +35,12 @@ def build_neighbor_matrix(graph: HetGraph, sample_size: int, rng: np.random.Gene
 
 
 def create_layers(name: str, dims: list[int], rng: np.random.Generator,
-                  scale: float = 0.1) -> list[ParamTensor]:
-    """Weight list for an L-layer stack; layer l maps 2*dims[l] -> dims[l+1]."""
-    return [
+                  scale: float = 0.1) -> ParamGroup:
+    """Weights of an L-layer stack; layer l maps 2*dims[l] -> dims[l+1]."""
+    return ParamGroup(
         init_param(f"{name}.W{l}", (dims[l + 1], 2 * dims[l]), rng, scale)
         for l in range(len(dims) - 1)
-    ]
+    )
 
 
 def sage_forward(H0: np.ndarray, A: np.ndarray, layers: list[ParamTensor]):

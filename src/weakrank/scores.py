@@ -10,6 +10,15 @@ import numpy as np
 from .ioutil import load_arrays, save_arrays
 
 
+def min_max_rows(values: np.ndarray) -> np.ndarray:
+    """Each row scaled to [0, 1] by its min and max; constant rows become all 0.5."""
+    lo = values.min(axis=1, keepdims=True)
+    span = values.max(axis=1, keepdims=True) - lo
+    scaled = (values - lo) / np.where(span == 0.0, 1.0, span)
+    scaled[span[:, 0] == 0.0] = 0.5
+    return scaled
+
+
 @dataclass
 class ScoreMatrix:
     """One model's relevance score for every (query, candidate) pair."""

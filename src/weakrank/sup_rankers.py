@@ -5,6 +5,13 @@ embeddings, an interaction model pooling word-by-word cosines through RBF
 kernels, and a graph ranker aggregating sampled neighborhoods. All share a
 RankerBackbone of frozen inputs (word embeddings, document means, kernel
 feature caches) so per-episode models are cheap to create and train.
+
+Rankers score whole matrices: ``score_matrix()`` returns every (query,
+candidate) score in one batched pass. Everything that scores a trained
+ranker (validation rewards, the final retrain's early stopping, the test
+metrics and ``weakrank score``) gathers columns from those matrices and
+combines them with ``ensemble_scores``. Each model's parameters form one
+``ParamGroup``, so a training step zeroes and updates flat buffers.
 """
 
 from __future__ import annotations
@@ -17,6 +24,7 @@ from .graph import HetGraph
 from .ioutil import load_arrays, save_arrays
 from .nncore import (
     OptimizerState,
+    ParamGroup,
     ParamTensor,
     cosine_rows_backward,
     cosine_rows_forward,
@@ -30,16 +38,25 @@ from .nncore import (
     zero_grads,
 )
 from .registry import SupModelSpec
+from .scores import min_max_rows
 from .sageops import build_neighbor_matrix, create_layers, sage_backward, sage_forward
 
 CHECKPOINT_FORMAT_VERSION = 1
 
 _EPS_LOG = 1e-10  # guard inside log of kernel features
+ENSEMBLE_BLOCK = 256  # eval lists gathered at once: bounds the gather's temporaries
+PHI_BLOCK = 1 << 16  # word-cosine entries pooled at once: bounds phi's temporaries
 
 
 def _softplus(x):
     x = np.asarray(x, dtype=np.float64)
     return np.maximum(x, 0.0) + np.log1p(np.exp(-np.abs(x)))
+
+
+def _unit_rows(X: np.ndarray) -> np.ndarray:
+    """Rows scaled to unit norm; zero rows stay zero."""
+    norms = np.linalg.norm(X, axis=1, keepdims=True)
+    return X / np.where(norms > 0, norms, 1.0)
 
 
 class RankerBackbone:
@@ -70,7 +87,6 @@ class RankerBackbone:
         self.q_means = np.stack([self._doc_mean(d) for d in corpus.queries])
         self.c_means = np.stack([self._doc_mean(d) for d in corpus.candidates])
 
-        self._word_hats: dict[str, list[np.ndarray]] | None = None
         self._phi_cache: dict = {}
         self._graph_inputs = None
 
@@ -80,26 +96,24 @@ class RankerBackbone:
             raise ValueError(f"document {doc.id!r} has no tokens in the embedding table")
         return self.table.vectors[rows].mean(axis=0)
 
-    def _doc_word_hats(self) -> dict[str, list[np.ndarray]]:
-        if self._word_hats is None:
-            def hats(doc):
-                rows = [self.table.index[t] for t in self.corpus.tokens(doc)]
-                vecs = self.table.vectors[rows]
-                norms = np.linalg.norm(vecs, axis=1, keepdims=True)
-                return vecs / np.where(norms > 0, norms, 1.0)
-
-            self._word_hats = {
-                QUERY: [hats(d) for d in self.corpus.queries],
-                CANDIDATE: [hats(d) for d in self.corpus.candidates],
-            }
-        return self._word_hats
+    def _word_counts(self, docs) -> tuple[np.ndarray, np.ndarray]:
+        """(table rows of the words in ``docs``, each document's count of each)."""
+        rows = [[self.table.index[t] for t in self.corpus.tokens(d)] for d in docs]
+        words, word_of = np.unique(np.concatenate(rows), return_inverse=True)
+        doc_of = np.repeat(np.arange(len(docs)), [len(r) for r in rows])
+        counts = np.zeros((len(docs), len(words)))
+        np.add.at(counts, (doc_of, word_of), 1.0)
+        return words, counts
 
     def phi_features(self, mus, sigmas, negative_exponent: bool = True) -> np.ndarray:
         """Kernel-pooled match features for every (query, candidate) pair.
 
-        phi[i, j, h] = sum over query words of log(K_h(similarity row) + eps).
-        Cached per kernel bank; word embeddings are frozen so this never
-        changes within a run.
+        phi[i, j, h] = sum over query words of log(K_h(similarity row) + eps),
+        where K_h pools kernel h over the candidate's words. Word embeddings
+        are frozen, so a kernel value depends only on the two words: each
+        kernel is applied once to the table of word cosines, multiplied by the
+        candidates' word counts, logged, and summed with the queries' word
+        counts. Cached per kernel bank; it never changes within a run.
         """
         key = (tuple(np.asarray(mus)), tuple(np.asarray(sigmas)), negative_exponent)
         if key in self._phi_cache:
@@ -110,27 +124,30 @@ class RankerBackbone:
             raise ValueError("kernel sigmas must be positive")
         sign = -1.0 if negative_exponent else 1.0
 
-        hats = self._doc_word_hats()
-        c_hats = hats[CANDIDATE]
-        n_q, n_c, H = len(self.corpus.queries), len(self.corpus.candidates), len(mus)
-        m_max = max(h.shape[0] for h in c_hats)
-        dim = self.table.dim
-        c_pad = np.zeros((n_c, m_max, dim))
-        c_mask = np.zeros((n_c, m_max))
-        for j, h in enumerate(c_hats):
-            c_pad[j, : h.shape[0]] = h
-            c_mask[j, : h.shape[0]] = 1.0
-
-        phi = np.empty((n_q, n_c, H))
-        for i, q_hat in enumerate(hats[QUERY]):
-            S = np.einsum("nd,cmd->cnm", q_hat, c_pad)  # (n_c, N_i, m_max)
-            feats = np.empty((n_c, q_hat.shape[0], H))
-            for h in range(H):
+        q_words, q_counts = self._word_counts(self.corpus.queries)
+        c_words, c_counts = self._word_counts(self.corpus.candidates)
+        hats = _unit_rows(self.table.vectors)
+        c_hats = hats[c_words]
+        pooled = np.zeros((len(mus), len(self.corpus.queries), len(self.corpus.candidates)))
+        step = max(1, PHI_BLOCK // len(c_words))
+        for lo in range(0, len(q_words), step):
+            S = hats[q_words[lo:lo + step]] @ c_hats.T  # (query words, candidate words)
+            for h in range(len(mus)):
                 g = np.exp(sign * (S - mus[h]) ** 2 / (2.0 * sigmas[h] ** 2))
-                feats[:, :, h] = (g * c_mask[:, None, :]).sum(axis=2)
-            phi[i] = np.log(feats + _EPS_LOG).sum(axis=1)
+                pooled[h] += q_counts[:, lo:lo + step] @ np.log(g @ c_counts.T + _EPS_LOG)
+        phi = np.ascontiguousarray(pooled.transpose(1, 2, 0))
         self._phi_cache[key] = phi
         return phi
+
+    def list_index(self, lists) -> tuple[np.ndarray, np.ndarray]:
+        """(query row of each eval list, candidate column of each of its ids)."""
+        rows = np.array([self.query_row[el.query_id] for el in lists], dtype=np.int64)
+        cols = np.array([[self.cand_row[c] for c in el.candidate_ids] for el in lists],
+                        dtype=np.int64)
+        return rows, cols
+
+    def gather(self, matrix: np.ndarray, query_id: str, candidate_ids) -> np.ndarray:
+        return matrix[self.query_row[query_id], [self.cand_row[c] for c in candidate_ids]]
 
     def graph_inputs(self):
         """(neighbor matrix, node features, node index arrays) for graph rankers."""
@@ -150,6 +167,11 @@ class RankerBackbone:
         return self._graph_inputs
 
 
+def _cosine_matrix(U: np.ndarray, V: np.ndarray) -> np.ndarray:
+    """Cosine of every row of U with every row of V; zero-norm rows score 0."""
+    return _unit_rows(U) @ _unit_rows(V).T
+
+
 def _pairwise_loss_grads(r_pos: np.ndarray, r_neg: np.ndarray):
     """Mean pairwise logistic objective and its gradients w.r.t. the scores.
 
@@ -163,7 +185,18 @@ def _pairwise_loss_grads(r_pos: np.ndarray, r_neg: np.ndarray):
     return loss, d_pos, d_neg
 
 
-class RepresentationRanker:
+class _Ranker:
+    """What every ranker shares; each defines ``score_matrix()``, and its own
+    ``score_pairs`` (a gather from it) so the method can be wrapped per class."""
+
+    def after_update(self) -> None:
+        pass
+
+    def score(self, query_id: str, candidate_id: str) -> float:
+        return float(self.score_pairs(query_id, [candidate_id])[0])
+
+
+class RepresentationRanker(_Ranker):
     """Two dense tanh layers per side over mean word embeddings, then cosine."""
 
     kind = "representation"
@@ -183,12 +216,10 @@ class RepresentationRanker:
                 init_param(f"rep.{side}.W2", (hidden, hidden), rng),
                 init_param(f"rep.{side}.b2", (hidden,), rng),
             ]
+        self._params = ParamGroup(self.sides["q"] + self.sides["c"])
 
-    def params(self) -> list[ParamTensor]:
-        return self.sides["q"] + self.sides["c"]
-
-    def after_update(self) -> None:
-        pass
+    def params(self) -> ParamGroup:
+        return self._params
 
     def _tower(self, X: np.ndarray, side: str):
         W1, b1, W2, b2 = self.sides[side]
@@ -201,16 +232,13 @@ class RepresentationRanker:
         dh1 = dense_backward(dy, cache2)
         dense_backward(dh1, cache1)
 
-    def score_pairs(self, query_id: str, candidate_ids) -> np.ndarray:
-        xq = self.backbone.q_means[self.backbone.query_row[query_id]]
-        yq, _ = self._tower(xq, "q")
-        rows = [self.backbone.cand_row[c] for c in candidate_ids]
-        yc, _ = self._tower(self.backbone.c_means[rows], "c")
-        scores, _ = cosine_rows_forward(np.tile(yq, (len(rows), 1)), yc)
-        return scores
+    def score_matrix(self) -> np.ndarray:
+        yq, _ = self._tower(self.backbone.q_means, "q")
+        yc, _ = self._tower(self.backbone.c_means, "c")
+        return _cosine_matrix(yq, yc)
 
-    def score(self, query_id: str, candidate_id: str) -> float:
-        return float(self.score_pairs(query_id, [candidate_id])[0])
+    def score_pairs(self, query_id: str, candidate_ids) -> np.ndarray:
+        return self.backbone.gather(self.score_matrix(), query_id, candidate_ids)
 
     def loss_and_grads(self, triples) -> float:
         qrows = [self.backbone.query_row[q] for q, _, _ in triples]
@@ -232,7 +260,7 @@ class RepresentationRanker:
         return loss
 
 
-class InteractionRanker:
+class InteractionRanker(_Ranker):
     """Kernel-pooled word interactions mapped to a score by one linear layer."""
 
     kind = "interaction"
@@ -250,20 +278,16 @@ class InteractionRanker:
         H = len(self.mus)
         self.w = init_param("inter.w", (H,), rng)
         self.b = init_param("inter.b", (1,), rng)
+        self._params = ParamGroup([self.w, self.b])
 
-    def params(self) -> list[ParamTensor]:
-        return [self.w, self.b]
+    def params(self) -> ParamGroup:
+        return self._params
 
-    def after_update(self) -> None:
-        pass
+    def score_matrix(self) -> np.ndarray:
+        return self.phi @ self.w.value + self.b.value[0]
 
     def score_pairs(self, query_id: str, candidate_ids) -> np.ndarray:
-        qi = self.backbone.query_row[query_id]
-        cols = [self.backbone.cand_row[c] for c in candidate_ids]
-        return self.phi[qi, cols] @ self.w.value + self.b.value[0]
-
-    def score(self, query_id: str, candidate_id: str) -> float:
-        return float(self.score_pairs(query_id, [candidate_id])[0])
+        return self.backbone.gather(self.score_matrix(), query_id, candidate_ids)
 
     def loss_and_grads(self, triples) -> float:
         qrows = [self.backbone.query_row[q] for q, _, _ in triples]
@@ -330,7 +354,7 @@ def interaction_score_from_embeddings(q_vecs: np.ndarray, c_vecs: np.ndarray, mu
     return score, denormalize(dq_hat, q_hat, q_norm), denormalize(dc_hat, c_hat, c_norm)
 
 
-class GraphAggregationRanker:
+class GraphAggregationRanker(_Ranker):
     """Sampled-neighborhood mean aggregation; cosine of final embeddings."""
 
     kind = "graph-aggregation"
@@ -353,8 +377,8 @@ class GraphAggregationRanker:
         self.layers = create_layers("sup-agg", dims, rng)
         self._Z: np.ndarray | None = None
 
-    def params(self) -> list[ParamTensor]:
-        return list(self.layers)
+    def params(self) -> ParamGroup:
+        return self.layers
 
     def after_update(self) -> None:
         self._Z = None
@@ -364,15 +388,12 @@ class GraphAggregationRanker:
             self._Z, _ = sage_forward(self.features, self.A, self.layers)
         return self._Z
 
-    def score_pairs(self, query_id: str, candidate_ids) -> np.ndarray:
+    def score_matrix(self) -> np.ndarray:
         Z = self._embeddings()
-        qn = self.q_nodes[self.backbone.query_row[query_id]]
-        cn = self.c_nodes[[self.backbone.cand_row[c] for c in candidate_ids]]
-        scores, _ = cosine_rows_forward(np.tile(Z[qn], (len(cn), 1)), Z[cn])
-        return scores
+        return _cosine_matrix(Z[self.q_nodes], Z[self.c_nodes])
 
-    def score(self, query_id: str, candidate_id: str) -> float:
-        return float(self.score_pairs(query_id, [candidate_id])[0])
+    def score_pairs(self, query_id: str, candidate_ids) -> np.ndarray:
+        return self.backbone.gather(self.score_matrix(), query_id, candidate_ids)
 
     def loss_and_grads(self, triples) -> float:
         Z, caches = sage_forward(self.features, self.A, self.layers)
@@ -460,23 +481,38 @@ def train_supervised(
     return curve
 
 
-def _min_max(row: np.ndarray) -> np.ndarray:
-    lo, hi = row.min(), row.max()
-    if hi == lo:
-        return np.full_like(row, 0.5)
-    return (row - lo) / (hi - lo)
+def ensemble_scores(matrices, rows, cols) -> np.ndarray:
+    """Mean of member scores, each min-max scaled over its row's candidates.
+
+    ``matrices`` are the members' (queries x candidates) score matrices.
+    Entry (i, j) of the result combines column ``cols[i, j]`` of query row
+    ``rows[i]``; ``cols`` may be a single row shared by every query. A member
+    constant on a row contributes 0.5 there.
+    """
+    if not matrices:
+        raise ValueError("ensemble needs at least one model")
+    rows = np.asarray(rows)[:, None]
+    total = 0.0
+    for S in matrices:
+        total = total + min_max_rows(S[rows, cols])
+    return total / len(matrices)
 
 
-def ensemble_scores(models, query_id: str, candidate_ids) -> np.ndarray:
-    """Mean of member scores, each min-max scaled over the candidate list."""
+def score_lists_with_ensemble(lists, models) -> np.ndarray:
+    """Ensemble scores of every eval list's candidates, one row per list.
+
+    Each member's score matrix is computed once; the lists are gathered in
+    blocks of ``ENSEMBLE_BLOCK`` so the temporaries stay small.
+    """
     if not models:
         raise ValueError("ensemble needs at least one model")
-    rows = [_min_max(m.score_pairs(query_id, candidate_ids)) for m in models]
-    return np.mean(rows, axis=0)
-
-
-def score_lists_with_ensemble(lists, models) -> list[np.ndarray]:
-    return [ensemble_scores(models, el.query_id, el.candidate_ids) for el in lists]
+    matrices = [m.score_matrix() for m in models]
+    backbone = models[0].backbone
+    out = np.empty((len(lists), len(lists[0].candidate_ids) if lists else 0))
+    for start in range(0, len(lists), ENSEMBLE_BLOCK):
+        rows, cols = backbone.list_index(lists[start:start + ENSEMBLE_BLOCK])
+        out[start:start + len(rows)] = ensemble_scores(matrices, rows, cols)
+    return out
 
 
 def save_checkpoint(model, path, config_hash: str = "",
@@ -514,10 +550,16 @@ def save_checkpoint(model, path, config_hash: str = "",
     })
 
 
-def load_checkpoint(path, backbone: RankerBackbone, with_optimizer: bool = False):
+def load_checkpoint(path, backbone: RankerBackbone, with_optimizer: bool = False,
+                    config_hash: str | None = None):
+    """Rebuild a saved model on ``backbone``. With ``config_hash``, refuse a
+    checkpoint that a different configuration wrote."""
     arrays, meta = load_arrays(path)
     if meta.get("format_version") != CHECKPOINT_FORMAT_VERSION:
         raise ValueError(f"unsupported checkpoint format_version {meta.get('format_version')!r}")
+    if config_hash is not None and meta.get("config_hash") != config_hash:
+        raise ValueError(f"checkpoint {str(path)!r} was written under configuration hash "
+                         f"{meta.get('config_hash')!r}, not {config_hash!r}")
     spec = SupModelSpec(meta["name"], meta["kind"], meta["params"])
     model = create_sup_model(spec, backbone, meta["seed"])
     for p in model.params():

@@ -220,6 +220,14 @@ def build_backbone(corpus: Corpus, graph, config: RunConfig,
         if cache_path is not None:
             cache_path.parent.mkdir(parents=True, exist_ok=True)
             table.save(cache_path)
+    return backbone_from_table(corpus, table, graph, config)
+
+
+def backbone_from_table(corpus: Corpus, table: EmbeddingTable, graph,
+                        config: RunConfig) -> RankerBackbone:
+    """The rankers' backbone over a trained table. Search and ``score`` both
+    build it here, so the graph ranker's neighbour sample comes from the
+    same seed in both."""
     return RankerBackbone(
         corpus, table, graph=graph,
         graph_sample_size=config.graph_sample_size,

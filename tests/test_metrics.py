@@ -12,6 +12,7 @@ from weakrank.metrics import (
     mrr,
     ndcg_at_k,
     rank_of_positive,
+    ranks_of_positives,
     score_lists_with_matrix,
 )
 from weakrank.scores import ScoreMatrix
@@ -60,6 +61,26 @@ class TestRank:
             el = EvalList("q", "p000", tuple(f"n{i:03d}" for i in range(n)))
             scores = np.round(rng.random(n + 1) * 5) / 5  # heavy ties
             assert rank_of_positive(el, scores) == oracle_rank(el, scores)
+
+
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 8), st.integers(1, 12),
+           st.integers(1, 4))
+    def test_batched_ranks_match_oracle_with_forced_ties(self, seed, n_lists, n_neg, levels):
+        rng = np.random.default_rng(seed)
+        lists = []
+        for i in range(n_lists):
+            ids = [str(x) for x in rng.permutation([f"c{j:02d}" for j in range(n_neg + 1)])]
+            lists.append(EvalList(f"q{i}", ids[0], tuple(ids[1:])))
+        # few score levels: most lists tie the positive with some negatives
+        scores = rng.integers(0, levels, size=(n_lists, n_neg + 1)) / levels
+        ranks = ranks_of_positives(lists, scores)
+        assert ranks.tolist() == [oracle_rank(el, s) for el, s in zip(lists, scores)]
+        assert [rank_of_positive(el, s) for el, s in zip(lists, scores)] == ranks.tolist()
+
+    def test_batched_ranks_reject_wrong_width(self):
+        el = EvalList("q", "p", ("a", "b"))
+        with pytest.raises(ValueError, match="got 2 scores for 3 candidates"):
+            ranks_of_positives([el], np.zeros((1, 2)))
 
 
 class TestMetrics:

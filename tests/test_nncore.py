@@ -5,6 +5,7 @@ from weakrank import nncore
 from weakrank.nncore import (
     LstmParams,
     OptimizerState,
+    ParamGroup,
     ParamTensor,
     cosine_backward,
     cosine_forward,
@@ -262,6 +263,102 @@ class TestOptimizers:
             optimizer_step([p], state)
         assert state.t == 3
         assert "p" in state.moments
+
+
+def _per_tensor_step(values, grads, state, moments):
+    """Reference optimizer: one tensor at a time, as separate arrays."""
+    if state.algorithm == "sgd":
+        for v, g in zip(values, grads):
+            v -= state.lr * g
+        return
+    state.t += 1
+    bc1 = 1.0 - state.beta1 ** state.t
+    bc2 = 1.0 - state.beta2 ** state.t
+    for i, (p, g) in enumerate(zip(values, grads)):
+        m, v = moments.setdefault(i, (np.zeros_like(p), np.zeros_like(p)))
+        m *= state.beta1
+        m += (1.0 - state.beta1) * g
+        v *= state.beta2
+        v += (1.0 - state.beta2) * g * g
+        p -= state.lr * (m / bc1) / (np.sqrt(v / bc2) + state.eps)
+
+
+class TestParamGroup:
+    SHAPES = [(3, 4), (4,), (2, 2, 3), (1,)]
+
+    def _group(self, rng):
+        return ParamGroup(ParamTensor(f"t{i}", rng.normal(size=s))
+                          for i, s in enumerate(self.SHAPES))
+
+    def test_tensors_are_views_of_the_flat_buffers(self, rng):
+        before = [rng.normal(size=s) for s in self.SHAPES]
+        group = ParamGroup(ParamTensor(f"t{i}", v.copy()) for i, v in enumerate(before))
+        assert group.values.size == sum(v.size for v in before)
+        for p, v in zip(group, before):
+            assert np.array_equal(p.value, v) and p.value.shape == v.shape
+        group[2].value[1, 0, 2] = 7.0
+        group.grads[-1] = 3.0
+        assert 7.0 in group.values and group[3].grad[0] == 3.0
+        group[0].grad[:] = 1.0
+        zero_grads(group)
+        assert not group.grads.any() and not group[0].grad.any()
+
+    @pytest.mark.parametrize("algorithm", ["sgd", "adam"])
+    def test_flat_step_bitwise_equals_per_tensor_reference(self, rng, algorithm):
+        group = self._group(rng)
+        ref_values = [p.value.copy() for p in group]
+        state = OptimizerState(algorithm, lr=0.05)
+        ref_state = OptimizerState(algorithm, lr=0.05)
+        ref_moments = {}
+        for step in range(20):
+            grads = [rng.normal(size=s) * 10.0 ** rng.integers(-4, 3) for s in self.SHAPES]
+            for p, g in zip(group, grads):
+                p.grad[...] = g
+            optimizer_step(group, state)
+            _per_tensor_step(ref_values, grads, ref_state, ref_moments)
+            for p, v in zip(group, ref_values):
+                assert np.array_equal(p.value, v), (algorithm, step, p.name)
+        if algorithm == "adam":
+            assert state.t == ref_state.t == 20
+            for i, p in enumerate(group):
+                assert np.array_equal(state.moments[p.name][0], ref_moments[i][0])
+                assert np.array_equal(state.moments[p.name][1], ref_moments[i][1])
+
+    def test_restored_moments_continue_bitwise(self, rng):
+        # a checkpoint restores moments as separate arrays; the next step
+        # must pack them into its flat buffers unchanged
+        group = self._group(rng)
+        twin = ParamGroup(ParamTensor(p.name, p.value.copy()) for p in group)
+        state = OptimizerState("adam", lr=0.01)
+        grads = [[rng.normal(size=s) for s in self.SHAPES] for _ in range(10)]
+        for step in range(5):
+            for p, g in zip(group, grads[step]):
+                p.grad[...] = g
+            optimizer_step(group, state)
+        np.copyto(twin.values, group.values)
+        restored = OptimizerState("adam", lr=0.01, t=state.t, moments={
+            name: (m.copy(), v.copy()) for name, (m, v) in state.moments.items()})
+        for step in range(5, 10):
+            for g_group, g_twin, g in zip(group, twin, grads[step]):
+                g_group.grad[...] = g
+                g_twin.grad[...] = g
+            optimizer_step(group, state)
+            optimizer_step(twin, restored)
+        assert np.array_equal(group.values, twin.values)
+
+    def test_nonfinite_gradient_names_the_offending_tensor(self, rng):
+        group = self._group(rng)
+        group[2].grad[1, 1, 0] = np.inf
+        with pytest.raises(ValueError, match="gradient for parameter 't2'"):
+            optimizer_step(group, OptimizerState("adam", lr=0.1))
+
+    def test_nonfinite_value_after_update_names_the_offending_tensor(self, rng):
+        group = self._group(rng)
+        group[1].value[...] = 1e308
+        group[1].grad[...] = -1e308
+        with np.errstate(over="ignore"), \
+                pytest.raises(ValueError, match="parameter 't1'.* after update"):
+            optimizer_step(group, OptimizerState("sgd", lr=10.0))
 
 
 class TestFiniteDifferenceHarness:

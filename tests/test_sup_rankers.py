@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from weakrank import sup_rankers
 from weakrank.bm25 import bm25_matrix
 from weakrank.corpus import build_corpus
 from weakrank.embeddings import train_text_embeddings
@@ -10,6 +11,7 @@ from weakrank.nncore import ParamTensor, finite_difference_check, init_param, ze
 from weakrank.pseudo_labels import aggregate, sample_training_pairs, top_k_labels
 from weakrank.registry import SupModelSpec
 from weakrank.sup_rankers import (
+    ENSEMBLE_BLOCK,
     GraphAggregationRanker,
     InteractionRanker,
     RankerBackbone,
@@ -293,37 +295,169 @@ class TestTrainSupervised:
             assert min(values) >= 0.9, f"{kind}: {values}"
 
 
+def _index(backbone, qid, cands):
+    """Ensemble index arrays for one query's candidate list."""
+    return [backbone.query_row[qid]], [[backbone.cand_row[c] for c in cands]]
+
+
 class TestEnsemble:
     def test_single_model_preserves_ranking(self, mirror_backbone):
         model = RepresentationRanker(mirror_backbone, _spec("representation"), seed=0)
         cands = ["c1", "c2", "c3"]
         raw = model.score_pairs("q1", cands)
-        ens = ensemble_scores([model], "q1", cands)
+        ens = ensemble_scores([model.score_matrix()], *_index(mirror_backbone, "q1", cands))[0]
         assert np.array_equal(np.argsort(raw), np.argsort(ens))
 
     def test_identical_members_identical_ranking(self, mirror_backbone):
         m1 = RepresentationRanker(mirror_backbone, _spec("representation"), seed=7)
         m2 = RepresentationRanker(mirror_backbone, _spec("representation"), seed=7)
-        cands = ["c1", "c2", "c3"]
-        single = ensemble_scores([m1], "q1", cands)
-        double = ensemble_scores([m1, m2], "q1", cands)
+        index = _index(mirror_backbone, "q1", ["c1", "c2", "c3"])
+        single = ensemble_scores([m1.score_matrix()], *index)
+        double = ensemble_scores([m1.score_matrix(), m2.score_matrix()], *index)
         assert np.allclose(single, double)
 
     def test_constant_member_contributes_half(self):
-        class Flat:
-            def score_pairs(self, qid, cands):
-                return np.zeros(len(cands))
-
-        class Rising:
-            def score_pairs(self, qid, cands):
-                return np.arange(len(cands), dtype=float)
-
-        ens = ensemble_scores([Flat(), Rising()], "q", ["a", "b", "c"])
+        flat = np.zeros((1, 3))
+        rising = np.arange(3, dtype=float)[None, :]
+        ens = ensemble_scores([flat, rising], [0], [[0, 1, 2]])[0]
         assert np.allclose(ens, (0.5 + np.array([0.0, 0.5, 1.0])) / 2)
 
     def test_empty_selection_rejected(self):
         with pytest.raises(ValueError, match="at least one"):
-            ensemble_scores([], "q", ["a"])
+            ensemble_scores([], [0], [[0]])
+
+    def test_lists_match_per_list_min_max_reference(self, planted_setup):
+        backbone, _, lists = planted_setup
+        assert len(lists) > ENSEMBLE_BLOCK and len(lists) % ENSEMBLE_BLOCK != 0
+
+        class Constant:
+            def __init__(self, backbone):
+                self.backbone = backbone
+
+            def score_matrix(self):
+                return np.full((len(backbone.query_row), len(backbone.cand_row)), 3.0)
+
+            def score_pairs(self, qid, cands):
+                return np.full(len(cands), 3.0)
+
+        models = [
+            RepresentationRanker(backbone, _spec("representation", hidden=8), seed=1),
+            InteractionRanker(backbone, _spec("interaction"), seed=2),
+            Constant(backbone),
+        ]
+
+        def min_max(row):
+            lo, hi = row.min(), row.max()
+            return np.full_like(row, 0.5) if hi == lo else (row - lo) / (hi - lo)
+
+        expected = np.array([
+            np.mean([min_max(m.score_pairs(el.query_id, el.candidate_ids)) for m in models],
+                    axis=0)
+            for el in lists
+        ])
+        got = score_lists_with_ensemble(lists, models)
+        assert got.shape == expected.shape
+        assert np.max(np.abs(got - expected)) <= 1e-12
+        # the constant member adds exactly 0.5 / 3 to every entry
+        without = score_lists_with_ensemble(lists, models[:2])
+        assert np.allclose(got, (2 * without + 0.5) / 3, rtol=0, atol=1e-12)
+
+
+def _phi_reference(backbone, mus, sigmas, negative_exponent=True):
+    """Per-query kernel pooling over every token pair, repeated words included."""
+    sign = -1.0 if negative_exponent else 1.0
+    corpus, table = backbone.corpus, backbone.table
+
+    def hats(doc):
+        vecs = table.vectors[[table.index[t] for t in corpus.tokens(doc)]]
+        norms = np.linalg.norm(vecs, axis=1, keepdims=True)
+        return vecs / np.where(norms > 0, norms, 1.0)
+
+    c_hats = [hats(d) for d in corpus.candidates]
+    phi = np.empty((len(corpus.queries), len(corpus.candidates), len(mus)))
+    for i, q in enumerate(corpus.queries):
+        q_hat = hats(q)
+        for j, c_hat in enumerate(c_hats):
+            S = q_hat @ c_hat.T
+            for h in range(len(mus)):
+                g = np.exp(sign * (S - mus[h]) ** 2 / (2.0 * sigmas[h] ** 2))
+                phi[i, j, h] = np.log(g.sum(axis=1) + 1e-10).sum()
+    return phi
+
+
+class TestMatrixScoring:
+    @pytest.fixture(scope="class")
+    def repeat_backbone(self):
+        docs = [
+            {"id": "q1", "role": "query", "text": "alpha alpha beta gamma"},
+            {"id": "q2", "role": "query", "text": "delta delta delta epsilon"},
+            {"id": "q3", "role": "query", "text": "zeta zeta"},
+            {"id": "c1", "role": "candidate", "text": "alpha beta beta gamma"},
+            {"id": "c2", "role": "candidate", "text": "delta zeta zeta"},
+            {"id": "c3", "role": "candidate", "text": "eta theta iota alpha eta"},
+            {"id": "c4", "role": "candidate", "text": "epsilon gamma"},
+        ]
+        corpus = build_corpus(docs)
+        table = train_text_embeddings(corpus, dim=8, epochs=1, seed=0)
+        return RankerBackbone(corpus, table, graph=build_graph(corpus), graph_sample_size=2,
+                              graph_seed=1)
+
+    @pytest.mark.parametrize("negative_exponent", [True, False])
+    @pytest.mark.parametrize("block", [sup_rankers.PHI_BLOCK, 7])
+    def test_vocabulary_phi_matches_per_query_loop(self, repeat_backbone, planted_setup,
+                                                   negative_exponent, block, monkeypatch):
+        monkeypatch.setattr(sup_rankers, "PHI_BLOCK", block)  # 7: a few query words a block
+        mus = np.array([1.0, 0.9, 0.5, 0.0, -0.5])
+        sigmas = np.array([1e-3, 0.1, 0.3, 0.5, 0.6]) if negative_exponent else \
+            np.array([0.5, 0.6, 0.7, 0.8, 0.9])
+        for backbone in (repeat_backbone, planted_setup[0]):
+            got = RankerBackbone(backbone.corpus, backbone.raw_table).phi_features(
+                mus, sigmas, negative_exponent)
+            ref = _phi_reference(backbone, mus, sigmas, negative_exponent)
+            assert got.shape == ref.shape
+            assert np.max(np.abs(got - ref)) <= 1e-9
+
+    def test_phi_repeat_call_returns_cached_array(self, repeat_backbone):
+        mus, sigmas = np.array([0.5]), np.array([0.2])
+        assert repeat_backbone.phi_features(mus, sigmas) is repeat_backbone.phi_features(mus, sigmas)
+
+    @pytest.mark.parametrize("kind,hp", [
+        ("representation", {"hidden": 8}),
+        ("interaction", {}),
+        ("graph-aggregation", {"hidden": 4, "out_dim": 4}),
+    ])
+    def test_score_matrix_matches_per_pair_reference(self, repeat_backbone, kind, hp):
+        from weakrank.nncore import cosine_rows_forward
+
+        backbone = repeat_backbone
+        model = create_sup_model(_spec(kind, **hp), backbone, seed=4)
+        got = model.score_matrix()
+        ref = np.empty_like(got)
+        for qid, i in backbone.query_row.items():
+            for cid, j in backbone.cand_row.items():
+                if kind == "representation":
+                    yq, _ = model._tower(backbone.q_means[i], "q")
+                    yc, _ = model._tower(backbone.c_means[j], "c")
+                    ref[i, j] = cosine_rows_forward(yq[None], yc[None])[0][0]
+                elif kind == "interaction":
+                    ref[i, j] = model.phi[i, j] @ model.w.value + model.b.value[0]
+                else:
+                    Z = model._embeddings()
+                    ref[i, j] = cosine_rows_forward(Z[model.q_nodes[i]][None],
+                                                    Z[model.c_nodes[j]][None])[0][0]
+                assert model.score_pairs(qid, [cid])[0] == got[i, j]
+        assert np.max(np.abs(got - ref)) <= 1e-12
+
+    def test_zero_norm_rows_score_zero(self, repeat_backbone):
+        rep = RepresentationRanker(repeat_backbone, _spec("representation", hidden=8), seed=1)
+        for p in rep.sides["q"][2:]:  # q-side W2 and b2: every query tower outputs 0
+            p.value[...] = 0.0
+        assert np.array_equal(rep.score_matrix(), np.zeros((3, 4)))
+        graph = GraphAggregationRanker(
+            repeat_backbone, _spec("graph-aggregation", hidden=4, out_dim=4), seed=1)
+        graph.layers[-1].value[...] = 0.0  # relu(0): every node embeds to 0
+        graph.after_update()
+        assert np.array_equal(graph.score_matrix(), np.zeros((3, 4)))
 
 
 class TestCheckpoints:
