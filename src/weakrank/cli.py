@@ -35,7 +35,14 @@ from .metrics import all_metrics, build_eval_lists, score_lists_with_matrix
 from .scores import ScoreMatrix
 from .sup_rankers import ENSEMBLE_BLOCK, ensemble_scores, load_checkpoint
 from .synthetic import generate_synthetic
-from .trainer import ablation_run, backbone_from_table, joint_train, pretrain_all, sweep_k
+from .trainer import (
+    ablation_run,
+    backbone_from_table,
+    joint_train,
+    pretrain,
+    run_cache_dir,
+    sweep_k,
+)
 
 MANIFEST_FORMAT_VERSION = 1
 
@@ -126,14 +133,18 @@ def cmd_ingest(args) -> int:
 
 
 def cmd_pretrain(args) -> int:
+    """Fill the cache a search with this configuration reads: every scorer's
+    score matrix and the backbone, keyed by the effective pretrain seed."""
     config = _load_config(args)
-    corpus = Corpus.load(config.corpus)
-    registry = config.build_unsup_registry()
-    needs_graph = any(m.kind.startswith("graph-") for m in registry)
-    graph = build_graph(corpus) if needs_graph else None
-    out = Path(config.output_dir or args.out or "pretrain_cache")
-    pretrain_all(corpus, graph, registry, out, config.seed, workers=config.workers)
-    print(f"pretrained {len(registry)} models into {out}")
+    if args.out:
+        out = Path(args.out)
+    elif config.output_dir:
+        out = run_cache_dir(config.output_dir)
+    else:
+        raise ValueError("pretrain needs --out or output_dir (it fills <output_dir>/cache)")
+    run_config = config.to_run_config()
+    pretrain(Corpus.load(config.corpus), run_config, out)
+    print(f"pretrained {len(run_config.unsup_registry)} models and the backbone into {out}")
     return 0
 
 
@@ -315,7 +326,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("pretrain", help="pretrain all unsupervised scorers into a cache")
     _add_config_args(p)
-    p.add_argument("--out", help="cache directory (defaults to output_dir)")
+    p.add_argument("--out", help="cache directory (defaults to <output_dir>/cache, "
+                                 "the cache search reads)")
     p.set_defaults(func=cmd_pretrain)
 
     p = sub.add_parser("search", help="run the full reinforcement search")

@@ -3,6 +3,14 @@
 The same trainer runs over token sequences (text embeddings) and over node
 id sequences produced by graph walks; callers map their entities to integer
 ids and back.
+
+An epoch takes one SGD step per centre position, in a seeded shuffled
+order of the sequences. It works through that order in blocks of
+``SEQ_BLOCK`` sequences: NumPy lays out each block's (centre, context)
+windows, draws the block's negatives in one call from the same random
+stream the per-centre draws would use, and sums the block's loss in one
+pass, so the Python loop per centre is left with the step itself. The
+trained vectors are bitwise those of a plain per-centre loop.
 """
 
 from __future__ import annotations
@@ -12,8 +20,11 @@ from pathlib import Path
 import numpy as np
 
 from .corpus import Corpus
-from .scores import ScoreMatrix
 from .ioutil import load_arrays, save_arrays
+from .nncore import log_sigmoid, scatter_add_rows, sigmoid
+from .scores import ScoreMatrix
+
+SEQ_BLOCK = 64  # sequences laid out at once: bounds the layout's memory
 
 
 class EmbeddingTable:
@@ -47,12 +58,34 @@ class EmbeddingTable:
         return cls(meta["ids"], arrays["vectors"])
 
 
+def window_layout(sequences, window: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every position's in-window contexts, in sequence order.
+
+    Returns ``(centres, contexts, n_ctx)``: the tokens of all positions
+    concatenated, each position's context tokens laid end to end (within a
+    position in sequence order, skipping the position itself), and the
+    number of contexts per position. A length-1 sequence yields a position
+    with no contexts.
+    """
+    lengths = np.array([len(s) for s in sequences], dtype=np.int64)
+    centres = np.concatenate(sequences) if len(sequences) else np.zeros(0, dtype=np.int64)
+    pos = np.arange(len(centres))
+    i = pos - np.repeat(np.cumsum(lengths) - lengths, lengths)
+    offsets = np.concatenate([np.arange(-window, 0), np.arange(1, window + 1)])
+    j = i[:, None] + offsets
+    valid = (j >= 0) & (j < np.repeat(lengths, lengths)[:, None])
+    contexts = centres[(pos[:, None] + offsets)[valid]]
+    return centres, contexts, valid.sum(axis=1)
+
+
 class SkipGramTrainer:
     """Skip-gram with negative sampling over integer sequences.
 
     One SGD step per center position: all in-window contexts plus their
     negative draws form the step's targets. Negatives follow the unigram^0.75
-    distribution. Fully deterministic for a given seed.
+    distribution and are drawn once per block of ``SEQ_BLOCK`` sequences, in
+    the stream order a per-centre draw would use. Fully deterministic for a
+    given seed.
     """
 
     def __init__(self, vocab_size: int, dim: int, window: int, neg: int, lr: float, seed: int,
@@ -86,10 +119,22 @@ class SkipGramTrainer:
         """Mean binary objective on a fixed batch (contexts positive, negatives
         per pair negative); used for training sanity checks."""
         h = self.w_in[centers]
-        pos = _log_sigmoid(np.einsum("id,id->i", h, self.w_out[contexts]))
+        pos = log_sigmoid(np.einsum("id,id->i", h, self.w_out[contexts]))
         neg_scores = np.einsum("id,ind->in", h, self.w_out[negatives])
-        neg = _log_sigmoid(-neg_scores).sum(axis=1)
+        neg = log_sigmoid(-neg_scores).sum(axis=1)
         return float(-(pos + neg).mean())
+
+    def _block_targets(self, contexts: np.ndarray, n_ctx: np.ndarray):
+        """Each centre's targets (its contexts, then ``neg`` negatives per
+        context) laid end to end, their labels, and each centre's offset."""
+        span = n_ctx * (1 + self.neg)
+        bounds = np.concatenate([[0], np.cumsum(span)])
+        first = np.repeat(bounds[:-1], span)
+        is_ctx = np.arange(bounds[-1]) - first < np.repeat(n_ctx, span)
+        targets = np.empty(bounds[-1], dtype=np.int64)
+        targets[is_ctx] = contexts
+        targets[~is_ctx] = self._draw_negatives(int(n_ctx.sum()) * self.neg)
+        return targets, is_ctx.astype(np.float64), bounds
 
     def train_epoch(self, sequences: list[np.ndarray]) -> float:
         """One pass over all sequences in seeded shuffled order; returns the
@@ -98,53 +143,31 @@ class SkipGramTrainer:
             raise RuntimeError("noise distribution not set")
         order = self.rng.permutation(len(sequences))
         loss_sum, pair_count = 0.0, 0
-        w = self.window
-        for si in order:
-            seq = sequences[si]
-            n = len(seq)
-            for i in range(n):
-                lo, hi = max(0, i - w), min(n, i + w + 1)
-                n_ctx = hi - lo - 1
-                if n_ctx == 0:
-                    continue
-                contexts = np.concatenate([seq[lo:i], seq[i + 1:hi]])
-                negs = self._draw_negatives(n_ctx * self.neg)
-                targets = np.concatenate([contexts, negs])
-                labels = np.zeros(len(targets))
-                labels[:n_ctx] = 1.0
-
-                center = seq[i]
-                h = self.w_in[center]
-                out_rows = self.w_out[targets]
-                scores = out_rows @ h
-                probs = _sigmoid(scores)
-                g = probs - labels
-
-                loss_sum += float(-(_log_sigmoid(scores[:n_ctx]).sum()
-                                    + _log_sigmoid(-scores[n_ctx:]).sum()))
-                pair_count += n_ctx
-
+        w_in, w_out, lr = self.w_in, self.w_out, self.lr
+        for b0 in range(0, len(order), SEQ_BLOCK):
+            block = [sequences[si] for si in order[b0:b0 + SEQ_BLOCK]]
+            centres, contexts, n_ctx = window_layout(block, self.window)
+            centres = centres[n_ctx > 0]
+            n_ctx = n_ctx[n_ctx > 0]
+            targets, labels, bounds = self._block_targets(contexts, n_ctx)
+            scores = np.empty(len(targets))
+            for center, lo, hi in zip(centres.tolist(), bounds[:-1].tolist(),
+                                      bounds[1:].tolist()):
+                t = targets[lo:hi]
+                h = w_in[center]
+                out_rows = w_out[t]
+                s = out_rows @ h
+                scores[lo:hi] = s
+                g = sigmoid(s) - labels[lo:hi]
                 dh = g @ out_rows
-                np.add.at(self.w_out, targets, -self.lr * g[:, None] * h[None, :])
-                self.w_in[center] -= self.lr * dh
+                scatter_add_rows(w_out, t, -lr * g[:, None] * h[None, :])
+                w_in[center] -= lr * dh
+            loss_sum -= float(log_sigmoid(np.where(labels > 0, scores, -scores)).sum())
+            pair_count += len(contexts)
         return loss_sum / max(pair_count, 1)
 
     def train(self, sequences: list[np.ndarray], epochs: int) -> list[float]:
         return [self.train_epoch(sequences) for _ in range(epochs)]
-
-
-def _sigmoid(x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x, dtype=np.float64)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
-
-
-def _log_sigmoid(x: np.ndarray) -> np.ndarray:
-    # log sigma(x) = -softplus(-x), overflow-safe
-    return np.where(x >= 0, -np.log1p(np.exp(-np.abs(x))), x - np.log1p(np.exp(-np.abs(x))))
 
 
 def train_text_embeddings(
@@ -162,9 +185,7 @@ def train_text_embeddings(
         if len(doc.token_ids) < 2:
             raise ValueError(f"document {doc.id!r} is shorter than 2 tokens")
     sequences = [np.array(d.token_ids, dtype=np.int64) for d in docs]
-    counts = np.zeros(len(corpus.vocab))
-    for seq in sequences:
-        np.add.at(counts, seq, 1.0)
+    counts = np.bincount(np.concatenate(sequences), minlength=len(corpus.vocab)).astype(np.float64)
     trainer = SkipGramTrainer(len(corpus.vocab), dim, window, neg, lr, seed, counts=counts)
     trainer.train(sequences, epochs)
     return EmbeddingTable(corpus.vocab, trainer.w_in.copy())

@@ -10,9 +10,16 @@ from __future__ import annotations
 
 import numpy as np
 
-from .embeddings import EmbeddingTable, SkipGramTrainer, _log_sigmoid, _sigmoid
+from .embeddings import EmbeddingTable, SkipGramTrainer, window_layout
 from .graph import HetGraph
-from .nncore import OptimizerState, optimizer_step, zero_grads
+from .nncore import (
+    OptimizerState,
+    log_sigmoid,
+    optimizer_step,
+    scatter_add_rows,
+    sigmoid,
+    zero_grads,
+)
 from .sageops import build_neighbor_matrix, create_layers, sage_backward, sage_forward
 
 GRAPH_METHODS = ("walk", "biased-walk", "proximity-1", "proximity-2", "aggregation")
@@ -105,9 +112,7 @@ def generate_walks(
 
 
 def _walks_to_table(graph: HetGraph, walks, dim, window, neg, epochs, lr, seed) -> EmbeddingTable:
-    counts = np.zeros(graph.n_nodes)
-    for walk in walks:
-        np.add.at(counts, walk, 1.0)
+    counts = np.bincount(np.concatenate(walks), minlength=graph.n_nodes).astype(np.float64)
     counts = np.maximum(counts, 1e-12)  # unvisited nodes keep a vanishing noise weight
     trainer = SkipGramTrainer(graph.n_nodes, dim, window, neg, lr, seed, counts=counts)
     trainer.train(walks, epochs)
@@ -137,15 +142,10 @@ class EdgeProximityTrainer:
         self.lr = lr
         self.rng = np.random.default_rng(seed)
 
-        src, dst, w = [], [], []
-        for v in range(graph.n_nodes):
-            for x, wt in zip(graph.neighbors[v], graph.weights[v]):
-                src.append(v)
-                dst.append(int(x))
-                w.append(wt)
-        self.edge_src = np.array(src, dtype=np.int64)
-        self.edge_dst = np.array(dst, dtype=np.int64)
-        self._edge_cum = np.cumsum(np.array(w) / np.sum(w))
+        self.edge_src = np.repeat(np.arange(graph.n_nodes, dtype=np.int64), graph.degrees)
+        self.edge_dst = np.concatenate(graph.neighbors)
+        w = np.concatenate(graph.weights)
+        self._edge_cum = np.cumsum(w / np.sum(w))
 
         strength = np.array([graph.edge_weight_sum(v) for v in range(graph.n_nodes)])
         noise = strength ** 0.75
@@ -163,8 +163,8 @@ class EdgeProximityTrainer:
 
     def loss_on(self, src: np.ndarray, dst: np.ndarray, negs: np.ndarray) -> float:
         h = self.emb[src]
-        pos = _log_sigmoid(np.einsum("id,id->i", h, self.ctx[dst]))
-        neg = _log_sigmoid(-np.einsum("id,ind->in", h, self.ctx[negs])).sum(axis=1)
+        pos = log_sigmoid(np.einsum("id,id->i", h, self.ctx[dst]))
+        neg = log_sigmoid(-np.einsum("id,ind->in", h, self.ctx[negs])).sum(axis=1)
         return float(-(pos + neg).mean())
 
     def train_batch(self, batch_size: int) -> float:
@@ -178,18 +178,18 @@ class EdgeProximityTrainer:
         scores = np.einsum("bd,bnd->bn", h, out)
         labels = np.zeros_like(scores)
         labels[:, 0] = 1.0
-        probs = _sigmoid(scores)
+        probs = sigmoid(scores)
         g = probs - labels  # (B, 1+neg)
 
         loss = float(-(
-            _log_sigmoid(scores[:, 0]) + _log_sigmoid(-scores[:, 1:]).sum(axis=1)
+            log_sigmoid(scores[:, 0]) + log_sigmoid(-scores[:, 1:]).sum(axis=1)
         ).mean())
 
         dh = np.einsum("bn,bnd->bd", g, out)
         dout = g[:, :, None] * h[:, None, :]
         # for order 1 ctx aliases emb, so both updates land in one table
-        np.add.at(self.ctx, targets, -self.lr * dout)
-        np.add.at(self.emb, src, -self.lr * dh)
+        scatter_add_rows(self.ctx, targets, -self.lr * dout)
+        scatter_add_rows(self.emb, src, -self.lr * dh)
         return loss
 
     def train(self, epochs: int, batch_size: int = 128) -> list[float]:
@@ -234,8 +234,8 @@ class AggregationTrainer:
 
     def loss_on(self, pairs: np.ndarray, negs: np.ndarray) -> float:
         Z = self.embeddings()
-        pos = _log_sigmoid(np.einsum("id,id->i", Z[pairs[:, 0]], Z[pairs[:, 1]]))
-        neg = _log_sigmoid(-np.einsum("id,ind->in", Z[pairs[:, 0]], Z[negs])).sum(axis=1)
+        pos = log_sigmoid(np.einsum("id,id->i", Z[pairs[:, 0]], Z[pairs[:, 1]]))
+        neg = log_sigmoid(-np.einsum("id,ind->in", Z[pairs[:, 0]], Z[negs])).sum(axis=1)
         return float(-(pos + neg).mean())
 
     def train_batch(self, pairs: np.ndarray) -> float:
@@ -247,14 +247,14 @@ class AggregationTrainer:
         u, v = pairs[:, 0], pairs[:, 1]
         s_pos = np.einsum("id,id->i", Z[u], Z[v])
         s_neg = np.einsum("id,ind->in", Z[u], Z[negs])
-        loss = float(-(_log_sigmoid(s_pos) + _log_sigmoid(-s_neg).sum(axis=1)).mean())
+        loss = float(-(log_sigmoid(s_pos) + log_sigmoid(-s_neg).sum(axis=1)).mean())
 
-        g_pos = (_sigmoid(s_pos) - 1.0) / B  # (B,)
-        g_neg = _sigmoid(s_neg) / B  # (B, neg)
-        dZ = np.zeros_like(Z)
-        np.add.at(dZ, u, g_pos[:, None] * Z[v] + np.einsum("bn,bnd->bd", g_neg, Z[negs]))
-        np.add.at(dZ, v, g_pos[:, None] * Z[u])
-        np.add.at(dZ, negs.reshape(-1), (g_neg[:, :, None] * Z[u][:, None, :]).reshape(-1, Z.shape[1]))
+        g_pos = (sigmoid(s_pos) - 1.0) / B  # (B,)
+        g_neg = sigmoid(s_neg) / B  # (B, neg)
+        dZ = np.zeros(Z.shape)
+        scatter_add_rows(dZ, u, g_pos[:, None] * Z[v] + np.einsum("bn,bnd->bd", g_neg, Z[negs]))
+        scatter_add_rows(dZ, v, g_pos[:, None] * Z[u])
+        scatter_add_rows(dZ, negs, g_neg[:, :, None] * Z[u][:, None, :])
 
         sage_backward(dZ, self.A, caches)
         optimizer_step(self.layers, self.opt)
@@ -273,16 +273,10 @@ class AggregationTrainer:
 
 
 def cooccurrence_pairs(walks, window: int) -> np.ndarray:
-    """All (center, context) pairs within the window across walks."""
-    pairs = []
-    for walk in walks:
-        n = len(walk)
-        for i in range(n):
-            lo, hi = max(0, i - window), min(n, i + window + 1)
-            for j in range(lo, hi):
-                if j != i:
-                    pairs.append((int(walk[i]), int(walk[j])))
-    return np.array(pairs, dtype=np.int64)
+    """All (center, context) pairs within the window across walks, walk by
+    walk and position by position, contexts in walk order."""
+    centres, contexts, n_ctx = window_layout(walks, window)
+    return np.stack([np.repeat(centres, n_ctx), contexts], axis=1).astype(np.int64)
 
 
 # ---------------------------------------------------------------------------

@@ -90,6 +90,41 @@ def zero_grads(params) -> None:
 
 
 # ---------------------------------------------------------------------------
+# elementwise ops shared by every trainer
+
+
+def sigmoid(x: np.ndarray) -> np.ndarray:
+    """Overflow-safe logistic function. Both branches share one exp(-|x|),
+    so each value is bitwise the textbook 1/(1+exp(-x)) for x >= 0 and
+    exp(x)/(1+exp(x)) below."""
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+
+
+def log_sigmoid(x: np.ndarray) -> np.ndarray:
+    """log sigmoid(x) = -softplus(-x), overflow-safe."""
+    lp = np.log1p(np.exp(-np.abs(x)))
+    return np.where(x >= 0, -lp, x - lp)
+
+
+def scatter_add_rows(table: np.ndarray, idx: np.ndarray, rows: np.ndarray) -> None:
+    """``np.add.at(table, idx, rows)`` for a C-contiguous 2-D table.
+
+    The update runs as a 1-D ``np.add.at`` on the table's flat buffer: the
+    same additions in the same order (a repeated row index accumulates in
+    index order), so the result is bitwise equal, but NumPy's 1-D fast path
+    makes it several times faster on small updates. ``idx`` is an integer
+    array of any shape; ``rows`` holds one row per index, in its C order.
+    """
+    if not table.flags.c_contiguous:
+        # reshape(-1) would return a copy, and the update would be lost
+        raise ValueError("scatter_add_rows needs a C-contiguous table")
+    d = table.shape[1]
+    flat_idx = (idx.reshape(-1, 1) * d + np.arange(d)).reshape(-1)
+    np.add.at(table.reshape(-1), flat_idx, rows.reshape(-1))
+
+
+# ---------------------------------------------------------------------------
 # dense layer
 
 
@@ -252,15 +287,6 @@ class LstmParams:
         return [self.W, self.b]
 
 
-def _sigmoid(x):
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
-
-
 def lstm_forward(x: np.ndarray, h_prev: np.ndarray, c_prev: np.ndarray, params: LstmParams):
     """Standard gated recurrence; returns (h, c, cache)."""
     H = params.hidden
@@ -269,9 +295,9 @@ def lstm_forward(x: np.ndarray, h_prev: np.ndarray, c_prev: np.ndarray, params: 
         raise ValueError(f"lstm state must have shape ({H},)")
     xc = np.concatenate([x, h_prev])
     z = params.W.value @ xc + params.b.value
-    i = _sigmoid(z[:H])
-    f = _sigmoid(z[H:2 * H])
-    o = _sigmoid(z[2 * H:3 * H])
+    i = sigmoid(z[:H])
+    f = sigmoid(z[H:2 * H])
+    o = sigmoid(z[2 * H:3 * H])
     g = np.tanh(z[3 * H:])
     c = f * c_prev + i * g
     tc = np.tanh(c)

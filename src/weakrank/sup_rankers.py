@@ -19,7 +19,7 @@ from __future__ import annotations
 import numpy as np
 
 from .corpus import CANDIDATE, QUERY, Corpus
-from .embeddings import EmbeddingTable, _sigmoid, node_feature_matrix
+from .embeddings import EmbeddingTable, node_feature_matrix
 from .graph import HetGraph
 from .ioutil import load_arrays, save_arrays
 from .nncore import (
@@ -35,6 +35,8 @@ from .nncore import (
     kernel_pool_backward,
     kernel_pool_forward,
     optimizer_step,
+    scatter_add_rows,
+    sigmoid,
     zero_grads,
 )
 from .registry import SupModelSpec
@@ -180,8 +182,8 @@ def _pairwise_loss_grads(r_pos: np.ndarray, r_neg: np.ndarray):
     """
     B = len(r_pos)
     loss = float((_softplus(-r_pos) + _softplus(r_neg)).mean())
-    d_pos = (_sigmoid(r_pos) - 1.0) / B
-    d_neg = _sigmoid(r_neg) / B
+    d_pos = (sigmoid(r_pos) - 1.0) / B
+    d_neg = sigmoid(r_neg) / B
     return loss, d_pos, d_neg
 
 
@@ -405,10 +407,10 @@ class GraphAggregationRanker(_Ranker):
         loss, d_pos, d_neg = _pairwise_loss_grads(r_pos, r_neg)
         dZq_p, dZp = cosine_rows_backward(d_pos, cache_p)
         dZq_n, dZn = cosine_rows_backward(d_neg, cache_n)
-        dZ = np.zeros_like(Z)
-        np.add.at(dZ, qn, dZq_p + dZq_n)
-        np.add.at(dZ, pn, dZp)
-        np.add.at(dZ, nn, dZn)
+        dZ = np.zeros(Z.shape)
+        scatter_add_rows(dZ, qn, dZq_p + dZq_n)
+        scatter_add_rows(dZ, pn, dZp)
+        scatter_add_rows(dZ, nn, dZn)
         sage_backward(dZ, self.A, caches)
         if not np.isfinite(loss):
             raise ValueError(f"non-finite loss in {self.kind} ranker on a batch of {len(triples)}")

@@ -124,6 +124,24 @@ def _needs_graph(config: RunConfig) -> bool:
     )
 
 
+def run_cache_dir(output_dir: str | Path) -> Path:
+    """A run directory's pretrain cache: ``search`` reads it, ``pretrain``
+    fills it."""
+    return Path(output_dir) / "cache"
+
+
+def cache_entry(cache_dir: str | Path | None, prefix: str, key: dict) -> Path | None:
+    """Where the cache keeps one pretrained entry, ``<prefix>_<hash>.bin``.
+
+    ``key`` must cover everything the entry depends on (corpus content,
+    hyperparameters, derived seed), so a hit is bit-identical to
+    recomputation. None when there is no cache.
+    """
+    if cache_dir is None:
+        return None
+    return Path(cache_dir) / f"{prefix}_{stable_hash(key)[:16]}.bin"
+
+
 def _pretrain_job(args):
     spec, corpus, graph, seed = args
     try:
@@ -150,15 +168,13 @@ def pretrain_all(
     """
     corpus_hash = corpus.content_hash()
     if cache_dir is not None:
-        cache_dir = Path(cache_dir)
-        cache_dir.mkdir(parents=True, exist_ok=True)
+        Path(cache_dir).mkdir(parents=True, exist_ok=True)
 
     plan = []
     for spec in registry:
         seed = derive_seed(master_seed, "unsup", spec.name)
-        key = stable_hash({"corpus": corpus_hash, "model": spec.name,
-                           "hp": spec.hp_hash(), "seed": seed})[:16]
-        cache_path = cache_dir / f"unsup_{spec.name}_{key}.bin" if cache_dir else None
+        cache_path = cache_entry(cache_dir, f"unsup_{spec.name}", {
+            "corpus": corpus_hash, "model": spec.name, "hp": spec.hp_hash(), "seed": seed})
         plan.append((spec, seed, cache_path))
 
     results: dict[str, ScoreMatrix] = {}
@@ -200,17 +216,14 @@ def build_backbone(corpus: Corpus, graph, config: RunConfig,
     """Train (or load) the frozen word embeddings shared by all rankers."""
     seed = derive_seed(config.effective_pretrain_seed, "backbone")
     table = None
-    cache_path = None
-    if cache_dir is not None:
-        key = stable_hash({
-            "corpus": corpus.content_hash(), "seed": seed,
-            "hp": [config.backbone_dim, config.backbone_window, config.backbone_neg,
-                   config.backbone_epochs, config.backbone_lr],
-        })[:16]
-        cache_path = Path(cache_dir) / f"backbone_{key}.bin"
-        if cache_path.exists():
-            log.info("cache hit for embedding backbone")
-            table = EmbeddingTable.load(cache_path)
+    cache_path = cache_entry(cache_dir, "backbone", {
+        "corpus": corpus.content_hash(), "seed": seed,
+        "hp": [config.backbone_dim, config.backbone_window, config.backbone_neg,
+               config.backbone_epochs, config.backbone_lr],
+    })
+    if cache_path is not None and cache_path.exists():
+        log.info("cache hit for embedding backbone")
+        table = EmbeddingTable.load(cache_path)
     if table is None:
         table = train_text_embeddings(
             corpus, dim=config.backbone_dim, window=config.backbone_window,
@@ -221,6 +234,18 @@ def build_backbone(corpus: Corpus, graph, config: RunConfig,
             cache_path.parent.mkdir(parents=True, exist_ok=True)
             table.save(cache_path)
     return backbone_from_table(corpus, table, graph, config)
+
+
+def pretrain(corpus: Corpus, config: RunConfig, cache_dir: str | Path | None):
+    """Everything a search trains before its first episode: the graph (when a
+    model needs it), every scorer's score matrix and the rankers' backbone,
+    all seeded from the effective pretrain seed. Returns (matrices,
+    backbone). ``weakrank pretrain`` runs exactly this into the cache a
+    later search reads."""
+    graph = build_graph(corpus) if _needs_graph(config) else None
+    matrices = pretrain_all(corpus, graph, config.unsup_registry, cache_dir,
+                            config.effective_pretrain_seed, workers=config.workers)
+    return matrices, build_backbone(corpus, graph, config, cache_dir)
 
 
 def backbone_from_table(corpus: Corpus, table: EmbeddingTable, graph,
@@ -342,12 +367,9 @@ def joint_train(
     if workdir is not None:
         workdir.mkdir(parents=True, exist_ok=True)
         if cache_dir is None:
-            cache_dir = workdir / "cache"
+            cache_dir = run_cache_dir(workdir)
 
-    graph = build_graph(corpus) if _needs_graph(config) else None
-    matrices = pretrain_all(corpus, graph, config.unsup_registry, cache_dir,
-                            config.effective_pretrain_seed, workers=config.workers)
-    backbone = build_backbone(corpus, graph, config, cache_dir)
+    matrices, backbone = pretrain(corpus, config, cache_dir)
     val_lists = build_eval_lists(
         val_annotations, corpus,
         seed=derive_seed(config.effective_pretrain_seed, "val-lists"),

@@ -3,12 +3,15 @@ import pytest
 
 from weakrank.corpus import build_corpus
 from weakrank.embeddings import (
+    SEQ_BLOCK,
     EmbeddingTable,
     SkipGramTrainer,
     doc_vector,
     score_matrix_from_embeddings,
     train_text_embeddings,
 )
+from weakrank.graph import build_graph
+from weakrank.graph_embeddings import generate_walks
 from weakrank.synthetic import generate_synthetic
 
 
@@ -116,6 +119,102 @@ class TestTrainTextEmbeddings:
             after = trainer.loss_on_pairs(centers, contexts, negs)
             deltas.append(after - before)
         assert np.mean(deltas) < 0
+
+
+def _sigmoid_ref(x):
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+def _log_sigmoid_ref(x):
+    return np.where(x >= 0, -np.log1p(np.exp(-np.abs(x))), x - np.log1p(np.exp(-np.abs(x))))
+
+
+def _reference_epoch(trainer, sequences):
+    """The plain per-centre epoch: window, negative draw, one SGD step and
+    the loss, one centre at a time."""
+    order = trainer.rng.permutation(len(sequences))
+    loss_sum, pair_count = 0.0, 0
+    w = trainer.window
+    for si in order:
+        seq = sequences[si]
+        n = len(seq)
+        for i in range(n):
+            lo, hi = max(0, i - w), min(n, i + w + 1)
+            n_ctx = hi - lo - 1
+            if n_ctx == 0:
+                continue
+            contexts = np.concatenate([seq[lo:i], seq[i + 1:hi]])
+            targets = np.concatenate([contexts, trainer._draw_negatives(n_ctx * trainer.neg)])
+            labels = np.zeros(len(targets))
+            labels[:n_ctx] = 1.0
+            h = trainer.w_in[seq[i]]
+            out_rows = trainer.w_out[targets]
+            scores = out_rows @ h
+            g = _sigmoid_ref(scores) - labels
+            loss_sum += float(-(_log_sigmoid_ref(scores[:n_ctx]).sum()
+                                + _log_sigmoid_ref(-scores[n_ctx:]).sum()))
+            pair_count += n_ctx
+            dh = g @ out_rows
+            np.add.at(trainer.w_out, targets, -trainer.lr * g[:, None] * h[None, :])
+            trainer.w_in[seq[i]] -= trainer.lr * dh
+    return loss_sum / max(pair_count, 1)
+
+
+def _with_singletons(sequences, rng):
+    """The sequences plus a few length-1 ones, padded so the count is more
+    than one block and not a multiple of SEQ_BLOCK."""
+    seqs = list(sequences)
+    while len(seqs) <= SEQ_BLOCK:
+        seqs += list(sequences)
+    seqs += [rng.integers(0, max(s.max() for s in sequences) + 1, size=1) for _ in range(5)]
+    if len(seqs) % SEQ_BLOCK == 0:
+        seqs.append(seqs[0][:1])
+    order = rng.permutation(len(seqs))
+    return [seqs[i] for i in order]
+
+
+@pytest.fixture(scope="module", params=["text", "walks"])
+def sequence_set(request, planted):
+    corpus, _ = planted
+    rng = np.random.default_rng(17)
+    if request.param == "text":
+        base = [np.array(d.token_ids, dtype=np.int64) for d in corpus.queries + corpus.candidates]
+        vocab = len(corpus.vocab)
+    else:
+        graph = build_graph(corpus)
+        base = generate_walks(graph, 2, 9, seed=3)
+        vocab = graph.n_nodes
+    seqs = _with_singletons(base, rng)
+    assert len(seqs) > SEQ_BLOCK and len(seqs) % SEQ_BLOCK
+    assert any(len(s) == 1 for s in seqs)
+    counts = np.bincount(np.concatenate(seqs), minlength=vocab).astype(np.float64)
+    return vocab, seqs, np.maximum(counts, 1e-12)
+
+
+class TestBlockedEpoch:
+    def test_weights_bitwise_equal_to_per_centre_loop(self, sequence_set):
+        vocab, seqs, counts = sequence_set
+        fast = SkipGramTrainer(vocab, 12, 3, 4, 0.05, 8, counts=counts)
+        ref = SkipGramTrainer(vocab, 12, 3, 4, 0.05, 8, counts=counts)
+        for _ in range(2):
+            loss = fast.train_epoch(seqs)
+            ref_loss = _reference_epoch(ref, seqs)
+            assert loss == pytest.approx(ref_loss, rel=1e-12, abs=1e-12)
+        assert fast.w_in.tobytes() == ref.w_in.tobytes()
+        assert fast.w_out.tobytes() == ref.w_out.tobytes()
+        # the random stream stays in step, too
+        assert fast.rng.random() == ref.rng.random()
+
+    def test_only_singletons_leave_weights_unchanged(self):
+        trainer = SkipGramTrainer(8, 4, 2, 2, 0.05, 0, counts=np.ones(8))
+        w_in = trainer.w_in.copy()
+        assert trainer.train_epoch([np.array([3]), np.array([5])]) == 0.0
+        assert np.array_equal(trainer.w_in, w_in) and not trainer.w_out.any()
 
 
 class TestDocVector:

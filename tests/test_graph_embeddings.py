@@ -15,6 +15,8 @@ from weakrank.graph_embeddings import (
     train_graph_embeddings,
     walk_transition_probs,
 )
+from weakrank.nncore import log_sigmoid, optimizer_step, sigmoid, zero_grads
+from weakrank.sageops import sage_backward, sage_forward
 from weakrank.synthetic import generate_synthetic
 
 
@@ -113,6 +115,95 @@ class TestWalks:
     def test_cooccurrence_pairs_window(self):
         pairs = cooccurrence_pairs([np.array([1, 2, 3])], window=1)
         assert {tuple(p) for p in pairs} == {(1, 2), (2, 1), (2, 3), (3, 2)}
+
+
+def _reference_pairs(walks, window):
+    pairs = []
+    for walk in walks:
+        n = len(walk)
+        for i in range(n):
+            lo, hi = max(0, i - window), min(n, i + window + 1)
+            pairs += [(int(walk[i]), int(walk[j])) for j in range(lo, hi) if j != i]
+    return np.array(pairs, dtype=np.int64)
+
+
+def test_cooccurrence_pairs_match_the_window_loop(planted_graph):
+    _, graph = planted_graph
+    walks = generate_walks(graph, 2, 9, seed=4) + [np.array([3]), np.array([5, 6])]
+    for window in (1, 3, 12):
+        pairs = cooccurrence_pairs(walks, window)
+        assert pairs.dtype == np.int64
+        assert pairs.tobytes() == _reference_pairs(walks, window).tobytes()
+
+
+def _reference_proximity_batch(t, batch_size):
+    """One batch of the proximity trainer with two-dimensional np.add.at."""
+    idx = t._draw(t._edge_cum, batch_size)
+    src, dst = t.edge_src[idx], t.edge_dst[idx]
+    negs = t._draw(t._noise_cum, batch_size * t.neg).reshape(batch_size, t.neg)
+    h = t.emb[src]
+    targets = np.concatenate([dst[:, None], negs], axis=1)
+    out = t.ctx[targets]
+    scores = np.einsum("bd,bnd->bn", h, out)
+    labels = np.zeros_like(scores)
+    labels[:, 0] = 1.0
+    g = sigmoid(scores) - labels
+    loss = float(-(log_sigmoid(scores[:, 0]) + log_sigmoid(-scores[:, 1:]).sum(axis=1)).mean())
+    dh = np.einsum("bn,bnd->bd", g, out)
+    np.add.at(t.ctx, targets, -t.lr * (g[:, :, None] * h[:, None, :]))
+    np.add.at(t.emb, src, -t.lr * dh)
+    return loss
+
+
+def _reference_aggregation_batch(t, pairs):
+    B = len(pairs)
+    negs = np.searchsorted(t._noise_cum, t.rng.random(B * t.neg)).reshape(B, t.neg)
+    zero_grads(t.layers)
+    Z, caches = sage_forward(t.features, t.A, t.layers)
+    u, v = pairs[:, 0], pairs[:, 1]
+    s_pos = np.einsum("id,id->i", Z[u], Z[v])
+    s_neg = np.einsum("id,ind->in", Z[u], Z[negs])
+    loss = float(-(log_sigmoid(s_pos) + log_sigmoid(-s_neg).sum(axis=1)).mean())
+    g_pos = (sigmoid(s_pos) - 1.0) / B
+    g_neg = sigmoid(s_neg) / B
+    dZ = np.zeros_like(Z)
+    np.add.at(dZ, u, g_pos[:, None] * Z[v] + np.einsum("bn,bnd->bd", g_neg, Z[negs]))
+    np.add.at(dZ, v, g_pos[:, None] * Z[u])
+    np.add.at(dZ, negs.reshape(-1), (g_neg[:, :, None] * Z[u][:, None, :]).reshape(-1, Z.shape[1]))
+    sage_backward(dZ, t.A, caches)
+    optimizer_step(t.layers, t.opt)
+    return loss
+
+
+class TestBitwiseAgainstReferences:
+    @pytest.mark.parametrize("order", [1, 2])
+    def test_proximity_batches(self, planted_graph, order):
+        _, graph = planted_graph
+        fast, ref = (EdgeProximityTrainer(graph, dim=8, order=order, neg=4, lr=0.2, seed=6)
+                     for _ in range(2))
+        for _ in range(20):
+            assert fast.train_batch(16) == _reference_proximity_batch(ref, 16)
+        assert fast.emb.tobytes() == ref.emb.tobytes()
+        assert fast.ctx.tobytes() == ref.ctx.tobytes()
+
+    def test_aggregation_batches(self, planted_graph):
+        corpus, graph = planted_graph
+        feats = node_feature_matrix(graph, corpus, train_text_embeddings(corpus, dim=8, epochs=1))
+        fast, ref = (AggregationTrainer(graph, feats, hidden=8, out_dim=8, n_layers=2, neg=3,
+                                        lr=0.05, sample_size=3, seed=2) for _ in range(2))
+        pairs = cooccurrence_pairs(generate_walks(graph, 1, 8, seed=1), window=2)
+        batches = np.random.default_rng(0).integers(len(pairs), size=(20, 24))
+        for rows in batches:
+            assert fast.train_batch(pairs[rows]) == _reference_aggregation_batch(ref, pairs[rows])
+        assert fast.layers.values.tobytes() == ref.layers.values.tobytes()
+
+    def test_edge_arrays_follow_adjacency_order(self, planted_graph):
+        _, graph = planted_graph
+        t = EdgeProximityTrainer(graph, dim=4, order=1, neg=2, lr=0.1, seed=0)
+        expected = [(v, int(x)) for v in range(graph.n_nodes) for x in graph.neighbors[v]]
+        assert list(zip(t.edge_src.tolist(), t.edge_dst.tolist())) == expected
+        w = np.array([wt for v in range(graph.n_nodes) for wt in graph.weights[v]])
+        assert t._edge_cum.tobytes() == np.cumsum(w / np.sum(w)).tobytes()
 
 
 class TestProximityTrainers:

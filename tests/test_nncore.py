@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from weakrank import nncore
 from weakrank.nncore import (
@@ -19,10 +22,72 @@ from weakrank.nncore import (
     kernel_pool_backward,
     kernel_pool_forward,
     lstm_backward,
+    log_sigmoid,
     lstm_forward,
     optimizer_step,
+    scatter_add_rows,
+    sigmoid,
     zero_grads,
 )
+
+
+def _two_branch_sigmoid(x):
+    # the textbook form: 1/(1+exp(-x)) where x >= 0, exp(x)/(1+exp(x)) below
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+_EDGE_VALUES = np.array([0.0, -0.0, 1e-300, -1e-300, 700.5, -700.5, 745.2, -745.2,
+                         1e4, -1e4, np.inf, -np.inf])
+
+
+class TestSigmoid:
+    @given(hnp.arrays(np.float64, st.integers(0, 60),
+                      elements=st.floats(-1e3, 1e3, allow_subnormal=True)))
+    @example(_EDGE_VALUES)
+    def test_bitwise_equal_to_two_branch_formula(self, x):
+        with np.errstate(over="ignore"):
+            expected = _two_branch_sigmoid(x)
+        assert sigmoid(x).tobytes() == expected.tobytes()
+
+    @given(hnp.arrays(np.float64, st.integers(0, 60), elements=st.floats(-1e3, 1e3)))
+    @example(_EDGE_VALUES)
+    def test_log_sigmoid_bitwise_equal_to_softplus_form(self, x):
+        # log sigma(x) = -softplus(-x), each branch with its own log1p(exp(-|x|))
+        expected = np.where(x >= 0, -np.log1p(np.exp(-np.abs(x))),
+                            x - np.log1p(np.exp(-np.abs(x))))
+        assert log_sigmoid(x).tobytes() == expected.tobytes()
+        assert np.all(log_sigmoid(x) <= 0.0)
+
+
+class TestScatterAddRows:
+    @given(st.data())
+    def test_bitwise_equal_to_add_at_with_repeated_rows(self, data):
+        n_rows = data.draw(st.integers(1, 4))
+        dim = data.draw(st.integers(1, 5))
+        n = data.draw(st.integers(0, 40))
+        idx = data.draw(hnp.arrays(np.int64, n, elements=st.integers(0, n_rows - 1)))
+        # magnitudes far apart, so a change in the order of the adds shows
+        rows = data.draw(hnp.arrays(np.float64, (n, dim), elements=st.sampled_from(
+            [1.0, -1.0, 1e-17, 3.3e16, -3.3e16, 0.1, 2.5e-9])))
+        table = data.draw(hnp.arrays(np.float64, (n_rows, dim), elements=st.floats(-1, 1)))
+        expected = table.copy()
+        np.add.at(expected, idx, rows)
+        shape = data.draw(st.sampled_from(["flat", "grid"]))
+        if shape == "grid" and n % 2 == 0:
+            idx, rows = idx.reshape(2, -1), rows.reshape(2, -1, dim)
+        scatter_add_rows(table, idx, rows)
+        assert table.tobytes() == expected.tobytes()
+
+    def test_refuses_a_non_contiguous_table(self):
+        table = np.zeros((3, 4)).T
+        with pytest.raises(ValueError, match="C-contiguous"):
+            scatter_add_rows(table, np.array([0, 1]), np.ones((2, 3)))
+        assert not table.any()
 
 
 class TestDense:
