@@ -38,7 +38,8 @@ def build_eval_lists(
     query, so a query's other positives never appear as its negatives.
     """
     rng = np.random.default_rng(seed)
-    all_cands = np.array(corpus.candidate_ids)
+    cand_ids = corpus.candidate_ids
+    column = {cid: j for j, cid in enumerate(cand_ids)}
     pos_by_query: dict[str, list[str]] = {}
     for qid, cid, label in annotations.pairs:
         if label == 1:
@@ -49,8 +50,9 @@ def build_eval_lists(
         positives = pos_by_query.get(qid, [])
         if not positives:
             raise ValueError(f"annotated query {qid!r} has no positive candidate")
-        pos_set = set(positives)
-        eligible = all_cands[[c not in pos_set for c in all_cands]]
+        keep = np.ones(len(cand_ids), dtype=bool)
+        keep[[column[c] for c in positives if c in column]] = False
+        eligible = np.flatnonzero(keep)  # candidate columns, in corpus order
         if len(eligible) < n_negatives:
             raise ValueError(
                 f"query {qid!r} has only {len(eligible)} eligible negatives, "
@@ -58,7 +60,8 @@ def build_eval_lists(
             )
         for pos in positives:
             draw = rng.choice(len(eligible), size=n_negatives, replace=False)
-            lists.append(EvalList(qid, pos, tuple(eligible[np.sort(draw)])))
+            negatives = tuple([cand_ids[j] for j in eligible[np.sort(draw)].tolist()])
+            lists.append(EvalList(qid, pos, negatives))
     return lists
 
 

@@ -2,7 +2,10 @@
 
 No autodiff graph. Every op returns (output, cache); the matching backward
 consumes the cache, returns input gradients, and accumulates parameter
-gradients in place. All values are float64.
+gradients in place. All values are float64. ``dense_backward(...,
+input_grad=False)`` is for a frozen input: it skips the input gradient and
+returns None. The row cosine masks only when some row has a zero norm;
+without one it computes directly, with bitwise the masked formula's values.
 
 A model's parameters form a ``ParamGroup``: each tensor's value and gradient
 are views into one flat value buffer and one flat gradient buffer. Zeroing
@@ -23,7 +26,7 @@ ACTIVATIONS = ("identity", "tanh", "relu")
 
 
 def _ensure_finite(name: str, arr: np.ndarray) -> np.ndarray:
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise ValueError(f"non-finite values in {name}")
     return arr
 
@@ -98,7 +101,8 @@ def sigmoid(x: np.ndarray) -> np.ndarray:
     so each value is bitwise the textbook 1/(1+exp(-x)) for x >= 0 and
     exp(x)/(1+exp(x)) below."""
     e = np.exp(-np.abs(x))
-    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+    d = 1.0 + e
+    return np.where(x >= 0, 1.0 / d, e / d)
 
 
 def log_sigmoid(x: np.ndarray) -> np.ndarray:
@@ -153,8 +157,12 @@ def dense_forward(x: np.ndarray, W: ParamTensor, b: ParamTensor | None, act: str
     return (y[0] if single else y), cache
 
 
-def dense_backward(dy: np.ndarray, cache):
-    """Accumulates into W.grad / b.grad; returns dx matching x's shape."""
+def dense_backward(dy: np.ndarray, cache, input_grad: bool = True):
+    """Accumulates into W.grad / b.grad; returns dx matching x's shape.
+
+    ``input_grad=False`` is for a frozen input: it skips ``dpre @ W`` and
+    returns None. The parameter gradients are the same either way.
+    """
     x2, pre, y, W, b, act, single = cache
     dy2 = np.asarray(dy, dtype=np.float64)
     if single:
@@ -168,6 +176,8 @@ def dense_backward(dy: np.ndarray, cache):
     W.grad += dpre.T @ x2
     if b is not None:
         b.grad += dpre.sum(axis=0)
+    if not input_grad:
+        return None
     dx = dpre @ W.value
     return dx[0] if single else dx
 
@@ -203,6 +213,9 @@ def cosine_rows_forward(U: np.ndarray, V: np.ndarray):
     nv = np.linalg.norm(V, axis=1)
     denom = nu * nv
     ok = denom > 0.0
+    if ok.all():
+        c = np.einsum("ij,ij->i", U, V) / denom
+        return c, (U, V, nu, nv, c, None)
     c = np.zeros(U.shape[0])
     c[ok] = np.einsum("ij,ij->i", U[ok], V[ok]) / denom[ok]
     return c, (U, V, nu, nv, c, ok)
@@ -210,6 +223,11 @@ def cosine_rows_forward(U: np.ndarray, V: np.ndarray):
 
 def cosine_rows_backward(dc: np.ndarray, cache):
     U, V, nu, nv, c, ok = cache
+    if ok is None:  # every row has a non-zero norm
+        a = (dc * (1.0 / (nu * nv)))[:, None]
+        dcc = dc * c
+        return (a * V - (dcc / (nu * nu))[:, None] * U,
+                a * U - (dcc / (nv * nv))[:, None] * V)
     dU = np.zeros_like(U)
     dV = np.zeros_like(V)
     s = np.where(ok, dc, 0.0)

@@ -70,14 +70,14 @@ def top_k_labels(agg: ScoreMatrix, k: int) -> PseudoLabelSet:
     n_cand = len(agg.candidate_ids)
     if not 1 <= k < n_cand:
         raise ValueError(f"k={k} out of range [1, {n_cand - 1}]")
-    cand_arr = np.array(agg.candidate_ids)
-    by_id = np.argsort(cand_arr, kind="stable")
+    cand_ids = agg.candidate_ids
+    by_id = np.argsort(np.array(cand_ids), kind="stable")
     positives, negatives = {}, {}
     for qi, qid in enumerate(agg.query_ids):
         row = agg.values[qi][by_id]
-        order = by_id[np.argsort(-row, kind="stable")]
-        positives[qid] = tuple(cand_arr[order[:k]])
-        negatives[qid] = tuple(cand_arr[order[k:]])
+        ranked = [cand_ids[j] for j in by_id[np.argsort(-row, kind="stable")].tolist()]
+        positives[qid] = tuple(ranked[:k])
+        negatives[qid] = tuple(ranked[k:])
     return PseudoLabelSet(k, agg.query_ids, positives, negatives)
 
 

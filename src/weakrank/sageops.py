@@ -4,7 +4,9 @@ Each node keeps one seeded neighbor sample (capped at ``sample_size``) for
 its whole lifetime, which makes every forward pass a pure function: layer l
 computes h_l = relu(W_l @ concat(h_{l-1}, mean of sampled neighbors)).
 The aggregation is expressed as a dense row-stochastic matrix; at the corpus
-sizes this library targets that is both simple and fast.
+sizes this library targets that is both simple and fast. Node features are
+frozen inputs: ``sage_backward`` computes the layers' weight gradients and
+no gradient into the features.
 """
 
 from __future__ import annotations
@@ -55,10 +57,12 @@ def sage_forward(H0: np.ndarray, A: np.ndarray, layers: list[ParamTensor]):
     return H, caches
 
 
-def sage_backward(dHL: np.ndarray, A: np.ndarray, caches) -> np.ndarray:
-    """Backprop through the stack; accumulates into each layer's W.grad."""
+def sage_backward(dHL: np.ndarray, A: np.ndarray, caches) -> None:
+    """Backprop through the stack; accumulates into each layer's W.grad. The
+    first layer computes no gradient into the frozen input features."""
     dH = dHL
-    for cache, d_in in reversed(caches):
-        dM = dense_backward(dH, cache)
-        dH = dM[:, :d_in] + A.T @ dM[:, d_in:]
-    return dH
+    for l in range(len(caches) - 1, -1, -1):
+        cache, d_in = caches[l]
+        dM = dense_backward(dH, cache, input_grad=l > 0)
+        if l > 0:
+            dH = dM[:, :d_in] + A.T @ dM[:, d_in:]

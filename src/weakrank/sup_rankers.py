@@ -12,6 +12,11 @@ ranker (validation rewards, the final retrain's early stopping, the test
 metrics and ``weakrank score``) gathers columns from those matrices and
 combines them with ``ensemble_scores``. Each model's parameters form one
 ``ParamGroup``, so a training step zeroes and updates flat buffers.
+
+Training runs on integer batches: ``train_supervised`` maps its id triples
+once to (query row, positive column, negative column) and hands each
+``loss_and_grads`` a (batch, 3) slice, which gathers its rows of the frozen
+inputs directly. No gradient is computed into frozen inputs.
 """
 
 from __future__ import annotations
@@ -91,6 +96,7 @@ class RankerBackbone:
 
         self._phi_cache: dict = {}
         self._graph_inputs = None
+        self._list_index = None
 
     def _doc_mean(self, doc) -> np.ndarray:
         rows = [self.table.index[t] for t in self.corpus.tokens(doc) if t in self.table.index]
@@ -141,11 +147,26 @@ class RankerBackbone:
         self._phi_cache[key] = phi
         return phi
 
+    def triple_index(self, triples) -> np.ndarray:
+        """(n, 3) int64 rows of (query row, positive column, negative column)."""
+        q, c = self.query_row, self.cand_row
+        return np.array([(q[qid], c[pos], c[neg]) for qid, pos, neg in triples],
+                        dtype=np.int64).reshape(-1, 3)
+
     def list_index(self, lists) -> tuple[np.ndarray, np.ndarray]:
-        """(query row of each eval list, candidate column of each of its ids)."""
+        """(query row of each eval list, int32 candidate column of each of its ids).
+
+        The last list set's index is kept, by identity and with a reference
+        held, so the validation lists scored once per episode are mapped
+        through the id dicts only once.
+        """
+        memo = self._list_index
+        if memo is not None and memo[0] is lists and memo[1] == len(lists):
+            return memo[2], memo[3]
         rows = np.array([self.query_row[el.query_id] for el in lists], dtype=np.int64)
         cols = np.array([[self.cand_row[c] for c in el.candidate_ids] for el in lists],
-                        dtype=np.int64)
+                        dtype=np.int32)
+        self._list_index = (lists, len(lists), rows, cols)
         return rows, cols
 
     def gather(self, matrix: np.ndarray, query_id: str, candidate_ids) -> np.ndarray:
@@ -181,10 +202,26 @@ def _pairwise_loss_grads(r_pos: np.ndarray, r_neg: np.ndarray):
     softplus(-r+) + softplus(r-); the gradient w.r.t. r is sigma(r) - target.
     """
     B = len(r_pos)
-    loss = float((_softplus(-r_pos) + _softplus(r_neg)).mean())
-    d_pos = (sigmoid(r_pos) - 1.0) / B
-    d_neg = sigmoid(r_neg) / B
-    return loss, d_pos, d_neg
+    sp = _softplus(np.concatenate([-r_pos, r_neg]))  # elementwise: one call for both
+    loss = float((sp[:B] + sp[B:]).mean())
+    s = sigmoid(np.concatenate([r_pos, r_neg]))
+    return loss, (s[:B] - 1.0) / B, s[B:] / B
+
+
+def _pair_cosine_loss(yq: np.ndarray, yp: np.ndarray, yn: np.ndarray):
+    """Pairwise loss on cos(yq, yp) against cos(yq, yn), and its gradients
+    (d yq, (d yp, d yn)). Both cosines run as one row-wise op on stacked
+    rows; each row's value is the same as in two separate calls."""
+    B = len(yq)
+    r, cache = cosine_rows_forward(np.concatenate([yq, yq]), np.concatenate([yp, yn]))
+    loss, d_pos, d_neg = _pairwise_loss_grads(r[:B], r[B:])
+    dU, dV = cosine_rows_backward(np.concatenate([d_pos, d_neg]), cache)
+    return loss, dU[:B] + dU[B:], (dV[:B], dV[B:])
+
+
+def _check_loss(model, loss: float, batch) -> None:
+    if not np.isfinite(loss):
+        raise ValueError(f"non-finite loss in {model.kind} ranker on a batch of {len(batch)}")
 
 
 class _Ranker:
@@ -232,7 +269,7 @@ class RepresentationRanker(_Ranker):
     def _tower_backward(self, dy: np.ndarray, caches) -> None:
         cache1, cache2 = caches
         dh1 = dense_backward(dy, cache2)
-        dense_backward(dh1, cache1)
+        dense_backward(dh1, cache1, input_grad=False)  # document means are frozen
 
     def score_matrix(self) -> np.ndarray:
         yq, _ = self._tower(self.backbone.q_means, "q")
@@ -242,23 +279,17 @@ class RepresentationRanker(_Ranker):
     def score_pairs(self, query_id: str, candidate_ids) -> np.ndarray:
         return self.backbone.gather(self.score_matrix(), query_id, candidate_ids)
 
-    def loss_and_grads(self, triples) -> float:
-        qrows = [self.backbone.query_row[q] for q, _, _ in triples]
-        prows = [self.backbone.cand_row[p] for _, p, _ in triples]
-        nrows = [self.backbone.cand_row[n] for _, _, n in triples]
-        yq, qcache = self._tower(self.backbone.q_means[qrows], "q")
-        yp, pcache = self._tower(self.backbone.c_means[prows], "c")
-        yn, ncache = self._tower(self.backbone.c_means[nrows], "c")
-        r_pos, cache_p = cosine_rows_forward(yq, yp)
-        r_neg, cache_n = cosine_rows_forward(yq, yn)
-        loss, d_pos, d_neg = _pairwise_loss_grads(r_pos, r_neg)
-        dyq_p, dyp = cosine_rows_backward(d_pos, cache_p)
-        dyq_n, dyn = cosine_rows_backward(d_neg, cache_n)
-        self._tower_backward(dyq_p + dyq_n, qcache)
+    def loss_and_grads(self, batch: np.ndarray) -> float:
+        q, p, n = batch.T
+        yq, qcache = self._tower(self.backbone.q_means[q], "q")
+        # Separate GEMMs: one stacked (2B, d) product is not bitwise the same.
+        yp, pcache = self._tower(self.backbone.c_means[p], "c")
+        yn, ncache = self._tower(self.backbone.c_means[n], "c")
+        loss, dyq, (dyp, dyn) = _pair_cosine_loss(yq, yp, yn)
+        self._tower_backward(dyq, qcache)
         self._tower_backward(dyp, pcache)
         self._tower_backward(dyn, ncache)
-        if not np.isfinite(loss):
-            raise ValueError(f"non-finite loss in {self.kind} ranker on a batch of {len(triples)}")
+        _check_loss(self, loss, batch)
         return loss
 
 
@@ -291,19 +322,16 @@ class InteractionRanker(_Ranker):
     def score_pairs(self, query_id: str, candidate_ids) -> np.ndarray:
         return self.backbone.gather(self.score_matrix(), query_id, candidate_ids)
 
-    def loss_and_grads(self, triples) -> float:
-        qrows = [self.backbone.query_row[q] for q, _, _ in triples]
-        prows = [self.backbone.cand_row[p] for _, p, _ in triples]
-        nrows = [self.backbone.cand_row[n] for _, _, n in triples]
-        phi_p = self.phi[qrows, prows]
-        phi_n = self.phi[qrows, nrows]
+    def loss_and_grads(self, batch: np.ndarray) -> float:
+        q, p, n = batch.T
+        phi_p = self.phi[q, p]
+        phi_n = self.phi[q, n]
         r_pos = phi_p @ self.w.value + self.b.value[0]
         r_neg = phi_n @ self.w.value + self.b.value[0]
         loss, d_pos, d_neg = _pairwise_loss_grads(r_pos, r_neg)
         self.w.grad += d_pos @ phi_p + d_neg @ phi_n
         self.b.grad += d_pos.sum() + d_neg.sum()
-        if not np.isfinite(loss):
-            raise ValueError(f"non-finite loss in {self.kind} ranker on a batch of {len(triples)}")
+        _check_loss(self, loss, batch)
         return loss
 
 
@@ -397,23 +425,17 @@ class GraphAggregationRanker(_Ranker):
     def score_pairs(self, query_id: str, candidate_ids) -> np.ndarray:
         return self.backbone.gather(self.score_matrix(), query_id, candidate_ids)
 
-    def loss_and_grads(self, triples) -> float:
+    def loss_and_grads(self, batch: np.ndarray) -> float:
         Z, caches = sage_forward(self.features, self.A, self.layers)
-        qn = self.q_nodes[[self.backbone.query_row[q] for q, _, _ in triples]]
-        pn = self.c_nodes[[self.backbone.cand_row[p] for _, p, _ in triples]]
-        nn = self.c_nodes[[self.backbone.cand_row[n] for _, _, n in triples]]
-        r_pos, cache_p = cosine_rows_forward(Z[qn], Z[pn])
-        r_neg, cache_n = cosine_rows_forward(Z[qn], Z[nn])
-        loss, d_pos, d_neg = _pairwise_loss_grads(r_pos, r_neg)
-        dZq_p, dZp = cosine_rows_backward(d_pos, cache_p)
-        dZq_n, dZn = cosine_rows_backward(d_neg, cache_n)
+        q, p, n = batch.T
+        qn, pn, nn = self.q_nodes[q], self.c_nodes[p], self.c_nodes[n]
+        loss, dZq, (dZp, dZn) = _pair_cosine_loss(Z[qn], Z[pn], Z[nn])
         dZ = np.zeros(Z.shape)
-        scatter_add_rows(dZ, qn, dZq_p + dZq_n)
+        scatter_add_rows(dZ, qn, dZq)
         scatter_add_rows(dZ, pn, dZp)
         scatter_add_rows(dZ, nn, dZn)
-        sage_backward(dZ, self.A, caches)
-        if not np.isfinite(loss):
-            raise ValueError(f"non-finite loss in {self.kind} ranker on a batch of {len(triples)}")
+        sage_backward(dZ, self.A, caches)  # node features are frozen
+        _check_loss(self, loss, batch)
         return loss
 
 
@@ -442,6 +464,10 @@ def train_supervised(
 ) -> list[float]:
     """Seeded minibatch training on (query, positive, negative) triples.
 
+    The id triples are mapped once to an (n, 3) integer index
+    (``RankerBackbone.triple_index``); each epoch permutes its rows and hands
+    the ranker (batch, 3) slices.
+
     Returns the per-epoch mean objective. With ``eval_fn`` the best-scoring
     parameters are restored at the end, and training stops early once the
     metric fails to improve for ``patience`` consecutive epochs (patience 0
@@ -451,19 +477,18 @@ def train_supervised(
     """
     if not triples:
         raise ValueError("empty training stream")
-    triples = list(triples)
+    index = model.backbone.triple_index(triples)
     rng = np.random.default_rng(seed)
     opt = optimizer_state if optimizer_state is not None else OptimizerState(algorithm, lr=lr)
     params = model.params()
     curve = []
     best_metric, best_values, stale = -np.inf, None, 0
     for _ in range(epochs):
-        order = rng.permutation(len(triples))
+        shuffled = index[rng.permutation(len(index))]
         losses = []
-        for start in range(0, len(order), batch_size):
-            batch = [triples[i] for i in order[start:start + batch_size]]
+        for start in range(0, len(shuffled), batch_size):
             zero_grads(params)
-            losses.append(model.loss_and_grads(batch))
+            losses.append(model.loss_and_grads(shuffled[start:start + batch_size]))
             optimizer_step(params, opt)
             model.after_update()
         curve.append(float(np.mean(losses)))
@@ -509,11 +534,11 @@ def score_lists_with_ensemble(lists, models) -> np.ndarray:
     if not models:
         raise ValueError("ensemble needs at least one model")
     matrices = [m.score_matrix() for m in models]
-    backbone = models[0].backbone
-    out = np.empty((len(lists), len(lists[0].candidate_ids) if lists else 0))
+    rows, cols = models[0].backbone.list_index(lists)
+    out = np.empty((len(lists), cols.shape[1] if lists else 0))
     for start in range(0, len(lists), ENSEMBLE_BLOCK):
-        rows, cols = backbone.list_index(lists[start:start + ENSEMBLE_BLOCK])
-        out[start:start + len(rows)] = ensemble_scores(matrices, rows, cols)
+        block = slice(start, start + ENSEMBLE_BLOCK)
+        out[block] = ensemble_scores(matrices, rows[block], cols[block])
     return out
 
 

@@ -15,8 +15,8 @@ from weakrank.graph_embeddings import (
     train_graph_embeddings,
     walk_transition_probs,
 )
-from weakrank.nncore import log_sigmoid, optimizer_step, sigmoid, zero_grads
-from weakrank.sageops import sage_backward, sage_forward
+from weakrank.nncore import dense_backward, log_sigmoid, optimizer_step, sigmoid, zero_grads
+from weakrank.sageops import build_neighbor_matrix, create_layers, sage_backward, sage_forward
 from weakrank.synthetic import generate_synthetic
 
 
@@ -175,7 +175,32 @@ def _reference_aggregation_batch(t, pairs):
     return loss
 
 
+def _reference_sage_backward(dHL, A, caches):
+    """Backprop through the stack, with the gradient into the input features."""
+    dH = dHL
+    for cache, d_in in reversed(caches):
+        dM = dense_backward(dH, cache)
+        dH = dM[:, :d_in] + A.T @ dM[:, d_in:]
+    return dH
+
+
 class TestBitwiseAgainstReferences:
+    @pytest.mark.parametrize("n_layers", [1, 2, 3])
+    def test_sage_backward_layer_gradients(self, planted_graph, n_layers):
+        _, graph = planted_graph
+        rng = np.random.default_rng(n_layers)
+        feats = rng.normal(size=(graph.n_nodes, 6))
+        A = build_neighbor_matrix(graph, 4, rng)
+        dims = [6] + [5] * n_layers
+        fast, ref = (create_layers("agg", dims, np.random.default_rng(9)) for _ in range(2))
+        dZ = rng.normal(size=(graph.n_nodes, 5))
+        Z, caches = sage_forward(feats, A, fast)
+        assert sage_backward(dZ, A, caches) is None
+        Z_ref, caches_ref = sage_forward(feats, A, ref)
+        _reference_sage_backward(dZ, A, caches_ref)
+        assert Z.tobytes() == Z_ref.tobytes()
+        assert fast.grads.tobytes() == ref.grads.tobytes()
+
     @pytest.mark.parametrize("order", [1, 2])
     def test_proximity_batches(self, planted_graph, order):
         _, graph = planted_graph

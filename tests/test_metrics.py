@@ -184,6 +184,25 @@ class TestBuildEvalLists:
         with pytest.raises(ValueError, match="eligible negatives"):
             build_eval_lists(ann, corpus, seed=0)  # only 20 non-positives per query
 
+    def test_equal_to_per_candidate_filter_reference(self):
+        corpus, ann = self._setup()
+        rng = np.random.default_rng(7)
+        all_cands = np.array(corpus.candidate_ids)
+        pos_by_query = {}
+        for q, c, y in ann.pairs:
+            if y == 1:
+                pos_by_query.setdefault(q, []).append(c)
+        expected = []
+        for qid in ann.query_ids:
+            pos_set = set(pos_by_query[qid])
+            eligible = all_cands[[c not in pos_set for c in all_cands]]
+            for pos in pos_by_query[qid]:
+                draw = rng.choice(len(eligible), size=30, replace=False)
+                expected.append(EvalList(qid, pos, tuple(eligible[np.sort(draw)])))
+        lists = build_eval_lists(ann, corpus, seed=7, n_negatives=30)
+        assert lists == expected
+        assert all(type(c) is str for el in lists for c in el.negative_ids)
+
     def test_positive_not_in_negatives(self):
         with pytest.raises(ValueError, match="among negatives"):
             EvalList("q", "c1", ("c1", "c2"))

@@ -137,8 +137,69 @@ class TestDense:
             yi, _ = dense_forward(X[i], W, b, "tanh")
             assert np.allclose(Y[i], yi)
 
+    @pytest.mark.parametrize("act", ["identity", "tanh", "relu"])
+    @pytest.mark.parametrize("with_bias", [True, False])
+    def test_frozen_input_gives_the_same_parameter_gradients(self, rng, act, with_bias):
+        X = rng.normal(size=(7, 5))
+        dy = rng.normal(size=(7, 4))
+        grads = []
+        for input_grad in (True, False):
+            W = ParamTensor("W", np.random.default_rng(3).normal(size=(4, 5)))
+            b = ParamTensor("b", np.random.default_rng(4).normal(size=4)) if with_bias else None
+            _, cache = dense_forward(X, W, b, act)
+            dx = dense_backward(dy, cache, input_grad=input_grad)
+            assert (dx is None) == (not input_grad)
+            grads.append((W.grad.tobytes(), None if b is None else b.grad.tobytes()))
+        assert grads[0] == grads[1]
+
+
+def _masked_cosine_rows(U, V):
+    """The masked row cosine for every row: zero-norm rows score 0 and get
+    zero gradient. Returns (c, backward(dc) -> (dU, dV))."""
+    nu = np.linalg.norm(U, axis=1)
+    nv = np.linalg.norm(V, axis=1)
+    denom = nu * nv
+    ok = denom > 0.0
+    c = np.zeros(U.shape[0])
+    c[ok] = np.einsum("ij,ij->i", U[ok], V[ok]) / denom[ok]
+
+    def backward(dc):
+        dU = np.zeros_like(U)
+        dV = np.zeros_like(V)
+        s = np.where(ok, dc, 0.0)
+        nu_s = np.where(ok, nu, 1.0)
+        nv_s = np.where(ok, nv, 1.0)
+        inv = 1.0 / (nu_s * nv_s)
+        dU[:] = (s * inv)[:, None] * V - (s * c / (nu_s * nu_s))[:, None] * U
+        dV[:] = (s * inv)[:, None] * U - (s * c / (nv_s * nv_s))[:, None] * V
+        dU[~ok] = 0.0
+        dV[~ok] = 0.0
+        return dU, dV
+
+    return c, backward
+
 
 class TestCosine:
+    @given(st.data())
+    def test_rows_bitwise_equal_to_masked_formula(self, data):
+        n = data.draw(st.integers(1, 40))
+        d = data.draw(st.integers(1, 40))
+        elements = st.floats(-1e3, 1e3, allow_subnormal=False)
+        U = data.draw(hnp.arrays(np.float64, (n, d), elements=elements))
+        V = data.draw(hnp.arrays(np.float64, (n, d), elements=elements))
+        if data.draw(st.booleans()):  # some zero rows: the masked path
+            for side in (U, V):
+                side[data.draw(st.lists(st.integers(0, n - 1), max_size=n))] = 0.0
+        dc = data.draw(hnp.arrays(np.float64, n, elements=st.floats(-10, 10)))
+        with np.errstate(all="ignore"):  # tiny norms overflow alike in both
+            c, cache = cosine_rows_forward(U, V)
+            dU, dV = cosine_rows_backward(dc, cache)
+            c_ref, backward = _masked_cosine_rows(U, V)
+            dU_ref, dV_ref = backward(dc)
+        assert c.tobytes() == c_ref.tobytes()
+        assert dU.tobytes() == dU_ref.tobytes()
+        assert dV.tobytes() == dV_ref.tobytes()
+
     def test_identical_vectors(self):
         u = np.array([1.0, 2.0, 3.0])
         c, _ = cosine_forward(u, u.copy())

@@ -138,6 +138,9 @@ class TestTopK:
             oracle = brute_force_top_k(m, k)
             for qid in m.query_ids:
                 assert labels.positives[qid] == oracle[qid]
+                ids = labels.positives[qid] + labels.negatives[qid]
+                assert sorted(ids) == sorted(m.candidate_ids)
+                assert all(type(c) is str for c in ids)
 
     def test_positives_sorted_by_score_descending(self, rng):
         m = _matrix(rng.random((3, 8)))

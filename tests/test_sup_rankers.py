@@ -7,7 +7,19 @@ from weakrank.corpus import build_corpus
 from weakrank.embeddings import train_text_embeddings
 from weakrank.graph import build_graph
 from weakrank.metrics import build_eval_lists, mrr
-from weakrank.nncore import ParamTensor, finite_difference_check, init_param, zero_grads
+from weakrank.nncore import (
+    OptimizerState,
+    ParamTensor,
+    cosine_rows_backward,
+    cosine_rows_forward,
+    dense_backward,
+    finite_difference_check,
+    init_param,
+    optimizer_step,
+    scatter_add_rows,
+    sigmoid,
+    zero_grads,
+)
 from weakrank.pseudo_labels import aggregate, sample_training_pairs, top_k_labels
 from weakrank.registry import SupModelSpec
 from weakrank.sup_rankers import (
@@ -17,6 +29,7 @@ from weakrank.sup_rankers import (
     RankerBackbone,
     RepresentationRanker,
     _pairwise_loss_grads,
+    _softplus,
     create_sup_model,
     ensemble_scores,
     interaction_score_from_embeddings,
@@ -248,7 +261,7 @@ class TestTrainSupervised:
         deltas = []
         for seed in range(3):
             model = InteractionRanker(backbone, _spec("interaction"), seed=seed)
-            fixed = triples[:256]
+            fixed = backbone.triple_index(triples[:256])
             zero_grads(model.params())
             before = model.loss_and_grads(fixed)
             zero_grads(model.params())
@@ -293,6 +306,131 @@ class TestTrainSupervised:
                 train_supervised(model, triples, epochs=8, lr=lr, seed=seed)
                 values.append(mrr(lists, score_lists_with_ensemble(lists, [model])))
             assert min(values) >= 0.9, f"{kind}: {values}"
+
+
+def _reference_pairwise_loss_grads(r_pos, r_neg):
+    """The pairwise objective with one softplus and one sigmoid call per side."""
+    B = len(r_pos)
+    loss = float((_softplus(-r_pos) + _softplus(r_neg)).mean())
+    return loss, (sigmoid(r_pos) - 1.0) / B, sigmoid(r_neg) / B
+
+
+def _reference_loss_and_grads(model, triples):
+    """Per-triple string path: id lookups per triple, one cosine call per
+    side, and the document means' input gradient. The row cosine and
+    ``sage_backward`` are checked bitwise against their masked and full
+    forms in test_nncore and test_graph_embeddings."""
+    b = model.backbone
+    qrows = [b.query_row[q] for q, _, _ in triples]
+    prows = [b.cand_row[p] for _, p, _ in triples]
+    nrows = [b.cand_row[n] for _, _, n in triples]
+    if model.kind == "interaction":
+        phi_p, phi_n = model.phi[qrows, prows], model.phi[qrows, nrows]
+        r_pos = phi_p @ model.w.value + model.b.value[0]
+        r_neg = phi_n @ model.w.value + model.b.value[0]
+        loss, d_pos, d_neg = _reference_pairwise_loss_grads(r_pos, r_neg)
+        model.w.grad += d_pos @ phi_p + d_neg @ phi_n
+        model.b.grad += d_pos.sum() + d_neg.sum()
+        return loss
+    if model.kind == "representation":
+        yq, qcache = model._tower(b.q_means[qrows], "q")
+        yp, pcache = model._tower(b.c_means[prows], "c")
+        yn, ncache = model._tower(b.c_means[nrows], "c")
+    else:
+        Z, caches = sup_rankers.sage_forward(model.features, model.A, model.layers)
+        qn, pn, nn = model.q_nodes[qrows], model.c_nodes[prows], model.c_nodes[nrows]
+        yq, yp, yn = Z[qn], Z[pn], Z[nn]
+    r_pos, cache_p = cosine_rows_forward(yq, yp)
+    r_neg, cache_n = cosine_rows_forward(yq, yn)
+    loss, d_pos, d_neg = _reference_pairwise_loss_grads(r_pos, r_neg)
+    dq_p, dp = cosine_rows_backward(d_pos, cache_p)
+    dq_n, dn = cosine_rows_backward(d_neg, cache_n)
+    if model.kind == "representation":
+        for dy, (cache1, cache2) in ((dq_p + dq_n, qcache), (dp, pcache), (dn, ncache)):
+            dense_backward(dense_backward(dy, cache2), cache1)
+        return loss
+    dZ = np.zeros(Z.shape)
+    scatter_add_rows(dZ, qn, dq_p + dq_n)
+    scatter_add_rows(dZ, pn, dp)
+    scatter_add_rows(dZ, nn, dn)
+    sup_rankers.sage_backward(dZ, model.A, caches)
+    return loss
+
+
+def _reference_train(model, triples, epochs, lr, seed, batch_size=32):
+    """Seeded minibatch Adam over lists of string triples."""
+    rng = np.random.default_rng(seed)
+    opt = OptimizerState("adam", lr=lr)
+    params = model.params()
+    curve = []
+    for _ in range(epochs):
+        order = rng.permutation(len(triples))
+        losses = []
+        for start in range(0, len(order), batch_size):
+            batch = [triples[i] for i in order[start:start + batch_size]]
+            zero_grads(params)
+            losses.append(_reference_loss_and_grads(model, batch))
+            optimizer_step(params, opt)
+            model.after_update()
+        curve.append(float(np.mean(losses)))
+    return curve
+
+
+class TestIndexBatches:
+    def test_triple_index_maps_ids_to_rows_and_columns(self, mirror_backbone):
+        index = mirror_backbone.triple_index([("q2", "c3", "c1"), ("q1", "c1", "c2")])
+        assert index.dtype == np.int64
+        assert index.tolist() == [[1, 2, 0], [0, 0, 1]]
+        assert mirror_backbone.triple_index([]).shape == (0, 3)
+
+    @pytest.mark.parametrize("kind,hp", [
+        ("representation", {"hidden": 8}),
+        ("interaction", {}),
+        ("graph-aggregation", {"hidden": 8, "out_dim": 8}),
+    ])
+    def test_training_bitwise_equal_to_string_triple_reference(self, planted_setup, kind, hp):
+        backbone, triples, _ = planted_setup
+        triples = triples[:250]  # not a multiple of the batch size
+        fast, ref = (create_sup_model(_spec(kind, **hp), backbone, seed=3) for _ in range(2))
+        curve = train_supervised(fast, triples, epochs=3, lr=0.01, seed=4)
+        ref_curve = _reference_train(ref, triples, epochs=3, lr=0.01, seed=4)
+        assert curve == ref_curve
+        assert fast.params().values.tobytes() == ref.params().values.tobytes()
+
+    def test_eval_list_index_is_kept_per_list_set(self, planted_setup):
+        backbone, _, lists = planted_setup
+        rows, cols = backbone.list_index(lists)
+        assert cols.dtype == np.int32
+        assert cols.tolist() == [[backbone.cand_row[c] for c in el.candidate_ids]
+                                 for el in lists]
+        again = backbone.list_index(lists)
+        assert again[0] is rows and again[1] is cols
+        head = lists[:5]  # a different list set is indexed afresh
+        assert backbone.list_index(head)[1].tolist() == cols[:5].tolist()
+        grown = list(lists)
+        backbone.list_index(grown)
+        grown.append(lists[0])  # so is a set that changed length since
+        assert len(backbone.list_index(grown)[0]) == len(lists) + 1
+
+    @pytest.mark.parametrize("kind,hp", [
+        ("representation", {"hidden": 4}),
+        ("interaction", {}),
+        ("graph-aggregation", {"hidden": 4, "out_dim": 4}),
+    ])
+    def test_loss_gradients_vs_finite_differences(self, mirror_backbone, kind, hp):
+        model = create_sup_model(_spec(kind, **hp), mirror_backbone, seed=2)
+        if kind == "interaction":  # spread the weights so every kernel matters
+            model.w.value[:] = np.random.default_rng(5).normal(size=model.w.value.shape)
+        batch = mirror_backbone.triple_index(
+            [("q1", "c1", "c2"), ("q2", "c2", "c3"), ("q1", "c3", "c2"), ("q1", "c1", "c2")])
+        params = model.params()
+
+        def fb():
+            zero_grads(params)
+            model.after_update()
+            return model.loss_and_grads(batch)
+
+        assert finite_difference_check(fb, params) < 1e-4
 
 
 def _index(backbone, qid, cands):
