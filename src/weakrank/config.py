@@ -84,7 +84,7 @@ class ExperimentConfig:
     seed: int = 0
     pretrain_seed: int = -1  # -1 follows `seed`; set to share pretrained
                              # scorers and eval lists across search seeds
-    workers: int = 1
+    workers: int = 0                 # pretraining processes; 0 = one per available CPU
     hp: dict = field(default_factory=dict)  # {model name: {hyperparameter: value}}
 
     # -------------------------------------------------------------------------

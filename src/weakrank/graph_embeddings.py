@@ -20,7 +20,13 @@ from .nncore import (
     sigmoid,
     zero_grads,
 )
-from .sageops import build_neighbor_matrix, create_layers, sage_backward, sage_forward
+from .sageops import (
+    build_neighbor_matrix,
+    create_layers,
+    sage_backward,
+    sage_forward,
+    sage_input,
+)
 
 GRAPH_METHODS = ("walk", "biased-walk", "proximity-1", "proximity-2", "aggregation")
 
@@ -221,6 +227,7 @@ class AggregationTrainer:
         self.neg = neg
         self.rng = np.random.default_rng(seed)
         self.A = build_neighbor_matrix(graph, sample_size, self.rng)
+        self.M0 = sage_input(self.features, self.A)
         dims = [self.features.shape[1]] + [hidden] * max(0, n_layers - 1) + ([out_dim] if n_layers else [])
         self.layers = create_layers("agg", dims, self.rng)
         self.opt = OptimizerState("adam", lr=lr)
@@ -229,7 +236,7 @@ class AggregationTrainer:
         self._noise_cum = np.cumsum(noise / noise.sum())
 
     def embeddings(self) -> np.ndarray:
-        H, _ = sage_forward(self.features, self.A, self.layers)
+        H, _ = sage_forward(self.features, self.A, self.layers, self.M0)
         return H
 
     def loss_on(self, pairs: np.ndarray, negs: np.ndarray) -> float:
@@ -242,7 +249,7 @@ class AggregationTrainer:
         B = len(pairs)
         negs = np.searchsorted(self._noise_cum, self.rng.random(B * self.neg)).reshape(B, self.neg)
         zero_grads(self.layers)
-        Z, caches = sage_forward(self.features, self.A, self.layers)
+        Z, caches = sage_forward(self.features, self.A, self.layers, self.M0)
 
         u, v = pairs[:, 0], pairs[:, 1]
         s_pos = np.einsum("id,id->i", Z[u], Z[v])

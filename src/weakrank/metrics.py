@@ -29,15 +29,10 @@ class EvalList:
         return (self.positive_id,) + self.negative_ids
 
 
-def build_eval_lists(
-    annotations: AnnotationSet, corpus: Corpus, seed: int, n_negatives: int = 99
-) -> list[EvalList]:
-    """One list per (query, positive) pair with seeded uniform negatives.
-
-    Negatives are drawn from candidates not annotated positive for that
-    query, so a query's other positives never appear as its negatives.
-    """
-    rng = np.random.default_rng(seed)
+def _eligible_negatives(annotations: AnnotationSet, corpus: Corpus, n_negatives: int):
+    """Per annotated query, in order: (query id, its positives, the candidate
+    columns eligible as its negatives). Raises as soon as a query has no
+    positive or fewer than ``n_negatives`` eligible candidates."""
     cand_ids = corpus.candidate_ids
     column = {cid: j for j, cid in enumerate(cand_ids)}
     pos_by_query: dict[str, list[str]] = {}
@@ -45,7 +40,6 @@ def build_eval_lists(
         if label == 1:
             pos_by_query.setdefault(qid, []).append(cid)
 
-    lists = []
     for qid in annotations.query_ids:
         positives = pos_by_query.get(qid, [])
         if not positives:
@@ -58,6 +52,28 @@ def build_eval_lists(
                 f"query {qid!r} has only {len(eligible)} eligible negatives, "
                 f"needs {n_negatives}"
             )
+        yield qid, positives, eligible
+
+
+def check_eval_lists(annotations: AnnotationSet, corpus: Corpus, n_negatives: int) -> None:
+    """Raise the error ``build_eval_lists`` would, without drawing a list, so
+    an infeasible split fails before any training."""
+    for _ in _eligible_negatives(annotations, corpus, n_negatives):
+        pass
+
+
+def build_eval_lists(
+    annotations: AnnotationSet, corpus: Corpus, seed: int, n_negatives: int = 99
+) -> list[EvalList]:
+    """One list per (query, positive) pair with seeded uniform negatives.
+
+    Negatives are drawn from candidates not annotated positive for that
+    query, so a query's other positives never appear as its negatives.
+    """
+    rng = np.random.default_rng(seed)
+    cand_ids = corpus.candidate_ids
+    lists = []
+    for qid, positives, eligible in _eligible_negatives(annotations, corpus, n_negatives):
         for pos in positives:
             draw = rng.choice(len(eligible), size=n_negatives, replace=False)
             negatives = tuple([cand_ids[j] for j in eligible[np.sort(draw)].tolist()])

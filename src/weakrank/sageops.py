@@ -6,7 +6,9 @@ computes h_l = relu(W_l @ concat(h_{l-1}, mean of sampled neighbors)).
 The aggregation is expressed as a dense row-stochastic matrix; at the corpus
 sizes this library targets that is both simple and fast. Node features are
 frozen inputs: ``sage_backward`` computes the layers' weight gradients and
-no gradient into the features.
+no gradient into the features, and the first layer's input
+``sage_input(H0, A)`` is a constant a trainer computes once and passes to
+every ``sage_forward``.
 """
 
 from __future__ import annotations
@@ -45,12 +47,21 @@ def create_layers(name: str, dims: list[int], rng: np.random.Generator,
     )
 
 
-def sage_forward(H0: np.ndarray, A: np.ndarray, layers: list[ParamTensor]):
-    """Returns (H_L, caches). With no layers this is the identity on H0."""
+def sage_input(H0: np.ndarray, A: np.ndarray) -> np.ndarray:
+    """The first layer's input concat(H0, A @ H0): constant while the node
+    features and the neighbor sample are."""
+    return np.concatenate([H0, A @ H0], axis=1)
+
+
+def sage_forward(H0: np.ndarray, A: np.ndarray, layers: list[ParamTensor],
+                 M0: np.ndarray | None = None):
+    """Returns (H_L, caches). With no layers this is the identity on H0.
+    ``M0``, when given, is ``sage_input(H0, A)``; the first layer then uses it
+    as is, with bitwise the same result."""
     H = H0
     caches = []
-    for W in layers:
-        M = np.concatenate([H, A @ H], axis=1)
+    for l, W in enumerate(layers):
+        M = M0 if l == 0 and M0 is not None else sage_input(H, A)
         H_next, cache = dense_forward(M, W, None, "relu")
         caches.append((cache, H.shape[1]))
         H = H_next

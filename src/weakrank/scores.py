@@ -52,11 +52,12 @@ class ScoreMatrix:
         return np.array([self._ccol[c] for c in candidate_ids], dtype=np.int64)
 
     def save_csv(self, path: str | Path) -> None:
-        """First row = candidate ids, first column = query ids."""
+        """First row = candidate ids, first column = query ids; each value
+        in its shortest round-trip ``repr``."""
         with open(path, "w", encoding="utf-8") as fh:
             fh.write("," + ",".join(self.candidate_ids) + "\n")
             for qid, row in zip(self.query_ids, self.values):
-                fh.write(qid + "," + ",".join(repr(float(v)) for v in row) + "\n")
+                fh.write(qid + "," + ",".join(map(repr, row.tolist())) + "\n")
 
     @classmethod
     def load_csv(cls, path: str | Path, model_name: str | None = None) -> "ScoreMatrix":

@@ -46,7 +46,13 @@ from .nncore import (
 )
 from .registry import SupModelSpec
 from .scores import min_max_rows
-from .sageops import build_neighbor_matrix, create_layers, sage_backward, sage_forward
+from .sageops import (
+    build_neighbor_matrix,
+    create_layers,
+    sage_backward,
+    sage_forward,
+    sage_input,
+)
 
 CHECKPOINT_FORMAT_VERSION = 1
 
@@ -396,6 +402,7 @@ class GraphAggregationRanker(_Ranker):
         A, features, q_nodes, c_nodes = backbone.graph_inputs()
         self.A = A
         self.features = features
+        self.M0 = sage_input(features, A)  # frozen features, fixed sample
         self.q_nodes = q_nodes
         self.c_nodes = c_nodes
         hidden = spec.params.get("hidden", 32)
@@ -415,7 +422,7 @@ class GraphAggregationRanker(_Ranker):
 
     def _embeddings(self) -> np.ndarray:
         if self._Z is None:
-            self._Z, _ = sage_forward(self.features, self.A, self.layers)
+            self._Z, _ = sage_forward(self.features, self.A, self.layers, self.M0)
         return self._Z
 
     def score_matrix(self) -> np.ndarray:
@@ -426,7 +433,7 @@ class GraphAggregationRanker(_Ranker):
         return self.backbone.gather(self.score_matrix(), query_id, candidate_ids)
 
     def loss_and_grads(self, batch: np.ndarray) -> float:
-        Z, caches = sage_forward(self.features, self.A, self.layers)
+        Z, caches = sage_forward(self.features, self.A, self.layers, self.M0)
         q, p, n = batch.T
         qn, pn, nn = self.q_nodes[q], self.c_nodes[p], self.c_nodes[n]
         loss, dZq, (dZp, dZn) = _pair_cosine_loss(Z[qn], Z[pn], Z[nn])

@@ -7,6 +7,10 @@ evaluating it on the held-out test split.
 from __future__ import annotations
 
 import logging
+import os
+import pickle
+import traceback
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -26,7 +30,13 @@ from .corpus import AnnotationSet, Corpus
 from .embeddings import EmbeddingTable, train_text_embeddings
 from .graph import build_graph
 from .ioutil import canonical_json, derive_seed, stable_hash, write_json
-from .metrics import all_metrics, build_eval_lists, mrr, score_lists_with_matrix
+from .metrics import (
+    all_metrics,
+    build_eval_lists,
+    check_eval_lists,
+    mrr,
+    score_lists_with_matrix,
+)
 from .nncore import OptimizerState, zero_grads
 from .pseudo_labels import aggregate, sample_training_pairs, top_k_labels
 from .registry import SupModelRegistry, UnsupModelRegistry, compute_score_matrix
@@ -75,7 +85,8 @@ class RunConfig:
     backbone_epochs: int = 3
     backbone_lr: float = 0.05
     graph_sample_size: int = 10
-    workers: int = 1  # parallel pretraining of independent scorers
+    workers: int = 0  # pretraining processes, this one included; 0 = one per
+                      # available CPU; any value gives the same results
     seed: int = 0
     pretrain_seed: int | None = None  # fix to share pretrained scorers,
                                       # the backbone, and eval lists across
@@ -90,6 +101,7 @@ class RunConfig:
             raise ValueError("k_values must be non-empty")
         if self.best_selection not in ("reward", "greedy"):
             raise ValueError(f"unknown best_selection {self.best_selection!r}")
+        resolve_workers(self.workers)
 
     @property
     def effective_pretrain_seed(self) -> int:
@@ -142,12 +154,121 @@ def cache_entry(cache_dir: str | Path | None, prefix: str, key: dict) -> Path | 
     return Path(cache_dir) / f"{prefix}_{stable_hash(key)[:16]}.bin"
 
 
-def _pretrain_job(args):
-    spec, corpus, graph, seed = args
+# Relative pretraining time of each job kind, in hundredths of a second: a
+# traced run of the benchmark's cold workload (seed 7) at reference speed.
+# It only decides which process runs a job, never what the job computes. At
+# the README's scale the aggregation scorer costs the most instead.
+JOB_COST = {
+    "graph-biased-walk": 117, "graph-walk": 96, "text-embedding": 42,
+    "graph-proximity-1": 40, "graph-proximity-2": 40, "backbone": 32,
+    "graph-aggregation": 24, "bm25": 0, "external": 0,
+}
+
+
+@dataclass(frozen=True)
+class PretrainJob:
+    """One cache miss: ``fn(*args)`` trains ``name``; ``kind`` ranks its cost."""
+
+    name: str
+    kind: str
+    fn: Callable
+    args: tuple
+
+
+def resolve_workers(workers: int) -> int:
+    """The pretraining process count ``workers`` asks for: itself when
+    positive, one per CPU this process may run on when 0."""
+    if workers < 0:
+        raise ValueError(f"workers must be >= 0, got {workers}")
+    if workers:
+        return workers
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def split_jobs(jobs: list[PretrainJob], processes: int) -> list[list[int]]:
+    """Job indices per process, process 0 being the caller's: longest
+    processing time first over ``JOB_COST``, each job to the least loaded
+    process, ties to the earlier job and the lower process. The split is a
+    function of the job kinds alone, so a run always splits the same way,
+    and the caller's share is never empty while there is a job."""
+    shares: list[list[int]] = [[] for _ in range(max(1, min(processes, len(jobs))))]
+    loads = [0] * len(shares)
+    for i in sorted(range(len(jobs)), key=lambda i: -JOB_COST[jobs[i].kind]):
+        p = loads.index(min(loads))
+        shares[p].append(i)
+        loads[p] += JOB_COST[jobs[i].kind]
+    return shares
+
+
+def _failure(job: PretrainJob, reason) -> str:
+    return f"pretraining failed for model {job.name!r}: {reason}"
+
+
+def _run_job(job: PretrainJob):
     try:
-        return compute_score_matrix(spec, corpus, graph, seed)
+        return job.fn(*job.args)
     except Exception as exc:
-        raise RuntimeError(f"pretraining failed for model {spec.name!r}: {exc}") from exc
+        raise RuntimeError(_failure(job, exc)) from exc
+
+
+def _fork_helper(jobs: list[PretrainJob], share: list[int]):
+    """Run ``share`` in a forked process that inherits the jobs' inputs and
+    pickles back through a pipe only its results, or its first failure's
+    message and traceback. The helper leaves through ``os._exit``: it never unwinds into
+    the caller's stack, never runs exit handlers and never writes the cache."""
+    read_fd, write_fd = os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        code = 1
+        try:
+            os.close(read_fd)
+            try:
+                out = [_run_job(jobs[i]) for i in share]
+            except RuntimeError as exc:
+                out = (str(exc), traceback.format_exc())
+            with os.fdopen(write_fd, "wb") as fh:
+                pickle.dump(out, fh, protocol=pickle.HIGHEST_PROTOCOL)
+            code = 0
+        finally:
+            os._exit(code)
+    os.close(write_fd)
+    return pid, os.fdopen(read_fd, "rb"), share
+
+
+def run_jobs(jobs: list[PretrainJob], workers: int) -> list:
+    """Each job's result, in job order, computed across ``workers`` processes
+    (0: one per available CPU): this one and forked helpers, split by
+    ``split_jobs``. Every job seeds itself, so the results are the same for
+    any worker count. A failing job raises a RuntimeError naming its model,
+    after every helper has been reaped. Without ``os.fork`` the jobs run in
+    series here."""
+    processes = resolve_workers(workers) if hasattr(os, "fork") else 1
+    shares = split_jobs(jobs, processes)
+    results = [None] * len(jobs)
+    helpers, exit_codes = [], {}
+    try:
+        for share in shares[1:]:
+            if share:
+                helpers.append(_fork_helper(jobs, share))
+        for i in shares[0]:
+            results[i] = _run_job(jobs[i])
+        sent = [reader.read() for _, reader, _ in helpers]
+    finally:
+        for pid, reader, _ in helpers:
+            reader.close()
+            exit_codes[pid] = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+    for (pid, _, share), data in zip(helpers, sent):
+        if exit_codes[pid] != 0:
+            raise RuntimeError(_failure(
+                jobs[share[0]], f"its helper process exited with code {exit_codes[pid]}"))
+        out = pickle.loads(data)
+        if isinstance(out, tuple):  # (message, the helper's traceback)
+            raise RuntimeError(out[0]) from RuntimeError(out[1])
+        for i, result in zip(share, out):
+            results[i] = result
+    return results
 
 
 def pretrain_all(
@@ -156,15 +277,18 @@ def pretrain_all(
     registry: UnsupModelRegistry,
     cache_dir: str | Path | None,
     master_seed: int,
-    workers: int = 1,
-) -> list[ScoreMatrix]:
-    """One score matrix per registered model, cache-aware.
+    workers: int = 0,
+    extra: Sequence[PretrainJob] = (),
+) -> list:
+    """One score matrix per registered model, cache-aware, followed by the
+    result of each ``extra`` job.
 
     The cache key covers the corpus content, the model's kind and
     hyperparameters, and its derived seed, so a hit is guaranteed to be
-    bit-identical to recomputation. Models are independent; with workers > 1
-    the missing ones pretrain in parallel processes, which cannot change the
-    results for a fixed seed.
+    bit-identical to recomputation. The missing models and the ``extra``
+    jobs (``pretrain`` adds the backbone's) run through ``run_jobs`` across
+    ``workers`` processes, which cannot change the results for a fixed
+    seed. Only this process writes the cache, in registry order.
     """
     corpus_hash = corpus.content_hash()
     if cache_dir is not None:
@@ -177,29 +301,17 @@ def pretrain_all(
             "corpus": corpus_hash, "model": spec.name, "hp": spec.hp_hash(), "seed": seed})
         plan.append((spec, seed, cache_path))
 
-    results: dict[str, ScoreMatrix] = {}
-    missing = []
-    for spec, seed, cache_path in plan:
-        if cache_path is not None and cache_path.exists():
-            log.info("cache hit for unsupervised model %s", spec.name)
-            results[spec.name] = ScoreMatrix.load_cache(cache_path)
-        else:
-            missing.append((spec, corpus, graph, seed))
-
-    if missing:
-        if workers > 1 and len(missing) > 1:
-            from concurrent.futures import ProcessPoolExecutor
-
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                computed = list(pool.map(_pretrain_job, missing))
-        else:
-            computed = [_pretrain_job(job) for job in missing]
-        for (spec, _, _, _), matrix in zip(missing, computed):
-            results[spec.name] = matrix
+    jobs = [PretrainJob(spec.name, spec.kind, compute_score_matrix, (spec, corpus, graph, seed))
+            for spec, seed, cache_path in plan if not _cached(cache_path)]
+    results = run_jobs(jobs + list(extra), workers)
+    trained = {job.name: matrix for job, matrix in zip(jobs, results)}
 
     matrices = []
     for spec, seed, cache_path in plan:
-        matrix = results[spec.name]
+        matrix = trained.get(spec.name)
+        if matrix is None:
+            log.info("cache hit for unsupervised model %s", spec.name)
+            matrix = ScoreMatrix.load_cache(cache_path)
         if matrix.query_ids != tuple(corpus.query_ids) or matrix.candidate_ids != tuple(
             corpus.candidate_ids
         ):
@@ -208,28 +320,43 @@ def pretrain_all(
             matrix.save_cache(cache_path)
             matrix.save_csv(cache_path.with_suffix(".csv"))
         matrices.append(matrix)
-    return matrices
+    return matrices + results[len(jobs):]
 
 
-def build_backbone(corpus: Corpus, graph, config: RunConfig,
-                   cache_dir: str | Path | None = None) -> RankerBackbone:
-    """Train (or load) the frozen word embeddings shared by all rankers."""
-    seed = derive_seed(config.effective_pretrain_seed, "backbone")
-    table = None
-    cache_path = cache_entry(cache_dir, "backbone", {
-        "corpus": corpus.content_hash(), "seed": seed,
+def _cached(cache_path: Path | None) -> bool:
+    return cache_path is not None and cache_path.exists()
+
+
+def _backbone_entry(corpus: Corpus, config: RunConfig, cache_dir) -> Path | None:
+    return cache_entry(cache_dir, "backbone", {
+        "corpus": corpus.content_hash(),
+        "seed": derive_seed(config.effective_pretrain_seed, "backbone"),
         "hp": [config.backbone_dim, config.backbone_window, config.backbone_neg,
                config.backbone_epochs, config.backbone_lr],
     })
-    if cache_path is not None and cache_path.exists():
+
+
+def _train_backbone_table(corpus: Corpus, config: RunConfig) -> EmbeddingTable:
+    return train_text_embeddings(
+        corpus, dim=config.backbone_dim, window=config.backbone_window,
+        neg=config.backbone_neg, epochs=config.backbone_epochs,
+        lr=config.backbone_lr, seed=derive_seed(config.effective_pretrain_seed, "backbone"),
+    )
+
+
+def build_backbone(corpus: Corpus, graph, config: RunConfig,
+                   cache_dir: str | Path | None = None,
+                   table: EmbeddingTable | None = None) -> RankerBackbone:
+    """The rankers' backbone over the frozen word embeddings: ``table`` when
+    ``pretrain`` has trained it, else the cached table, else one trained
+    here. A table not yet in the cache is written to it."""
+    cache_path = _backbone_entry(corpus, config, cache_dir)
+    if table is None and _cached(cache_path):
         log.info("cache hit for embedding backbone")
         table = EmbeddingTable.load(cache_path)
-    if table is None:
-        table = train_text_embeddings(
-            corpus, dim=config.backbone_dim, window=config.backbone_window,
-            neg=config.backbone_neg, epochs=config.backbone_epochs,
-            lr=config.backbone_lr, seed=seed,
-        )
+    else:
+        if table is None:
+            table = _train_backbone_table(corpus, config)
         if cache_path is not None:
             cache_path.parent.mkdir(parents=True, exist_ok=True)
             table.save(cache_path)
@@ -241,11 +368,21 @@ def pretrain(corpus: Corpus, config: RunConfig, cache_dir: str | Path | None):
     model needs it), every scorer's score matrix and the rankers' backbone,
     all seeded from the effective pretrain seed. Returns (matrices,
     backbone). ``weakrank pretrain`` runs exactly this into the cache a
-    later search reads."""
+    later search reads.
+
+    Every cache miss, each scorer and the backbone, is one job;
+    ``pretrain_all`` runs them together through ``run_jobs``, split between
+    this process and helpers forked once the corpus and graph exist,
+    ``config.workers`` processes in all (0: one per available CPU). A warm
+    cache forks nothing.
+    """
     graph = build_graph(corpus) if _needs_graph(config) else None
+    backbone_job = [] if _cached(_backbone_entry(corpus, config, cache_dir)) else [
+        PretrainJob("backbone", "backbone", _train_backbone_table, (corpus, config))]
     matrices = pretrain_all(corpus, graph, config.unsup_registry, cache_dir,
-                            config.effective_pretrain_seed, workers=config.workers)
-    return matrices, build_backbone(corpus, graph, config, cache_dir)
+                            config.effective_pretrain_seed, config.workers, extra=backbone_job)
+    table = matrices.pop() if backbone_job else None
+    return matrices, build_backbone(corpus, graph, config, cache_dir, table=table)
 
 
 def backbone_from_table(corpus: Corpus, table: EmbeddingTable, graph,
@@ -362,6 +499,9 @@ def joint_train(
     for k in config.k_values:
         if not 1 <= k < n_cand:
             raise ValueError(f"k value {k} out of range for {n_cand} candidates")
+    check_eval_lists(val_annotations, corpus, config.eval_negatives)
+    if test_annotations is not None and test_annotations.pairs:
+        check_eval_lists(test_annotations, corpus, config.eval_negatives)
 
     workdir = Path(workdir) if workdir is not None else None
     if workdir is not None:

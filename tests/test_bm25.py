@@ -87,6 +87,23 @@ def test_csv_roundtrip(tiny_corpus, tmp_path):
     assert np.array_equal(loaded.values, matrix.values)
 
 
+def test_csv_bytes_match_the_per_value_repr(tmp_path):
+    """Rows are written from ``tolist()``; each value keeps the bytes of
+    ``repr(float(v))``, the per-value form, on signed zero, the smallest
+    subnormal, a huge value and an inexact sum."""
+    values = np.array([[-0.0, 5e-324, 1e300], [0.1 + 0.2, 1.0, -2.5e-8]])
+    matrix = ScoreMatrix("m", ("q1", "q2"), ("c1", "c2", "c3"), values)
+    path = tmp_path / "m.csv"
+    matrix.save_csv(path)
+    expected = ",c1,c2,c3\n" + "".join(
+        qid + "," + ",".join(repr(float(v)) for v in row) + "\n"
+        for qid, row in zip(matrix.query_ids, values)
+    )
+    assert path.read_bytes() == expected.encode("utf-8")
+    assert "-0.0,5e-324,1e+300" in expected and "0.30000000000000004" in expected
+    assert ScoreMatrix.load_csv(path).values.tobytes() == values.tobytes()
+
+
 def test_cache_roundtrip(tiny_corpus, tmp_path):
     matrix = bm25_matrix(tiny_corpus)
     path = tmp_path / "bm25.bin"

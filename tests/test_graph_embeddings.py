@@ -16,7 +16,13 @@ from weakrank.graph_embeddings import (
     walk_transition_probs,
 )
 from weakrank.nncore import dense_backward, log_sigmoid, optimizer_step, sigmoid, zero_grads
-from weakrank.sageops import build_neighbor_matrix, create_layers, sage_backward, sage_forward
+from weakrank.sageops import (
+    build_neighbor_matrix,
+    create_layers,
+    sage_backward,
+    sage_forward,
+    sage_input,
+)
 from weakrank.synthetic import generate_synthetic
 
 
@@ -200,6 +206,27 @@ class TestBitwiseAgainstReferences:
         _reference_sage_backward(dZ, A, caches_ref)
         assert Z.tobytes() == Z_ref.tobytes()
         assert fast.grads.tobytes() == ref.grads.tobytes()
+
+    @pytest.mark.parametrize("n_layers", [1, 2, 3])
+    def test_sage_with_precomputed_first_input(self, planted_graph, n_layers):
+        """Passing ``sage_input(H0, A)`` gives bitwise the outputs and the
+        layer gradients of computing it inside ``sage_forward``."""
+        _, graph = planted_graph
+        rng = np.random.default_rng(10 + n_layers)
+        feats = rng.normal(size=(graph.n_nodes, 6))
+        A = build_neighbor_matrix(graph, 4, rng)
+        dims = [6] + [5] * n_layers
+        given, inside = (create_layers("agg", dims, np.random.default_rng(3)) for _ in range(2))
+        M0 = sage_input(feats, A)
+        dZ = rng.normal(size=(graph.n_nodes, 5))
+        for _ in range(2):  # the same constant input serves every step
+            Z, caches = sage_forward(feats, A, given, M0)
+            sage_backward(dZ, A, caches)
+            Z_ref, caches_ref = sage_forward(feats, A, inside)
+            sage_backward(dZ, A, caches_ref)
+            assert Z.tobytes() == Z_ref.tobytes()
+            assert given.grads.tobytes() == inside.grads.tobytes()
+        assert M0.tobytes() == np.concatenate([feats, A @ feats], axis=1).tobytes()
 
     @pytest.mark.parametrize("order", [1, 2])
     def test_proximity_batches(self, planted_graph, order):
