@@ -34,8 +34,6 @@ from .registry import (
     SupModelSpec,
     UnsupModelRegistry,
     UnsupModelSpec,
-    default_sup_registry,
-    default_unsup_registry,
 )
 from .scores import ScoreMatrix
 from .synthetic import generate_synthetic
@@ -67,8 +65,6 @@ __all__ = [
     "build_corpus",
     "build_eval_lists",
     "build_graph",
-    "default_sup_registry",
-    "default_unsup_registry",
     "generate_synthetic",
     "hr_at_k",
     "joint_train",

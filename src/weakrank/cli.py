@@ -32,6 +32,7 @@ from .embeddings import EmbeddingTable
 from .graph import build_graph
 from .ioutil import canonical_json, read_json, stable_hash, write_json
 from .metrics import all_metrics, build_eval_lists, score_lists_with_matrix
+from .registry import needs_graph
 from .scores import ScoreMatrix
 from .sup_rankers import ENSEMBLE_BLOCK, ensemble_scores, load_checkpoint
 from .synthetic import generate_synthetic
@@ -55,16 +56,6 @@ def _add_config_args(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _load_config(args) -> ExperimentConfig:
-    if args.config:
-        return ExperimentConfig.from_file(args.config, args.overrides)
-    config = ExperimentConfig()
-    for item in args.overrides:
-        key, _, raw = item.partition("=")
-        config.set_key(key.strip(), raw.strip())
-    return config
-
-
 def _load_splits(config: ExperimentConfig, corpus: Corpus):
     """Validation/test annotation sets, either pre-split or split by seed."""
     if config.val_annotations:
@@ -84,7 +75,19 @@ def _load_splits(config: ExperimentConfig, corpus: Corpus):
     return val, test
 
 
-def _write_run_manifest(workdir: Path, config: ExperimentConfig, corpus: Corpus) -> None:
+def _start_run(args):
+    """A search's or an ablation's validated inputs and its run directory,
+    holding ``config.cfg`` and ``manifest.json``: (run config, corpus,
+    validation split, test split, run directory). Nothing is written until
+    the configuration, corpus and splits have loaded."""
+    config = ExperimentConfig.from_file(args.config, args.overrides)
+    if not config.output_dir:
+        raise ValueError(f"output_dir must be set for {args.command} runs")
+    run_config = config.to_run_config()
+    corpus = Corpus.load(config.corpus)
+    val, test = _load_splits(config, corpus)
+    workdir = Path(config.output_dir)
+    workdir.mkdir(parents=True, exist_ok=True)
     config.save(workdir / "config.cfg")
     write_json(workdir / "manifest.json", {
         "format_version": MANIFEST_FORMAT_VERSION,
@@ -93,6 +96,7 @@ def _write_run_manifest(workdir: Path, config: ExperimentConfig, corpus: Corpus)
         "corpus_hash": corpus.content_hash(),
         "config_hash": config.content_hash(),
     })
+    return run_config, corpus, val, test, workdir
 
 
 def cmd_gen_synth(args) -> int:
@@ -115,7 +119,7 @@ def cmd_gen_synth(args) -> int:
 
 
 def cmd_ingest(args) -> int:
-    config = _load_config(args)
+    config = ExperimentConfig.from_file(args.config, args.overrides)
     docs_path = args.docs or config.documents
     if not docs_path:
         raise ValueError("no documents file given (--docs or documents=...)")
@@ -135,7 +139,7 @@ def cmd_ingest(args) -> int:
 def cmd_pretrain(args) -> int:
     """Fill the cache a search with this configuration reads: every scorer's
     score matrix and the backbone, keyed by the effective pretrain seed."""
-    config = _load_config(args)
+    config = ExperimentConfig.from_file(args.config, args.overrides)
     if args.out:
         out = Path(args.out)
     elif config.output_dir:
@@ -149,37 +153,23 @@ def cmd_pretrain(args) -> int:
 
 
 def cmd_search(args) -> int:
-    config = _load_config(args)
-    if not config.output_dir:
-        raise ValueError("output_dir must be set for search runs")
-    corpus = Corpus.load(config.corpus)
-    val, test = _load_splits(config, corpus)
-    workdir = Path(config.output_dir)
-    workdir.mkdir(parents=True, exist_ok=True)
-    _write_run_manifest(workdir, config, corpus)
-    result = joint_train(corpus, val, test, config.to_run_config(), workdir=workdir)
+    run_config, corpus, val, test, workdir = _start_run(args)
+    result = joint_train(corpus, val, test, run_config, workdir=workdir)
     print(f"best reward {result.best_reward:.4f} at episode {result.best_episode}; "
           f"report in {workdir / 'report.json'}")
     return 0
 
 
 def cmd_ablate(args) -> int:
-    config = _load_config(args)
-    if not config.output_dir:
-        raise ValueError("output_dir must be set for ablation runs")
-    corpus = Corpus.load(config.corpus)
-    val, test = _load_splits(config, corpus)
-    workdir = Path(config.output_dir)
-    workdir.mkdir(parents=True, exist_ok=True)
-    _write_run_manifest(workdir, config, corpus)
-    run_config = config.to_run_config()
-    if args.mode == "fix-k" and args.sweep:
+    sweep = args.mode == "fix-k" and args.sweep
+    if not sweep and args.fixed is None:
+        raise ValueError("--fixed is required unless sweeping")
+    run_config, corpus, val, test, workdir = _start_run(args)
+    if sweep:
         results = sweep_k(corpus, val, test, run_config, workdir=workdir)
         for k, result in sorted(results.items()):
             print(f"k={k}: best reward {result.best_reward:.4f}")
         return 0
-    if args.fixed is None:
-        raise ValueError("--fixed is required unless sweeping")
     fixed = args.fixed
     if args.mode == "fix-k":
         fixed = int(fixed)
@@ -191,7 +181,7 @@ def cmd_ablate(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    config = _load_config(args)
+    config = ExperimentConfig.from_file(args.config, args.overrides)
     corpus = Corpus.load(args.corpus or config.corpus)
     annotations = load_annotations_tsv(args.annotations)
     matrix = ScoreMatrix.load_csv(args.scores)
@@ -218,10 +208,9 @@ def cmd_score(args) -> int:
         raise ValueError(f"best_config.json selects from {len(best.sup_mask)} rankers, "
                          f"the configuration has {len(registry)}")
     specs = [spec for spec, keep in zip(registry, best.sup_mask) if keep]
-    needs_graph = any(spec.kind == "graph-aggregation" for spec in specs)
     table = EmbeddingTable.load(run_dir / "checkpoints" / "backbone.bin")
     backbone = backbone_from_table(
-        corpus, table, build_graph(corpus) if needs_graph else None, run_config)
+        corpus, table, build_graph(corpus) if needs_graph(specs) else None, run_config)
     config_hash = stable_hash(run_config.signature())
     models = [load_checkpoint(run_dir / "checkpoints" / f"{spec.name}.ckpt", backbone,
                               config_hash=config_hash) for spec in specs]

@@ -21,11 +21,14 @@ from .registry import (
     UnsupModelRegistry,
     UnsupModelSpec,
 )
-from .trainer import RunConfig
+from .trainer import RunConfig, SearchSettings
 
 
 @dataclass
-class ExperimentConfig:
+class ExperimentConfig(SearchSettings):
+    """A configuration file's keys: the search settings plus paths, corpus
+    limits, the model menus and their hyperparameters."""
+
     # --- paths -------------------------------------------------------------
     corpus: str = ""                 # corpus container (from `ingest` or `gen-synth`)
     documents: str = ""              # raw documents JSONL (input to `ingest`)
@@ -39,52 +42,16 @@ class ExperimentConfig:
     max_query_len: int = 100
     max_candidate_len: int = 200
 
-    # --- registries ----------------------------------------------------------
+    # --- the menus the search chooses from -----------------------------------
     unsup_models: str = ("bm25,text-embedding,graph-walk,graph-biased-walk,"
                          "graph-proximity-1,graph-proximity-2,graph-aggregation")
     sup_models: str = "representation,interaction,graph-aggregation"
-
-    # --- search ------------------------------------------------------------
     k_values: str = "10,20,30,40,50"
-    episodes: int = 200
-    n_monte_carlo: int = 1
-    episode_sup_epochs: int = 5
-    final_sup_epochs: int = 30
-    final_patience: int = 5
-    early_stop_patience: int = 0     # 0 = run the full episode budget
-    controller_lr: float = 0.5
-    controller_hidden: int = 32
-    use_baseline: bool = True
-    baseline_decay: float = 0.9
-    entropy_coef: float = 0.0
-    best_selection: str = "reward"   # or "greedy"
-
-    # --- supervised training -------------------------------------------------
-    sup_lr: float = 0.005
-    sup_optimizer: str = "adam"
-    sup_batch_size: int = 32
-    n_neg_per_pos: int = 2
-
-    # --- evaluation ----------------------------------------------------------
-    eval_negatives: int = 99
-    normalize_scores: bool = True          # per-query min-max before averaging
-    kernel_negative_exponent: bool = True  # standard RBF form; False reproduces
-                                           # the unbounded printed variant
-
-    # --- shared embedding backbone -------------------------------------------
-    backbone_dim: int = 32
-    backbone_window: int = 5
-    backbone_neg: int = 5
-    backbone_epochs: int = 3
-    backbone_lr: float = 0.05
-    graph_sample_size: int = 10
 
     # --- misc ----------------------------------------------------------------
+    kernel_negative_exponent: bool = True  # standard RBF form; False reproduces
+                                           # the unbounded printed variant
     split_seed: int = 0
-    seed: int = 0
-    pretrain_seed: int = -1  # -1 follows `seed`; set to share pretrained
-                             # scorers and eval lists across search seeds
-    workers: int = 0                 # pretraining processes; 0 = one per available CPU
     hp: dict = field(default_factory=dict)  # {model name: {hyperparameter: value}}
 
     # -------------------------------------------------------------------------
@@ -111,9 +78,13 @@ class ExperimentConfig:
         setattr(self, key, value)
 
     @classmethod
-    def from_file(cls, path: str | Path, overrides: list[str] | None = None) -> "ExperimentConfig":
+    def from_file(cls, path: str | Path | None,
+                  overrides: list[str] | None = None) -> "ExperimentConfig":
+        """The defaults, then ``path``'s keys (when given), then each
+        ``key=value`` override in turn."""
         config = cls()
-        for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+        text = Path(path).read_text(encoding="utf-8") if path else ""
+        for lineno, line in enumerate(text.splitlines(), 1):
             stripped = line.strip()
             if not stripped or stripped.startswith("#"):
                 continue
@@ -177,33 +148,7 @@ class ExperimentConfig:
             unsup_registry=self.build_unsup_registry(),
             sup_registry=self.build_sup_registry(),
             k_values=self.k_values_tuple(),
-            episodes=self.episodes,
-            n_monte_carlo=self.n_monte_carlo,
-            episode_sup_epochs=self.episode_sup_epochs,
-            final_sup_epochs=self.final_sup_epochs,
-            final_patience=self.final_patience,
-            early_stop_patience=self.early_stop_patience,
-            controller_lr=self.controller_lr,
-            controller_hidden=self.controller_hidden,
-            use_baseline=self.use_baseline,
-            baseline_decay=self.baseline_decay,
-            entropy_coef=self.entropy_coef,
-            best_selection=self.best_selection,
-            sup_lr=self.sup_lr,
-            sup_optimizer=self.sup_optimizer,
-            sup_batch_size=self.sup_batch_size,
-            n_neg_per_pos=self.n_neg_per_pos,
-            eval_negatives=self.eval_negatives,
-            normalize_scores=self.normalize_scores,
-            backbone_dim=self.backbone_dim,
-            backbone_window=self.backbone_window,
-            backbone_neg=self.backbone_neg,
-            backbone_epochs=self.backbone_epochs,
-            backbone_lr=self.backbone_lr,
-            graph_sample_size=self.graph_sample_size,
-            workers=self.workers,
-            seed=self.seed,
-            pretrain_seed=None if self.pretrain_seed < 0 else self.pretrain_seed,
+            **{f.name: getattr(self, f.name) for f in fields(SearchSettings)},
         )
 
 

@@ -78,6 +78,16 @@ def window_layout(sequences, window: int) -> tuple[np.ndarray, np.ndarray, np.nd
     return centres, contexts, valid.sum(axis=1)
 
 
+def noise_cdf(counts) -> np.ndarray:
+    """The cumulative negative-sampling distribution, proportional to
+    ``counts`` ** 0.75."""
+    weights = np.asarray(counts, dtype=np.float64) ** 0.75
+    total = weights.sum()
+    if total <= 0:
+        raise ValueError("noise distribution needs at least one positive count")
+    return np.cumsum(weights / total)
+
+
 class SkipGramTrainer:
     """Skip-gram with negative sampling over integer sequences.
 
@@ -100,16 +110,7 @@ class SkipGramTrainer:
         self.rng = np.random.default_rng(seed)
         self.w_in = self.rng.uniform(-0.5 / dim, 0.5 / dim, size=(vocab_size, dim))
         self.w_out = np.zeros((vocab_size, dim))
-        self._noise_cum = None
-        if counts is not None:
-            self.set_noise_distribution(counts)
-
-    def set_noise_distribution(self, counts: np.ndarray) -> None:
-        weights = np.asarray(counts, dtype=np.float64) ** 0.75
-        total = weights.sum()
-        if total <= 0:
-            raise ValueError("noise distribution needs at least one positive count")
-        self._noise_cum = np.cumsum(weights / total)
+        self._noise_cum = None if counts is None else noise_cdf(counts)
 
     def _draw_negatives(self, n: int) -> np.ndarray:
         return np.searchsorted(self._noise_cum, self.rng.random(n))
@@ -212,10 +213,10 @@ def node_feature_matrix(graph, corpus: Corpus, table: EmbeddingTable) -> np.ndar
     return feats
 
 
-def _normalize_rows(mat: np.ndarray) -> np.ndarray:
-    norms = np.linalg.norm(mat, axis=1, keepdims=True)
-    safe = np.where(norms > 0, norms, 1.0)
-    return mat / safe
+def unit_rows(X: np.ndarray) -> np.ndarray:
+    """Rows scaled to unit norm; zero rows stay zero."""
+    norms = np.linalg.norm(X, axis=1, keepdims=True)
+    return X / np.where(norms > 0, norms, 1.0)
 
 
 def score_matrix_from_embeddings(
@@ -238,8 +239,8 @@ def score_matrix_from_embeddings(
     else:
         raise ValueError(f"unknown scoring mode {mode!r}")
 
-    q_mat = _normalize_rows(np.stack([vec(d) for d in corpus.queries]))
-    c_mat = _normalize_rows(np.stack([vec(d) for d in corpus.candidates]))
+    q_mat = unit_rows(np.stack([vec(d) for d in corpus.queries]))
+    c_mat = unit_rows(np.stack([vec(d) for d in corpus.candidates]))
     values = q_mat @ c_mat.T
     name = model_name if model_name is not None else f"emb-{mode}"
     return ScoreMatrix(name, tuple(corpus.query_ids), tuple(corpus.candidate_ids), values)

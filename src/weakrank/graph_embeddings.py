@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .embeddings import EmbeddingTable, SkipGramTrainer, window_layout
+from .embeddings import EmbeddingTable, SkipGramTrainer, noise_cdf, window_layout
 from .graph import HetGraph
 from .nncore import (
     OptimizerState,
@@ -117,6 +117,11 @@ def generate_walks(
     return walks
 
 
+def _strength_noise_cdf(graph: HetGraph) -> np.ndarray:
+    """Negative sampling by node strength (weighted degree) ** 0.75."""
+    return noise_cdf([graph.edge_weight_sum(v) for v in range(graph.n_nodes)])
+
+
 def _walks_to_table(graph: HetGraph, walks, dim, window, neg, epochs, lr, seed) -> EmbeddingTable:
     counts = np.bincount(np.concatenate(walks), minlength=graph.n_nodes).astype(np.float64)
     counts = np.maximum(counts, 1e-12)  # unvisited nodes keep a vanishing noise weight
@@ -153,9 +158,7 @@ class EdgeProximityTrainer:
         w = np.concatenate(graph.weights)
         self._edge_cum = np.cumsum(w / np.sum(w))
 
-        strength = np.array([graph.edge_weight_sum(v) for v in range(graph.n_nodes)])
-        noise = strength ** 0.75
-        self._noise_cum = np.cumsum(noise / noise.sum())
+        self._noise_cum = _strength_noise_cdf(graph)
 
         self.emb = self.rng.uniform(-0.5 / dim, 0.5 / dim, size=(graph.n_nodes, dim))
         self.ctx = np.zeros((graph.n_nodes, dim)) if order == 2 else self.emb
@@ -231,9 +234,7 @@ class AggregationTrainer:
         dims = [self.features.shape[1]] + [hidden] * max(0, n_layers - 1) + ([out_dim] if n_layers else [])
         self.layers = create_layers("agg", dims, self.rng)
         self.opt = OptimizerState("adam", lr=lr)
-        strength = np.array([graph.edge_weight_sum(v) for v in range(graph.n_nodes)])
-        noise = strength ** 0.75
-        self._noise_cum = np.cumsum(noise / noise.sum())
+        self._noise_cum = _strength_noise_cdf(graph)
 
     def embeddings(self) -> np.ndarray:
         H, _ = sage_forward(self.features, self.A, self.layers, self.M0)

@@ -106,25 +106,9 @@ class SupModelRegistry(_Registry):
     """Ordered supervised rankers; position i is mask position i."""
 
 
-def default_unsup_registry(dim: int = 32) -> UnsupModelRegistry:
-    """The seven built-in unsupervised scorers at desk-scale defaults."""
-    return UnsupModelRegistry([
-        UnsupModelSpec("bm25", "bm25", {"k1": 1.2, "b": 0.75}),
-        UnsupModelSpec("text-embedding", "text-embedding", {"dim": dim}),
-        UnsupModelSpec("graph-walk", "graph-walk", {"dim": dim}),
-        UnsupModelSpec("graph-biased-walk", "graph-biased-walk", {"dim": dim}),
-        UnsupModelSpec("graph-proximity-1", "graph-proximity-1", {"dim": dim}),
-        UnsupModelSpec("graph-proximity-2", "graph-proximity-2", {"dim": dim}),
-        UnsupModelSpec("graph-aggregation", "graph-aggregation", {"out_dim": dim}),
-    ])
-
-
-def default_sup_registry() -> SupModelRegistry:
-    return SupModelRegistry([
-        SupModelSpec("representation", "representation"),
-        SupModelSpec("interaction", "interaction"),
-        SupModelSpec("graph-aggregation", "graph-aggregation"),
-    ])
+def needs_graph(specs) -> bool:
+    """Whether any of the model specs trains on the heterogeneous graph."""
+    return any(spec.kind.startswith("graph-") for spec in specs)
 
 
 def compute_score_matrix(

@@ -24,7 +24,7 @@ from __future__ import annotations
 import numpy as np
 
 from .corpus import CANDIDATE, QUERY, Corpus
-from .embeddings import EmbeddingTable, node_feature_matrix
+from .embeddings import EmbeddingTable, doc_vector, node_feature_matrix, unit_rows
 from .graph import HetGraph
 from .ioutil import load_arrays, save_arrays
 from .nncore import (
@@ -66,12 +66,6 @@ def _softplus(x):
     return np.maximum(x, 0.0) + np.log1p(np.exp(-np.abs(x)))
 
 
-def _unit_rows(X: np.ndarray) -> np.ndarray:
-    """Rows scaled to unit norm; zero rows stay zero."""
-    norms = np.linalg.norm(X, axis=1, keepdims=True)
-    return X / np.where(norms > 0, norms, 1.0)
-
-
 class RankerBackbone:
     """Frozen inputs shared by every supervised ranker in a run.
 
@@ -97,18 +91,13 @@ class RankerBackbone:
 
         self.query_row = {d.id: i for i, d in enumerate(corpus.queries)}
         self.cand_row = {d.id: i for i, d in enumerate(corpus.candidates)}
-        self.q_means = np.stack([self._doc_mean(d) for d in corpus.queries])
-        self.c_means = np.stack([self._doc_mean(d) for d in corpus.candidates])
+        self.q_means, self.c_means = (
+            np.stack([doc_vector(self.table, corpus.tokens(d)) for d in docs])
+            for docs in (corpus.queries, corpus.candidates))
 
         self._phi_cache: dict = {}
         self._graph_inputs = None
         self._list_index = None
-
-    def _doc_mean(self, doc) -> np.ndarray:
-        rows = [self.table.index[t] for t in self.corpus.tokens(doc) if t in self.table.index]
-        if not rows:
-            raise ValueError(f"document {doc.id!r} has no tokens in the embedding table")
-        return self.table.vectors[rows].mean(axis=0)
 
     def _word_counts(self, docs) -> tuple[np.ndarray, np.ndarray]:
         """(table rows of the words in ``docs``, each document's count of each)."""
@@ -140,7 +129,7 @@ class RankerBackbone:
 
         q_words, q_counts = self._word_counts(self.corpus.queries)
         c_words, c_counts = self._word_counts(self.corpus.candidates)
-        hats = _unit_rows(self.table.vectors)
+        hats = unit_rows(self.table.vectors)
         c_hats = hats[c_words]
         pooled = np.zeros((len(mus), len(self.corpus.queries), len(self.corpus.candidates)))
         step = max(1, PHI_BLOCK // len(c_words))
@@ -198,7 +187,7 @@ class RankerBackbone:
 
 def _cosine_matrix(U: np.ndarray, V: np.ndarray) -> np.ndarray:
     """Cosine of every row of U with every row of V; zero-norm rows score 0."""
-    return _unit_rows(U) @ _unit_rows(V).T
+    return unit_rows(U) @ unit_rows(V).T
 
 
 def _pairwise_loss_grads(r_pos: np.ndarray, r_neg: np.ndarray):

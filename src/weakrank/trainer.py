@@ -39,7 +39,7 @@ from .metrics import (
 )
 from .nncore import OptimizerState, zero_grads
 from .pseudo_labels import aggregate, sample_training_pairs, top_k_labels
-from .registry import SupModelRegistry, UnsupModelRegistry, compute_score_matrix
+from .registry import SupModelRegistry, UnsupModelRegistry, compute_score_matrix, needs_graph
 from .scores import ScoreMatrix
 from .sup_rankers import (
     RankerBackbone,
@@ -55,42 +55,58 @@ REPORT_FORMAT_VERSION = 1
 
 
 @dataclass
-class RunConfig:
-    """Everything a search run needs besides the data itself."""
+class SearchSettings:
+    """The search's plain-valued settings, each declared once with its
+    default. ``RunConfig`` adds the built registries and k grid;
+    ``ExperimentConfig`` adds what a configuration file names."""
 
-    unsup_registry: UnsupModelRegistry
-    sup_registry: SupModelRegistry
-    k_values: tuple[int, ...] = (10, 20, 30, 40, 50)
+    # --- search ------------------------------------------------------------
     episodes: int = 200
-    n_monte_carlo: int = 1  # configurations sampled per controller update
+    n_monte_carlo: int = 1           # configurations sampled per controller update
     episode_sup_epochs: int = 5
     final_sup_epochs: int = 30
     final_patience: int = 5
-    early_stop_patience: int = 0  # 0 disables early stopping of the search
+    early_stop_patience: int = 0     # 0 = run the full episode budget
     controller_lr: float = 0.5
     controller_hidden: int = 32
     use_baseline: bool = True
     baseline_decay: float = 0.9
     entropy_coef: float = 0.0
-    best_selection: str = "reward"  # or "greedy"
+    best_selection: str = "reward"   # or "greedy"
+
+    # --- supervised training -------------------------------------------------
     sup_lr: float = 0.005
     sup_optimizer: str = "adam"
     sup_batch_size: int = 32
     n_neg_per_pos: int = 2
+
+    # --- evaluation ----------------------------------------------------------
     eval_negatives: int = 99
-    normalize_scores: bool = True
+    normalize_scores: bool = True    # per-query min-max before averaging
+
+    # --- shared embedding backbone -------------------------------------------
     backbone_dim: int = 32
     backbone_window: int = 5
     backbone_neg: int = 5
     backbone_epochs: int = 3
     backbone_lr: float = 0.05
     graph_sample_size: int = 10
+
+    # --- seeds and processes -------------------------------------------------
+    seed: int = 0
+    pretrain_seed: int = -1  # -1 follows `seed`; fix to share pretrained scorers,
+                             # the backbone and eval lists across search seeds
     workers: int = 0  # pretraining processes, this one included; 0 = one per
                       # available CPU; any value gives the same results
-    seed: int = 0
-    pretrain_seed: int | None = None  # fix to share pretrained scorers,
-                                      # the backbone, and eval lists across
-                                      # search seeds; defaults to `seed`
+
+
+@dataclass(kw_only=True)
+class RunConfig(SearchSettings):
+    """Everything a search run needs besides the data itself."""
+
+    unsup_registry: UnsupModelRegistry
+    sup_registry: SupModelRegistry
+    k_values: tuple[int, ...] = (10, 20, 30, 40, 50)
 
     def __post_init__(self):
         if self.episodes < 1 or self.n_monte_carlo < 1:
@@ -105,7 +121,7 @@ class RunConfig:
 
     @property
     def effective_pretrain_seed(self) -> int:
-        return self.seed if self.pretrain_seed is None else self.pretrain_seed
+        return self.seed if self.pretrain_seed < 0 else self.pretrain_seed
 
     def signature(self) -> dict:
         return {
@@ -128,12 +144,6 @@ class RunResult:
     test_metrics: dict | None
     report: dict
     checkpoint_paths: dict = field(default_factory=dict)
-
-
-def _needs_graph(config: RunConfig) -> bool:
-    return any(m.kind.startswith("graph-") for m in config.unsup_registry) or any(
-        m.kind == "graph-aggregation" for m in config.sup_registry
-    )
 
 
 def run_cache_dir(output_dir: str | Path) -> Path:
@@ -376,7 +386,8 @@ def pretrain(corpus: Corpus, config: RunConfig, cache_dir: str | Path | None):
     ``config.workers`` processes in all (0: one per available CPU). A warm
     cache forks nothing.
     """
-    graph = build_graph(corpus) if _needs_graph(config) else None
+    uses_graph = needs_graph([*config.unsup_registry, *config.sup_registry])
+    graph = build_graph(corpus) if uses_graph else None
     backbone_job = [] if _cached(_backbone_entry(corpus, config, cache_dir)) else [
         PretrainJob("backbone", "backbone", _train_backbone_table, (corpus, config))]
     matrices = pretrain_all(corpus, graph, config.unsup_registry, cache_dir,

@@ -2,12 +2,61 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
 
 from weakrank.cli import main
 from weakrank.config import ExperimentConfig
+from weakrank.trainer import SearchSettings
+
+# What ExperimentConfig().save() wrote before the search settings had one
+# declaration: every configuration file in use names a subset of these keys.
+RELEASED_DEFAULT_CFG = """\
+annotations=
+backbone_dim=32
+backbone_epochs=3
+backbone_lr=0.05
+backbone_neg=5
+backbone_window=5
+baseline_decay=0.9
+best_selection=reward
+controller_hidden=32
+controller_lr=0.5
+corpus=
+documents=
+early_stop_patience=0
+entropy_coef=0.0
+episode_sup_epochs=5
+episodes=200
+eval_negatives=99
+external_scores=
+final_patience=5
+final_sup_epochs=30
+graph_sample_size=10
+k_values=10,20,30,40,50
+kernel_negative_exponent=True
+max_candidate_len=200
+max_query_len=100
+n_monte_carlo=1
+n_neg_per_pos=2
+normalize_scores=True
+output_dir=
+pretrain_seed=-1
+seed=0
+split_seed=0
+sup_batch_size=32
+sup_lr=0.005
+sup_models=representation,interaction,graph-aggregation
+sup_optimizer=adam
+test_annotations=
+unsup_models=bm25,text-embedding,graph-walk,graph-biased-walk,graph-proximity-1,graph-proximity-2,graph-aggregation
+use_baseline=True
+val_annotations=
+workers=0
+"""
+RELEASED_DEFAULT_HASH = "4200b1e40e2dafa3c2d4dee037018ac0aff5693cb6f33b96405b66fa1aebaa7a"
 
 
 class TestExperimentConfig:
@@ -87,6 +136,39 @@ class TestExperimentConfig:
         assert run_config.episodes == 5
         assert run_config.sup_registry.names == ["interaction"]
 
+    def test_every_search_setting_reaches_the_run_config(self):
+        changed = {"best_selection": "greedy", "sup_optimizer": "sgd"}
+        config = ExperimentConfig()
+        for f in fields(SearchSettings):
+            default = getattr(config, f.name)
+            if isinstance(default, bool):
+                changed[f.name] = not default
+            elif isinstance(default, (int, float)):
+                changed[f.name] = default + 2
+            config.set_key(f.name, str(changed[f.name]))
+        assert len(changed) == 27
+        run_config = config.to_run_config()
+        for name, value in changed.items():
+            assert getattr(run_config, name) == value, name
+            assert getattr(run_config, name) != getattr(SearchSettings(), name), name
+
+    def test_accepts_exactly_the_released_keys(self):
+        lines = RELEASED_DEFAULT_CFG.splitlines()
+        keys = [line.partition("=")[0] for line in lines] + ["hp"]
+        assert len(keys) == 42
+        assert sorted(f.name for f in fields(ExperimentConfig)) == sorted(keys)
+        config = ExperimentConfig()
+        for line in lines:
+            config.set_key(*line.split("=", 1))
+        config.set_key("hp.bm25.k1", "1.5")
+        with pytest.raises(ValueError, match="unknown configuration key"):
+            config.set_key("hp", "{}")
+
+    def test_default_save_writes_the_released_bytes(self, tmp_path):
+        ExperimentConfig().save(tmp_path / "exp.cfg")
+        assert (tmp_path / "exp.cfg").read_text(encoding="utf-8") == RELEASED_DEFAULT_CFG
+        assert ExperimentConfig().content_hash() == RELEASED_DEFAULT_HASH
+
 
 @pytest.fixture(scope="module")
 def synth_dir(tmp_path_factory):
@@ -157,12 +239,26 @@ class TestCli:
         assert rc == 2
         assert "unknown configuration key" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("setting", ["episodes=0", "unsup_models=nope"])
+    @pytest.mark.parametrize("command", [["search"], ["ablate", "--mode", "fix-k", "--sweep"]],
+                             ids=["search", "ablate"])
+    def test_bad_configuration_writes_nothing(self, synth_dir, tmp_path, capsys,
+                                              command, setting):
+        out = tmp_path / "run"
+        rc = main([*command, "--set", f"corpus={synth_dir / 'corpus.json'}",
+                   "--set", f"annotations={synth_dir / 'annotations.tsv'}",
+                   "--set", f"output_dir={out}", "--set", setting])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error: ValueError: ")
+        assert not out.exists()
+
     def test_console_entrypoint(self):
         src = str(Path(__file__).resolve().parents[1] / "src")
         path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
-        proc = subprocess.run(
-            [sys.executable, "-m", "weakrank.cli", "--version"],
-            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
-        )
-        assert proc.returncode == 0
-        assert "weakrank" in proc.stdout
+        for module in ("weakrank.cli", "weakrank"):
+            proc = subprocess.run(
+                [sys.executable, "-m", module, "--version"],
+                capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
+            )
+            assert proc.returncode == 0, module
+            assert "weakrank" in proc.stdout

@@ -3,7 +3,6 @@ deterministic split with the caller taking a share, failures that name
 their model and leave no process behind, and no fork on a warm cache."""
 
 import os
-from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -11,14 +10,15 @@ import pytest
 import weakrank.trainer as trainer
 from weakrank.bm25 import bm25_matrix
 from weakrank.cli import main
-from weakrank.config import ExperimentConfig
 from weakrank.corpus import AnnotationSet, split_annotations
 from weakrank.registry import (
+    SUP_KINDS,
     UNSUP_KINDS,
     SupModelRegistry,
     SupModelSpec,
     UnsupModelRegistry,
     UnsupModelSpec,
+    needs_graph,
 )
 from weakrank.synthetic import generate_synthetic
 from weakrank.trainer import (
@@ -255,16 +255,14 @@ class TestInfeasibleEvalListsFailFirst:
         assert self._run(monkeypatch, self.val, test, eval_negatives=10) == []
 
 
-def test_run_config_defaults_match_the_experiment_config():
-    """Both classes default each search setting; they must agree field by
-    field, so a default changed in one cannot drift from the other."""
-    derived = ExperimentConfig().to_run_config()
-    registries = UnsupModelRegistry([UnsupModelSpec("bm25", "bm25")]), derived.sup_registry
-    plain = RunConfig(*registries)
-    compared = 0
-    for field in fields(RunConfig):
-        if field.name in ("unsup_registry", "sup_registry"):
-            continue
-        assert getattr(plain, field.name) == getattr(derived, field.name), field.name
-        compared += 1
-    assert compared == 28
+def test_graph_kinds_are_the_ones_that_need_the_graph():
+    graph_kinds = {"graph-walk", "graph-biased-walk", "graph-proximity-1",
+                   "graph-proximity-2", "graph-aggregation"}
+    for kind in UNSUP_KINDS:
+        spec = UnsupModelSpec(kind, kind, {"path": "x.csv"} if kind == "external" else {})
+        assert needs_graph([spec]) is (kind in graph_kinds), kind
+    for kind in SUP_KINDS:
+        assert needs_graph([SupModelSpec(kind, kind)]) is (kind == "graph-aggregation"), kind
+    assert not needs_graph([])
+    assert needs_graph([UnsupModelSpec("bm25", "bm25"),
+                        SupModelSpec("graph-aggregation", "graph-aggregation")])

@@ -11,11 +11,11 @@ from weakrank.metrics import build_eval_lists, mrr
 from weakrank.pseudo_labels import aggregate
 from weakrank.sup_rankers import score_lists_with_ensemble
 from weakrank.registry import (
+    UNSUP_KINDS,
     SupModelRegistry,
     SupModelSpec,
     UnsupModelRegistry,
     UnsupModelSpec,
-    default_unsup_registry,
 )
 from weakrank.scores import ScoreMatrix
 from weakrank.synthetic import generate_synthetic
@@ -92,7 +92,9 @@ class TestPretrainAll:
     def test_seven_model_registry_yields_seven_matrices(self, tmp_path):
         corpus, _ = generate_synthetic(6, 10, 2, 6, 12, 0.0, seed=2)
         graph = build_graph(corpus)
-        registry = default_unsup_registry(dim=8)
+        hp = {"bm25": {}, "graph-aggregation": {"out_dim": 8}}
+        registry = UnsupModelRegistry([UnsupModelSpec(kind, kind, hp.get(kind, {"dim": 8}))
+                                       for kind in UNSUP_KINDS if kind != "external"])
         assert len(registry) == 7
         matrices = pretrain_all(corpus, graph, registry, tmp_path, master_seed=0)
         assert len(matrices) == 7
