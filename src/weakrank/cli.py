@@ -39,6 +39,8 @@ from .synthetic import generate_synthetic
 from .trainer import (
     ablation_run,
     backbone_from_table,
+    check_search_inputs,
+    clamp_for_ablation,
     joint_train,
     pretrain,
     run_cache_dir,
@@ -69,23 +71,24 @@ def _load_splits(config: ExperimentConfig, corpus: Corpus):
         val, test = split_annotations(full, seed=config.split_seed)
     else:
         raise ValueError("need annotations or val_annotations in the configuration")
-    val.validate_against(corpus)
-    if test is not None:
-        test.validate_against(corpus)
     return val, test
 
 
-def _start_run(args):
+def _start_run(args, ablation=None):
     """A search's or an ablation's validated inputs and its run directory,
     holding ``config.cfg`` and ``manifest.json``: (run config, corpus,
     validation split, test split, run directory). Nothing is written until
-    the configuration, corpus and splits have loaded."""
+    the inputs pass ``check_search_inputs`` and ``ablation``, an ablation's
+    (mode, fixed choice), passes ``clamp_for_ablation``."""
     config = ExperimentConfig.from_file(args.config, args.overrides)
     if not config.output_dir:
         raise ValueError(f"output_dir must be set for {args.command} runs")
     run_config = config.to_run_config()
     corpus = Corpus.load(config.corpus)
     val, test = _load_splits(config, corpus)
+    check_search_inputs(corpus, val, test, run_config)
+    if ablation is not None:
+        clamp_for_ablation(*ablation, run_config)
     workdir = Path(config.output_dir)
     workdir.mkdir(parents=True, exist_ok=True)
     config.save(workdir / "config.cfg")
@@ -162,19 +165,20 @@ def cmd_search(args) -> int:
 
 def cmd_ablate(args) -> int:
     sweep = args.mode == "fix-k" and args.sweep
-    if not sweep and args.fixed is None:
-        raise ValueError("--fixed is required unless sweeping")
-    run_config, corpus, val, test, workdir = _start_run(args)
     if sweep:
+        run_config, corpus, val, test, workdir = _start_run(args)
         results = sweep_k(corpus, val, test, run_config, workdir=workdir)
         for k, result in sorted(results.items()):
             print(f"k={k}: best reward {result.best_reward:.4f}")
         return 0
     fixed = args.fixed
+    if fixed is None:
+        raise ValueError("--fixed is required unless sweeping")
     if args.mode == "fix-k":
         fixed = int(fixed)
     elif "," in fixed:
         fixed = [tok.strip() for tok in fixed.split(",")]
+    run_config, corpus, val, test, workdir = _start_run(args, (args.mode, fixed))
     result = ablation_run(corpus, val, test, args.mode, fixed, run_config, workdir=workdir)
     print(f"best reward {result.best_reward:.4f}; report in {workdir / 'report.json'}")
     return 0

@@ -193,6 +193,11 @@ def _mask_log_prob(probs: np.ndarray, mask: np.ndarray) -> float:
     return float(np.log(picked).sum())
 
 
+def _row_entropy(probs: np.ndarray) -> np.ndarray:
+    """Entropy of each row of a head's (rows, choices) probabilities, (rows, 1)."""
+    return -(probs * np.log(probs + 1e-300)).sum(axis=1, keepdims=True)
+
+
 def _log_prob_of(state, clamp: Clamp | None) -> float:
     clamp = clamp or Clamp()
     probs1, probs2, probs3 = state["probs"]
@@ -289,17 +294,17 @@ def action_log_prob(
     )
     probs1, probs2, probs3 = state["probs"]
     log_prob = _log_prob_of(state, clamp)
-
-    def head_entropy(p):
-        return float(-(p * np.log(p + 1e-300)).sum())
-
+    # (probabilities, chosen column per row, clamped) per head; the k head is one row
+    heads = (
+        (probs1, state["unsup_mask"], clamp.unsup_mask is not None),
+        (probs2[None, :], [config.k_index], clamp.k_index is not None),
+        (probs3, state["sup_mask"], clamp.sup_mask is not None),
+    )
+    row_entropies = [None if clamped else _row_entropy(probs) for probs, _, clamped in heads]
     entropy = 0.0
-    if clamp.unsup_mask is None:
-        entropy += sum(head_entropy(p) for p in probs1)
-    if clamp.k_index is None:
-        entropy += head_entropy(probs2)
-    if clamp.sup_mask is None:
-        entropy += sum(head_entropy(p) for p in probs3)
+    for H in row_entropies:
+        if H is not None:
+            entropy += sum(H[:, 0].tolist())
 
     if grad_scale == 0.0 and entropy_scale == 0.0:
         return log_prob, entropy
@@ -309,20 +314,22 @@ def action_log_prob(
     h1, h2, h3 = state["h"]
     prods1, prods3 = state["prods"]
 
-    def dlogits_for_mask(probs, mask, clamped):
+    def dlogits(probs, chosen, H):
+        """d(grad_scale * log pi + entropy_scale * entropy) / d logits, per row."""
         d = np.zeros_like(probs)
-        if not clamped:
+        if H is not None:  # the head is not clamped
             if grad_scale != 0.0:
                 onehot = np.zeros_like(probs)
-                onehot[np.arange(len(mask)), mask] = 1.0
+                onehot[np.arange(len(chosen)), chosen] = 1.0
                 d += grad_scale * (onehot - probs)
             if entropy_scale != 0.0:
-                H = -(probs * np.log(probs + 1e-300)).sum(axis=1, keepdims=True)
                 d += entropy_scale * (-probs * (np.log(probs + 1e-300) + H))
         return d
 
+    d1, d2, d3 = (dlogits(probs, chosen, H)
+                  for (probs, chosen, _), H in zip(heads, row_entropies))
+
     # step 3 head
-    d3 = dlogits_for_mask(probs3, state["sup_mask"], clamp.sup_mask is not None)
     params.q_W.grad += d3.T @ prods3
     params.q_b.grad += d3.sum(axis=0)
     dprods3 = d3 @ params.q_W.value  # (N_s, d)
@@ -330,21 +337,12 @@ def action_log_prob(
     params.u_sup.grad += dprods3 * h3[None, :]
 
     # step 2 head
-    d2 = np.zeros_like(probs2)
-    if clamp.k_index is None:
-        if grad_scale != 0.0:
-            onehot2 = np.zeros_like(probs2)
-            onehot2[config.k_index] = 1.0
-            d2 += grad_scale * (onehot2 - probs2)
-        if entropy_scale != 0.0:
-            H2 = -(probs2 * np.log(probs2 + 1e-300)).sum()
-            d2 += entropy_scale * (-probs2 * (np.log(probs2 + 1e-300) + H2))
+    d2 = d2[0]
     params.g_W.grad += np.outer(d2, h2)
     params.g_b.grad += d2
     dh2 = params.g_W.value.T @ d2
 
     # step 1 head
-    d1 = dlogits_for_mask(probs1, state["unsup_mask"], clamp.unsup_mask is not None)
     params.f_W.grad += d1.T @ prods1
     params.f_b.grad += d1.sum(axis=0)
     dprods1 = d1 @ params.f_W.value

@@ -186,24 +186,6 @@ def dense_backward(dy: np.ndarray, cache, input_grad: bool = True):
 # cosine similarity
 
 
-def cosine_forward(u: np.ndarray, v: np.ndarray):
-    """Scalar cosine with exact gradients; rejects zero-norm inputs."""
-    u = np.asarray(u, dtype=np.float64)
-    v = np.asarray(v, dtype=np.float64)
-    nu, nv = np.linalg.norm(u), np.linalg.norm(v)
-    if nu == 0.0 or nv == 0.0:
-        raise ValueError("cosine of a zero-norm vector is undefined")
-    c = float(u @ v / (nu * nv))
-    return c, (u, v, nu, nv, c)
-
-
-def cosine_backward(dc: float, cache):
-    u, v, nu, nv, c = cache
-    du = dc * (v / (nu * nv) - c * u / (nu * nu))
-    dv = dc * (u / (nu * nv) - c * v / (nv * nv))
-    return du, dv
-
-
 def cosine_rows_forward(U: np.ndarray, V: np.ndarray):
     """Row-wise cosine for (n, d) stacks. Zero-norm rows score 0 and receive
     zero gradient, which is the convention ranking models here rely on."""
@@ -244,6 +226,8 @@ def cosine_rows_backward(dc: np.ndarray, cache):
 # ---------------------------------------------------------------------------
 # RBF kernel pooling
 
+_EPS_LOG = 1e-10  # guard inside the log of pooled kernel values
+
 
 def default_kernel_bank() -> tuple[np.ndarray, np.ndarray]:
     """Eleven kernels: an exact-match spike at 1.0 plus ten soft bins."""
@@ -252,14 +236,19 @@ def default_kernel_bank() -> tuple[np.ndarray, np.ndarray]:
     return mus, sigmas
 
 
-def kernel_pool_forward(s_row: np.ndarray, mus: np.ndarray, sigmas: np.ndarray,
-                        negative_exponent: bool = True):
-    """K_h = sum_k exp(-(s_k - mu_h)^2 / (2 sigma_h^2)) over the row.
+def kernel_pool_forward(S: np.ndarray, q_counts: np.ndarray, c_counts: np.ndarray,
+                        mus, sigmas, negative_exponent: bool = True):
+    """RBF kernel pooling of a block of word cosines into (query, candidate)
+    features, K-NRM style: ``pooled[h] = q_counts @ log(g_h(S) @ c_counts.T
+    + eps)`` with ``g_h = exp(-(S - mu_h)^2 / (2 sigma_h^2))``.
 
-    ``negative_exponent=False`` flips the exponent sign; that variant grows
-    without bound as |s - mu| does and exists only for comparison runs.
+    ``S`` is (query words, candidate words); ``q_counts`` is (queries, query
+    words) and ``c_counts`` (candidates, candidate words), each document's
+    count of each word. ``negative_exponent=False`` flips the exponent sign;
+    that variant grows without bound as |s - mu| does and exists only for
+    comparison runs. Returns ((H, queries, candidates), cache). The cache
+    holds only the inputs: the backward recomputes one kernel at a time.
     """
-    s_row = np.asarray(s_row, dtype=np.float64)
     mus = np.asarray(mus, dtype=np.float64)
     sigmas = np.asarray(sigmas, dtype=np.float64)
     if mus.shape != sigmas.shape or mus.ndim != 1 or len(mus) < 1:
@@ -267,19 +256,24 @@ def kernel_pool_forward(s_row: np.ndarray, mus: np.ndarray, sigmas: np.ndarray,
     if np.any(sigmas <= 0):
         raise ValueError("kernel sigmas must be positive")
     sign = -1.0 if negative_exponent else 1.0
-    diff = s_row[None, :] - mus[:, None]  # (H, M)
-    expo = sign * diff * diff / (2.0 * sigmas[:, None] ** 2)
-    g = np.exp(expo)
-    K = g.sum(axis=1)
-    _ensure_finite("kernel_pool output", K)
-    return K, (diff, g, sigmas, sign)
+    pooled = np.empty((len(mus), q_counts.shape[0], c_counts.shape[0]))
+    for h in range(len(mus)):
+        g = np.exp(sign * (S - mus[h]) ** 2 / (2.0 * sigmas[h] ** 2))
+        pooled[h] = q_counts @ np.log(g @ c_counts.T + _EPS_LOG)
+    return pooled, (S, q_counts, c_counts, mus, sigmas, sign)
 
 
-def kernel_pool_backward(dK: np.ndarray, cache):
-    diff, g, sigmas, sign = cache
-    # dK_h/ds_k = g_hk * sign * (s_k - mu_h) / sigma_h^2
-    grad = g * (sign * diff) / (sigmas[:, None] ** 2)
-    return np.asarray(dK, dtype=np.float64) @ grad
+def kernel_pool_backward(dpooled: np.ndarray, cache) -> np.ndarray:
+    """Gradient with respect to ``S``; the counts are data."""
+    S, q_counts, c_counts, mus, sigmas, sign = cache
+    dS = np.zeros_like(S)
+    for h in range(len(mus)):
+        diff = S - mus[h]
+        g = np.exp(sign * diff ** 2 / (2.0 * sigmas[h] ** 2))
+        dK = (q_counts.T @ dpooled[h]) / (g @ c_counts.T + _EPS_LOG)
+        # dg_h/dS = g_h * sign * (S - mu_h) / sigma_h^2
+        dS += (dK @ c_counts) * g * (sign * diff) / sigmas[h] ** 2
+    return dS
 
 
 # ---------------------------------------------------------------------------

@@ -30,15 +30,14 @@ from .ioutil import load_arrays, save_arrays
 from .nncore import (
     OptimizerState,
     ParamGroup,
-    ParamTensor,
     cosine_rows_backward,
     cosine_rows_forward,
     default_kernel_bank,
     dense_backward,
     dense_forward,
     init_param,
-    kernel_pool_backward,
     kernel_pool_forward,
+    log_sigmoid,
     optimizer_step,
     scatter_add_rows,
     sigmoid,
@@ -56,14 +55,8 @@ from .sageops import (
 
 CHECKPOINT_FORMAT_VERSION = 1
 
-_EPS_LOG = 1e-10  # guard inside log of kernel features
 ENSEMBLE_BLOCK = 256  # eval lists gathered at once: bounds the gather's temporaries
 PHI_BLOCK = 1 << 16  # word-cosine entries pooled at once: bounds phi's temporaries
-
-
-def _softplus(x):
-    x = np.asarray(x, dtype=np.float64)
-    return np.maximum(x, 0.0) + np.log1p(np.exp(-np.abs(x)))
 
 
 class RankerBackbone:
@@ -116,17 +109,12 @@ class RankerBackbone:
         are frozen, so a kernel value depends only on the two words: each
         kernel is applied once to the table of word cosines, multiplied by the
         candidates' word counts, logged, and summed with the queries' word
-        counts. Cached per kernel bank; it never changes within a run.
+        counts (``nncore.kernel_pool_forward``, a block of query words at a
+        time). Cached per kernel bank; it never changes within a run.
         """
         key = (tuple(np.asarray(mus)), tuple(np.asarray(sigmas)), negative_exponent)
         if key in self._phi_cache:
             return self._phi_cache[key]
-        mus = np.asarray(mus, dtype=np.float64)
-        sigmas = np.asarray(sigmas, dtype=np.float64)
-        if np.any(sigmas <= 0):
-            raise ValueError("kernel sigmas must be positive")
-        sign = -1.0 if negative_exponent else 1.0
-
         q_words, q_counts = self._word_counts(self.corpus.queries)
         c_words, c_counts = self._word_counts(self.corpus.candidates)
         hats = unit_rows(self.table.vectors)
@@ -135,9 +123,8 @@ class RankerBackbone:
         step = max(1, PHI_BLOCK // len(c_words))
         for lo in range(0, len(q_words), step):
             S = hats[q_words[lo:lo + step]] @ c_hats.T  # (query words, candidate words)
-            for h in range(len(mus)):
-                g = np.exp(sign * (S - mus[h]) ** 2 / (2.0 * sigmas[h] ** 2))
-                pooled[h] += q_counts[:, lo:lo + step] @ np.log(g @ c_counts.T + _EPS_LOG)
+            pooled += kernel_pool_forward(S, q_counts[:, lo:lo + step], c_counts, mus, sigmas,
+                                          negative_exponent)[0]
         phi = np.ascontiguousarray(pooled.transpose(1, 2, 0))
         self._phi_cache[key] = phi
         return phi
@@ -194,10 +181,11 @@ def _pairwise_loss_grads(r_pos: np.ndarray, r_neg: np.ndarray):
     """Mean pairwise logistic objective and its gradients w.r.t. the scores.
 
     Maximizing log sigma(r+) + log(1 - sigma(r-)) is minimizing
-    softplus(-r+) + softplus(r-); the gradient w.r.t. r is sigma(r) - target.
+    softplus(-r+) + softplus(r-) = -log sigma(r+) - log sigma(-r-); the
+    gradient w.r.t. r is sigma(r) - target.
     """
     B = len(r_pos)
-    sp = _softplus(np.concatenate([-r_pos, r_neg]))  # elementwise: one call for both
+    sp = -log_sigmoid(np.concatenate([r_pos, -r_neg]))  # elementwise: one call for both
     loss = float((sp[:B] + sp[B:]).mean())
     s = sigmoid(np.concatenate([r_pos, r_neg]))
     return loss, (s[:B] - 1.0) / B, s[B:] / B
@@ -328,55 +316,6 @@ class InteractionRanker(_Ranker):
         self.b.grad += d_pos.sum() + d_neg.sum()
         _check_loss(self, loss, batch)
         return loss
-
-
-def interaction_score_from_embeddings(q_vecs: np.ndarray, c_vecs: np.ndarray, mus, sigmas,
-                                      w: ParamTensor, b: ParamTensor,
-                                      negative_exponent: bool = True):
-    """Reference interaction scorer differentiable down to raw word vectors.
-
-    Returns (score, d_score/d_q_vecs, d_score/d_c_vecs) and accumulates into
-    w.grad / b.grad. Zero-norm word vectors contribute all-zero similarity
-    rows or columns.
-    """
-    q_vecs = np.asarray(q_vecs, dtype=np.float64)
-    c_vecs = np.asarray(c_vecs, dtype=np.float64)
-
-    def normalize(v):
-        norms = np.linalg.norm(v, axis=1, keepdims=True)
-        safe = np.where(norms > 0, norms, 1.0)
-        return v / safe, norms[:, 0]
-
-    q_hat, q_norm = normalize(q_vecs)
-    c_hat, c_norm = normalize(c_vecs)
-    S = q_hat @ c_hat.T  # (N, M)
-
-    H = len(mus)
-    K_rows, caches = [], []
-    for i in range(S.shape[0]):
-        K, cache = kernel_pool_forward(S[i], mus, sigmas, negative_exponent)
-        K_rows.append(K)
-        caches.append(cache)
-    K_mat = np.stack(K_rows)  # (N, H)
-    phi = np.log(K_mat + _EPS_LOG).sum(axis=0)  # (H,)
-    score = float(w.value @ phi + b.value[0])
-
-    # backward: d score / d phi = w
-    w.grad += phi
-    b.grad += 1.0
-    dK = w.value[None, :] / (K_mat + _EPS_LOG)  # (N, H)
-    dS = np.stack([kernel_pool_backward(dK[i], caches[i]) for i in range(S.shape[0])])
-    dq_hat = dS @ c_hat
-    dc_hat = dS.T @ q_hat
-
-    def denormalize(d_hat, v_hat, norm):
-        # d/dv of v/|v| applied to upstream d_hat; zero-norm rows get no grad
-        safe = np.where(norm > 0, norm, 1.0)[:, None]
-        dv = (d_hat - v_hat * np.einsum("id,id->i", v_hat, d_hat)[:, None]) / safe
-        dv[norm == 0] = 0.0
-        return dv
-
-    return score, denormalize(dq_hat, q_hat, q_norm), denormalize(dc_hat, c_hat, c_norm)
 
 
 class GraphAggregationRanker(_Ranker):

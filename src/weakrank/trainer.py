@@ -483,6 +483,27 @@ def run_episode(
     return EpisodeLog(episode, cfg, log_prob, r_unsup, r_sup, reward, baseline_value)
 
 
+def check_search_inputs(corpus: Corpus, val_annotations: AnnotationSet,
+                        test_annotations: AnnotationSet | None, config: RunConfig) -> None:
+    """Raise the errors a search on these inputs would, before any work:
+    a k outside the candidate count, or an empty, unknown-id, overlapping or
+    too small annotation split (one whose evaluation lists cannot be drawn)."""
+    if not val_annotations.pairs:
+        raise ValueError("validation annotation split is empty")
+    n_cand = len(corpus.candidates)
+    for k in config.k_values:
+        if not 1 <= k < n_cand:
+            raise ValueError(f"k value {k} out of range for {n_cand} candidates")
+    val_annotations.validate_against(corpus)
+    check_eval_lists(val_annotations, corpus, config.eval_negatives)
+    if test_annotations is not None and test_annotations.pairs:
+        test_annotations.validate_against(corpus)
+        overlap = set(val_annotations.query_ids) & set(test_annotations.query_ids)
+        if overlap:
+            raise ValueError(f"validation and test splits share queries: {sorted(overlap)[:5]}")
+        check_eval_lists(test_annotations, corpus, config.eval_negatives)
+
+
 def joint_train(
     corpus: Corpus,
     val_annotations: AnnotationSet,
@@ -498,22 +519,7 @@ def joint_train(
     None (or an empty set) skips it and leaves the test block of the report
     null.
     """
-    if not val_annotations.pairs:
-        raise ValueError("validation annotation split is empty")
-    val_annotations.validate_against(corpus)
-    if test_annotations is not None and test_annotations.pairs:
-        test_annotations.validate_against(corpus)
-        overlap = set(val_annotations.query_ids) & set(test_annotations.query_ids)
-        if overlap:
-            raise ValueError(f"validation and test splits share queries: {sorted(overlap)[:5]}")
-    n_cand = len(corpus.candidates)
-    for k in config.k_values:
-        if not 1 <= k < n_cand:
-            raise ValueError(f"k value {k} out of range for {n_cand} candidates")
-    check_eval_lists(val_annotations, corpus, config.eval_negatives)
-    if test_annotations is not None and test_annotations.pairs:
-        check_eval_lists(test_annotations, corpus, config.eval_negatives)
-
+    check_search_inputs(corpus, val_annotations, test_annotations, config)
     workdir = Path(workdir) if workdir is not None else None
     if workdir is not None:
         workdir.mkdir(parents=True, exist_ok=True)

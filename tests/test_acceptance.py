@@ -33,8 +33,8 @@ from weakrank.metrics import EvalList, all_metrics, build_eval_lists, mrr, rank_
 from weakrank.nncore import (
     LstmParams,
     ParamTensor,
-    cosine_backward,
-    cosine_forward,
+    cosine_rows_backward,
+    cosine_rows_forward,
     dense_backward,
     dense_forward,
     finite_difference_check,
@@ -129,33 +129,39 @@ def test_criterion_2_gradient_suite():
             err = finite_difference_check(fb_dense, [W, b, x])
             worst[f"dense-{act}"] = max(worst.get(f"dense-{act}", 0.0), err)
 
-        # cosine head
-        u = ParamTensor("u", rng.normal(size=5))
-        v = ParamTensor("v", rng.normal(size=5))
+        # row cosine, the op the cosine rankers train through
+        U = ParamTensor("U", rng.normal(size=(3, 5)))
+        V = ParamTensor("V", rng.normal(size=(3, 5)))
+        cprobe = rng.normal(size=3)
 
         def fb_cos():
-            zero_grads([u, v])
-            c, cache = cosine_forward(u.value, v.value)
-            du, dv = cosine_backward(1.0, cache)
-            u.grad += du
-            v.grad += dv
-            return c
+            zero_grads([U, V])
+            c, cache = cosine_rows_forward(U.value, V.value)
+            dU, dV = cosine_rows_backward(cprobe, cache)
+            U.grad += dU
+            V.grad += dV
+            return float(cprobe @ c)
 
-        worst["cosine"] = max(worst.get("cosine", 0.0), finite_difference_check(fb_cos, [u, v]))
+        worst["cosine"] = max(worst.get("cosine", 0.0), finite_difference_check(fb_cos, [U, V]))
 
-        # kernel pooling
+        # kernel pooling, the op phi_features runs: a block of word cosines
+        # against integer word counts (some repeated, some absent), both signs
         mus = np.array([0.9, 0.5, -0.3])
-        sigmas = np.array([0.1, 0.2, 0.3])
-        s = ParamTensor("s", rng.uniform(-1, 1, size=8))
-        kprobe = rng.normal(size=3)
+        S = ParamTensor("S", rng.uniform(-1, 1, size=(4, 5)))
+        q_counts = rng.integers(0, 3, size=(2, 4)).astype(np.float64)
+        c_counts = rng.integers(0, 3, size=(3, 5)).astype(np.float64)
+        kprobe = rng.normal(size=(3, 2, 3))
+        for negative_exponent, sigmas in ((True, np.array([0.1, 0.2, 0.3])),
+                                          (False, np.array([0.5, 0.6, 0.7]))):
 
-        def fb_kernel():
-            zero_grads([s])
-            K, cache = kernel_pool_forward(s.value, mus, sigmas)
-            s.grad += kernel_pool_backward(kprobe, cache)
-            return float(kprobe @ K)
+            def fb_kernel():
+                zero_grads([S])
+                pooled, cache = kernel_pool_forward(S.value, q_counts, c_counts, mus, sigmas,
+                                                    negative_exponent)
+                S.grad += kernel_pool_backward(kprobe, cache)
+                return float((kprobe * pooled).sum())
 
-        worst["kernel"] = max(worst.get("kernel", 0.0), finite_difference_check(fb_kernel, [s]))
+            worst["kernel"] = max(worst.get("kernel", 0.0), finite_difference_check(fb_kernel, [S]))
 
         # 3-step LSTM unroll
         params = LstmParams.create("lstm", 3, 4, rng)

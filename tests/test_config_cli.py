@@ -252,6 +252,23 @@ class TestCli:
         assert capsys.readouterr().err.startswith("error: ValueError: ")
         assert not out.exists()
 
+    @pytest.mark.parametrize("command,setting,message", [
+        (["search"], "k_values=500", "k value 500 out of range"),
+        (["search"], "eval_negatives=99", "eligible negatives"),
+        (["ablate", "--mode", "fix-k", "--fixed", "35"], "k_values=10", "fixed k 35 not in"),
+        (["ablate", "--mode", "fix-unsup", "--fixed", "nope"], "seed=0", "nope"),
+    ], ids=["k-range", "eval-lists", "fixed-k", "fixed-scorer"])
+    def test_failed_search_input_check_writes_nothing(self, synth_dir, tmp_path, capsys,
+                                                      command, setting, message):
+        out = tmp_path / "run"
+        rc = main([*command, "--set", f"corpus={synth_dir / 'corpus.json'}",
+                   "--set", f"annotations={synth_dir / 'annotations.tsv'}",
+                   "--set", f"output_dir={out}", "--set", "eval_negatives=20",
+                   "--set", setting])
+        assert rc == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
     def test_console_entrypoint(self):
         src = str(Path(__file__).resolve().parents[1] / "src")
         path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)

@@ -10,8 +10,6 @@ from weakrank.nncore import (
     OptimizerState,
     ParamGroup,
     ParamTensor,
-    cosine_backward,
-    cosine_forward,
     cosine_rows_backward,
     cosine_rows_forward,
     default_kernel_bank,
@@ -201,32 +199,29 @@ class TestCosine:
         assert dV.tobytes() == dV_ref.tobytes()
 
     def test_identical_vectors(self):
-        u = np.array([1.0, 2.0, 3.0])
-        c, _ = cosine_forward(u, u.copy())
-        assert c == pytest.approx(1.0)
+        u = np.array([[1.0, 2.0, 3.0]])
+        c, _ = cosine_rows_forward(u, u.copy())
+        assert c[0] == pytest.approx(1.0)
 
     def test_scale_invariance(self, rng):
-        u, v = rng.normal(size=4), rng.normal(size=4)
-        c1, _ = cosine_forward(u, v)
-        c2, _ = cosine_forward(3.0 * u, v)
+        U, V = rng.normal(size=(3, 4)), rng.normal(size=(3, 4))
+        c1, _ = cosine_rows_forward(U, V)
+        c2, _ = cosine_rows_forward(3.0 * U, V)
         assert c1 == pytest.approx(c2)
 
-    def test_zero_norm_rejected(self):
-        with pytest.raises(ValueError, match="zero-norm"):
-            cosine_forward(np.zeros(3), np.ones(3))
-
     def test_gradient_vs_finite_differences(self):
+        # one row of five, the shape of a single pair's cosine
         rng = np.random.default_rng(3)
-        u = ParamTensor("u", rng.normal(size=5))
-        v = ParamTensor("v", rng.normal(size=5))
+        u = ParamTensor("u", rng.normal(size=(1, 5)))
+        v = ParamTensor("v", rng.normal(size=(1, 5)))
 
         def fb():
             zero_grads([u, v])
-            c, cache = cosine_forward(u.value, v.value)
-            du, dv = cosine_backward(1.0, cache)
+            c, cache = cosine_rows_forward(u.value, v.value)
+            du, dv = cosine_rows_backward(np.ones(1), cache)
             u.grad += du
             v.grad += dv
-            return c
+            return float(c[0])
 
         assert finite_difference_check(fb, [u, v]) < 1e-4
 
@@ -234,7 +229,7 @@ class TestCosine:
         U, V = rng.normal(size=(6, 4)), rng.normal(size=(6, 4))
         c, _ = cosine_rows_forward(U, V)
         for i in range(6):
-            ci, _ = cosine_forward(U[i], V[i])
+            ci = U[i] @ V[i] / (np.linalg.norm(U[i]) * np.linalg.norm(V[i]))
             assert c[i] == pytest.approx(ci)
 
     def test_rows_zero_norm_scores_zero_with_zero_grad(self):
@@ -262,27 +257,56 @@ class TestCosine:
         assert finite_difference_check(fb, [U, V]) < 1e-4
 
 
+def _pool(S, mus, sigmas, negative_exponent=True):
+    """One query holding each row word once against one candidate holding
+    each column word once: pooled[h] = sum over rows of log(K_h(row) + eps)."""
+    S = np.atleast_2d(np.asarray(S, dtype=np.float64))
+    pooled, _ = kernel_pool_forward(S, np.ones((1, S.shape[0])), np.ones((1, S.shape[1])),
+                                    mus, sigmas, negative_exponent)
+    return pooled[:, 0, 0]
+
+
+def _kernel_fd(rng, negative_exponent, sigmas):
+    """Finite-difference error of the kernel op's gradient w.r.t. the cosines,
+    with random integer counts (some words repeated, some absent)."""
+    mus = np.array([0.9, 0.5, -0.3])
+    S = ParamTensor("S", rng.uniform(-1, 1, size=(4, 5)))
+    q_counts = rng.integers(0, 3, size=(2, 4)).astype(np.float64)
+    c_counts = rng.integers(0, 3, size=(3, 5)).astype(np.float64)
+    probe = rng.normal(size=(3, 2, 3))
+
+    def fb():
+        zero_grads([S])
+        pooled, cache = kernel_pool_forward(S.value, q_counts, c_counts, mus, sigmas,
+                                            negative_exponent)
+        S.grad += kernel_pool_backward(probe, cache)
+        return float((probe * pooled).sum())
+
+    return finite_difference_check(fb, [S])
+
+
+# sigmas for each exponent sign: the positive one grows as exp(4 / (2 sigma^2))
+KERNEL_SIGMAS = {True: (0.1, 0.2, 0.3), False: (0.5, 0.6, 0.7)}
+
+
 class TestKernelPool:
     def test_all_values_at_mu_gives_count(self):
-        mus = np.array([0.5])
-        sigmas = np.array([0.1])
-        K, _ = kernel_pool_forward(np.full(7, 0.5), mus, sigmas)
-        assert K[0] == pytest.approx(7.0)
+        pooled = _pool(np.full(7, 0.5), np.array([0.5]), np.array([0.1]))
+        assert pooled[0] == pytest.approx(np.log(7.0))
 
     def test_far_tail_vanishes(self):
-        K, _ = kernel_pool_forward(np.array([0.0]), np.array([0.9]), np.array([0.1]))
-        assert K[0] < 1e-7
+        pooled = _pool(np.array([0.0]), np.array([0.9]), np.array([0.1]))
+        assert pooled[0] < np.log(1e-7)
 
     def test_positive_exponent_variant_diverges(self):
-        K_neg, _ = kernel_pool_forward(np.array([0.0]), np.array([0.9]), np.array([0.1]))
-        K_pos, _ = kernel_pool_forward(
-            np.array([0.0]), np.array([0.9]), np.array([0.1]), negative_exponent=False
-        )
-        assert K_pos[0] > 1.0 > K_neg[0]
+        pooled_neg = _pool(np.array([0.0]), np.array([0.9]), np.array([0.1]))
+        pooled_pos = _pool(np.array([0.0]), np.array([0.9]), np.array([0.1]),
+                           negative_exponent=False)
+        assert pooled_pos[0] > 0.0 > pooled_neg[0]
 
     def test_rejects_non_positive_sigma(self):
         with pytest.raises(ValueError, match="positive"):
-            kernel_pool_forward(np.zeros(3), np.array([0.0]), np.array([0.0]))
+            _pool(np.zeros(3), np.array([0.0]), np.array([0.0]))
 
     def test_default_bank_shape(self):
         mus, sigmas = default_kernel_bank()
@@ -291,18 +315,8 @@ class TestKernelPool:
 
     def test_gradient_vs_finite_differences(self):
         rng = np.random.default_rng(5)
-        mus = np.array([0.9, 0.5, -0.3])
-        sigmas = np.array([0.1, 0.2, 0.3])
-        s = ParamTensor("s", rng.uniform(-1, 1, size=8))
-        probe = rng.normal(size=3)
-
-        def fb():
-            zero_grads([s])
-            K, cache = kernel_pool_forward(s.value, mus, sigmas)
-            s.grad += kernel_pool_backward(probe, cache)
-            return float(probe @ K)
-
-        assert finite_difference_check(fb, [s]) < 1e-4
+        for negative_exponent, sigmas in KERNEL_SIGMAS.items():
+            assert _kernel_fd(rng, negative_exponent, sigmas) < 1e-4
 
 
 class TestLstm:
@@ -515,15 +529,19 @@ class TestFiniteDifferenceHarness:
 
             assert finite_difference_check(fb_dense, [W, b, x]) < 1e-4
 
-            u = ParamTensor("u", rng.normal(size=4))
-            v = ParamTensor("v", rng.normal(size=4))
+            U = ParamTensor("U", rng.normal(size=(3, 4)))
+            V = ParamTensor("V", rng.normal(size=(3, 4)))
+            cprobe = rng.normal(size=3)
 
             def fb_cos():
-                zero_grads([u, v])
-                c, cache = cosine_forward(u.value, v.value)
-                du, dv = cosine_backward(1.0, cache)
-                u.grad += du
-                v.grad += dv
-                return c
+                zero_grads([U, V])
+                c, cache = cosine_rows_forward(U.value, V.value)
+                dU, dV = cosine_rows_backward(cprobe, cache)
+                U.grad += dU
+                V.grad += dV
+                return float(cprobe @ c)
 
-            assert finite_difference_check(fb_cos, [u, v]) < 1e-4
+            assert finite_difference_check(fb_cos, [U, V]) < 1e-4
+
+            for negative_exponent, sigmas in KERNEL_SIGMAS.items():
+                assert _kernel_fd(rng, negative_exponent, sigmas) < 1e-4

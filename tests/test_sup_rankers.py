@@ -9,7 +9,6 @@ from weakrank.graph import build_graph
 from weakrank.metrics import build_eval_lists, mrr
 from weakrank.nncore import (
     OptimizerState,
-    ParamTensor,
     cosine_rows_backward,
     cosine_rows_forward,
     dense_backward,
@@ -29,10 +28,8 @@ from weakrank.sup_rankers import (
     RankerBackbone,
     RepresentationRanker,
     _pairwise_loss_grads,
-    _softplus,
     create_sup_model,
     ensemble_scores,
-    interaction_score_from_embeddings,
     load_checkpoint,
     save_checkpoint,
     score_lists_with_ensemble,
@@ -148,65 +145,28 @@ class TestInteraction:
         sigmas = np.array([0.1, 0.2, 0.3])
         assert np.allclose(base.phi_features(mus, sigmas), other.phi_features(mus, sigmas))
 
-    def test_reference_scorer_scale_invariant(self, rng):
-        mus = np.array([0.9, 0.0])
-        sigmas = np.array([0.1, 0.2])
-        q_vecs = rng.normal(size=(3, 4))
-        c_vecs = rng.normal(size=(4, 4))
-        w = ParamTensor("w", rng.normal(size=2))
-        b = ParamTensor("b", np.array([0.3]))
-        r1, _, _ = interaction_score_from_embeddings(q_vecs, c_vecs, mus, sigmas, w, b)
-        scaled = q_vecs.copy()
-        scaled[0] *= 2.0
-        w2 = ParamTensor("w", w.value.copy())
-        b2 = ParamTensor("b", b.value.copy())
-        r2, _, _ = interaction_score_from_embeddings(scaled, c_vecs, mus, sigmas, w2, b2)
-        assert r1 == pytest.approx(r2)
-
     def test_reference_scorer_matches_cached_features(self, mirror_backbone):
         model = InteractionRanker(mirror_backbone, _spec("interaction"), seed=4)
-        corpus = mirror_backbone.corpus
-        q = corpus.document("query", "q2")
-        c = corpus.document("candidate", "c2")
-        q_vecs = np.stack([mirror_backbone.table.vector(t) for t in corpus.tokens(q)])
-        c_vecs = np.stack([mirror_backbone.table.vector(t) for t in corpus.tokens(c)])
-        w = ParamTensor("w", model.w.value.copy())
-        b = ParamTensor("b", model.b.value.copy())
-        ref, _, _ = interaction_score_from_embeddings(
-            q_vecs, c_vecs, model.mus, model.sigmas, w, b
-        )
-        assert ref == pytest.approx(model.score("q2", "c2"), rel=1e-9)
-
-    def test_gradient_wrt_word_embeddings(self):
-        rng = np.random.default_rng(8)
-        mus = np.array([0.9, 0.5, 0.1, -0.5])
-        sigmas = np.array([0.1, 0.2, 0.2, 0.3])
-        q_vecs = ParamTensor("qv", rng.normal(size=(3, 4)))
-        c_vecs = ParamTensor("cv", rng.normal(size=(4, 4)))
-        w = ParamTensor("w", rng.normal(size=4) * 0.1)
-        b = ParamTensor("b", np.array([0.0]))
-
-        def fb():
-            zero_grads([q_vecs, c_vecs, w, b])
-            r, dq, dc = interaction_score_from_embeddings(
-                q_vecs.value, c_vecs.value, mus, sigmas, w, b
-            )
-            q_vecs.grad += dq
-            c_vecs.grad += dc
-            return r
-
-        assert finite_difference_check(fb, [q_vecs, c_vecs, w, b]) < 1e-3
+        ref = _phi_reference(mirror_backbone, model.mus, model.sigmas)
+        i, j = mirror_backbone.query_row["q2"], mirror_backbone.cand_row["c2"]
+        expected = ref[i, j] @ model.w.value + model.b.value[0]
+        assert expected == pytest.approx(model.score("q2", "c2"), rel=1e-9)
 
     def test_zero_norm_word_vector_contributes_zero_row(self, mirror_backbone):
-        rng = np.random.default_rng(2)
-        q_vecs = np.vstack([np.zeros(4), rng.normal(size=(2, 4))])
-        c_vecs = rng.normal(size=(3, 4))
-        w = ParamTensor("w", np.zeros(3))
-        b = ParamTensor("b", np.array([0.0]))
+        # a zero word vector has cosine 0 with every word, so it pools like
+        # a word orthogonal to all the others
+        from weakrank.embeddings import EmbeddingTable
+
+        table = mirror_backbone.table
+        vectors = table.vectors.copy()
+        vectors[table.index["alpha"]] = 0.0
+        backbone = RankerBackbone(mirror_backbone.corpus, EmbeddingTable(table.ids, vectors),
+                                  center=False)
         mus = np.array([0.9, 0.0, -0.9])
         sigmas = np.array([0.1, 0.1, 0.1])
-        r, dq, dc = interaction_score_from_embeddings(q_vecs, c_vecs, mus, sigmas, w, b)
-        assert np.all(dq[0] == 0.0)  # zero-norm row gets no gradient
+        got = backbone.phi_features(mus, sigmas)
+        assert np.isfinite(got).all()
+        assert np.max(np.abs(got - _phi_reference(backbone, mus, sigmas))) <= 1e-9
 
 
 class TestGraphAggregation:
@@ -306,6 +266,10 @@ class TestTrainSupervised:
                 train_supervised(model, triples, epochs=8, lr=lr, seed=seed)
                 values.append(mrr(lists, score_lists_with_ensemble(lists, [model])))
             assert min(values) >= 0.9, f"{kind}: {values}"
+
+
+def _softplus(x):
+    return np.maximum(x, 0.0) + np.log1p(np.exp(-np.abs(x)))
 
 
 def _reference_pairwise_loss_grads(r_pos, r_neg):
