@@ -39,7 +39,6 @@ def main() -> int:
     parser.add_argument("--episodes", type=int, default=100)
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--corpus-seed", type=int, default=2026)
-    parser.add_argument("--inject-noise-scorer", action="store_true", default=True)
     args = parser.parse_args()
 
     out = Path(args.out)
@@ -58,15 +57,12 @@ def main() -> int:
         UnsupModelSpec("graph-proximity-1", "graph-proximity-1", {"dim": 32, "epochs": 30}),
         UnsupModelSpec("graph-proximity-2", "graph-proximity-2", {"dim": 32, "epochs": 30}),
     ]
-    if args.inject_noise_scorer:
-        rng = np.random.default_rng(args.corpus_seed + 2)
-        noise = ScoreMatrix(
-            "noise", tuple(corpus.query_ids), tuple(corpus.candidate_ids),
-            rng.random((len(corpus.queries), len(corpus.candidates))),
-        )
-        noise_path = out / "noise_scores.csv"
-        noise.save_csv(noise_path)
-        unsup.append(UnsupModelSpec("noise", "external", {"path": str(noise_path)}))
+    rng = np.random.default_rng(args.corpus_seed + 2)
+    noise = ScoreMatrix("noise", corpus.query_ids, corpus.candidate_ids,
+                        rng.random((len(corpus.queries), len(corpus.candidates))))
+    noise_path = out / "noise_scores.csv"
+    noise.save_csv(noise_path)
+    unsup.append(UnsupModelSpec("noise", "external", {"path": str(noise_path)}))
 
     config = RunConfig(
         unsup_registry=UnsupModelRegistry(unsup),

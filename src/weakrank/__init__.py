@@ -21,14 +21,8 @@ from .controller import (
 )
 from .corpus import AnnotationSet, Corpus, Document, build_corpus, split_annotations, tokenize
 from .graph import HetGraph, build_graph
-from .metrics import EvalList, build_eval_lists, hr_at_k, mrr, ndcg_at_k
-from .pseudo_labels import (
-    PseudoLabelSet,
-    aggregate,
-    normalize_per_query,
-    sample_training_pairs,
-    top_k_labels,
-)
+from .metrics import EvalLists, build_eval_lists, hr_at_k, mrr, ndcg_at_k
+from .pseudo_labels import aggregate, normalize_per_query, sample_training_pairs, top_k_labels
 from .registry import (
     SupModelRegistry,
     SupModelSpec,
@@ -48,10 +42,9 @@ __all__ = [
     "Corpus",
     "Document",
     "EpisodeLog",
-    "EvalList",
+    "EvalLists",
     "ExperimentConfig",
     "HetGraph",
-    "PseudoLabelSet",
     "RunConfig",
     "RunResult",
     "ScoreMatrix",

@@ -41,4 +41,4 @@ def bm25_matrix(corpus: Corpus, k1: float = 1.2, b: float = 0.75) -> ScoreMatrix
         tf_qc = tf[:, tids]  # (n_cand, n_terms)
         contrib = idf[tids] * tf_qc * (k1 + 1.0) / (tf_qc + norm[:, None])
         values[qi] = contrib @ counts.astype(np.float64)
-    return ScoreMatrix("bm25", tuple(corpus.query_ids), tuple(corpus.candidate_ids), values)
+    return ScoreMatrix("bm25", corpus.query_ids, corpus.candidate_ids, values)

@@ -188,7 +188,7 @@ def cmd_eval(args) -> int:
     config = ExperimentConfig.from_file(args.config, args.overrides)
     corpus = Corpus.load(args.corpus or config.corpus)
     annotations = load_annotations_tsv(args.annotations)
-    matrix = ScoreMatrix.load_csv(args.scores)
+    matrix = ScoreMatrix.load_csv(args.scores).in_order(corpus.query_ids, corpus.candidate_ids)
     lists = build_eval_lists(annotations, corpus, seed=args.seed,
                              n_negatives=config.eval_negatives)
     metrics = all_metrics(lists, score_lists_with_matrix(lists, matrix))

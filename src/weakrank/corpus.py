@@ -50,6 +50,10 @@ class Corpus:
 
     Exposes per-role document frequency and average length, which the
     lexical scorer needs, plus id -> document lookups for everything else.
+    It owns the id <-> position map: query row i is ``query_ids[i]``,
+    candidate column j is ``candidate_ids[j]``, and ``query_row`` /
+    ``candidate_column`` map back. Inside a search every label, triple and
+    eval list holds these positions, not ids.
     """
 
     def __init__(self, queries: list[Document], candidates: list[Document], vocab: list[str]):
@@ -58,17 +62,20 @@ class Corpus:
         self.queries = tuple(queries)
         self.candidates = tuple(candidates)
         self.vocab = tuple(vocab)
-        self.token_of_id = self.vocab
         self.id_of_token = {t: i for i, t in enumerate(vocab)}
         if len(self.id_of_token) != len(vocab):
             raise ValueError("vocabulary contains duplicate tokens")
 
-        self._by_role = {QUERY: {}, CANDIDATE: {}}
+        self.query_ids = tuple(d.id for d in self.queries)
+        self.candidate_ids = tuple(d.id for d in self.candidates)
+        self.query_row = {qid: i for i, qid in enumerate(self.query_ids)}
+        self.candidate_column = {cid: j for j, cid in enumerate(self.candidate_ids)}
+        for role, ids, position in ((QUERY, self.query_ids, self.query_row),
+                                    (CANDIDATE, self.candidate_ids, self.candidate_column)):
+            if len(position) != len(ids):
+                duplicate = next(i for n, i in enumerate(ids) if position[i] != n)
+                raise ValueError(f"duplicate {role} id {duplicate!r}")
         for doc in self.queries + self.candidates:
-            bucket = self._by_role[doc.role]
-            if doc.id in bucket:
-                raise ValueError(f"duplicate {doc.role} id {doc.id!r}")
-            bucket[doc.id] = doc
             for tid in doc.token_ids:
                 if not 0 <= tid < len(vocab):
                     raise ValueError(f"document {doc.id!r} has token id {tid} outside vocabulary")
@@ -83,17 +90,11 @@ class Corpus:
             CANDIDATE: float(np.mean([len(d.token_ids) for d in self.candidates])),
         }
 
-    @property
-    def query_ids(self) -> list[str]:
-        return [d.id for d in self.queries]
-
-    @property
-    def candidate_ids(self) -> list[str]:
-        return [d.id for d in self.candidates]
-
     def document(self, role: str, doc_id: str) -> Document:
+        docs, position = ((self.queries, self.query_row) if role == QUERY
+                          else (self.candidates, self.candidate_column))
         try:
-            return self._by_role[role][doc_id]
+            return docs[position[doc_id]]
         except KeyError:
             raise KeyError(f"no {role} with id {doc_id!r}") from None
 

@@ -219,9 +219,7 @@ def unit_rows(X: np.ndarray) -> np.ndarray:
     return X / np.where(norms > 0, norms, 1.0)
 
 
-def score_matrix_from_embeddings(
-    table: EmbeddingTable, corpus: Corpus, mode: str, model_name: str | None = None
-) -> ScoreMatrix:
+def score_matrix_from_embeddings(table: EmbeddingTable, corpus: Corpus, mode: str) -> ScoreMatrix:
     """Cosine score matrix from an embedding table.
 
     mode "doc-mean" averages token vectors per document; mode "node" looks
@@ -242,5 +240,4 @@ def score_matrix_from_embeddings(
     q_mat = unit_rows(np.stack([vec(d) for d in corpus.queries]))
     c_mat = unit_rows(np.stack([vec(d) for d in corpus.candidates]))
     values = q_mat @ c_mat.T
-    name = model_name if model_name is not None else f"emb-{mode}"
-    return ScoreMatrix(name, tuple(corpus.query_ids), tuple(corpus.candidate_ids), values)
+    return ScoreMatrix(f"emb-{mode}", corpus.query_ids, corpus.candidate_ids, values)

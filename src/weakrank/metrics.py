@@ -10,49 +10,45 @@ from .corpus import AnnotationSet, Corpus
 from .scores import ScoreMatrix
 
 
-@dataclass(frozen=True)
-class EvalList:
-    """One positive plus its sampled negative candidates for a query."""
+@dataclass(frozen=True, eq=False)
+class EvalLists:
+    """Evaluation lists as corpus positions: list i ranks the candidate
+    columns ``cols[i]``, its positive first, for query row ``rows[i]``.
+    The corpus's id tuples travel along for the tie-break and for checks
+    that a score source covers the same corpus."""
 
-    query_id: str
-    positive_id: str
-    negative_ids: tuple[str, ...]
+    rows: np.ndarray  # (n,) int64
+    cols: np.ndarray  # (n, 1 + negatives) int64
+    query_ids: tuple[str, ...]
+    candidate_ids: tuple[str, ...]
 
-    def __post_init__(self):
-        if self.positive_id in self.negative_ids:
-            raise ValueError(f"positive {self.positive_id!r} appears among negatives")
-        if len(set(self.negative_ids)) != len(self.negative_ids):
-            raise ValueError("negative ids contain duplicates")
-
-    @property
-    def candidate_ids(self) -> tuple[str, ...]:
-        return (self.positive_id,) + self.negative_ids
+    def __len__(self) -> int:
+        return len(self.rows)
 
 
 def _eligible_negatives(annotations: AnnotationSet, corpus: Corpus, n_negatives: int):
-    """Per annotated query, in order: (query id, its positives, the candidate
-    columns eligible as its negatives). Raises as soon as a query has no
-    positive or fewer than ``n_negatives`` eligible candidates."""
-    cand_ids = corpus.candidate_ids
-    column = {cid: j for j, cid in enumerate(cand_ids)}
-    pos_by_query: dict[str, list[str]] = {}
+    """Per annotated query, in order: (its query row, its positives' columns,
+    the candidate columns eligible as its negatives). Raises as soon as a
+    query has no positive or fewer than ``n_negatives`` eligible candidates."""
+    annotations.validate_against(corpus)
+    pos_by_query: dict[str, list[int]] = {}
     for qid, cid, label in annotations.pairs:
         if label == 1:
-            pos_by_query.setdefault(qid, []).append(cid)
+            pos_by_query.setdefault(qid, []).append(corpus.candidate_column[cid])
 
     for qid in annotations.query_ids:
         positives = pos_by_query.get(qid, [])
         if not positives:
             raise ValueError(f"annotated query {qid!r} has no positive candidate")
-        keep = np.ones(len(cand_ids), dtype=bool)
-        keep[[column[c] for c in positives if c in column]] = False
+        keep = np.ones(len(corpus.candidate_ids), dtype=bool)
+        keep[positives] = False
         eligible = np.flatnonzero(keep)  # candidate columns, in corpus order
         if len(eligible) < n_negatives:
             raise ValueError(
                 f"query {qid!r} has only {len(eligible)} eligible negatives, "
                 f"needs {n_negatives}"
             )
-        yield qid, positives, eligible
+        yield corpus.query_row[qid], positives, eligible
 
 
 def check_eval_lists(annotations: AnnotationSet, corpus: Corpus, n_negatives: int) -> None:
@@ -64,24 +60,25 @@ def check_eval_lists(annotations: AnnotationSet, corpus: Corpus, n_negatives: in
 
 def build_eval_lists(
     annotations: AnnotationSet, corpus: Corpus, seed: int, n_negatives: int = 99
-) -> list[EvalList]:
+) -> EvalLists:
     """One list per (query, positive) pair with seeded uniform negatives.
 
     Negatives are drawn from candidates not annotated positive for that
     query, so a query's other positives never appear as its negatives.
     """
     rng = np.random.default_rng(seed)
-    cand_ids = corpus.candidate_ids
-    lists = []
-    for qid, positives, eligible in _eligible_negatives(annotations, corpus, n_negatives):
+    rows, cols = [], []
+    for row, positives, eligible in _eligible_negatives(annotations, corpus, n_negatives):
         for pos in positives:
             draw = rng.choice(len(eligible), size=n_negatives, replace=False)
-            negatives = tuple([cand_ids[j] for j in eligible[np.sort(draw)].tolist()])
-            lists.append(EvalList(qid, pos, negatives))
-    return lists
+            rows.append(row)
+            cols.append(np.concatenate([[pos], eligible[np.sort(draw)]]))
+    return EvalLists(np.array(rows, dtype=np.int64),
+                     np.array(cols, dtype=np.int64).reshape(len(rows), 1 + n_negatives),
+                     corpus.query_ids, corpus.candidate_ids)
 
 
-def ranks_of_positives(lists, scores) -> np.ndarray:
+def ranks_of_positives(lists: EvalLists, scores) -> np.ndarray:
     """1-based rank of each list's positive, descending score, ties by id
     ascending. ``scores`` holds one row per list, the positive's score first."""
     scores = np.asarray(scores, dtype=np.float64)
@@ -89,20 +86,15 @@ def ranks_of_positives(lists, scores) -> np.ndarray:
         raise ValueError("need one score row per eval list")
     if not lists:
         return np.zeros(0, dtype=np.int64)
-    for el in lists:
-        if len(el.candidate_ids) != scores.shape[1]:
-            raise ValueError(f"got {scores.shape[1]} scores for {len(el.candidate_ids)} candidates")
+    if lists.cols.shape[1] != scores.shape[1]:
+        raise ValueError(f"got {scores.shape[1]} scores for {lists.cols.shape[1]} candidates")
     pos = scores[:, :1]
     neg = scores[:, 1:]
     ranks = 1 + np.count_nonzero(neg > pos, axis=1)
+    ids, cols = lists.candidate_ids, lists.cols
     for r, j in zip(*np.nonzero(neg == pos)):
-        ranks[r] += lists[r].negative_ids[j] < lists[r].positive_id
+        ranks[r] += ids[cols[r, j + 1]] < ids[cols[r, 0]]
     return ranks
-
-
-def rank_of_positive(eval_list: EvalList, scores: np.ndarray) -> int:
-    """1-based rank of the positive, descending score, ties by id ascending."""
-    return int(ranks_of_positives([eval_list], np.asarray(scores, dtype=np.float64)[None])[0])
 
 
 def hr_at_k(lists, scores, k: int = 5) -> float:
@@ -133,11 +125,10 @@ def all_metrics(lists, scores, k: int = 5) -> dict:
     }
 
 
-def score_lists_with_matrix(lists, matrix: ScoreMatrix) -> list[np.ndarray]:
-    """Look up each list's candidate scores in a score matrix."""
-    out = []
-    for el in lists:
-        row = matrix.row(el.query_id)
-        cols = matrix.columns_for(el.candidate_ids)
-        out.append(row[cols])
-    return out
+def score_lists_with_matrix(lists: EvalLists, matrix: ScoreMatrix) -> np.ndarray:
+    """Each list's candidate scores in a score matrix, one row per list. The
+    matrix must hold the lists' corpus in corpus order (``ScoreMatrix.in_order``)."""
+    if (matrix.query_ids, matrix.candidate_ids) != (lists.query_ids, lists.candidate_ids):
+        raise ValueError(f"score matrix {matrix.model_name!r} is not in the eval lists' "
+                         "corpus order")
+    return matrix.values[lists.rows[:, None], lists.cols]

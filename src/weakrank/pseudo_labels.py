@@ -2,12 +2,8 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from pathlib import Path
-
 import numpy as np
 
-from .ioutil import canonical_json
 from .scores import ScoreMatrix, min_max_rows
 
 
@@ -35,63 +31,41 @@ def aggregate(matrices: list[ScoreMatrix], mask, normalize: bool = True) -> Scor
     return ScoreMatrix("aggregate", ref.query_ids, ref.candidate_ids, values)
 
 
-@dataclass(frozen=True)
-class PseudoLabelSet:
-    """Per query: k positives ordered by aggregated score, rest negative."""
-
-    k: int
-    query_ids: tuple[str, ...]
-    positives: dict  # query id -> tuple of candidate ids, score-descending
-    negatives: dict  # query id -> tuple of candidate ids (residual pool)
-
-    def __post_init__(self):
-        for qid in self.query_ids:
-            pos, neg = self.positives[qid], self.negatives[qid]
-            if len(pos) != self.k:
-                raise ValueError(f"query {qid!r} has {len(pos)} positives, expected k={self.k}")
-            if set(pos) & set(neg):
-                raise ValueError(f"query {qid!r} has overlapping positives and negatives")
-
-    def save_jsonl(self, path: str | Path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            for qid in self.query_ids:
-                fh.write(canonical_json(
-                    {"query_id": qid, "positives": list(self.positives[qid]), "k": self.k}
-                ))
-                fh.write("\n")
+def _check_k(k: int, n_cand: int) -> None:
+    if not 1 <= k < n_cand:
+        raise ValueError(f"k={k} out of range [1, {n_cand - 1}]")
 
 
-def top_k_labels(agg: ScoreMatrix, k: int) -> PseudoLabelSet:
-    """Mark each query's k highest-scored candidates positive.
+def top_k_labels(agg: ScoreMatrix, k: int) -> np.ndarray:
+    """Each query row's candidate columns, best first, as a (queries,
+    candidates) int64 array: the first ``k`` of a row are its query's pseudo
+    positives, the rest its negative pool.
 
     Ties break by candidate id ascending, so labels are reproducible for any
     score matrix.
     """
-    n_cand = len(agg.candidate_ids)
-    if not 1 <= k < n_cand:
-        raise ValueError(f"k={k} out of range [1, {n_cand - 1}]")
-    cand_ids = agg.candidate_ids
-    by_id = np.argsort(np.array(cand_ids), kind="stable")
-    positives, negatives = {}, {}
-    for qi, qid in enumerate(agg.query_ids):
-        row = agg.values[qi][by_id]
-        ranked = [cand_ids[j] for j in by_id[np.argsort(-row, kind="stable")].tolist()]
-        positives[qid] = tuple(ranked[:k])
-        negatives[qid] = tuple(ranked[k:])
-    return PseudoLabelSet(k, agg.query_ids, positives, negatives)
+    _check_k(k, len(agg.candidate_ids))
+    by_id = np.argsort(np.array(agg.candidate_ids), kind="stable")
+    return by_id[np.argsort(-agg.values[:, by_id], axis=1, kind="stable")]
 
 
-def sample_training_pairs(labels: PseudoLabelSet, n_neg_per_pos: int, seed: int):
-    """Triples (query, positive, negative): each positive paired with
-    n_neg_per_pos uniform draws from that query's negative pool."""
+def sample_training_pairs(ranked: np.ndarray, k: int, n_neg_per_pos: int,
+                          seed: int) -> np.ndarray:
+    """(query row, positive column, negative column) triples, (n, 3) int64.
+
+    Query by query and positive by positive, as ``ranked`` (``top_k_labels``)
+    orders them, each of the first ``k`` columns is paired with
+    ``n_neg_per_pos`` uniform draws from the query's remaining columns, one
+    ``rng.integers`` call per positive.
+    """
+    n_query, n_cand = ranked.shape
+    _check_k(k, n_cand)
     rng = np.random.default_rng(seed)
-    triples = []
-    for qid in labels.query_ids:
-        pool = labels.negatives[qid]
-        if not pool:
-            raise ValueError(f"query {qid!r} has an empty negative pool")
-        for pos in labels.positives[qid]:
-            draws = rng.integers(len(pool), size=n_neg_per_pos)
-            for d in draws:
-                triples.append((qid, pos, pool[int(d)]))
-    return triples
+    draws = np.array([rng.integers(n_cand - k, size=n_neg_per_pos)
+                      for _ in range(n_query * k)], dtype=np.int64)
+    draws = draws.reshape(n_query, k * n_neg_per_pos)
+    return np.stack([
+        np.repeat(np.arange(n_query), k * n_neg_per_pos),
+        np.repeat(ranked[:, :k], n_neg_per_pos, axis=1).ravel(),
+        np.take_along_axis(ranked[:, k:], draws, axis=1).ravel(),
+    ], axis=1)

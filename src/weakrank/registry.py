@@ -123,9 +123,7 @@ def compute_score_matrix(
         matrix = score_matrix_from_embeddings(table, corpus, "doc-mean")
     elif spec.kind == "external":
         matrix = ScoreMatrix.load_csv(params["path"], model_name=spec.name)
-        if matrix.query_ids != tuple(corpus.query_ids) or matrix.candidate_ids != tuple(
-            corpus.candidate_ids
-        ):
+        if (matrix.query_ids, matrix.candidate_ids) != (corpus.query_ids, corpus.candidate_ids):
             raise ValueError(
                 f"external matrix {spec.name!r} does not cover this corpus's "
                 "queries/candidates in order"

@@ -45,11 +45,18 @@ class ScoreMatrix:
     def score(self, query_id: str, candidate_id: str) -> float:
         return float(self.values[self._qrow[query_id], self._ccol[candidate_id]])
 
-    def row(self, query_id: str) -> np.ndarray:
-        return self.values[self._qrow[query_id]]
-
-    def columns_for(self, candidate_ids) -> np.ndarray:
-        return np.array([self._ccol[c] for c in candidate_ids], dtype=np.int64)
+    def in_order(self, query_ids, candidate_ids) -> "ScoreMatrix":
+        """The same scores with rows and columns in the given id order,
+        e.g. a corpus's, however the matrix came in. Ids the matrix lacks
+        are an error; ids it has beyond those given are dropped."""
+        try:
+            rows = [self._qrow[q] for q in query_ids]
+            cols = [self._ccol[c] for c in candidate_ids]
+        except KeyError as exc:
+            raise ValueError(f"score matrix {self.model_name!r} has no row or column "
+                             f"for id {exc.args[0]!r}") from None
+        return ScoreMatrix(self.model_name, query_ids, candidate_ids,
+                           self.values[np.ix_(rows, cols)])
 
     def save_csv(self, path: str | Path) -> None:
         """First row = candidate ids, first column = query ids; each value

@@ -13,10 +13,10 @@ metrics and ``weakrank score``) gathers columns from those matrices and
 combines them with ``ensemble_scores``. Each model's parameters form one
 ``ParamGroup``, so a training step zeroes and updates flat buffers.
 
-Training runs on integer batches: ``train_supervised`` maps its id triples
-once to (query row, positive column, negative column) and hands each
-``loss_and_grads`` a (batch, 3) slice, which gathers its rows of the frozen
-inputs directly. No gradient is computed into frozen inputs.
+Training runs on integer batches: ``train_supervised`` takes (query row,
+positive column, negative column) triples in corpus positions and hands
+each ``loss_and_grads`` a (batch, 3) slice, which gathers its rows of the
+frozen inputs directly. No gradient is computed into frozen inputs.
 """
 
 from __future__ import annotations
@@ -82,15 +82,12 @@ class RankerBackbone:
         self.graph_sample_size = graph_sample_size
         self.graph_seed = graph_seed
 
-        self.query_row = {d.id: i for i, d in enumerate(corpus.queries)}
-        self.cand_row = {d.id: i for i, d in enumerate(corpus.candidates)}
         self.q_means, self.c_means = (
             np.stack([doc_vector(self.table, corpus.tokens(d)) for d in docs])
             for docs in (corpus.queries, corpus.candidates))
 
         self._phi_cache: dict = {}
         self._graph_inputs = None
-        self._list_index = None
 
     def _word_counts(self, docs) -> tuple[np.ndarray, np.ndarray]:
         """(table rows of the words in ``docs``, each document's count of each)."""
@@ -129,30 +126,9 @@ class RankerBackbone:
         self._phi_cache[key] = phi
         return phi
 
-    def triple_index(self, triples) -> np.ndarray:
-        """(n, 3) int64 rows of (query row, positive column, negative column)."""
-        q, c = self.query_row, self.cand_row
-        return np.array([(q[qid], c[pos], c[neg]) for qid, pos, neg in triples],
-                        dtype=np.int64).reshape(-1, 3)
-
-    def list_index(self, lists) -> tuple[np.ndarray, np.ndarray]:
-        """(query row of each eval list, int32 candidate column of each of its ids).
-
-        The last list set's index is kept, by identity and with a reference
-        held, so the validation lists scored once per episode are mapped
-        through the id dicts only once.
-        """
-        memo = self._list_index
-        if memo is not None and memo[0] is lists and memo[1] == len(lists):
-            return memo[2], memo[3]
-        rows = np.array([self.query_row[el.query_id] for el in lists], dtype=np.int64)
-        cols = np.array([[self.cand_row[c] for c in el.candidate_ids] for el in lists],
-                        dtype=np.int32)
-        self._list_index = (lists, len(lists), rows, cols)
-        return rows, cols
-
     def gather(self, matrix: np.ndarray, query_id: str, candidate_ids) -> np.ndarray:
-        return matrix[self.query_row[query_id], [self.cand_row[c] for c in candidate_ids]]
+        column = self.corpus.candidate_column
+        return matrix[self.corpus.query_row[query_id], [column[c] for c in candidate_ids]]
 
     def graph_inputs(self):
         """(neighbor matrix, node features, node index arrays) for graph rankers."""
@@ -392,34 +368,30 @@ def train_supervised(
     lr: float,
     seed: int,
     batch_size: int = 32,
-    algorithm: str = "adam",
     eval_fn=None,
     patience: int = 0,
     optimizer_state: OptimizerState | None = None,
 ) -> list[float]:
-    """Seeded minibatch training on (query, positive, negative) triples.
-
-    The id triples are mapped once to an (n, 3) integer index
-    (``RankerBackbone.triple_index``); each epoch permutes its rows and hands
-    the ranker (batch, 3) slices.
+    """Seeded minibatch Adam on (n, 3) integer (query row, positive column,
+    negative column) triples (``sample_training_pairs``); each epoch permutes
+    the rows and hands the ranker (batch, 3) slices.
 
     Returns the per-epoch mean objective. With ``eval_fn`` the best-scoring
     parameters are restored at the end, and training stops early once the
     metric fails to improve for ``patience`` consecutive epochs (patience 0
     disables early stopping but still restores the best). Passing an
     ``optimizer_state`` lets the caller keep it (e.g. for checkpointing) or
-    resume a previous run; it overrides ``lr`` and ``algorithm``.
+    resume a previous run; it overrides ``lr``.
     """
-    if not triples:
+    if not len(triples):
         raise ValueError("empty training stream")
-    index = model.backbone.triple_index(triples)
     rng = np.random.default_rng(seed)
-    opt = optimizer_state if optimizer_state is not None else OptimizerState(algorithm, lr=lr)
+    opt = optimizer_state if optimizer_state is not None else OptimizerState("adam", lr=lr)
     params = model.params()
     curve = []
     best_metric, best_values, stale = -np.inf, None, 0
     for _ in range(epochs):
-        shuffled = index[rng.permutation(len(index))]
+        shuffled = triples[rng.permutation(len(triples))]
         losses = []
         for start in range(0, len(shuffled), batch_size):
             zero_grads(params)
@@ -464,13 +436,17 @@ def score_lists_with_ensemble(lists, models) -> np.ndarray:
     """Ensemble scores of every eval list's candidates, one row per list.
 
     Each member's score matrix is computed once; the lists are gathered in
-    blocks of ``ENSEMBLE_BLOCK`` so the temporaries stay small.
+    blocks of ``ENSEMBLE_BLOCK`` so the temporaries stay small. The lists
+    must come from the models' corpus.
     """
     if not models:
         raise ValueError("ensemble needs at least one model")
+    corpus = models[0].backbone.corpus
+    if (lists.query_ids, lists.candidate_ids) != (corpus.query_ids, corpus.candidate_ids):
+        raise ValueError("eval lists were built from another corpus than the rankers'")
     matrices = [m.score_matrix() for m in models]
-    rows, cols = models[0].backbone.list_index(lists)
-    out = np.empty((len(lists), cols.shape[1] if lists else 0))
+    rows, cols = lists.rows, lists.cols
+    out = np.empty(cols.shape)
     for start in range(0, len(lists), ENSEMBLE_BLOCK):
         block = slice(start, start + ENSEMBLE_BLOCK)
         out[block] = ensemble_scores(matrices, rows[block], cols[block])

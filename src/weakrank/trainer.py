@@ -295,10 +295,12 @@ def pretrain_all(
 
     The cache key covers the corpus content, the model's kind and
     hyperparameters, and its derived seed, so a hit is guaranteed to be
-    bit-identical to recomputation. The missing models and the ``extra``
-    jobs (``pretrain`` adds the backbone's) run through ``run_jobs`` across
-    ``workers`` processes, which cannot change the results for a fixed
-    seed. Only this process writes the cache, in registry order.
+    bit-identical to recomputation. An ``external`` matrix is never cached:
+    its CSV is the stored matrix, read afresh on every call. The missing
+    models and the ``extra`` jobs (``pretrain`` adds the backbone's) run
+    through ``run_jobs`` across ``workers`` processes, which cannot change
+    the results for a fixed seed. Only this process writes the cache, in
+    registry order.
     """
     corpus_hash = corpus.content_hash()
     if cache_dir is not None:
@@ -307,8 +309,9 @@ def pretrain_all(
     plan = []
     for spec in registry:
         seed = derive_seed(master_seed, "unsup", spec.name)
-        cache_path = cache_entry(cache_dir, f"unsup_{spec.name}", {
-            "corpus": corpus_hash, "model": spec.name, "hp": spec.hp_hash(), "seed": seed})
+        cache_path = None if spec.kind == "external" else cache_entry(
+            cache_dir, f"unsup_{spec.name}",
+            {"corpus": corpus_hash, "model": spec.name, "hp": spec.hp_hash(), "seed": seed})
         plan.append((spec, seed, cache_path))
 
     jobs = [PretrainJob(spec.name, spec.kind, compute_score_matrix, (spec, corpus, graph, seed))
@@ -322,9 +325,7 @@ def pretrain_all(
         if matrix is None:
             log.info("cache hit for unsupervised model %s", spec.name)
             matrix = ScoreMatrix.load_cache(cache_path)
-        if matrix.query_ids != tuple(corpus.query_ids) or matrix.candidate_ids != tuple(
-            corpus.candidate_ids
-        ):
+        if (matrix.query_ids, matrix.candidate_ids) != (corpus.query_ids, corpus.candidate_ids):
             raise RuntimeError(f"model {spec.name!r} produced a mismatched score matrix")
         if cache_path is not None and not cache_path.exists():
             matrix.save_cache(cache_path)
@@ -417,24 +418,23 @@ def _train_selected_models(
     seed_label: str, eval_fn_builder=None, patience: int = 0,
 ):
     """Train the rankers a mask selects on the top-k pseudo labels of ``agg``."""
-    labels = top_k_labels(agg, labels_k)
-    sig = seed_label
     triples = sample_training_pairs(
-        labels, config.n_neg_per_pos, seed=derive_seed(config.seed, "pairs", sig)
+        top_k_labels(agg, labels_k), labels_k, config.n_neg_per_pos,
+        seed=derive_seed(config.seed, "pairs", seed_label),
     )
     models = []
     opt_states = []
     for selected, spec in zip(mask, config.sup_registry):
         if not selected:
             continue
-        model_seed = derive_seed(config.seed, "sup-init", spec.name, sig)
+        model_seed = derive_seed(config.seed, "sup-init", spec.name, seed_label)
         model = create_sup_model(spec, backbone, model_seed)
         opt = OptimizerState(config.sup_optimizer, lr=spec.params.get("lr", config.sup_lr))
         train_supervised(
             model, triples,
             epochs=epochs,
             lr=opt.lr,
-            seed=derive_seed(config.seed, "sup-train", spec.name, sig),
+            seed=derive_seed(config.seed, "sup-train", spec.name, seed_label),
             batch_size=config.sup_batch_size,
             eval_fn=None if eval_fn_builder is None else eval_fn_builder(spec),
             patience=patience,
@@ -494,10 +494,8 @@ def check_search_inputs(corpus: Corpus, val_annotations: AnnotationSet,
     for k in config.k_values:
         if not 1 <= k < n_cand:
             raise ValueError(f"k value {k} out of range for {n_cand} candidates")
-    val_annotations.validate_against(corpus)
     check_eval_lists(val_annotations, corpus, config.eval_negatives)
     if test_annotations is not None and test_annotations.pairs:
-        test_annotations.validate_against(corpus)
         overlap = set(val_annotations.query_ids) & set(test_annotations.query_ids)
         if overlap:
             raise ValueError(f"validation and test splits share queries: {sorted(overlap)[:5]}")

@@ -29,7 +29,7 @@ from weakrank.controller import (
 from weakrank.corpus import build_corpus, split_annotations
 from weakrank.graph import build_graph
 from weakrank.ioutil import derive_seed
-from weakrank.metrics import EvalList, all_metrics, build_eval_lists, mrr, rank_of_positive, score_lists_with_matrix
+from weakrank.metrics import EvalLists, all_metrics, build_eval_lists, mrr, score_lists_with_matrix
 from weakrank.nncore import (
     LstmParams,
     ParamTensor,
@@ -75,26 +75,28 @@ def test_criterion_1_metric_oracle_equivalence():
     started = time.monotonic()
     rng = np.random.default_rng(101)
 
-    def oracle_metrics(lists, scores, k=5):
+    def oracle_metrics(id_lists, scores, k=5):
         hr = ndcg = rr = 0.0
-        for el, s in zip(lists, scores):
-            ids = el.candidate_ids
+        for ids, s in zip(id_lists, scores):
             order = sorted(range(len(ids)), key=lambda i: (-s[i], ids[i]))
             rank = order.index(0) + 1
             hr += rank <= k
             ndcg += 1.0 / np.log2(rank + 1) if rank <= k else 0.0
             rr += 1.0 / rank
-        n = len(lists)
+        n = len(id_lists)
         return {"hr@5": hr / n, "ndcg@5": ndcg / n, "mrr": rr / n, "n_lists": n}
 
-    lists, scores = [], []
+    # a universe whose column order runs against id order, so the tie-break
+    # must read ids; each list draws its positive and 99 negatives from it
+    universe = tuple(f"c{j:03d}" for j in range(150))[::-1]
+    cols, scores = [], []
     for i in range(100):
-        el = EvalList(f"q{i}", "p000", tuple(f"n{j:03d}" for j in range(99)))
-        lists.append(el)
+        cols.append(rng.permutation(150)[:100])
         # quantized scores force tie handling through the oracle too
         scores.append(np.round(rng.random(100) * 20) / 20)
+    lists = EvalLists(np.zeros(100, dtype=np.int64), np.array(cols), ("q",), universe)
     ours = all_metrics(lists, scores)
-    oracle = oracle_metrics(lists, scores)
+    oracle = oracle_metrics([[universe[j] for j in c] for c in cols], scores)
     assert ours["hr@5"] == oracle["hr@5"]
     assert ours["ndcg@5"] == pytest.approx(oracle["ndcg@5"], abs=1e-12)
     assert ours["mrr"] == pytest.approx(oracle["mrr"], abs=1e-12)
@@ -250,10 +252,10 @@ def test_criterion_4_pseudo_label_oracle():
         matrix = ScoreMatrix("m", qids, cids, values)
         k = int(rng.integers(1, n_c))
         labels = top_k_labels(matrix, k)
-        for qi, qid in enumerate(qids):
+        for qi in range(n_q):
             ranked = sorted(zip(cids, values[qi]), key=lambda t: (-t[1], t[0]))
-            assert labels.positives[qid] == tuple(c for c, _ in ranked[:k])
-            assert set(labels.negatives[qid]) == {c for c, _ in ranked[k:]}
+            assert tuple(cids[j] for j in labels[qi, :k]) == tuple(c for c, _ in ranked[:k])
+            assert {cids[j] for j in labels[qi, k:]} == {c for c, _ in ranked[k:]}
     _announce("4 pseudo-label-oracle", "(200 matrices incl. ties, set and order)")
 
 

@@ -227,6 +227,39 @@ class TestCli:
             assert key in payload
         assert 0.0 <= payload["mrr"] <= 1.0
 
+    def test_eval_reads_a_permuted_csv_in_corpus_order(self, synth_dir, tmp_path, capsys):
+        import numpy as np
+
+        from weakrank.bm25 import bm25_matrix
+        from weakrank.corpus import Corpus
+        from weakrank.scores import ScoreMatrix
+
+        corpus = Corpus.load(synth_dir / "corpus.json")
+        matrix = bm25_matrix(corpus)
+        rng = np.random.default_rng(0)
+        q_perm = rng.permutation(len(corpus.query_ids))
+        c_perm = rng.permutation(len(corpus.candidate_ids))
+        permuted = ScoreMatrix("bm25", [corpus.query_ids[i] for i in q_perm],
+                               [corpus.candidate_ids[j] for j in c_perm],
+                               matrix.values[np.ix_(q_perm, c_perm)])
+        narrow = ScoreMatrix("bm25", corpus.query_ids, corpus.candidate_ids[1:],
+                             matrix.values[:, 1:])
+
+        def run_eval(m, name):
+            path = tmp_path / f"{name}.csv"
+            m.save_csv(path)
+            rc = main(["eval", "--corpus", str(synth_dir / "corpus.json"),
+                       "--annotations", str(synth_dir / "annotations.tsv"),
+                       "--scores", str(path), "--seed", "3", "--set", "eval_negatives=80"])
+            return rc, capsys.readouterr()
+
+        ordered = run_eval(matrix, "ordered")
+        assert ordered[0] == 0
+        assert run_eval(permuted, "permuted") == ordered
+        rc, captured = run_eval(narrow, "narrow")  # a CSV must cover the corpus's ids
+        assert rc == 2
+        assert f"no row or column for id {corpus.candidate_ids[0]!r}" in captured.err
+
     def test_error_exit_is_machine_parsable(self, capsys):
         rc = main(["eval", "--annotations", "nope.tsv", "--scores", "nope.csv"])
         assert rc == 2

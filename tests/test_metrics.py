@@ -1,3 +1,5 @@
+import functools
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -5,13 +7,12 @@ from hypothesis import strategies as st
 
 from weakrank.corpus import AnnotationSet
 from weakrank.metrics import (
-    EvalList,
+    EvalLists,
     all_metrics,
     build_eval_lists,
     hr_at_k,
     mrr,
     ndcg_at_k,
-    rank_of_positive,
     ranks_of_positives,
     score_lists_with_matrix,
 )
@@ -19,16 +20,36 @@ from weakrank.scores import ScoreMatrix
 from weakrank.synthetic import generate_synthetic
 
 
-def oracle_rank(eval_list, scores):
+def make_lists(id_lists):
+    """EvalLists ranking each entry of ``id_lists`` (candidate ids, the
+    positive first) for its own query. Columns run against id order, so a
+    tie-break on columns instead of ids shows."""
+    universe = tuple(sorted({c for ids in id_lists for c in ids}, reverse=True))
+    column = {c: j for j, c in enumerate(universe)}
+    cols = np.array([[column[c] for c in ids] for ids in id_lists], dtype=np.int64)
+    return EvalLists(np.arange(len(id_lists)), cols.reshape(len(id_lists), -1),
+                     tuple(f"q{i}" for i in range(len(id_lists))), universe)
+
+
+def ids_of(lists, r):
+    """List ``r``'s candidate ids, the positive first."""
+    return [lists.candidate_ids[j] for j in lists.cols[r]]
+
+
+def oracle_rank(ids, scores):
     """Independent full-sort oracle: descending score, ties by id ascending."""
-    ids = eval_list.candidate_ids
     order = sorted(range(len(ids)), key=lambda i: (-scores[i], ids[i]))
     return order.index(0) + 1
 
 
+def rank_of(ids, scores):
+    """The batched rank of one list's positive."""
+    return int(ranks_of_positives(make_lists([ids]), np.asarray(scores)[None])[0])
+
+
 def _list_with_rank(rank, n=100):
     """Scores placing the positive at exactly the given rank."""
-    el = EvalList("q", "pos", tuple(f"neg{i:03d}" for i in range(n - 1)))
+    el = ["pos"] + [f"neg{i:03d}" for i in range(n - 1)]
     neg = np.sort(np.linspace(0.0, 1.0, n - 1))[::-1]  # distinct, descending
     if rank == 1:
         pos = neg[0] + 1.0
@@ -42,178 +63,229 @@ def _list_with_rank(rank, n=100):
 class TestRank:
     def test_rank_one(self):
         el, scores = _list_with_rank(1)
-        assert rank_of_positive(el, scores) == 1
+        assert rank_of(el, scores) == 1
 
     def test_intermediate_ranks(self):
         for rank in (2, 3, 7, 50, 100):
             el, scores = _list_with_rank(rank)
-            assert rank_of_positive(el, scores) == rank
+            assert rank_of(el, scores) == rank
 
     def test_tie_resolved_by_id(self):
-        el = EvalList("q", "m", ("a", "z"))
         scores = np.array([0.5, 0.5, 0.5])
         # ids sorted: a < m < z, all tied, so positive "m" ranks 2nd
-        assert rank_of_positive(el, scores) == 2
+        assert rank_of(["m", "a", "z"], scores) == 2
+        assert rank_of(["a", "m", "z"], scores) == 1
+        assert rank_of(["z", "a", "m"], scores) == 3
 
     def test_matches_oracle_on_random_lists_with_ties(self, rng):
         for _ in range(100):
             n = int(rng.integers(2, 30))
-            el = EvalList("q", "p000", tuple(f"n{i:03d}" for i in range(n)))
+            el = ["p000"] + [f"n{i:03d}" for i in range(n)]
             scores = np.round(rng.random(n + 1) * 5) / 5  # heavy ties
-            assert rank_of_positive(el, scores) == oracle_rank(el, scores)
+            assert rank_of(el, scores) == oracle_rank(el, scores)
 
 
     @given(st.integers(0, 2**32 - 1), st.integers(1, 8), st.integers(1, 12),
            st.integers(1, 4))
     def test_batched_ranks_match_oracle_with_forced_ties(self, seed, n_lists, n_neg, levels):
         rng = np.random.default_rng(seed)
-        lists = []
-        for i in range(n_lists):
-            ids = [str(x) for x in rng.permutation([f"c{j:02d}" for j in range(n_neg + 1)])]
-            lists.append(EvalList(f"q{i}", ids[0], tuple(ids[1:])))
+        id_lists = [[str(x) for x in rng.permutation([f"c{j:02d}" for j in range(n_neg + 1)])]
+                    for _ in range(n_lists)]
+        lists = make_lists(id_lists)
         # few score levels: most lists tie the positive with some negatives
         scores = rng.integers(0, levels, size=(n_lists, n_neg + 1)) / levels
         ranks = ranks_of_positives(lists, scores)
-        assert ranks.tolist() == [oracle_rank(el, s) for el, s in zip(lists, scores)]
-        assert [rank_of_positive(el, s) for el, s in zip(lists, scores)] == ranks.tolist()
+        assert ranks.tolist() == [oracle_rank(ids, s) for ids, s in zip(id_lists, scores)]
+        assert [rank_of(ids, s) for ids, s in zip(id_lists, scores)] == ranks.tolist()
 
     def test_batched_ranks_reject_wrong_width(self):
-        el = EvalList("q", "p", ("a", "b"))
         with pytest.raises(ValueError, match="got 2 scores for 3 candidates"):
-            ranks_of_positives([el], np.zeros((1, 2)))
+            ranks_of_positives(make_lists([["p", "a", "b"]]), np.zeros((1, 2)))
 
 
 class TestMetrics:
     def test_hr_counts_top_k(self):
         el3, s3 = _list_with_rank(3)
         el7, s7 = _list_with_rank(7)
-        assert hr_at_k([el3], [s3], k=5) == 1.0
-        assert hr_at_k([el7], [s7], k=5) == 0.0
+        assert hr_at_k(make_lists([el3]), [s3], k=5) == 1.0
+        assert hr_at_k(make_lists([el7]), [s7], k=5) == 0.0
 
     def test_ndcg_closed_forms(self):
         el1, s1 = _list_with_rank(1)
         el3, s3 = _list_with_rank(3)
         el6, s6 = _list_with_rank(6)
-        assert ndcg_at_k([el1], [s1], k=5) == pytest.approx(1.0)
-        assert ndcg_at_k([el3], [s3], k=5) == pytest.approx(0.5)
-        assert ndcg_at_k([el6], [s6], k=5) == 0.0
+        assert ndcg_at_k(make_lists([el1]), [s1], k=5) == pytest.approx(1.0)
+        assert ndcg_at_k(make_lists([el3]), [s3], k=5) == pytest.approx(0.5)
+        assert ndcg_at_k(make_lists([el6]), [s6], k=5) == 0.0
 
     def test_mrr_values(self):
         el1, s1 = _list_with_rank(1)
-        assert mrr([el1], [s1]) == pytest.approx(1.0)
+        assert mrr(make_lists([el1]), [s1]) == pytest.approx(1.0)
         el2, s2 = _list_with_rank(2)
         el4, s4 = _list_with_rank(4)
-        assert mrr([el2, el4], [s2, s4]) == pytest.approx(0.375)
+        assert mrr(make_lists([el2, el4]), [s2, s4]) == pytest.approx(0.375)
 
     def test_random_scores_hr5_near_five_percent(self, rng):
-        el = EvalList("q", "p", tuple(f"n{i:03d}" for i in range(99)))
-        hits = 0
         trials = 10_000
-        for _ in range(trials):
-            scores = rng.random(100)
-            hits += rank_of_positive(el, scores) <= 5
-        assert hits / trials == pytest.approx(0.05, abs=0.01)
+        lists = make_lists([["p"] + [f"n{i:03d}" for i in range(99)]] * trials)
+        hits = ranks_of_positives(lists, rng.random((trials, 100))) <= 5
+        assert hits.mean() == pytest.approx(0.05, abs=0.01)
 
     def test_metrics_in_unit_interval(self, rng):
-        lists, scores = [], []
-        for i in range(20):
-            el = EvalList(f"q{i}", "p", tuple(f"n{j:02d}" for j in range(9)))
-            lists.append(el)
-            scores.append(rng.random(10))
-        m = all_metrics(lists, scores)
+        lists = make_lists([["p"] + [f"n{j:02d}" for j in range(9)]] * 20)
+        m = all_metrics(lists, rng.random((20, 10)))
         for key in ("hr@5", "ndcg@5", "mrr"):
             assert 0.0 <= m[key] <= 1.0
 
     def test_hr_monotone_in_k(self, rng):
-        lists, scores = [], []
-        for i in range(30):
-            el = EvalList(f"q{i}", "p", tuple(f"n{j:02d}" for j in range(19)))
-            lists.append(el)
-            scores.append(rng.random(20))
+        lists = make_lists([["p"] + [f"n{j:02d}" for j in range(19)]] * 30)
+        scores = rng.random((30, 20))
         values = [hr_at_k(lists, scores, k=k) for k in range(1, 21)]
         assert all(a <= b for a, b in zip(values, values[1:]))
 
     @given(st.integers(0, 2**32 - 1))
     def test_invariant_under_strictly_increasing_transform(self, seed):
         rng = np.random.default_rng(seed)
-        lists, scores = [], []
-        for i in range(5):
-            el = EvalList(f"q{i}", "p", tuple(f"n{j:02d}" for j in range(9)))
-            lists.append(el)
-            scores.append(rng.random(10))
+        lists = make_lists([["p"] + [f"n{j:02d}" for j in range(9)]] * 5)
+        scores = list(rng.random((5, 10)))
         base = all_metrics(lists, scores)
         for transform in (lambda x: 3.0 * x + 2.0, np.exp, lambda x: x**3):
             mapped = [transform(s) for s in scores]
             assert all_metrics(lists, mapped) == base
 
 
+@functools.lru_cache(maxsize=None)
+def _planted(n_candidates=150, seed=3):
+    # 150 candidates over 3 topics: 50 positives, 100 eligible negatives
+    return generate_synthetic(
+        n_queries=6, n_candidates=n_candidates, n_topics=3, vocab_per_topic=8,
+        doc_len=15, noise_rate=0.0, seed=seed,
+    )
+
+
+def _positives_by_query(ann):
+    out = {}
+    for q, c, y in ann.pairs:
+        if y == 1:
+            out.setdefault(q, []).append(c)
+    return out
+
+
 class TestBuildEvalLists:
     def _setup(self):
-        # 150 candidates over 3 topics: 50 positives, 100 eligible negatives
-        corpus, ann = generate_synthetic(
-            n_queries=6, n_candidates=150, n_topics=3, vocab_per_topic=8,
-            doc_len=15, noise_rate=0.0, seed=3,
-        )
-        return corpus, ann
+        return _planted()
 
     def test_one_list_per_positive_pair(self):
         corpus, ann = self._setup()
         lists = build_eval_lists(ann, corpus, seed=0)
         n_positives = sum(1 for _, _, y in ann.pairs if y == 1)
         assert len(lists) == n_positives
-        for el in lists:
-            assert len(el.candidate_ids) == 100
+        assert lists.rows.shape == (n_positives,)
+        assert lists.cols.shape == (n_positives, 100)
+        assert lists.rows.dtype == lists.cols.dtype == np.int64
+        assert lists.query_ids is corpus.query_ids
+        assert lists.candidate_ids is corpus.candidate_ids
 
     def test_deterministic(self):
         corpus, ann = self._setup()
         l1 = build_eval_lists(ann, corpus, seed=5)
         l2 = build_eval_lists(ann, corpus, seed=5)
-        assert l1 == l2
+        assert np.array_equal(l1.rows, l2.rows) and np.array_equal(l1.cols, l2.cols)
 
     def test_other_positives_never_negatives(self):
         corpus, ann = self._setup()
-        pos_by_query = {}
-        for q, c, y in ann.pairs:
-            if y == 1:
-                pos_by_query.setdefault(q, set()).add(c)
-        for el in build_eval_lists(ann, corpus, seed=1):
-            assert not (set(el.negative_ids) & pos_by_query[el.query_id])
+        pos_by_query = _positives_by_query(ann)
+        lists = build_eval_lists(ann, corpus, seed=1)
+        for r in range(len(lists)):
+            negatives = ids_of(lists, r)[1:]
+            assert not set(negatives) & set(pos_by_query[corpus.query_ids[lists.rows[r]]])
 
     def test_insufficient_negatives_rejected(self):
         corpus, ann = generate_synthetic(4, 40, 2, 8, 15, 0.0, seed=2)
         with pytest.raises(ValueError, match="eligible negatives"):
             build_eval_lists(ann, corpus, seed=0)  # only 20 non-positives per query
 
-    def test_equal_to_per_candidate_filter_reference(self):
+    def test_unknown_annotated_id_rejected(self):
         corpus, ann = self._setup()
-        rng = np.random.default_rng(7)
+        qid, _, _ = ann.pairs[0]
+        bad = AnnotationSet(ann.pairs + ((qid, "no-such-candidate", 1),), "all")
+        with pytest.raises(KeyError, match="no-such-candidate"):
+            build_eval_lists(bad, corpus, seed=0)
+
+    def test_equal_to_per_candidate_filter_reference(self):
+        # the string-id path: filter ids per query, one id tuple per list
+        corpus, ann = self._setup()
+        pos_by_query = _positives_by_query(ann)
         all_cands = np.array(corpus.candidate_ids)
-        pos_by_query = {}
-        for q, c, y in ann.pairs:
-            if y == 1:
-                pos_by_query.setdefault(q, []).append(c)
-        expected = []
-        for qid in ann.query_ids:
-            pos_set = set(pos_by_query[qid])
-            eligible = all_cands[[c not in pos_set for c in all_cands]]
-            for pos in pos_by_query[qid]:
-                draw = rng.choice(len(eligible), size=30, replace=False)
-                expected.append(EvalList(qid, pos, tuple(eligible[np.sort(draw)])))
-        lists = build_eval_lists(ann, corpus, seed=7, n_negatives=30)
-        assert lists == expected
-        assert all(type(c) is str for el in lists for c in el.negative_ids)
+        for n_negatives in (1, 30, 100):
+            rng = np.random.default_rng(7)
+            expected = []
+            for qid in ann.query_ids:
+                pos_set = set(pos_by_query[qid])
+                eligible = all_cands[[c not in pos_set for c in all_cands]]
+                for pos in pos_by_query[qid]:
+                    draw = rng.choice(len(eligible), size=n_negatives, replace=False)
+                    expected.append((qid, pos) + tuple(eligible[np.sort(draw)].tolist()))
+            lists = build_eval_lists(ann, corpus, seed=7, n_negatives=n_negatives)
+            got = [(corpus.query_ids[lists.rows[r]], *ids_of(lists, r))
+                   for r in range(len(lists))]
+            assert got == expected
 
-    def test_positive_not_in_negatives(self):
-        with pytest.raises(ValueError, match="among negatives"):
-            EvalList("q", "c1", ("c1", "c2"))
+    @given(st.integers(0, 2**32 - 1), st.sampled_from([1, 50, 99, 100]))
+    def test_positive_not_in_negatives(self, seed, n_negatives):
+        # a property of every draw: the positive is never among its list's
+        # negatives, and no list repeats a negative
+        corpus, ann = self._setup()
+        lists = build_eval_lists(ann, corpus, seed=seed, n_negatives=n_negatives)
+        cols = lists.cols
+        assert not (cols[:, 1:] == cols[:, :1]).any()
+        ordered = np.sort(cols[:, 1:], axis=1)
+        assert not (ordered[:, 1:] == ordered[:, :-1]).any()
 
 
-def test_score_lists_with_matrix(rng):
-    qids = ("q0", "q1")
-    cids = tuple(f"c{i}" for i in range(6))
-    matrix = ScoreMatrix("m", qids, cids, rng.random((2, 6)))
-    el = EvalList("q1", "c3", ("c0", "c5"))
-    (scores,) = score_lists_with_matrix([el], matrix)
-    assert scores[0] == matrix.score("q1", "c3")
-    assert scores[1] == matrix.score("q1", "c0")
-    assert scores[2] == matrix.score("q1", "c5")
+def test_score_lists_with_matrix(rng, tiny_corpus):
+    corpus = tiny_corpus
+    matrix = ScoreMatrix("m", corpus.query_ids, corpus.candidate_ids, rng.random((2, 3)))
+    lists = EvalLists(np.array([1, 0]), np.array([[2, 0, 1], [0, 2, 1]]),
+                      corpus.query_ids, corpus.candidate_ids)
+    scores = score_lists_with_matrix(lists, matrix)
+    assert scores.tolist() == [
+        [matrix.score("q2", c) for c in ("c3", "c1", "c2")],
+        [matrix.score("q1", c) for c in ("c1", "c3", "c2")],
+    ]
+
+
+def test_score_lists_with_matrix_refuses_another_order(rng, tiny_corpus):
+    corpus = tiny_corpus
+    lists = EvalLists(np.array([0]), np.array([[0, 1, 2]]), corpus.query_ids,
+                      corpus.candidate_ids)
+    flipped = ScoreMatrix("m", corpus.query_ids, corpus.candidate_ids[::-1], rng.random((2, 3)))
+    with pytest.raises(ValueError, match="not in the eval lists' corpus order"):
+        score_lists_with_matrix(lists, flipped)
+    ordered = flipped.in_order(corpus.query_ids, corpus.candidate_ids)
+    assert score_lists_with_matrix(lists, ordered).tolist() == [
+        [flipped.score("q1", c) for c in ("c1", "c2", "c3")]]
+
+
+class TestInOrder:
+    def test_permuted_matrix_returns_to_corpus_order(self, rng, tiny_corpus):
+        corpus = tiny_corpus
+        values = rng.random((2, 3))
+        base = ScoreMatrix("m", corpus.query_ids, corpus.candidate_ids, values)
+        q_perm, c_perm = [1, 0], [2, 0, 1]
+        permuted = ScoreMatrix("m", [corpus.query_ids[i] for i in q_perm],
+                               [corpus.candidate_ids[j] for j in c_perm],
+                               values[np.ix_(q_perm, c_perm)])
+        again = permuted.in_order(corpus.query_ids, corpus.candidate_ids)
+        assert again.query_ids == base.query_ids
+        assert again.candidate_ids == base.candidate_ids
+        assert again.values.tobytes() == base.values.tobytes()
+
+    def test_missing_id_rejected_extra_dropped(self, rng, tiny_corpus):
+        corpus = tiny_corpus
+        wide = ScoreMatrix("m", corpus.query_ids, corpus.candidate_ids + ("c9",),
+                           rng.random((2, 4)))
+        assert wide.in_order(corpus.query_ids, corpus.candidate_ids).values.shape == (2, 3)
+        narrow = ScoreMatrix("m", corpus.query_ids, corpus.candidate_ids[:2], rng.random((2, 2)))
+        with pytest.raises(ValueError, match="no row or column for id 'c3'"):
+            narrow.in_order(corpus.query_ids, corpus.candidate_ids)

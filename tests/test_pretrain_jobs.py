@@ -20,6 +20,7 @@ from weakrank.registry import (
     UnsupModelSpec,
     needs_graph,
 )
+from weakrank.scores import ScoreMatrix
 from weakrank.synthetic import generate_synthetic
 from weakrank.trainer import (
     JOB_COST,
@@ -89,8 +90,25 @@ def test_every_worker_count_gives_the_same_bytes(corpus_and_external, tmp_path):
         _no_child_left()
     assert runs[2] == runs[1]
     assert runs[3] == runs[1]
-    # nine entries, each scorer with its CSV, and the backbone
-    assert len(runs[1][2]) == 2 * 8 + 1
+    # each built-in scorer with its CSV, and the backbone; the external
+    # matrix is read from its own CSV and never cached
+    assert len(runs[1][2]) == 2 * 7 + 1
+
+
+def test_edited_external_csv_is_read_afresh(corpus_and_external, tmp_path):
+    corpus, _ = corpus_and_external
+    path = tmp_path / "ext.csv"
+    first = bm25_matrix(corpus)
+    first.save_csv(path)
+    registry = UnsupModelRegistry([UnsupModelSpec("ext", "external", {"path": str(path)})])
+    cache_dir = tmp_path / "cache"
+    (got,) = pretrain_all(corpus, None, registry, cache_dir, master_seed=0, workers=1)
+    assert got.values.tobytes() == first.values.tobytes()
+    edited = ScoreMatrix("ext", corpus.query_ids, corpus.candidate_ids, first.values[:, ::-1] + 1)
+    edited.save_csv(path)  # same path, new scores
+    (again,) = pretrain_all(corpus, None, registry, cache_dir, master_seed=0, workers=1)
+    assert again.values.tobytes() == edited.values.tobytes()
+    assert list(cache_dir.iterdir()) == []  # the CSV is the stored matrix
 
 
 def test_warm_cache_forks_nothing(corpus_and_external, tmp_path, monkeypatch):

@@ -4,7 +4,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from weakrank.pseudo_labels import (
-    PseudoLabelSet,
     aggregate,
     normalize_per_query,
     sample_training_pairs,
@@ -105,22 +104,29 @@ class TestAggregate:
             aggregate([a, b], [1, 1])
 
 
+def positives(matrix, ranked, k):
+    """Each query id's pseudo positives as candidate ids, best first."""
+    return {qid: tuple(matrix.candidate_ids[j] for j in ranked[qi, :k])
+            for qi, qid in enumerate(matrix.query_ids)}
+
+
 class TestTopK:
     def test_argmax(self):
         m = _matrix([[0.9, 0.5, 0.1]])
-        labels = top_k_labels(m, 1)
-        assert labels.positives["q0"] == ("c0",)
+        assert positives(m, top_k_labels(m, 1), 1)["q0"] == ("c0",)
 
     def test_tie_breaks_by_id(self):
         m = _matrix([[0.5, 0.5]])
-        labels = top_k_labels(m, 1)
-        assert labels.positives["q0"] == ("c0",)
+        assert positives(m, top_k_labels(m, 1), 1)["q0"] == ("c0",)
+        # by id, not by column: the column order runs against the ids here
+        flipped = ScoreMatrix("m", ("q0",), ("c1", "c0"), np.array([[0.5, 0.5]]))
+        assert top_k_labels(flipped, 1).tolist() == [[1, 0]]
 
     def test_k_equals_n_minus_one(self):
         m = _matrix(np.arange(12.0).reshape(3, 4))
-        labels = top_k_labels(m, 3)
-        for qid in m.query_ids:
-            assert len(labels.negatives[qid]) == 1
+        ranked = top_k_labels(m, 3)
+        assert ranked.shape == (3, 4) and ranked.dtype == np.int64
+        assert ranked[:, 3:].tolist() == [[0], [0], [0]]  # one negative: the lowest
 
     def test_k_out_of_range(self):
         m = _matrix([[1.0, 2.0]])
@@ -134,29 +140,33 @@ class TestTopK:
             values = np.round(rng.random((4, 9)) * 4) / 4
             m = _matrix(values)
             k = int(rng.integers(1, 9))
-            labels = top_k_labels(m, k)
+            ranked = top_k_labels(m, k)
             oracle = brute_force_top_k(m, k)
-            for qid in m.query_ids:
-                assert labels.positives[qid] == oracle[qid]
-                ids = labels.positives[qid] + labels.negatives[qid]
-                assert sorted(ids) == sorted(m.candidate_ids)
-                assert all(type(c) is str for c in ids)
+            assert positives(m, ranked, k) == oracle
+            for row in ranked:
+                assert sorted(row.tolist()) == list(range(9))
 
     def test_positives_sorted_by_score_descending(self, rng):
         m = _matrix(rng.random((3, 8)))
-        labels = top_k_labels(m, 4)
-        for qid in m.query_ids:
-            scores = [m.score(qid, c) for c in labels.positives[qid]]
+        ranked = top_k_labels(m, 4)
+        for qi in range(3):
+            scores = m.values[qi, ranked[qi, :4]].tolist()
             assert scores == sorted(scores, reverse=True)
 
-    def test_jsonl_export(self, tmp_path, rng):
-        m = _matrix(rng.random((2, 5)))
-        labels = top_k_labels(m, 2)
-        path = tmp_path / "labels.jsonl"
-        labels.save_jsonl(path)
-        lines = path.read_text().strip().split("\n")
-        assert len(lines) == 2
-        assert '"k":2' in lines[0]
+
+def _reference_pairs(matrix, k, n_neg_per_pos, seed):
+    """The string-id path: per query, positive and negative id tuples from a
+    full sort, one ``rng.integers`` call per positive, id triples out."""
+    rng = np.random.default_rng(seed)
+    triples = []
+    for qi, qid in enumerate(matrix.query_ids):
+        ranked = [c for c, _ in sorted(zip(matrix.candidate_ids, matrix.values[qi]),
+                                       key=lambda t: (-t[1], t[0]))]
+        pool = tuple(ranked[k:])
+        for pos in ranked[:k]:
+            for d in rng.integers(len(pool), size=n_neg_per_pos):
+                triples.append((qid, pos, pool[int(d)]))
+    return triples
 
 
 class TestSampleTrainingPairs:
@@ -166,30 +176,41 @@ class TestSampleTrainingPairs:
         return top_k_labels(m, k)
 
     def test_triple_count(self):
-        triples = sample_training_pairs(self._labels(10, 8, 2), n_neg_per_pos=4, seed=0)
-        assert len(triples) == 10 * 2 * 4
+        triples = sample_training_pairs(self._labels(10, 8, 2), 2, n_neg_per_pos=4, seed=0)
+        assert triples.shape == (10 * 2 * 4, 3) and triples.dtype == np.int64
 
     def test_forced_draw_with_pool_of_one(self):
-        labels = self._labels(3, 4, 3)  # negative pool has exactly 1 entry
-        triples = sample_training_pairs(labels, n_neg_per_pos=5, seed=1)
-        for qid, _, neg in triples:
-            assert neg == labels.negatives[qid][0]
+        ranked = self._labels(3, 4, 3)  # negative pool has exactly 1 entry
+        triples = sample_training_pairs(ranked, 3, n_neg_per_pos=5, seed=1)
+        for q, _, neg in triples:
+            assert neg == ranked[q, 3]
 
     def test_deterministic(self):
-        labels = self._labels()
-        t1 = sample_training_pairs(labels, 3, seed=42)
-        t2 = sample_training_pairs(labels, 3, seed=42)
-        assert t1 == t2
+        ranked = self._labels()
+        t1 = sample_training_pairs(ranked, 2, 3, seed=42)
+        t2 = sample_training_pairs(ranked, 2, 3, seed=42)
+        assert np.array_equal(t1, t2)
 
     def test_negatives_come_from_pool(self):
-        labels = self._labels()
-        for qid, pos, neg in sample_training_pairs(labels, 3, seed=7):
-            assert pos in labels.positives[qid]
-            assert neg in labels.negatives[qid]
+        ranked = self._labels()
+        for q, pos, neg in sample_training_pairs(ranked, 2, 3, seed=7):
+            assert pos in ranked[q, :2]
+            assert neg in ranked[q, 2:]
 
     def test_empty_pool_rejected(self):
-        labels = PseudoLabelSet(
-            1, ("q0",), {"q0": ("c0",)}, {"q0": ()}
-        )
-        with pytest.raises(ValueError, match="empty negative pool"):
-            sample_training_pairs(labels, 1, seed=0)
+        ranked = self._labels(2, 3, 1)
+        for bad_k in (0, 3):
+            with pytest.raises(ValueError, match="out of range"):
+                sample_training_pairs(ranked, bad_k, 1, seed=0)
+
+    @pytest.mark.parametrize("n_neg_per_pos", [1, 2])
+    def test_equal_to_string_id_reference(self, rng, n_neg_per_pos):
+        for trial in range(10):
+            n_q, n_c = int(rng.integers(1, 6)), int(rng.integers(2, 12))
+            values = np.round(rng.random((n_q, n_c)) * 4) / 4  # ties
+            cids = tuple(f"c{j:02d}" for j in rng.permutation(n_c))  # columns not id-sorted
+            m = ScoreMatrix("m", tuple(f"q{i}" for i in range(n_q)), cids, values)
+            for k in sorted({1, n_c - 1, int(rng.integers(1, n_c))}):
+                triples = sample_training_pairs(top_k_labels(m, k), k, n_neg_per_pos, seed=trial)
+                as_ids = [(m.query_ids[q], cids[p], cids[n]) for q, p, n in triples.tolist()]
+                assert as_ids == _reference_pairs(m, k, n_neg_per_pos, seed=trial)

@@ -65,13 +65,21 @@ def planted_setup():
     backbone = RankerBackbone(corpus, table, graph=graph, graph_seed=2)
     agg = aggregate([bm25_matrix(corpus)], [1])
     labels = top_k_labels(agg, k=50)  # true positives per query = 50
-    triples = sample_training_pairs(labels, n_neg_per_pos=2, seed=5)
+    triples = sample_training_pairs(labels, 50, n_neg_per_pos=2, seed=5)
     lists = build_eval_lists(ann, corpus, seed=11)
     return backbone, triples, lists
 
 
 def _spec(kind, **params):
     return SupModelSpec(kind, kind, params)
+
+
+def _triples(corpus, id_triples):
+    """(query row, positive column, negative column) of (query, positive,
+    negative) ids."""
+    q, c = corpus.query_row, corpus.candidate_column
+    return np.array([(q[qid], c[pos], c[neg]) for qid, pos, neg in id_triples],
+                    dtype=np.int64).reshape(-1, 3)
 
 
 class TestPairwiseLoss:
@@ -125,9 +133,9 @@ class TestRepresentation:
 class TestInteraction:
     def test_identical_candidate_maximizes_exact_match_feature(self, mirror_backbone):
         model = InteractionRanker(mirror_backbone, _spec("interaction"), seed=0)
-        qi = mirror_backbone.query_row["q1"]
+        qi = mirror_backbone.corpus.query_row["q1"]
         phi_exact = model.phi[qi, :, 0]  # exact-match kernel is bank position 0
-        identical = mirror_backbone.cand_row["c1"]
+        identical = mirror_backbone.corpus.candidate_column["c1"]
         assert phi_exact[identical] == phi_exact.max()
 
     def test_doubling_word_vector_leaves_similarities_unchanged(self, mirror_backbone):
@@ -148,7 +156,8 @@ class TestInteraction:
     def test_reference_scorer_matches_cached_features(self, mirror_backbone):
         model = InteractionRanker(mirror_backbone, _spec("interaction"), seed=4)
         ref = _phi_reference(mirror_backbone, model.mus, model.sigmas)
-        i, j = mirror_backbone.query_row["q2"], mirror_backbone.cand_row["c2"]
+        corpus = mirror_backbone.corpus
+        i, j = corpus.query_row["q2"], corpus.candidate_column["c2"]
         expected = ref[i, j] @ model.w.value + model.b.value[0]
         assert expected == pytest.approx(model.score("q2", "c2"), rel=1e-9)
 
@@ -175,8 +184,8 @@ class TestGraphAggregation:
             mirror_backbone, _spec("graph-aggregation", n_layers=0), seed=0
         )
         _, feats, q_nodes, c_nodes = mirror_backbone.graph_inputs()
-        u = feats[q_nodes[mirror_backbone.query_row["q1"]]]
-        v = feats[c_nodes[mirror_backbone.cand_row["c2"]]]
+        u = feats[q_nodes[mirror_backbone.corpus.query_row["q1"]]]
+        v = feats[c_nodes[mirror_backbone.corpus.candidate_column["c2"]]]
         expected = u @ v / (np.linalg.norm(u) * np.linalg.norm(v))
         assert model.score("q1", "c2") == pytest.approx(float(expected))
 
@@ -221,7 +230,7 @@ class TestTrainSupervised:
         deltas = []
         for seed in range(3):
             model = InteractionRanker(backbone, _spec("interaction"), seed=seed)
-            fixed = backbone.triple_index(triples[:256])
+            fixed = triples[:256]
             zero_grads(model.params())
             before = model.loss_and_grads(fixed)
             zero_grads(model.params())
@@ -235,7 +244,8 @@ class TestTrainSupervised:
     def test_empty_stream_rejected(self, mirror_backbone):
         model = RepresentationRanker(mirror_backbone, _spec("representation"), seed=0)
         with pytest.raises(ValueError, match="empty"):
-            train_supervised(model, [], epochs=1, lr=0.01, seed=0)
+            train_supervised(model, np.zeros((0, 3), dtype=np.int64), epochs=1, lr=0.01,
+                             seed=0)
 
     def test_early_stopping_restores_best(self, planted_setup):
         backbone, triples, lists = planted_setup
@@ -285,9 +295,10 @@ def _reference_loss_and_grads(model, triples):
     ``sage_backward`` are checked bitwise against their masked and full
     forms in test_nncore and test_graph_embeddings."""
     b = model.backbone
-    qrows = [b.query_row[q] for q, _, _ in triples]
-    prows = [b.cand_row[p] for _, p, _ in triples]
-    nrows = [b.cand_row[n] for _, _, n in triples]
+    q, c = b.corpus.query_row, b.corpus.candidate_column
+    qrows = [q[qid] for qid, _, _ in triples]
+    prows = [c[pos] for _, pos, _ in triples]
+    nrows = [c[neg] for _, _, neg in triples]
     if model.kind == "interaction":
         phi_p, phi_n = model.phi[qrows, prows], model.phi[qrows, nrows]
         r_pos = phi_p @ model.w.value + model.b.value[0]
@@ -341,12 +352,6 @@ def _reference_train(model, triples, epochs, lr, seed, batch_size=32):
 
 
 class TestIndexBatches:
-    def test_triple_index_maps_ids_to_rows_and_columns(self, mirror_backbone):
-        index = mirror_backbone.triple_index([("q2", "c3", "c1"), ("q1", "c1", "c2")])
-        assert index.dtype == np.int64
-        assert index.tolist() == [[1, 2, 0], [0, 0, 1]]
-        assert mirror_backbone.triple_index([]).shape == (0, 3)
-
     @pytest.mark.parametrize("kind,hp", [
         ("representation", {"hidden": 8}),
         ("interaction", {}),
@@ -355,26 +360,13 @@ class TestIndexBatches:
     def test_training_bitwise_equal_to_string_triple_reference(self, planted_setup, kind, hp):
         backbone, triples, _ = planted_setup
         triples = triples[:250]  # not a multiple of the batch size
+        qids, cids = backbone.corpus.query_ids, backbone.corpus.candidate_ids
+        id_triples = [(qids[q], cids[p], cids[n]) for q, p, n in triples.tolist()]
         fast, ref = (create_sup_model(_spec(kind, **hp), backbone, seed=3) for _ in range(2))
         curve = train_supervised(fast, triples, epochs=3, lr=0.01, seed=4)
-        ref_curve = _reference_train(ref, triples, epochs=3, lr=0.01, seed=4)
+        ref_curve = _reference_train(ref, id_triples, epochs=3, lr=0.01, seed=4)
         assert curve == ref_curve
         assert fast.params().values.tobytes() == ref.params().values.tobytes()
-
-    def test_eval_list_index_is_kept_per_list_set(self, planted_setup):
-        backbone, _, lists = planted_setup
-        rows, cols = backbone.list_index(lists)
-        assert cols.dtype == np.int32
-        assert cols.tolist() == [[backbone.cand_row[c] for c in el.candidate_ids]
-                                 for el in lists]
-        again = backbone.list_index(lists)
-        assert again[0] is rows and again[1] is cols
-        head = lists[:5]  # a different list set is indexed afresh
-        assert backbone.list_index(head)[1].tolist() == cols[:5].tolist()
-        grown = list(lists)
-        backbone.list_index(grown)
-        grown.append(lists[0])  # so is a set that changed length since
-        assert len(backbone.list_index(grown)[0]) == len(lists) + 1
 
     @pytest.mark.parametrize("kind,hp", [
         ("representation", {"hidden": 4}),
@@ -385,8 +377,8 @@ class TestIndexBatches:
         model = create_sup_model(_spec(kind, **hp), mirror_backbone, seed=2)
         if kind == "interaction":  # spread the weights so every kernel matters
             model.w.value[:] = np.random.default_rng(5).normal(size=model.w.value.shape)
-        batch = mirror_backbone.triple_index(
-            [("q1", "c1", "c2"), ("q2", "c2", "c3"), ("q1", "c3", "c2"), ("q1", "c1", "c2")])
+        batch = _triples(mirror_backbone.corpus, [
+            ("q1", "c1", "c2"), ("q2", "c2", "c3"), ("q1", "c3", "c2"), ("q1", "c1", "c2")])
         params = model.params()
 
         def fb():
@@ -399,7 +391,8 @@ class TestIndexBatches:
 
 def _index(backbone, qid, cands):
     """Ensemble index arrays for one query's candidate list."""
-    return [backbone.query_row[qid]], [[backbone.cand_row[c] for c in cands]]
+    corpus = backbone.corpus
+    return [corpus.query_row[qid]], [[corpus.candidate_column[c] for c in cands]]
 
 
 class TestEnsemble:
@@ -428,6 +421,12 @@ class TestEnsemble:
         with pytest.raises(ValueError, match="at least one"):
             ensemble_scores([], [0], [[0]])
 
+    def test_lists_from_another_corpus_rejected(self, mirror_backbone, planted_setup):
+        _, _, lists = planted_setup
+        model = RepresentationRanker(mirror_backbone, _spec("representation"), seed=0)
+        with pytest.raises(ValueError, match="another corpus"):
+            score_lists_with_ensemble(lists, [model])
+
     def test_lists_match_per_list_min_max_reference(self, planted_setup):
         backbone, _, lists = planted_setup
         assert len(lists) > ENSEMBLE_BLOCK and len(lists) % ENSEMBLE_BLOCK != 0
@@ -437,7 +436,8 @@ class TestEnsemble:
                 self.backbone = backbone
 
             def score_matrix(self):
-                return np.full((len(backbone.query_row), len(backbone.cand_row)), 3.0)
+                corpus = backbone.corpus
+                return np.full((len(corpus.query_ids), len(corpus.candidate_ids)), 3.0)
 
             def score_pairs(self, qid, cands):
                 return np.full(len(cands), 3.0)
@@ -452,10 +452,11 @@ class TestEnsemble:
             lo, hi = row.min(), row.max()
             return np.full_like(row, 0.5) if hi == lo else (row - lo) / (hi - lo)
 
+        qids, cids = backbone.corpus.query_ids, backbone.corpus.candidate_ids
         expected = np.array([
-            np.mean([min_max(m.score_pairs(el.query_id, el.candidate_ids)) for m in models],
+            np.mean([min_max(m.score_pairs(qids[row], [cids[j] for j in cols])) for m in models],
                     axis=0)
-            for el in lists
+            for row, cols in zip(lists.rows, lists.cols)
         ])
         got = score_lists_with_ensemble(lists, models)
         assert got.shape == expected.shape
@@ -535,8 +536,8 @@ class TestMatrixScoring:
         model = create_sup_model(_spec(kind, **hp), backbone, seed=4)
         got = model.score_matrix()
         ref = np.empty_like(got)
-        for qid, i in backbone.query_row.items():
-            for cid, j in backbone.cand_row.items():
+        for qid, i in backbone.corpus.query_row.items():
+            for cid, j in backbone.corpus.candidate_column.items():
                 if kind == "representation":
                     yq, _ = model._tower(backbone.q_means[i], "q")
                     yc, _ = model._tower(backbone.c_means[j], "c")
@@ -582,7 +583,7 @@ class TestCheckpoints:
 
         model = create_sup_model(_spec("interaction"), mirror_backbone, seed=1)
         opt = OptimizerState("adam", lr=0.01)
-        triples = [("q1", "c1", "c2"), ("q2", "c2", "c3")] * 8
+        triples = _triples(mirror_backbone.corpus, [("q1", "c1", "c2"), ("q2", "c2", "c3")] * 8)
         train_supervised(model, triples, epochs=2, lr=0.01, seed=0, optimizer_state=opt)
         path = tmp_path / "m.ckpt"
         save_checkpoint(model, path, config_hash="h", optimizer_state=opt)
