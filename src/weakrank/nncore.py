@@ -96,11 +96,13 @@ def zero_grads(params) -> None:
 # elementwise ops shared by every trainer
 
 
-def sigmoid(x: np.ndarray) -> np.ndarray:
+def sigmoid(x: np.ndarray, e: np.ndarray | None = None) -> np.ndarray:
     """Overflow-safe logistic function. Both branches share one exp(-|x|),
     so each value is bitwise the textbook 1/(1+exp(-x)) for x >= 0 and
-    exp(x)/(1+exp(x)) below."""
-    e = np.exp(-np.abs(x))
+    exp(x)/(1+exp(x)) below. A caller that has computed exp(-|x|) already
+    passes it as ``e``."""
+    if e is None:
+        e = np.exp(-np.abs(x))
     d = 1.0 + e
     return np.where(x >= 0, 1.0 / d, e / d)
 

@@ -3,12 +3,22 @@
 Each node keeps one seeded neighbor sample (capped at ``sample_size``) for
 its whole lifetime, which makes every forward pass a pure function: layer l
 computes h_l = relu(W_l @ concat(h_{l-1}, mean of sampled neighbors)).
-The aggregation is expressed as a dense row-stochastic matrix; at the corpus
+The aggregation is a dense row-stochastic n x n matrix ``A``; at the corpus
 sizes this library targets that is both simple and fast. Node features are
 frozen inputs: ``sage_backward`` computes the layers' weight gradients and
 no gradient into the features, and the first layer's input
 ``sage_input(H0, A)`` is a constant a trainer computes once and passes to
 every ``sage_forward``.
+
+A step whose loss reads only some nodes passes them as ``rows``: strictly
+increasing node indices. The last layer is then computed at those rows only,
+from ``concat(H[rows], A[rows] @ H)``, and its backward sends the gradient to
+the layer below through ``A[rows].T``; the layers below stay full-graph,
+because the rows' sampled neighbors need them. ``sage_forward(..., rows=r)``
+is bitwise ``sage_forward(...)[r]``, and ``sage_backward`` of a gradient at
+those rows accumulates bitwise the layer gradients of the full backward with
+a gradient that is zero outside them. Fewer than ``MIN_ROWS`` rows run the
+full graph and are sliced, which keeps that equality for any row count.
 """
 
 from __future__ import annotations
@@ -17,6 +27,13 @@ import numpy as np
 
 from .graph import HetGraph
 from .nncore import ParamGroup, ParamTensor, dense_backward, dense_forward, init_param
+
+
+# Fewer rows than this run the last layer on the full graph and are sliced:
+# BLAS runs a product of a few rows through other kernels, whose rounding
+# differs from the full graph's product (with OpenBLAS 0.3.31, gemv for one
+# row and a small-matrix kernel below about 1,200 output entries).
+MIN_ROWS = 64
 
 
 def build_neighbor_matrix(graph: HetGraph, sample_size: int, rng: np.random.Generator) -> np.ndarray:
@@ -47,33 +64,65 @@ def create_layers(name: str, dims: list[int], rng: np.random.Generator,
     )
 
 
-def sage_input(H0: np.ndarray, A: np.ndarray) -> np.ndarray:
-    """The first layer's input concat(H0, A @ H0): constant while the node
-    features and the neighbor sample are."""
-    return np.concatenate([H0, A @ H0], axis=1)
+def sage_input(H0: np.ndarray, A: np.ndarray, rows: np.ndarray | None = None) -> np.ndarray:
+    """A layer's input concat(H0, A @ H0), at ``rows`` only when given. The
+    first layer's is constant while the node features and the neighbor
+    sample are."""
+    if rows is None:
+        return np.concatenate([H0, A @ H0], axis=1)
+    return np.concatenate([H0[rows], A[rows] @ H0], axis=1)
+
+
+def _top_rows(rows: np.ndarray | None, n: int) -> np.ndarray | None:
+    """The nodes the last layer is computed at: ``rows``, or None (all of
+    them) when there are fewer than ``MIN_ROWS``. A duplicate row would drop
+    a gradient under a fancy-index ``+=``, so they are rejected."""
+    if rows is None:
+        return None
+    r = np.asarray(rows)
+    if (r.ndim != 1 or not np.issubdtype(r.dtype, np.integer) or np.any(r[1:] <= r[:-1])
+            or (len(r) and (r[0] < 0 or r[-1] >= n))):
+        raise ValueError(f"rows must be strictly increasing node indices in [0, {n})")
+    return r if len(r) >= MIN_ROWS else None
 
 
 def sage_forward(H0: np.ndarray, A: np.ndarray, layers: list[ParamTensor],
-                 M0: np.ndarray | None = None):
+                 M0: np.ndarray | None = None, rows: np.ndarray | None = None):
     """Returns (H_L, caches). With no layers this is the identity on H0.
     ``M0``, when given, is ``sage_input(H0, A)``; the first layer then uses it
-    as is, with bitwise the same result."""
+    as is, with bitwise the same result. With ``rows``, H_L holds only those
+    nodes' rows (see the module docstring)."""
+    top = _top_rows(rows, len(A))
     H = H0
     caches = []
     for l, W in enumerate(layers):
-        M = M0 if l == 0 and M0 is not None else sage_input(H, A)
+        at = top if l == len(layers) - 1 else None
+        if l == 0 and M0 is not None:
+            M = M0 if at is None else M0[at]
+        else:
+            M = sage_input(H, A, at)
         H_next, cache = dense_forward(M, W, None, "relu")
         caches.append((cache, H.shape[1]))
         H = H_next
+    if rows is not None and (top is None or not layers):
+        H = H[rows]
     return H, caches
 
 
-def sage_backward(dHL: np.ndarray, A: np.ndarray, caches) -> None:
+def sage_backward(dHL: np.ndarray, A: np.ndarray, caches, rows: np.ndarray | None = None) -> None:
     """Backprop through the stack; accumulates into each layer's W.grad. The
-    first layer computes no gradient into the frozen input features."""
+    first layer computes no gradient into the frozen input features. With
+    ``rows``, ``dHL`` is the gradient at the rows ``sage_forward`` returned."""
+    top = _top_rows(rows, len(A))
     dH = dHL
+    if rows is not None and top is None:  # the forward ran the full graph
+        dH = np.zeros((len(A), dHL.shape[1]))
+        dH[rows] = dHL
     for l in range(len(caches) - 1, -1, -1):
         cache, d_in = caches[l]
         dM = dense_backward(dH, cache, input_grad=l > 0)
-        if l > 0:
+        if l > 0 and top is not None and l == len(caches) - 1:
+            dH = A[top].T @ dM[:, d_in:]
+            dH[top] += dM[:, :d_in]
+        elif l > 0:
             dH = dM[:, :d_in] + A.T @ dM[:, d_in:]

@@ -41,6 +41,12 @@ class ScoreMatrix:
             raise ValueError(f"score matrix {self.model_name!r} contains non-finite entries")
         self._qrow = {q: i for i, q in enumerate(self.query_ids)}
         self._ccol = {c: j for j, c in enumerate(self.candidate_ids)}
+        for role, ids, position in (("query", self.query_ids, self._qrow),
+                                    ("candidate", self.candidate_ids, self._ccol)):
+            if len(position) != len(ids):
+                duplicate = next(i for n, i in enumerate(ids) if position[i] != n)
+                raise ValueError(f"score matrix {self.model_name!r} has duplicate "
+                                 f"{role} id {duplicate!r}")
 
     def score(self, query_id: str, candidate_id: str) -> float:
         return float(self.values[self._qrow[query_id], self._ccol[candidate_id]])

@@ -37,7 +37,6 @@ from .nncore import (
     dense_forward,
     init_param,
     kernel_pool_forward,
-    log_sigmoid,
     optimizer_step,
     scatter_add_rows,
     sigmoid,
@@ -161,9 +160,11 @@ def _pairwise_loss_grads(r_pos: np.ndarray, r_neg: np.ndarray):
     gradient w.r.t. r is sigma(r) - target.
     """
     B = len(r_pos)
-    sp = -log_sigmoid(np.concatenate([r_pos, -r_neg]))  # elementwise: one call for both
+    r = np.concatenate([r_pos, r_neg])
+    e = np.exp(-np.abs(r))  # one exp(-|r|) serves the softplus and the sigmoid
+    sp = np.maximum(np.concatenate([-r_pos, r_neg]), 0.0) + np.log1p(e)
     loss = float((sp[:B] + sp[B:]).mean())
-    s = sigmoid(np.concatenate([r_pos, r_neg]))
+    s = sigmoid(r, e)
     return loss, (s[:B] - 1.0) / B, s[B:] / B
 
 
@@ -337,15 +338,15 @@ class GraphAggregationRanker(_Ranker):
         return self.backbone.gather(self.score_matrix(), query_id, candidate_ids)
 
     def loss_and_grads(self, batch: np.ndarray) -> float:
-        Z, caches = sage_forward(self.features, self.A, self.layers, self.M0)
+        # the top layer runs only at the batch's nodes; Z's rows follow them
         q, p, n = batch.T
-        qn, pn, nn = self.q_nodes[q], self.c_nodes[p], self.c_nodes[n]
-        loss, dZq, (dZp, dZn) = _pair_cosine_loss(Z[qn], Z[pn], Z[nn])
+        nodes, at = np.unique(np.concatenate([self.q_nodes[q], self.c_nodes[p], self.c_nodes[n]]),
+                              return_inverse=True)
+        Z, caches = sage_forward(self.features, self.A, self.layers, self.M0, rows=nodes)
+        loss, dZq, (dZp, dZn) = _pair_cosine_loss(*(Z[i] for i in at.reshape(3, -1)))
         dZ = np.zeros(Z.shape)
-        scatter_add_rows(dZ, qn, dZq)
-        scatter_add_rows(dZ, pn, dZp)
-        scatter_add_rows(dZ, nn, dZn)
-        sage_backward(dZ, self.A, caches)  # node features are frozen
+        scatter_add_rows(dZ, at, np.concatenate([dZq, dZp, dZn]))
+        sage_backward(dZ, self.A, caches, rows=nodes)  # node features are frozen
         _check_loss(self, loss, batch)
         return loss
 

@@ -52,6 +52,7 @@ from weakrank.registry import (
     UnsupModelRegistry,
     UnsupModelSpec,
 )
+from weakrank.sageops import MIN_ROWS, create_layers, sage_backward, sage_forward, sage_input
 from weakrank.scores import ScoreMatrix
 from weakrank.sup_rankers import (
     _pairwise_loss_grads,
@@ -164,6 +165,26 @@ def test_criterion_2_gradient_suite():
                 return float((kprobe * pooled).sum())
 
             worst["kernel"] = max(worst.get("kernel", 0.0), finite_difference_check(fb_kernel, [S]))
+
+        # GraphSAGE stack with the last layer at a proper subset of the nodes,
+        # the op the graph ranker's training steps run
+        n_nodes = MIN_ROWS + 8
+        A = np.zeros((n_nodes, n_nodes))
+        for v in range(n_nodes):
+            A[v, rng.choice(np.delete(np.arange(n_nodes), v), size=3, replace=False)] = 1 / 3
+        H0 = rng.normal(size=(n_nodes, 3))
+        layers = create_layers("sage", [3, 4, 4], rng, scale=0.5)
+        rows = np.sort(rng.choice(n_nodes, size=MIN_ROWS + 2, replace=False))
+        sprobe = rng.normal(size=(len(rows), 4))
+
+        def fb_sage():
+            zero_grads(layers)
+            Z, caches = sage_forward(H0, A, layers, sage_input(H0, A), rows=rows)
+            sage_backward(sprobe, A, caches, rows=rows)
+            return float((sprobe * Z).sum())
+
+        worst["sage-rows"] = max(worst.get("sage-rows", 0.0),
+                                 finite_difference_check(fb_sage, list(layers)))
 
         # 3-step LSTM unroll
         params = LstmParams.create("lstm", 3, 4, rng)

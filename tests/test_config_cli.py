@@ -260,6 +260,25 @@ class TestCli:
         assert rc == 2
         assert f"no row or column for id {corpus.candidate_ids[0]!r}" in captured.err
 
+    def test_eval_refuses_a_csv_with_a_duplicate_column(self, synth_dir, tmp_path, capsys):
+        from weakrank.bm25 import bm25_matrix
+        from weakrank.corpus import Corpus
+
+        corpus = Corpus.load(synth_dir / "corpus.json")
+        path = tmp_path / "bm25.csv"
+        bm25_matrix(corpus).save_csv(path)
+        header, *rows = path.read_text(encoding="utf-8").splitlines()
+        first = corpus.candidate_ids[0]
+        # the first candidate's column again, under its own id, at the end
+        path.write_text("\n".join([header + "," + first]
+                                  + [r + "," + r.split(",")[1] for r in rows]) + "\n",
+                        encoding="utf-8")
+        rc = main(["eval", "--corpus", str(synth_dir / "corpus.json"),
+                   "--annotations", str(synth_dir / "annotations.tsv"),
+                   "--scores", str(path), "--seed", "3", "--set", "eval_negatives=80"])
+        assert rc == 2
+        assert f"duplicate candidate id {first!r}" in capsys.readouterr().err
+
     def test_error_exit_is_machine_parsable(self, capsys):
         rc = main(["eval", "--annotations", "nope.tsv", "--scores", "nope.csv"])
         assert rc == 2

@@ -17,6 +17,7 @@ from weakrank.graph_embeddings import (
 )
 from weakrank.nncore import dense_backward, log_sigmoid, optimizer_step, sigmoid, zero_grads
 from weakrank.sageops import (
+    MIN_ROWS,
     build_neighbor_matrix,
     create_layers,
     sage_backward,
@@ -45,6 +46,17 @@ def planted_graph():
         doc_len=15, noise_rate=0.0, seed=8,
     )
     return corpus, build_graph(corpus)
+
+
+@pytest.fixture(scope="module")
+def bench_graph():
+    """A graph with more nodes than ``MIN_ROWS``, so a row subset can be
+    computed at its rows only."""
+    corpus, _ = generate_synthetic(
+        n_queries=40, n_candidates=40, n_topics=4, vocab_per_topic=10,
+        doc_len=15, noise_rate=0.3, seed=8,
+    )
+    return build_graph(corpus)
 
 
 class TestTransitions:
@@ -227,6 +239,52 @@ class TestBitwiseAgainstReferences:
             assert Z.tobytes() == Z_ref.tobytes()
             assert given.grads.tobytes() == inside.grads.tobytes()
         assert M0.tobytes() == np.concatenate([feats, A @ feats], axis=1).tobytes()
+
+    @pytest.mark.parametrize("n_layers", [1, 2, 3])
+    @pytest.mark.parametrize("which", ["one node", "proper subset", "all nodes"])
+    def test_sage_at_rows_matches_the_full_graph(self, bench_graph, n_layers, which):
+        """The last layer at ``rows`` is bitwise the full forward's rows, and
+        its backward accumulates bitwise the full backward's layer gradients
+        for a gradient that is zero outside ``rows``."""
+        n = bench_graph.n_nodes
+        rng = np.random.default_rng(20 + n_layers)
+        feats = rng.normal(size=(n, 16))
+        A = build_neighbor_matrix(bench_graph, 10, rng)
+        rows = {"one node": np.array([n // 2]),
+                "proper subset": np.sort(rng.choice(n, size=MIN_ROWS + 16, replace=False)),
+                "all nodes": np.arange(n)}[which]
+        dims = [16] + [32] * n_layers
+        at_rows, full = (create_layers("agg", dims, np.random.default_rng(4)) for _ in range(2))
+        M0 = sage_input(feats, A)
+        dZ_rows = rng.normal(size=(len(rows), 32))
+        dZ = np.zeros((n, 32))
+        dZ[rows] = dZ_rows
+        for _ in range(2):
+            Z_rows, caches = sage_forward(feats, A, at_rows, M0, rows=rows)
+            sage_backward(dZ_rows, A, caches, rows=rows)
+            Z, caches_full = sage_forward(feats, A, full, M0)
+            sage_backward(dZ, A, caches_full)
+            assert Z_rows.tobytes() == Z[rows].tobytes()
+            assert at_rows.grads.tobytes() == full.grads.tobytes()
+        # past MIN_ROWS the last layer really ran at the rows only
+        top_input = caches[-1][0][0]
+        assert len(top_input) == (len(rows) if len(rows) >= MIN_ROWS else n)
+
+    @pytest.mark.parametrize("rows", [[3, 1, 2], [1, 2, 2, 5], [0, 1, 99], [-1, 0, 1],
+                                      [0.0, 1.0]],
+                             ids=["unsorted", "duplicate", "past-end", "negative", "float"])
+    def test_sage_rejects_rows_that_are_not_strictly_increasing_indices(self, planted_graph,
+                                                                         rows):
+        _, graph = planted_graph
+        rng = np.random.default_rng(0)
+        feats = rng.normal(size=(graph.n_nodes, 6))
+        A = build_neighbor_matrix(graph, 4, rng)
+        layers = create_layers("agg", [6, 5, 5], rng)
+        with pytest.raises(ValueError, match="strictly increasing node indices"):
+            sage_forward(feats, A, layers, rows=np.array(rows))
+        _, caches = sage_forward(feats, A, layers)
+        with pytest.raises(ValueError, match="strictly increasing node indices"):
+            sage_backward(np.zeros((len(rows), 5)), A, caches, rows=np.array(rows))
 
     @pytest.mark.parametrize("order", [1, 2])
     def test_proximity_batches(self, planted_graph, order):

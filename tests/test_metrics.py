@@ -289,3 +289,15 @@ class TestInOrder:
         narrow = ScoreMatrix("m", corpus.query_ids, corpus.candidate_ids[:2], rng.random((2, 2)))
         with pytest.raises(ValueError, match="no row or column for id 'c3'"):
             narrow.in_order(corpus.query_ids, corpus.candidate_ids)
+
+    @pytest.mark.parametrize("query_ids, candidate_ids, message", [
+        (("q1",), ("c1", "c1"), "duplicate candidate id 'c1'"),
+        (("q1", "q2", "q1"), ("c1",), "duplicate query id 'q1'"),
+    ])
+    def test_duplicate_ids_rejected(self, query_ids, candidate_ids, message):
+        """A repeated id would make ``in_order`` keep one of its rows or
+        columns and silently drop the other."""
+        values = np.arange(len(query_ids) * len(candidate_ids), dtype=float).reshape(
+            len(query_ids), len(candidate_ids))
+        with pytest.raises(ValueError, match=message):
+            ScoreMatrix("m", query_ids, candidate_ids, values)

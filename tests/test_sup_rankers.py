@@ -14,6 +14,7 @@ from weakrank.nncore import (
     dense_backward,
     finite_difference_check,
     init_param,
+    log_sigmoid,
     optimizer_step,
     scatter_add_rows,
     sigmoid,
@@ -287,6 +288,29 @@ def _reference_pairwise_loss_grads(r_pos, r_neg):
     B = len(r_pos)
     loss = float((_softplus(-r_pos) + _softplus(r_neg)).mean())
     return loss, (sigmoid(r_pos) - 1.0) / B, sigmoid(r_neg) / B
+
+
+def test_pairwise_loss_shares_one_exp_bitwise():
+    """One exp(-|r|) for the softplus and the sigmoid gives bitwise what the
+    two separate ``log_sigmoid`` and ``sigmoid`` calls gave, on signed zeros,
+    saturated scores, ties and random scores."""
+    rng = np.random.default_rng(4)
+    cases = [
+        (np.array([0.0, -0.0, 0.0, -0.0]), np.array([0.0, 0.0, -0.0, -0.0])),
+        (np.array([1e3, -1e3, 1e3, -1e3]), np.array([1e3, 1e3, -1e3, -1e3])),
+        (np.full(5, 0.3), np.full(5, 0.3)),
+        (rng.normal(size=32), rng.normal(size=32)),
+        (rng.uniform(-1, 1, size=32), rng.uniform(-1, 1, size=32)),
+    ]
+    for r_pos, r_neg in cases:
+        B = len(r_pos)
+        sp = -log_sigmoid(np.concatenate([r_pos, -r_neg]))
+        s = sigmoid(np.concatenate([r_pos, r_neg]))
+        expected = (float((sp[:B] + sp[B:]).mean()), (s[:B] - 1.0) / B, s[B:] / B)
+        loss, d_pos, d_neg = _pairwise_loss_grads(r_pos, r_neg)
+        assert np.float64(loss).tobytes() == np.float64(expected[0]).tobytes()
+        assert d_pos.tobytes() == expected[1].tobytes()
+        assert d_neg.tobytes() == expected[2].tobytes()
 
 
 def _reference_loss_and_grads(model, triples):
