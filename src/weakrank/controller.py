@@ -11,7 +11,7 @@ updates are plain REINFORCE with an optional moving-average baseline.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -425,82 +425,3 @@ def greedy_decode(params: ControllerParams, k_values, clamp: Clamp | None = None
         tuple(int(v) for v in state["sup_mask"]),
         int(k_values[state["k_index"]]),
     )
-
-
-# ---------------------------------------------------------------------------
-# exact policy enumeration (test and diagnostic aid; small registries only)
-
-
-def _nonzero_mask_distribution(probs: np.ndarray) -> dict[tuple[int, ...], float]:
-    """Joint law of a Bernoulli mask conditioned on not being all-zero, which
-    is what redraw-until-nonzero sampling converges to."""
-    n = len(probs)
-    if n > 16:
-        raise ValueError("mask enumeration is limited to 16 choices")
-    out = {}
-    total = 0.0
-    for bits in range(1, 2**n):
-        mask = tuple((bits >> i) & 1 for i in range(n))
-        p = float(np.prod([probs[i, m] for i, m in enumerate(mask)]))
-        out[mask] = p
-        total += p
-    return {m: p / total for m, p in out.items()}
-
-
-def enumerate_policy(params: ControllerParams, clamp: Clamp | None = None) -> dict:
-    """Exact marginals of the sampling policy, resampling correction included.
-
-    Enumerates every non-zero step-1 mask (so the unsupervised registry must
-    stay small), then every k, then the step-3 marginals conditioned on each
-    prefix. Returns marginal select probabilities per step.
-    """
-    clamp = clamp or Clamp()
-    p_unsup = np.zeros(params.n_unsup)
-    p_k = np.zeros(params.n_k)
-    p_sup = np.zeros(params.n_sup)
-
-    def probs_for(mask, k_index):
-        state = _traverse(
-            params,
-            lambda probs: np.asarray(mask),
-            lambda probs: k_index if k_index is not None else 0,
-            lambda probs: np.zeros(params.n_sup, dtype=np.int64) + 1,
-        )
-        return state["probs"]
-
-    if clamp.unsup_mask is not None:
-        mask_dist = {tuple(clamp.unsup_mask): 1.0}
-    else:
-        probs1 = probs_for(tuple([1] * params.n_unsup), 0)[0]
-        mask_dist = _nonzero_mask_distribution(probs1)
-
-    for mask, pm in mask_dist.items():
-        p_unsup += pm * np.asarray(mask)
-        probs2 = probs_for(mask, 0)[1]
-        if clamp.k_index is not None:
-            k_dist = {clamp.k_index: 1.0}
-        else:
-            k_dist = {t: float(probs2[t]) for t in range(params.n_k)}
-        for t, pk in k_dist.items():
-            p_k[t] += pm * pk
-            probs3 = probs_for(mask, t)[2]
-            if clamp.sup_mask is not None:
-                sup_marg = np.asarray(clamp.sup_mask, dtype=np.float64)
-            else:
-                sup_dist = _nonzero_mask_distribution(probs3)
-                sup_marg = np.zeros(params.n_sup)
-                for smask, sp in sup_dist.items():
-                    sup_marg += sp * np.asarray(smask)
-            p_sup += pm * pk * sup_marg
-    return {"unsup": p_unsup, "k": p_k, "sup": p_sup}
-
-
-def sup_mask_distribution(params: ControllerParams, unsup_mask, k_index: int) -> dict:
-    """Exact step-3 mask law for a fixed prefix (resampling correction included)."""
-    state = _traverse(
-        params,
-        lambda probs: np.asarray(unsup_mask),
-        lambda probs: k_index,
-        lambda probs: np.ones(params.n_sup, dtype=np.int64),
-    )
-    return _nonzero_mask_distribution(state["probs"][2])

@@ -195,9 +195,6 @@ class AnnotationSet:
                 out.append(qid)
         return out
 
-    def positives_of(self, qid: str) -> list[str]:
-        return [c for q, c, y in self.pairs if q == qid and y == 1]
-
     def validate_against(self, corpus: Corpus) -> None:
         for qid, cid, _ in self.pairs:
             corpus.document(QUERY, qid)

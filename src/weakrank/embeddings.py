@@ -115,16 +115,6 @@ class SkipGramTrainer:
     def _draw_negatives(self, n: int) -> np.ndarray:
         return np.searchsorted(self._noise_cum, self.rng.random(n))
 
-    def loss_on_pairs(self, centers: np.ndarray, contexts: np.ndarray,
-                      negatives: np.ndarray) -> float:
-        """Mean binary objective on a fixed batch (contexts positive, negatives
-        per pair negative); used for training sanity checks."""
-        h = self.w_in[centers]
-        pos = log_sigmoid(np.einsum("id,id->i", h, self.w_out[contexts]))
-        neg_scores = np.einsum("id,ind->in", h, self.w_out[negatives])
-        neg = log_sigmoid(-neg_scores).sum(axis=1)
-        return float(-(pos + neg).mean())
-
     def _block_targets(self, contexts: np.ndarray, n_ctx: np.ndarray):
         """Each centre's targets (its contexts, then ``neg`` negatives per
         context) laid end to end, their labels, and each centre's offset."""

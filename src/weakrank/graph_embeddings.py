@@ -41,12 +41,6 @@ def _check_no_isolated(graph: HetGraph) -> None:
 # random walks
 
 
-def walk_transition_probs(graph: HetGraph, cur: int) -> tuple[np.ndarray, np.ndarray]:
-    """Next-node law for plain walks: proportional to edge weight."""
-    w = graph.weights[cur]
-    return graph.neighbors[cur], w / w.sum()
-
-
 def biased_transition_probs(
     graph: HetGraph, prev: int, cur: int, p: float, q: float
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -170,12 +164,6 @@ class EdgeProximityTrainer:
     def _draw(self, cum: np.ndarray, n: int) -> np.ndarray:
         return np.searchsorted(cum, self.rng.random(n))
 
-    def loss_on(self, src: np.ndarray, dst: np.ndarray, negs: np.ndarray) -> float:
-        h = self.emb[src]
-        pos = log_sigmoid(np.einsum("id,id->i", h, self.ctx[dst]))
-        neg = log_sigmoid(-np.einsum("id,ind->in", h, self.ctx[negs])).sum(axis=1)
-        return float(-(pos + neg).mean())
-
     def train_batch(self, batch_size: int) -> float:
         idx = self._draw(self._edge_cum, batch_size)
         src, dst = self.edge_src[idx], self.edge_dst[idx]
@@ -239,12 +227,6 @@ class AggregationTrainer:
     def embeddings(self) -> np.ndarray:
         H, _ = sage_forward(self.features, self.A, self.layers, self.M0)
         return H
-
-    def loss_on(self, pairs: np.ndarray, negs: np.ndarray) -> float:
-        Z = self.embeddings()
-        pos = log_sigmoid(np.einsum("id,id->i", Z[pairs[:, 0]], Z[pairs[:, 1]]))
-        neg = log_sigmoid(-np.einsum("id,ind->in", Z[pairs[:, 0]], Z[negs])).sum(axis=1)
-        return float(-(pos + neg).mean())
 
     def train_batch(self, pairs: np.ndarray) -> float:
         B = len(pairs)

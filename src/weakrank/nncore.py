@@ -1,8 +1,9 @@
 """Minimal differentiable numerics: explicit forward/backward pairs.
 
-No autodiff graph. Every op returns (output, cache); the matching backward
-consumes the cache, returns input gradients, and accumulates parameter
-gradients in place. All values are float64. ``dense_backward(...,
+No autodiff graph. Every trained op returns (output, cache); the matching
+backward consumes the cache, returns input gradients, and accumulates
+parameter gradients in place. Kernel pooling runs only on frozen word
+cosines, so it is forward-only. All values are float64. ``dense_backward(...,
 input_grad=False)`` is for a frozen input: it skips the input gradient and
 returns None. The row cosine masks only when some row has a zero norm;
 without one it computes directly, with bitwise the masked formula's values.
@@ -135,17 +136,15 @@ def scatter_add_rows(table: np.ndarray, idx: np.ndarray, rows: np.ndarray) -> No
 
 
 def dense_forward(x: np.ndarray, W: ParamTensor, b: ParamTensor | None, act: str = "identity"):
-    """y = act(W x + b). Accepts a single vector or a (batch, d_in) matrix."""
+    """y = act(x W^T + b) for a (batch, d_in) matrix x."""
     if act not in ACTIVATIONS:
         raise ValueError(f"unknown activation {act!r}")
     x = np.asarray(x, dtype=np.float64)
-    single = x.ndim == 1
-    x2 = x[None, :] if single else x
-    if x2.shape[1] != W.value.shape[1]:
+    if x.ndim != 2 or x.shape[1] != W.value.shape[1]:
         raise ValueError(
-            f"dense {W.name}: input dim {x2.shape[1]} != weight dim {W.value.shape[1]}"
+            f"dense {W.name}: input shape {x.shape} is not (batch, weight dim {W.value.shape[1]})"
         )
-    pre = x2 @ W.value.T
+    pre = x @ W.value.T
     if b is not None:
         pre = pre + b.value
     if act == "tanh":
@@ -155,33 +154,29 @@ def dense_forward(x: np.ndarray, W: ParamTensor, b: ParamTensor | None, act: str
     else:
         y = pre
     _ensure_finite(f"dense({W.name}) output", y)
-    cache = (x2, pre, y, W, b, act, single)
-    return (y[0] if single else y), cache
+    return y, (x, pre, y, W, b, act)
 
 
 def dense_backward(dy: np.ndarray, cache, input_grad: bool = True):
-    """Accumulates into W.grad / b.grad; returns dx matching x's shape.
+    """Accumulates into W.grad / b.grad; returns dx, shaped like x.
 
     ``input_grad=False`` is for a frozen input: it skips ``dpre @ W`` and
     returns None. The parameter gradients are the same either way.
     """
-    x2, pre, y, W, b, act, single = cache
-    dy2 = np.asarray(dy, dtype=np.float64)
-    if single:
-        dy2 = dy2[None, :]
+    x, pre, y, W, b, act = cache
+    dy = np.asarray(dy, dtype=np.float64)
     if act == "tanh":
-        dpre = dy2 * (1.0 - y * y)
+        dpre = dy * (1.0 - y * y)
     elif act == "relu":
-        dpre = dy2 * (pre > 0.0)
+        dpre = dy * (pre > 0.0)
     else:
-        dpre = dy2
-    W.grad += dpre.T @ x2
+        dpre = dy
+    W.grad += dpre.T @ x
     if b is not None:
         b.grad += dpre.sum(axis=0)
     if not input_grad:
         return None
-    dx = dpre @ W.value
-    return dx[0] if single else dx
+    return dpre @ W.value
 
 
 # ---------------------------------------------------------------------------
@@ -248,8 +243,7 @@ def kernel_pool_forward(S: np.ndarray, q_counts: np.ndarray, c_counts: np.ndarra
     words) and ``c_counts`` (candidates, candidate words), each document's
     count of each word. ``negative_exponent=False`` flips the exponent sign;
     that variant grows without bound as |s - mu| does and exists only for
-    comparison runs. Returns ((H, queries, candidates), cache). The cache
-    holds only the inputs: the backward recomputes one kernel at a time.
+    comparison runs. Returns the (H, queries, candidates) pooled array.
     """
     mus = np.asarray(mus, dtype=np.float64)
     sigmas = np.asarray(sigmas, dtype=np.float64)
@@ -262,20 +256,7 @@ def kernel_pool_forward(S: np.ndarray, q_counts: np.ndarray, c_counts: np.ndarra
     for h in range(len(mus)):
         g = np.exp(sign * (S - mus[h]) ** 2 / (2.0 * sigmas[h] ** 2))
         pooled[h] = q_counts @ np.log(g @ c_counts.T + _EPS_LOG)
-    return pooled, (S, q_counts, c_counts, mus, sigmas, sign)
-
-
-def kernel_pool_backward(dpooled: np.ndarray, cache) -> np.ndarray:
-    """Gradient with respect to ``S``; the counts are data."""
-    S, q_counts, c_counts, mus, sigmas, sign = cache
-    dS = np.zeros_like(S)
-    for h in range(len(mus)):
-        diff = S - mus[h]
-        g = np.exp(sign * diff ** 2 / (2.0 * sigmas[h] ** 2))
-        dK = (q_counts.T @ dpooled[h]) / (g @ c_counts.T + _EPS_LOG)
-        # dg_h/dS = g_h * sign * (S - mu_h) / sigma_h^2
-        dS += (dK @ c_counts) * g * (sign * diff) / sigmas[h] ** 2
-    return dS
+    return pooled
 
 
 # ---------------------------------------------------------------------------
@@ -384,14 +365,9 @@ class OptimizerState:
         return self._flat[1], self._flat[2]
 
 
-def optimizer_step(params, state: OptimizerState) -> None:
-    """Apply one update from the accumulated gradients.
-
-    The update runs on the group's flat buffers. A plain sequence of tensors
-    is first packed into a new ``ParamGroup``, which rebinds their values and
-    gradients to views of its buffers.
-    """
-    group = params if isinstance(params, ParamGroup) else ParamGroup(params)
+def optimizer_step(group: ParamGroup, state: OptimizerState) -> None:
+    """Apply one update from the accumulated gradients, on the group's flat
+    buffers."""
     g = group.grads
     if not np.isfinite(g).all():
         raise ValueError(f"non-finite gradient for parameter {group.first_nonfinite(g)!r}")
@@ -411,40 +387,3 @@ def optimizer_step(params, state: OptimizerState) -> None:
         raise ValueError(
             f"non-finite values in parameter {group.first_nonfinite(group.values)!r} after update"
         )
-
-
-# ---------------------------------------------------------------------------
-# finite-difference gradient checking
-
-
-def finite_difference_check(forward_backward, tensors, h: float = 1e-5,
-                            denom_floor: float = 1e-3) -> float:
-    """Max relative error between analytic and central-difference gradients.
-
-    ``forward_backward()`` must return the scalar loss and leave gradients in
-    ``tensors`` (it is responsible for zeroing them first). Every coordinate
-    of every tensor is perturbed.
-    """
-    tensors = list(tensors)
-    loss0 = forward_backward()
-    analytic = [t.grad.copy() for t in tensors]
-    worst = 0.0
-    for t, a in zip(tensors, analytic):
-        flat = t.value.reshape(-1)
-        aflat = a.reshape(-1)
-        for idx in range(flat.size):
-            orig = flat[idx]
-            flat[idx] = orig + h
-            lp = forward_backward()
-            flat[idx] = orig - h
-            lm = forward_backward()
-            flat[idx] = orig
-            numeric = (lp - lm) / (2.0 * h)
-            denom = max(abs(aflat[idx]), abs(numeric), denom_floor)
-            worst = max(worst, abs(aflat[idx] - numeric) / denom)
-    # restore the analytic gradients for the caller
-    forward_backward()
-    for t, a in zip(tensors, analytic):
-        np.copyto(t.grad, a)
-    del loss0
-    return worst

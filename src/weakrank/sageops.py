@@ -14,10 +14,12 @@ A step whose loss reads only some nodes passes them as ``rows``: strictly
 increasing node indices. The last layer is then computed at those rows only,
 from ``concat(H[rows], A[rows] @ H)``, and its backward sends the gradient to
 the layer below through ``A[rows].T``; the layers below stay full-graph,
-because the rows' sampled neighbors need them. ``sage_forward(..., rows=r)``
-is bitwise ``sage_forward(...)[r]``, and ``sage_backward`` of a gradient at
-those rows accumulates bitwise the layer gradients of the full backward with
-a gradient that is zero outside them. Fewer than ``MIN_ROWS`` rows run the
+because the rows' sampled neighbors need them. The forward's caches carry
+the rows and the ``A[rows]`` block, so the backward runs at the rows the
+forward used. ``sage_forward(..., rows=r)`` is bitwise
+``sage_forward(...)[r]``, and ``sage_backward`` of a gradient at those rows
+accumulates bitwise the layer gradients of the full backward with a
+gradient that is zero outside them. Fewer than ``MIN_ROWS`` rows run the
 full graph and are sliced, which keeps that equality for any row count.
 """
 
@@ -64,26 +66,20 @@ def create_layers(name: str, dims: list[int], rng: np.random.Generator,
     )
 
 
-def sage_input(H0: np.ndarray, A: np.ndarray, rows: np.ndarray | None = None) -> np.ndarray:
-    """A layer's input concat(H0, A @ H0), at ``rows`` only when given. The
-    first layer's is constant while the node features and the neighbor
-    sample are."""
-    if rows is None:
-        return np.concatenate([H0, A @ H0], axis=1)
-    return np.concatenate([H0[rows], A[rows] @ H0], axis=1)
+def sage_input(H0: np.ndarray, A: np.ndarray) -> np.ndarray:
+    """A layer's input concat(H0, A @ H0). The first layer's is constant
+    while the node features and the neighbor sample are."""
+    return np.concatenate([H0, A @ H0], axis=1)
 
 
-def _top_rows(rows: np.ndarray | None, n: int) -> np.ndarray | None:
-    """The nodes the last layer is computed at: ``rows``, or None (all of
-    them) when there are fewer than ``MIN_ROWS``. A duplicate row would drop
-    a gradient under a fancy-index ``+=``, so they are rejected."""
-    if rows is None:
-        return None
+def _valid_rows(rows, n: int) -> np.ndarray:
+    """``rows`` as an array, checked to be strictly increasing node indices:
+    a duplicate would drop a gradient under a fancy-index ``+=``."""
     r = np.asarray(rows)
     if (r.ndim != 1 or not np.issubdtype(r.dtype, np.integer) or np.any(r[1:] <= r[:-1])
             or (len(r) and (r[0] < 0 or r[-1] >= n))):
         raise ValueError(f"rows must be strictly increasing node indices in [0, {n})")
-    return r if len(r) >= MIN_ROWS else None
+    return r
 
 
 def sage_forward(H0: np.ndarray, A: np.ndarray, layers: list[ParamTensor],
@@ -91,38 +87,48 @@ def sage_forward(H0: np.ndarray, A: np.ndarray, layers: list[ParamTensor],
     """Returns (H_L, caches). With no layers this is the identity on H0.
     ``M0``, when given, is ``sage_input(H0, A)``; the first layer then uses it
     as is, with bitwise the same result. With ``rows``, H_L holds only those
-    nodes' rows (see the module docstring)."""
-    top = _top_rows(rows, len(A))
+    nodes' rows (see the module docstring). ``caches`` holds the layers'
+    (dense cache, input width) pairs, the checked rows (or None) and, when
+    the last layer ran at the rows, the ``A[rows]`` block it gathered (or
+    None)."""
+    A_top = None
+    if rows is not None:
+        rows = _valid_rows(rows, len(A))
+        if len(rows) >= MIN_ROWS and layers:
+            A_top = A[rows]
     H = H0
-    caches = []
+    layer_caches = []
     for l, W in enumerate(layers):
-        at = top if l == len(layers) - 1 else None
+        at_rows = A_top is not None and l == len(layers) - 1
         if l == 0 and M0 is not None:
-            M = M0 if at is None else M0[at]
+            M = M0[rows] if at_rows else M0
+        elif at_rows:
+            M = np.concatenate([H[rows], A_top @ H], axis=1)
         else:
-            M = sage_input(H, A, at)
+            M = sage_input(H, A)
         H_next, cache = dense_forward(M, W, None, "relu")
-        caches.append((cache, H.shape[1]))
+        layer_caches.append((cache, H.shape[1]))
         H = H_next
-    if rows is not None and (top is None or not layers):
+    if rows is not None and A_top is None:
         H = H[rows]
-    return H, caches
+    return H, (layer_caches, rows, A_top)
 
 
-def sage_backward(dHL: np.ndarray, A: np.ndarray, caches, rows: np.ndarray | None = None) -> None:
+def sage_backward(dHL: np.ndarray, A: np.ndarray, caches) -> None:
     """Backprop through the stack; accumulates into each layer's W.grad. The
-    first layer computes no gradient into the frozen input features. With
-    ``rows``, ``dHL`` is the gradient at the rows ``sage_forward`` returned."""
-    top = _top_rows(rows, len(A))
+    first layer computes no gradient into the frozen input features. When
+    the forward was given ``rows``, ``dHL`` is the gradient at the rows it
+    returned."""
+    layer_caches, rows, A_top = caches
     dH = dHL
-    if rows is not None and top is None:  # the forward ran the full graph
+    if rows is not None and A_top is None:  # the forward ran the full graph
         dH = np.zeros((len(A), dHL.shape[1]))
         dH[rows] = dHL
-    for l in range(len(caches) - 1, -1, -1):
-        cache, d_in = caches[l]
+    for l in range(len(layer_caches) - 1, -1, -1):
+        cache, d_in = layer_caches[l]
         dM = dense_backward(dH, cache, input_grad=l > 0)
-        if l > 0 and top is not None and l == len(caches) - 1:
-            dH = A[top].T @ dM[:, d_in:]
-            dH[top] += dM[:, :d_in]
+        if l > 0 and A_top is not None and l == len(layer_caches) - 1:
+            dH = A_top.T @ dM[:, d_in:]
+            dH[rows] += dM[:, :d_in]
         elif l > 0:
             dH = dM[:, :d_in] + A.T @ dM[:, d_in:]

@@ -120,7 +120,7 @@ class RankerBackbone:
         for lo in range(0, len(q_words), step):
             S = hats[q_words[lo:lo + step]] @ c_hats.T  # (query words, candidate words)
             pooled += kernel_pool_forward(S, q_counts[:, lo:lo + step], c_counts, mus, sigmas,
-                                          negative_exponent)[0]
+                                          negative_exponent)
         phi = np.ascontiguousarray(pooled.transpose(1, 2, 0))
         self._phi_cache[key] = phi
         return phi
@@ -346,7 +346,7 @@ class GraphAggregationRanker(_Ranker):
         loss, dZq, (dZp, dZn) = _pair_cosine_loss(*(Z[i] for i in at.reshape(3, -1)))
         dZ = np.zeros(Z.shape)
         scatter_add_rows(dZ, at, np.concatenate([dZq, dZp, dZn]))
-        sage_backward(dZ, self.A, caches, rows=nodes)  # node features are frozen
+        sage_backward(dZ, self.A, caches)  # node features are frozen
         _check_loss(self, loss, batch)
         return loss
 

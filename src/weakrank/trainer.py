@@ -113,6 +113,15 @@ class RunConfig(SearchSettings):
             raise ValueError("episode budget and sample count must be >= 1")
         if self.episode_sup_epochs < 1 or self.final_sup_epochs < 1:
             raise ValueError("supervised epoch budgets must be >= 1")
+        if self.final_patience < 0 or self.early_stop_patience < 0:
+            raise ValueError("final_patience and early_stop_patience must be >= 0")
+        if self.sup_batch_size < 1 or self.n_neg_per_pos < 1:
+            raise ValueError("sup_batch_size and n_neg_per_pos must be >= 1")
+        OptimizerState(self.sup_optimizer, lr=self.sup_lr)  # rejects an unknown optimizer
+        if self.eval_negatives < 0:
+            raise ValueError("eval_negatives must be >= 0")
+        if self.backbone_dim < 1 or self.graph_sample_size < 1:
+            raise ValueError("backbone_dim and graph_sample_size must be >= 1")
         if not self.k_values:
             raise ValueError("k_values must be non-empty")
         if self.best_selection not in ("reward", "greedy"):
@@ -415,7 +424,7 @@ def _config_signature(config: Configuration) -> str:
 
 def _train_selected_models(
     mask, labels_k: int, agg, backbone, config: RunConfig, epochs: int,
-    seed_label: str, eval_fn_builder=None, patience: int = 0,
+    seed_label: str, eval_fn=None, patience: int = 0,
 ):
     """Train the rankers a mask selects on the top-k pseudo labels of ``agg``."""
     triples = sample_training_pairs(
@@ -436,7 +445,7 @@ def _train_selected_models(
             lr=opt.lr,
             seed=derive_seed(config.seed, "sup-train", spec.name, seed_label),
             batch_size=config.sup_batch_size,
-            eval_fn=None if eval_fn_builder is None else eval_fn_builder(spec),
+            eval_fn=eval_fn,
             patience=patience,
             optimizer_state=opt,
         )
@@ -600,16 +609,13 @@ def joint_train(
     # final retrain of the winning configuration at the larger budget
     agg = aggregate(matrices, best_config.unsup_mask, normalize=config.normalize_scores)
 
-    def eval_fn_builder(spec):
-        def eval_fn(model):
-            return mrr(val_lists, score_lists_with_ensemble(val_lists, [model]))
-
-        return eval_fn
+    def eval_fn(model):
+        return mrr(val_lists, score_lists_with_ensemble(val_lists, [model]))
 
     final_models, final_opts = _train_selected_models(
         best_config.sup_mask, best_config.k_value, agg, backbone, config,
         epochs=config.final_sup_epochs, seed_label="final:" + _config_signature(best_config),
-        eval_fn_builder=eval_fn_builder, patience=config.final_patience,
+        eval_fn=eval_fn, patience=config.final_patience,
     )
 
     validation_metrics = all_metrics(val_lists, score_lists_with_ensemble(val_lists, final_models))

@@ -1,0 +1,190 @@
+"""Test-side oracles: code the tests check production against.
+
+None of this runs in a search. It holds the exact enumeration of the
+controller's sampling law, the central finite-difference gradient checker,
+the gradient of kernel pooling (production runs the pooling forward-only,
+on frozen word cosines), the plain walk's transition law, and the
+objectives the embedding trainers minimise, evaluated on a fixed batch.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from weakrank.controller import Clamp, ControllerParams, _traverse
+from weakrank.graph import HetGraph
+from weakrank.nncore import _EPS_LOG, log_sigmoid
+
+# ---------------------------------------------------------------------------
+# exact policy enumeration (small registries only)
+
+
+def _nonzero_mask_distribution(probs: np.ndarray) -> dict[tuple[int, ...], float]:
+    """Joint law of a Bernoulli mask conditioned on not being all-zero, which
+    is what redraw-until-nonzero sampling converges to."""
+    n = len(probs)
+    if n > 16:
+        raise ValueError("mask enumeration is limited to 16 choices")
+    out = {}
+    total = 0.0
+    for bits in range(1, 2**n):
+        mask = tuple((bits >> i) & 1 for i in range(n))
+        p = float(np.prod([probs[i, m] for i, m in enumerate(mask)]))
+        out[mask] = p
+        total += p
+    return {m: p / total for m, p in out.items()}
+
+
+def enumerate_policy(params: ControllerParams, clamp: Clamp | None = None) -> dict:
+    """Exact marginals of the sampling policy, resampling correction included.
+
+    Enumerates every non-zero step-1 mask (so the unsupervised registry must
+    stay small), then every k, then the step-3 marginals conditioned on each
+    prefix. Returns marginal select probabilities per step.
+    """
+    clamp = clamp or Clamp()
+    p_unsup = np.zeros(params.n_unsup)
+    p_k = np.zeros(params.n_k)
+    p_sup = np.zeros(params.n_sup)
+
+    def probs_for(mask, k_index):
+        state = _traverse(
+            params,
+            lambda probs: np.asarray(mask),
+            lambda probs: k_index if k_index is not None else 0,
+            lambda probs: np.zeros(params.n_sup, dtype=np.int64) + 1,
+        )
+        return state["probs"]
+
+    if clamp.unsup_mask is not None:
+        mask_dist = {tuple(clamp.unsup_mask): 1.0}
+    else:
+        probs1 = probs_for(tuple([1] * params.n_unsup), 0)[0]
+        mask_dist = _nonzero_mask_distribution(probs1)
+
+    for mask, pm in mask_dist.items():
+        p_unsup += pm * np.asarray(mask)
+        probs2 = probs_for(mask, 0)[1]
+        if clamp.k_index is not None:
+            k_dist = {clamp.k_index: 1.0}
+        else:
+            k_dist = {t: float(probs2[t]) for t in range(params.n_k)}
+        for t, pk in k_dist.items():
+            p_k[t] += pm * pk
+            probs3 = probs_for(mask, t)[2]
+            if clamp.sup_mask is not None:
+                sup_marg = np.asarray(clamp.sup_mask, dtype=np.float64)
+            else:
+                sup_dist = _nonzero_mask_distribution(probs3)
+                sup_marg = np.zeros(params.n_sup)
+                for smask, sp in sup_dist.items():
+                    sup_marg += sp * np.asarray(smask)
+            p_sup += pm * pk * sup_marg
+    return {"unsup": p_unsup, "k": p_k, "sup": p_sup}
+
+
+def sup_mask_distribution(params: ControllerParams, unsup_mask, k_index: int) -> dict:
+    """Exact step-3 mask law for a fixed prefix (resampling correction included)."""
+    state = _traverse(
+        params,
+        lambda probs: np.asarray(unsup_mask),
+        lambda probs: k_index,
+        lambda probs: np.ones(params.n_sup, dtype=np.int64),
+    )
+    return _nonzero_mask_distribution(state["probs"][2])
+
+
+# ---------------------------------------------------------------------------
+# finite-difference gradient checking
+
+
+def finite_difference_check(forward_backward, tensors, h: float = 1e-5,
+                            denom_floor: float = 1e-3) -> float:
+    """Max relative error between analytic and central-difference gradients.
+
+    ``forward_backward()`` must return the scalar loss and leave gradients in
+    ``tensors`` (it is responsible for zeroing them first). Every coordinate
+    of every tensor is perturbed.
+    """
+    tensors = list(tensors)
+    loss0 = forward_backward()
+    analytic = [t.grad.copy() for t in tensors]
+    worst = 0.0
+    for t, a in zip(tensors, analytic):
+        flat = t.value.reshape(-1)
+        aflat = a.reshape(-1)
+        for idx in range(flat.size):
+            orig = flat[idx]
+            flat[idx] = orig + h
+            lp = forward_backward()
+            flat[idx] = orig - h
+            lm = forward_backward()
+            flat[idx] = orig
+            numeric = (lp - lm) / (2.0 * h)
+            denom = max(abs(aflat[idx]), abs(numeric), denom_floor)
+            worst = max(worst, abs(aflat[idx] - numeric) / denom)
+    # restore the analytic gradients for the caller
+    forward_backward()
+    for t, a in zip(tensors, analytic):
+        np.copyto(t.grad, a)
+    del loss0
+    return worst
+
+
+# ---------------------------------------------------------------------------
+# kernel pooling's gradient
+
+
+def kernel_pool_backward(dpooled: np.ndarray, S: np.ndarray, q_counts: np.ndarray,
+                         c_counts: np.ndarray, mus, sigmas,
+                         negative_exponent: bool = True) -> np.ndarray:
+    """Gradient of ``nncore.kernel_pool_forward`` (same arguments) with
+    respect to ``S``; the counts are data."""
+    mus = np.asarray(mus, dtype=np.float64)
+    sigmas = np.asarray(sigmas, dtype=np.float64)
+    sign = -1.0 if negative_exponent else 1.0
+    dS = np.zeros_like(S)
+    for h in range(len(mus)):
+        diff = S - mus[h]
+        g = np.exp(sign * diff ** 2 / (2.0 * sigmas[h] ** 2))
+        dK = (q_counts.T @ dpooled[h]) / (g @ c_counts.T + _EPS_LOG)
+        # dg_h/dS = g_h * sign * (S - mu_h) / sigma_h^2
+        dS += (dK @ c_counts) * g * (sign * diff) / sigmas[h] ** 2
+    return dS
+
+
+# ---------------------------------------------------------------------------
+# random-walk law and embedding objectives
+
+
+def walk_transition_probs(graph: HetGraph, cur: int) -> tuple[np.ndarray, np.ndarray]:
+    """Next-node law for plain walks: proportional to edge weight."""
+    w = graph.weights[cur]
+    return graph.neighbors[cur], w / w.sum()
+
+
+def skipgram_loss(trainer, centers: np.ndarray, contexts: np.ndarray,
+                  negatives: np.ndarray) -> float:
+    """A ``SkipGramTrainer``'s mean binary objective on a fixed batch
+    (contexts positive, negatives per pair negative)."""
+    h = trainer.w_in[centers]
+    pos = log_sigmoid(np.einsum("id,id->i", h, trainer.w_out[contexts]))
+    neg_scores = np.einsum("id,ind->in", h, trainer.w_out[negatives])
+    neg = log_sigmoid(-neg_scores).sum(axis=1)
+    return float(-(pos + neg).mean())
+
+
+def proximity_loss(trainer, src: np.ndarray, dst: np.ndarray, negs: np.ndarray) -> float:
+    """An ``EdgeProximityTrainer``'s objective on fixed edges and negatives."""
+    h = trainer.emb[src]
+    pos = log_sigmoid(np.einsum("id,id->i", h, trainer.ctx[dst]))
+    neg = log_sigmoid(-np.einsum("id,ind->in", h, trainer.ctx[negs])).sum(axis=1)
+    return float(-(pos + neg).mean())
+
+
+def aggregation_loss(trainer, pairs: np.ndarray, negs: np.ndarray) -> float:
+    """An ``AggregationTrainer``'s objective on fixed pairs and negatives."""
+    Z = trainer.embeddings()
+    pos = log_sigmoid(np.einsum("id,id->i", Z[pairs[:, 0]], Z[pairs[:, 1]]))
+    neg = log_sigmoid(-np.einsum("id,ind->in", Z[pairs[:, 0]], Z[negs])).sum(axis=1)
+    return float(-(pos + neg).mean())

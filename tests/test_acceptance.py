@@ -17,14 +17,18 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from oracles import (
+    enumerate_policy,
+    finite_difference_check,
+    kernel_pool_backward,
+    sup_mask_distribution,
+)
 from weakrank.bm25 import bm25_matrix
 from weakrank.controller import (
     BaselineState,
     ControllerParams,
-    enumerate_policy,
     reinforce_update,
     sample_configuration,
-    sup_mask_distribution,
 )
 from weakrank.corpus import build_corpus, split_annotations
 from weakrank.graph import build_graph
@@ -37,9 +41,7 @@ from weakrank.nncore import (
     cosine_rows_forward,
     dense_backward,
     dense_forward,
-    finite_difference_check,
     init_param,
-    kernel_pool_backward,
     kernel_pool_forward,
     lstm_backward,
     lstm_forward,
@@ -116,18 +118,18 @@ def test_criterion_2_gradient_suite():
     for seed in range(20):
         rng = np.random.default_rng(7000 + seed)
 
-        # dense layer, all activations
+        # dense layer, all activations, on a one-row (batch, d) input
         for act in ("identity", "tanh", "relu"):
             W = init_param("W", (4, 3), rng)
             b = init_param("b", (4,), rng)
-            x = ParamTensor("x", rng.normal(size=3))
-            probe = rng.normal(size=4)
+            x = ParamTensor("x", rng.normal(size=(1, 3)))
+            probe = rng.normal(size=(1, 4))
 
             def fb_dense():
                 zero_grads([W, b, x])
                 y, cache = dense_forward(x.value, W, b, act)
                 x.grad += dense_backward(probe, cache)
-                return float(probe @ y)
+                return float((probe * y).sum())
 
             err = finite_difference_check(fb_dense, [W, b, x])
             worst[f"dense-{act}"] = max(worst.get(f"dense-{act}", 0.0), err)
@@ -147,8 +149,9 @@ def test_criterion_2_gradient_suite():
 
         worst["cosine"] = max(worst.get("cosine", 0.0), finite_difference_check(fb_cos, [U, V]))
 
-        # kernel pooling, the op phi_features runs: a block of word cosines
-        # against integer word counts (some repeated, some absent), both signs
+        # kernel pooling, the forward phi_features runs, against the test-side
+        # backward: a block of word cosines against integer word counts (some
+        # repeated, some absent), both signs
         mus = np.array([0.9, 0.5, -0.3])
         S = ParamTensor("S", rng.uniform(-1, 1, size=(4, 5)))
         q_counts = rng.integers(0, 3, size=(2, 4)).astype(np.float64)
@@ -159,9 +162,10 @@ def test_criterion_2_gradient_suite():
 
             def fb_kernel():
                 zero_grads([S])
-                pooled, cache = kernel_pool_forward(S.value, q_counts, c_counts, mus, sigmas,
-                                                    negative_exponent)
-                S.grad += kernel_pool_backward(kprobe, cache)
+                pooled = kernel_pool_forward(S.value, q_counts, c_counts, mus, sigmas,
+                                             negative_exponent)
+                S.grad += kernel_pool_backward(kprobe, S.value, q_counts, c_counts, mus, sigmas,
+                                               negative_exponent)
                 return float((kprobe * pooled).sum())
 
             worst["kernel"] = max(worst.get("kernel", 0.0), finite_difference_check(fb_kernel, [S]))
@@ -180,7 +184,7 @@ def test_criterion_2_gradient_suite():
         def fb_sage():
             zero_grads(layers)
             Z, caches = sage_forward(H0, A, layers, sage_input(H0, A), rows=rows)
-            sage_backward(sprobe, A, caches, rows=rows)
+            sage_backward(sprobe, A, caches)
             return float((sprobe * Z).sum())
 
         worst["sage-rows"] = max(worst.get("sage-rows", 0.0),

@@ -291,15 +291,21 @@ class TestCli:
         assert rc == 2
         assert "unknown configuration key" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("setting", ["episodes=0", "unsup_models=nope"])
+    @pytest.mark.parametrize("setting", [
+        "episodes=0", "unsup_models=nope", "sup_batch_size=0", "n_neg_per_pos=0",
+        "eval_negatives=-1", "graph_sample_size=0", "backbone_dim=0",
+        "early_stop_patience=-1", "final_patience=-1", "sup_optimizer=rmsprop",
+    ])
     @pytest.mark.parametrize("command", [["search"], ["ablate", "--mode", "fix-k", "--sweep"]],
                              ids=["search", "ablate"])
     def test_bad_configuration_writes_nothing(self, synth_dir, tmp_path, capsys,
                                               command, setting):
+        # eval_negatives=20 fits the corpus, so only ``setting`` is at fault
         out = tmp_path / "run"
         rc = main([*command, "--set", f"corpus={synth_dir / 'corpus.json'}",
                    "--set", f"annotations={synth_dir / 'annotations.tsv'}",
-                   "--set", f"output_dir={out}", "--set", setting])
+                   "--set", f"output_dir={out}", "--set", "eval_negatives=20",
+                   "--set", setting])
         assert rc == 2
         assert capsys.readouterr().err.startswith("error: ValueError: ")
         assert not out.exists()

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from oracles import enumerate_policy, finite_difference_check, sup_mask_distribution
 from weakrank.controller import (
     BaselineState,
     Clamp,
@@ -8,12 +9,10 @@ from weakrank.controller import (
     ControllerParams,
     EpisodeLog,
     action_log_prob,
-    enumerate_policy,
     reinforce_update,
     sample_configuration,
-    sup_mask_distribution,
 )
-from weakrank.nncore import finite_difference_check, zero_grads
+from weakrank.nncore import zero_grads
 
 K_VALUES = (10, 20, 30, 40, 50)
 

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from oracles import skipgram_loss
 from weakrank.corpus import build_corpus
 from weakrank.embeddings import (
     SEQ_BLOCK,
@@ -114,9 +115,9 @@ class TestTrainTextEmbeddings:
             centers = probe_rng.integers(len(corpus.vocab), size=64)
             contexts = probe_rng.integers(len(corpus.vocab), size=64)
             negs = probe_rng.integers(len(corpus.vocab), size=(64, 5))
-            before = trainer.loss_on_pairs(centers, contexts, negs)
+            before = skipgram_loss(trainer, centers, contexts, negs)
             trainer.train_epoch(sequences)
-            after = trainer.loss_on_pairs(centers, contexts, negs)
+            after = skipgram_loss(trainer, centers, contexts, negs)
             deltas.append(after - before)
         assert np.mean(deltas) < 0
 

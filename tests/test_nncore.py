@@ -4,6 +4,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from oracles import finite_difference_check, kernel_pool_backward
 from weakrank import nncore
 from weakrank.nncore import (
     LstmParams,
@@ -15,9 +16,7 @@ from weakrank.nncore import (
     default_kernel_bank,
     dense_backward,
     dense_forward,
-    finite_difference_check,
     init_param,
-    kernel_pool_backward,
     kernel_pool_forward,
     lstm_backward,
     log_sigmoid,
@@ -92,17 +91,17 @@ class TestDense:
     def test_identity_passthrough(self):
         W = ParamTensor("W", np.eye(3))
         b = ParamTensor("b", np.zeros(3))
-        x = np.array([1.0, -2.0, 3.0])
+        x = np.array([[1.0, -2.0, 3.0]])
         y, _ = dense_forward(x, W, b, "identity")
         assert np.allclose(y, x)
 
     def test_tanh_bounded(self, rng):
         W = init_param("W", (4, 3), rng, scale=1.0)
         b = init_param("b", (4,), rng, scale=1.0)
-        y, _ = dense_forward(rng.normal(size=3), W, b, "tanh")
+        y, _ = dense_forward(rng.normal(size=(1, 3)), W, b, "tanh")
         assert np.all(np.abs(y) < 1.0)
         # float64 saturates at exactly +-1 for huge inputs but never exceeds it
-        y_big, _ = dense_forward(rng.normal(size=3) * 1e3, W, b, "tanh")
+        y_big, _ = dense_forward(rng.normal(size=(1, 3)) * 1e3, W, b, "tanh")
         assert np.all(np.abs(y_big) <= 1.0)
 
     @pytest.mark.parametrize("act", ["identity", "tanh", "relu"])
@@ -110,21 +109,26 @@ class TestDense:
         rng = np.random.default_rng(17)
         W = init_param("W", (4, 3), rng)
         b = init_param("b", (4,), rng)
-        x = ParamTensor("x", rng.normal(size=3))
-        probe = rng.normal(size=4)
+        x = ParamTensor("x", rng.normal(size=(1, 3)))
+        probe = rng.normal(size=(1, 4))
 
         def fb():
             zero_grads([W, b, x])
             y, cache = dense_forward(x.value, W, b, act)
             x.grad += dense_backward(probe, cache)
-            return float(probe @ y)
+            return float((probe * y).sum())
 
         assert finite_difference_check(fb, [W, b, x]) < 1e-4
 
     def test_shape_mismatch(self):
         W = ParamTensor("W", np.zeros((2, 3)))
         with pytest.raises(ValueError, match="dim"):
-            dense_forward(np.zeros(4), W, None)
+            dense_forward(np.zeros((1, 4)), W, None)
+
+    def test_single_vector_rejected(self):
+        W = ParamTensor("W", np.zeros((2, 3)))
+        with pytest.raises(ValueError, match=r"not \(batch, weight dim 3\)"):
+            dense_forward(np.zeros(3), W, None)
 
     def test_batched_matches_loop(self, rng):
         W = init_param("W", (4, 3), rng)
@@ -132,8 +136,8 @@ class TestDense:
         X = rng.normal(size=(5, 3))
         Y, _ = dense_forward(X, W, b, "tanh")
         for i in range(5):
-            yi, _ = dense_forward(X[i], W, b, "tanh")
-            assert np.allclose(Y[i], yi)
+            yi, _ = dense_forward(X[i:i + 1], W, b, "tanh")
+            assert np.allclose(Y[i], yi[0])
 
     @pytest.mark.parametrize("act", ["identity", "tanh", "relu"])
     @pytest.mark.parametrize("with_bias", [True, False])
@@ -261,14 +265,15 @@ def _pool(S, mus, sigmas, negative_exponent=True):
     """One query holding each row word once against one candidate holding
     each column word once: pooled[h] = sum over rows of log(K_h(row) + eps)."""
     S = np.atleast_2d(np.asarray(S, dtype=np.float64))
-    pooled, _ = kernel_pool_forward(S, np.ones((1, S.shape[0])), np.ones((1, S.shape[1])),
-                                    mus, sigmas, negative_exponent)
+    pooled = kernel_pool_forward(S, np.ones((1, S.shape[0])), np.ones((1, S.shape[1])),
+                                 mus, sigmas, negative_exponent)
     return pooled[:, 0, 0]
 
 
 def _kernel_fd(rng, negative_exponent, sigmas):
-    """Finite-difference error of the kernel op's gradient w.r.t. the cosines,
-    with random integer counts (some words repeated, some absent)."""
+    """Finite-difference error of the test-side kernel gradient w.r.t. the
+    cosines against the production forward, with random integer counts (some
+    words repeated, some absent)."""
     mus = np.array([0.9, 0.5, -0.3])
     S = ParamTensor("S", rng.uniform(-1, 1, size=(4, 5)))
     q_counts = rng.integers(0, 3, size=(2, 4)).astype(np.float64)
@@ -277,9 +282,9 @@ def _kernel_fd(rng, negative_exponent, sigmas):
 
     def fb():
         zero_grads([S])
-        pooled, cache = kernel_pool_forward(S.value, q_counts, c_counts, mus, sigmas,
-                                            negative_exponent)
-        S.grad += kernel_pool_backward(probe, cache)
+        pooled = kernel_pool_forward(S.value, q_counts, c_counts, mus, sigmas, negative_exponent)
+        S.grad += kernel_pool_backward(probe, S.value, q_counts, c_counts, mus, sigmas,
+                                       negative_exponent)
         return float((probe * pooled).sum())
 
     return finite_difference_check(fb, [S])
@@ -363,12 +368,12 @@ class TestOptimizers:
     def test_sgd_basic(self):
         p = ParamTensor("p", np.array([1.0]))
         p.grad[:] = 1.0
-        optimizer_step([p], OptimizerState("sgd", lr=0.1))
+        optimizer_step(ParamGroup([p]), OptimizerState("sgd", lr=0.1))
         assert p.value[0] == pytest.approx(0.9)
 
     def test_sgd_zero_gradient_no_change(self):
         p = ParamTensor("p", np.array([2.0, -1.0]))
-        optimizer_step([p], OptimizerState("sgd", lr=0.1))
+        optimizer_step(ParamGroup([p]), OptimizerState("sgd", lr=0.1))
         assert np.array_equal(p.value, np.array([2.0, -1.0]))
 
     def test_adam_first_step_moves_by_lr(self):
@@ -376,14 +381,14 @@ class TestOptimizers:
         # lr * g / (|g| + eps) which is about lr for g > 0.
         p = ParamTensor("p", np.array([1.0]))
         p.grad[:] = 0.37
-        optimizer_step([p], OptimizerState("adam", lr=0.01))
+        optimizer_step(ParamGroup([p]), OptimizerState("adam", lr=0.01))
         assert p.value[0] == pytest.approx(1.0 - 0.01, abs=1e-6)
 
     def test_nonfinite_gradient_names_parameter(self):
         p = ParamTensor("theta", np.array([1.0]))
         p.grad[:] = np.nan
         with pytest.raises(ValueError, match="theta"):
-            optimizer_step([p], OptimizerState("sgd", lr=0.1))
+            optimizer_step(ParamGroup([p]), OptimizerState("sgd", lr=0.1))
 
     def test_step_reduces_convex_quadratic(self, rng):
         # f(p) = 0.5 * p'Ap with curvature bound lr < 2/lambda_max
@@ -391,16 +396,17 @@ class TestOptimizers:
         p = ParamTensor("p", rng.normal(size=2))
         f0 = 0.5 * p.value @ A @ p.value
         p.grad[:] = A @ p.value
-        optimizer_step([p], OptimizerState("sgd", lr=0.4))
+        optimizer_step(ParamGroup([p]), OptimizerState("sgd", lr=0.4))
         f1 = 0.5 * p.value @ A @ p.value
         assert f1 < f0
 
     def test_adam_state_tracks_moments(self):
         p = ParamTensor("p", np.array([0.0]))
+        group = ParamGroup([p])
         state = OptimizerState("adam", lr=0.1)
         for _ in range(3):
             p.grad[:] = 1.0
-            optimizer_step([p], state)
+            optimizer_step(group, state)
         assert state.t == 3
         assert "p" in state.moments
 
@@ -518,14 +524,14 @@ class TestFiniteDifferenceHarness:
             rng = np.random.default_rng(1000 + seed)
             W = init_param("W", (3, 3), rng)
             b = init_param("b", (3,), rng)
-            x = ParamTensor("x", rng.normal(size=3))
-            probe = rng.normal(size=3)
+            x = ParamTensor("x", rng.normal(size=(1, 3)))
+            probe = rng.normal(size=(1, 3))
 
             def fb_dense():
                 zero_grads([W, b, x])
                 y, cache = dense_forward(x.value, W, b, "tanh")
                 x.grad += dense_backward(probe, cache)
-                return float(probe @ y)
+                return float((probe * y).sum())
 
             assert finite_difference_check(fb_dense, [W, b, x]) < 1e-4
 

@@ -257,7 +257,7 @@ class TestInfeasibleEvalListsFailFirst:
         """The split with an eleventh positive for its first query, which
         leaves that query nine eligible negatives."""
         qid = split.query_ids[0]
-        positives = set(split.positives_of(qid))
+        positives = {c for q, c, y in split.pairs if q == qid and y == 1}
         other = next(c for c in self.corpus.candidate_ids if c not in positives)
         return AnnotationSet(split.pairs + ((qid, other, 1),), split.split)
 

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from oracles import finite_difference_check
 from weakrank import sup_rankers
 from weakrank.bm25 import bm25_matrix
 from weakrank.corpus import build_corpus
@@ -12,7 +13,6 @@ from weakrank.nncore import (
     cosine_rows_backward,
     cosine_rows_forward,
     dense_backward,
-    finite_difference_check,
     init_param,
     log_sigmoid,
     optimizer_step,
@@ -563,9 +563,9 @@ class TestMatrixScoring:
         for qid, i in backbone.corpus.query_row.items():
             for cid, j in backbone.corpus.candidate_column.items():
                 if kind == "representation":
-                    yq, _ = model._tower(backbone.q_means[i], "q")
-                    yc, _ = model._tower(backbone.c_means[j], "c")
-                    ref[i, j] = cosine_rows_forward(yq[None], yc[None])[0][0]
+                    yq, _ = model._tower(backbone.q_means[i:i + 1], "q")
+                    yc, _ = model._tower(backbone.c_means[j:j + 1], "c")
+                    ref[i, j] = cosine_rows_forward(yq, yc)[0][0]
                 elif kind == "interaction":
                     ref[i, j] = model.phi[i, j] @ model.w.value + model.b.value[0]
                 else:
