@@ -63,7 +63,6 @@ class ParamGroup(tuple):
         self = super().__new__(cls, tensors)
         sizes = [p.value.size for p in self]
         self.bounds = np.cumsum([0] + sizes)
-        self.layout = tuple((p.name, p.value.shape) for p in self)
         self.values = np.zeros(self.bounds[-1])
         self.grads = np.zeros(self.bounds[-1])
         for p, lo, hi in zip(self, self.bounds[:-1], self.bounds[1:]):
@@ -330,10 +329,9 @@ def lstm_backward(dh: np.ndarray, dc: np.ndarray, cache):
 
 @dataclass
 class OptimizerState:
-    """Optimizer hyperparameters and Adam's step count and moments.
-
-    ``moments`` maps each tensor name to its (m, v) pair. Once a step has run
-    they are views into two flat buffers laid out like the group's values.
+    """Optimizer hyperparameters, Adam's step count ``t`` and its running
+    averages ``m`` and ``v``: flat arrays laid out like the group's values,
+    None until the first Adam step allocates them. A state drives one group.
     """
 
     algorithm: str  # "sgd" | "adam"
@@ -342,27 +340,12 @@ class OptimizerState:
     beta2: float = 0.999
     eps: float = 1e-8
     t: int = 0
-    moments: dict = field(default_factory=dict)
-    _flat: tuple | None = field(default=None, repr=False, compare=False)
+    m: np.ndarray | None = field(default=None, repr=False, compare=False)
+    v: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         if self.algorithm not in ("sgd", "adam"):
             raise ValueError(f"unknown optimizer {self.algorithm!r}")
-
-    def flat_moments(self, group: ParamGroup) -> tuple[np.ndarray, np.ndarray]:
-        """Flat (m, v) laid out like ``group``; built, from ``moments`` where
-        a tensor has them and zeros elsewhere, when the layout changes."""
-        if self._flat is None or self._flat[0] != group.layout:
-            m = np.zeros_like(group.values)
-            v = np.zeros_like(group.values)
-            for p, lo, hi in zip(group, group.bounds[:-1], group.bounds[1:]):
-                if p.name in self.moments:
-                    old_m, old_v = self.moments[p.name]
-                    m[lo:hi] = np.ravel(old_m)
-                    v[lo:hi] = np.ravel(old_v)
-                self.moments[p.name] = (m[lo:hi].reshape(p.shape), v[lo:hi].reshape(p.shape))
-            self._flat = (group.layout, m, v)
-        return self._flat[1], self._flat[2]
 
 
 def optimizer_step(group: ParamGroup, state: OptimizerState) -> None:
@@ -377,7 +360,10 @@ def optimizer_step(group: ParamGroup, state: OptimizerState) -> None:
         state.t += 1
         bc1 = 1.0 - state.beta1 ** state.t
         bc2 = 1.0 - state.beta2 ** state.t
-        m, v = state.flat_moments(group)
+        if state.m is None:
+            state.m = np.zeros_like(group.values)
+            state.v = np.zeros_like(group.values)
+        m, v = state.m, state.v
         m *= state.beta1
         m += (1.0 - state.beta1) * g
         v *= state.beta2

@@ -11,8 +11,6 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .bm25 import bm25_matrix
 from .corpus import Corpus
 from .embeddings import node_feature_matrix, score_matrix_from_embeddings, train_text_embeddings

@@ -371,23 +371,23 @@ def train_supervised(
     batch_size: int = 32,
     eval_fn=None,
     patience: int = 0,
-    optimizer_state: OptimizerState | None = None,
+    algorithm: str = "adam",
 ) -> list[float]:
-    """Seeded minibatch Adam on (n, 3) integer (query row, positive column,
-    negative column) triples (``sample_training_pairs``); each epoch permutes
-    the rows and hands the ranker (batch, 3) slices.
+    """Seeded minibatch training on (n, 3) integer (query row, positive
+    column, negative column) triples (``sample_training_pairs``); each epoch
+    permutes the rows and hands the ranker (batch, 3) slices. ``algorithm``
+    is the ``sup_optimizer`` setting, "adam" or "sgd".
 
     Returns the per-epoch mean objective. With ``eval_fn`` the best-scoring
     parameters are restored at the end, and training stops early once the
     metric fails to improve for ``patience`` consecutive epochs (patience 0
-    disables early stopping but still restores the best). Passing an
-    ``optimizer_state`` lets the caller keep it (e.g. for checkpointing) or
-    resume a previous run; it overrides ``lr``.
+    disables early stopping but still restores the best). The optimizer
+    state lives only for this call.
     """
     if not len(triples):
         raise ValueError("empty training stream")
     rng = np.random.default_rng(seed)
-    opt = optimizer_state if optimizer_state is not None else OptimizerState("adam", lr=lr)
+    opt = OptimizerState(algorithm, lr=lr)
     params = model.params()
     curve = []
     best_metric, best_values, stale = -np.inf, None, 0
@@ -454,45 +454,27 @@ def score_lists_with_ensemble(lists, models) -> np.ndarray:
     return out
 
 
-def save_checkpoint(model, path, config_hash: str = "",
-                    optimizer_state: OptimizerState | None = None) -> None:
+def save_checkpoint(model, path, config_hash: str = "") -> None:
     """Self-describing parameter container; load requires the same backbone.
 
     Holds shapes and values of every parameter, the model's hyperparameters
-    and seed, the creating configuration hash, and (when given) the optimizer
-    state so training can resume.
+    and seed, and the creating configuration hash: what ``score`` serves,
+    and no optimizer state.
     """
-    arrays = {p.name: p.value for p in model.params()}
-    opt_meta = None
-    if optimizer_state is not None:
-        opt_meta = {
-            "algorithm": optimizer_state.algorithm,
-            "lr": optimizer_state.lr,
-            "beta1": optimizer_state.beta1,
-            "beta2": optimizer_state.beta2,
-            "eps": optimizer_state.eps,
-            "t": optimizer_state.t,
-            "moment_names": sorted(optimizer_state.moments),
-        }
-        for name in opt_meta["moment_names"]:
-            m, v = optimizer_state.moments[name]
-            arrays[f"opt.m.{name}"] = m
-            arrays[f"opt.v.{name}"] = v
-    save_arrays(path, arrays, meta={
+    save_arrays(path, {p.name: p.value for p in model.params()}, meta={
         "format_version": CHECKPOINT_FORMAT_VERSION,
         "kind": model.kind,
         "name": model.spec.name,
         "params": model.spec.params,
         "seed": model.seed,
         "config_hash": config_hash,
-        "optimizer": opt_meta,
     })
 
 
-def load_checkpoint(path, backbone: RankerBackbone, with_optimizer: bool = False,
-                    config_hash: str | None = None):
+def load_checkpoint(path, backbone: RankerBackbone, config_hash: str | None = None):
     """Rebuild a saved model on ``backbone``. With ``config_hash``, refuse a
-    checkpoint that a different configuration wrote."""
+    checkpoint that a different configuration wrote. Arrays that are not
+    the model's parameters are ignored."""
     arrays, meta = load_arrays(path)
     if meta.get("format_version") != CHECKPOINT_FORMAT_VERSION:
         raise ValueError(f"unsupported checkpoint format_version {meta.get('format_version')!r}")
@@ -508,14 +490,4 @@ def load_checkpoint(path, backbone: RankerBackbone, with_optimizer: bool = False
             raise ValueError(f"checkpoint parameter {p.name!r} has wrong shape")
         np.copyto(p.value, arrays[p.name])
     model.after_update()
-    if not with_optimizer:
-        return model
-    opt_meta = meta.get("optimizer")
-    state = None
-    if opt_meta is not None:
-        state = OptimizerState(opt_meta["algorithm"], lr=opt_meta["lr"],
-                               beta1=opt_meta["beta1"], beta2=opt_meta["beta2"],
-                               eps=opt_meta["eps"], t=opt_meta["t"])
-        for name in opt_meta["moment_names"]:
-            state.moments[name] = (arrays[f"opt.m.{name}"], arrays[f"opt.v.{name}"])
-    return model, state
+    return model

@@ -109,19 +109,20 @@ class RunConfig(SearchSettings):
     k_values: tuple[int, ...] = (10, 20, 30, 40, 50)
 
     def __post_init__(self):
-        if self.episodes < 1 or self.n_monte_carlo < 1:
-            raise ValueError("episode budget and sample count must be >= 1")
-        if self.episode_sup_epochs < 1 or self.final_sup_epochs < 1:
-            raise ValueError("supervised epoch budgets must be >= 1")
-        if self.final_patience < 0 or self.early_stop_patience < 0:
-            raise ValueError("final_patience and early_stop_patience must be >= 0")
-        if self.sup_batch_size < 1 or self.n_neg_per_pos < 1:
-            raise ValueError("sup_batch_size and n_neg_per_pos must be >= 1")
+        for name in ("episodes", "n_monte_carlo", "episode_sup_epochs", "final_sup_epochs",
+                     "sup_batch_size", "n_neg_per_pos", "controller_hidden", "backbone_dim",
+                     "backbone_window", "backbone_neg", "backbone_epochs", "graph_sample_size"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1")
+        for name in ("final_patience", "early_stop_patience", "eval_negatives"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be >= 0")
+        for name in ("controller_lr", "sup_lr", "backbone_lr"):
+            if not 0.0 < getattr(self, name) < np.inf:
+                raise ValueError(f"{name} must be finite and > 0")
         OptimizerState(self.sup_optimizer, lr=self.sup_lr)  # rejects an unknown optimizer
-        if self.eval_negatives < 0:
-            raise ValueError("eval_negatives must be >= 0")
-        if self.backbone_dim < 1 or self.graph_sample_size < 1:
-            raise ValueError("backbone_dim and graph_sample_size must be >= 1")
+        if not 0.0 <= self.baseline_decay <= 1.0:
+            raise ValueError("baseline_decay must be in [0, 1]")
         if not self.k_values:
             raise ValueError("k_values must be non-empty")
         if self.best_selection not in ("reward", "greedy"):
@@ -432,26 +433,23 @@ def _train_selected_models(
         seed=derive_seed(config.seed, "pairs", seed_label),
     )
     models = []
-    opt_states = []
     for selected, spec in zip(mask, config.sup_registry):
         if not selected:
             continue
         model_seed = derive_seed(config.seed, "sup-init", spec.name, seed_label)
         model = create_sup_model(spec, backbone, model_seed)
-        opt = OptimizerState(config.sup_optimizer, lr=spec.params.get("lr", config.sup_lr))
         train_supervised(
             model, triples,
             epochs=epochs,
-            lr=opt.lr,
+            lr=spec.params.get("lr", config.sup_lr),
             seed=derive_seed(config.seed, "sup-train", spec.name, seed_label),
             batch_size=config.sup_batch_size,
             eval_fn=eval_fn,
             patience=patience,
-            optimizer_state=opt,
+            algorithm=config.sup_optimizer,
         )
         models.append(model)
-        opt_states.append(opt)
-    return models, opt_states
+    return models
 
 
 def run_episode(
@@ -479,7 +477,7 @@ def run_episode(
     else:
         agg = aggregate(matrices, cfg.unsup_mask, normalize=config.normalize_scores)
         r_unsup = mrr(val_lists, score_lists_with_matrix(val_lists, agg))
-        models, _ = _train_selected_models(
+        models = _train_selected_models(
             cfg.sup_mask, cfg.k_value, agg, backbone, config,
             epochs=config.episode_sup_epochs, seed_label=sig,
         )
@@ -612,7 +610,7 @@ def joint_train(
     def eval_fn(model):
         return mrr(val_lists, score_lists_with_ensemble(val_lists, [model]))
 
-    final_models, final_opts = _train_selected_models(
+    final_models = _train_selected_models(
         best_config.sup_mask, best_config.k_value, agg, backbone, config,
         epochs=config.final_sup_epochs, seed_label="final:" + _config_signature(best_config),
         eval_fn=eval_fn, patience=config.final_patience,
@@ -645,9 +643,9 @@ def joint_train(
         ckpt_dir.mkdir(exist_ok=True)
         backbone.raw_table.save(ckpt_dir / "backbone.bin")
         config_hash = stable_hash(config.signature())
-        for model, opt in zip(final_models, final_opts):
+        for model in final_models:
             path = ckpt_dir / f"{model.spec.name}.ckpt"
-            save_checkpoint(model, path, config_hash=config_hash, optimizer_state=opt)
+            save_checkpoint(model, path, config_hash=config_hash)
             checkpoint_paths[model.spec.name] = str(path)
         write_json(workdir / "report.json", report)
 

@@ -8,7 +8,6 @@ one line per criterion, or ``-s`` for the printed summaries.
 
 import hashlib
 import json
-import shutil
 import subprocess
 import sys
 import time
@@ -31,9 +30,7 @@ from weakrank.controller import (
     sample_configuration,
 )
 from weakrank.corpus import build_corpus, split_annotations
-from weakrank.graph import build_graph
-from weakrank.ioutil import derive_seed
-from weakrank.metrics import EvalLists, all_metrics, build_eval_lists, mrr, score_lists_with_matrix
+from weakrank.metrics import EvalLists, all_metrics
 from weakrank.nncore import (
     LstmParams,
     ParamTensor,
@@ -47,23 +44,11 @@ from weakrank.nncore import (
     lstm_forward,
     zero_grads,
 )
-from weakrank.pseudo_labels import aggregate, top_k_labels
-from weakrank.registry import (
-    SupModelRegistry,
-    SupModelSpec,
-    UnsupModelRegistry,
-    UnsupModelSpec,
-)
+from weakrank.pseudo_labels import top_k_labels
 from weakrank.sageops import MIN_ROWS, create_layers, sage_backward, sage_forward, sage_input
 from weakrank.scores import ScoreMatrix
-from weakrank.sup_rankers import (
-    _pairwise_loss_grads,
-    create_sup_model,
-    score_lists_with_ensemble,
-    train_supervised,
-)
+from weakrank.sup_rankers import _pairwise_loss_grads
 from weakrank.synthetic import generate_synthetic
-from weakrank.trainer import RunConfig, build_backbone, joint_train, pretrain_all
 
 
 def _announce(criterion: str, detail: str = "") -> None:

@@ -137,14 +137,15 @@ class TestExperimentConfig:
         assert run_config.sup_registry.names == ["interaction"]
 
     def test_every_search_setting_reaches_the_run_config(self):
-        changed = {"best_selection": "greedy", "sup_optimizer": "sgd"}
+        # baseline_decay must stay in [0, 1], so it moves to 0.5 instead of 2.9
+        changed = {"best_selection": "greedy", "sup_optimizer": "sgd", "baseline_decay": 0.5}
         config = ExperimentConfig()
         for f in fields(SearchSettings):
             default = getattr(config, f.name)
             if isinstance(default, bool):
                 changed[f.name] = not default
             elif isinstance(default, (int, float)):
-                changed[f.name] = default + 2
+                changed.setdefault(f.name, default + 2)
             config.set_key(f.name, str(changed[f.name]))
         assert len(changed) == 27
         run_config = config.to_run_config()
@@ -295,6 +296,9 @@ class TestCli:
         "episodes=0", "unsup_models=nope", "sup_batch_size=0", "n_neg_per_pos=0",
         "eval_negatives=-1", "graph_sample_size=0", "backbone_dim=0",
         "early_stop_patience=-1", "final_patience=-1", "sup_optimizer=rmsprop",
+        "controller_hidden=0", "backbone_window=0", "backbone_neg=0", "backbone_epochs=0",
+        "controller_lr=-1", "sup_lr=0", "backbone_lr=-0.1", "sup_lr=inf",
+        "baseline_decay=1.5",
     ])
     @pytest.mark.parametrize("command", [["search"], ["ablate", "--mode", "fix-k", "--sweep"]],
                              ids=["search", "ablate"])

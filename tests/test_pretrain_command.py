@@ -1,7 +1,5 @@
 """``weakrank pretrain`` fills the very cache a later ``search`` reads."""
 
-import pytest
-
 import weakrank.trainer as trainer
 from weakrank.cli import main
 from weakrank.corpus import save_annotations_tsv, split_annotations

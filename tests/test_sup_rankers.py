@@ -7,13 +7,13 @@ from weakrank.bm25 import bm25_matrix
 from weakrank.corpus import build_corpus
 from weakrank.embeddings import train_text_embeddings
 from weakrank.graph import build_graph
+from weakrank.ioutil import load_arrays, save_arrays
 from weakrank.metrics import build_eval_lists, mrr
 from weakrank.nncore import (
     OptimizerState,
     cosine_rows_backward,
     cosine_rows_forward,
     dense_backward,
-    init_param,
     log_sigmoid,
     optimizer_step,
     scatter_add_rows,
@@ -601,19 +601,32 @@ class TestCheckpoints:
         loaded = load_checkpoint(path, mirror_backbone)
         assert loaded.score("q1", "c2") == train_ready
         assert loaded.kind == kind
+        arrays, meta = load_arrays(path)
+        assert sorted(arrays) == sorted(p.name for p in model.params())
+        assert sorted(meta) == ["config_hash", "format_version", "kind", "name", "params", "seed"]
 
-    def test_optimizer_state_roundtrip(self, mirror_backbone, tmp_path):
-        from weakrank.nncore import OptimizerState
-
-        model = create_sup_model(_spec("interaction"), mirror_backbone, seed=1)
-        opt = OptimizerState("adam", lr=0.01)
+    @pytest.mark.parametrize("kind,hp", [
+        ("representation", {"hidden": 8}),
+        ("interaction", {}),
+        ("graph-aggregation", {"hidden": 4, "out_dim": 4}),
+    ])
+    def test_checkpoint_in_the_old_layout_still_loads(self, mirror_backbone, tmp_path, kind, hp):
+        # checkpoints once also held Adam's state: opt.m.*/opt.v.* arrays
+        # and an "optimizer" meta block; the reader skips both
+        model = create_sup_model(_spec(kind, **hp), mirror_backbone, seed=6)
         triples = _triples(mirror_backbone.corpus, [("q1", "c1", "c2"), ("q2", "c2", "c3")] * 8)
-        train_supervised(model, triples, epochs=2, lr=0.01, seed=0, optimizer_state=opt)
-        path = tmp_path / "m.ckpt"
-        save_checkpoint(model, path, config_hash="h", optimizer_state=opt)
-        loaded, state = load_checkpoint(path, mirror_backbone, with_optimizer=True)
-        assert state.t == opt.t and state.algorithm == "adam"
-        for name in opt.moments:
-            assert np.array_equal(state.moments[name][0], opt.moments[name][0])
-            assert np.array_equal(state.moments[name][1], opt.moments[name][1])
-        assert loaded.score("q1", "c2") == model.score("q1", "c2")
+        train_supervised(model, triples, epochs=2, lr=0.01, seed=0)
+        arrays = {p.name: p.value for p in model.params()}
+        for p in model.params():
+            arrays[f"opt.m.{p.name}"] = np.full(p.shape, 0.25)
+            arrays[f"opt.v.{p.name}"] = np.full(p.shape, 0.5)
+        path = tmp_path / "old.ckpt"
+        save_arrays(path, arrays, meta={
+            "format_version": 1, "kind": kind, "name": kind, "params": hp, "seed": 6,
+            "config_hash": "h", "optimizer": {
+                "algorithm": "adam", "lr": 0.01, "beta1": 0.9, "beta2": 0.999, "eps": 1e-8,
+                "t": 4, "moment_names": sorted(p.name for p in model.params())},
+        })
+        loaded = load_checkpoint(path, mirror_backbone, config_hash="h")
+        assert loaded.kind == kind and loaded.seed == 6
+        assert loaded.score_matrix().tobytes() == model.score_matrix().tobytes()

@@ -193,7 +193,7 @@ class TestRunEpisode:
         )
         # replicate the only possible pipeline by hand
         agg = aggregate(matrices, (1,), normalize=config.normalize_scores)
-        models, _ = _train_selected_models(
+        models = _train_selected_models(
             (1,), 10, agg, backbone, config, epochs=config.episode_sup_epochs,
             seed_label='{"I1":[1],"I3":[1],"k":10,"k_index":0}',
         )
