@@ -9,8 +9,11 @@ order of the sequences. It works through that order in blocks of
 ``SEQ_BLOCK`` sequences: NumPy lays out each block's (centre, context)
 windows, draws the block's negatives in one call from the same random
 stream the per-centre draws would use, and sums the block's loss in one
-pass, so the Python loop per centre is left with the step itself. The
-trained vectors are bitwise those of a plain per-centre loop.
+pass, so the Python loop per centre is left with the step itself. The step
+keeps NumPy calls few: the scores land in the block's score vector, the
+sigmoid gradient and the learning-rate scaling run in place, and the
+output-row update scatters through the block's ``targets * dim`` row
+starts. The trained vectors are bitwise those of a plain per-centre loop.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ import numpy as np
 
 from .corpus import Corpus
 from .ioutil import load_arrays, save_arrays
-from .nncore import log_sigmoid, scatter_add_rows, sigmoid
+from .nncore import log_sigmoid
 from .scores import ScoreMatrix
 
 SEQ_BLOCK = 64  # sequences laid out at once: bounds the layout's memory
@@ -135,24 +138,34 @@ class SkipGramTrainer:
         order = self.rng.permutation(len(sequences))
         loss_sum, pair_count = 0.0, 0
         w_in, w_out, lr = self.w_in, self.w_out, self.lr
+        w_out_flat = w_out.reshape(-1)  # a view: the scatter lands in w_out
+        cols = np.arange(self.dim)
         for b0 in range(0, len(order), SEQ_BLOCK):
             block = [sequences[si] for si in order[b0:b0 + SEQ_BLOCK]]
             centres, contexts, n_ctx = window_layout(block, self.window)
             centres = centres[n_ctx > 0]
             n_ctx = n_ctx[n_ctx > 0]
             targets, labels, bounds = self._block_targets(contexts, n_ctx)
+            flat_rows = targets * self.dim
             scores = np.empty(len(targets))
             for center, lo, hi in zip(centres.tolist(), bounds[:-1].tolist(),
                                       bounds[1:].tolist()):
-                t = targets[lo:hi]
                 h = w_in[center]
-                out_rows = w_out[t]
-                s = out_rows @ h
-                scores[lo:hi] = s
-                g = sigmoid(s) - labels[lo:hi]
+                out_rows = w_out.take(targets[lo:hi], axis=0)
+                s = np.matmul(out_rows, h, out=scores[lo:hi])
+                # sigmoid(s) - label, bitwise as nncore.sigmoid computes it:
+                # the numerator exp(min(s, 0)) is 1 for s >= 0 and e below
+                e = np.exp(np.copysign(s, -1.0))
+                g = np.exp(np.minimum(s, 0.0))
+                e += 1.0
+                g /= e
+                g -= labels[lo:hi]
                 dh = g @ out_rows
-                scatter_add_rows(w_out, t, -lr * g[:, None] * h[None, :])
-                w_in[center] -= lr * dh
+                g *= -lr
+                np.add.at(w_out_flat, (flat_rows[lo:hi, None] + cols).reshape(-1),
+                          (g[:, None] * h).reshape(-1))
+                dh *= lr
+                h -= dh
             loss_sum -= float(log_sigmoid(np.where(labels > 0, scores, -scores)).sum())
             pair_count += len(contexts)
         return loss_sum / max(pair_count, 1)

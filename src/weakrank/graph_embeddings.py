@@ -4,6 +4,11 @@ Five methods share this module: plain weighted random walks, biased walks
 with return/in-out parameters, first- and second-order edge proximity with
 negative sampling, and neighbor-mean aggregation trained on walk
 co-occurrence. All trainers are seed-deterministic.
+
+Walks step in lockstep: every walker of a round takes its next step in one
+set of NumPy calls over the graph's CSR arrays, with the random draws a
+walk-by-walk, step-by-step loop would make, so the walks are bitwise that
+loop's.
 """
 
 from __future__ import annotations
@@ -41,41 +46,45 @@ def _check_no_isolated(graph: HetGraph) -> None:
 # random walks
 
 
-def biased_transition_probs(
-    graph: HetGraph, prev: int, cur: int, p: float, q: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """Biased law: edge weight times 1/p (back to prev), 1 (distance-1 from
-    prev), or 1/q (distance 2). With p = q = 1 this equals the plain law."""
-    nbrs = graph.neighbors[cur]
-    w = graph.weights[cur].copy()
-    prev_nbrs = _neighbor_sets(graph)[prev]
-    for i, x in enumerate(nbrs):
-        if x == prev:
-            w[i] /= p
-        elif x not in prev_nbrs:
-            w[i] /= q
-    return nbrs, w / w.sum()
+def _plain_steps(indptr: np.ndarray, cum: np.ndarray, cur: np.ndarray, u: np.ndarray,
+                 n_iter: int) -> np.ndarray:
+    """Each walker's next position in the flat CSR arrays: in ``cur``'s row,
+    ``searchsorted(cum_weights[cur], u * cum_weights[cur][-1], side="right")``,
+    as one binary search run by all walkers together. ``cum`` ends in one
+    padding entry, so an empty interval may look one past the last edge."""
+    lo, hi = indptr[cur], indptr[cur + 1]
+    x = u * cum[hi - 1]
+    for _ in range(n_iter):
+        mid = (lo + hi) >> 1
+        right = (lo < hi) & (cum[mid] <= x)
+        lo = np.where(right, mid + 1, lo)
+        hi = np.where(right, hi, mid)
+    return lo
 
 
-def _neighbor_sets(graph: HetGraph) -> list[frozenset]:
-    # cached on the graph: membership tests drive the biased walk inner loop
-    if not hasattr(graph, "_neighbor_sets"):
-        graph._neighbor_sets = [frozenset(n.tolist()) for n in graph.neighbors]
-    return graph._neighbor_sets
-
-
-def step_plain(graph: HetGraph, cur: int, rng: np.random.Generator) -> int:
-    """Draw the next node of a plain walk."""
-    cum = graph.cum_weights[cur]
-    return int(graph.neighbors[cur][np.searchsorted(cum, rng.random() * cum[-1], side="right")])
-
-
-def step_biased(graph: HetGraph, prev: int, cur: int, p: float, q: float,
-                rng: np.random.Generator) -> int:
-    """Draw the next node of a biased walk given the previous node."""
-    nbrs, probs = biased_transition_probs(graph, prev, cur, p, q)
-    cum = np.cumsum(probs)
-    return int(nbrs[np.searchsorted(cum, rng.random() * cum[-1], side="right")])
+def _biased_steps(graph: HetGraph, indptr: np.ndarray, nbrs: np.ndarray, weights: np.ndarray,
+                  edge_keys: np.ndarray, prev: np.ndarray, cur: np.ndarray, u: np.ndarray,
+                  p: float, q: float) -> np.ndarray:
+    """Each walker's next node under the biased law: edge weight divided by
+    ``p`` back to ``prev``, kept to a neighbour of ``prev``, divided by ``q``
+    otherwise. Walkers are grouped by their current node's degree, so every
+    row's weight sum and cumulative sum runs over that row alone, exactly as
+    a per-walker ``np.sum`` and ``np.cumsum`` would."""
+    n = graph.n_nodes
+    deg = graph.degrees[cur]
+    order = np.argsort(deg, kind="stable")
+    nxt = np.empty(len(cur), dtype=np.int64)
+    for grp in np.split(order, np.flatnonzero(np.diff(deg[order])) + 1):
+        cols = indptr[cur[grp]][:, None] + np.arange(deg[grp[0]])
+        nb, w = nbrs[cols], weights[cols]
+        back = prev[grp][:, None]
+        keys = back * n + nb
+        near = edge_keys[np.searchsorted(edge_keys, keys)] == keys
+        w = np.where(nb == back, w / p, np.where(near, w, w / q))
+        c = np.cumsum(w / w.sum(axis=1, keepdims=True), axis=1)
+        pick = (c <= u[grp][:, None] * c[:, -1:]).sum(axis=1)
+        nxt[grp] = nb[np.arange(len(grp)), pick]
+    return nxt
 
 
 def generate_walks(
@@ -87,28 +96,40 @@ def generate_walks(
     q: float | None = None,
 ) -> list[np.ndarray]:
     """n_walks seeded walks of walk_len nodes from every node. Passing p and q
-    switches to the biased law (first step is always plain)."""
+    switches to the biased law (first step is always plain).
+
+    Each round draws a permutation of the start nodes, then one uniform per
+    step of every walk, walk after walk; walker ``i`` takes step ``j`` with
+    ``U[i, j - 1]``. All walkers of a round then step together over the
+    graph's CSR arrays. The walks are bitwise those of stepping each walk in
+    turn with one ``rng.random()`` per step, in that order.
+    """
     _check_no_isolated(graph)
     biased = p is not None or q is not None
     if biased:
         p = 1.0 if p is None else float(p)
         q = 1.0 if q is None else float(q)
-        _neighbor_sets(graph)
+    n, length = graph.n_nodes, max(walk_len, 1)
+    indptr = np.concatenate([[0], np.cumsum(graph.degrees)])
+    nbrs = np.concatenate(graph.neighbors)
+    cum = np.append(np.concatenate(graph.cum_weights), np.inf)
+    weights = np.concatenate(graph.weights)
+    edge_keys = np.append(np.repeat(np.arange(n), graph.degrees) * n + nbrs, n * n)
+    n_iter = int(graph.degrees.max()).bit_length()
     rng = np.random.default_rng(seed)
-    walks = []
-    for _ in range(n_walks):
-        starts = rng.permutation(graph.n_nodes)
-        for start in starts:
-            walk = [int(start)]
-            while len(walk) < walk_len:
-                cur = walk[-1]
-                if not biased or len(walk) == 1:
-                    nxt = step_plain(graph, cur, rng)
-                else:
-                    nxt = step_biased(graph, walk[-2], cur, p, q, rng)
-                walk.append(nxt)
-            walks.append(np.array(walk, dtype=np.int64))
-    return walks
+    walks = np.empty((n_walks * n, length), dtype=np.int64)
+    for r in range(n_walks):
+        block = walks[r * n:(r + 1) * n]
+        block[:, 0] = rng.permutation(n)
+        U = rng.random((n, length - 1))
+        for j in range(1, length):
+            cur = block[:, j - 1]
+            if biased and j > 1:
+                block[:, j] = _biased_steps(graph, indptr, nbrs, weights, edge_keys,
+                                            block[:, j - 2], cur, U[:, j - 1], p, q)
+            else:
+                block[:, j] = nbrs[_plain_steps(indptr, cum, cur, U[:, j - 1], n_iter)]
+    return list(walks)
 
 
 def _strength_noise_cdf(graph: HetGraph) -> np.ndarray:

@@ -55,15 +55,15 @@ def sample_training_pairs(ranked: np.ndarray, k: int, n_neg_per_pos: int,
 
     Query by query and positive by positive, as ``ranked`` (``top_k_labels``)
     orders them, each of the first ``k`` columns is paired with
-    ``n_neg_per_pos`` uniform draws from the query's remaining columns, one
-    ``rng.integers`` call per positive.
+    ``n_neg_per_pos`` uniform draws from the query's remaining columns. The
+    draws come from one ``rng.integers`` call. It yields the same values, and
+    leaves the generator in the same state, as one call per positive would:
+    the bit generator, not the call, keeps a half-used 64-bit word.
     """
     n_query, n_cand = ranked.shape
     _check_k(k, n_cand)
     rng = np.random.default_rng(seed)
-    draws = np.array([rng.integers(n_cand - k, size=n_neg_per_pos)
-                      for _ in range(n_query * k)], dtype=np.int64)
-    draws = draws.reshape(n_query, k * n_neg_per_pos)
+    draws = rng.integers(n_cand - k, size=(n_query, k * n_neg_per_pos))
     return np.stack([
         np.repeat(np.arange(n_query), k * n_neg_per_pos),
         np.repeat(ranked[:, :k], n_neg_per_pos, axis=1).ravel(),

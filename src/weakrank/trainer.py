@@ -123,6 +123,8 @@ class RunConfig(SearchSettings):
         OptimizerState(self.sup_optimizer, lr=self.sup_lr)  # rejects an unknown optimizer
         if not 0.0 <= self.baseline_decay <= 1.0:
             raise ValueError("baseline_decay must be in [0, 1]")
+        if not np.isfinite(self.entropy_coef):
+            raise ValueError("entropy_coef must be finite")
         if not self.k_values:
             raise ValueError("k_values must be non-empty")
         if self.best_selection not in ("reward", "greedy"):
@@ -174,14 +176,16 @@ def cache_entry(cache_dir: str | Path | None, prefix: str, key: dict) -> Path | 
     return Path(cache_dir) / f"{prefix}_{stable_hash(key)[:16]}.bin"
 
 
-# Relative pretraining time of each job kind, in hundredths of a second: a
-# traced run of the benchmark's cold workload (seed 7) at reference speed.
+# Relative pretraining time of each job kind, in hundredths of a second at
+# reference speed: `perfbench/run.py --workload pretrain-cold --seed 7
+# --trace 1`, run on one CPU so that every job runs in the traced process
+# (host speed 0.95; the backbone is the rest of `pretrain_all`'s busy time).
 # It only decides which process runs a job, never what the job computes. At
 # the README's scale the aggregation scorer costs the most instead.
 JOB_COST = {
-    "graph-biased-walk": 117, "graph-walk": 96, "text-embedding": 42,
-    "graph-proximity-1": 40, "graph-proximity-2": 40, "backbone": 32,
-    "graph-aggregation": 24, "bm25": 0, "external": 0,
+    "graph-biased-walk": 66, "graph-walk": 63, "graph-proximity-1": 38,
+    "graph-proximity-2": 37, "text-embedding": 24, "backbone": 24,
+    "graph-aggregation": 23, "bm25": 0, "external": 0,
 }
 
 

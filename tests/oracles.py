@@ -3,8 +3,9 @@
 None of this runs in a search. It holds the exact enumeration of the
 controller's sampling law, the central finite-difference gradient checker,
 the gradient of kernel pooling (production runs the pooling forward-only,
-on frozen word cosines), the plain walk's transition law, and the
-objectives the embedding trainers minimise, evaluated on a fixed batch.
+on frozen word cosines), the random walks' transition laws with a walk
+generator that steps one walk at a time, and the objectives the embedding
+trainers minimise, evaluated on a fixed batch.
 """
 
 from __future__ import annotations
@@ -161,6 +162,68 @@ def walk_transition_probs(graph: HetGraph, cur: int) -> tuple[np.ndarray, np.nda
     """Next-node law for plain walks: proportional to edge weight."""
     w = graph.weights[cur]
     return graph.neighbors[cur], w / w.sum()
+
+
+def biased_transition_probs(
+    graph: HetGraph, prev: int, cur: int, p: float, q: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Biased law: edge weight times 1/p (back to prev), 1 (distance-1 from
+    prev), or 1/q (distance 2). With p = q = 1 this equals the plain law."""
+    nbrs = graph.neighbors[cur]
+    w = graph.weights[cur].copy()
+    prev_nbrs = _neighbor_sets(graph)[prev]
+    for i, x in enumerate(nbrs):
+        if x == prev:
+            w[i] /= p
+        elif x not in prev_nbrs:
+            w[i] /= q
+    return nbrs, w / w.sum()
+
+
+def _neighbor_sets(graph: HetGraph) -> list[frozenset]:
+    # cached on the graph: membership tests drive the biased step
+    if not hasattr(graph, "_neighbor_sets"):
+        graph._neighbor_sets = [frozenset(n.tolist()) for n in graph.neighbors]
+    return graph._neighbor_sets
+
+
+def step_plain(graph: HetGraph, cur: int, rng: np.random.Generator) -> int:
+    """Draw the next node of a plain walk."""
+    cum = graph.cum_weights[cur]
+    return int(graph.neighbors[cur][np.searchsorted(cum, rng.random() * cum[-1], side="right")])
+
+
+def step_biased(graph: HetGraph, prev: int, cur: int, p: float, q: float,
+                rng: np.random.Generator) -> int:
+    """Draw the next node of a biased walk given the previous node."""
+    nbrs, probs = biased_transition_probs(graph, prev, cur, p, q)
+    cum = np.cumsum(probs)
+    return int(nbrs[np.searchsorted(cum, rng.random() * cum[-1], side="right")])
+
+
+def walks_per_step(graph: HetGraph, n_walks: int, walk_len: int, seed: int,
+                   p: float | None = None, q: float | None = None) -> list[np.ndarray]:
+    """``graph_embeddings.generate_walks`` one walk and one step at a time:
+    each round a permutation of the start nodes, then each walk in turn with
+    one ``rng.random()`` per step."""
+    biased = p is not None or q is not None
+    if biased:
+        p = 1.0 if p is None else float(p)
+        q = 1.0 if q is None else float(q)
+    rng = np.random.default_rng(seed)
+    walks = []
+    for _ in range(n_walks):
+        for start in rng.permutation(graph.n_nodes):
+            walk = [int(start)]
+            while len(walk) < walk_len:
+                cur = walk[-1]
+                if not biased or len(walk) == 1:
+                    nxt = step_plain(graph, cur, rng)
+                else:
+                    nxt = step_biased(graph, walk[-2], cur, p, q, rng)
+                walk.append(nxt)
+            walks.append(np.array(walk, dtype=np.int64))
+    return walks
 
 
 def skipgram_loss(trainer, centers: np.ndarray, contexts: np.ndarray,

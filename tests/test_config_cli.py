@@ -298,7 +298,7 @@ class TestCli:
         "early_stop_patience=-1", "final_patience=-1", "sup_optimizer=rmsprop",
         "controller_hidden=0", "backbone_window=0", "backbone_neg=0", "backbone_epochs=0",
         "controller_lr=-1", "sup_lr=0", "backbone_lr=-0.1", "sup_lr=inf",
-        "baseline_decay=1.5",
+        "baseline_decay=1.5", "entropy_coef=nan", "entropy_coef=inf", "entropy_coef=-inf",
     ])
     @pytest.mark.parametrize("command", [["search"], ["ablate", "--mode", "fix-k", "--sweep"]],
                              ids=["search", "ablate"])

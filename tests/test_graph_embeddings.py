@@ -1,18 +1,24 @@
 import numpy as np
 import pytest
 
-from oracles import aggregation_loss, proximity_loss, walk_transition_probs
+from oracles import (
+    aggregation_loss,
+    biased_transition_probs,
+    proximity_loss,
+    step_biased,
+    step_plain,
+    walk_transition_probs,
+    walks_per_step,
+)
 from weakrank.corpus import build_corpus
 from weakrank.embeddings import node_feature_matrix, train_text_embeddings
 from weakrank.graph import HetGraph, build_graph
 from weakrank.graph_embeddings import (
     AggregationTrainer,
     EdgeProximityTrainer,
-    biased_transition_probs,
+    _plain_steps,
     cooccurrence_pairs,
     generate_walks,
-    step_biased,
-    step_plain,
     train_graph_embeddings,
 )
 from weakrank.nncore import dense_backward, log_sigmoid, optimizer_step, sigmoid, zero_grads
@@ -133,6 +139,79 @@ class TestWalks:
     def test_cooccurrence_pairs_window(self):
         pairs = cooccurrence_pairs([np.array([1, 2, 3])], window=1)
         assert {tuple(p) for p in pairs} == {(1, 2), (2, 1), (2, 3), (3, 2)}
+
+
+def _graph_with_triangles(seed: int, n: int = 30) -> HetGraph:
+    """A connected weighted graph with odd cycles, so a biased step meets
+    neighbours of its previous node. A ``HetGraph`` links documents to words
+    only and never has one."""
+    rng = np.random.default_rng(seed)
+    edges = {(i, (i + 1) % n) for i in range(n)}
+    edges |= {tuple(sorted(map(int, rng.choice(n, 2, replace=False)))) for _ in range(3 * n)}
+    adj = [[] for _ in range(n)]
+    for a, b in sorted(edges):
+        w = float(rng.integers(1, 5))
+        adj[a].append((b, w))
+        adj[b].append((a, w))
+    graph = HetGraph.__new__(HetGraph)
+    graph.nodes = tuple(("word", f"w{i}") for i in range(n))
+    rows = [sorted(lst) for lst in adj]
+    graph.neighbors = [np.array([x for x, _ in r], dtype=np.int64) for r in rows]
+    graph.weights = [np.array([w for _, w in r]) for r in rows]
+    graph.cum_weights = [np.cumsum(w) for w in graph.weights]
+    graph.degrees = np.array([len(r) for r in rows], dtype=np.int64)
+    return graph
+
+
+@pytest.mark.parametrize("p,q", [(None, None), (1.0, 1.0), (1.0, 0.5), (4.0, 0.25), (0.5, 2.0),
+                                 (None, 3.0)])
+def test_lockstep_walks_equal_the_per_step_oracle(small_graph, planted_graph, bench_graph, p, q):
+    """Bitwise the walks of stepping one walk at a time, one uniform draw
+    per step, on bipartite graphs and on graphs with triangles."""
+    graphs = [small_graph, planted_graph[1], bench_graph,
+              _graph_with_triangles(1), _graph_with_triangles(2, n=12)]
+    for graph in graphs:
+        for seed in (0, 7):
+            for n_walks, walk_len in ((1, 1), (1, 2), (3, 2), (2, 3), (3, 11)):
+                fast = generate_walks(graph, n_walks, walk_len, seed, p=p, q=q)
+                slow = walks_per_step(graph, n_walks, walk_len, seed, p=p, q=q)
+                assert len(fast) == len(slow) == n_walks * graph.n_nodes
+                for a, b in zip(fast, slow):
+                    assert a.dtype == np.int64
+                    assert a.tobytes() == b.tobytes()
+
+
+def test_plain_step_breaks_exact_ties_as_searchsorted_right(planted_graph):
+    """A draw landing exactly on a cumulative weight moves past it, as
+    ``searchsorted(side="right")`` does. Random draws almost never tie."""
+    _, graph = planted_graph
+    indptr = np.concatenate([[0], np.cumsum(graph.degrees)])
+    cum = np.append(np.concatenate(graph.cum_weights), np.inf)
+    n_iter = int(graph.degrees.max()).bit_length()
+    cur, u, expected = [], [], []
+    for v in range(graph.n_nodes):
+        row = graph.cum_weights[v]
+        for c in row:
+            x = c / row[-1]
+            if x < 1.0 and x * row[-1] == c:
+                cur.append(v)
+                u.append(x)
+                expected.append(indptr[v] + np.searchsorted(row, c, side="right"))
+    assert len(cur) > graph.n_nodes
+    got = _plain_steps(indptr, cum, np.array(cur), np.array(u), n_iter)
+    assert got.tolist() == [int(e) for e in expected]
+
+
+def test_triangle_graph_exercises_every_biased_branch():
+    """The oracle test's triangle graphs reach all three biased weights:
+    back to the previous node, to its neighbours, and further away."""
+    graph = _graph_with_triangles(1)
+    seen = set()
+    for walk in walks_per_step(graph, 2, 6, seed=0, p=2.0, q=0.5):
+        for prev, nxt in zip(walk, walk[2:]):
+            seen.add("back" if nxt == prev else
+                     "near" if nxt in graph.neighbors[prev] else "far")
+    assert seen == {"back", "near", "far"}
 
 
 def _reference_pairs(walks, window):

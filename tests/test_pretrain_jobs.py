@@ -136,8 +136,8 @@ def test_split_is_longest_first_and_deterministic():
     assert shares == split_jobs(_jobs(kinds), 2)
     names = [[kinds[i] for i in share] for share in shares]
     assert names == [
-        ["graph-biased-walk", "graph-proximity-1", "backbone", "bm25"],
-        ["graph-walk", "text-embedding", "graph-proximity-2", "graph-aggregation"],
+        ["graph-biased-walk", "graph-proximity-2", "backbone", "bm25"],
+        ["graph-walk", "graph-proximity-1", "text-embedding", "graph-aggregation"],
     ]
     # at most one process per job: bm25, text-embedding, graph-walk
     assert split_jobs(jobs[:3], 8) == [[2], [1], [0]]
