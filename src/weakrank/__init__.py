@@ -21,7 +21,7 @@ from .controller import (
 )
 from .corpus import AnnotationSet, Corpus, Document, build_corpus, split_annotations, tokenize
 from .graph import HetGraph, build_graph
-from .metrics import EvalLists, build_eval_lists, hr_at_k, mrr, ndcg_at_k
+from .metrics import EvalLists, build_eval_lists, mrr
 from .pseudo_labels import aggregate, normalize_per_query, sample_training_pairs, top_k_labels
 from .registry import (
     SupModelRegistry,
@@ -31,7 +31,7 @@ from .registry import (
 )
 from .scores import ScoreMatrix
 from .synthetic import generate_synthetic
-from .trainer import RunConfig, RunResult, ablation_run, joint_train, pretrain_all
+from .trainer import RunConfig, RunResult, joint_train, pretrain_all
 
 __all__ = [
     "AnnotationSet",
@@ -52,17 +52,14 @@ __all__ = [
     "SupModelSpec",
     "UnsupModelRegistry",
     "UnsupModelSpec",
-    "ablation_run",
     "action_log_prob",
     "aggregate",
     "build_corpus",
     "build_eval_lists",
     "build_graph",
     "generate_synthetic",
-    "hr_at_k",
     "joint_train",
     "mrr",
-    "ndcg_at_k",
     "normalize_per_query",
     "pretrain_all",
     "reinforce_update",

@@ -37,14 +37,12 @@ from .scores import ScoreMatrix
 from .sup_rankers import ENSEMBLE_BLOCK, ensemble_scores, load_checkpoint
 from .synthetic import generate_synthetic
 from .trainer import (
-    ablation_run,
     backbone_from_table,
     check_search_inputs,
     clamp_for_ablation,
     joint_train,
     pretrain,
     run_cache_dir,
-    sweep_k,
 )
 
 MANIFEST_FORMAT_VERSION = 1
@@ -74,12 +72,10 @@ def _load_splits(config: ExperimentConfig, corpus: Corpus):
     return val, test
 
 
-def _start_run(args, ablation=None):
-    """A search's or an ablation's validated inputs and its run directory,
-    holding ``config.cfg`` and ``manifest.json``: (run config, corpus,
-    validation split, test split, run directory). Nothing is written until
-    the inputs pass ``check_search_inputs`` and ``ablation``, an ablation's
-    (mode, fixed choice), passes ``clamp_for_ablation``."""
+def _load_run(args):
+    """A search's or an ablation's validated inputs: (configuration, run
+    config, corpus, validation split, test split). Nothing is written here,
+    so inputs that fail ``check_search_inputs`` leave no run directory."""
     config = ExperimentConfig.from_file(args.config, args.overrides)
     if not config.output_dir:
         raise ValueError(f"output_dir must be set for {args.command} runs")
@@ -87,19 +83,23 @@ def _start_run(args, ablation=None):
     corpus = Corpus.load(config.corpus)
     val, test = _load_splits(config, corpus)
     check_search_inputs(corpus, val, test, run_config)
-    if ablation is not None:
-        clamp_for_ablation(*ablation, run_config)
-    workdir = Path(config.output_dir)
-    workdir.mkdir(parents=True, exist_ok=True)
-    config.save(workdir / "config.cfg")
-    write_json(workdir / "manifest.json", {
+    return config, run_config, corpus, val, test
+
+
+def _open_runs(config: ExperimentConfig, corpus: Corpus, workdirs) -> None:
+    """Create each run directory with the ``config.cfg`` and
+    ``manifest.json`` that ``score`` serves it by."""
+    manifest = {
         "format_version": MANIFEST_FORMAT_VERSION,
         "weakrank_version": __version__,
         "numpy_version": np.__version__,
         "corpus_hash": corpus.content_hash(),
         "config_hash": config.content_hash(),
-    })
-    return run_config, corpus, val, test, workdir
+    }
+    for workdir in workdirs:
+        workdir.mkdir(parents=True, exist_ok=True)
+        config.save(workdir / "config.cfg")
+        write_json(workdir / "manifest.json", manifest)
 
 
 def cmd_gen_synth(args) -> int:
@@ -156,7 +156,9 @@ def cmd_pretrain(args) -> int:
 
 
 def cmd_search(args) -> int:
-    run_config, corpus, val, test, workdir = _start_run(args)
+    config, run_config, corpus, val, test = _load_run(args)
+    workdir = Path(config.output_dir)
+    _open_runs(config, corpus, [workdir])
     result = joint_train(corpus, val, test, run_config, workdir=workdir)
     print(f"best reward {result.best_reward:.4f} at episode {result.best_episode}; "
           f"report in {workdir / 'report.json'}")
@@ -164,23 +166,39 @@ def cmd_search(args) -> int:
 
 
 def cmd_ablate(args) -> int:
-    sweep = args.mode == "fix-k" and args.sweep
-    if sweep:
-        run_config, corpus, val, test, workdir = _start_run(args)
-        results = sweep_k(corpus, val, test, run_config, workdir=workdir)
-        for k, result in sorted(results.items()):
-            print(f"k={k}: best reward {result.best_reward:.4f}")
-        return 0
-    fixed = args.fixed
-    if fixed is None:
-        raise ValueError("--fixed is required unless sweeping")
-    if args.mode == "fix-k":
-        fixed = int(fixed)
-    elif "," in fixed:
-        fixed = [tok.strip() for tok in fixed.split(",")]
-    run_config, corpus, val, test, workdir = _start_run(args, (args.mode, fixed))
-    result = ablation_run(corpus, val, test, args.mode, fixed, run_config, workdir=workdir)
-    print(f"best reward {result.best_reward:.4f}; report in {workdir / 'report.json'}")
+    """A search with one controller decision clamped: to ``--fixed``, or,
+    with ``--sweep``, to each k of the grid (sub-run ``k_<k>/``) or each
+    model of the menu (sub-run ``<name>/``) in turn. Sub-runs are runs
+    ``score`` serves, and they share the pretrain cache
+    ``<output_dir>/cache``. Every clamp is checked before anything is
+    written."""
+    if args.sweep == (args.fixed is not None):
+        raise ValueError("ablate takes exactly one of --fixed and --sweep")
+    config, run_config, corpus, val, test = _load_run(args)
+    root, cache_dir = Path(config.output_dir), run_cache_dir(config.output_dir)
+    if not args.sweep:
+        choices = {root: args.fixed if args.mode == "fix-k" else [
+            tok.strip() for tok in args.fixed.split(",")]}
+    elif args.mode == "fix-k":
+        choices = {root / f"k_{k}": k for k in run_config.k_values}
+    else:
+        registry = (run_config.unsup_registry if args.mode == "fix-unsup"
+                    else run_config.sup_registry)
+        choices = {root / name: name for name in registry.names}
+    if cache_dir in choices:
+        raise ValueError(f"a sweep's sub-run cannot be its pretrain cache {cache_dir}")
+    clamps = {workdir: clamp_for_ablation(args.mode, fixed, run_config)
+              for workdir, fixed in choices.items()}
+    _open_runs(config, corpus, dict.fromkeys([root, *clamps]))
+    for workdir, clamp in clamps.items():
+        result = joint_train(corpus, val, test, run_config, workdir=workdir,
+                             cache_dir=cache_dir, clamp=clamp)
+        if not args.sweep:
+            print(f"best reward {result.best_reward:.4f}; report in {workdir / 'report.json'}")
+            continue
+        tail = "" if result.test_metrics is None else (
+            f", test mrr {result.test_metrics['mrr']:.4f}")
+        print(f"{workdir.name}: best reward {result.best_reward:.4f}{tail}")
     return 0
 
 
@@ -332,7 +350,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", required=True, choices=["fix-unsup", "fix-k", "fix-sup"])
     p.add_argument("--fixed", help="model name(s) or k value to clamp")
     p.add_argument("--sweep", action="store_true",
-                   help="fix-k only: one run per k in k_values")
+                   help="one sub-run per k in k_values (k_<k>/) or per model (<name>/)")
     p.set_defaults(func=cmd_ablate)
 
     p = sub.add_parser("eval", help="score an eval protocol from a score matrix CSV")

@@ -88,13 +88,9 @@ class ExperimentConfig(SearchSettings):
             stripped = line.strip()
             if not stripped or stripped.startswith("#"):
                 continue
-            if "=" not in stripped:
-                raise ValueError(f"{path}:{lineno}: expected key=value, got {stripped!r}")
-            key, _, raw = stripped.partition("=")
-            config.set_key(key.strip(), raw.strip())
+            config.set_key(*_key_value(stripped, f"{path}:{lineno}"))
         for item in overrides or []:
-            key, _, raw = item.partition("=")
-            config.set_key(key.strip(), raw.strip())
+            config.set_key(*_key_value(item, "--set"))
         return config
 
     def save(self, path: str | Path) -> None:
@@ -150,6 +146,13 @@ class ExperimentConfig(SearchSettings):
             k_values=self.k_values_tuple(),
             **{f.name: getattr(self, f.name) for f in fields(SearchSettings)},
         )
+
+
+def _key_value(item: str, where: str) -> tuple[str, str]:
+    if "=" not in item:
+        raise ValueError(f"{where}: expected key=value, got {item!r}")
+    key, _, raw = item.partition("=")
+    return key.strip(), raw.strip()
 
 
 def _parse_bool(raw: str) -> bool:

@@ -62,9 +62,6 @@ class HetGraph:
     def entity_ids(self) -> list[str]:
         return [node_entity_id(t, k) for t, k in self.nodes]
 
-    def degree(self, idx: int) -> int:
-        return int(self.degrees[idx])
-
     def edge_weight_sum(self, idx: int) -> float:
         return float(self.weights[idx].sum())
 

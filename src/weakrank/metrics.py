@@ -97,18 +97,6 @@ def ranks_of_positives(lists: EvalLists, scores) -> np.ndarray:
     return ranks
 
 
-def hr_at_k(lists, scores, k: int = 5) -> float:
-    """Fraction of lists whose positive ranks within the top k."""
-    return float(np.mean(ranks_of_positives(lists, scores) <= k))
-
-
-def ndcg_at_k(lists, scores, k: int = 5) -> float:
-    """Single-positive discounted gain: 1/log2(rank+1) inside the cutoff."""
-    ranks = ranks_of_positives(lists, scores)
-    gains = np.where(ranks <= k, 1.0 / np.log2(ranks + 1.0), 0.0)
-    return float(np.mean(gains))
-
-
 def mrr(lists, scores) -> float:
     """Mean reciprocal rank of the positive, no cutoff."""
     return float(np.mean(1.0 / ranks_of_positives(lists, scores)))

@@ -59,9 +59,6 @@ class SupModelSpec:
         if self.kind not in SUP_KINDS:
             raise ValueError(f"unknown supervised model kind {self.kind!r}")
 
-    def hp_hash(self) -> str:
-        return stable_hash({"kind": self.kind, "params": self.params})
-
 
 _NAME_RE = re.compile(r"^[A-Za-z0-9][A-Za-z0-9_.-]*$")
 

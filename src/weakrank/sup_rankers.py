@@ -72,7 +72,6 @@ class RankerBackbone:
                  graph_sample_size: int = 10, graph_seed: int = 0, center: bool = True):
         self.corpus = corpus
         self.table = table
-        self.centered = center
         if center:
             shifted = table.vectors - table.vectors.mean(axis=0)
             self.table = EmbeddingTable(table.ids, shifted)

@@ -660,31 +660,14 @@ def joint_train(
 
 
 def _mask_for(registry, fixed) -> tuple[int, ...]:
-    """Normalize a fixed choice into a mask.
-
-    Accepts a single model name, a single index, a list of names, or a full
-    0/1 mask whose length matches the registry.
-    """
-    if isinstance(fixed, str):
-        fixed = [fixed]
-    elif isinstance(fixed, int):
-        fixed = [fixed]
-    fixed = list(fixed)
-    mask = [0] * len(registry)
-    if all(isinstance(v, str) for v in fixed):
-        for name in fixed:
-            mask[registry.index_of(name)] = 1
-    elif len(fixed) == len(registry) and set(fixed) <= {0, 1}:
-        mask = [int(v) for v in fixed]
-    elif len(fixed) == 1:
-        mask[int(fixed[0])] = 1
-    else:
-        raise ValueError(
-            "fixed choice must be a name, an index, a list of names, or a full 0/1 mask"
-        )
-    if sum(mask) < 1:
+    """The mask selecting ``fixed``, one model name or a list of names."""
+    names = list(fixed) if isinstance(fixed, (list, tuple)) else [fixed]
+    for name in names:
+        if name not in registry.names:
+            raise ValueError(f"unknown model {name!r}: choose from {', '.join(registry.names)}")
+    if not names:
         raise ValueError("fixed choice selects no models")
-    return tuple(mask)
+    return tuple(int(name in names) for name in registry.names)
 
 
 def clamp_for_ablation(mode: str, fixed, config: RunConfig) -> Clamp:
@@ -698,40 +681,3 @@ def clamp_for_ablation(mode: str, fixed, config: RunConfig) -> Clamp:
     if mode == "fix-sup":
         return Clamp(sup_mask=_mask_for(config.sup_registry, fixed))
     raise ValueError(f"unknown ablation mode {mode!r}")
-
-
-def ablation_run(
-    corpus: Corpus,
-    val_annotations: AnnotationSet,
-    test_annotations: AnnotationSet | None,
-    mode: str,
-    fixed,
-    config: RunConfig,
-    workdir: str | Path | None = None,
-    cache_dir: str | Path | None = None,
-) -> RunResult:
-    """Search with one controller step clamped to a fixed choice."""
-    clamp = clamp_for_ablation(mode, fixed, config)
-    return joint_train(
-        corpus, val_annotations, test_annotations, config,
-        workdir=workdir, cache_dir=cache_dir, clamp=clamp,
-    )
-
-
-def sweep_k(
-    corpus: Corpus,
-    val_annotations: AnnotationSet,
-    test_annotations: AnnotationSet | None,
-    config: RunConfig,
-    workdir: str | Path | None = None,
-    cache_dir: str | Path | None = None,
-) -> dict[int, RunResult]:
-    """fix-k ablation run for every k in the grid."""
-    results = {}
-    for k in config.k_values:
-        sub = Path(workdir) / f"k_{k}" if workdir is not None else None
-        results[k] = ablation_run(
-            corpus, val_annotations, test_annotations, "fix-k", k, config,
-            workdir=sub, cache_dir=cache_dir,
-        )
-    return results

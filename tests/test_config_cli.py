@@ -105,6 +105,10 @@ class TestExperimentConfig:
         loaded = ExperimentConfig.from_file(path, overrides=["episodes=3"])
         assert loaded.episodes == 3
 
+    def test_override_without_equals_rejected(self):
+        with pytest.raises(ValueError, match="--set: expected key=value, got 'episodes'"):
+            ExperimentConfig.from_file(None, overrides=["episodes"])
+
     def test_registry_construction(self):
         config = ExperimentConfig()
         config.unsup_models = "bm25,text-embedding"
@@ -299,6 +303,7 @@ class TestCli:
         "controller_hidden=0", "backbone_window=0", "backbone_neg=0", "backbone_epochs=0",
         "controller_lr=-1", "sup_lr=0", "backbone_lr=-0.1", "sup_lr=inf",
         "baseline_decay=1.5", "entropy_coef=nan", "entropy_coef=inf", "entropy_coef=-inf",
+        "hp.graph-walk.n_walks",
     ])
     @pytest.mark.parametrize("command", [["search"], ["ablate", "--mode", "fix-k", "--sweep"]],
                              ids=["search", "ablate"])
@@ -319,7 +324,14 @@ class TestCli:
         (["search"], "eval_negatives=99", "eligible negatives"),
         (["ablate", "--mode", "fix-k", "--fixed", "35"], "k_values=10", "fixed k 35 not in"),
         (["ablate", "--mode", "fix-unsup", "--fixed", "nope"], "seed=0", "nope"),
-    ], ids=["k-range", "eval-lists", "fixed-k", "fixed-scorer"])
+        (["ablate", "--mode", "fix-k", "--sweep"], "k_values=10,500", "k value 500 out of range"),
+        (["ablate", "--mode", "fix-unsup", "--sweep"], "external_scores=cache=scores.csv",
+         "sub-run cannot be its pretrain cache"),
+        (["ablate", "--mode", "fix-k", "--sweep", "--fixed", "10"], "seed=0",
+         "exactly one of --fixed and --sweep"),
+        (["ablate", "--mode", "fix-sup"], "seed=0", "exactly one of --fixed and --sweep"),
+    ], ids=["k-range", "eval-lists", "fixed-k", "fixed-scorer", "sweep-k-range",
+            "sweep-into-cache", "fixed-and-sweep", "neither"])
     def test_failed_search_input_check_writes_nothing(self, synth_dir, tmp_path, capsys,
                                                       command, setting, message):
         out = tmp_path / "run"

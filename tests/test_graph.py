@@ -40,8 +40,8 @@ def test_word_without_query_edge(corpus):
 
 def test_word_degree_counts_documents(corpus):
     g = build_graph(corpus)
-    assert g.degree(g.node_index("word", "db")) == 2
-    assert g.degree(g.node_index("word", "ml")) == 2  # q1 and c1
+    assert g.degrees[g.node_index("word", "db")] == 2
+    assert g.degrees[g.node_index("word", "ml")] == 2  # q1 and c1
 
 
 def test_edge_weight_sum_equals_token_count(corpus):

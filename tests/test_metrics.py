@@ -10,9 +10,7 @@ from weakrank.metrics import (
     EvalLists,
     all_metrics,
     build_eval_lists,
-    hr_at_k,
     mrr,
-    ndcg_at_k,
     ranks_of_positives,
     score_lists_with_matrix,
 )
@@ -107,16 +105,16 @@ class TestMetrics:
     def test_hr_counts_top_k(self):
         el3, s3 = _list_with_rank(3)
         el7, s7 = _list_with_rank(7)
-        assert hr_at_k(make_lists([el3]), [s3], k=5) == 1.0
-        assert hr_at_k(make_lists([el7]), [s7], k=5) == 0.0
+        assert all_metrics(make_lists([el3]), [s3], k=5)["hr@5"] == 1.0
+        assert all_metrics(make_lists([el7]), [s7], k=5)["hr@5"] == 0.0
 
     def test_ndcg_closed_forms(self):
         el1, s1 = _list_with_rank(1)
         el3, s3 = _list_with_rank(3)
         el6, s6 = _list_with_rank(6)
-        assert ndcg_at_k(make_lists([el1]), [s1], k=5) == pytest.approx(1.0)
-        assert ndcg_at_k(make_lists([el3]), [s3], k=5) == pytest.approx(0.5)
-        assert ndcg_at_k(make_lists([el6]), [s6], k=5) == 0.0
+        assert all_metrics(make_lists([el1]), [s1], k=5)["ndcg@5"] == pytest.approx(1.0)
+        assert all_metrics(make_lists([el3]), [s3], k=5)["ndcg@5"] == pytest.approx(0.5)
+        assert all_metrics(make_lists([el6]), [s6], k=5)["ndcg@5"] == 0.0
 
     def test_mrr_values(self):
         el1, s1 = _list_with_rank(1)
@@ -140,7 +138,7 @@ class TestMetrics:
     def test_hr_monotone_in_k(self, rng):
         lists = make_lists([["p"] + [f"n{j:02d}" for j in range(19)]] * 30)
         scores = rng.random((30, 20))
-        values = [hr_at_k(lists, scores, k=k) for k in range(1, 21)]
+        values = [all_metrics(lists, scores, k=k)[f"hr@{k}"] for k in range(1, 21)]
         assert all(a <= b for a, b in zip(values, values[1:]))
 
     @given(st.integers(0, 2**32 - 1))

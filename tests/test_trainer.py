@@ -22,13 +22,11 @@ from weakrank.synthetic import generate_synthetic
 from weakrank.trainer import (
     RunConfig,
     _train_selected_models,
-    ablation_run,
     build_backbone,
     clamp_for_ablation,
     joint_train,
     pretrain_all,
     run_episode,
-    sweep_k,
 )
 
 
@@ -282,33 +280,17 @@ class TestJointTrain:
 
 
 class TestAblation:
-    def test_clamped_unsup_constant_across_episodes(self, data):
-        corpus, ann, val, test, oracle_path, noise_path, good_path = data
-        config = _fast_config(oracle_path, noise_path, episodes=5)
-        result = ablation_run(corpus, val, None, "fix-unsup", "oracle", config)
-        for entry in result.episodes:
-            assert entry.config.unsup_mask == (1, 0)
-
-    def test_fix_k_clamp(self, data):
-        corpus, ann, val, test, oracle_path, noise_path, good_path = data
-        config = _fast_config(oracle_path, noise_path, episodes=4)
-        result = ablation_run(corpus, val, None, "fix-k", 10, config)
-        for entry in result.episodes:
-            assert entry.config.k_value == 10
-
-    def test_sweep_k_emits_one_result_per_k(self, data, tmp_path):
-        corpus, ann, val, test, oracle_path, noise_path, good_path = data
-        config = _fast_config(oracle_path, noise_path, episodes=2)
-        results = sweep_k(corpus, val, None, config, workdir=tmp_path / "sweep")
-        assert sorted(results) == [5, 10]
-        assert (tmp_path / "sweep" / "k_5" / "report.json").exists()
-
     def test_invalid_fixed_choice_rejected(self, data):
         corpus, ann, val, test, oracle_path, noise_path, good_path = data
         config = _fast_config(oracle_path, noise_path)
         with pytest.raises(ValueError, match="not in k_values"):
             clamp_for_ablation("fix-k", 999, config)
-        with pytest.raises(KeyError):
+        with pytest.raises(ValueError, match="'unknown-model': choose from oracle, noise"):
             clamp_for_ablation("fix-unsup", "unknown-model", config)
+        # an index or a 0/1 mask is not a name
+        with pytest.raises(ValueError, match="unknown model 0: choose from interaction"):
+            clamp_for_ablation("fix-sup", 0, config)
+        with pytest.raises(ValueError, match="unknown model 1: choose from oracle, noise"):
+            clamp_for_ablation("fix-unsup", (1, 0), config)
         with pytest.raises(ValueError, match="unknown ablation mode"):
             clamp_for_ablation("fix-everything", 0, config)
