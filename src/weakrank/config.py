@@ -14,12 +14,11 @@ from pathlib import Path
 
 from .ioutil import stable_hash
 from .registry import (
-    SUP_KINDS,
-    UNSUP_KINDS,
     SupModelRegistry,
     SupModelSpec,
     UnsupModelRegistry,
     UnsupModelSpec,
+    check_hyperparameters,
 )
 from .trainer import RunConfig, SearchSettings
 
@@ -66,16 +65,9 @@ class ExperimentConfig(SearchSettings):
         schema = {f.name: f for f in fields(self)}
         if key not in schema or key == "hp":
             raise ValueError(f"unknown configuration key {key!r}")
-        ftype = schema[key].type
-        if ftype in ("int", int):
-            value = int(raw)
-        elif ftype in ("float", float):
-            value = float(raw)
-        elif ftype in ("bool", bool):
-            value = _parse_bool(raw)
-        else:
-            value = raw
-        setattr(self, key, value)
+        # every module declaring fields postpones annotations: types are names
+        parse = {"int": int, "float": float, "bool": _parse_bool}.get(schema[key].type, str)
+        setattr(self, key, parse(raw))
 
     @classmethod
     def from_file(cls, path: str | Path | None,
@@ -118,8 +110,8 @@ class ExperimentConfig(SearchSettings):
     def build_unsup_registry(self) -> UnsupModelRegistry:
         specs = []
         for name in _split_names(self.unsup_models):
-            if name not in UNSUP_KINDS or name == "external":
-                raise ValueError(f"unknown unsupervised model {name!r}")
+            if name == "external":
+                raise ValueError("unknown unsupervised model 'external' (see external_scores)")
             specs.append(UnsupModelSpec(name, name, dict(self.hp.get(name, {}))))
         for entry in _split_names(self.external_scores):
             name, _, path = entry.partition("=")
@@ -131,8 +123,6 @@ class ExperimentConfig(SearchSettings):
     def build_sup_registry(self) -> SupModelRegistry:
         specs = []
         for name in _split_names(self.sup_models):
-            if name not in SUP_KINDS:
-                raise ValueError(f"unknown supervised model {name!r}")
             params = dict(self.hp.get(name, {}))
             if name == "interaction":
                 params.setdefault("negative_exponent", self.kernel_negative_exponent)
@@ -140,8 +130,12 @@ class ExperimentConfig(SearchSettings):
         return SupModelRegistry(specs)
 
     def to_run_config(self) -> RunConfig:
+        """The run's settings and menus; refuses a bad ``hp.<model>.<key>``
+        before anything is trained or written."""
+        unsup_registry = self.build_unsup_registry()
+        check_hyperparameters(self.hp, [m.name for m in unsup_registry if m.kind == "external"])
         return RunConfig(
-            unsup_registry=self.build_unsup_registry(),
+            unsup_registry=unsup_registry,
             sup_registry=self.build_sup_registry(),
             k_values=self.k_values_tuple(),
             **{f.name: getattr(self, f.name) for f in fields(SearchSettings)},

@@ -33,9 +33,6 @@ from .sageops import (
     sage_input,
 )
 
-GRAPH_METHODS = ("walk", "biased-walk", "proximity-1", "proximity-2", "aggregation")
-
-
 def _check_no_isolated(graph: HetGraph) -> None:
     isolated = np.flatnonzero(graph.degrees == 0)
     if len(isolated):
@@ -137,14 +134,6 @@ def _strength_noise_cdf(graph: HetGraph) -> np.ndarray:
     return noise_cdf([graph.edge_weight_sum(v) for v in range(graph.n_nodes)])
 
 
-def _walks_to_table(graph: HetGraph, walks, dim, window, neg, epochs, lr, seed) -> EmbeddingTable:
-    counts = np.bincount(np.concatenate(walks), minlength=graph.n_nodes).astype(np.float64)
-    counts = np.maximum(counts, 1e-12)  # unvisited nodes keep a vanishing noise weight
-    trainer = SkipGramTrainer(graph.n_nodes, dim, window, neg, lr, seed, counts=counts)
-    trainer.train(walks, epochs)
-    return EmbeddingTable(graph.entity_ids(), trainer.w_in.copy())
-
-
 # ---------------------------------------------------------------------------
 # edge proximity (first and second order)
 
@@ -210,7 +199,7 @@ class EdgeProximityTrainer:
         scatter_add_rows(self.emb, src, -self.lr * dh)
         return loss
 
-    def train(self, epochs: int, batch_size: int = 128) -> list[float]:
+    def train(self, epochs: int, batch_size: int) -> list[float]:
         """One epoch covers roughly every directed edge once."""
         batches = max(1, self.n_edges // batch_size)
         curve = []
@@ -271,7 +260,7 @@ class AggregationTrainer:
         optimizer_step(self.layers, self.opt)
         return loss
 
-    def train(self, pairs: np.ndarray, epochs: int, batch_size: int = 256) -> list[float]:
+    def train(self, pairs: np.ndarray, epochs: int, batch_size: int) -> list[float]:
         curve = []
         for _ in range(epochs):
             order = self.rng.permutation(len(pairs))
@@ -297,74 +286,35 @@ def cooccurrence_pairs(walks, window: int) -> np.ndarray:
 def train_graph_embeddings(
     graph: HetGraph,
     method: str,
-    hp: dict | None = None,
+    hp: dict,
     seed: int = 0,
     node_features: np.ndarray | None = None,
 ) -> EmbeddingTable:
     """Train node embeddings with one of the five methods.
 
-    ``hp`` overrides the per-method defaults below. The aggregation method
-    requires ``node_features`` (frozen input vectors per node, in graph node
-    order).
+    ``hp`` holds every hyperparameter the method's kind declares in
+    ``registry.HYPERPARAMETERS`` (``spec.hyperparameters()``). The
+    aggregation method requires ``node_features`` (frozen input vectors per
+    node, in graph node order).
     """
-    if method not in GRAPH_METHODS:
-        raise ValueError(f"unknown graph embedding method {method!r}")
-    _check_no_isolated(graph)
-    hp = dict(hp or {})
-
-    def pop(key, default):
-        return hp.pop(key, default)
-
     if method in ("walk", "biased-walk"):
-        dim = pop("dim", 32)
-        n_walks = pop("n_walks", 10)
-        walk_len = pop("walk_len", 40)
-        window = pop("window", 5)
-        neg = pop("neg", 5)
-        epochs = pop("epochs", 2)
-        lr = pop("lr", 0.05)
-        p = pop("p", 1.0) if method == "biased-walk" else None
-        q = pop("q", 0.5) if method == "biased-walk" else None
-        _reject_unknown(hp, method)
-        walks = generate_walks(graph, n_walks, walk_len, seed, p=p, q=q)
-        return _walks_to_table(graph, walks, dim, window, neg, epochs, lr, seed)
-
+        walks = generate_walks(graph, hp["n_walks"], hp["walk_len"], seed,
+                               p=hp.get("p"), q=hp.get("q"))
+        counts = np.bincount(np.concatenate(walks), minlength=graph.n_nodes).astype(np.float64)
+        counts = np.maximum(counts, 1e-12)  # unvisited nodes keep a vanishing noise weight
+        trainer = SkipGramTrainer(graph.n_nodes, hp["dim"], hp["window"], hp["neg"], hp["lr"],
+                                  seed, counts=counts)
+        trainer.train(walks, hp["epochs"])
+        return EmbeddingTable(graph.entity_ids(), trainer.w_in.copy())
     if method in ("proximity-1", "proximity-2"):
-        dim = pop("dim", 32)
-        neg = pop("neg", 5)
-        epochs = pop("epochs", 20)
-        lr = pop("lr", 0.05)
-        batch_size = pop("batch_size", 128)
-        _reject_unknown(hp, method)
-        order = 1 if method == "proximity-1" else 2
-        trainer = EdgeProximityTrainer(graph, dim, order, neg, lr, seed)
-        trainer.train(epochs, batch_size)
+        trainer = EdgeProximityTrainer(graph, hp["dim"], int(method[-1]), hp["neg"], hp["lr"],
+                                       seed)
+        trainer.train(hp["epochs"], hp["batch_size"])
         return trainer.table()
-
-    # aggregation
     if node_features is None:
         raise ValueError("aggregation needs node_features")
-    hidden = pop("hidden", 32)
-    out_dim = pop("out_dim", 32)
-    n_layers = pop("n_layers", 2)
-    neg = pop("neg", 5)
-    epochs = pop("epochs", 3)
-    lr = pop("lr", 0.01)
-    sample_size = pop("sample_size", 10)
-    n_walks = pop("n_walks", 5)
-    walk_len = pop("walk_len", 20)
-    window = pop("window", 5)
-    batch_size = pop("batch_size", 256)
-    _reject_unknown(hp, method)
-    trainer = AggregationTrainer(
-        graph, node_features, hidden, out_dim, n_layers, neg, lr, sample_size, seed
-    )
-    walks = generate_walks(graph, n_walks, walk_len, seed + 1)
-    pairs = cooccurrence_pairs(walks, window)
-    trainer.train(pairs, epochs, batch_size)
+    trainer = AggregationTrainer(graph, node_features, hp["hidden"], hp["out_dim"],
+                                 hp["n_layers"], hp["neg"], hp["lr"], hp["sample_size"], seed)
+    walks = generate_walks(graph, hp["n_walks"], hp["walk_len"], seed + 1)
+    trainer.train(cooccurrence_pairs(walks, hp["window"]), hp["epochs"], hp["batch_size"])
     return EmbeddingTable(graph.entity_ids(), trainer.embeddings())
-
-
-def _reject_unknown(hp: dict, method: str) -> None:
-    if hp:
-        raise ValueError(f"unknown hyperparameters for {method}: {sorted(hp)}")

@@ -233,7 +233,7 @@ def default_kernel_bank() -> tuple[np.ndarray, np.ndarray]:
 
 
 def kernel_pool_forward(S: np.ndarray, q_counts: np.ndarray, c_counts: np.ndarray,
-                        mus, sigmas, negative_exponent: bool = True):
+                        mus, sigmas, negative_exponent: bool):
     """RBF kernel pooling of a block of word cosines into (query, candidate)
     features, K-NRM style: ``pooled[h] = q_counts @ log(g_h(S) @ c_counts.T
     + eps)`` with ``g_h = exp(-(S - mu_h)^2 / (2 sigma_h^2))``.

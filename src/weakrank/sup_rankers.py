@@ -32,7 +32,6 @@ from .nncore import (
     ParamGroup,
     cosine_rows_backward,
     cosine_rows_forward,
-    default_kernel_bank,
     dense_backward,
     dense_forward,
     init_param,
@@ -96,7 +95,7 @@ class RankerBackbone:
         np.add.at(counts, (doc_of, word_of), 1.0)
         return words, counts
 
-    def phi_features(self, mus, sigmas, negative_exponent: bool = True) -> np.ndarray:
+    def phi_features(self, mus, sigmas, negative_exponent: bool) -> np.ndarray:
         """Kernel-pooled match features for every (query, candidate) pair.
 
         phi[i, j, h] = sum over query words of log(K_h(similarity row) + eps),
@@ -187,6 +186,13 @@ class _Ranker:
     """What every ranker shares; each defines ``score_matrix()``, and its own
     ``score_pairs`` (a gather from it) so the method can be wrapped per class."""
 
+    def __init__(self, backbone: RankerBackbone, spec: SupModelSpec, seed: int):
+        self.backbone, self.spec, self.seed = backbone, spec, seed
+        self.hp = spec.hyperparameters()
+
+    def params(self) -> ParamGroup:
+        return self._params
+
     def after_update(self) -> None:
         pass
 
@@ -200,10 +206,8 @@ class RepresentationRanker(_Ranker):
     kind = "representation"
 
     def __init__(self, backbone: RankerBackbone, spec: SupModelSpec, seed: int):
-        self.backbone = backbone
-        self.spec = spec
-        self.seed = seed
-        hidden = spec.params.get("hidden", 32)
+        super().__init__(backbone, spec, seed)
+        hidden = self.hp["hidden"]
         d0 = backbone.table.dim
         rng = np.random.default_rng(seed)
         self.sides = {}
@@ -215,9 +219,6 @@ class RepresentationRanker(_Ranker):
                 init_param(f"rep.{side}.b2", (hidden,), rng),
             ]
         self._params = ParamGroup(self.sides["q"] + self.sides["c"])
-
-    def params(self) -> ParamGroup:
-        return self._params
 
     def _tower(self, X: np.ndarray, side: str):
         W1, b1, W2, b2 = self.sides[side]
@@ -258,22 +259,16 @@ class InteractionRanker(_Ranker):
     kind = "interaction"
 
     def __init__(self, backbone: RankerBackbone, spec: SupModelSpec, seed: int):
-        self.backbone = backbone
-        self.spec = spec
-        self.seed = seed
-        mus, sigmas = default_kernel_bank()
-        self.mus = np.asarray(spec.params.get("mus", mus), dtype=np.float64)
-        self.sigmas = np.asarray(spec.params.get("sigmas", sigmas), dtype=np.float64)
-        self.negative_exponent = bool(spec.params.get("negative_exponent", True))
+        super().__init__(backbone, spec, seed)
+        self.mus = np.asarray(self.hp["mus"], dtype=np.float64)
+        self.sigmas = np.asarray(self.hp["sigmas"], dtype=np.float64)
+        self.negative_exponent = bool(self.hp["negative_exponent"])
         self.phi = backbone.phi_features(self.mus, self.sigmas, self.negative_exponent)
         rng = np.random.default_rng(seed)
         H = len(self.mus)
         self.w = init_param("inter.w", (H,), rng)
         self.b = init_param("inter.b", (1,), rng)
         self._params = ParamGroup([self.w, self.b])
-
-    def params(self) -> ParamGroup:
-        return self._params
 
     def score_matrix(self) -> np.ndarray:
         return self.phi @ self.w.value + self.b.value[0]
@@ -300,26 +295,18 @@ class GraphAggregationRanker(_Ranker):
     kind = "graph-aggregation"
 
     def __init__(self, backbone: RankerBackbone, spec: SupModelSpec, seed: int):
-        self.backbone = backbone
-        self.spec = spec
-        self.seed = seed
+        super().__init__(backbone, spec, seed)
         A, features, q_nodes, c_nodes = backbone.graph_inputs()
         self.A = A
         self.features = features
         self.M0 = sage_input(features, A)  # frozen features, fixed sample
         self.q_nodes = q_nodes
         self.c_nodes = c_nodes
-        hidden = spec.params.get("hidden", 32)
-        out_dim = spec.params.get("out_dim", 32)
-        n_layers = spec.params.get("n_layers", 2)
+        hidden, out_dim, n_layers = self.hp["hidden"], self.hp["out_dim"], self.hp["n_layers"]
         d0 = features.shape[1]
         dims = [d0] + [hidden] * max(0, n_layers - 1) + ([out_dim] if n_layers else [])
-        rng = np.random.default_rng(seed)
-        self.layers = create_layers("sup-agg", dims, rng)
+        self.layers = self._params = create_layers("sup-agg", dims, np.random.default_rng(seed))
         self._Z: np.ndarray | None = None
-
-    def params(self) -> ParamGroup:
-        return self.layers
 
     def after_update(self) -> None:
         self._Z = None

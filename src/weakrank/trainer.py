@@ -323,9 +323,10 @@ def pretrain_all(
     plan = []
     for spec in registry:
         seed = derive_seed(master_seed, "unsup", spec.name)
+        hp_hash = stable_hash({"kind": spec.kind, "params": spec.params})
         cache_path = None if spec.kind == "external" else cache_entry(
             cache_dir, f"unsup_{spec.name}",
-            {"corpus": corpus_hash, "model": spec.name, "hp": spec.hp_hash(), "seed": seed})
+            {"corpus": corpus_hash, "model": spec.name, "hp": hp_hash, "seed": seed})
         plan.append((spec, seed, cache_path))
 
     jobs = [PretrainJob(spec.name, spec.kind, compute_score_matrix, (spec, corpus, graph, seed))
@@ -445,7 +446,7 @@ def _train_selected_models(
         train_supervised(
             model, triples,
             epochs=epochs,
-            lr=spec.params.get("lr", config.sup_lr),
+            lr=spec.hyperparameters(config)["lr"],
             seed=derive_seed(config.seed, "sup-train", spec.name, seed_label),
             batch_size=config.sup_batch_size,
             eval_fn=eval_fn,

@@ -129,7 +129,7 @@ class TestExperimentConfig:
         config = ExperimentConfig()
         config.kernel_negative_exponent = False
         registry = config.build_sup_registry()
-        inter = registry[registry.index_of("interaction")]
+        inter = registry[registry.names.index("interaction")]
         assert inter.params["negative_exponent"] is False
 
     def test_to_run_config(self):
@@ -304,20 +304,31 @@ class TestCli:
         "controller_lr=-1", "sup_lr=0", "backbone_lr=-0.1", "sup_lr=inf",
         "baseline_decay=1.5", "entropy_coef=nan", "entropy_coef=inf", "entropy_coef=-inf",
         "hp.graph-walk.n_walks",
+        "hp.graph-walk.wlak_len=5", "hp.bm25.k=1", "hp.text-embedding.seed=3",
+        "hp.graph-walk.n_walks=two", "hp.representation.hiden=64", "hp.nosuch.dim=3",
+        "hp.graph-walk.lr=NaN", "hp.graph-walk.dim=32.5",
+        "external_scores=ext=ext.csv;hp.ext.dim=8",
     ])
-    @pytest.mark.parametrize("command", [["search"], ["ablate", "--mode", "fix-k", "--sweep"]],
-                             ids=["search", "ablate"])
-    def test_bad_configuration_writes_nothing(self, synth_dir, tmp_path, capsys,
+    @pytest.mark.parametrize("command", [["search"], ["ablate", "--mode", "fix-k", "--sweep"],
+                                         ["pretrain"]], ids=["search", "ablate", "pretrain"])
+    def test_bad_configuration_writes_nothing(self, synth_dir, tmp_path, capsys, monkeypatch,
                                               command, setting):
-        # eval_negatives=20 fits the corpus, so only ``setting`` is at fault
+        # eval_negatives=20 fits the corpus and ext.csv is a valid scorer, so
+        # only ``setting`` (one or more ;-separated keys) is at fault
+        from weakrank.bm25 import bm25_matrix
+        from weakrank.corpus import Corpus
+
+        monkeypatch.chdir(tmp_path)
+        bm25_matrix(Corpus.load(synth_dir / "corpus.json")).save_csv(tmp_path / "ext.csv")
         out = tmp_path / "run"
         rc = main([*command, "--set", f"corpus={synth_dir / 'corpus.json'}",
                    "--set", f"annotations={synth_dir / 'annotations.tsv'}",
                    "--set", f"output_dir={out}", "--set", "eval_negatives=20",
-                   "--set", setting])
+                   *(arg for key in setting.split(";") for arg in ("--set", key))])
         assert rc == 2
         assert capsys.readouterr().err.startswith("error: ValueError: ")
-        assert not out.exists()
+        # neither the run directory nor its pretrain cache exists
+        assert [p.name for p in tmp_path.iterdir()] == ["ext.csv"]
 
     @pytest.mark.parametrize("command,setting,message", [
         (["search"], "k_values=500", "k value 500 out of range"),

@@ -12,8 +12,7 @@ from weakrank.bm25 import bm25_matrix
 from weakrank.cli import main
 from weakrank.corpus import AnnotationSet, split_annotations
 from weakrank.registry import (
-    SUP_KINDS,
-    UNSUP_KINDS,
+    HYPERPARAMETERS,
     SupModelRegistry,
     SupModelSpec,
     UnsupModelRegistry,
@@ -156,7 +155,7 @@ def test_split_covers_every_job_once_and_the_caller_always_works(processes):
 
 
 def test_every_scorer_kind_has_a_cost():
-    assert set(UNSUP_KINDS) | {"backbone"} == set(JOB_COST)
+    assert set(HYPERPARAMETERS["unsupervised"]) | {"backbone"} == set(JOB_COST)
 
 
 @pytest.mark.parametrize("broken_first", [True, False])
@@ -276,10 +275,10 @@ class TestInfeasibleEvalListsFailFirst:
 def test_graph_kinds_are_the_ones_that_need_the_graph():
     graph_kinds = {"graph-walk", "graph-biased-walk", "graph-proximity-1",
                    "graph-proximity-2", "graph-aggregation"}
-    for kind in UNSUP_KINDS:
+    for kind in HYPERPARAMETERS["unsupervised"]:
         spec = UnsupModelSpec(kind, kind, {"path": "x.csv"} if kind == "external" else {})
         assert needs_graph([spec]) is (kind in graph_kinds), kind
-    for kind in SUP_KINDS:
+    for kind in HYPERPARAMETERS["supervised"]:
         assert needs_graph([SupModelSpec(kind, kind)]) is (kind == "graph-aggregation"), kind
     assert not needs_graph([])
     assert needs_graph([UnsupModelSpec("bm25", "bm25"),

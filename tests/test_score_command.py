@@ -107,3 +107,22 @@ def test_graph_ranker_served_from_the_pretrain_seed(tmp_path, monkeypatch, train
     assert main(["search", "--config", "exp.cfg"]) == 0
     served = _served(tmp_path, corpus)
     assert np.max(np.abs(served - _ensemble([trained["graph-aggregation"]]))) <= 1e-12
+
+
+def test_refuses_a_hyperparameter_the_model_does_not_declare(tmp_path, monkeypatch, capsys):
+    """``score`` checks ``hp.`` keys as a search does: from ``--set``, and
+    from a run's ``config.cfg``, which earlier versions served and ignored."""
+    _sandbox(tmp_path)
+    monkeypatch.chdir(tmp_path)
+    assert main(["search", "--config", "exp.cfg"]) == 0
+    capsys.readouterr()
+    expected = ("error: ValueError: hp.representation.hiden: model 'representation' has no "
+                "hyperparameter 'hiden' (accepted keys: hidden, lr)")
+    argv = ["score", "--run", "run", "--out", "bad.tsv"]
+    assert main(argv + ["--set", "hp.representation.hiden=64"]) == 2
+    assert capsys.readouterr().err.strip() == expected
+    with open(tmp_path / "run" / "config.cfg", "a", encoding="utf-8") as fh:
+        fh.write("hp.representation.hiden=64\n")
+    assert main(argv) == 2
+    assert capsys.readouterr().err.strip() == expected
+    assert not (tmp_path / "bad.tsv").exists()

@@ -152,7 +152,8 @@ class TestInteraction:
         other = RankerBackbone(corpus, EmbeddingTable(table.ids, scaled), center=False)
         mus = np.array([0.9, 0.5, -0.5])
         sigmas = np.array([0.1, 0.2, 0.3])
-        assert np.allclose(base.phi_features(mus, sigmas), other.phi_features(mus, sigmas))
+        assert np.allclose(base.phi_features(mus, sigmas, True),
+                           other.phi_features(mus, sigmas, True))
 
     def test_reference_scorer_matches_cached_features(self, mirror_backbone):
         model = InteractionRanker(mirror_backbone, _spec("interaction"), seed=4)
@@ -174,7 +175,7 @@ class TestInteraction:
                                   center=False)
         mus = np.array([0.9, 0.0, -0.9])
         sigmas = np.array([0.1, 0.1, 0.1])
-        got = backbone.phi_features(mus, sigmas)
+        got = backbone.phi_features(mus, sigmas, True)
         assert np.isfinite(got).all()
         assert np.max(np.abs(got - _phi_reference(backbone, mus, sigmas))) <= 1e-9
 
@@ -546,7 +547,8 @@ class TestMatrixScoring:
 
     def test_phi_repeat_call_returns_cached_array(self, repeat_backbone):
         mus, sigmas = np.array([0.5]), np.array([0.2])
-        assert repeat_backbone.phi_features(mus, sigmas) is repeat_backbone.phi_features(mus, sigmas)
+        first = repeat_backbone.phi_features(mus, sigmas, True)
+        assert repeat_backbone.phi_features(mus, sigmas, True) is first
 
     @pytest.mark.parametrize("kind,hp", [
         ("representation", {"hidden": 8}),

@@ -11,7 +11,7 @@ from weakrank.metrics import build_eval_lists, mrr
 from weakrank.pseudo_labels import aggregate
 from weakrank.sup_rankers import score_lists_with_ensemble
 from weakrank.registry import (
-    UNSUP_KINDS,
+    HYPERPARAMETERS,
     SupModelRegistry,
     SupModelSpec,
     UnsupModelRegistry,
@@ -92,7 +92,8 @@ class TestPretrainAll:
         graph = build_graph(corpus)
         hp = {"bm25": {}, "graph-aggregation": {"out_dim": 8}}
         registry = UnsupModelRegistry([UnsupModelSpec(kind, kind, hp.get(kind, {"dim": 8}))
-                                       for kind in UNSUP_KINDS if kind != "external"])
+                                       for kind in HYPERPARAMETERS["unsupervised"]
+                                       if kind != "external"])
         assert len(registry) == 7
         matrices = pretrain_all(corpus, graph, registry, tmp_path, master_seed=0)
         assert len(matrices) == 7
