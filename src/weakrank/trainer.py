@@ -39,7 +39,13 @@ from .metrics import (
 )
 from .nncore import OptimizerState, zero_grads
 from .pseudo_labels import aggregate, sample_training_pairs, top_k_labels
-from .registry import SupModelRegistry, UnsupModelRegistry, compute_score_matrix, needs_graph
+from .registry import (
+    HYPERPARAMETERS,
+    SupModelRegistry,
+    UnsupModelRegistry,
+    compute_score_matrix,
+    needs_graph,
+)
 from .scores import ScoreMatrix
 from .sup_rankers import (
     RankerBackbone,
@@ -96,8 +102,8 @@ class SearchSettings:
     seed: int = 0
     pretrain_seed: int = -1  # -1 follows `seed`; fix to share pretrained scorers,
                              # the backbone and eval lists across search seeds
-    workers: int = 0  # pretraining processes, this one included; 0 = one per
-                      # available CPU; any value gives the same results
+    workers: int = 0  # pretraining and ranker-training processes, this one included;
+                      # 0 = one per available CPU; any value gives the same results
 
 
 @dataclass(kw_only=True)
@@ -176,32 +182,37 @@ def cache_entry(cache_dir: str | Path | None, prefix: str, key: dict) -> Path | 
     return Path(cache_dir) / f"{prefix}_{stable_hash(key)[:16]}.bin"
 
 
-# Relative pretraining time of each job kind, in hundredths of a second at
-# reference speed: `perfbench/run.py --workload pretrain-cold --seed 7
-# --trace 1`, run on one CPU so that every job runs in the traced process
-# (host speed 0.95; the backbone is the rest of `pretrain_all`'s busy time).
-# It only decides which process runs a job, never what the job computes. At
-# the README's scale the aggregation scorer costs the most instead.
+# Time of each job kind, in hundredths of a second, each job run alone in
+# one process on the `perfbench/run.py --workload pretrain-cold --seed 41`
+# inputs (the least of 3 runs, not corrected for host speed). A `sup:` kind
+# trains that ranker at the episode budget. It only decides which process
+# runs a job, never what the job computes. At the README's scale the
+# aggregation scorer costs the most instead.
 JOB_COST = {
-    "graph-biased-walk": 66, "graph-walk": 63, "graph-proximity-1": 38,
-    "graph-proximity-2": 37, "text-embedding": 24, "backbone": 24,
-    "graph-aggregation": 23, "bm25": 0, "external": 0,
+    "graph-biased-walk": 86, "graph-walk": 85, "graph-proximity-1": 51,
+    "graph-proximity-2": 51, "text-embedding": 31, "backbone": 31,
+    "graph-aggregation": 28, "bm25": 0, "external": 0,
+    "sup:graph-aggregation": 20, "sup:representation": 10, "sup:interaction": 2,
 }
+# Bump a scorer kind's version whenever its output changes, so that its
+# cache entries miss; a key holds the version only once it is above 0.
+SCORER_VERSION = dict.fromkeys(HYPERPARAMETERS["unsupervised"], 0)
 
 
 @dataclass(frozen=True)
-class PretrainJob:
-    """One cache miss: ``fn(*args)`` trains ``name``; ``kind`` ranks its cost."""
+class Job:
+    """``fn(*args)`` trains ``name`` during ``stage``; ``kind`` ranks its cost."""
 
     name: str
     kind: str
     fn: Callable
     args: tuple
+    stage: str = "pretraining"
 
 
 def resolve_workers(workers: int) -> int:
-    """The pretraining process count ``workers`` asks for: itself when
-    positive, one per CPU this process may run on when 0."""
+    """The process count ``workers`` asks for: itself when positive, one
+    per CPU this process may run on when 0."""
     if workers < 0:
         raise ValueError(f"workers must be >= 0, got {workers}")
     if workers:
@@ -211,7 +222,7 @@ def resolve_workers(workers: int) -> int:
     return os.cpu_count() or 1
 
 
-def split_jobs(jobs: list[PretrainJob], processes: int) -> list[list[int]]:
+def split_jobs(jobs: list[Job], processes: int) -> list[list[int]]:
     """Job indices per process, process 0 being the caller's: longest
     processing time first over ``JOB_COST``, each job to the least loaded
     process, ties to the earlier job and the lower process. The split is a
@@ -226,18 +237,18 @@ def split_jobs(jobs: list[PretrainJob], processes: int) -> list[list[int]]:
     return shares
 
 
-def _failure(job: PretrainJob, reason) -> str:
-    return f"pretraining failed for model {job.name!r}: {reason}"
+def _failure(job: Job, reason) -> str:
+    return f"{job.stage} failed for model {job.name!r}: {reason}"
 
 
-def _run_job(job: PretrainJob):
+def _run_job(job: Job):
     try:
         return job.fn(*job.args)
     except Exception as exc:
         raise RuntimeError(_failure(job, exc)) from exc
 
 
-def _fork_helper(jobs: list[PretrainJob], share: list[int]):
+def _fork_helper(jobs: list[Job], share: list[int]):
     """Run ``share`` in a forked process that inherits the jobs' inputs and
     pickles back through a pipe only its results, or its first failure's
     message and traceback. The helper leaves through ``os._exit``: it never unwinds into
@@ -261,13 +272,13 @@ def _fork_helper(jobs: list[PretrainJob], share: list[int]):
     return pid, os.fdopen(read_fd, "rb"), share
 
 
-def run_jobs(jobs: list[PretrainJob], workers: int) -> list:
+def run_jobs(jobs: list[Job], workers: int) -> list:
     """Each job's result, in job order, computed across ``workers`` processes
     (0: one per available CPU): this one and forked helpers, split by
-    ``split_jobs``. Every job seeds itself, so the results are the same for
-    any worker count. A failing job raises a RuntimeError naming its model,
-    after every helper has been reaped. Without ``os.fork`` the jobs run in
-    series here."""
+    ``split_jobs``. Pretraining and each ranker training run their jobs here.
+    Every job seeds itself, so the results are the same for any worker count.
+    A failing job raises a RuntimeError naming its stage and model, after
+    every helper has been reaped. Without ``os.fork`` they run here in turn."""
     processes = resolve_workers(workers) if hasattr(os, "fork") else 1
     shares = split_jobs(jobs, processes)
     results = [None] * len(jobs)
@@ -302,7 +313,7 @@ def pretrain_all(
     cache_dir: str | Path | None,
     master_seed: int,
     workers: int = 0,
-    extra: Sequence[PretrainJob] = (),
+    extra: Sequence[Job] = (),
 ) -> list:
     """One score matrix per registered model, cache-aware, followed by the
     result of each ``extra`` job.
@@ -324,12 +335,14 @@ def pretrain_all(
     for spec in registry:
         seed = derive_seed(master_seed, "unsup", spec.name)
         hp_hash = stable_hash({"kind": spec.kind, "params": spec.params})
+        key = {"corpus": corpus_hash, "model": spec.name, "hp": hp_hash, "seed": seed}
+        if SCORER_VERSION[spec.kind]:  # at version 0, the key made before versions
+            key["version"] = SCORER_VERSION[spec.kind]
         cache_path = None if spec.kind == "external" else cache_entry(
-            cache_dir, f"unsup_{spec.name}",
-            {"corpus": corpus_hash, "model": spec.name, "hp": hp_hash, "seed": seed})
+            cache_dir, f"unsup_{spec.name}", key)
         plan.append((spec, seed, cache_path))
 
-    jobs = [PretrainJob(spec.name, spec.kind, compute_score_matrix, (spec, corpus, graph, seed))
+    jobs = [Job(spec.name, spec.kind, compute_score_matrix, (spec, corpus, graph, seed))
             for spec, seed, cache_path in plan if not _cached(cache_path)]
     results = run_jobs(jobs + list(extra), workers)
     trained = {job.name: matrix for job, matrix in zip(jobs, results)}
@@ -399,13 +412,13 @@ def pretrain(corpus: Corpus, config: RunConfig, cache_dir: str | Path | None):
     Every cache miss, each scorer and the backbone, is one job;
     ``pretrain_all`` runs them together through ``run_jobs``, split between
     this process and helpers forked once the corpus and graph exist,
-    ``config.workers`` processes in all (0: one per available CPU). A warm
-    cache forks nothing.
+    ``config.workers`` processes in all (0: one per available CPU), the same
+    setting that spreads each episode's rankers. A warm cache forks nothing.
     """
     uses_graph = needs_graph([*config.unsup_registry, *config.sup_registry])
     graph = build_graph(corpus) if uses_graph else None
     backbone_job = [] if _cached(_backbone_entry(corpus, config, cache_dir)) else [
-        PretrainJob("backbone", "backbone", _train_backbone_table, (corpus, config))]
+        Job("backbone", "backbone", _train_backbone_table, (corpus, config))]
     matrices = pretrain_all(corpus, graph, config.unsup_registry, cache_dir,
                             config.effective_pretrain_seed, config.workers, extra=backbone_job)
     table = matrices.pop() if backbone_job else None
@@ -432,29 +445,34 @@ def _train_selected_models(
     mask, labels_k: int, agg, backbone, config: RunConfig, epochs: int,
     seed_label: str, eval_fn=None, patience: int = 0,
 ):
-    """Train the rankers a mask selects on the top-k pseudo labels of ``agg``."""
+    """Train the rankers a mask selects on the top-k pseudo labels of ``agg``,
+    one ``run_jobs`` job each. Every model is created here first, so forked
+    helpers inherit the backbone's cached inputs; a job sends back only its
+    model's flat parameter buffer."""
     triples = sample_training_pairs(
         top_k_labels(agg, labels_k), labels_k, config.n_neg_per_pos,
         seed=derive_seed(config.seed, "pairs", seed_label),
     )
-    models = []
-    for selected, spec in zip(mask, config.sup_registry):
-        if not selected:
-            continue
-        model_seed = derive_seed(config.seed, "sup-init", spec.name, seed_label)
-        model = create_sup_model(spec, backbone, model_seed)
-        train_supervised(
-            model, triples,
-            epochs=epochs,
-            lr=spec.hyperparameters(config)["lr"],
-            seed=derive_seed(config.seed, "sup-train", spec.name, seed_label),
-            batch_size=config.sup_batch_size,
-            eval_fn=eval_fn,
-            patience=patience,
-            algorithm=config.sup_optimizer,
-        )
-        models.append(model)
+    models = [create_sup_model(spec, backbone, derive_seed(config.seed, "sup-init", spec.name,
+                                                           seed_label))
+              for selected, spec in zip(mask, config.sup_registry) if selected]
+    jobs = [Job(model.spec.name, f"sup:{model.kind}", _train_ranker,
+                (model, triples, config, epochs, seed_label, eval_fn, patience), "training")
+            for model in models]
+    for model, values in zip(models, run_jobs(jobs, config.workers)):
+        np.copyto(model.params().values, values)
+        model.after_update()
     return models
+
+
+def _train_ranker(model, triples, config: RunConfig, epochs: int, seed_label: str, eval_fn,
+                  patience: int) -> np.ndarray:
+    """One ranker's training job; it returns only the trained flat buffer."""
+    train_supervised(model, triples, epochs=epochs, lr=model.spec.hyperparameters(config)["lr"],
+                     seed=derive_seed(config.seed, "sup-train", model.spec.name, seed_label),
+                     batch_size=config.sup_batch_size, eval_fn=eval_fn, patience=patience,
+                     algorithm=config.sup_optimizer)
+    return model.params().values
 
 
 def run_episode(

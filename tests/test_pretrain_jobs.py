@@ -1,8 +1,13 @@
-"""Pretraining as scheduled jobs: the same results for any worker count, a
-deterministic split with the caller taking a share, failures that name
-their model and leave no process behind, and no fork on a warm cache."""
+"""Pretraining and ranker training as scheduled jobs: the same results for
+any worker count, a deterministic split with the caller taking a share,
+failures that name their model and leave no process behind, no fork on a
+warm cache or for a lone ranker, and cache entries that a version bump
+retires one kind at a time."""
 
+import dataclasses
+import importlib.util
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,6 +16,7 @@ import weakrank.trainer as trainer
 from weakrank.bm25 import bm25_matrix
 from weakrank.cli import main
 from weakrank.corpus import AnnotationSet, split_annotations
+from weakrank.pseudo_labels import aggregate
 from weakrank.registry import (
     HYPERPARAMETERS,
     SupModelRegistry,
@@ -20,11 +26,15 @@ from weakrank.registry import (
     needs_graph,
 )
 from weakrank.scores import ScoreMatrix
+from weakrank.sup_rankers import GraphAggregationRanker, InteractionRanker, RepresentationRanker
 from weakrank.synthetic import generate_synthetic
 from weakrank.trainer import (
     JOB_COST,
-    PretrainJob,
+    SCORER_VERSION,
+    Job,
     RunConfig,
+    _train_selected_models,
+    clamp_for_ablation,
     joint_train,
     pretrain,
     pretrain_all,
@@ -125,7 +135,7 @@ def test_warm_cache_forks_nothing(corpus_and_external, tmp_path, monkeypatch):
 
 
 def _jobs(kinds):
-    return [PretrainJob(f"m{i}", kind, int, ("0",)) for i, kind in enumerate(kinds)]
+    return [Job(f"m{i}", kind, int, ("0",)) for i, kind in enumerate(kinds)]
 
 
 def test_split_is_longest_first_and_deterministic():
@@ -140,6 +150,10 @@ def test_split_is_longest_first_and_deterministic():
     ]
     # at most one process per job: bm25, text-embedding, graph-walk
     assert split_jobs(jobs[:3], 8) == [[2], [1], [0]]
+    # a three-ranker episode: the graph ranker alone in the caller's share
+    rankers = [Job(kind, f"sup:{kind}", int, ("0",))
+               for kind in ("representation", "interaction", "graph-aggregation")]
+    assert split_jobs(rankers, 2) == [[2], [0, 1]]
 
 
 @pytest.mark.parametrize("processes", [1, 2, 3, 5])
@@ -155,7 +169,11 @@ def test_split_covers_every_job_once_and_the_caller_always_works(processes):
 
 
 def test_every_scorer_kind_has_a_cost():
-    assert set(HYPERPARAMETERS["unsupervised"]) | {"backbone"} == set(JOB_COST)
+    """Every job kind: each scorer, the backbone and each ranker, whose key
+    is prefixed because the graph-aggregation scorer and ranker share a
+    kind."""
+    rankers = {f"sup:{kind}" for kind in HYPERPARAMETERS["supervised"]}
+    assert set(HYPERPARAMETERS["unsupervised"]) | {"backbone"} | rankers == set(JOB_COST)
 
 
 @pytest.mark.parametrize("broken_first", [True, False])
@@ -180,8 +198,8 @@ def test_failure_names_its_model_and_reaps_every_helper(tmp_path, monkeypatch, b
 
 
 def test_a_helper_that_dies_is_reported_by_its_first_model():
-    jobs = [PretrainJob("fine", "graph-walk", int, ("7",)),
-            PretrainJob("dies", "bm25", os._exit, (3,))]
+    jobs = [Job("fine", "graph-walk", int, ("7",)),
+            Job("dies", "bm25", os._exit, (3,))]
     assert split_jobs(jobs, 2) == [[0], [1]]
     with pytest.raises(RuntimeError, match="model 'dies'.*helper process exited with code 3"):
         run_jobs(jobs, 2)
@@ -189,7 +207,7 @@ def test_a_helper_that_dies_is_reported_by_its_first_model():
 
 
 def test_helpers_return_results_in_job_order():
-    jobs = [PretrainJob(f"m{i}", kind, pow, (i, 2))
+    jobs = [Job(f"m{i}", kind, pow, (i, 2))
             for i, kind in enumerate(["bm25", "graph-walk", "text-embedding", "backbone"])]
     assert run_jobs(jobs, 3) == [0, 1, 4, 9]
     _no_child_left()
@@ -283,3 +301,115 @@ def test_graph_kinds_are_the_ones_that_need_the_graph():
     assert not needs_graph([])
     assert needs_graph([UnsupModelSpec("bm25", "bm25"),
                         SupModelSpec("graph-aggregation", "graph-aggregation")])
+
+
+def test_a_version_bump_misses_only_that_kinds_entry(corpus_and_external, tmp_path, monkeypatch):
+    corpus, _ = corpus_and_external
+    registry = UnsupModelRegistry([UnsupModelSpec(kind, kind, SMALL_HP[kind])
+                                   for kind in ("bm25", "text-embedding")])
+    pretrain_all(corpus, None, registry, tmp_path, master_seed=0, workers=1)
+    before = _cache_bytes(tmp_path)
+    trained = []
+    real = trainer.compute_score_matrix
+    monkeypatch.setattr(trainer, "compute_score_matrix",
+                        lambda spec, *args: trained.append(spec.name) or real(spec, *args))
+    monkeypatch.setitem(SCORER_VERSION, "text-embedding", 1)
+    pretrain_all(corpus, None, registry, tmp_path, master_seed=0, workers=1)
+    assert trained == ["text-embedding"]
+    after = _cache_bytes(tmp_path)
+    assert {name: after[name] for name in before} == before
+    added = sorted(set(after) - set(before))  # one new entry, under a new hash
+    assert [Path(name).suffix for name in added] == [".bin", ".csv"]
+    assert len({Path(name).stem for name in added}) == 1
+    assert added[0].startswith("unsup_text-embedding_")
+
+
+# --- ranker training -----------------------------------------------------------
+
+RANKERS = ("representation", "interaction", "graph-aggregation")
+
+
+@pytest.fixture(scope="module")
+def ranker_inputs(corpus_and_external):
+    """A corpus, a search configuration over all three rankers, and the
+    pretrained (matrices, backbone) every test here trains on."""
+    corpus, ext = corpus_and_external
+    config = _config(ext, 1, sup_registry=SupModelRegistry(
+        [SupModelSpec(kind, kind) for kind in RANKERS]), k_values=(3,), episodes=2,
+        episode_sup_epochs=2, final_sup_epochs=2, eval_negatives=5)
+    return corpus, config, pretrain(corpus, config, None)
+
+
+def _train(ranker_inputs, mask, workers):
+    corpus, config, (matrices, backbone) = ranker_inputs
+    config = dataclasses.replace(config, workers=workers)
+    agg = aggregate(matrices, [1] * len(matrices))
+    models = _train_selected_models(mask, 3, agg, backbone, config, epochs=2, seed_label="t")
+    return [(m.spec.name, m.params().values.tobytes()) for m in models]
+
+
+def _counting_forks(monkeypatch):
+    forks = []
+    real = os.fork
+
+    def fork():
+        forks.append(1)
+        return real()
+
+    monkeypatch.setattr(os, "fork", fork)
+    return forks
+
+
+@pytest.mark.parametrize("mask, workers, helpers", [
+    ((1, 1, 1), 2, 1), ((1, 1, 1), 3, 2), ((1, 1, 1), 5, 2), ((0, 1, 1), 3, 1),
+    ((0, 0, 1), 3, 0), ((1, 0, 0), 2, 0)])
+def test_each_training_forks_at_most_one_helper_per_extra_ranker(
+        ranker_inputs, monkeypatch, mask, workers, helpers):
+    serial = _train(ranker_inputs, mask, 1)
+    forks = _counting_forks(monkeypatch)
+    assert _train(ranker_inputs, mask, workers) == serial
+    assert len(forks) == helpers
+    _no_child_left()
+
+
+@pytest.mark.parametrize("broken", [RepresentationRanker, InteractionRanker,
+                                    GraphAggregationRanker])
+def test_a_failing_ranker_names_itself_and_reaps_every_helper(ranker_inputs, monkeypatch,
+                                                              broken):
+    """The graph ranker trains in the caller's share, the other two in the
+    helper's. A poisoned ranker's weights turn non-finite on its first
+    batch, which its forward pass or its loss check refuses."""
+    real = broken.loss_and_grads
+
+    def poisoned(self, batch):
+        self.params().values.fill(np.nan)
+        return real(self, batch)
+
+    monkeypatch.setattr(broken, "loss_and_grads", poisoned)
+    with pytest.raises(RuntimeError, match=f"^training failed for model '{broken.kind}'") as err:
+        with np.errstate(invalid="ignore"):
+            _train(ranker_inputs, (1, 1, 1), 2)
+    assert "non-finite" in str(err.value)
+    _no_child_left()
+
+
+def _compare_runs():
+    path = Path(__file__).resolve().parents[1] / "scripts" / "compare_runs.py"
+    spec = importlib.util.spec_from_file_location("compare_runs", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_joint_train_writes_the_same_run_for_any_worker_count(ranker_inputs, tmp_path):
+    corpus, config, _ = ranker_inputs
+    _, ann = generate_synthetic(8, 12, 2, 6, 12, 0.1, seed=4)  # the fixture's corpus
+    val, test = split_annotations(ann, seed=1)
+    clamp = clamp_for_ablation("fix-sup", list(RANKERS), config)
+    for workers in (1, 2, 3):
+        joint_train(corpus, val, test, dataclasses.replace(config, workers=workers),
+                    workdir=tmp_path / f"w{workers}", clamp=clamp)
+        _no_child_left()
+    compare = _compare_runs().compare
+    for workers in (2, 3):
+        assert compare(tmp_path / "w1", tmp_path / f"w{workers}")[0] == []
