@@ -255,11 +255,8 @@ def cmd_score(args) -> int:
 def cmd_report(args) -> int:
     run_dir = Path(args.run)
     episodes_path = run_dir / "episodes.jsonl"
-    entries = []
-    with open(episodes_path, encoding="utf-8") as fh:
-        for line in fh:
-            if line.strip():
-                entries.append(json.loads(line))
+    entries = [json.loads(line) for line in episodes_path.read_text(encoding="utf-8").splitlines()
+               if line.strip()]
     if not entries:
         raise ValueError(f"{episodes_path} holds no episodes")
 
@@ -275,14 +272,13 @@ def cmd_report(args) -> int:
     names_unsup = names_sup = None
     config_path = run_dir / "config.cfg"
     if config_path.exists():
-        config = ExperimentConfig.from_file(config_path)
         try:
+            config = ExperimentConfig.from_file(config_path)
             names_unsup = config.build_unsup_registry().names
             names_sup = config.build_sup_registry().names
         except ValueError:
             pass
-    n1 = len(entries[0]["I1"])
-    n3 = len(entries[0]["I3"])
+    n1, n3 = len(entries[0]["I1"]), len(entries[0]["I3"])
     if names_unsup is None or len(names_unsup) != n1:
         names_unsup = [f"unsup_{i}" for i in range(n1)]
     if names_sup is None or len(names_sup) != n3:

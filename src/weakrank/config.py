@@ -14,11 +14,13 @@ from pathlib import Path
 
 from .ioutil import stable_hash
 from .registry import (
+    HYPERPARAMETERS,
     SupModelRegistry,
     SupModelSpec,
     UnsupModelRegistry,
     UnsupModelSpec,
-    check_hyperparameters,
+    check_config,
+    setting,
 )
 from .trainer import RunConfig, SearchSettings
 
@@ -38,8 +40,8 @@ class ExperimentConfig(SearchSettings):
     external_scores: str = ""        # extra scorers: "name=path.csv,name2=path2.csv"
 
     # --- corpus limits -----------------------------------------------------
-    max_query_len: int = 100
-    max_candidate_len: int = 200
+    max_query_len: int = setting(100, low=1)
+    max_candidate_len: int = setting(200, low=1)
 
     # --- the menus the search chooses from -----------------------------------
     unsup_models: str = ("bm25,text-embedding,graph-walk,graph-biased-walk,"
@@ -48,9 +50,9 @@ class ExperimentConfig(SearchSettings):
     k_values: str = "10,20,30,40,50"
 
     # --- misc ----------------------------------------------------------------
-    kernel_negative_exponent: bool = True  # standard RBF form; False reproduces
-                                           # the unbounded printed variant
-    split_seed: int = 0
+    # True is the standard RBF form; False reproduces the unbounded printed variant
+    kernel_negative_exponent: bool = setting(True)
+    split_seed: int = setting(0, low=0)
     hp: dict = field(default_factory=dict)  # {model name: {hyperparameter: value}}
 
     # -------------------------------------------------------------------------
@@ -73,7 +75,7 @@ class ExperimentConfig(SearchSettings):
     def from_file(cls, path: str | Path | None,
                   overrides: list[str] | None = None) -> "ExperimentConfig":
         """The defaults, then ``path``'s keys (when given), then each
-        ``key=value`` override in turn."""
+        ``key=value`` override in turn, checked before it is returned."""
         config = cls()
         text = Path(path).read_text(encoding="utf-8") if path else ""
         for lineno, line in enumerate(text.splitlines(), 1):
@@ -83,29 +85,23 @@ class ExperimentConfig(SearchSettings):
             config.set_key(*_key_value(stripped, f"{path}:{lineno}"))
         for item in overrides or []:
             config.set_key(*_key_value(item, "--set"))
+        built_in = {kind for kinds in HYPERPARAMETERS.values() for kind in kinds} - {"external"}
+        externals = {entry.partition("=")[0] for entry in _split_names(config.external_scores)}
+        check_config(config, [(name, name if name in built_in else "external" if name in externals
+                               else None, params) for name, params in config.hp.items()])
         return config
 
     def save(self, path: str | Path) -> None:
-        lines = []
-        for f in sorted(fields(self), key=lambda f: f.name):
-            if f.name == "hp":
-                continue
-            lines.append(f"{f.name}={getattr(self, f.name)}")
-        for model in sorted(self.hp):
-            for key in sorted(self.hp[model]):
-                lines.append(f"hp.{model}.{key}={json.dumps(self.hp[model][key])}")
+        lines = [f"{f.name}={getattr(self, f.name)}"
+                 for f in sorted(fields(self), key=lambda f: f.name) if f.name != "hp"]
+        lines += [f"hp.{model}.{key}={json.dumps(value)}"
+                  for model in sorted(self.hp) for key, value in sorted(self.hp[model].items())]
         Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
     def content_hash(self) -> str:
         return stable_hash(asdict(self))
 
     # -------------------------------------------------------------------------
-
-    def k_values_tuple(self) -> tuple[int, ...]:
-        values = tuple(int(v) for v in self.k_values.split(",") if v.strip())
-        if not values:
-            raise ValueError("k_values is empty")
-        return values
 
     def build_unsup_registry(self) -> UnsupModelRegistry:
         specs = []
@@ -130,14 +126,11 @@ class ExperimentConfig(SearchSettings):
         return SupModelRegistry(specs)
 
     def to_run_config(self) -> RunConfig:
-        """The run's settings and menus; refuses a bad ``hp.<model>.<key>``
-        before anything is trained or written."""
-        unsup_registry = self.build_unsup_registry()
-        check_hyperparameters(self.hp, [m.name for m in unsup_registry if m.kind == "external"])
+        """The run's settings and menus."""
         return RunConfig(
-            unsup_registry=unsup_registry,
+            unsup_registry=self.build_unsup_registry(),
             sup_registry=self.build_sup_registry(),
-            k_values=self.k_values_tuple(),
+            k_values=tuple(int(k) for k in _split_names(self.k_values)),
             **{f.name: getattr(self, f.name) for f in fields(SearchSettings)},
         )
 

@@ -109,8 +109,6 @@ class ControllerParams:
     """LSTM weights plus per-choice embeddings and the three sampling heads."""
 
     def __init__(self, n_unsup: int, n_k: int, n_sup: int, hidden: int = 32, seed: int = 0):
-        if min(n_unsup, n_k, n_sup) < 1:
-            raise ValueError("registries and the k grid must be non-empty")
         self.n_unsup, self.n_k, self.n_sup = n_unsup, n_k, n_sup
         self.hidden = hidden
         rng = np.random.default_rng(seed)

@@ -24,6 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 ACTIVATIONS = ("identity", "tanh", "relu")
+OPTIMIZERS = ("adam", "sgd")
 
 
 def _ensure_finite(name: str, arr: np.ndarray) -> np.ndarray:
@@ -334,7 +335,7 @@ class OptimizerState:
     None until the first Adam step allocates them. A state drives one group.
     """
 
-    algorithm: str  # "sgd" | "adam"
+    algorithm: str  # one of OPTIMIZERS
     lr: float
     beta1: float = 0.9
     beta2: float = 0.999
@@ -344,7 +345,7 @@ class OptimizerState:
     v: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.algorithm not in ("sgd", "adam"):
+        if self.algorithm not in OPTIMIZERS:
             raise ValueError(f"unknown optimizer {self.algorithm!r}")
 
 

@@ -1,6 +1,6 @@
 """Model registries: the ordered menus the controller chooses from, and
 ``HYPERPARAMETERS``, each model kind's hyperparameters with the only copy
-of their defaults.
+of their defaults and rules, which ``check_config`` holds values to.
 
 Registry order is part of a run's identity (it fixes the meaning of each
 mask position), so registries are immutable once built. Externally supplied
@@ -13,7 +13,7 @@ from __future__ import annotations
 import inspect
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import ClassVar, NamedTuple
 
 from .bm25 import bm25_matrix
@@ -30,43 +30,115 @@ class Follows(NamedTuple):
     setting: str
 
 
-def _keyword_defaults(fn, *skip: str) -> dict:
-    """``fn``'s keyword defaults less ``skip``, so the table need not repeat them."""
-    return {name: p.default for name, p in inspect.signature(fn).parameters.items()
-            if p.default is not p.empty and name not in skip}
+class Key(NamedTuple):
+    """A declared key's default, and the rule its value keeps besides being
+    of the default's type (an integer passes for a float, a bool only for a
+    bool): finite, >= ``low``, > ``above``, <= ``high``, one of ``members``
+    when given. A list is non-empty, each item so, and as long as the key
+    ``like``'s resolved list. ``str(key)`` states the rule."""
+    default: object
+    low: float = -math.inf
+    above: float = -math.inf
+    high: float = math.inf
+    members: tuple = ()
+    like: str = ""
+
+    def holds(self, value, resolved: dict) -> bool:
+        kind = type(self.default)
+        if kind in (list, tuple):
+            other = resolved.get(self.like)
+            return (type(value) in (list, tuple) and len(value) > 0
+                    and all(self._replace(default=self.default[0]).holds(v, {}) for v in value)
+                    and (type(other) not in (list, tuple) or len(value) == len(other)))
+        if kind in (bool, str):
+            return type(value) is kind and (not self.members or value in self.members)
+        return (type(value) in ((int, float) if kind in (float, Follows) else (kind,))
+                and math.isfinite(value) and self.low <= value <= self.high and value > self.above)
+
+    def __str__(self):
+        if type(self.default) in (list, tuple):
+            return (f"a non-empty list, each {self._replace(default=self.default[0])}"
+                    + (self.like and f", as long as {self.like}"))
+        if type(self.default) in (bool, str):
+            return " or ".join(self.members or ("true", "false"))
+        bounds = [f"{op} {bound:g}" for op, bound in ((">=", self.low), (">", self.above),
+                                                      ("<=", self.high)) if math.isfinite(bound)]
+        noun = "an integer" if type(self.default) is int else "a finite number"
+        return " ".join([noun, ", ".join(bounds)]).rstrip()
 
 
-_TEXT = _keyword_defaults(train_text_embeddings, "seed")
-_WALK = {"dim": 32, "n_walks": 10, "walk_len": 40, "window": 5, "neg": 5, "epochs": 2,
-         "lr": 0.05}
-_PROXIMITY = {"dim": 32, "neg": 5, "epochs": 20, "lr": 0.05, "batch_size": 128}
-_LAYERS = {"hidden": 32, "out_dim": 32, "n_layers": 2}
-_MUS, _SIGMAS = (bank.tolist() for bank in default_kernel_bank())
+def setting(default, **rule):
+    """A dataclass field whose ``Key`` ``check_config`` holds its value to."""
+    return field(default=default, metadata={"key": Key(default, **rule)})
 
-# role -> kind -> {hyperparameter: default}. A scorer and a ranker of one
-# name share one ``hp.<name>`` dict, so each takes the keys either declares.
+
+def _keyword_defaults(fn, **rules) -> dict:
+    """A ``Key`` per keyword of ``rules``, its default ``fn``'s."""
+    params = inspect.signature(fn).parameters
+    return {name: Key(params[name].default, **rule) for name, rule in rules.items()}
+
+
+_TEXT = _keyword_defaults(train_text_embeddings, dim=dict(low=1), window=dict(low=1),
+                          neg=dict(low=0), epochs=dict(low=1), lr=dict(above=0))
+_WALK = {"dim": Key(32, low=1), "n_walks": Key(10, low=1), "walk_len": Key(40, low=2),
+         "window": Key(5, low=1), "neg": Key(5, low=0), "epochs": Key(2, low=1),
+         "lr": Key(0.05, above=0)}
+_PROXIMITY = {"dim": Key(32, low=1), "neg": Key(5, low=0), "epochs": Key(20, low=1),
+              "lr": Key(0.05, above=0), "batch_size": Key(128, low=1)}
+_LAYERS = {"hidden": Key(32, low=1), "out_dim": Key(32, low=1), "n_layers": Key(2, low=1)}
+_MU, _SIGMA = (bank.tolist() for bank in default_kernel_bank())
+
+# role -> kind -> {hyperparameter: Key}. A scorer and a ranker of one name
+# share one ``hp.<name>`` dict, so each takes the keys either declares, and
+# a key both declare carries one rule.
 HYPERPARAMETERS = {
     "unsupervised": {
-        "bm25": _keyword_defaults(bm25_matrix),
+        "bm25": _keyword_defaults(bm25_matrix, k1=dict(above=0), b=dict(low=0, high=1)),
         "text-embedding": _TEXT,
         "graph-walk": _WALK,
-        "graph-biased-walk": {**_WALK, "p": 1.0, "q": 0.5},
+        "graph-biased-walk": {**_WALK, "p": Key(1.0, above=0), "q": Key(0.5, above=0)},
         "graph-proximity-1": _PROXIMITY,
         "graph-proximity-2": _PROXIMITY,
         # the frozen node features are a text embedding trained with feature_*
-        "graph-aggregation": {**_LAYERS, "neg": 5, "epochs": 3, "lr": 0.01, "sample_size": 10,
-                              "n_walks": 5, "walk_len": 20, "window": 5, "batch_size": 256,
-                              **{f"feature_{key}": v for key, v in _TEXT.items()},
-                              "feature_epochs": 2},
+        "graph-aggregation": {**_LAYERS, "neg": Key(5, low=0), "epochs": Key(3, low=1),
+                              "lr": Key(0.01, above=0), "sample_size": Key(10, low=1),
+                              "n_walks": Key(5, low=1), "walk_len": Key(20, low=2),
+                              "window": Key(5, low=1), "batch_size": Key(256, low=1),
+                              **{f"feature_{name}": entry for name, entry in _TEXT.items()},
+                              "feature_epochs": Key(2, low=1)},
         "external": {},
     },
     "supervised": {
-        "representation": {"hidden": 32, "lr": Follows("sup_lr")},
-        "interaction": {"mus": _MUS, "sigmas": _SIGMAS, "negative_exponent": True,
-                        "lr": Follows("sup_lr")},
-        "graph-aggregation": {**_LAYERS, "lr": Follows("sup_lr")},
+        "representation": {"hidden": Key(32, low=1), "lr": Key(Follows("sup_lr"), above=0)},
+        "interaction": {"mus": Key(_MU, like="sigmas"), "sigmas": Key(_SIGMA, above=0, like="mus"),
+                        "negative_exponent": Key(True), "lr": Key(Follows("sup_lr"), above=0)},
+        "graph-aggregation": {**_LAYERS, "lr": Key(Follows("sup_lr"), above=0)},
     },
 }
+
+
+def check_config(settings, models=()) -> None:
+    """The one check of a configuration, before anything is trained or
+    written: refuses, naming key and value, a field of ``settings`` or an
+    ``hp.<name>.<key>`` of a ``(name, kind, params)`` in ``models`` that
+    breaks its rule, or that ``kind`` (None: no such model) does not declare."""
+    for f in fields(settings):
+        declared, value = f.metadata.get("key"), getattr(settings, f.name)
+        if declared and not declared.holds(value, {}):
+            raise ValueError(f"{f.name} must be {declared}, not {value!r}")
+    for name, kind, params in models:
+        table = {k: v for kinds in HYPERPARAMETERS.values() for k, v in kinds.get(kind, {}).items()}
+        resolved = {key: params.get(key, entry.default) for key, entry in table.items()}
+        accepted = ", ".join(sorted(table)) or "none"
+        for key, value in params.items():
+            if key not in table:
+                raise ValueError(f"hp.{name}.{key}: " + (
+                    f"model {name!r} has no hyperparameter {key!r}" if kind else
+                    f"no built-in model or external_scores entry is named {name!r}")
+                    + f" (accepted keys: {accepted})")
+            if not table[key].holds(value, resolved):
+                raise ValueError(f"hp.{name}.{key}: model {name!r} takes {table[key]} for "
+                                 f"{key!r}, not {value!r}")
 
 
 @dataclass(frozen=True)
@@ -86,9 +158,9 @@ class _ModelSpec:
         """Every hyperparameter the kind declares: the value in ``params``,
         else the table's default. A default that follows a search setting
         is read from ``settings`` (None without them)."""
-        return {key: self.params.get(key, getattr(settings, default.setting, None)
-                                     if isinstance(default, Follows) else default)
-                for key, default in HYPERPARAMETERS[self.role][self.kind].items()}
+        return {key: self.params.get(key, getattr(settings, entry.default.setting, None)
+                                     if isinstance(entry.default, Follows) else entry.default)
+                for key, entry in HYPERPARAMETERS[self.role][self.kind].items()}
 
 
 @dataclass(frozen=True)
@@ -101,67 +173,25 @@ class SupModelSpec(_ModelSpec):
     role: ClassVar[str] = "supervised"
 
 
-def _fits(value, default) -> bool:
-    """Whether ``value`` fits ``default``: a finite number for a float or a setting, a
-    list of finite numbers for a list, else the very type (no bool for an int)."""
-    if isinstance(default, (float, Follows)):
-        return type(value) in (int, float) and math.isfinite(value)
-    if isinstance(default, list):
-        return type(value) is list and len(value) > 0 and all(_fits(v, 0.0) for v in value)
-    return type(value) is type(default)
-
-
-def check_hyperparameters(hp: dict, external_names) -> None:
-    """Refuse an ``hp.<name>.<key>`` that no model named ``name`` declares,
-    or whose value does not fit the declared default. ``name`` is a built-in
-    kind or one of ``external_names``, which take no keys."""
-    for name, params in hp.items():
-        tables = [kinds[name] for kinds in HYPERPARAMETERS.values()
-                  if name in kinds and name != "external"]
-        declared = {key: default for table in tables for key, default in table.items()}
-        accepted = ", ".join(sorted(declared)) or "none"
-        for key, value in params.items():
-            if not tables and name not in external_names:
-                raise ValueError(f"hp.{name}.{key}: no built-in model or external_scores "
-                                 f"entry is named {name!r} (accepted keys: {accepted})")
-            if key not in declared:
-                raise ValueError(f"hp.{name}.{key}: model {name!r} has no hyperparameter "
-                                 f"{key!r} (accepted keys: {accepted})")
-            default = declared[key]
-            if not _fits(value, default):
-                shown = (f"the {default.setting} setting" if isinstance(default, Follows)
-                         else default)
-                raise ValueError(f"hp.{name}.{key}: model {name!r} takes a finite value of the "
-                                 f"type of its default ({shown}) for {key!r}, not {value!r}")
-
-
 _NAME_RE = re.compile(r"^[A-Za-z0-9][A-Za-z0-9_.-]*$")
 
 
-class _Registry:
-    def __init__(self, models):
-        self.models = tuple(models)
-        if not self.models:
+class _Registry(tuple):
+    def __new__(cls, models):
+        self = super().__new__(cls, models)
+        if not self:
             raise ValueError("registry must contain at least one model")
-        names = [m.name for m in self.models]
+        names = self.names
         if len(set(names)) != len(names):
             raise ValueError(f"duplicate model names in registry: {names}")
         for name in names:
             if not _NAME_RE.match(name):
                 raise ValueError(f"model name {name!r} is not filesystem-safe")
+        return self
 
     @property
     def names(self) -> list[str]:
-        return [m.name for m in self.models]
-
-    def __len__(self):
-        return len(self.models)
-
-    def __iter__(self):
-        return iter(self.models)
-
-    def __getitem__(self, i):
-        return self.models[i]
+        return [m.name for m in self]
 
 
 class UnsupModelRegistry(_Registry):

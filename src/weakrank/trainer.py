@@ -37,14 +37,16 @@ from .metrics import (
     mrr,
     score_lists_with_matrix,
 )
-from .nncore import OptimizerState, zero_grads
+from .nncore import OPTIMIZERS, zero_grads
 from .pseudo_labels import aggregate, sample_training_pairs, top_k_labels
 from .registry import (
     HYPERPARAMETERS,
     SupModelRegistry,
     UnsupModelRegistry,
+    check_config,
     compute_score_matrix,
     needs_graph,
+    setting,
 )
 from .scores import ScoreMatrix
 from .sup_rankers import (
@@ -63,79 +65,60 @@ REPORT_FORMAT_VERSION = 1
 @dataclass
 class SearchSettings:
     """The search's plain-valued settings, each declared once with its
-    default. ``RunConfig`` adds the built registries and k grid;
-    ``ExperimentConfig`` adds what a configuration file names."""
+    default and its rule. ``RunConfig`` adds the built registries and k
+    grid; ``ExperimentConfig`` adds what a configuration file names."""
 
     # --- search ------------------------------------------------------------
-    episodes: int = 200
-    n_monte_carlo: int = 1           # configurations sampled per controller update
-    episode_sup_epochs: int = 5
-    final_sup_epochs: int = 30
-    final_patience: int = 5
-    early_stop_patience: int = 0     # 0 = run the full episode budget
-    controller_lr: float = 0.5
-    controller_hidden: int = 32
-    use_baseline: bool = True
-    baseline_decay: float = 0.9
-    entropy_coef: float = 0.0
-    best_selection: str = "reward"   # or "greedy"
+    episodes: int = setting(200, low=1)
+    n_monte_carlo: int = setting(1, low=1)  # configurations sampled per controller update
+    episode_sup_epochs: int = setting(5, low=1)
+    final_sup_epochs: int = setting(30, low=1)
+    final_patience: int = setting(5, low=0)
+    early_stop_patience: int = setting(0, low=0)  # 0 = run the full episode budget
+    controller_lr: float = setting(0.5, above=0)
+    controller_hidden: int = setting(32, low=1)
+    use_baseline: bool = setting(True)
+    baseline_decay: float = setting(0.9, low=0, high=1)
+    entropy_coef: float = setting(0.0)
+    best_selection: str = setting("reward", members=("reward", "greedy"))
 
     # --- supervised training -------------------------------------------------
-    sup_lr: float = 0.005
-    sup_optimizer: str = "adam"
-    sup_batch_size: int = 32
-    n_neg_per_pos: int = 2
+    sup_lr: float = setting(0.005, above=0)
+    sup_optimizer: str = setting("adam", members=OPTIMIZERS)
+    sup_batch_size: int = setting(32, low=1)
+    n_neg_per_pos: int = setting(2, low=1)
 
     # --- evaluation ----------------------------------------------------------
-    eval_negatives: int = 99
-    normalize_scores: bool = True    # per-query min-max before averaging
+    eval_negatives: int = setting(99, low=0)
+    normalize_scores: bool = setting(True)  # per-query min-max before averaging
 
     # --- shared embedding backbone -------------------------------------------
-    backbone_dim: int = 32
-    backbone_window: int = 5
-    backbone_neg: int = 5
-    backbone_epochs: int = 3
-    backbone_lr: float = 0.05
-    graph_sample_size: int = 10
+    backbone_dim: int = setting(32, low=1)
+    backbone_window: int = setting(5, low=1)
+    backbone_neg: int = setting(5, low=1)
+    backbone_epochs: int = setting(3, low=1)
+    backbone_lr: float = setting(0.05, above=0)
+    graph_sample_size: int = setting(10, low=1)
 
     # --- seeds and processes -------------------------------------------------
-    seed: int = 0
-    pretrain_seed: int = -1  # -1 follows `seed`; fix to share pretrained scorers,
-                             # the backbone and eval lists across search seeds
-    workers: int = 0  # pretraining and ranker-training processes, this one included;
-                      # 0 = one per available CPU; any value gives the same results
+    seed: int = setting(0, low=0)
+    pretrain_seed: int = setting(-1, low=-1)  # -1 follows `seed`; fix to share scorers,
+                                              # backbone and eval lists across seeds
+    workers: int = setting(0, low=0)  # pretraining and ranker-training processes, this one
+                                      # included; 0 = one per CPU; results never depend on it
 
 
 @dataclass(kw_only=True)
 class RunConfig(SearchSettings):
-    """Everything a search run needs besides the data itself."""
+    """Everything a search run needs besides the data itself, checked when built."""
 
     unsup_registry: UnsupModelRegistry
     sup_registry: SupModelRegistry
-    k_values: tuple[int, ...] = (10, 20, 30, 40, 50)
+    k_values: tuple[int, ...] = setting((10, 20, 30, 40, 50), low=1)
 
     def __post_init__(self):
-        for name in ("episodes", "n_monte_carlo", "episode_sup_epochs", "final_sup_epochs",
-                     "sup_batch_size", "n_neg_per_pos", "controller_hidden", "backbone_dim",
-                     "backbone_window", "backbone_neg", "backbone_epochs", "graph_sample_size"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1")
-        for name in ("final_patience", "early_stop_patience", "eval_negatives"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be >= 0")
-        for name in ("controller_lr", "sup_lr", "backbone_lr"):
-            if not 0.0 < getattr(self, name) < np.inf:
-                raise ValueError(f"{name} must be finite and > 0")
-        OptimizerState(self.sup_optimizer, lr=self.sup_lr)  # rejects an unknown optimizer
-        if not 0.0 <= self.baseline_decay <= 1.0:
-            raise ValueError("baseline_decay must be in [0, 1]")
-        if not np.isfinite(self.entropy_coef):
-            raise ValueError("entropy_coef must be finite")
-        if not self.k_values:
-            raise ValueError("k_values must be non-empty")
-        if self.best_selection not in ("reward", "greedy"):
-            raise ValueError(f"unknown best_selection {self.best_selection!r}")
-        resolve_workers(self.workers)
+        check_config(self, [(m.name, m.kind, m.params) for m in self.unsup_registry
+                            + self.sup_registry if m.kind != "external"])
 
     @property
     def effective_pretrain_seed(self) -> int:
@@ -521,9 +504,8 @@ def check_search_inputs(corpus: Corpus, val_annotations: AnnotationSet,
     if not val_annotations.pairs:
         raise ValueError("validation annotation split is empty")
     n_cand = len(corpus.candidates)
-    for k in config.k_values:
-        if not 1 <= k < n_cand:
-            raise ValueError(f"k value {k} out of range for {n_cand} candidates")
+    if max(config.k_values) >= n_cand:
+        raise ValueError(f"k value {max(config.k_values)} out of range for {n_cand} candidates")
     check_eval_lists(val_annotations, corpus, config.eval_negatives)
     if test_annotations is not None and test_annotations.pairs:
         overlap = set(val_annotations.query_ids) & set(test_annotations.query_ids)

@@ -63,7 +63,7 @@ class TestExperimentConfig:
     def test_defaults_documented_and_typed(self):
         config = ExperimentConfig()
         assert config.episodes == 200
-        assert config.k_values_tuple() == (10, 20, 30, 40, 50)
+        assert config.to_run_config().k_values == (10, 20, 30, 40, 50)
         assert config.eval_negatives == 99
 
     def test_unknown_key_rejected(self):
@@ -308,6 +308,9 @@ class TestCli:
         "hp.graph-walk.n_walks=two", "hp.representation.hiden=64", "hp.nosuch.dim=3",
         "hp.graph-walk.lr=NaN", "hp.graph-walk.dim=32.5",
         "external_scores=ext=ext.csv;hp.ext.dim=8",
+        "hp.graph-walk.dim=0", "hp.interaction.mus=[0.5]", "hp.text-embedding.epochs=-1",
+        "hp.graph-biased-walk.q=0.0", "hp.representation.hidden=0", "hp.bm25.b=5.0",
+        "max_query_len=-3",
     ])
     @pytest.mark.parametrize("command", [["search"], ["ablate", "--mode", "fix-k", "--sweep"],
                                          ["pretrain"]], ids=["search", "ablate", "pretrain"])
@@ -326,9 +329,37 @@ class TestCli:
                    "--set", f"output_dir={out}", "--set", "eval_negatives=20",
                    *(arg for key in setting.split(";") for arg in ("--set", key))])
         assert rc == 2
-        assert capsys.readouterr().err.startswith("error: ValueError: ")
+        err = capsys.readouterr().err
+        assert err.startswith("error: ValueError: ")
+        key = setting.split(";")[-1].partition("=")[0]
+        if key.startswith("hp.") or key in {f.name for f in fields(ExperimentConfig)
+                                            if "key" in f.metadata}:
+            assert key.rpartition(".")[2] in err  # the key is named
         # neither the run directory nor its pretrain cache exists
         assert [p.name for p in tmp_path.iterdir()] == ["ext.csv"]
+
+    @pytest.mark.parametrize("setting,value", [
+        ("hp.graph-walk.dim=0", "0"), ("hp.interaction.mus=[0.5]", "[0.5]"),
+        ("hp.text-embedding.epochs=-1", "-1"), ("hp.graph-biased-walk.q=0.0", "0.0"),
+        ("hp.representation.hidden=0", "0"), ("hp.bm25.b=5.0", "5.0"),
+    ])
+    def test_a_value_outside_its_rule_is_named_with_its_key(self, setting, value):
+        with pytest.raises(ValueError) as err:
+            ExperimentConfig.from_file(None, [setting])
+        assert str(err.value).startswith(setting.partition("=")[0] + ": ")
+        assert str(err.value).endswith(f", not {value}")
+
+    @pytest.mark.parametrize("limit", ["max_query_len=-3", "max_query_len=0",
+                                       "max_candidate_len=0"])
+    def test_ingest_refuses_a_length_limit_below_one(self, synth_dir, tmp_path, capsys, limit):
+        out = tmp_path / "corpus.json"
+        rc = main(["ingest", "--docs", str(synth_dir / "docs.jsonl"), "--out", str(out),
+                   "--set", limit])
+        assert rc == 2
+        name, _, value = limit.partition("=")
+        assert capsys.readouterr().err.strip() == (
+            f"error: ValueError: {name} must be an integer >= 1, not {value}")
+        assert not out.exists()
 
     @pytest.mark.parametrize("command,setting,message", [
         (["search"], "k_values=500", "k value 500 out of range"),

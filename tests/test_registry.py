@@ -1,11 +1,13 @@
-"""The hyperparameter table: every ``hp.<model>.<key>`` is checked against
-it when a configuration becomes a run, and every model reads its defaults
-from it."""
+"""The declared keys: every search setting and every ``hp.<model>.<key>``
+carries its default and its rule, ``check_config`` holds a configuration to
+them before anything runs, and every model reads its defaults from them."""
 
 import importlib.util
 import inspect
+import math
 import re
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
@@ -17,13 +19,14 @@ from weakrank.graph import build_graph
 from weakrank.registry import (
     HYPERPARAMETERS,
     Follows,
+    Key,
     SupModelSpec,
     UnsupModelRegistry,
     UnsupModelSpec,
-    check_hyperparameters,
+    check_config,
 )
 from weakrank.synthetic import generate_synthetic
-from weakrank.trainer import pretrain_all
+from weakrank.trainer import RunConfig, SearchSettings, pretrain_all
 
 ROOT = Path(__file__).resolve().parents[1]
 WALK_KEYS = "dim, epochs, lr, n_walks, neg, walk_len, window"
@@ -59,18 +62,44 @@ def _run_config(*settings):
      "model 'ext' has no hyperparameter 'dim' (accepted keys: none)"),
     (["hp.external.path=x.csv"], "no built-in model or external_scores entry is named"),
     (["hp.graph-walk.n_walks=two"],
-     "hp.graph-walk.n_walks: model 'graph-walk' takes a finite value of the type of its "
-     "default (10) for 'n_walks', not 'two'"),
-    (["hp.graph-walk.lr=NaN"], "default (0.05) for 'lr', not nan"),
-    (["hp.graph-walk.lr=Infinity"], "default (0.05) for 'lr', not inf"),
-    (["hp.graph-walk.dim=32.5"], "default (32) for 'dim', not 32.5"),
-    (["hp.graph-walk.dim=true"], "default (32) for 'dim', not True"),
-    (["hp.interaction.negative_exponent=1"], "default (True) for 'negative_exponent', not 1"),
+     "hp.graph-walk.n_walks: model 'graph-walk' takes an integer >= 1 for 'n_walks', "
+     "not 'two'"),
+    (["hp.graph-walk.lr=NaN"], "hp.graph-walk.lr: model 'graph-walk' takes a finite number > 0 "
+                               "for 'lr', not nan"),
+    (["hp.graph-walk.lr=Infinity"], "for 'lr', not inf"),
+    (["hp.graph-walk.dim=32.5"], "takes an integer >= 1 for 'dim', not 32.5"),
+    (["hp.graph-walk.dim=true"], "takes an integer >= 1 for 'dim', not True"),
+    (["hp.interaction.negative_exponent=1"],
+     "hp.interaction.negative_exponent: model 'interaction' takes true or false for "
+     "'negative_exponent', not 1"),
     (["hp.interaction.mus=[0.5, NaN]"], "for 'mus', not [0.5, nan]"),
-    (["hp.representation.lr=NaN"], "default (the sup_lr setting) for 'lr', not nan"),
+    (["hp.representation.lr=NaN"],
+     "hp.representation.lr: model 'representation' takes a finite number > 0 for 'lr', "
+     "not nan"),
+    (["hp.graph-walk.dim=0"], "hp.graph-walk.dim: model 'graph-walk' takes an integer >= 1 "
+                              "for 'dim', not 0"),
+    (["hp.interaction.mus=[0.5]"],
+     "hp.interaction.mus: model 'interaction' takes a non-empty list, each a finite number, "
+     "as long as sigmas for 'mus', not [0.5]"),
+    (["hp.interaction.sigmas=[0.1, 0.2]"], "as long as mus for 'sigmas', not [0.1, 0.2]"),
+    (["hp.interaction.sigmas=[0.1, 0]", "hp.interaction.mus=[1, 0.5]"],
+     "takes a non-empty list, each a finite number > 0, as long as mus for 'sigmas', "
+     "not [0.1, 0]"),
+    (["hp.text-embedding.epochs=-1"], "for 'epochs', not -1"),
+    (["hp.graph-biased-walk.q=0.0"], "takes a finite number > 0 for 'q', not 0.0"),
+    (["hp.representation.hidden=0"], "for 'hidden', not 0"),
+    (["hp.bm25.b=5.0"], "hp.bm25.b: model 'bm25' takes a finite number >= 0, <= 1 for 'b', "
+                        "not 5.0"),
+    (["episodes=0"], "episodes must be an integer >= 1, not 0"),
+    (["sup_optimizer=rmsprop"], "sup_optimizer must be adam or sgd, not 'rmsprop'"),
+    (["max_query_len=-3"], "max_query_len must be an integer >= 1, not -3"),
+    (["k_values=,"], "k_values must be a non-empty list, each an integer >= 1, not ()"),
 ], ids=["misspelt", "bm25-k", "text-seed", "ranker-misspelt", "no-such-model",
         "external-key", "external-kind", "string-for-int", "nan", "inf", "float-for-int",
-        "bool-for-int", "int-for-bool", "nan-in-list", "ranker-lr-nan"])
+        "bool-for-int", "int-for-bool", "nan-in-list", "ranker-lr-nan", "zero-dim",
+        "short-mus", "short-sigmas", "zero-sigma", "negative-epochs", "zero-q", "zero-hidden",
+        "b-above-1", "zero-episodes", "unknown-optimizer", "negative-query-len",
+        "empty-k-values"])
 def test_bad_hyperparameter_is_refused_with_model_key_and_accepted_keys(settings, message):
     with pytest.raises(ValueError) as err:
         _run_config(*settings)
@@ -91,7 +120,7 @@ def test_unknown_graph_hyperparameter_is_refused_before_pretraining():
     # moved here from the graph dispatcher, which reads only declared keys
     with pytest.raises(ValueError, match=re.escape(
             f"model 'graph-walk' has no hyperparameter 'warp' (accepted keys: {WALK_KEYS})")):
-        check_hyperparameters({"graph-walk": {"warp": 3}}, [])
+        check_config(SearchSettings(), [("graph-walk", "graph-walk", {"warp": 3})])
 
 
 @pytest.mark.parametrize("settings", [
@@ -131,7 +160,8 @@ def test_resolving_defaults_leaves_params_as_given():
     spec = UnsupModelSpec("graph-biased-walk", "graph-biased-walk", {"p": 2})
     hp = spec.hyperparameters()
     assert spec.params == {"p": 2}
-    assert hp["p"] == 2 and hp["q"] == HYPERPARAMETERS["unsupervised"]["graph-biased-walk"]["q"]
+    assert hp["p"] == 2
+    assert hp["q"] == HYPERPARAMETERS["unsupervised"]["graph-biased-walk"]["q"].default
     assert set(hp) == set(HYPERPARAMETERS["unsupervised"]["graph-biased-walk"])
 
 
@@ -141,16 +171,8 @@ def test_library_defaults_are_read_from_the_functions():
                 if p.default is not p.empty and k != "seed"}
 
     table = HYPERPARAMETERS["unsupervised"]
-    assert table["bm25"] == defaults(bm25_matrix)
-    assert table["text-embedding"] == defaults(train_text_embeddings)
-
-
-def test_every_default_fits_its_own_check():
-    for kinds in HYPERPARAMETERS.values():
-        for kind, table in kinds.items():
-            if kind != "external":
-                plain = {k: v for k, v in table.items() if not isinstance(v, Follows)}
-                check_hyperparameters({kind: plain}, [])
+    for kind, fn in [("bm25", bm25_matrix), ("text-embedding", train_text_embeddings)]:
+        assert {key: entry.default for key, entry in table[kind].items()} == defaults(fn)
 
 
 def test_cache_file_names_are_those_of_user_given_params(tmp_path):
@@ -183,6 +205,120 @@ def test_benchmark_configurations_pass_the_check(monkeypatch):
                                        {**shared, "negative_exponent": True})
 
 
+# ExperimentConfig fields that hold no plain value: paths, the menus, the k
+# grid as written (RunConfig's parsed k_values carries the rule) and hp.
+RULELESS = {"corpus", "documents", "annotations", "val_annotations", "test_annotations",
+            "output_dir", "external_scores", "unsup_models", "sup_models", "k_values", "hp"}
+
+
+def _settings() -> dict:
+    """Every declared setting: name -> (its Key, a check of one value)."""
+    def check_file_key(name):
+        def check(value):
+            config = ExperimentConfig()
+            setattr(config, name, value)
+            check_config(config)
+        return check
+
+    def check_k_values(value):
+        run = _run_config()
+        run.k_values = value
+        check_config(run)
+
+    declared = {f.name: (f.metadata.get("key"), check_file_key(f.name))
+                for f in fields(ExperimentConfig) if f.name not in RULELESS}
+    declared["k_values"] = ({f.name: f for f in fields(RunConfig)}["k_values"].metadata["key"],
+                            check_k_values)
+    return declared
+
+
+def _hyperparameters() -> dict:
+    """Every declared hyperparameter: hp.<kind>.<key> -> (its Key, a check of one value)."""
+    def check(kind, key):
+        return lambda value: check_config(SearchSettings(), [(kind, kind, {key: value})])
+
+    return {f"hp.{kind}.{key}": (entry, check(kind, key))
+            for kinds in HYPERPARAMETERS.values() for kind, table in kinds.items()
+            for key, entry in table.items()}
+
+
+DECLARED = {**_settings(), **_hyperparameters()}
+
+
+def _edges(entry: Key) -> list[tuple]:
+    """(first value outside the rule, value just inside it) at each of a
+    numeric rule's bounds; a float rule also refuses inf and nan."""
+    default = entry.default[0] if type(entry.default) in (list, tuple) else entry.default
+    if type(default) is int:
+        return [(entry.low - 1, entry.low)]
+    if type(default) not in (float, Follows):
+        return []
+    down, up = (lambda x: math.nextafter(x, -math.inf)), (lambda x: math.nextafter(x, math.inf))
+    edges = [(math.inf, min(entry.high, 1e300)), (math.nan, 0.5)]
+    if math.isfinite(entry.low):
+        edges.append((down(entry.low), entry.low))
+    if math.isfinite(entry.above):
+        edges.append((entry.above, up(entry.above)))
+    if math.isfinite(entry.high):
+        edges.append((up(entry.high), entry.high))
+    return edges
+
+
+def _as_value(entry: Key, item):
+    """``item`` as the key's value: a list of the length its rule asks for."""
+    if type(entry.default) not in (list, tuple):
+        return item
+    return [item] * len(entry.default)
+
+
+def test_every_setting_and_hyperparameter_declares_a_rule():
+    for f in fields(ExperimentConfig):
+        assert (f.name in RULELESS) != isinstance(f.metadata.get("key"), Key), f.name
+    assert set(f.name for f in fields(RunConfig) if "key" in f.metadata) == (
+        set(f.name for f in fields(SearchSettings)) | {"k_values"})
+    for name, (entry, _) in DECLARED.items():
+        assert isinstance(entry, Key), name
+
+
+def test_every_default_fits_its_own_check():
+    for name, (entry, check) in DECLARED.items():
+        default = entry.default
+        if isinstance(default, Follows):
+            default = getattr(SearchSettings(), default.setting)
+        check(default)
+
+
+@pytest.mark.parametrize("name", sorted(DECLARED))
+def test_each_bound_of_a_rule_is_exact(name):
+    entry, check = DECLARED[name]
+    for outside, inside in _edges(entry):
+        check(_as_value(entry, inside))
+        with pytest.raises(ValueError, match=re.escape(name.rpartition(".")[2])):
+            check(_as_value(entry, outside))
+    if type(entry.default) in (list, tuple):
+        with pytest.raises(ValueError, match="non-empty list"):
+            check([])
+
+
+@pytest.mark.parametrize("name", sorted(DECLARED))
+def test_a_value_of_another_type_is_refused(name):
+    entry, check = DECLARED[name]
+    for wrong in ("5", None, [1], {"a": 1}) + (() if type(entry.default) is bool else (True,)):
+        if type(entry.default) in (list, tuple) and type(wrong) is list:
+            continue
+        with pytest.raises(ValueError):
+            check(wrong)
+
+
+def test_a_key_both_graph_aggregation_models_declare_carries_one_rule():
+    scorer = HYPERPARAMETERS["unsupervised"]["graph-aggregation"]
+    ranker = HYPERPARAMETERS["supervised"]["graph-aggregation"]
+    shared = set(scorer) & set(ranker)
+    assert shared == {"hidden", "out_dim", "n_layers", "lr"}
+    for key in shared:
+        assert scorer[key]._replace(default=None) == ranker[key]._replace(default=None), key
+
+
 def test_readme_table_lists_every_declared_key():
     readme = (ROOT / "README.md").read_text(encoding="utf-8")
     roles = {"unsupervised": "scorer", "supervised": "ranker"}
@@ -193,5 +329,16 @@ def test_readme_table_lists_every_declared_key():
             assert len(rows) == 1, (role, kind)
             missing = [key for key in table if f"`{key}`" not in rows[0]]
             assert not missing, (kind, missing)
+            segments = rows[0].split(" | ")[-1].rstrip(" |").split("; ")
+            for key, entry in table.items():
+                found = [seg for seg in segments if seg.startswith(f"`{key}` ")]
+                assert len(found) == 1 and found[0].endswith(f"({entry})"), (kind, key, found)
             if not table:
                 assert rows[0].endswith("| none |"), kind
+    for name, (entry, _) in _settings().items():
+        rows = [line for line in readme.splitlines() if line.startswith(f"| `{name}` |")]
+        assert len(rows) == 1, name
+        shown = str(entry.default).lower() if type(entry.default) is bool else entry.default
+        if name == "k_values":
+            shown = ",".join(map(str, entry.default))
+        assert rows[0].endswith(f"| {shown} | {entry} |"), (name, rows[0])

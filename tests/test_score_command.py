@@ -5,8 +5,10 @@ import json
 import numpy as np
 import pytest
 
+import weakrank.cli as cli
 import weakrank.trainer as trainer
 from weakrank.cli import main
+from weakrank.config import ExperimentConfig
 from weakrank.corpus import Corpus, save_annotations_tsv, split_annotations
 from weakrank.scores import ScoreMatrix
 from weakrank.synthetic import generate_synthetic
@@ -107,6 +109,25 @@ def test_graph_ranker_served_from_the_pretrain_seed(tmp_path, monkeypatch, train
     assert main(["search", "--config", "exp.cfg"]) == 0
     served = _served(tmp_path, corpus)
     assert np.max(np.abs(served - _ensemble([trained["graph-aggregation"]]))) <= 1e-12
+
+
+def test_refuses_a_value_outside_its_rule_before_reading_a_checkpoint(tmp_path, monkeypatch,
+                                                                      capsys):
+    """A ``--set`` that breaks a rule exits 2 before ``score`` reads the
+    corpus or any checkpoint, and writes no TSV."""
+    run = tmp_path / "run"
+    run.mkdir()
+    ExperimentConfig(corpus=str(tmp_path / "no-corpus.json")).save(run / "config.cfg")
+    monkeypatch.setattr(cli, "load_checkpoint", lambda *a, **k: pytest.fail("read a checkpoint"))
+    monkeypatch.setattr(Corpus, "load", lambda *a, **k: pytest.fail("read the corpus"))
+    out = tmp_path / "scores.tsv"
+    rc = main(["score", "--run", str(run), "--out", str(out),
+               "--set", "hp.graph-walk.dim=0"])
+    assert rc == 2
+    assert capsys.readouterr().err.strip() == (
+        "error: ValueError: hp.graph-walk.dim: model 'graph-walk' takes an integer >= 1 "
+        "for 'dim', not 0")
+    assert not out.exists()
 
 
 def test_refuses_a_hyperparameter_the_model_does_not_declare(tmp_path, monkeypatch, capsys):
