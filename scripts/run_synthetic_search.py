@@ -78,8 +78,10 @@ def main() -> int:
     )
 
     graph = build_graph(corpus)
-    matrices = pretrain_all(corpus, graph, config.unsup_registry, out / "cache", config.seed)
-    test_lists = build_eval_lists(test, corpus, seed=derive_seed(config.seed, "test-lists"))
+    matrices = pretrain_all(corpus, graph, config.unsup_registry, out / "cache", config.seed,
+                            config.workers)
+    test_lists = build_eval_lists(test, corpus, seed=derive_seed(config.seed, "test-lists"),
+                                  n_negatives=config.eval_negatives)
     baselines = {
         m.model_name: mrr(test_lists, score_lists_with_matrix(test_lists, m))
         for m in matrices

@@ -8,7 +8,7 @@ from .corpus import CANDIDATE, Corpus
 from .scores import ScoreMatrix
 
 
-def bm25_matrix(corpus: Corpus, k1: float = 1.2, b: float = 0.75) -> ScoreMatrix:
+def bm25_matrix(corpus: Corpus, k1: float, b: float) -> ScoreMatrix:
     """Score every (query, candidate) pair.
 
     score(q, c) = sum over query token occurrences t of

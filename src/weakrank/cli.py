@@ -218,10 +218,16 @@ def cmd_eval(args) -> int:
 
 
 def cmd_score(args) -> int:
-    """Serve the rankers the search selected, refusing checkpoints written
-    under another configuration."""
+    """Serve the rankers the search selected under the configuration its
+    run recorded, refusing a ``config.cfg`` edited since (it no longer
+    hashes to ``manifest.json``'s) and checkpoints written under another
+    configuration, before reading the corpus or a checkpoint."""
     run_dir = Path(args.run)
-    config = ExperimentConfig.from_file(run_dir / "config.cfg", args.overrides)
+    config = ExperimentConfig.from_file(run_dir / "config.cfg")
+    recorded = read_json(run_dir / "manifest.json")["config_hash"]
+    if config.content_hash() != recorded:
+        raise ValueError(f"{run_dir / 'config.cfg'} does not hash to the configuration hash "
+                         f"{recorded!r} in manifest.json: it was edited after the run")
     run_config = config.to_run_config()
     corpus = Corpus.load(args.corpus or config.corpus)
     best = Configuration.from_dict(read_json(run_dir / "best_config.json"))
@@ -362,8 +368,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--run", required=True, help="search run directory")
     p.add_argument("--corpus", help="corpus container (defaults to the run's)")
     p.add_argument("--out", required=True, help="output TSV path")
-    p.add_argument("--set", dest="overrides", action="append", default=[],
-                   metavar="KEY=VALUE")
     p.set_defaults(func=cmd_score)
 
     p = sub.add_parser("report", help="render episode logs into CSV time series")

@@ -71,8 +71,8 @@ class Clamp:
 class BaselineState:
     """Exponential moving average of observed rewards."""
 
+    decay: float
     value: float | None = None
-    decay: float = 0.9
 
     def update(self, reward: float) -> None:
         if self.value is None:
@@ -108,7 +108,7 @@ class EpisodeLog:
 class ControllerParams:
     """LSTM weights plus per-choice embeddings and the three sampling heads."""
 
-    def __init__(self, n_unsup: int, n_k: int, n_sup: int, hidden: int = 32, seed: int = 0):
+    def __init__(self, n_unsup: int, n_k: int, n_sup: int, hidden: int, seed: int):
         self.n_unsup, self.n_k, self.n_sup = n_unsup, n_k, n_sup
         self.hidden = hidden
         rng = np.random.default_rng(seed)
@@ -365,8 +365,8 @@ def reinforce_update(
     reward: float,
     baseline: BaselineState,
     lr: float,
-    use_baseline: bool = True,
-    entropy_coef: float = 0.0,
+    use_baseline: bool,
+    entropy_coef: float,
     clamp: Clamp | None = None,
 ) -> float:
     """One gradient-ascent step along (reward - baseline) * grad log pi.

@@ -137,7 +137,7 @@ class Corpus:
         return stable_hash(self.to_dict())
 
 
-def build_corpus(raw_docs, max_query_len: int = 100, max_candidate_len: int = 200) -> Corpus:
+def build_corpus(raw_docs, max_query_len: int, max_candidate_len: int) -> Corpus:
     """Tokenize raw documents, truncate to the role maxima, and index them.
 
     ``raw_docs`` is an iterable of dicts with keys id, role, text. Documents

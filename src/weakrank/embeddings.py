@@ -176,12 +176,12 @@ class SkipGramTrainer:
 
 def train_text_embeddings(
     corpus: Corpus,
-    dim: int = 32,
-    window: int = 5,
-    neg: int = 5,
-    epochs: int = 3,
-    lr: float = 0.05,
-    seed: int = 0,
+    dim: int,
+    window: int,
+    neg: int,
+    epochs: int,
+    lr: float,
+    seed: int,
 ) -> EmbeddingTable:
     """Train token embeddings on in-document windows; table keyed by token."""
     docs = list(corpus.queries) + list(corpus.candidates)

@@ -89,11 +89,11 @@ def generate_walks(
     n_walks: int,
     walk_len: int,
     seed: int,
-    p: float | None = None,
-    q: float | None = None,
+    p: float | None,
+    q: float | None,
 ) -> list[np.ndarray]:
-    """n_walks seeded walks of walk_len nodes from every node. Passing p and q
-    switches to the biased law (first step is always plain).
+    """n_walks seeded walks of walk_len nodes from every node. A p or q that
+    is not None switches to the biased law (first step is always plain).
 
     Each round draws a permutation of the start nodes, then one uniform per
     step of every walk, walk after walk; walker ``i`` takes step ``j`` with
@@ -287,7 +287,7 @@ def train_graph_embeddings(
     graph: HetGraph,
     method: str,
     hp: dict,
-    seed: int = 0,
+    seed: int,
     node_features: np.ndarray | None = None,
 ) -> EmbeddingTable:
     """Train node embeddings with one of the five methods.
@@ -315,6 +315,6 @@ def train_graph_embeddings(
         raise ValueError("aggregation needs node_features")
     trainer = AggregationTrainer(graph, node_features, hp["hidden"], hp["out_dim"],
                                  hp["n_layers"], hp["neg"], hp["lr"], hp["sample_size"], seed)
-    walks = generate_walks(graph, hp["n_walks"], hp["walk_len"], seed + 1)
+    walks = generate_walks(graph, hp["n_walks"], hp["walk_len"], seed + 1, None, None)
     trainer.train(cooccurrence_pairs(walks, hp["window"]), hp["epochs"], hp["batch_size"])
     return EmbeddingTable(graph.entity_ids(), trainer.embeddings())

@@ -59,7 +59,7 @@ def check_eval_lists(annotations: AnnotationSet, corpus: Corpus, n_negatives: in
 
 
 def build_eval_lists(
-    annotations: AnnotationSet, corpus: Corpus, seed: int, n_negatives: int = 99
+    annotations: AnnotationSet, corpus: Corpus, seed: int, n_negatives: int
 ) -> EvalLists:
     """One list per (query, positive) pair with seeded uniform negatives.
 

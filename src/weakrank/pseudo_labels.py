@@ -12,7 +12,7 @@ def normalize_per_query(m: ScoreMatrix) -> ScoreMatrix:
     return ScoreMatrix(m.model_name, m.query_ids, m.candidate_ids, min_max_rows(m.values))
 
 
-def aggregate(matrices: list[ScoreMatrix], mask, normalize: bool = True) -> ScoreMatrix:
+def aggregate(matrices: list[ScoreMatrix], mask, normalize: bool) -> ScoreMatrix:
     """Entrywise mean of the selected matrices (normalized per query first,
     unless raw mode is requested)."""
     mask = np.asarray(mask)

@@ -10,7 +10,6 @@ outside this package (a pretrained contextual encoder, say) join the menu.
 
 from __future__ import annotations
 
-import inspect
 import math
 import re
 from dataclasses import dataclass, field, fields
@@ -72,14 +71,8 @@ def setting(default, **rule):
     return field(default=default, metadata={"key": Key(default, **rule)})
 
 
-def _keyword_defaults(fn, **rules) -> dict:
-    """A ``Key`` per keyword of ``rules``, its default ``fn``'s."""
-    params = inspect.signature(fn).parameters
-    return {name: Key(params[name].default, **rule) for name, rule in rules.items()}
-
-
-_TEXT = _keyword_defaults(train_text_embeddings, dim=dict(low=1), window=dict(low=1),
-                          neg=dict(low=0), epochs=dict(low=1), lr=dict(above=0))
+_TEXT = {"dim": Key(32, low=1), "window": Key(5, low=1), "neg": Key(5, low=0),
+         "epochs": Key(3, low=1), "lr": Key(0.05, above=0)}
 _WALK = {"dim": Key(32, low=1), "n_walks": Key(10, low=1), "walk_len": Key(40, low=2),
          "window": Key(5, low=1), "neg": Key(5, low=0), "epochs": Key(2, low=1),
          "lr": Key(0.05, above=0)}
@@ -93,7 +86,7 @@ _MU, _SIGMA = (bank.tolist() for bank in default_kernel_bank())
 # a key both declare carries one rule.
 HYPERPARAMETERS = {
     "unsupervised": {
-        "bm25": _keyword_defaults(bm25_matrix, k1=dict(above=0), b=dict(low=0, high=1)),
+        "bm25": {"k1": Key(1.2, above=0), "b": Key(0.75, low=0, high=1)},
         "text-embedding": _TEXT,
         "graph-walk": _WALK,
         "graph-biased-walk": {**_WALK, "p": Key(1.0, above=0), "q": Key(0.5, above=0)},

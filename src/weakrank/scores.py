@@ -48,9 +48,6 @@ class ScoreMatrix:
                 raise ValueError(f"score matrix {self.model_name!r} has duplicate "
                                  f"{role} id {duplicate!r}")
 
-    def score(self, query_id: str, candidate_id: str) -> float:
-        return float(self.values[self._qrow[query_id], self._ccol[candidate_id]])
-
     def in_order(self, query_ids, candidate_ids) -> "ScoreMatrix":
         """The same scores with rows and columns in the given id order,
         e.g. a corpus's, however the matrix came in. Ids the matrix lacks

@@ -67,8 +67,8 @@ class RankerBackbone:
     kept for persistence.
     """
 
-    def __init__(self, corpus: Corpus, table: EmbeddingTable, graph: HetGraph | None = None,
-                 graph_sample_size: int = 10, graph_seed: int = 0, center: bool = True):
+    def __init__(self, corpus: Corpus, table: EmbeddingTable, graph: HetGraph | None = None, *,
+                 graph_sample_size: int, graph_seed: int, center: bool = True):
         self.corpus = corpus
         self.table = table
         if center:
@@ -195,9 +195,6 @@ class _Ranker:
 
     def after_update(self) -> None:
         pass
-
-    def score(self, query_id: str, candidate_id: str) -> float:
-        return float(self.score_pairs(query_id, [candidate_id])[0])
 
 
 class RepresentationRanker(_Ranker):
@@ -354,10 +351,10 @@ def train_supervised(
     epochs: int,
     lr: float,
     seed: int,
-    batch_size: int = 32,
+    batch_size: int,
+    algorithm: str,
     eval_fn=None,
     patience: int = 0,
-    algorithm: str = "adam",
 ) -> list[float]:
     """Seeded minibatch training on (n, 3) integer (query row, positive
     column, negative column) triples (``sample_training_pairs``); each epoch

@@ -295,7 +295,7 @@ def pretrain_all(
     registry: UnsupModelRegistry,
     cache_dir: str | Path | None,
     master_seed: int,
-    workers: int = 0,
+    workers: int,
     extra: Sequence[Job] = (),
 ) -> list:
     """One score matrix per registered model, cache-aware, followed by the
@@ -467,10 +467,10 @@ def run_episode(
     episode: int,
     sample_rng: np.random.Generator,
     clamp: Clamp | None = None,
-    baseline_value: float = 0.0,
     reward_cache: dict | None = None,
 ) -> EpisodeLog:
     """Sample a configuration, train its rankers, and score it on validation.
+    The entry's baseline is 0 until ``joint_train`` sets its batch's.
 
     Rewards are a deterministic function of the sampled configuration (all
     seeds derive from it), so identical configurations earn identical
@@ -493,7 +493,7 @@ def run_episode(
     reward = r_unsup + r_sup
     if not 0.0 <= reward <= 2.0:
         raise RuntimeError(f"episode reward {reward} outside [0, 2]")
-    return EpisodeLog(episode, cfg, log_prob, r_unsup, r_sup, reward, baseline_value)
+    return EpisodeLog(episode, cfg, log_prob, r_unsup, r_sup, reward, baseline=0.0)
 
 
 def check_search_inputs(corpus: Corpus, val_annotations: AnnotationSet,
@@ -562,9 +562,7 @@ def joint_train(
         for mc in range(config.n_monte_carlo):
             entry = run_episode(
                 matrices, controller, backbone, val_lists, config,
-                episode=ep, sample_rng=sample_rng, clamp=clamp,
-                baseline_value=baseline.value if baseline.value is not None else 0.0,
-                reward_cache=reward_cache,
+                episode=ep, sample_rng=sample_rng, clamp=clamp, reward_cache=reward_cache,
             )
             batch.append(entry)
 

@@ -14,6 +14,7 @@ def rng():
 @pytest.fixture(scope="session")
 def tiny_corpus():
     """Hand-built corpus: 2 queries, 3 candidates, known statistics."""
+    from defaults import LIMITS
     from weakrank.corpus import build_corpus
 
     docs = [
@@ -23,4 +24,4 @@ def tiny_corpus():
         {"id": "c2", "role": "candidate", "text": "machine learning with python python python"},
         {"id": "c3", "role": "candidate", "text": "cooking recipes pasta"},
     ]
-    return build_corpus(docs)
+    return build_corpus(docs, **LIMITS)

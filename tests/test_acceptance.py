@@ -16,6 +16,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from defaults import LIMITS, SETTINGS
 from oracles import (
     enumerate_policy,
     finite_difference_check,
@@ -232,7 +233,8 @@ def test_criterion_3_bm25_hand_table():
         {"id": "c2", "role": "candidate", "text": "machine learning with python python python"},
         {"id": "c3", "role": "candidate", "text": "cooking recipes pasta"},
     ]
-    matrix = bm25_matrix(build_corpus(docs))
+    corpus = build_corpus(docs, **LIMITS)
+    matrix = bm25_matrix(corpus, k1=1.2, b=0.75)
     hand_table = {
         ("q1", "c1"): 0.9705490105724217,
         ("q1", "c2"): 3.0596483610460075,
@@ -242,7 +244,8 @@ def test_criterion_3_bm25_hand_table():
         ("q2", "c3"): 1.1220686654454148,
     }
     for (qid, cid), expected in hand_table.items():
-        assert abs(matrix.score(qid, cid) - expected) < 1e-9
+        value = matrix.values[corpus.query_row[qid], corpus.candidate_column[cid]]
+        assert abs(value - expected) < 1e-9
     _announce("3 bm25-hand-table", "(6 cells within 1e-9)")
 
 
@@ -279,11 +282,13 @@ def test_criterion_5_controller_convergence():
     for seed in range(5):
         params = ControllerParams(n_unsup=1, n_k=1, n_sup=2, hidden=16, seed=seed)
         rng = np.random.default_rng(seed + 1000)
-        baseline = BaselineState()
+        baseline = BaselineState(SETTINGS.baseline_decay)
         for _ in range(200):
             cfg, _ = sample_configuration(params, rng, (10,))
             reward = 1.0 if cfg.sup_mask == (1, 0) else 0.0
-            reinforce_update(params, cfg, reward, baseline, lr=0.5)
+            reinforce_update(params, cfg, reward, baseline, lr=0.5,
+                             use_baseline=SETTINGS.use_baseline,
+                             entropy_coef=SETTINGS.entropy_coef)
         dist = sup_mask_distribution(params, (1,), 0)
         finals.append(dist.get((1, 0), 0.0))
     elapsed = time.monotonic() - started

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from defaults import LIMITS, scorer_hp
 from weakrank.bm25 import bm25_matrix
 from weakrank.corpus import build_corpus
 from weakrank.scores import ScoreMatrix
@@ -19,15 +20,19 @@ HAND_TABLE = {
 }
 
 
+def _at(matrix, corpus, qid, cid):
+    return matrix.values[corpus.query_row[qid], corpus.candidate_column[cid]]
+
+
 def test_matches_hand_computed_table(tiny_corpus):
-    matrix = bm25_matrix(tiny_corpus)
+    matrix = bm25_matrix(tiny_corpus, k1=1.2, b=0.75)
     for (qid, cid), expected in HAND_TABLE.items():
-        assert matrix.score(qid, cid) == pytest.approx(expected, abs=1e-9)
+        assert _at(matrix, tiny_corpus, qid, cid) == pytest.approx(expected, abs=1e-9)
 
 
 def test_no_shared_tokens_scores_zero(tiny_corpus):
-    matrix = bm25_matrix(tiny_corpus)
-    assert matrix.score("q1", "c3") == 0.0
+    matrix = bm25_matrix(tiny_corpus, **scorer_hp("bm25"))
+    assert _at(matrix, tiny_corpus, "q1", "c3") == 0.0
 
 
 def test_duplicate_query_token_counts_twice():
@@ -37,12 +42,13 @@ def test_duplicate_query_token_counts_twice():
         {"id": "c1", "role": "candidate", "text": "term other words"},
         {"id": "c2", "role": "candidate", "text": "unrelated stuff"},
     ]
-    matrix = bm25_matrix(build_corpus(docs))
-    assert matrix.score("qa", "c1") == pytest.approx(2.0 * matrix.score("qb", "c1"))
+    corpus = build_corpus(docs, **LIMITS)
+    matrix = bm25_matrix(corpus, **scorer_hp("bm25"))
+    assert _at(matrix, corpus, "qa", "c1") == pytest.approx(2.0 * _at(matrix, corpus, "qb", "c1"))
 
 
 def test_scores_non_negative(tiny_corpus):
-    matrix = bm25_matrix(tiny_corpus)
+    matrix = bm25_matrix(tiny_corpus, **scorer_hp("bm25"))
     assert np.all(matrix.values >= 0.0)
 
 
@@ -52,7 +58,7 @@ def test_all_candidates_share_every_token_still_finite():
         {"id": "c1", "role": "candidate", "text": "word"},
         {"id": "c2", "role": "candidate", "text": "word word"},
     ]
-    matrix = bm25_matrix(build_corpus(docs))
+    matrix = bm25_matrix(build_corpus(docs, **LIMITS), **scorer_hp("bm25"))
     assert np.all(np.isfinite(matrix.values))
     assert np.all(matrix.values > 0)  # idf stays positive even at df == N
 
@@ -63,8 +69,9 @@ def test_adding_candidate_only_recomputes_idf():
         {"id": "c1", "role": "candidate", "text": "shared words here"},
         {"id": "c2", "role": "candidate", "text": "other unrelated text"},
     ]
-    small = build_corpus(docs)
-    grown = build_corpus(docs + [{"id": "c3", "role": "candidate", "text": "shared again"}])
+    small = build_corpus(docs, **LIMITS)
+    grown = build_corpus(docs + [{"id": "c3", "role": "candidate", "text": "shared again"}],
+                         **LIMITS)
     # existing candidates' term frequencies are untouched by the rebuild
     for cid in ("c1", "c2"):
         before = small.document("candidate", cid)
@@ -78,7 +85,7 @@ def test_adding_candidate_only_recomputes_idf():
 
 
 def test_csv_roundtrip(tiny_corpus, tmp_path):
-    matrix = bm25_matrix(tiny_corpus)
+    matrix = bm25_matrix(tiny_corpus, **scorer_hp("bm25"))
     path = tmp_path / "bm25.csv"
     matrix.save_csv(path)
     loaded = ScoreMatrix.load_csv(path, model_name="bm25")
@@ -105,7 +112,7 @@ def test_csv_bytes_match_the_per_value_repr(tmp_path):
 
 
 def test_cache_roundtrip(tiny_corpus, tmp_path):
-    matrix = bm25_matrix(tiny_corpus)
+    matrix = bm25_matrix(tiny_corpus, **scorer_hp("bm25"))
     path = tmp_path / "bm25.bin"
     matrix.save_cache(path)
     loaded = ScoreMatrix.load_cache(path)

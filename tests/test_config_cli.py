@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from defaults import scorer_hp
 from weakrank.cli import main
 from weakrank.config import ExperimentConfig
 from weakrank.trainer import SearchSettings
@@ -219,7 +220,7 @@ class TestCli:
 
         corpus = Corpus.load(synth_dir / "corpus.json")
         scores = tmp_path / "bm25.csv"
-        bm25_matrix(corpus).save_csv(scores)
+        bm25_matrix(corpus, **scorer_hp("bm25")).save_csv(scores)
         rc = main([
             "eval", "--corpus", str(synth_dir / "corpus.json"),
             "--annotations", str(synth_dir / "annotations.tsv"),
@@ -240,7 +241,7 @@ class TestCli:
         from weakrank.scores import ScoreMatrix
 
         corpus = Corpus.load(synth_dir / "corpus.json")
-        matrix = bm25_matrix(corpus)
+        matrix = bm25_matrix(corpus, **scorer_hp("bm25"))
         rng = np.random.default_rng(0)
         q_perm = rng.permutation(len(corpus.query_ids))
         c_perm = rng.permutation(len(corpus.candidate_ids))
@@ -271,7 +272,7 @@ class TestCli:
 
         corpus = Corpus.load(synth_dir / "corpus.json")
         path = tmp_path / "bm25.csv"
-        bm25_matrix(corpus).save_csv(path)
+        bm25_matrix(corpus, **scorer_hp("bm25")).save_csv(path)
         header, *rows = path.read_text(encoding="utf-8").splitlines()
         first = corpus.candidate_ids[0]
         # the first candidate's column again, under its own id, at the end
@@ -322,7 +323,8 @@ class TestCli:
         from weakrank.corpus import Corpus
 
         monkeypatch.chdir(tmp_path)
-        bm25_matrix(Corpus.load(synth_dir / "corpus.json")).save_csv(tmp_path / "ext.csv")
+        bm25_matrix(Corpus.load(synth_dir / "corpus.json"),
+                    **scorer_hp("bm25")).save_csv(tmp_path / "ext.csv")
         out = tmp_path / "run"
         rc = main([*command, "--set", f"corpus={synth_dir / 'corpus.json'}",
                    "--set", f"annotations={synth_dir / 'annotations.tsv'}",

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from defaults import SETTINGS
 from oracles import enumerate_policy, finite_difference_check, sup_mask_distribution
 from weakrank.controller import (
     BaselineState,
@@ -15,6 +16,7 @@ from weakrank.controller import (
 from weakrank.nncore import zero_grads
 
 K_VALUES = (10, 20, 30, 40, 50)
+DECAY = SETTINGS.baseline_decay
 
 
 class TestConfiguration:
@@ -134,8 +136,9 @@ class TestReinforce:
     def test_positive_advantage_raises_action_probability(self):
         params = ControllerParams(4, 3, 3, hidden=8, seed=6)
         cfg, before = sample_configuration(params, 1, (1, 2, 3))
-        baseline = BaselineState(value=0.2)
-        reinforce_update(params, cfg, reward=1.0, baseline=baseline, lr=0.1)
+        baseline = BaselineState(DECAY, value=0.2)
+        reinforce_update(params, cfg, reward=1.0, baseline=baseline, lr=0.1, use_baseline=True,
+                         entropy_coef=0.0)
         after, _ = action_log_prob(params, cfg)
         assert after > before
 
@@ -143,16 +146,18 @@ class TestReinforce:
         params = ControllerParams(4, 3, 3, hidden=8, seed=6)
         cfg, _ = sample_configuration(params, 1, (1, 2, 3))
         snapshot = [p.value.copy() for p in params.tensors()]
-        baseline = BaselineState(value=0.7)
-        reinforce_update(params, cfg, reward=0.7, baseline=baseline, lr=0.1)
+        baseline = BaselineState(DECAY, value=0.7)
+        reinforce_update(params, cfg, reward=0.7, baseline=baseline, lr=0.1, use_baseline=True,
+                         entropy_coef=0.0)
         for p, s in zip(params.tensors(), snapshot):
             assert np.array_equal(p.value, s)
 
     def test_first_reward_initializes_baseline(self):
         params = ControllerParams(2, 2, 2, hidden=6, seed=0)
         cfg, _ = sample_configuration(params, 2, (1, 2))
-        baseline = BaselineState()
-        used = reinforce_update(params, cfg, reward=0.8, baseline=baseline, lr=0.1)
+        baseline = BaselineState(DECAY)
+        used = reinforce_update(params, cfg, reward=0.8, baseline=baseline, lr=0.1,
+                                use_baseline=True, entropy_coef=0.0)
         assert used == 0.8 and baseline.value == 0.8
 
     def test_baseline_ema_update_order(self):
@@ -165,11 +170,13 @@ class TestReinforce:
         for seed in range(2):
             params = ControllerParams(n_unsup=1, n_k=1, n_sup=2, hidden=16, seed=seed)
             rng = np.random.default_rng(seed + 1000)
-            baseline = BaselineState()
+            baseline = BaselineState(DECAY)
             for _ in range(200):
                 cfg, _ = sample_configuration(params, rng, (10,))
                 reward = 1.0 if cfg.sup_mask == (1, 0) else 0.0
-                reinforce_update(params, cfg, reward, baseline, lr=0.5)
+                reinforce_update(params, cfg, reward, baseline, lr=0.5,
+                                 use_baseline=SETTINGS.use_baseline,
+                                 entropy_coef=SETTINGS.entropy_coef)
             dist = sup_mask_distribution(params, (1,), 0)
             assert dist[(1, 0)] > 0.9
 

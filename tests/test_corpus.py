@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from defaults import LIMITS
 from weakrank.corpus import (
     AnnotationSet,
     Corpus,
@@ -52,7 +53,7 @@ class TestBuildCorpus:
             {"id": "c2", "role": "candidate", "text": "eta theta"},
             {"id": "c3", "role": "candidate", "text": "iota kappa"},
         ]
-        corpus = build_corpus(docs)
+        corpus = build_corpus(docs, **LIMITS)
         assert len(corpus.vocab) == 10
 
     def test_truncation(self):
@@ -61,7 +62,8 @@ class TestBuildCorpus:
             {"id": "q1", "role": "query", "text": text},
             {"id": "c1", "role": "candidate", "text": "filler words here"},
         ]
-        corpus = build_corpus(docs, max_query_len=100)
+        corpus = build_corpus(docs, max_query_len=100,
+                              max_candidate_len=LIMITS["max_candidate_len"])
         assert len(corpus.document("query", "q1").token_ids) == 100
         # vocabulary covers retained tokens only
         assert "tok150" not in corpus.id_of_token
@@ -76,7 +78,7 @@ class TestBuildCorpus:
             {"id": "c1", "role": "candidate", "text": "real words"},
         ]
         with pytest.raises(ValueError, match="empty"):
-            build_corpus(docs)
+            build_corpus(docs, **LIMITS)
 
     def test_rejects_duplicate_id(self):
         docs = [
@@ -85,7 +87,7 @@ class TestBuildCorpus:
             {"id": "c1", "role": "candidate", "text": "epsilon"},
         ]
         with pytest.raises(ValueError, match="duplicate"):
-            build_corpus(docs)
+            build_corpus(docs, **LIMITS)
 
     def test_retokenizing_stored_text_reproduces_tokens(self, tiny_corpus):
         for doc in tiny_corpus.queries + tiny_corpus.candidates:

@@ -3,6 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from defaults import LIMITS, text_hp
 from oracles import skipgram_loss
 from weakrank.corpus import build_corpus
 from weakrank.embeddings import (
@@ -50,19 +51,19 @@ class TestEmbeddingTable:
 class TestTrainTextEmbeddings:
     def test_vector_dimension(self, planted):
         corpus, _ = planted
-        table = train_text_embeddings(corpus, dim=16, epochs=1, seed=0)
+        table = train_text_embeddings(corpus, **text_hp(dim=16, epochs=1), seed=0)
         assert table.dim == 16
         assert table.vectors.shape == (len(corpus.vocab), 16)
 
     def test_deterministic_per_seed(self, planted):
         corpus, _ = planted
-        t1 = train_text_embeddings(corpus, dim=8, epochs=1, seed=9)
-        t2 = train_text_embeddings(corpus, dim=8, epochs=1, seed=9)
+        t1 = train_text_embeddings(corpus, **text_hp(dim=8, epochs=1), seed=9)
+        t2 = train_text_embeddings(corpus, **text_hp(dim=8, epochs=1), seed=9)
         assert np.array_equal(t1.vectors, t2.vectors)
 
     def test_topic_separation_on_planted_corpus(self, planted):
         corpus, _ = planted
-        table = train_text_embeddings(corpus, dim=16, epochs=5, seed=4)
+        table = train_text_embeddings(corpus, **text_hp(dim=16, epochs=5), seed=4)
         by_topic = {}
         for token in corpus.vocab:
             by_topic.setdefault(token[:2], []).append(table.vector(token))
@@ -88,18 +89,18 @@ class TestTrainTextEmbeddings:
             {"id": "q1", "role": "query", "text": "aa bb aa bb"},
             {"id": "c1", "role": "candidate", "text": "bb aa"},
         ]
-        corpus = build_corpus(docs)
+        corpus = build_corpus(docs, **LIMITS)
         with pytest.raises(ValueError, match="neg"):
-            train_text_embeddings(corpus, neg=5, seed=0)
+            train_text_embeddings(corpus, **text_hp(neg=5), seed=0)
 
     def test_rejects_single_token_document(self):
         docs = [
             {"id": "q1", "role": "query", "text": "alpha beta gamma delta epsilon zeta"},
             {"id": "c1", "role": "candidate", "text": "alpha"},
         ]
-        corpus = build_corpus(docs)
+        corpus = build_corpus(docs, **LIMITS)
         with pytest.raises(ValueError, match="shorter than 2"):
-            train_text_embeddings(corpus, seed=0)
+            train_text_embeddings(corpus, **text_hp(), seed=0)
 
     def test_loss_decreases_over_first_epoch(self, planted):
         # statistical sanity across 3 seeds at default lr
@@ -190,7 +191,7 @@ def sequence_set(request, planted):
         vocab = len(corpus.vocab)
     else:
         graph = build_graph(corpus)
-        base = generate_walks(graph, 2, 9, seed=3)
+        base = generate_walks(graph, 2, 9, seed=3, p=None, q=None)
         vocab = graph.n_nodes
     seqs = _with_singletons(base, rng)
     assert len(seqs) > SEQ_BLOCK and len(seqs) % SEQ_BLOCK
@@ -273,7 +274,7 @@ class TestScoreMatrixFromEmbeddings:
             {"id": "c2", "role": "candidate", "text": "bb bb"},
             {"id": "c3", "role": "candidate", "text": "cc"},
         ]
-        return build_corpus(docs)
+        return build_corpus(docs, **LIMITS)
 
     def test_cosine_values(self):
         corpus = self._corpus()
@@ -281,9 +282,11 @@ class TestScoreMatrixFromEmbeddings:
             ["aa", "bb", "cc"], np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]])
         )
         m = score_matrix_from_embeddings(table, corpus, "doc-mean")
-        assert m.score("q1", "c1") == pytest.approx(1.0)  # identical vectors
-        assert m.score("q1", "c2") == pytest.approx(0.0)  # orthogonal
-        assert m.score("q1", "c3") == 0.0  # zero vector scores 0
+        q1 = m.values[corpus.query_row["q1"]]
+        c1, c2, c3 = (corpus.candidate_column[c] for c in ("c1", "c2", "c3"))
+        assert q1[c1] == pytest.approx(1.0)  # identical vectors
+        assert q1[c2] == pytest.approx(0.0)  # orthogonal
+        assert q1[c3] == 0.0  # zero vector scores 0
 
     def test_scale_invariance(self):
         corpus = self._corpus()
@@ -299,7 +302,7 @@ class TestScoreMatrixFromEmbeddings:
 
     def test_values_within_cosine_range(self, planted):
         corpus, _ = planted
-        table = train_text_embeddings(corpus, dim=8, epochs=1, seed=1)
+        table = train_text_embeddings(corpus, **text_hp(dim=8, epochs=1), seed=1)
         m = score_matrix_from_embeddings(table, corpus, "doc-mean")
         assert m.values.min() >= -1.0 - 1e-12
         assert m.values.max() <= 1.0 + 1e-12

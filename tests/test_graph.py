@@ -1,5 +1,6 @@
 import pytest
 
+from defaults import LIMITS
 from weakrank.corpus import build_corpus
 from weakrank.graph import HetGraph, build_graph
 
@@ -11,7 +12,7 @@ def corpus():
         {"id": "c1", "role": "candidate", "text": "ml ml db"},
         {"id": "c2", "role": "candidate", "text": "db tuning"},
     ]
-    return build_corpus(docs)
+    return build_corpus(docs, **LIMITS)
 
 
 def test_node_count(corpus):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from defaults import LIMITS, SETTINGS, text_hp
 from oracles import (
     aggregation_loss,
     biased_transition_probs,
@@ -50,7 +51,7 @@ def small_graph():
         {"id": "c2", "role": "candidate", "text": "cc cc dd"},
         {"id": "c3", "role": "candidate", "text": "aa dd"},
     ]
-    return build_graph(build_corpus(docs))
+    return build_graph(build_corpus(docs, **LIMITS))
 
 
 @pytest.fixture(scope="module")
@@ -124,17 +125,17 @@ class TestTransitions:
 
 class TestWalks:
     def test_deterministic_walk_corpus(self, small_graph):
-        w1 = generate_walks(small_graph, 2, 10, seed=5)
-        w2 = generate_walks(small_graph, 2, 10, seed=5)
+        w1 = generate_walks(small_graph, 2, 10, seed=5, p=None, q=None)
+        w2 = generate_walks(small_graph, 2, 10, seed=5, p=None, q=None)
         assert all(np.array_equal(a, b) for a, b in zip(w1, w2))
 
     def test_walk_count_and_length(self, small_graph):
-        walks = generate_walks(small_graph, 3, 12, seed=0)
+        walks = generate_walks(small_graph, 3, 12, seed=0, p=None, q=None)
         assert len(walks) == 3 * small_graph.n_nodes
         assert all(len(w) == 12 for w in walks)
 
     def test_walks_follow_edges(self, small_graph):
-        for walk in generate_walks(small_graph, 1, 8, seed=2):
+        for walk in generate_walks(small_graph, 1, 8, seed=2, p=None, q=None):
             for a, b in zip(walk, walk[1:]):
                 assert b in small_graph.neighbors[a]
 
@@ -142,7 +143,7 @@ class TestWalks:
         nodes = [("query", "q1"), ("word", "aa"), ("word", "zz")]
         graph = HetGraph(nodes, [(0, 1, 1.0)])
         with pytest.raises(ValueError, match="isolated"):
-            generate_walks(graph, 1, 5, seed=0)
+            generate_walks(graph, 1, 5, seed=0, p=None, q=None)
 
     def test_cooccurrence_pairs_window(self):
         pairs = cooccurrence_pairs([np.array([1, 2, 3])], window=1)
@@ -234,7 +235,8 @@ def _reference_pairs(walks, window):
 
 def test_cooccurrence_pairs_match_the_window_loop(planted_graph):
     _, graph = planted_graph
-    walks = generate_walks(graph, 2, 9, seed=4) + [np.array([3]), np.array([5, 6])]
+    walks = generate_walks(graph, 2, 9, seed=4, p=None, q=None)
+    walks += [np.array([3]), np.array([5, 6])]
     for window in (1, 3, 12):
         pairs = cooccurrence_pairs(walks, window)
         assert pairs.dtype == np.int64
@@ -382,10 +384,11 @@ class TestBitwiseAgainstReferences:
 
     def test_aggregation_batches(self, planted_graph):
         corpus, graph = planted_graph
-        feats = node_feature_matrix(graph, corpus, train_text_embeddings(corpus, dim=8, epochs=1))
+        table = train_text_embeddings(corpus, **text_hp(dim=8, epochs=1), seed=SETTINGS.seed)
+        feats = node_feature_matrix(graph, corpus, table)
         fast, ref = (AggregationTrainer(graph, feats, hidden=8, out_dim=8, n_layers=2, neg=3,
                                         lr=0.05, sample_size=3, seed=2) for _ in range(2))
-        pairs = cooccurrence_pairs(generate_walks(graph, 1, 8, seed=1), window=2)
+        pairs = cooccurrence_pairs(generate_walks(graph, 1, 8, seed=1, p=None, q=None), window=2)
         batches = np.random.default_rng(0).integers(len(pairs), size=(20, 24))
         for rows in batches:
             assert fast.train_batch(pairs[rows]) == _reference_aggregation_batch(ref, pairs[rows])
@@ -455,7 +458,7 @@ class TestAggregation:
 
     def test_trains_and_is_deterministic(self, planted_graph):
         corpus, graph = planted_graph
-        table = train_text_embeddings(corpus, dim=8, epochs=1, seed=0)
+        table = train_text_embeddings(corpus, **text_hp(dim=8, epochs=1), seed=0)
         feats = node_feature_matrix(graph, corpus, table)
         hp = {"hidden": 8, "out_dim": 8, "epochs": 1, "n_walks": 2, "walk_len": 10}
         t1 = _train(graph, "aggregation", hp, seed=5, node_features=feats)
@@ -465,7 +468,7 @@ class TestAggregation:
 
     def test_loss_decreases(self, planted_graph):
         corpus, graph = planted_graph
-        table = train_text_embeddings(corpus, dim=8, epochs=1, seed=0)
+        table = train_text_embeddings(corpus, **text_hp(dim=8, epochs=1), seed=0)
         feats = node_feature_matrix(graph, corpus, table)
         deltas = []
         for seed in range(3):
@@ -473,7 +476,7 @@ class TestAggregation:
                 graph, feats, hidden=8, out_dim=8, n_layers=2, neg=3, lr=0.01,
                 sample_size=10, seed=seed,
             )
-            walks = generate_walks(graph, 2, 10, seed=seed + 50)
+            walks = generate_walks(graph, 2, 10, seed=seed + 50, p=None, q=None)
             pairs = cooccurrence_pairs(walks, window=3)
             probe = np.random.default_rng(13)
             fixed = pairs[probe.integers(len(pairs), size=64)]

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from defaults import SETTINGS
 from weakrank.corpus import AnnotationSet
 from weakrank.metrics import (
     EvalLists,
@@ -175,25 +176,25 @@ class TestBuildEvalLists:
 
     def test_one_list_per_positive_pair(self):
         corpus, ann = self._setup()
-        lists = build_eval_lists(ann, corpus, seed=0)
+        lists = build_eval_lists(ann, corpus, seed=0, n_negatives=SETTINGS.eval_negatives)
         n_positives = sum(1 for _, _, y in ann.pairs if y == 1)
         assert len(lists) == n_positives
         assert lists.rows.shape == (n_positives,)
-        assert lists.cols.shape == (n_positives, 100)
+        assert lists.cols.shape == (n_positives, 1 + SETTINGS.eval_negatives)
         assert lists.rows.dtype == lists.cols.dtype == np.int64
         assert lists.query_ids is corpus.query_ids
         assert lists.candidate_ids is corpus.candidate_ids
 
     def test_deterministic(self):
         corpus, ann = self._setup()
-        l1 = build_eval_lists(ann, corpus, seed=5)
-        l2 = build_eval_lists(ann, corpus, seed=5)
+        l1, l2 = (build_eval_lists(ann, corpus, seed=5, n_negatives=SETTINGS.eval_negatives)
+                  for _ in range(2))
         assert np.array_equal(l1.rows, l2.rows) and np.array_equal(l1.cols, l2.cols)
 
     def test_other_positives_never_negatives(self):
         corpus, ann = self._setup()
         pos_by_query = _positives_by_query(ann)
-        lists = build_eval_lists(ann, corpus, seed=1)
+        lists = build_eval_lists(ann, corpus, seed=1, n_negatives=SETTINGS.eval_negatives)
         for r in range(len(lists)):
             negatives = ids_of(lists, r)[1:]
             assert not set(negatives) & set(pos_by_query[corpus.query_ids[lists.rows[r]]])
@@ -201,14 +202,14 @@ class TestBuildEvalLists:
     def test_insufficient_negatives_rejected(self):
         corpus, ann = generate_synthetic(4, 40, 2, 8, 15, 0.0, seed=2)
         with pytest.raises(ValueError, match="eligible negatives"):
-            build_eval_lists(ann, corpus, seed=0)  # only 20 non-positives per query
+            build_eval_lists(ann, corpus, seed=0, n_negatives=21)  # only 20 non-positives
 
     def test_unknown_annotated_id_rejected(self):
         corpus, ann = self._setup()
         qid, _, _ = ann.pairs[0]
         bad = AnnotationSet(ann.pairs + ((qid, "no-such-candidate", 1),), "all")
         with pytest.raises(KeyError, match="no-such-candidate"):
-            build_eval_lists(bad, corpus, seed=0)
+            build_eval_lists(bad, corpus, seed=0, n_negatives=SETTINGS.eval_negatives)
 
     def test_equal_to_per_candidate_filter_reference(self):
         # the string-id path: filter ids per query, one id tuple per list
@@ -247,10 +248,11 @@ def test_score_lists_with_matrix(rng, tiny_corpus):
     lists = EvalLists(np.array([1, 0]), np.array([[2, 0, 1], [0, 2, 1]]),
                       corpus.query_ids, corpus.candidate_ids)
     scores = score_lists_with_matrix(lists, matrix)
-    assert scores.tolist() == [
-        [matrix.score("q2", c) for c in ("c3", "c1", "c2")],
-        [matrix.score("q1", c) for c in ("c1", "c3", "c2")],
-    ]
+
+    def row(qid, cids):
+        return [matrix.values[corpus.query_row[qid], corpus.candidate_column[c]] for c in cids]
+
+    assert scores.tolist() == [row("q2", ("c3", "c1", "c2")), row("q1", ("c1", "c3", "c2"))]
 
 
 def test_score_lists_with_matrix_refuses_another_order(rng, tiny_corpus):
@@ -262,7 +264,7 @@ def test_score_lists_with_matrix_refuses_another_order(rng, tiny_corpus):
         score_lists_with_matrix(lists, flipped)
     ordered = flipped.in_order(corpus.query_ids, corpus.candidate_ids)
     assert score_lists_with_matrix(lists, ordered).tolist() == [
-        [flipped.score("q1", c) for c in ("c1", "c2", "c3")]]
+        [flipped.values[0, flipped.candidate_ids.index(c)] for c in ("c1", "c2", "c3")]]
 
 
 class TestInOrder:

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 import weakrank.trainer as trainer
+from defaults import scorer_hp
 from weakrank.bm25 import bm25_matrix
 from weakrank.cli import main
 from weakrank.corpus import AnnotationSet, split_annotations
@@ -65,7 +66,7 @@ def _no_child_left():
 def corpus_and_external(tmp_path_factory):
     corpus, _ = generate_synthetic(8, 12, 2, 6, 12, 0.1, seed=4)
     path = tmp_path_factory.mktemp("external") / "ext.csv"
-    bm25_matrix(corpus).save_csv(path)
+    bm25_matrix(corpus, **scorer_hp("bm25")).save_csv(path)
     return corpus, path
 
 
@@ -107,7 +108,7 @@ def test_every_worker_count_gives_the_same_bytes(corpus_and_external, tmp_path):
 def test_edited_external_csv_is_read_afresh(corpus_and_external, tmp_path):
     corpus, _ = corpus_and_external
     path = tmp_path / "ext.csv"
-    first = bm25_matrix(corpus)
+    first = bm25_matrix(corpus, **scorer_hp("bm25"))
     first.save_csv(path)
     registry = UnsupModelRegistry([UnsupModelSpec("ext", "external", {"path": str(path)})])
     cache_dir = tmp_path / "cache"
@@ -343,7 +344,7 @@ def ranker_inputs(corpus_and_external):
 def _train(ranker_inputs, mask, workers):
     corpus, config, (matrices, backbone) = ranker_inputs
     config = dataclasses.replace(config, workers=workers)
-    agg = aggregate(matrices, [1] * len(matrices))
+    agg = aggregate(matrices, [1] * len(matrices), normalize=config.normalize_scores)
     models = _train_selected_models(mask, 3, agg, backbone, config, epochs=2, seed_label="t")
     return [(m.spec.name, m.params().values.tobytes()) for m in models]
 

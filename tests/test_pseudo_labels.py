@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from defaults import SETTINGS
 from weakrank.pseudo_labels import (
     aggregate,
     normalize_per_query,
@@ -60,35 +61,35 @@ class TestNormalize:
 class TestAggregate:
     def test_single_matrix_is_normalized_self(self):
         raw = _matrix([[1.0, 3.0, 5.0]])
-        agg = aggregate([raw], [1])
+        agg = aggregate([raw], [1], normalize=True)
         assert np.allclose(agg.values, normalize_per_query(raw).values)
 
     def test_mean_of_two(self):
         a = _matrix([[0.0, 1.0]], "a")
         b = _matrix([[1.0, 0.0]], "b")
-        agg = aggregate([a, b], [1, 1])
+        agg = aggregate([a, b], [1, 1], normalize=SETTINGS.normalize_scores)
         assert np.allclose(agg.values, [[0.5, 0.5]])
 
     def test_mask_selects_positions_one_and_four(self, rng):
         mats = [_matrix(rng.random((3, 4)), f"m{i}") for i in range(8)]
         mask = [1, 0, 0, 1, 0, 0, 0, 0]
-        agg = aggregate(mats, mask)
-        expected = aggregate([mats[0], mats[3]], [1, 1])
+        agg = aggregate(mats, mask, normalize=SETTINGS.normalize_scores)
+        expected = aggregate([mats[0], mats[3]], [1, 1], normalize=SETTINGS.normalize_scores)
         assert np.allclose(agg.values, expected.values)
 
     def test_empty_mask_rejected(self):
         with pytest.raises(ValueError, match="no matrices"):
-            aggregate([_matrix([[1.0, 2.0]])], [0])
+            aggregate([_matrix([[1.0, 2.0]])], [0], normalize=SETTINGS.normalize_scores)
 
     def test_permutation_invariance(self, rng):
         mats = [_matrix(rng.random((2, 5)), f"m{i}") for i in range(3)]
-        agg1 = aggregate(mats, [1, 1, 1])
-        agg2 = aggregate(mats[::-1], [1, 1, 1])
+        agg1 = aggregate(mats, [1, 1, 1], normalize=SETTINGS.normalize_scores)
+        agg2 = aggregate(mats[::-1], [1, 1, 1], normalize=SETTINGS.normalize_scores)
         assert np.allclose(agg1.values, agg2.values)
 
     def test_values_in_unit_interval(self, rng):
         mats = [_matrix(rng.normal(size=(4, 6)) * 50, f"m{i}") for i in range(4)]
-        agg = aggregate(mats, [1, 0, 1, 1])
+        agg = aggregate(mats, [1, 0, 1, 1], normalize=True)
         assert agg.values.min() >= 0.0 and agg.values.max() <= 1.0
 
     def test_raw_mode_skips_normalization(self):
@@ -101,7 +102,7 @@ class TestAggregate:
         a = _matrix([[1.0, 2.0]], "a")
         b = _matrix([[1.0, 2.0, 3.0]], "b")
         with pytest.raises(ValueError, match="mismatched"):
-            aggregate([a, b], [1, 1])
+            aggregate([a, b], [1, 1], normalize=SETTINGS.normalize_scores)
 
 
 def positives(matrix, ranked, k):

@@ -2,8 +2,8 @@
 carries its default and its rule, ``check_config`` holds a configuration to
 them before anything runs, and every model reads its defaults from them."""
 
+import ast
 import importlib.util
-import inspect
 import math
 import re
 import sys
@@ -12,9 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from weakrank.bm25 import bm25_matrix
 from weakrank.config import ExperimentConfig
-from weakrank.embeddings import train_text_embeddings
 from weakrank.graph import build_graph
 from weakrank.registry import (
     HYPERPARAMETERS,
@@ -165,14 +163,44 @@ def test_resolving_defaults_leaves_params_as_given():
     assert set(hp) == set(HYPERPARAMETERS["unsupervised"]["graph-biased-walk"])
 
 
-def test_library_defaults_are_read_from_the_functions():
-    def defaults(fn):
-        return {k: p.default for k, p in inspect.signature(fn).parameters.items()
-                if p.default is not p.empty and k != "seed"}
+# Parameters that take a setting's value under another name.
+ALIASES = {"n_negatives", "decay", "normalize", "algorithm", "graph_seed"}
+# The classes whose fields declare the settings, each the value's one source.
+DECLARING = {"SearchSettings", "RunConfig", "ExperimentConfig"}
 
-    table = HYPERPARAMETERS["unsupervised"]
-    for kind, fn in [("bm25", bm25_matrix), ("text-embedding", train_text_embeddings)]:
-        assert {key: entry.default for key, entry in table[kind].items()} == defaults(fn)
+
+def defaulted_settings(source: str, names) -> list[str]:
+    """``<function or class>:<name>`` for each parameter or class field in
+    ``names`` that ``source`` gives a default, outside ``DECLARING``."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            args = node.args
+            positional = args.posonlyargs + args.args
+            defaulted = positional[len(positional) - len(args.defaults):] + [
+                arg for arg, default in zip(args.kwonlyargs, args.kw_defaults) if default]
+            found += [f"{getattr(node, 'name', 'lambda')}:{arg.arg}" for arg in defaulted
+                      if arg.arg in names]
+        elif isinstance(node, ast.ClassDef) and node.name not in DECLARING:
+            found += [f"{node.name}:{item.target.id}" for item in node.body
+                      if isinstance(item, ast.AnnAssign) and item.value is not None
+                      and isinstance(item.target, ast.Name) and item.target.id in names]
+    return found
+
+
+def test_library_functions_take_settings_without_defaults():
+    """A setting's or hyperparameter's default is written once, where it is
+    declared: no function in ``src/weakrank`` defaults a parameter named like
+    a setting, an ``hp`` key or an alias of one, and no dataclass a field."""
+    names = ({f.name for f in fields(ExperimentConfig)} | {f.name for f in fields(RunConfig)}
+             | {key for kinds in HYPERPARAMETERS.values() for table in kinds.values()
+                for key in table} | ALIASES)
+    assert defaulted_settings("def f(a, n_negatives=99, *, lr=0.1, seed): pass\n"
+                              "class B:\n    decay: float = 0.9\n", names) == [
+        "f:n_negatives", "f:lr", "B:decay"]
+    found = [f"{path.name}:{where}" for path in sorted((ROOT / "src" / "weakrank").glob("*.py"))
+             for where in defaulted_settings(path.read_text(encoding="utf-8"), names)]
+    assert found == []
 
 
 def test_cache_file_names_are_those_of_user_given_params(tmp_path):

@@ -1,4 +1,5 @@
-"""``weakrank score`` serves exactly the rankers a search selected and trained."""
+"""``weakrank score`` serves exactly the rankers a search selected and
+trained, under the configuration its run recorded."""
 
 import json
 
@@ -59,8 +60,8 @@ def trained(monkeypatch):
     return matrices
 
 
-def _served(root, corpus, *extra):
-    assert main(["score", "--run", "run", "--out", "scores.tsv", *extra]) == 0
+def _served(root, corpus):
+    assert main(["score", "--run", "run", "--out", "scores.tsv"]) == 0
     rows = [line.split("\t") for line in (root / "scores.tsv").read_text().splitlines()]
     assert [(q, c) for q, c, _ in rows] == [
         (q, c) for q in corpus.query_ids for c in corpus.candidate_ids]
@@ -90,14 +91,58 @@ def test_serves_only_the_selected_rankers(tmp_path, monkeypatch, trained):
     assert np.max(np.abs(served - _ensemble([trained["representation"]]))) <= 1e-12
 
 
+def _edit(run, key, value, rehash=False):
+    """Set ``key`` in the run's ``config.cfg``; with ``rehash``, record the
+    edited configuration's hash in ``manifest.json`` too, as a later run into
+    the same directory would before writing its own checkpoints."""
+    path = run / "config.cfg"
+    lines = path.read_text().splitlines()
+    assert sum(line.startswith(f"{key}=") for line in lines) == 1
+    path.write_text("".join(f"{key}={value}\n" if line.startswith(f"{key}=") else line + "\n"
+                            for line in lines))
+    if rehash:
+        manifest = json.loads((run / "manifest.json").read_text())
+        manifest["config_hash"] = ExperimentConfig.from_file(path).content_hash()
+        (run / "manifest.json").write_text(json.dumps(manifest))
+
+
 def test_refuses_checkpoints_of_another_configuration(tmp_path, monkeypatch, capsys):
     _sandbox(tmp_path)
     monkeypatch.chdir(tmp_path)
     assert main(["search", "--config", "exp.cfg"]) == 0
     assert main(["score", "--run", "run", "--out", "ok.tsv"]) == 0
     capsys.readouterr()
-    assert main(["score", "--run", "run", "--out", "bad.tsv", "--set", "seed=4"]) == 2
-    assert "configuration hash" in capsys.readouterr().err
+    _edit(tmp_path / "run", "seed", "4", rehash=True)
+    assert main(["score", "--run", "run", "--out", "bad.tsv"]) == 2
+    assert "was written under configuration hash" in capsys.readouterr().err
+    assert not (tmp_path / "bad.tsv").exists()
+
+
+def test_score_takes_no_configuration_override(capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["score", "--run", "run", "--out", "scores.tsv", "--set", "seed=4"])
+    assert exit_info.value.code == 2
+    assert "unrecognized arguments: --set seed=4" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key,value", [("graph_sample_size", "5"), ("pretrain_seed", "9"),
+                                       ("seed", "4")])
+def test_refuses_an_edited_configuration_before_the_corpus(tmp_path, monkeypatch, capsys,
+                                                          key, value):
+    """An edit to ``config.cfg`` after the run, whether or not it changes
+    what would be served, exits 2 before the corpus or a checkpoint is read."""
+    _sandbox(tmp_path, sup_models="graph-aggregation", graph_sample_size="2",
+             pretrain_seed="8")
+    monkeypatch.chdir(tmp_path)
+    assert main(["search", "--config", "exp.cfg"]) == 0
+    capsys.readouterr()
+    _edit(tmp_path / "run", key, value)
+    monkeypatch.setattr(cli, "load_checkpoint", lambda *a, **k: pytest.fail("read a checkpoint"))
+    monkeypatch.setattr(Corpus, "load", lambda *a, **k: pytest.fail("read the corpus"))
+    assert main(["score", "--run", "run", "--out", "bad.tsv"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ValueError: run/config.cfg does not hash to the configuration "
+                          "hash") and err.strip().endswith("it was edited after the run")
     assert not (tmp_path / "bad.tsv").exists()
 
 
@@ -113,17 +158,17 @@ def test_graph_ranker_served_from_the_pretrain_seed(tmp_path, monkeypatch, train
 
 def test_refuses_a_value_outside_its_rule_before_reading_a_checkpoint(tmp_path, monkeypatch,
                                                                       capsys):
-    """A ``--set`` that breaks a rule exits 2 before ``score`` reads the
-    corpus or any checkpoint, and writes no TSV."""
+    """A ``config.cfg`` value that breaks a rule exits 2 before ``score``
+    reads the manifest, the corpus or any checkpoint, and writes no TSV."""
     run = tmp_path / "run"
     run.mkdir()
-    ExperimentConfig(corpus=str(tmp_path / "no-corpus.json")).save(run / "config.cfg")
+    ExperimentConfig(corpus=str(tmp_path / "no-corpus.json"),
+                     hp={"graph-walk": {"dim": 0}}).save(run / "config.cfg")
     monkeypatch.setattr(cli, "load_checkpoint", lambda *a, **k: pytest.fail("read a checkpoint"))
     monkeypatch.setattr(Corpus, "load", lambda *a, **k: pytest.fail("read the corpus"))
     out = tmp_path / "scores.tsv"
-    rc = main(["score", "--run", str(run), "--out", str(out),
-               "--set", "hp.graph-walk.dim=0"])
-    assert rc == 2
+    assert not (run / "manifest.json").exists()
+    assert main(["score", "--run", str(run), "--out", str(out)]) == 2
     assert capsys.readouterr().err.strip() == (
         "error: ValueError: hp.graph-walk.dim: model 'graph-walk' takes an integer >= 1 "
         "for 'dim', not 0")
@@ -131,19 +176,16 @@ def test_refuses_a_value_outside_its_rule_before_reading_a_checkpoint(tmp_path, 
 
 
 def test_refuses_a_hyperparameter_the_model_does_not_declare(tmp_path, monkeypatch, capsys):
-    """``score`` checks ``hp.`` keys as a search does: from ``--set``, and
-    from a run's ``config.cfg``, which earlier versions served and ignored."""
+    """``score`` checks the ``hp.`` keys of a run's ``config.cfg`` as a
+    search does, before its hash: earlier versions served and ignored them."""
     _sandbox(tmp_path)
     monkeypatch.chdir(tmp_path)
     assert main(["search", "--config", "exp.cfg"]) == 0
     capsys.readouterr()
     expected = ("error: ValueError: hp.representation.hiden: model 'representation' has no "
                 "hyperparameter 'hiden' (accepted keys: hidden, lr)")
-    argv = ["score", "--run", "run", "--out", "bad.tsv"]
-    assert main(argv + ["--set", "hp.representation.hiden=64"]) == 2
-    assert capsys.readouterr().err.strip() == expected
     with open(tmp_path / "run" / "config.cfg", "a", encoding="utf-8") as fh:
         fh.write("hp.representation.hiden=64\n")
-    assert main(argv) == 2
+    assert main(["score", "--run", "run", "--out", "bad.tsv"]) == 2
     assert capsys.readouterr().err.strip() == expected
     assert not (tmp_path / "bad.tsv").exists()

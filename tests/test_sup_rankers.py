@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from defaults import GRAPH_SAMPLE, LIMITS, SETTINGS, TRAINING, scorer_hp, text_hp
 from oracles import finite_difference_check
 from weakrank import sup_rankers
 from weakrank.bm25 import bm25_matrix
@@ -49,9 +50,10 @@ def mirror_backbone():
         {"id": "c2", "role": "candidate", "text": "delta zeta"},
         {"id": "c3", "role": "candidate", "text": "eta theta iota"},
     ]
-    corpus = build_corpus(docs)
-    table = train_text_embeddings(corpus, dim=8, epochs=1, seed=0)
-    return RankerBackbone(corpus, table, graph=build_graph(corpus), graph_seed=1)
+    corpus = build_corpus(docs, **LIMITS)
+    table = train_text_embeddings(corpus, **text_hp(dim=8, epochs=1), seed=0)
+    return RankerBackbone(corpus, table, graph=build_graph(corpus),
+                          graph_sample_size=SETTINGS.graph_sample_size, graph_seed=1)
 
 
 @pytest.fixture(scope="module")
@@ -62,17 +64,25 @@ def planted_setup():
         doc_len=20, noise_rate=0.0, seed=33,
     )
     graph = build_graph(corpus)
-    table = train_text_embeddings(corpus, dim=16, epochs=2, seed=7)
-    backbone = RankerBackbone(corpus, table, graph=graph, graph_seed=2)
-    agg = aggregate([bm25_matrix(corpus)], [1])
+    table = train_text_embeddings(corpus, **text_hp(dim=16, epochs=2), seed=7)
+    backbone = RankerBackbone(corpus, table, graph=graph,
+                              graph_sample_size=SETTINGS.graph_sample_size, graph_seed=2)
+    agg = aggregate([bm25_matrix(corpus, **scorer_hp("bm25"))], [1],
+                    normalize=SETTINGS.normalize_scores)
     labels = top_k_labels(agg, k=50)  # true positives per query = 50
     triples = sample_training_pairs(labels, 50, n_neg_per_pos=2, seed=5)
-    lists = build_eval_lists(ann, corpus, seed=11)
+    lists = build_eval_lists(ann, corpus, seed=11, n_negatives=SETTINGS.eval_negatives)
     return backbone, triples, lists
 
 
 def _spec(kind, **params):
     return SupModelSpec(kind, kind, params)
+
+
+def _score(model, qid, cid):
+    """The model's score of one pair: its full matrix at corpus positions."""
+    corpus = model.backbone.corpus
+    return model.score_matrix()[corpus.query_row[qid], corpus.candidate_column[cid]]
 
 
 def _triples(corpus, id_triples):
@@ -107,7 +117,7 @@ class TestRepresentation:
         model = RepresentationRanker(mirror_backbone, _spec("representation", hidden=8), seed=3)
         for pq, pc in zip(model.sides["q"], model.sides["c"]):
             np.copyto(pc.value, pq.value)
-        assert model.score("q1", "c1") == pytest.approx(1.0)
+        assert _score(model, "q1", "c1") == pytest.approx(1.0)
 
     def test_output_in_cosine_range(self, mirror_backbone, rng):
         model = RepresentationRanker(mirror_backbone, _spec("representation"), seed=1)
@@ -117,8 +127,8 @@ class TestRepresentation:
 
     def test_scoring_is_pure(self, mirror_backbone):
         model = RepresentationRanker(mirror_backbone, _spec("representation"), seed=2)
-        a = model.score("q1", "c2")
-        b = model.score("q1", "c2")
+        a = _score(model, "q1", "c2")
+        b = _score(model, "q1", "c2")
         assert a == b
 
     def test_trained_beats_untrained(self, planted_setup):
@@ -126,7 +136,7 @@ class TestRepresentation:
         for seed in range(3):
             model = RepresentationRanker(backbone, _spec("representation", hidden=16), seed=seed)
             before = mrr(lists, score_lists_with_ensemble(lists, [model]))
-            train_supervised(model, triples, epochs=5, lr=0.005, seed=seed)
+            train_supervised(model, triples, epochs=5, lr=0.005, seed=seed, **TRAINING)
             after = mrr(lists, score_lists_with_ensemble(lists, [model]))
             assert after > before
 
@@ -148,8 +158,9 @@ class TestInteraction:
         scaled[table.index["alpha"]] *= 2.0
         from weakrank.embeddings import EmbeddingTable
 
-        base = RankerBackbone(corpus, table, center=False)
-        other = RankerBackbone(corpus, EmbeddingTable(table.ids, scaled), center=False)
+        base = RankerBackbone(corpus, table, center=False, **GRAPH_SAMPLE)
+        other = RankerBackbone(corpus, EmbeddingTable(table.ids, scaled), center=False,
+                               **GRAPH_SAMPLE)
         mus = np.array([0.9, 0.5, -0.5])
         sigmas = np.array([0.1, 0.2, 0.3])
         assert np.allclose(base.phi_features(mus, sigmas, True),
@@ -161,7 +172,7 @@ class TestInteraction:
         corpus = mirror_backbone.corpus
         i, j = corpus.query_row["q2"], corpus.candidate_column["c2"]
         expected = ref[i, j] @ model.w.value + model.b.value[0]
-        assert expected == pytest.approx(model.score("q2", "c2"), rel=1e-9)
+        assert expected == pytest.approx(_score(model, "q2", "c2"), rel=1e-9)
 
     def test_zero_norm_word_vector_contributes_zero_row(self, mirror_backbone):
         # a zero word vector has cosine 0 with every word, so it pools like
@@ -172,7 +183,7 @@ class TestInteraction:
         vectors = table.vectors.copy()
         vectors[table.index["alpha"]] = 0.0
         backbone = RankerBackbone(mirror_backbone.corpus, EmbeddingTable(table.ids, vectors),
-                                  center=False)
+                                  center=False, **GRAPH_SAMPLE)
         mus = np.array([0.9, 0.0, -0.9])
         sigmas = np.array([0.1, 0.1, 0.1])
         got = backbone.phi_features(mus, sigmas, True)
@@ -189,7 +200,7 @@ class TestGraphAggregation:
         u = feats[q_nodes[mirror_backbone.corpus.query_row["q1"]]]
         v = feats[c_nodes[mirror_backbone.corpus.candidate_column["c2"]]]
         expected = u @ v / (np.linalg.norm(u) * np.linalg.norm(v))
-        assert model.score("q1", "c2") == pytest.approx(float(expected))
+        assert _score(model, "q1", "c2") == pytest.approx(float(expected))
 
     def test_full_neighborhood_sampling_deterministic(self, mirror_backbone):
         # degrees here are far below the sample cap, so any seed agrees
@@ -209,10 +220,11 @@ class TestGraphAggregation:
             {"id": "c1", "role": "candidate", "text": "aa bb"},
             {"id": "c2", "role": "candidate", "text": "aa bb"},
         ]
-        corpus = build_corpus(docs)
-        table = train_text_embeddings(corpus, dim=4, neg=1, epochs=1, seed=0)
-        backbone = RankerBackbone(corpus, table, graph=build_graph(corpus))
-        model = GraphAggregationRanker(backbone, _spec("graph-aggregation", hidden=4, out_dim=4), seed=1)
+        corpus = build_corpus(docs, **LIMITS)
+        table = train_text_embeddings(corpus, **text_hp(dim=4, neg=1, epochs=1), seed=0)
+        backbone = RankerBackbone(corpus, table, graph=build_graph(corpus), **GRAPH_SAMPLE)
+        model = GraphAggregationRanker(backbone, _spec("graph-aggregation", hidden=4, out_dim=4),
+                                       seed=1)
         Z = model._embeddings()
         _, _, _, c_nodes = backbone.graph_inputs()
         assert np.allclose(Z[c_nodes[0]], Z[c_nodes[1]])
@@ -222,8 +234,8 @@ class TestGraphAggregation:
         model = GraphAggregationRanker(
             backbone, _spec("graph-aggregation", hidden=8, out_dim=8), seed=5
         )
-        train_supervised(model, triples[:200], epochs=1, lr=0.01, seed=0)
-        assert model.score("q00", "c000") == model.score("q00", "c000")
+        train_supervised(model, triples[:200], epochs=1, lr=0.01, seed=0, **TRAINING)
+        assert _score(model, "q00", "c000") == _score(model, "q00", "c000")
 
 
 class TestTrainSupervised:
@@ -236,7 +248,7 @@ class TestTrainSupervised:
             zero_grads(model.params())
             before = model.loss_and_grads(fixed)
             zero_grads(model.params())
-            train_supervised(model, triples, epochs=1, lr=0.001, seed=seed)
+            train_supervised(model, triples, epochs=1, lr=0.001, seed=seed, **TRAINING)
             zero_grads(model.params())
             after = model.loss_and_grads(fixed)
             zero_grads(model.params())
@@ -247,7 +259,7 @@ class TestTrainSupervised:
         model = RepresentationRanker(mirror_backbone, _spec("representation"), seed=0)
         with pytest.raises(ValueError, match="empty"):
             train_supervised(model, np.zeros((0, 3), dtype=np.int64), epochs=1, lr=0.01,
-                             seed=0)
+                             seed=0, **TRAINING)
 
     def test_early_stopping_restores_best(self, planted_setup):
         backbone, triples, lists = planted_setup
@@ -260,7 +272,7 @@ class TestTrainSupervised:
             return value
 
         train_supervised(
-            model, triples, epochs=6, lr=0.005, seed=1, eval_fn=eval_fn, patience=2
+            model, triples, epochs=6, lr=0.005, seed=1, eval_fn=eval_fn, patience=2, **TRAINING
         )
         final = mrr(lists, score_lists_with_ensemble(lists, [model]))
         assert final == pytest.approx(max(seen))
@@ -275,7 +287,7 @@ class TestTrainSupervised:
             values = []
             for seed in range(3):
                 model = create_sup_model(_spec(kind, **hp), backbone, seed)
-                train_supervised(model, triples, epochs=8, lr=lr, seed=seed)
+                train_supervised(model, triples, epochs=8, lr=lr, seed=seed, **TRAINING)
                 values.append(mrr(lists, score_lists_with_ensemble(lists, [model])))
             assert min(values) >= 0.9, f"{kind}: {values}"
 
@@ -357,7 +369,7 @@ def _reference_loss_and_grads(model, triples):
     return loss
 
 
-def _reference_train(model, triples, epochs, lr, seed, batch_size=32):
+def _reference_train(model, triples, epochs, lr, seed, batch_size):
     """Seeded minibatch Adam over lists of string triples."""
     rng = np.random.default_rng(seed)
     opt = OptimizerState("adam", lr=lr)
@@ -388,8 +400,9 @@ class TestIndexBatches:
         qids, cids = backbone.corpus.query_ids, backbone.corpus.candidate_ids
         id_triples = [(qids[q], cids[p], cids[n]) for q, p, n in triples.tolist()]
         fast, ref = (create_sup_model(_spec(kind, **hp), backbone, seed=3) for _ in range(2))
-        curve = train_supervised(fast, triples, epochs=3, lr=0.01, seed=4)
-        ref_curve = _reference_train(ref, id_triples, epochs=3, lr=0.01, seed=4)
+        curve = train_supervised(fast, triples, epochs=3, lr=0.01, seed=4, batch_size=32,
+                                 algorithm="adam")
+        ref_curve = _reference_train(ref, id_triples, epochs=3, lr=0.01, seed=4, batch_size=32)
         assert curve == ref_curve
         assert fast.params().values.tobytes() == ref.params().values.tobytes()
 
@@ -525,8 +538,8 @@ class TestMatrixScoring:
             {"id": "c3", "role": "candidate", "text": "eta theta iota alpha eta"},
             {"id": "c4", "role": "candidate", "text": "epsilon gamma"},
         ]
-        corpus = build_corpus(docs)
-        table = train_text_embeddings(corpus, dim=8, epochs=1, seed=0)
+        corpus = build_corpus(docs, **LIMITS)
+        table = train_text_embeddings(corpus, **text_hp(dim=8, epochs=1), seed=0)
         return RankerBackbone(corpus, table, graph=build_graph(corpus), graph_sample_size=2,
                               graph_seed=1)
 
@@ -539,7 +552,7 @@ class TestMatrixScoring:
         sigmas = np.array([1e-3, 0.1, 0.3, 0.5, 0.6]) if negative_exponent else \
             np.array([0.5, 0.6, 0.7, 0.8, 0.9])
         for backbone in (repeat_backbone, planted_setup[0]):
-            got = RankerBackbone(backbone.corpus, backbone.raw_table).phi_features(
+            got = RankerBackbone(backbone.corpus, backbone.raw_table, **GRAPH_SAMPLE).phi_features(
                 mus, sigmas, negative_exponent)
             ref = _phi_reference(backbone, mus, sigmas, negative_exponent)
             assert got.shape == ref.shape
@@ -597,11 +610,11 @@ class TestCheckpoints:
     ])
     def test_roundtrip(self, mirror_backbone, tmp_path, kind, hp):
         model = create_sup_model(_spec(kind, **hp), mirror_backbone, seed=6)
-        train_ready = model.score("q1", "c2")
+        train_ready = _score(model, "q1", "c2")
         path = tmp_path / f"{kind}.ckpt"
         save_checkpoint(model, path, config_hash="abc")
         loaded = load_checkpoint(path, mirror_backbone)
-        assert loaded.score("q1", "c2") == train_ready
+        assert _score(loaded, "q1", "c2") == train_ready
         assert loaded.kind == kind
         arrays, meta = load_arrays(path)
         assert sorted(arrays) == sorted(p.name for p in model.params())
@@ -617,7 +630,7 @@ class TestCheckpoints:
         # and an "optimizer" meta block; the reader skips both
         model = create_sup_model(_spec(kind, **hp), mirror_backbone, seed=6)
         triples = _triples(mirror_backbone.corpus, [("q1", "c1", "c2"), ("q2", "c2", "c3")] * 8)
-        train_supervised(model, triples, epochs=2, lr=0.01, seed=0)
+        train_supervised(model, triples, epochs=2, lr=0.01, seed=0, **TRAINING)
         arrays = {p.name: p.value for p in model.params()}
         for p in model.params():
             arrays[f"opt.m.{p.name}"] = np.full(p.shape, 0.25)

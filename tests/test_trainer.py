@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from defaults import SETTINGS
 from weakrank.controller import ControllerParams
 from weakrank.corpus import split_annotations
 from weakrank.graph import build_graph
@@ -95,24 +96,27 @@ class TestPretrainAll:
                                        for kind in HYPERPARAMETERS["unsupervised"]
                                        if kind != "external"])
         assert len(registry) == 7
-        matrices = pretrain_all(corpus, graph, registry, tmp_path, master_seed=0)
+        matrices = pretrain_all(corpus, graph, registry, tmp_path, master_seed=0,
+                                workers=SETTINGS.workers)
         assert len(matrices) == 7
         assert [m.model_name for m in matrices] == registry.names
 
     def test_cache_hit_is_bit_identical_and_logged(self, tmp_path, caplog):
         corpus, _ = generate_synthetic(6, 10, 2, 6, 12, 0.0, seed=2)
         registry = UnsupModelRegistry([UnsupModelSpec("bm25", "bm25")])
-        first = pretrain_all(corpus, None, registry, tmp_path, master_seed=0)
+        first = pretrain_all(corpus, None, registry, tmp_path, master_seed=0,
+                             workers=SETTINGS.workers)
         with caplog.at_level("INFO", logger="weakrank.trainer"):
-            second = pretrain_all(corpus, None, registry, tmp_path, master_seed=0)
+            second = pretrain_all(corpus, None, registry, tmp_path, master_seed=0,
+                                  workers=SETTINGS.workers)
         assert "cache hit" in caplog.text
         assert np.array_equal(first[0].values, second[0].values)
 
     def test_fresh_and_cached_match_without_cache_dir(self):
         corpus, _ = generate_synthetic(6, 10, 2, 6, 12, 0.0, seed=2)
         registry = UnsupModelRegistry([UnsupModelSpec("bm25", "bm25")])
-        a = pretrain_all(corpus, None, registry, None, master_seed=0)
-        b = pretrain_all(corpus, None, registry, None, master_seed=0)
+        a = pretrain_all(corpus, None, registry, None, master_seed=0, workers=SETTINGS.workers)
+        b = pretrain_all(corpus, None, registry, None, master_seed=0, workers=SETTINGS.workers)
         assert np.array_equal(a[0].values, b[0].values)
 
     def test_failure_names_model(self, tmp_path):
@@ -121,7 +125,7 @@ class TestPretrainAll:
             [UnsupModelSpec("broken", "external", {"path": str(tmp_path / "missing.csv")})]
         )
         with pytest.raises(RuntimeError, match="broken"):
-            pretrain_all(corpus, None, registry, None, master_seed=0)
+            pretrain_all(corpus, None, registry, None, master_seed=0, workers=SETTINGS.workers)
 
     def test_parallel_pretraining_matches_sequential(self):
         corpus, _ = generate_synthetic(6, 10, 2, 6, 12, 0.0, seed=2)
@@ -141,9 +145,11 @@ class TestPretrainAll:
 class TestRunEpisode:
     def _setup(self, data, config):
         corpus, ann, val, test, oracle_path, noise_path, good_path = data
-        matrices = pretrain_all(corpus, None, config.unsup_registry, None, config.seed)
+        matrices = pretrain_all(corpus, None, config.unsup_registry, None, config.seed,
+                                config.workers)
         backbone = build_backbone(corpus, None, config)
-        val_lists = build_eval_lists(val, corpus, seed=derive_seed(config.seed, "val-lists"))
+        val_lists = build_eval_lists(val, corpus, seed=derive_seed(config.seed, "val-lists"),
+                                     n_negatives=config.eval_negatives)
         return corpus, matrices, backbone, val_lists
 
     def test_oracle_matrix_with_true_k_gives_unit_unsup_reward(self, data):
