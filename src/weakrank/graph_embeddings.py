@@ -19,7 +19,6 @@ from .embeddings import EmbeddingTable, SkipGramTrainer, noise_cdf, window_layou
 from .graph import HetGraph
 from .nncore import (
     OptimizerState,
-    log_sigmoid,
     optimizer_step,
     scatter_add_rows,
     sigmoid,
@@ -171,42 +170,32 @@ class EdgeProximityTrainer:
     def n_edges(self) -> int:
         return len(self.edge_src)
 
-    def _draw(self, cum: np.ndarray, n: int) -> np.ndarray:
-        return np.searchsorted(cum, self.rng.random(n))
+    def train(self, epochs: int, batch_size: int) -> None:
+        """One epoch covers roughly every directed edge once.
 
-    def train_batch(self, batch_size: int) -> float:
-        idx = self._draw(self._edge_cum, batch_size)
-        src, dst = self.edge_src[idx], self.edge_dst[idx]
-        negs = self._draw(self._noise_cum, batch_size * self.neg).reshape(batch_size, self.neg)
-
-        h = self.emb[src]  # (B, d)
-        targets = np.concatenate([dst[:, None], negs], axis=1)  # (B, 1+neg)
-        out = self.ctx[targets]  # (B, 1+neg, d)
-        scores = np.einsum("bd,bnd->bn", h, out)
-        labels = np.zeros_like(scores)
-        labels[:, 0] = 1.0
-        probs = sigmoid(scores)
-        g = probs - labels  # (B, 1+neg)
-
-        loss = float(-(
-            log_sigmoid(scores[:, 0]) + log_sigmoid(-scores[:, 1:]).sum(axis=1)
-        ).mean())
-
-        dh = np.einsum("bn,bnd->bd", g, out)
-        dout = g[:, :, None] * h[:, None, :]
-        # for order 1 ctx aliases emb, so both updates land in one table
-        scatter_add_rows(self.ctx, targets, -self.lr * dout)
-        scatter_add_rows(self.emb, src, -self.lr * dh)
-        return loss
-
-    def train(self, epochs: int, batch_size: int) -> list[float]:
-        """One epoch covers roughly every directed edge once."""
+        An epoch draws all its uniforms in one call: per batch, one per edge,
+        then ``neg`` per edge for its negatives, the stream that a draw per
+        batch would consume. Edges and negatives are looked up for the whole
+        epoch; only the table updates run batch by batch.
+        """
         batches = max(1, self.n_edges // batch_size)
-        curve = []
         for _ in range(epochs):
-            losses = [self.train_batch(batch_size) for _ in range(batches)]
-            curve.append(float(np.mean(losses)))
-        return curve
+            U = self.rng.random((batches, batch_size * (1 + self.neg)))
+            idx = np.searchsorted(self._edge_cum, U[:, :batch_size])
+            negs = np.searchsorted(self._noise_cum, U[:, batch_size:])
+            all_targets = np.concatenate(
+                [self.edge_dst[idx][:, :, None], negs.reshape(batches, batch_size, self.neg)],
+                axis=2)  # (batches, B, 1 + neg): each edge's destination, then its negatives
+            for src, targets in zip(self.edge_src[idx], all_targets):
+                h = self.emb[src]  # (B, d)
+                out = self.ctx[targets]  # (B, 1 + neg, d)
+                g = sigmoid(np.einsum("bd,bnd->bn", h, out))
+                g[:, 0] -= 1.0  # sigma(score) - label; only the destination is labelled 1
+                dh = np.einsum("bn,bnd->bd", g, out)
+                dout = g[:, :, None] * h[:, None, :]
+                # for order 1 ctx aliases emb, so both updates land in one table
+                scatter_add_rows(self.ctx, targets, -self.lr * dout)
+                scatter_add_rows(self.emb, src, -self.lr * dh)
 
     def table(self) -> EmbeddingTable:
         return EmbeddingTable(self.graph.entity_ids(), self.emb.copy())
@@ -238,38 +227,32 @@ class AggregationTrainer:
         H, _ = sage_forward(self.features, self.A, self.layers, self.M0)
         return H
 
-    def train_batch(self, pairs: np.ndarray) -> float:
-        B = len(pairs)
-        negs = np.searchsorted(self._noise_cum, self.rng.random(B * self.neg)).reshape(B, self.neg)
-        zero_grads(self.layers)
-        Z, caches = sage_forward(self.features, self.A, self.layers, self.M0)
-
-        u, v = pairs[:, 0], pairs[:, 1]
-        s_pos = np.einsum("id,id->i", Z[u], Z[v])
-        s_neg = np.einsum("id,ind->in", Z[u], Z[negs])
-        loss = float(-(log_sigmoid(s_pos) + log_sigmoid(-s_neg).sum(axis=1)).mean())
-
-        g_pos = (sigmoid(s_pos) - 1.0) / B  # (B,)
-        g_neg = sigmoid(s_neg) / B  # (B, neg)
-        dZ = np.zeros(Z.shape)
-        scatter_add_rows(dZ, u, g_pos[:, None] * Z[v] + np.einsum("bn,bnd->bd", g_neg, Z[negs]))
-        scatter_add_rows(dZ, v, g_pos[:, None] * Z[u])
-        scatter_add_rows(dZ, negs, g_neg[:, :, None] * Z[u][:, None, :])
-
-        sage_backward(dZ, self.A, caches)
-        optimizer_step(self.layers, self.opt)
-        return loss
-
-    def train(self, pairs: np.ndarray, epochs: int, batch_size: int) -> list[float]:
-        curve = []
+    def train(self, pairs: np.ndarray, epochs: int, batch_size: int) -> None:
+        """Minibatch Adam over the (node, co-occurring node) ``pairs``. Each
+        epoch permutes the pairs, then draws the negatives of all its batches
+        in one call, the stream that a draw per batch would consume."""
+        n = len(pairs)
         for _ in range(epochs):
-            order = self.rng.permutation(len(pairs))
-            losses = [
-                self.train_batch(pairs[order[i:i + batch_size]])
-                for i in range(0, len(order), batch_size)
-            ]
-            curve.append(float(np.mean(losses)))
-        return curve
+            shuffled = pairs[self.rng.permutation(n)]
+            all_negs = np.searchsorted(self._noise_cum, self.rng.random(n * self.neg))
+            all_negs = all_negs.reshape(n, self.neg)
+            for i in range(0, n, batch_size):
+                u, v = shuffled[i:i + batch_size].T
+                negs = all_negs[i:i + batch_size]
+                B = len(u)
+                zero_grads(self.layers)
+                Z, caches = sage_forward(self.features, self.A, self.layers, self.M0)
+                s_pos = np.einsum("id,id->i", Z[u], Z[v])
+                s_neg = np.einsum("id,ind->in", Z[u], Z[negs])
+                g_pos = (sigmoid(s_pos) - 1.0) / B  # (B,)
+                g_neg = sigmoid(s_neg) / B  # (B, neg)
+                dZ = np.zeros(Z.shape)
+                scatter_add_rows(dZ, u, g_pos[:, None] * Z[v]
+                                 + np.einsum("bn,bnd->bd", g_neg, Z[negs]))
+                scatter_add_rows(dZ, v, g_pos[:, None] * Z[u])
+                scatter_add_rows(dZ, negs, g_neg[:, :, None] * Z[u][:, None, :])
+                sage_backward(dZ, self.A, caches)
+                optimizer_step(self.layers, self.opt)
 
 
 def cooccurrence_pairs(walks, window: int) -> np.ndarray:

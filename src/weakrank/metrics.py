@@ -26,10 +26,10 @@ class EvalLists:
         return len(self.rows)
 
 
-def _eligible_negatives(annotations: AnnotationSet, corpus: Corpus, n_negatives: int):
-    """Per annotated query, in order: (its query row, its positives' columns,
-    the candidate columns eligible as its negatives). Raises as soon as a
-    query has no positive or fewer than ``n_negatives`` eligible candidates."""
+def _positives(annotations: AnnotationSet, corpus: Corpus, n_negatives: int):
+    """Per annotated query, in order: (its query row, its positives' columns).
+    Raises as soon as a query has no positive or fewer than ``n_negatives``
+    eligible negatives: candidates it does not annotate positive, counted."""
     annotations.validate_against(corpus)
     pos_by_query: dict[str, list[int]] = {}
     for qid, cid, label in annotations.pairs:
@@ -40,21 +40,20 @@ def _eligible_negatives(annotations: AnnotationSet, corpus: Corpus, n_negatives:
         positives = pos_by_query.get(qid, [])
         if not positives:
             raise ValueError(f"annotated query {qid!r} has no positive candidate")
-        keep = np.ones(len(corpus.candidate_ids), dtype=bool)
-        keep[positives] = False
-        eligible = np.flatnonzero(keep)  # candidate columns, in corpus order
-        if len(eligible) < n_negatives:
+        n_eligible = len(corpus.candidate_ids) - len(positives)  # each pair annotated once
+        if n_eligible < n_negatives:
             raise ValueError(
-                f"query {qid!r} has only {len(eligible)} eligible negatives, "
+                f"query {qid!r} has only {n_eligible} eligible negatives, "
                 f"needs {n_negatives}"
             )
-        yield corpus.query_row[qid], positives, eligible
+        yield corpus.query_row[qid], positives
 
 
 def check_eval_lists(annotations: AnnotationSet, corpus: Corpus, n_negatives: int) -> None:
-    """Raise the error ``build_eval_lists`` would, without drawing a list, so
-    an infeasible split fails before any training."""
-    for _ in _eligible_negatives(annotations, corpus, n_negatives):
+    """Raise the error ``build_eval_lists`` would, without drawing a list or
+    building a query's eligible negatives, so an infeasible split fails
+    before any training."""
+    for _ in _positives(annotations, corpus, n_negatives):
         pass
 
 
@@ -68,7 +67,10 @@ def build_eval_lists(
     """
     rng = np.random.default_rng(seed)
     rows, cols = [], []
-    for row, positives, eligible in _eligible_negatives(annotations, corpus, n_negatives):
+    for row, positives in _positives(annotations, corpus, n_negatives):
+        keep = np.ones(len(corpus.candidate_ids), dtype=bool)
+        keep[positives] = False
+        eligible = np.flatnonzero(keep)  # candidate columns, in corpus order
         for pos in positives:
             draw = rng.choice(len(eligible), size=n_negatives, replace=False)
             rows.append(row)

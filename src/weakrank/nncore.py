@@ -3,7 +3,8 @@
 No autodiff graph. Every trained op returns (output, cache); the matching
 backward consumes the cache, returns input gradients, and accumulates
 parameter gradients in place. Kernel pooling runs only on frozen word
-cosines, so it is forward-only. All values are float64. ``dense_backward(...,
+cosines, so it is forward-only. All values are float64, and the dense and
+cosine ops take their arrays as given, converting nothing. ``dense_backward(...,
 input_grad=False)`` is for a frozen input: it skips the input gradient and
 returns None. The row cosine masks only when some row has a zero norm;
 without one it computes directly, with bitwise the masked formula's values.
@@ -136,47 +137,44 @@ def scatter_add_rows(table: np.ndarray, idx: np.ndarray, rows: np.ndarray) -> No
 
 
 def dense_forward(x: np.ndarray, W: ParamTensor, b: ParamTensor | None, act: str = "identity"):
-    """y = act(x W^T + b) for a (batch, d_in) matrix x."""
+    """y = act(x W^T + b) for a (batch, d_in) float64 matrix x. The bias and
+    the activation apply in place on the product's buffer."""
     if act not in ACTIVATIONS:
         raise ValueError(f"unknown activation {act!r}")
-    x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != W.value.shape[1]:
         raise ValueError(
             f"dense {W.name}: input shape {x.shape} is not (batch, weight dim {W.value.shape[1]})"
         )
-    pre = x @ W.value.T
+    y = x @ W.value.T
     if b is not None:
-        pre = pre + b.value
+        y += b.value
     if act == "tanh":
-        y = np.tanh(pre)
+        np.tanh(y, out=y)
     elif act == "relu":
-        y = np.maximum(pre, 0.0)
-    else:
-        y = pre
+        np.maximum(y, 0.0, out=y)
     _ensure_finite(f"dense({W.name}) output", y)
-    return y, (x, pre, y, W, b, act)
+    return y, (x, y, W, b, act)
 
 
 def dense_backward(dy: np.ndarray, cache, input_grad: bool = True):
     """Accumulates into W.grad / b.grad; returns dx, shaped like x.
 
     ``input_grad=False`` is for a frozen input: it skips ``dpre @ W`` and
-    returns None. The parameter gradients are the same either way.
+    returns None. The parameter gradients are the same either way. A ReLU's
+    output is positive exactly where its input is, so the output alone
+    serves every activation's derivative.
     """
-    x, pre, y, W, b, act = cache
-    dy = np.asarray(dy, dtype=np.float64)
+    x, y, W, b, act = cache
     if act == "tanh":
         dpre = dy * (1.0 - y * y)
     elif act == "relu":
-        dpre = dy * (pre > 0.0)
+        dpre = dy * (y > 0.0)
     else:
         dpre = dy
     W.grad += dpre.T @ x
     if b is not None:
         b.grad += dpre.sum(axis=0)
-    if not input_grad:
-        return None
-    return dpre @ W.value
+    return dpre @ W.value if input_grad else None
 
 
 # ---------------------------------------------------------------------------
@@ -184,12 +182,10 @@ def dense_backward(dy: np.ndarray, cache, input_grad: bool = True):
 
 
 def cosine_rows_forward(U: np.ndarray, V: np.ndarray):
-    """Row-wise cosine for (n, d) stacks. Zero-norm rows score 0 and receive
+    """Row-wise cosine for (n, d) float64 stacks. Zero-norm rows score 0 and receive
     zero gradient, which is the convention ranking models here rely on."""
-    U = np.asarray(U, dtype=np.float64)
-    V = np.asarray(V, dtype=np.float64)
-    nu = np.linalg.norm(U, axis=1)
-    nv = np.linalg.norm(V, axis=1)
+    nu = np.sqrt((U * U).sum(axis=1))  # bitwise np.linalg.norm(U, axis=1)
+    nv = np.sqrt((V * V).sum(axis=1))
     denom = nu * nv
     ok = denom > 0.0
     if ok.all():

@@ -16,7 +16,11 @@ combines them with ``ensemble_scores``. Each model's parameters form one
 Training runs on integer batches: ``train_supervised`` takes (query row,
 positive column, negative column) triples in corpus positions and hands
 each ``loss_and_grads`` a (batch, 3) slice, which gathers its rows of the
-frozen inputs directly. No gradient is computed into frozen inputs.
+frozen inputs directly. No gradient is computed into frozen inputs. The
+cosine rankers score a step's positives and negatives as one stacked block
+of candidate rows: the representation ranker runs its candidate tower once
+over [positives; negatives], forward and backward, and the pairwise loss
+takes both cosines from one row-wise op.
 """
 
 from __future__ import annotations
@@ -161,20 +165,21 @@ def _pairwise_loss_grads(r_pos: np.ndarray, r_neg: np.ndarray):
     r = np.concatenate([r_pos, r_neg])
     e = np.exp(-np.abs(r))  # one exp(-|r|) serves the softplus and the sigmoid
     sp = np.maximum(np.concatenate([-r_pos, r_neg]), 0.0) + np.log1p(e)
-    loss = float((sp[:B] + sp[B:]).mean())
+    loss = float((sp[:B] + sp[B:]).sum() / B)  # bitwise .mean(), without its Python wrapper
     s = sigmoid(r, e)
     return loss, (s[:B] - 1.0) / B, s[B:] / B
 
 
-def _pair_cosine_loss(yq: np.ndarray, yp: np.ndarray, yn: np.ndarray):
-    """Pairwise loss on cos(yq, yp) against cos(yq, yn), and its gradients
-    (d yq, (d yp, d yn)). Both cosines run as one row-wise op on stacked
-    rows; each row's value is the same as in two separate calls."""
+def _pair_cosine_loss(yq: np.ndarray, yc: np.ndarray):
+    """Pairwise loss on cos(yq, positives) against cos(yq, negatives) for the
+    stacked candidate rows ``yc = [positives; negatives]``, and its gradients
+    (d yq, d yc). Both cosines run as one row-wise op; each row's value is
+    the same as in two separate calls."""
     B = len(yq)
-    r, cache = cosine_rows_forward(np.concatenate([yq, yq]), np.concatenate([yp, yn]))
+    r, cache = cosine_rows_forward(np.concatenate([yq, yq]), yc)
     loss, d_pos, d_neg = _pairwise_loss_grads(r[:B], r[B:])
     dU, dV = cosine_rows_backward(np.concatenate([d_pos, d_neg]), cache)
-    return loss, dU[:B] + dU[B:], (dV[:B], dV[B:])
+    return loss, dU[:B] + dU[B:], dV
 
 
 def _check_loss(model, loss: float, batch) -> None:
@@ -237,15 +242,13 @@ class RepresentationRanker(_Ranker):
         return self.backbone.gather(self.score_matrix(), query_id, candidate_ids)
 
     def loss_and_grads(self, batch: np.ndarray) -> float:
-        q, p, n = batch.T
-        yq, qcache = self._tower(self.backbone.q_means[q], "q")
-        # Separate GEMMs: one stacked (2B, d) product is not bitwise the same.
-        yp, pcache = self._tower(self.backbone.c_means[p], "c")
-        yn, ncache = self._tower(self.backbone.c_means[n], "c")
-        loss, dyq, (dyp, dyn) = _pair_cosine_loss(yq, yp, yn)
+        # one pass of each tower: the query rows, then the candidate rows
+        # stacked as [positives; negatives]
+        yq, qcache = self._tower(self.backbone.q_means[batch[:, 0]], "q")
+        yc, ccache = self._tower(self.backbone.c_means[batch.T[1:].ravel()], "c")
+        loss, dyq, dyc = _pair_cosine_loss(yq, yc)
         self._tower_backward(dyq, qcache)
-        self._tower_backward(dyp, pcache)
-        self._tower_backward(dyn, ncache)
+        self._tower_backward(dyc, ccache)
         _check_loss(self, loss, batch)
         return loss
 
@@ -326,9 +329,10 @@ class GraphAggregationRanker(_Ranker):
         nodes, at = np.unique(np.concatenate([self.q_nodes[q], self.c_nodes[p], self.c_nodes[n]]),
                               return_inverse=True)
         Z, caches = sage_forward(self.features, self.A, self.layers, self.M0, rows=nodes)
-        loss, dZq, (dZp, dZn) = _pair_cosine_loss(*(Z[i] for i in at.reshape(3, -1)))
+        B = len(batch)
+        loss, dZq, dZc = _pair_cosine_loss(Z[at[:B]], Z[at[B:]])
         dZ = np.zeros(Z.shape)
-        scatter_add_rows(dZ, at, np.concatenate([dZq, dZp, dZn]))
+        scatter_add_rows(dZ, at, np.concatenate([dZq, dZc]))
         sage_backward(dZ, self.A, caches)  # node features are frozen
         _check_loss(self, loss, batch)
         return loss

@@ -22,7 +22,7 @@ from weakrank.graph_embeddings import (
     generate_walks,
     train_graph_embeddings,
 )
-from weakrank.nncore import dense_backward, log_sigmoid, optimizer_step, sigmoid, zero_grads
+from weakrank.nncore import dense_backward, optimizer_step, sigmoid, zero_grads
 from weakrank.registry import UnsupModelSpec
 from weakrank.sageops import (
     MIN_ROWS,
@@ -243,43 +243,49 @@ def test_cooccurrence_pairs_match_the_window_loop(planted_graph):
         assert pairs.tobytes() == _reference_pairs(walks, window).tobytes()
 
 
-def _reference_proximity_batch(t, batch_size):
-    """One batch of the proximity trainer with two-dimensional np.add.at."""
-    idx = t._draw(t._edge_cum, batch_size)
-    src, dst = t.edge_src[idx], t.edge_dst[idx]
-    negs = t._draw(t._noise_cum, batch_size * t.neg).reshape(batch_size, t.neg)
-    h = t.emb[src]
-    targets = np.concatenate([dst[:, None], negs], axis=1)
-    out = t.ctx[targets]
-    scores = np.einsum("bd,bnd->bn", h, out)
-    labels = np.zeros_like(scores)
-    labels[:, 0] = 1.0
-    g = sigmoid(scores) - labels
-    loss = float(-(log_sigmoid(scores[:, 0]) + log_sigmoid(-scores[:, 1:]).sum(axis=1)).mean())
-    dh = np.einsum("bn,bnd->bd", g, out)
-    np.add.at(t.ctx, targets, -t.lr * (g[:, :, None] * h[:, None, :]))
-    np.add.at(t.emb, src, -t.lr * dh)
-    return loss
+def _reference_proximity_epoch(t, batch_size):
+    """One epoch of the proximity trainer as it ran batch by batch: each
+    batch draws its edges, then its negatives, and updates with
+    two-dimensional np.add.at."""
+    for _ in range(max(1, t.n_edges // batch_size)):
+        idx = np.searchsorted(t._edge_cum, t.rng.random(batch_size))
+        src, dst = t.edge_src[idx], t.edge_dst[idx]
+        negs = np.searchsorted(t._noise_cum, t.rng.random(batch_size * t.neg))
+        h = t.emb[src]
+        targets = np.concatenate([dst[:, None], negs.reshape(batch_size, t.neg)], axis=1)
+        out = t.ctx[targets]
+        scores = np.einsum("bd,bnd->bn", h, out)
+        labels = np.zeros_like(scores)
+        labels[:, 0] = 1.0
+        g = sigmoid(scores) - labels
+        dh = np.einsum("bn,bnd->bd", g, out)
+        np.add.at(t.ctx, targets, -t.lr * (g[:, :, None] * h[:, None, :]))
+        np.add.at(t.emb, src, -t.lr * dh)
 
 
-def _reference_aggregation_batch(t, pairs):
-    B = len(pairs)
-    negs = np.searchsorted(t._noise_cum, t.rng.random(B * t.neg)).reshape(B, t.neg)
-    zero_grads(t.layers)
-    Z, caches = sage_forward(t.features, t.A, t.layers)
-    u, v = pairs[:, 0], pairs[:, 1]
-    s_pos = np.einsum("id,id->i", Z[u], Z[v])
-    s_neg = np.einsum("id,ind->in", Z[u], Z[negs])
-    loss = float(-(log_sigmoid(s_pos) + log_sigmoid(-s_neg).sum(axis=1)).mean())
-    g_pos = (sigmoid(s_pos) - 1.0) / B
-    g_neg = sigmoid(s_neg) / B
-    dZ = np.zeros_like(Z)
-    np.add.at(dZ, u, g_pos[:, None] * Z[v] + np.einsum("bn,bnd->bd", g_neg, Z[negs]))
-    np.add.at(dZ, v, g_pos[:, None] * Z[u])
-    np.add.at(dZ, negs.reshape(-1), (g_neg[:, :, None] * Z[u][:, None, :]).reshape(-1, Z.shape[1]))
-    sage_backward(dZ, t.A, caches)
-    optimizer_step(t.layers, t.opt)
-    return loss
+def _reference_aggregation_epoch(t, pairs, batch_size):
+    """One epoch of the aggregation trainer as it ran batch by batch: each
+    batch draws its own negatives after the epoch's permutation, and
+    scatters with np.add.at."""
+    order = t.rng.permutation(len(pairs))
+    for i in range(0, len(order), batch_size):
+        batch = pairs[order[i:i + batch_size]]
+        B = len(batch)
+        negs = np.searchsorted(t._noise_cum, t.rng.random(B * t.neg)).reshape(B, t.neg)
+        zero_grads(t.layers)
+        Z, caches = sage_forward(t.features, t.A, t.layers)
+        u, v = batch[:, 0], batch[:, 1]
+        s_pos = np.einsum("id,id->i", Z[u], Z[v])
+        s_neg = np.einsum("id,ind->in", Z[u], Z[negs])
+        g_pos = (sigmoid(s_pos) - 1.0) / B
+        g_neg = sigmoid(s_neg) / B
+        dZ = np.zeros_like(Z)
+        np.add.at(dZ, u, g_pos[:, None] * Z[v] + np.einsum("bn,bnd->bd", g_neg, Z[negs]))
+        np.add.at(dZ, v, g_pos[:, None] * Z[u])
+        np.add.at(dZ, negs.reshape(-1),
+                  (g_neg[:, :, None] * Z[u][:, None, :]).reshape(-1, Z.shape[1]))
+        sage_backward(dZ, t.A, caches)
+        optimizer_step(t.layers, t.opt)
 
 
 def _reference_sage_backward(dHL, A, caches):
@@ -374,25 +380,33 @@ class TestBitwiseAgainstReferences:
 
     @pytest.mark.parametrize("order", [1, 2])
     def test_proximity_batches(self, planted_graph, order):
+        """Whole epochs with one draw each give bitwise the tables of drawing
+        and updating batch by batch."""
         _, graph = planted_graph
         fast, ref = (EdgeProximityTrainer(graph, dim=8, order=order, neg=4, lr=0.2, seed=6)
                      for _ in range(2))
-        for _ in range(20):
-            assert fast.train_batch(16) == _reference_proximity_batch(ref, 16)
+        fast.train(epochs=3, batch_size=16)
+        for _ in range(3):
+            _reference_proximity_epoch(ref, 16)
         assert fast.emb.tobytes() == ref.emb.tobytes()
         assert fast.ctx.tobytes() == ref.ctx.tobytes()
+        assert fast.rng.random() == ref.rng.random()  # the same stream consumed
 
     def test_aggregation_batches(self, planted_graph):
+        """Whole epochs with one negative draw each give bitwise the layers of
+        drawing batch by batch, a ragged last batch included."""
         corpus, graph = planted_graph
         table = train_text_embeddings(corpus, **text_hp(dim=8, epochs=1), seed=SETTINGS.seed)
         feats = node_feature_matrix(graph, corpus, table)
         fast, ref = (AggregationTrainer(graph, feats, hidden=8, out_dim=8, n_layers=2, neg=3,
                                         lr=0.05, sample_size=3, seed=2) for _ in range(2))
         pairs = cooccurrence_pairs(generate_walks(graph, 1, 8, seed=1, p=None, q=None), window=2)
-        batches = np.random.default_rng(0).integers(len(pairs), size=(20, 24))
-        for rows in batches:
-            assert fast.train_batch(pairs[rows]) == _reference_aggregation_batch(ref, pairs[rows])
+        batch_size = 64 + (len(pairs) % 64 == 0)
+        fast.train(pairs, epochs=2, batch_size=batch_size)
+        for _ in range(2):
+            _reference_aggregation_epoch(ref, pairs, batch_size)
         assert fast.layers.values.tobytes() == ref.layers.values.tobytes()
+        assert fast.rng.random() == ref.rng.random()
 
     def test_edge_arrays_follow_adjacency_order(self, planted_graph):
         _, graph = planted_graph

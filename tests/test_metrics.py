@@ -11,6 +11,7 @@ from weakrank.metrics import (
     EvalLists,
     all_metrics,
     build_eval_lists,
+    check_eval_lists,
     mrr,
     ranks_of_positives,
     score_lists_with_matrix,
@@ -203,6 +204,26 @@ class TestBuildEvalLists:
         corpus, ann = generate_synthetic(4, 40, 2, 8, 15, 0.0, seed=2)
         with pytest.raises(ValueError, match="eligible negatives"):
             build_eval_lists(ann, corpus, seed=0, n_negatives=21)  # only 20 non-positives
+
+    @pytest.mark.parametrize("first_bad", ["no positive", "too few negatives"])
+    def test_check_raises_the_first_failing_querys_error(self, first_bad):
+        """``check_eval_lists`` counts instead of building arrays, yet raises
+        ``build_eval_lists``'s error for the first failing query, word for
+        word, whichever kind of failure comes first."""
+        corpus, _ = generate_synthetic(4, 40, 2, 8, 15, 0.0, seed=2)
+        q, c = corpus.query_ids, corpus.candidate_ids
+        no_positive = [(q[1], c[0], 0)]
+        too_few = [(q[2], cid, 1) for cid in c[:25]]  # 15 eligible negatives
+        bad = [no_positive, too_few] if first_bad == "no positive" else [too_few, no_positive]
+        ann = AnnotationSet(tuple([(q[0], c[0], 1)] + bad[0] + bad[1]), "all")
+        expected = {"no positive": f"annotated query {q[1]!r} has no positive candidate",
+                    "too few negatives": f"query {q[2]!r} has only 15 eligible negatives, "
+                                         "needs 16"}[first_bad]
+        for run in (lambda: check_eval_lists(ann, corpus, n_negatives=16),
+                    lambda: build_eval_lists(ann, corpus, seed=0, n_negatives=16)):
+            with pytest.raises(ValueError) as err:
+                run()
+            assert str(err.value) == expected
 
     def test_unknown_annotated_id_rejected(self):
         corpus, ann = self._setup()

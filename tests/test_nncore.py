@@ -86,6 +86,17 @@ class TestScatterAddRows:
         assert not table.any()
 
 
+def _plain_dense(x, W, b, act):
+    """y = act(x W^T + b) with a fresh array per operation, and the
+    activation's derivative taken from the pre-activation."""
+    pre = x @ W.T
+    if b is not None:
+        pre = pre + b
+    y = {"tanh": np.tanh, "relu": lambda z: np.maximum(z, 0.0), "identity": lambda z: z}[act](pre)
+    deriv = {"tanh": lambda: 1.0 - y * y, "relu": lambda: pre > 0.0, "identity": lambda: 1.0}[act]
+    return y, deriv()
+
+
 class TestDense:
     def test_identity_passthrough(self):
         W = ParamTensor("W", np.eye(3))
@@ -153,6 +164,30 @@ class TestDense:
             grads.append((W.grad.tobytes(), None if b is None else b.grad.tobytes()))
         assert grads[0] == grads[1]
 
+    @pytest.mark.parametrize("act", ["identity", "tanh", "relu"])
+    @pytest.mark.parametrize("with_bias", [True, False])
+    @pytest.mark.parametrize("shape", [(1, 3, 2), (7, 5, 4), (64, 32, 32)])
+    def test_in_place_op_is_bitwise_the_plain_formula(self, act, with_bias, shape):
+        """The bias and activation applied in place, and the ReLU derivative
+        read from the output, give bitwise the plain formula's output,
+        parameter gradients and input gradient."""
+        n, d_in, d_out = shape
+        rng = np.random.default_rng(n + d_in)
+        x = rng.normal(size=(n, d_in))
+        x[0] = 0.0  # a zero row: ReLU outputs exactly 0 wherever the bias is <= 0
+        W = ParamTensor("W", rng.normal(size=(d_out, d_in)))
+        b = ParamTensor("b", rng.normal(size=d_out)) if with_bias else None
+        dy = rng.normal(size=(n, d_out))
+        y, cache = dense_forward(x, W, b, act)
+        dx = dense_backward(dy, cache)
+        y_ref, deriv = _plain_dense(x, W.value, None if b is None else b.value, act)
+        dpre = dy * deriv
+        assert y.tobytes() == y_ref.tobytes()
+        assert W.grad.tobytes() == (np.zeros_like(W.value) + dpre.T @ x).tobytes()
+        if b is not None:
+            assert b.grad.tobytes() == (np.zeros(d_out) + dpre.sum(axis=0)).tobytes()
+        assert dx.tobytes() == (dpre @ W.value).tobytes()
+
 
 def _masked_cosine_rows(U, V):
     """The masked row cosine for every row: zero-norm rows score 0 and get
@@ -200,6 +235,19 @@ class TestCosine:
         assert c.tobytes() == c_ref.tobytes()
         assert dU.tobytes() == dU_ref.tobytes()
         assert dV.tobytes() == dV_ref.tobytes()
+
+    @pytest.mark.parametrize("shape", [(1, 1), (2, 3), (7, 33), (64, 32), (100, 9)])
+    def test_row_norms_are_bitwise_linalg_norm(self, shape):
+        """The op's row norms, ``sqrt((U * U).sum(axis=1))``, are bitwise
+        ``np.linalg.norm(U, axis=1)``, zero rows and wide magnitudes included."""
+        rng = np.random.default_rng(shape[0] * 100 + shape[1])
+        U = rng.normal(size=shape) * rng.choice([1e-150, 1e-3, 1.0, 1e3, 1e150], size=(shape[0], 1))
+        V = rng.normal(size=shape)
+        U[::3] = 0.0
+        V[1::4] = 0.0
+        _, (_, _, nu, nv, _, _) = cosine_rows_forward(U, V)
+        assert nu.tobytes() == np.linalg.norm(U, axis=1).tobytes()
+        assert nv.tobytes() == np.linalg.norm(V, axis=1).tobytes()
 
     def test_identical_vectors(self):
         u = np.array([[1.0, 2.0, 3.0]])

@@ -1,3 +1,5 @@
+import copy
+
 import numpy as np
 import pytest
 
@@ -328,7 +330,9 @@ def test_pairwise_loss_shares_one_exp_bitwise():
 
 def _reference_loss_and_grads(model, triples):
     """Per-triple string path: id lookups per triple, one cosine call per
-    side, and the document means' input gradient. The row cosine and
+    side, and the document means' input gradient. The representation
+    ranker's candidate tower runs once over [positives; negatives], as in
+    production, so the stacked GEMMs round alike. The row cosine and
     ``sage_backward`` are checked bitwise against their masked and full
     forms in test_nncore and test_graph_embeddings."""
     b = model.backbone
@@ -346,8 +350,8 @@ def _reference_loss_and_grads(model, triples):
         return loss
     if model.kind == "representation":
         yq, qcache = model._tower(b.q_means[qrows], "q")
-        yp, pcache = model._tower(b.c_means[prows], "c")
-        yn, ncache = model._tower(b.c_means[nrows], "c")
+        yc, ccache = model._tower(b.c_means[prows + nrows], "c")
+        yp, yn = yc[:len(prows)], yc[len(prows):]
     else:
         Z, caches = sup_rankers.sage_forward(model.features, model.A, model.layers)
         qn, pn, nn = model.q_nodes[qrows], model.c_nodes[prows], model.c_nodes[nrows]
@@ -358,7 +362,7 @@ def _reference_loss_and_grads(model, triples):
     dq_p, dp = cosine_rows_backward(d_pos, cache_p)
     dq_n, dn = cosine_rows_backward(d_neg, cache_n)
     if model.kind == "representation":
-        for dy, (cache1, cache2) in ((dq_p + dq_n, qcache), (dp, pcache), (dn, ncache)):
+        for dy, (cache1, cache2) in ((dq_p + dq_n, qcache), (np.concatenate([dp, dn]), ccache)):
             dense_backward(dense_backward(dy, cache2), cache1)
         return loss
     dZ = np.zeros(Z.shape)
@@ -367,6 +371,52 @@ def _reference_loss_and_grads(model, triples):
     scatter_add_rows(dZ, nn, dn)
     sup_rankers.sage_backward(dZ, model.A, caches)
     return loss
+
+
+def _three_tower_loss_and_grads(model, batch):
+    """The representation step as three tower passes, queries, positives and
+    negatives, each with its own GEMMs and backward pass."""
+    b = model.backbone
+    q, p, n = batch.T
+    yq, qcache = model._tower(b.q_means[q], "q")
+    yp, pcache = model._tower(b.c_means[p], "c")
+    yn, ncache = model._tower(b.c_means[n], "c")
+    r_pos, cache_p = cosine_rows_forward(yq, yp)
+    r_neg, cache_n = cosine_rows_forward(yq, yn)
+    loss, d_pos, d_neg = _reference_pairwise_loss_grads(r_pos, r_neg)
+    dq_p, dp = cosine_rows_backward(d_pos, cache_p)
+    dq_n, dn = cosine_rows_backward(d_neg, cache_n)
+    for dy, cache in ((dq_p + dq_n, qcache), (dp, pcache), (dn, ncache)):
+        model._tower_backward(dy, cache)
+    return loss
+
+
+@pytest.mark.parametrize("zero_candidate", [False, True])
+def test_stacked_candidate_tower_equals_three_towers(planted_setup, zero_candidate):
+    """One candidate-tower pass over [positives; negatives] gives the loss and
+    gradients of three separate tower passes, up to the rounding of the
+    stacked GEMMs; with a zero-norm candidate row too (score 0, no
+    gradient through it)."""
+    backbone, triples, _ = planted_setup
+    batch = triples[:32]
+    if zero_candidate:
+        backbone = copy.copy(backbone)
+        backbone.c_means = backbone.c_means.copy()
+        backbone.c_means[batch[0, 2]] = 0.0
+    stacked, towers = (RepresentationRanker(backbone, _spec("representation", hidden=8), seed=3)
+                       for _ in range(2))
+    if zero_candidate:  # biases 0: a zero document mean maps to a zero output row
+        for model in (stacked, towers):
+            for bias in model.sides["c"][1::2]:
+                bias.value[:] = 0.0
+        y, _ = stacked._tower(backbone.c_means[batch[:1, 2]], "c")
+        assert not y.any()
+    loss = stacked.loss_and_grads(batch)
+    ref_loss = _three_tower_loss_and_grads(towers, batch)
+    assert loss == pytest.approx(ref_loss, rel=1e-12, abs=0)
+    got, ref = stacked.params().grads, towers.params().grads
+    assert np.abs(ref).max() > 0
+    assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
 def _reference_train(model, triples, epochs, lr, seed, batch_size):
