@@ -1,0 +1,162 @@
+#!/usr/bin/env python3
+"""Benchmark two revisions in alternating pairs, each run from a fresh copy.
+
+    python scripts/bench_pairs.py BASE CHANGE --workload W --seeds A-B
+        [--seconds S] [--work DIR] [--out FILE]
+
+BASE and CHANGE are git tree-ishes: a commit, a branch, or the tree that
+``git write-tree`` makes of the staged files. For each seed from A to B, both
+revisions are extracted with ``git archive`` into new directories under
+``--work`` (a temporary directory by default), and ``perfbench/run.py
+--workload W --seed SEED --seconds S --trace 0`` runs in each, one at a
+time: the base first on even pairs, the change first on odd ones. After each
+pair the two final run directories (``cache/`` included) and the two first
+score TSVs are compared byte for byte, then both copies are deleted.
+
+Prints, for each end-to-end metric, each side's median and quartiles and the
+pairs the change wins (in the direction ``BENCHMARK.json`` declares; ties
+count for neither), flags each quality metric (unit ``ratio``) that differs
+between the sides on a seed, and writes every pair to ``--out`` as JSON.
+Exits 1 when a run fails or reports a failed repetition, 0 otherwise.
+"""
+
+import argparse
+import json
+import shutil
+import statistics
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parent))
+from compare_runs import compare  # noqa: E402
+
+
+def seed_range(text: str) -> list[int]:
+    first, _, last = text.partition("-")
+    return list(range(int(first), int(last or first) + 1))
+
+
+def extract(rev: str, dest: Path) -> None:
+    """The files of ``rev`` in the repository, written under ``dest``."""
+    tar = subprocess.run(["git", "archive", "--format=tar", rev], check=True,
+                         capture_output=True).stdout
+    dest.mkdir(parents=True)
+    subprocess.run(["tar", "-x", "-C", str(dest)], input=tar, check=True)
+
+
+def metrics_of(result_line: str) -> dict | None:
+    """Each metric's value from perfbench's result line, or None when a
+    repetition failed."""
+    result = json.loads(result_line)
+    if not result["correct"] or result["failed"]:
+        return None
+    return {name: m["value"] for name, m in result["metrics"].items()}
+
+
+def run_bench(copy: Path, workload: str, seed: int, seconds: float) -> dict:
+    """The metrics of one perfbench run in ``copy``; exits the script when
+    the run fails."""
+    proc = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
+         "--seconds", str(seconds), "--trace", "0"],
+        cwd=copy, capture_output=True, text=True)
+    lines = proc.stdout.strip().splitlines()
+    metrics = metrics_of(lines[-1]) if proc.returncode == 0 and lines else None
+    if metrics is None:
+        sys.stderr.write(proc.stderr[-4000:])
+        raise SystemExit(f"bench_pairs: the {copy.name} run failed on seed {seed}")
+    return metrics
+
+
+def same_bits(a: Path, b: Path, workload: str) -> list[str]:
+    """Differences between two copies' final run directories and first
+    score TSVs."""
+    work_a, work_b = (p / ".perfbench_work" / workload for p in (a, b))
+    lines, _ = compare(work_a / "run", work_b / "run")
+    tsv = Path("rep-00") / "score-1.tsv"
+    if (work_a / tsv).read_bytes() != (work_b / tsv).read_bytes():
+        lines.append(f"differs: {tsv}")
+    return lines
+
+
+def _quartiles(values: list[float]) -> dict:
+    if len(values) < 2:
+        return dict.fromkeys(("median", "q1", "q3"), values[0])
+    q1, med, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return {"median": med, "q1": q1, "q3": q3}
+
+
+def summarize(pairs: list[dict], declared: list[dict]) -> tuple[list[str], list[str]]:
+    """(one line per metric, one line per quality metric unequal on a seed).
+
+    ``pairs`` holds one ``{"seed", "parent", "change"}`` per pair, each side
+    a perfbench metrics dict of name to value; ``declared`` is
+    ``BENCHMARK.json``'s ``end_to_end`` list."""
+    lines, unequal = [], []
+    for metric in declared:
+        name, unit = metric["name"], metric["unit"]
+        parent = [p["parent"][name] for p in pairs]
+        change = [p["change"][name] for p in pairs]
+        sign = 1 if metric["better"] == "higher" else -1
+        wins = sum(sign * (c - b) > 0 for b, c in zip(parent, change))
+        ps, cs = _quartiles(parent), _quartiles(change)
+        lines.append(f"{name}: parent {ps['median']:.4g} [{ps['q1']:.4g}, {ps['q3']:.4g}] "
+                     f"change {cs['median']:.4g} [{cs['q1']:.4g}, {cs['q3']:.4g}] {unit}; "
+                     f"change better in {wins} of {len(pairs)} pairs")
+        if unit == "ratio":
+            unequal += [f"{name} differs on seed {p['seed']}: {b} -> {c}"
+                        for p, b, c in zip(pairs, parent, change) if b != c]
+    return lines, unequal
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__,
+                                     formatter_class=argparse.RawDescriptionHelpFormatter)
+    parser.add_argument("base")
+    parser.add_argument("change")
+    parser.add_argument("--workload", required=True)
+    parser.add_argument("--seeds", required=True, type=seed_range, help="A-B, inclusive")
+    parser.add_argument("--seconds", type=float, default=10.0)
+    parser.add_argument("--work", type=Path, help="where the copies go")
+    parser.add_argument("--out", type=Path, help="write every pair here as JSON")
+    args = parser.parse_args(argv)
+    declared = json.loads(Path("BENCHMARK.json").read_text(encoding="utf-8"))["end_to_end"]
+    work = Path(tempfile.mkdtemp(prefix="bench_pairs_", dir=args.work))
+    pairs = []
+    try:
+        for i, seed in enumerate(args.seeds):
+            sides = [("parent", args.base), ("change", args.change)]
+            pair = {"seed": seed, "first": sides[i % 2][0]}
+            for side, rev in sides[i % 2:] + sides[:i % 2]:
+                extract(rev, work / side)
+                pair[side] = run_bench(work / side, args.workload, seed, args.seconds)
+            pair["bit_differences"] = same_bits(work / "parent", work / "change", args.workload)
+            print(f"seed {seed} ({pair['first']} first): " + ", ".join(
+                f"{m} {pair['parent'][m]:.4g} -> {pair['change'][m]:.4g}"
+                for m in ("setup_s", "search_s", "peak_rss_mb"))
+                + f"; {len(pair['bit_differences'])} bit difference(s)", file=sys.stderr)
+            pairs.append(pair)
+            for side in ("parent", "change"):
+                shutil.rmtree(work / side)
+    finally:
+        shutil.rmtree(work, ignore_errors=True)
+    lines, unequal = summarize(pairs, declared)
+    for line in lines:
+        print(line)
+    for line in unequal:
+        print(f"UNEQUAL: {line}")
+    for pair in pairs:
+        for line in pair["bit_differences"]:
+            print(f"seed {pair['seed']}: {line}")
+    if args.out is not None:
+        args.out.write_text(json.dumps({
+            "workload": args.workload, "base": args.base, "change": args.change,
+            "seconds": args.seconds, "pairs": pairs, "summary": lines, "unequal": unequal,
+        }, indent=1) + "\n", encoding="utf-8")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

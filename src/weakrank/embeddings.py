@@ -7,13 +7,15 @@ ids and back.
 An epoch takes one SGD step per centre position, in a seeded shuffled
 order of the sequences. It works through that order in blocks of
 ``SEQ_BLOCK`` sequences: NumPy lays out each block's (centre, context)
-windows, draws the block's negatives in one call from the same random
-stream the per-centre draws would use, and sums the block's loss in one
-pass, so the Python loop per centre is left with the step itself. The step
-keeps NumPy calls few: the scores land in the block's score vector, the
-sigmoid gradient and the learning-rate scaling run in place, and the
-output-row update scatters through the block's ``targets * dim`` row
-starts. The trained vectors are bitwise those of a plain per-centre loop.
+windows and draws the block's negatives in one call from the same random
+stream the per-centre draws would use, so the Python loop per centre is left
+with the step itself. The step keeps NumPy calls few: the sigmoid gradient
+and the learning-rate scaling run in place, and the output-row update
+scatters through the block's ``targets * dim`` row starts. No loss is
+computed. The trained vectors are bitwise those of a plain per-centre loop.
+
+Every pretraining draw, here and in the graph trainers, goes through
+``CdfSampler``, which answers exactly as ``np.searchsorted`` would.
 """
 
 from __future__ import annotations
@@ -24,10 +26,10 @@ import numpy as np
 
 from .corpus import Corpus
 from .ioutil import load_arrays, save_arrays
-from .nncore import log_sigmoid
 from .scores import ScoreMatrix
 
 SEQ_BLOCK = 64  # sequences laid out at once: bounds the layout's memory
+DRAW_CHUNK = 1 << 14  # uniforms a CdfSampler pass takes: bounds its temporaries
 
 
 class EmbeddingTable:
@@ -81,14 +83,40 @@ def window_layout(sequences, window: int) -> tuple[np.ndarray, np.ndarray, np.nd
     return centres, contexts, valid.sum(axis=1)
 
 
-def noise_cdf(counts) -> np.ndarray:
-    """The cumulative negative-sampling distribution, proportional to
-    ``counts`` ** 0.75."""
-    weights = np.asarray(counts, dtype=np.float64) ** 0.75
-    total = weights.sum()
-    if total <= 0:
-        raise ValueError("noise distribution needs at least one positive count")
-    return np.cumsum(weights / total)
+class CdfSampler:
+    """Index draws with probability proportional to ``weights``: ``draw(u)``
+    is ``np.searchsorted(self.table, u)`` for every uniform ``u`` in [0, 1),
+    found through a guide table (Chen & Asau 1974). ``table`` is
+    ``cumsum(weights / weights.sum())``, but a table ending below 1 has its
+    final plateau set to 1, so no uniform draws the index past the end. With
+    ``M`` the least power of two >= twice the length, ``j = floor(u * M)`` is
+    exact and the answer lies in ``[lo[j], lo[j + 1]]``: one compare settles
+    it unless a bucket holds several entries, when the table is searched.
+    """
+
+    def __init__(self, weights):
+        w = np.asarray(weights, dtype=np.float64)
+        if not w.sum() > 0:
+            raise ValueError("a sampling distribution needs at least one positive weight")
+        self.table = np.cumsum(w / w.sum())
+        if self.table[-1] < 1.0:
+            self.table[self.table == self.table[-1]] = 1.0
+        self._m = 1 << (2 * len(w) - 1).bit_length()
+        self._lo = np.searchsorted(self.table, np.arange(self._m + 1) / self._m)
+        self._crowded = bool((np.diff(self._lo) > 1).any())
+
+    def draw(self, u: np.ndarray) -> np.ndarray:
+        out = np.empty(u.shape, dtype=np.intp)
+        flat_u, flat_out = u.reshape(-1), out.reshape(-1)
+        for c in range(0, flat_u.size, DRAW_CHUNK):
+            v = flat_u[c:c + DRAW_CHUNK]
+            i = self._lo[(v * self._m).astype(np.intp)]
+            i += self.table[i] < v
+            if self._crowded:  # the draws one compare left short search the table
+                short = np.nonzero(self.table[i] < v)
+                i[short] = np.searchsorted(self.table, v[short])
+            flat_out[c:c + DRAW_CHUNK] = i
+        return out
 
 
 class SkipGramTrainer:
@@ -102,7 +130,7 @@ class SkipGramTrainer:
     """
 
     def __init__(self, vocab_size: int, dim: int, window: int, neg: int, lr: float, seed: int,
-                 counts: np.ndarray | None = None):
+                 counts: np.ndarray):
         if vocab_size < neg + 1:
             raise ValueError(f"vocabulary size {vocab_size} must be at least neg+1 = {neg + 1}")
         self.vocab_size = vocab_size
@@ -113,10 +141,10 @@ class SkipGramTrainer:
         self.rng = np.random.default_rng(seed)
         self.w_in = self.rng.uniform(-0.5 / dim, 0.5 / dim, size=(vocab_size, dim))
         self.w_out = np.zeros((vocab_size, dim))
-        self._noise_cum = None if counts is None else noise_cdf(counts)
+        self._noise = CdfSampler(np.asarray(counts, dtype=np.float64) ** 0.75)
 
     def _draw_negatives(self, n: int) -> np.ndarray:
-        return np.searchsorted(self._noise_cum, self.rng.random(n))
+        return self._noise.draw(self.rng.random(n))
 
     def _block_targets(self, contexts: np.ndarray, n_ctx: np.ndarray):
         """Each centre's targets (its contexts, then ``neg`` negatives per
@@ -130,13 +158,9 @@ class SkipGramTrainer:
         targets[~is_ctx] = self._draw_negatives(int(n_ctx.sum()) * self.neg)
         return targets, is_ctx.astype(np.float64), bounds
 
-    def train_epoch(self, sequences: list[np.ndarray]) -> float:
-        """One pass over all sequences in seeded shuffled order; returns the
-        mean per-pair loss observed during the epoch."""
-        if self._noise_cum is None:
-            raise RuntimeError("noise distribution not set")
+    def train_epoch(self, sequences: list[np.ndarray]) -> None:
+        """One pass over all sequences in seeded shuffled order."""
         order = self.rng.permutation(len(sequences))
-        loss_sum, pair_count = 0.0, 0
         w_in, w_out, lr = self.w_in, self.w_out, self.lr
         w_out_flat = w_out.reshape(-1)  # a view: the scatter lands in w_out
         cols = np.arange(self.dim)
@@ -147,12 +171,11 @@ class SkipGramTrainer:
             n_ctx = n_ctx[n_ctx > 0]
             targets, labels, bounds = self._block_targets(contexts, n_ctx)
             flat_rows = targets * self.dim
-            scores = np.empty(len(targets))
             for center, lo, hi in zip(centres.tolist(), bounds[:-1].tolist(),
                                       bounds[1:].tolist()):
                 h = w_in[center]
                 out_rows = w_out.take(targets[lo:hi], axis=0)
-                s = np.matmul(out_rows, h, out=scores[lo:hi])
+                s = out_rows @ h
                 # sigmoid(s) - label, bitwise as nncore.sigmoid computes it:
                 # the numerator exp(min(s, 0)) is 1 for s >= 0 and e below
                 e = np.exp(np.copysign(s, -1.0))
@@ -166,12 +189,10 @@ class SkipGramTrainer:
                           (g[:, None] * h).reshape(-1))
                 dh *= lr
                 h -= dh
-            loss_sum -= float(log_sigmoid(np.where(labels > 0, scores, -scores)).sum())
-            pair_count += len(contexts)
-        return loss_sum / max(pair_count, 1)
 
-    def train(self, sequences: list[np.ndarray], epochs: int) -> list[float]:
-        return [self.train_epoch(sequences) for _ in range(epochs)]
+    def train(self, sequences: list[np.ndarray], epochs: int) -> None:
+        for _ in range(epochs):
+            self.train_epoch(sequences)
 
 
 def train_text_embeddings(

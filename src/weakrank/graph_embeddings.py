@@ -5,6 +5,10 @@ with return/in-out parameters, first- and second-order edge proximity with
 negative sampling, and neighbor-mean aggregation trained on walk
 co-occurrence. All trainers are seed-deterministic.
 
+Proximity draws edges by weight, and both it and aggregation draw negatives
+by node strength ** 0.75, each epoch's uniforms in one call, through
+``embeddings.CdfSampler``. Neither computes a loss.
+
 Walks step in lockstep: every walker of a round takes its next step in one
 set of NumPy calls over the graph's CSR arrays, with the random draws a
 walk-by-walk, step-by-step loop would make, so the walks are bitwise that
@@ -15,7 +19,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .embeddings import EmbeddingTable, SkipGramTrainer, noise_cdf, window_layout
+from .embeddings import CdfSampler, EmbeddingTable, SkipGramTrainer, window_layout
 from .graph import HetGraph
 from .nncore import (
     OptimizerState,
@@ -128,9 +132,9 @@ def generate_walks(
     return list(walks)
 
 
-def _strength_noise_cdf(graph: HetGraph) -> np.ndarray:
+def _strength_noise(graph: HetGraph) -> CdfSampler:
     """Negative sampling by node strength (weighted degree) ** 0.75."""
-    return noise_cdf([graph.edge_weight_sum(v) for v in range(graph.n_nodes)])
+    return CdfSampler(np.array([graph.edge_weight_sum(v) for v in range(graph.n_nodes)]) ** 0.75)
 
 
 # ---------------------------------------------------------------------------
@@ -158,10 +162,8 @@ class EdgeProximityTrainer:
 
         self.edge_src = np.repeat(np.arange(graph.n_nodes, dtype=np.int64), graph.degrees)
         self.edge_dst = np.concatenate(graph.neighbors)
-        w = np.concatenate(graph.weights)
-        self._edge_cum = np.cumsum(w / np.sum(w))
-
-        self._noise_cum = _strength_noise_cdf(graph)
+        self._edges = CdfSampler(np.concatenate(graph.weights))
+        self._noise = _strength_noise(graph)
 
         self.emb = self.rng.uniform(-0.5 / dim, 0.5 / dim, size=(graph.n_nodes, dim))
         self.ctx = np.zeros((graph.n_nodes, dim)) if order == 2 else self.emb
@@ -181,8 +183,8 @@ class EdgeProximityTrainer:
         batches = max(1, self.n_edges // batch_size)
         for _ in range(epochs):
             U = self.rng.random((batches, batch_size * (1 + self.neg)))
-            idx = np.searchsorted(self._edge_cum, U[:, :batch_size])
-            negs = np.searchsorted(self._noise_cum, U[:, batch_size:])
+            idx = self._edges.draw(U[:, :batch_size])
+            negs = self._noise.draw(U[:, batch_size:])
             all_targets = np.concatenate(
                 [self.edge_dst[idx][:, :, None], negs.reshape(batches, batch_size, self.neg)],
                 axis=2)  # (batches, B, 1 + neg): each edge's destination, then its negatives
@@ -221,7 +223,7 @@ class AggregationTrainer:
         dims = [self.features.shape[1]] + [hidden] * max(0, n_layers - 1) + ([out_dim] if n_layers else [])
         self.layers = create_layers("agg", dims, self.rng)
         self.opt = OptimizerState("adam", lr=lr)
-        self._noise_cum = _strength_noise_cdf(graph)
+        self._noise = _strength_noise(graph)
 
     def embeddings(self) -> np.ndarray:
         H, _ = sage_forward(self.features, self.A, self.layers, self.M0)
@@ -234,7 +236,7 @@ class AggregationTrainer:
         n = len(pairs)
         for _ in range(epochs):
             shuffled = pairs[self.rng.permutation(n)]
-            all_negs = np.searchsorted(self._noise_cum, self.rng.random(n * self.neg))
+            all_negs = self._noise.draw(self.rng.random(n * self.neg))
             all_negs = all_negs.reshape(n, self.neg)
             for i in range(0, n, batch_size):
                 u, v = shuffled[i:i + batch_size].T

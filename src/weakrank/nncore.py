@@ -109,12 +109,6 @@ def sigmoid(x: np.ndarray, e: np.ndarray | None = None) -> np.ndarray:
     return np.where(x >= 0, 1.0 / d, e / d)
 
 
-def log_sigmoid(x: np.ndarray) -> np.ndarray:
-    """log sigmoid(x) = -softplus(-x), overflow-safe."""
-    lp = np.log1p(np.exp(-np.abs(x)))
-    return np.where(x >= 0, -lp, x - lp)
-
-
 def scatter_add_rows(table: np.ndarray, idx: np.ndarray, rows: np.ndarray) -> None:
     """``np.add.at(table, idx, rows)`` for a C-contiguous 2-D table.
 

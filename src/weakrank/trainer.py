@@ -9,6 +9,7 @@ from __future__ import annotations
 import logging
 import os
 import pickle
+import time
 import traceback
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
@@ -224,9 +225,11 @@ def _failure(job: Job, reason) -> str:
     return f"{job.stage} failed for model {job.name!r}: {reason}"
 
 
-def _run_job(job: Job):
+def _run_job(job: Job) -> tuple:
+    """The job's result and its seconds."""
+    start = time.perf_counter()
     try:
-        return job.fn(*job.args)
+        return job.fn(*job.args), time.perf_counter() - start
     except Exception as exc:
         raise RuntimeError(_failure(job, exc)) from exc
 
@@ -261,17 +264,18 @@ def run_jobs(jobs: list[Job], workers: int) -> list:
     ``split_jobs``. Pretraining and each ranker training run their jobs here.
     Every job seeds itself, so the results are the same for any worker count.
     A failing job raises a RuntimeError naming its stage and model, after
-    every helper has been reaped. Without ``os.fork`` they run here in turn."""
+    every helper has been reaped. Without ``os.fork`` they run here in turn.
+    Each pretraining job logs its seconds and its process (0: this one)."""
     processes = resolve_workers(workers) if hasattr(os, "fork") else 1
     shares = split_jobs(jobs, processes)
-    results = [None] * len(jobs)
+    results, seconds = [None] * len(jobs), [0.0] * len(jobs)
     helpers, exit_codes = [], {}
     try:
         for share in shares[1:]:
             if share:
                 helpers.append(_fork_helper(jobs, share))
         for i in shares[0]:
-            results[i] = _run_job(jobs[i])
+            results[i], seconds[i] = _run_job(jobs[i])
         sent = [reader.read() for _, reader, _ in helpers]
     finally:
         for pid, reader, _ in helpers:
@@ -284,8 +288,12 @@ def run_jobs(jobs: list[Job], workers: int) -> list:
         out = pickle.loads(data)
         if isinstance(out, tuple):  # (message, the helper's traceback)
             raise RuntimeError(out[0]) from RuntimeError(out[1])
-        for i, result in zip(share, out):
-            results[i] = result
+        for i, (result, secs) in zip(share, out):
+            results[i], seconds[i] = result, secs
+    for p, share in enumerate(shares):
+        for i in share:
+            if jobs[i].stage == "pretraining":
+                log.info("pretraining job %s: %.3f s in process %d", jobs[i].name, seconds[i], p)
     return results
 
 

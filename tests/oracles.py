@@ -5,7 +5,8 @@ controller's sampling law, the central finite-difference gradient checker,
 the gradient of kernel pooling (production runs the pooling forward-only,
 on frozen word cosines), the random walks' transition laws with a walk
 generator that steps one walk at a time, and the objectives the embedding
-trainers minimise, evaluated on a fixed batch.
+trainers minimise, evaluated on a fixed batch, in the overflow-safe
+log-sigmoid.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import numpy as np
 
 from weakrank.controller import Clamp, ControllerParams, _traverse
 from weakrank.graph import HetGraph
-from weakrank.nncore import _EPS_LOG, log_sigmoid
+from weakrank.nncore import _EPS_LOG
 
 # ---------------------------------------------------------------------------
 # exact policy enumeration (small registries only)
@@ -224,6 +225,12 @@ def walks_per_step(graph: HetGraph, n_walks: int, walk_len: int, seed: int,
                 walk.append(nxt)
             walks.append(np.array(walk, dtype=np.int64))
     return walks
+
+
+def log_sigmoid(x: np.ndarray) -> np.ndarray:
+    """log sigmoid(x) = -softplus(-x), overflow-safe."""
+    lp = np.log1p(np.exp(-np.abs(x)))
+    return np.where(x >= 0, -lp, x - lp)
 
 
 def skipgram_loss(trainer, centers: np.ndarray, contexts: np.ndarray,

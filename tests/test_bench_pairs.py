@@ -1,0 +1,66 @@
+import importlib.util
+import json
+from pathlib import Path
+
+import pytest
+
+_SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "bench_pairs.py"
+
+DECLARED = [
+    {"name": "setup_s", "unit": "s", "better": "lower", "bound": 0.25},
+    {"name": "score_pairs_per_s", "unit": "pairs/s", "better": "higher", "bound": 0.25},
+    {"name": "val_mrr", "unit": "ratio", "better": "higher", "bound": 0.25},
+]
+
+
+@pytest.fixture(scope="module")
+def bench_pairs():
+    spec = importlib.util.spec_from_file_location("bench_pairs", _SCRIPT)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _line(setup_s, pairs_per_s, val_mrr, failed=0):
+    """A perfbench result line, as its last line of standard output."""
+    metrics = {"setup_s": (setup_s, "s"), "score_pairs_per_s": (pairs_per_s, "pairs/s"),
+               "val_mrr": (val_mrr, "ratio")}
+    return json.dumps({"correct": failed == 0, "attempted": 3, "failed": failed, "metrics": {
+        name: {"value": value, "unit": unit} for name, (value, unit) in metrics.items()}})
+
+
+def test_summary_counts_wins_in_the_declared_direction(bench_pairs):
+    runs = [  # (seed, parent line, change line)
+        (41, _line(2.0, 100.0, 0.9), _line(1.8, 110.0, 0.9)),
+        (42, _line(2.2, 100.0, 0.8), _line(2.2, 90.0, 0.8)),  # a tie, and a loss
+        (43, _line(1.9, 120.0, 0.7), _line(1.7, 130.0, 0.7)),
+        (44, _line(2.1, 110.0, 0.6), _line(1.9, 120.0, 0.6)),
+    ]
+    pairs = [{"seed": seed, "parent": bench_pairs.metrics_of(parent),
+              "change": bench_pairs.metrics_of(change)} for seed, parent, change in runs]
+    lines, unequal = bench_pairs.summarize(pairs, DECLARED)
+    assert lines == [
+        "setup_s: parent 2.05 [1.975, 2.125] change 1.85 [1.775, 1.975] s; "
+        "change better in 3 of 4 pairs",
+        "score_pairs_per_s: parent 105 [100, 112.5] change 115 [105, 122.5] pairs/s; "
+        "change better in 3 of 4 pairs",
+        "val_mrr: parent 0.75 [0.675, 0.825] change 0.75 [0.675, 0.825] ratio; "
+        "change better in 0 of 4 pairs",
+    ]
+    assert unequal == []
+
+
+def test_summary_flags_a_quality_metric_unequal_on_a_seed(bench_pairs):
+    pairs = [{"seed": 7, "parent": bench_pairs.metrics_of(_line(2.0, 100.0, 0.9)),
+              "change": bench_pairs.metrics_of(_line(1.0, 200.0, 0.91))}]
+    _, unequal = bench_pairs.summarize(pairs, DECLARED)
+    assert unequal == ["val_mrr differs on seed 7: 0.9 -> 0.91"]
+
+
+def test_a_run_with_a_failed_repetition_has_no_metrics(bench_pairs):
+    assert bench_pairs.metrics_of(_line(2.0, 100.0, 0.9, failed=1)) is None
+
+
+def test_seed_ranges_are_inclusive(bench_pairs):
+    assert bench_pairs.seed_range("41-46") == [41, 42, 43, 44, 45, 46]
+    assert bench_pairs.seed_range("7") == [7]

@@ -12,7 +12,7 @@ from oracles import (
     walks_per_step,
 )
 from weakrank.corpus import build_corpus
-from weakrank.embeddings import node_feature_matrix, train_text_embeddings
+from weakrank.embeddings import CdfSampler, node_feature_matrix, train_text_embeddings
 from weakrank.graph import HetGraph, build_graph
 from weakrank.graph_embeddings import (
     AggregationTrainer,
@@ -248,9 +248,9 @@ def _reference_proximity_epoch(t, batch_size):
     batch draws its edges, then its negatives, and updates with
     two-dimensional np.add.at."""
     for _ in range(max(1, t.n_edges // batch_size)):
-        idx = np.searchsorted(t._edge_cum, t.rng.random(batch_size))
+        idx = np.searchsorted(t._edges.table, t.rng.random(batch_size))
         src, dst = t.edge_src[idx], t.edge_dst[idx]
-        negs = np.searchsorted(t._noise_cum, t.rng.random(batch_size * t.neg))
+        negs = np.searchsorted(t._noise.table, t.rng.random(batch_size * t.neg))
         h = t.emb[src]
         targets = np.concatenate([dst[:, None], negs.reshape(batch_size, t.neg)], axis=1)
         out = t.ctx[targets]
@@ -271,7 +271,7 @@ def _reference_aggregation_epoch(t, pairs, batch_size):
     for i in range(0, len(order), batch_size):
         batch = pairs[order[i:i + batch_size]]
         B = len(batch)
-        negs = np.searchsorted(t._noise_cum, t.rng.random(B * t.neg)).reshape(B, t.neg)
+        negs = np.searchsorted(t._noise.table, t.rng.random(B * t.neg)).reshape(B, t.neg)
         zero_grads(t.layers)
         Z, caches = sage_forward(t.features, t.A, t.layers)
         u, v = batch[:, 0], batch[:, 1]
@@ -414,7 +414,7 @@ class TestBitwiseAgainstReferences:
         expected = [(v, int(x)) for v in range(graph.n_nodes) for x in graph.neighbors[v]]
         assert list(zip(t.edge_src.tolist(), t.edge_dst.tolist())) == expected
         w = np.array([wt for v in range(graph.n_nodes) for wt in graph.weights[v]])
-        assert t._edge_cum.tobytes() == np.cumsum(w / np.sum(w)).tobytes()
+        assert t._edges.table.tobytes() == CdfSampler(w).table.tobytes()
 
 
 class TestProximityTrainers:

@@ -4,7 +4,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from oracles import finite_difference_check, kernel_pool_backward
+from oracles import finite_difference_check, kernel_pool_backward, log_sigmoid
 from weakrank.nncore import (
     LstmParams,
     OptimizerState,
@@ -18,7 +18,6 @@ from weakrank.nncore import (
     init_param,
     kernel_pool_forward,
     lstm_backward,
-    log_sigmoid,
     lstm_forward,
     optimizer_step,
     scatter_add_rows,

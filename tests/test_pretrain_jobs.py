@@ -207,6 +207,18 @@ def test_a_helper_that_dies_is_reported_by_its_first_model():
     _no_child_left()
 
 
+def test_pretraining_jobs_log_the_process_that_ran_them(caplog):
+    jobs = [Job("cheap", "bm25", int, ("7",)), Job("dear", "graph-walk", int, ("8",)),
+            Job("ranker", "sup:interaction", int, ("9",), "training")]
+    assert split_jobs(jobs, 2) == [[1], [2, 0]]
+    with caplog.at_level("INFO", logger="weakrank.trainer"):
+        assert run_jobs(jobs, 2) == [7, 8, 9]
+    lines = [r.getMessage().split(": ") for r in caplog.records]
+    assert [(name, where.split(" s in ")[1]) for name, where in lines] == [
+        ("pretraining job dear", "process 0"), ("pretraining job cheap", "process 1")]
+    _no_child_left()
+
+
 def test_helpers_return_results_in_job_order():
     jobs = [Job(f"m{i}", kind, pow, (i, 2))
             for i, kind in enumerate(["bm25", "graph-walk", "text-embedding", "backbone"])]

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from defaults import GRAPH_SAMPLE, LIMITS, SETTINGS, TRAINING, scorer_hp, text_hp
-from oracles import finite_difference_check
+from oracles import finite_difference_check, log_sigmoid
 from weakrank import sup_rankers
 from weakrank.bm25 import bm25_matrix
 from weakrank.corpus import build_corpus
@@ -17,7 +17,6 @@ from weakrank.nncore import (
     cosine_rows_backward,
     cosine_rows_forward,
     dense_backward,
-    log_sigmoid,
     optimizer_step,
     scatter_add_rows,
     sigmoid,

@@ -112,6 +112,24 @@ class TestPretrainAll:
         assert "cache hit" in caplog.text
         assert np.array_equal(first[0].values, second[0].values)
 
+    def test_each_pretraining_job_logs_its_seconds_once(self, tmp_path, caplog):
+        corpus, _ = generate_synthetic(6, 10, 2, 6, 12, 0.0, seed=2)
+        registry = UnsupModelRegistry([
+            UnsupModelSpec("bm25", "bm25"),
+            UnsupModelSpec("text-embedding", "text-embedding", {"dim": 4, "epochs": 1}),
+        ])
+        for run in ("cold", "warm"):
+            caplog.clear()
+            with caplog.at_level("INFO", logger="weakrank.trainer"):
+                pretrain_all(corpus, None, registry, tmp_path, master_seed=0, workers=1)
+            lines = [r.getMessage() for r in caplog.records if "pretraining job" in r.getMessage()]
+            if run == "cold":
+                assert sorted(line.split(":")[0] for line in lines) == [
+                    "pretraining job bm25", "pretraining job text-embedding"]
+                assert all(line.endswith(" s in process 0") for line in lines)
+            else:
+                assert lines == []
+
     def test_fresh_and_cached_match_without_cache_dir(self):
         corpus, _ = generate_synthetic(6, 10, 2, 6, 12, 0.0, seed=2)
         registry = UnsupModelRegistry([UnsupModelSpec("bm25", "bm25")])
