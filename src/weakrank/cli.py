@@ -305,6 +305,21 @@ def cmd_report(args) -> int:
             freq = sum(e["I3"][i] for e in entries) / n
             fh.write(f"supervised,{name},{freq!r}\n")
     print(f"wrote {curve_path} and {freq_path}")
+
+    report_path = run_dir / "report.json"
+    if report_path.exists():  # a search that stopped early leaves only its episodes
+        report = read_json(report_path)
+
+        def cell(value):
+            return f"{'-':>10}" if value is None else f"{value:10.4f}"
+
+        # the searched ensemble, then each scorer alone (reports before baselines have none)
+        rows = {"searched ensemble": {split: report[split] and report[split]["mrr"]
+                                      for split in ("validation", "test")},
+                **report.get("baselines", {})}
+        print(f"{'MRR':24s} {'validation':>10} {'test':>10}")
+        for name, value in rows.items():
+            print(f"{name:24s} {cell(value['validation'])} {cell(value['test'])}")
     return 0
 
 
@@ -370,7 +385,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="output TSV path")
     p.set_defaults(func=cmd_score)
 
-    p = sub.add_parser("report", help="render episode logs into CSV time series")
+    p = sub.add_parser("report", help="render episode logs into CSV time series and print "
+                                      "the searched ensemble's MRR next to each scorer's")
     p.add_argument("--run", required=True, help="search run directory")
     p.set_defaults(func=cmd_report)
 

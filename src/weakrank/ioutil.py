@@ -67,20 +67,39 @@ def save_arrays(path: str | Path, arrays: dict[str, np.ndarray], meta: dict | No
 
 
 def load_arrays(path: str | Path) -> tuple[dict[str, np.ndarray], dict]:
-    """Inverse of :func:`save_arrays`. Returns (arrays, meta)."""
+    """Inverse of :func:`save_arrays`. Returns (arrays, meta).
+
+    A torn container (a header cut short or not JSON, a payload shorter
+    than its header declares, bytes after the last payload) raises a
+    ValueError naming the file."""
     with open(path, "rb") as fh:
         magic = fh.read(len(CONTAINER_MAGIC))
         if magic != CONTAINER_MAGIC:
             raise ValueError(f"{path}: not a weakrank array container")
-        (hlen,) = struct.unpack("<I", fh.read(4))
-        header = json.loads(fh.read(hlen).decode("utf-8"))
+        length = fh.read(4)
+        if len(length) != 4:
+            raise ValueError(f"{path}: truncated container: the header length is cut short")
+        (hlen,) = struct.unpack("<I", length)
+        raw_header = fh.read(hlen)
+        if len(raw_header) != hlen:
+            raise ValueError(f"{path}: truncated container: the header holds "
+                             f"{len(raw_header)} of its {hlen} bytes")
+        try:
+            header = json.loads(raw_header.decode("utf-8"))
+        except ValueError as exc:  # UnicodeDecodeError and JSONDecodeError both are
+            raise ValueError(f"{path}: unreadable container header: {exc}") from exc
         arrays = {}
         for entry in header["arrays"]:
             shape = tuple(entry["shape"])
             dtype = np.dtype(entry["dtype"])
             count = int(np.prod(shape)) if shape else 1
             raw = fh.read(count * dtype.itemsize)
+            if len(raw) != count * dtype.itemsize:
+                raise ValueError(f"{path}: truncated container: array {entry['name']!r} holds "
+                                 f"{len(raw)} of its {count * dtype.itemsize} bytes")
             arrays[entry["name"]] = np.frombuffer(raw, dtype=dtype).reshape(shape).copy()
+        if fh.read(1):
+            raise ValueError(f"{path}: bytes follow the last array of the container")
     return arrays, header["meta"]
 
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -24,6 +25,15 @@ class EvalLists:
 
     def __len__(self) -> int:
         return len(self.rows)
+
+    @cached_property
+    def id_order(self) -> np.ndarray:
+        """Each candidate column's place in ascending id order, so a tie
+        between two columns breaks by comparing two integers."""
+        ids = self.candidate_ids
+        order = np.empty(len(ids), dtype=np.int32)  # a tie-break gathers one per negative
+        order[sorted(range(len(ids)), key=ids.__getitem__)] = np.arange(len(ids))
+        return order
 
 
 def _positives(annotations: AnnotationSet, corpus: Corpus, n_negatives: int):
@@ -93,9 +103,11 @@ def ranks_of_positives(lists: EvalLists, scores) -> np.ndarray:
     pos = scores[:, :1]
     neg = scores[:, 1:]
     ranks = 1 + np.count_nonzero(neg > pos, axis=1)
-    ids, cols = lists.candidate_ids, lists.cols
-    for r, j in zip(*np.nonzero(neg == pos)):
-        ranks[r] += ids[cols[r, j + 1]] < ids[cols[r, 0]]
+    tied = neg == pos
+    if tied.any():
+        order = lists.id_order
+        ranks += np.count_nonzero(tied & (order[lists.cols[:, 1:]] < order[lists.cols[:, :1]]),
+                                  axis=1)
     return ranks
 
 

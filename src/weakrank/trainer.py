@@ -533,9 +533,9 @@ def joint_train(
 ) -> RunResult:
     """The full search: pretrain, episode loop, best-config retrain, test eval.
 
-    Test annotations influence nothing until the final evaluation; passing
-    None (or an empty set) skips it and leaves the test block of the report
-    null.
+    Test annotations influence nothing but the final evaluation and the
+    report's per-scorer ``baselines``; passing None (or an empty set) skips
+    both and leaves the test block and every baseline's ``test`` null.
     """
     check_search_inputs(corpus, val_annotations, test_annotations, config)
     workdir = Path(workdir) if workdir is not None else None
@@ -565,6 +565,8 @@ def joint_train(
     best_entry: EpisodeLog | None = None
     stale = 0
     for ep in range(config.episodes):
+        start = time.perf_counter()
+        cached_before = len(reward_cache)
         sample_rng = np.random.default_rng(derive_seed(config.seed, "episode", ep))
         batch: list[EpisodeLog] = []
         for mc in range(config.n_monte_carlo):
@@ -573,6 +575,7 @@ def joint_train(
                 episode=ep, sample_rng=sample_rng, clamp=clamp, reward_cache=reward_cache,
             )
             batch.append(entry)
+        cached = len(batch) - (len(reward_cache) - cached_before)
 
         mean_reward = float(np.mean([e.reward for e in batch]))
         if config.use_baseline and baseline.value is None:
@@ -582,12 +585,13 @@ def joint_train(
             entry.baseline = b
         tensors = controller.tensors()
         zero_grads(tensors)
+        entropy = 0.0
         for entry in batch:
-            action_log_prob(
+            entropy += action_log_prob(
                 controller, entry.config, clamp=clamp,
                 grad_scale=(entry.reward - b) / config.n_monte_carlo,
                 entropy_scale=config.entropy_coef / config.n_monte_carlo,
-            )
+            )[1] / config.n_monte_carlo
         for p in tensors:
             if not np.all(np.isfinite(p.grad)):
                 raise RuntimeError(f"non-finite controller gradient in {p.name!r}")
@@ -605,6 +609,11 @@ def joint_train(
                 stale = 0
             else:
                 stale += 1
+        # done/budget, then ids as episodes.jsonl numbers them; seconds go to the log only
+        log.info("%d/%d episodes: R %.4f, best %.4f at episode %d, cached %d/%d, "
+                 "entropy %.4f, %.3f s", ep + 1, config.episodes, mean_reward,
+                 best_entry.reward, best_entry.episode, cached, len(batch), entropy,
+                 time.perf_counter() - start)
         if config.early_stop_patience and stale >= config.early_stop_patience:
             log.info("search early-stopped after %d episodes", ep + 1)
             break
@@ -628,14 +637,18 @@ def joint_train(
     )
 
     validation_metrics = all_metrics(val_lists, score_lists_with_ensemble(val_lists, final_models))
-    test_metrics = None
+    test_lists = None
     if test_annotations is not None and test_annotations.pairs:
         test_lists = build_eval_lists(
             test_annotations, corpus,
             seed=derive_seed(config.effective_pretrain_seed, "test-lists"),
             n_negatives=config.eval_negatives,
         )
-        test_metrics = all_metrics(test_lists, score_lists_with_ensemble(test_lists, final_models))
+    test_metrics = None if test_lists is None else all_metrics(
+        test_lists, score_lists_with_ensemble(test_lists, final_models))
+
+    def scorer_mrr(lists, matrix):
+        return None if lists is None else mrr(lists, score_lists_with_matrix(lists, matrix))
 
     report = {
         "format_version": REPORT_FORMAT_VERSION,
@@ -645,6 +658,10 @@ def joint_train(
         "episodes_run": len(episodes),
         "validation": validation_metrics,
         "test": test_metrics,
+        # each scorer of the menu alone, on the same lists: what the search must beat
+        "baselines": {name: {"validation": scorer_mrr(val_lists, matrix),
+                             "test": scorer_mrr(test_lists, matrix)}
+                      for name, matrix in zip(config.unsup_registry.names, matrices)},
     }
 
     checkpoint_paths = {}

@@ -189,3 +189,17 @@ def test_refuses_a_hyperparameter_the_model_does_not_declare(tmp_path, monkeypat
     assert main(["score", "--run", "run", "--out", "bad.tsv"]) == 2
     assert capsys.readouterr().err.strip() == expected
     assert not (tmp_path / "bad.tsv").exists()
+
+
+def test_a_short_checkpoint_is_refused_by_name(tmp_path, monkeypatch, capsys):
+    _sandbox(tmp_path)
+    monkeypatch.chdir(tmp_path)
+    assert main(["ablate", "--config", "exp.cfg", "--mode", "fix-sup", "--fixed",
+                 "representation"]) == 0
+    capsys.readouterr()
+    ckpt = tmp_path / "run" / "checkpoints" / "representation.ckpt"
+    ckpt.write_bytes(ckpt.read_bytes()[:-100])
+    assert main(["score", "--run", "run", "--out", "bad.tsv"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: ValueError: {ckpt.relative_to(tmp_path)}: truncated container")
+    assert not (tmp_path / "bad.tsv").exists()

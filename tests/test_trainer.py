@@ -279,6 +279,40 @@ class TestJointTrain:
         assert without.test_metrics is None
         assert with_test.test_metrics is not None
 
+    def test_each_episode_logs_one_progress_line(self, data, caplog):
+        corpus, ann, val, test, oracle_path, noise_path, good_path = data
+        config = _fast_config(oracle_path, noise_path, episodes=4)
+        with caplog.at_level("INFO", logger="weakrank.trainer"):
+            result = joint_train(corpus, val, None, config)
+        lines = [r.getMessage() for r in caplog.records if " episodes: R " in r.getMessage()]
+        assert [line.split()[0] for line in lines] == ["1/4", "2/4", "3/4", "4/4"]
+        for line, entry in zip(lines, result.episodes):
+            assert f" R {entry.reward:.4f}, " in line
+            assert " entropy " in line and line.endswith(" s")
+        # the cache serves exactly the configurations already seen
+        seen = set()
+        for line, entry in zip(lines, result.episodes):
+            signature = json.dumps(entry.config.to_dict(), sort_keys=True)
+            assert f"cached {int(signature in seen)}/1," in line
+            seen.add(signature)
+
+    def test_a_single_scorer_episode_earns_that_scorer_baseline(self, data):
+        """Min-max scaling keeps each row's order and ties break by id either
+        way, so an episode that selects one scorer earns its baseline."""
+        corpus, ann, val, test, oracle_path, noise_path, good_path = data
+        config = _fast_config(good_path, noise_path, episodes=12)
+        result = joint_train(corpus, val, test, config)
+        baselines = result.report["baselines"]
+        assert list(baselines) == ["oracle", "noise"]  # the registry's names, in its order
+        single = [e for e in result.episodes if sum(e.config.unsup_mask) == 1]
+        assert {e.config.unsup_mask for e in single} == {(1, 0), (0, 1)}
+        for entry in single:
+            name = config.unsup_registry.names[entry.config.unsup_mask.index(1)]
+            assert entry.reward_unsup == baselines[name]["validation"]
+        assert all(value["test"] is not None for value in baselines.values())
+        assert all(value["test"] is None for value in joint_train(
+            corpus, val, None, config).report["baselines"].values())
+
     def test_early_stop(self, data):
         corpus, ann, val, test, oracle_path, noise_path, good_path = data
         config = _fast_config(oracle_path, noise_path, episodes=30, early_stop_patience=5)
