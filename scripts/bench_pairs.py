@@ -18,11 +18,13 @@ pairs the change wins (in the direction ``BENCHMARK.json`` declares; ties
 count for neither), flags each quality metric (unit ``ratio``) that differs
 between the sides on a seed, and writes every pair to ``--out`` as JSON.
 Exits 1 when a run fails or reports a failed repetition, 0 otherwise.
+Stopped by SIGTERM, it ends its running benchmark and deletes its copies.
 """
 
 import argparse
 import json
 import shutil
+import signal
 import statistics
 import subprocess
 import sys
@@ -31,6 +33,11 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 from compare_runs import compare  # noqa: E402
+
+
+def _exit_on_sigterm(signum, frame):
+    """SIGTERM unwinds like an exception, so ``main``'s ``finally`` runs."""
+    raise SystemExit(128 + signum)
 
 
 def seed_range(text: str) -> list[int]:
@@ -123,6 +130,7 @@ def main(argv=None) -> int:
     parser.add_argument("--out", type=Path, help="write every pair here as JSON")
     args = parser.parse_args(argv)
     declared = json.loads(Path("BENCHMARK.json").read_text(encoding="utf-8"))["end_to_end"]
+    previous = signal.signal(signal.SIGTERM, _exit_on_sigterm)
     work = Path(tempfile.mkdtemp(prefix="bench_pairs_", dir=args.work))
     pairs = []
     try:
@@ -142,6 +150,7 @@ def main(argv=None) -> int:
                 shutil.rmtree(work / side)
     finally:
         shutil.rmtree(work, ignore_errors=True)
+        signal.signal(signal.SIGTERM, previous)
     lines, unequal = summarize(pairs, declared)
     for line in lines:
         print(line)

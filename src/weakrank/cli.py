@@ -41,7 +41,9 @@ from .trainer import (
     check_search_inputs,
     clamp_for_ablation,
     joint_train,
+    kernel_banks,
     pretrain,
+    read_kernel_features,
     run_cache_dir,
 )
 
@@ -141,7 +143,8 @@ def cmd_ingest(args) -> int:
 
 def cmd_pretrain(args) -> int:
     """Fill the cache a search with this configuration reads: every scorer's
-    score matrix and the backbone, keyed by the effective pretrain seed."""
+    score matrix, the backbone and its kernel features, keyed by the
+    effective pretrain seed."""
     config = ExperimentConfig.from_file(args.config, args.overrides)
     if args.out:
         out = Path(args.out)
@@ -224,7 +227,8 @@ def cmd_score(args) -> int:
     configuration, before reading the corpus or a checkpoint."""
     run_dir = Path(args.run)
     config = ExperimentConfig.from_file(run_dir / "config.cfg")
-    recorded = read_json(run_dir / "manifest.json")["config_hash"]
+    manifest = read_json(run_dir / "manifest.json")
+    recorded = manifest["config_hash"]
     if config.content_hash() != recorded:
         raise ValueError(f"{run_dir / 'config.cfg'} does not hash to the configuration hash "
                          f"{recorded!r} in manifest.json: it was edited after the run")
@@ -239,6 +243,12 @@ def cmd_score(args) -> int:
     table = EmbeddingTable.load(run_dir / "checkpoints" / "backbone.bin")
     backbone = backbone_from_table(
         corpus, table, build_graph(corpus) if needs_graph(specs) else None, run_config)
+    # the kernel features the search's cache holds (the sweep's shared one for an
+    # ablate sub-run), which were pooled over this table only for the search's
+    # corpus; a bank not read is computed when its ranker loads
+    if corpus.content_hash() == manifest["corpus_hash"]:
+        read_kernel_features(backbone, kernel_banks(specs), run_config,
+                             run_cache_dir(config.output_dir))
     config_hash = stable_hash(run_config.signature())
     models = [load_checkpoint(run_dir / "checkpoints" / f"{spec.name}.ckpt", backbone,
                               config_hash=config_hash) for spec in specs]

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .ioutil import load_arrays, save_arrays
+from .ioutil import atomic_write, load_arrays, save_arrays
 
 
 def min_max_rows(values: np.ndarray) -> np.ndarray:
@@ -64,7 +64,7 @@ class ScoreMatrix:
     def save_csv(self, path: str | Path) -> None:
         """First row = candidate ids, first column = query ids; each value
         in its shortest round-trip ``repr``."""
-        with open(path, "w", encoding="utf-8") as fh:
+        with atomic_write(path) as fh:
             fh.write("," + ",".join(self.candidate_ids) + "\n")
             for qid, row in zip(self.query_ids, self.values):
                 fh.write(qid + "," + ",".join(map(repr, row.tolist())) + "\n")

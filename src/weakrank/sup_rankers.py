@@ -59,6 +59,17 @@ CHECKPOINT_FORMAT_VERSION = 1
 
 ENSEMBLE_BLOCK = 256  # eval lists gathered at once: bounds the gather's temporaries
 PHI_BLOCK = 1 << 16  # word-cosine entries pooled at once: bounds phi's temporaries
+# Part of every cached kernel-feature entry's key: bump it whenever the
+# pooling's rounding can change (PHI_BLOCK, the pooling op), so old entries miss.
+PHI_VERSION = 1
+
+
+def kernel_bank(mus, sigmas, negative_exponent) -> tuple:
+    """A kernel bank as a hashable key: (mus, sigmas, sign), plain floats
+    and a bool."""
+    return (tuple(float(m) for m in np.asarray(mus, dtype=np.float64)),
+            tuple(float(s) for s in np.asarray(sigmas, dtype=np.float64)),
+            bool(negative_exponent))
 
 
 class RankerBackbone:
@@ -108,11 +119,13 @@ class RankerBackbone:
         kernel is applied once to the table of word cosines, multiplied by the
         candidates' word counts, logged, and summed with the queries' word
         counts (``nncore.kernel_pool_forward``, a block of query words at a
-        time). Cached per kernel bank; it never changes within a run.
+        time). Kept per kernel bank; it never changes within a run, and
+        pretraining puts in (``put_phi_features``) the features it read from
+        the cache.
         """
-        key = (tuple(np.asarray(mus)), tuple(np.asarray(sigmas)), negative_exponent)
-        if key in self._phi_cache:
-            return self._phi_cache[key]
+        bank = kernel_bank(mus, sigmas, negative_exponent)
+        if bank in self._phi_cache:
+            return self._phi_cache[bank]
         q_words, q_counts = self._word_counts(self.corpus.queries)
         c_words, c_counts = self._word_counts(self.corpus.candidates)
         hats = unit_rows(self.table.vectors)
@@ -124,8 +137,15 @@ class RankerBackbone:
             pooled += kernel_pool_forward(S, q_counts[:, lo:lo + step], c_counts, mus, sigmas,
                                           negative_exponent)
         phi = np.ascontiguousarray(pooled.transpose(1, 2, 0))
-        self._phi_cache[key] = phi
+        self._phi_cache[bank] = phi
         return phi
+
+    def put_phi_features(self, bank: tuple, phi: np.ndarray) -> None:
+        """Keep ``phi`` as the features of ``bank`` (a ``kernel_bank``)."""
+        shape = (len(self.corpus.queries), len(self.corpus.candidates), len(bank[0]))
+        if phi.shape != shape:
+            raise ValueError(f"kernel features of shape {phi.shape}, expected {shape}")
+        self._phi_cache[bank] = phi
 
     def gather(self, matrix: np.ndarray, query_id: str, candidate_ids) -> np.ndarray:
         column = self.corpus.candidate_column

@@ -30,7 +30,14 @@ from .controller import (
 from .corpus import AnnotationSet, Corpus
 from .embeddings import EmbeddingTable, train_text_embeddings
 from .graph import build_graph
-from .ioutil import canonical_json, derive_seed, stable_hash, write_json
+from .ioutil import (
+    canonical_json,
+    derive_seed,
+    load_arrays,
+    save_arrays,
+    stable_hash,
+    write_json,
+)
 from .metrics import (
     all_metrics,
     build_eval_lists,
@@ -51,8 +58,10 @@ from .registry import (
 )
 from .scores import ScoreMatrix
 from .sup_rankers import (
+    PHI_VERSION,
     RankerBackbone,
     create_sup_model,
+    kernel_bank,
     save_checkpoint,
     score_lists_with_ensemble,
     train_supervised,
@@ -311,12 +320,13 @@ def pretrain_all(
 
     The cache key covers the corpus content, the model's kind and
     hyperparameters, and its derived seed, so a hit is guaranteed to be
-    bit-identical to recomputation. An ``external`` matrix is never cached:
-    its CSV is the stored matrix, read afresh on every call. The missing
-    models and the ``extra`` jobs (``pretrain`` adds the backbone's) run
-    through ``run_jobs`` across ``workers`` processes, which cannot change
-    the results for a fixed seed. Only this process writes the cache, in
-    registry order.
+    bit-identical to recomputation; a torn entry is a miss. An ``external``
+    matrix is never cached: its CSV is the stored matrix, read afresh on
+    every call. The missing models and the ``extra`` jobs (``pretrain`` adds
+    the backbone's) run through ``run_jobs`` across ``workers`` processes,
+    which cannot change the results for a fixed seed. With ``graph`` None,
+    the graph is built here when a missing model needs it. Only this process
+    writes the cache, in registry order.
     """
     corpus_hash = corpus.content_hash()
     if cache_dir is not None:
@@ -331,39 +341,89 @@ def pretrain_all(
             key["version"] = SCORER_VERSION[spec.kind]
         cache_path = None if spec.kind == "external" else cache_entry(
             cache_dir, f"unsup_{spec.name}", key)
-        plan.append((spec, seed, cache_path))
+        matrix = _read_entry(cache_path, ScoreMatrix.load_cache, f"unsupervised model {spec.name}")
+        plan.append((spec, seed, cache_path, matrix))
 
+    missing = [(spec, seed) for spec, seed, _, matrix in plan if matrix is None]
+    if graph is None and needs_graph([spec for spec, _ in missing]):
+        graph = build_graph(corpus)
     jobs = [Job(spec.name, spec.kind, compute_score_matrix, (spec, corpus, graph, seed))
-            for spec, seed, cache_path in plan if not _cached(cache_path)]
+            for spec, seed in missing]
     results = run_jobs(jobs + list(extra), workers)
     trained = {job.name: matrix for job, matrix in zip(jobs, results)}
 
     matrices = []
-    for spec, seed, cache_path in plan:
-        matrix = trained.get(spec.name)
+    for spec, _, cache_path, matrix in plan:
         if matrix is None:
-            log.info("cache hit for unsupervised model %s", spec.name)
-            matrix = ScoreMatrix.load_cache(cache_path)
+            matrix = trained[spec.name]
+            if cache_path is not None:
+                matrix.save_cache(cache_path)
+                matrix.save_csv(cache_path.with_suffix(".csv"))
         if (matrix.query_ids, matrix.candidate_ids) != (corpus.query_ids, corpus.candidate_ids):
             raise RuntimeError(f"model {spec.name!r} produced a mismatched score matrix")
-        if cache_path is not None and not cache_path.exists():
-            matrix.save_cache(cache_path)
-            matrix.save_csv(cache_path.with_suffix(".csv"))
         matrices.append(matrix)
     return matrices + results[len(jobs):]
 
 
-def _cached(cache_path: Path | None) -> bool:
-    return cache_path is not None and cache_path.exists()
+def _read_entry(path: Path | None, load: Callable, what: str):
+    """The cache entry at ``path`` as ``load`` reads it, or None on a miss:
+    no cache, no file, or a torn file, which a WARNING names and the caller
+    recomputes and replaces."""
+    if path is None or not path.exists():
+        return None
+    try:
+        value = load(path)
+    except ValueError as exc:
+        log.warning("recomputing the torn cache entry %s: %s", path, exc)
+        return None
+    log.info("cache hit for %s", what)
+    return value
 
 
-def _backbone_entry(corpus: Corpus, config: RunConfig, cache_dir) -> Path | None:
-    return cache_entry(cache_dir, "backbone", {
+def _backbone_key(corpus: Corpus, config: RunConfig) -> dict:
+    return {
         "corpus": corpus.content_hash(),
         "seed": derive_seed(config.effective_pretrain_seed, "backbone"),
         "hp": [config.backbone_dim, config.backbone_window, config.backbone_neg,
                config.backbone_epochs, config.backbone_lr],
+    }
+
+
+def _phi_entry(cache_dir, backbone_key: dict, bank: tuple) -> Path | None:
+    """Where the cache keeps the kernel features of ``bank`` over the
+    backbone that ``backbone_key`` names."""
+    mus, sigmas, negative_exponent = bank
+    return cache_entry(cache_dir, "phi", {
+        "backbone": backbone_key, "mus": list(mus), "sigmas": list(sigmas),
+        "negative_exponent": negative_exponent, "version": PHI_VERSION,
     })
+
+
+def kernel_banks(specs) -> list[tuple]:
+    """The distinct kernel banks (``kernel_bank``) of the interaction rankers
+    among ``specs``, in order."""
+    banks = []
+    for spec in specs:
+        if spec.kind == "interaction":
+            hp = spec.hyperparameters()
+            bank = kernel_bank(hp["mus"], hp["sigmas"], hp["negative_exponent"])
+            if bank not in banks:
+                banks.append(bank)
+    return banks
+
+
+def read_kernel_features(backbone: RankerBackbone, banks: list[tuple], config: RunConfig,
+                         cache_dir: str | Path | None) -> list[tuple]:
+    """Put into ``backbone`` the features of each of ``banks`` that the cache
+    holds; return the banks it lacks. Writes nothing."""
+    def load(path, bank):
+        phi = load_arrays(path)[0]["phi"]
+        backbone.put_phi_features(bank, phi)  # a ValueError on a shape not the corpus's
+        return phi
+
+    key = _backbone_key(backbone.corpus, config)
+    return [bank for bank in banks if _read_entry(
+        _phi_entry(cache_dir, key, bank), lambda path: load(path, bank), "kernel features") is None]
 
 
 def _train_backbone_table(corpus: Corpus, config: RunConfig) -> EmbeddingTable:
@@ -377,42 +437,48 @@ def _train_backbone_table(corpus: Corpus, config: RunConfig) -> EmbeddingTable:
 def build_backbone(corpus: Corpus, graph, config: RunConfig,
                    cache_dir: str | Path | None = None,
                    table: EmbeddingTable | None = None) -> RankerBackbone:
-    """The rankers' backbone over the frozen word embeddings: ``table`` when
-    ``pretrain`` has trained it, else the cached table, else one trained
-    here. A table not yet in the cache is written to it."""
-    cache_path = _backbone_entry(corpus, config, cache_dir)
-    if table is None and _cached(cache_path):
-        log.info("cache hit for embedding backbone")
-        table = EmbeddingTable.load(cache_path)
-    else:
-        if table is None:
-            table = _train_backbone_table(corpus, config)
-        if cache_path is not None:
-            cache_path.parent.mkdir(parents=True, exist_ok=True)
-            table.save(cache_path)
-    return backbone_from_table(corpus, table, graph, config)
+    """The rankers' backbone over ``table``, the word embeddings ``pretrain``
+    read or trained (trained here when None), holding the kernel features
+    of every registered interaction ranker's bank: read from the cache, or
+    pooled here and written to it."""
+    if table is None:
+        table = _train_backbone_table(corpus, config)
+    backbone = backbone_from_table(corpus, table, graph, config)
+    key = _backbone_key(corpus, config)
+    for bank in read_kernel_features(backbone, kernel_banks(config.sup_registry), config,
+                                     cache_dir):
+        phi = backbone.phi_features(*bank)
+        if cache_dir is not None:
+            save_arrays(_phi_entry(cache_dir, key, bank), {"phi": phi})
+    return backbone
 
 
 def pretrain(corpus: Corpus, config: RunConfig, cache_dir: str | Path | None):
-    """Everything a search trains before its first episode: the graph (when a
-    model needs it), every scorer's score matrix and the rankers' backbone,
-    all seeded from the effective pretrain seed. Returns (matrices,
+    """Everything a search trains before its first episode: every scorer's
+    score matrix, the rankers' backbone and its kernel features, and the
+    graph when a graph ranker is registered or a graph scorer misses the
+    cache, all seeded from the effective pretrain seed. Returns (matrices,
     backbone). ``weakrank pretrain`` runs exactly this into the cache a
     later search reads.
 
-    Every cache miss, each scorer and the backbone, is one job;
+    Every cache miss, each scorer and the backbone's table, is one job;
     ``pretrain_all`` runs them together through ``run_jobs``, split between
     this process and helpers forked once the corpus and graph exist,
     ``config.workers`` processes in all (0: one per available CPU), the same
-    setting that spreads each episode's rankers. A warm cache forks nothing.
+    setting that spreads each episode's rankers. A warm cache forks nothing
+    and builds no graph for scorers.
     """
-    uses_graph = needs_graph([*config.unsup_registry, *config.sup_registry])
-    graph = build_graph(corpus) if uses_graph else None
-    backbone_job = [] if _cached(_backbone_entry(corpus, config, cache_dir)) else [
+    graph = build_graph(corpus) if needs_graph(config.sup_registry) else None
+    table_path = cache_entry(cache_dir, "backbone", _backbone_key(corpus, config))
+    table = _read_entry(table_path, EmbeddingTable.load, "embedding backbone")
+    backbone_job = [] if table is not None else [
         Job("backbone", "backbone", _train_backbone_table, (corpus, config))]
     matrices = pretrain_all(corpus, graph, config.unsup_registry, cache_dir,
                             config.effective_pretrain_seed, config.workers, extra=backbone_job)
-    table = matrices.pop() if backbone_job else None
+    if backbone_job:
+        table = matrices.pop()
+        if table_path is not None:
+            table.save(table_path)
     return matrices, build_backbone(corpus, graph, config, cache_dir, table=table)
 
 

@@ -1,5 +1,7 @@
 import importlib.util
 import json
+import os
+import signal
 from pathlib import Path
 
 import pytest
@@ -64,3 +66,24 @@ def test_a_run_with_a_failed_repetition_has_no_metrics(bench_pairs):
 def test_seed_ranges_are_inclusive(bench_pairs):
     assert bench_pairs.seed_range("41-46") == [41, 42, 43, 44, 45, 46]
     assert bench_pairs.seed_range("7") == [7]
+
+
+def test_sigterm_deletes_the_copies(bench_pairs, tmp_path, monkeypatch):
+    (tmp_path / "BENCHMARK.json").write_text(json.dumps({"end_to_end": DECLARED}))
+    monkeypatch.chdir(tmp_path)
+    extracted = []
+
+    def stopped_extract(rev, dest):
+        dest.mkdir(parents=True)
+        extracted.append(dest)
+        os.kill(os.getpid(), signal.SIGTERM)  # as `kill` or `pkill` would, mid-pair
+
+    monkeypatch.setattr(bench_pairs, "extract", stopped_extract)
+    handler = signal.getsignal(signal.SIGTERM)
+    with pytest.raises(SystemExit) as stop:
+        bench_pairs.main(["HEAD", "HEAD", "--workload", "search-warm", "--seeds", "1-2",
+                          "--work", str(tmp_path)])
+    assert stop.value.code == 128 + signal.SIGTERM
+    assert len(extracted) == 1
+    assert not list(tmp_path.glob("bench_pairs_*"))
+    assert signal.getsignal(signal.SIGTERM) == handler  # restored

@@ -1,11 +1,23 @@
-"""A torn array container is refused with an error that names its file."""
+"""A torn array container is refused with an error that names its file; every
+file is written whole or not at all, copy-free, in the same bytes."""
 
+import json
 import re
+import struct
 
 import numpy as np
 import pytest
 
-from weakrank.ioutil import CONTAINER_MAGIC, load_arrays, save_arrays
+import weakrank.ioutil as ioutil
+from weakrank.ioutil import (
+    CONTAINER_MAGIC,
+    atomic_write,
+    canonical_json,
+    load_arrays,
+    save_arrays,
+    write_json,
+)
+from weakrank.scores import ScoreMatrix
 
 
 @pytest.fixture
@@ -43,3 +55,97 @@ def test_a_header_that_is_not_json_names_the_file(container):
     data[len(CONTAINER_MAGIC) + 4] = ord("!")
     container.write_bytes(bytes(data))
     _refused(container, "unreadable container header")
+
+
+def _reference_container(arrays, meta):
+    """The container's bytes as a plain ``tobytes()`` writer lays them out."""
+    header = {"meta": meta, "arrays": []}
+    payloads = b""
+    for name in sorted(arrays):
+        arr = np.ascontiguousarray(arrays[name])
+        arr = arr.astype("<f8" if arr.dtype.kind == "f" else "<i8")
+        header["arrays"].append({"name": name, "shape": list(arr.shape), "dtype": str(arr.dtype)})
+        payloads += arr.tobytes()
+    text = canonical_json(header).encode("utf-8")
+    return CONTAINER_MAGIC + struct.pack("<I", len(text)) + text + payloads
+
+
+ODD_ARRAYS = {
+    "f32": np.linspace(0, 1, 7, dtype=np.float32),
+    "big": np.arange(6, dtype=">f8").reshape(2, 3),
+    "strided": np.arange(20.0).reshape(4, 5)[:, ::2],
+    "transposed": np.arange(12.0).reshape(3, 4).T,
+    "u8": np.arange(5, dtype=np.uint8),
+    "i32": -np.arange(4, dtype=np.int32),
+    "empty": np.zeros((0, 3)),
+}
+
+
+def test_written_bytes_are_the_plain_layout_and_read_back(tmp_path):
+    path = tmp_path / "odd.bin"
+    save_arrays(path, ODD_ARRAYS, meta={"k": [1, 2]})
+    assert path.read_bytes() == _reference_container(ODD_ARRAYS, {"k": [1, 2]})
+    arrays, meta = load_arrays(path)
+    assert meta == {"k": [1, 2]}
+    for name, arr in ODD_ARRAYS.items():
+        got = arrays[name]
+        assert got.shape == arr.shape and np.array_equal(got, arr)
+        assert got.flags.owndata and got.flags.writeable and got.flags.c_contiguous
+
+
+def test_a_write_that_raises_mid_payload_leaves_nothing(tmp_path, monkeypatch):
+    calls = []
+
+    def failing(arr):
+        calls.append(arr)
+        if len(calls) == 2:
+            raise OSError("disk gone")
+        return arr.reshape(-1).view(np.uint8)
+
+    monkeypatch.setattr(ioutil, "_octets", failing)
+    with pytest.raises(OSError, match="disk gone"):
+        save_arrays(tmp_path / "new.bin", {"a": np.ones(3), "b": np.ones(4)})
+    assert len(calls) == 2  # the header and the first payload were written
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_a_failed_write_keeps_the_old_file(tmp_path, container):
+    old = container.read_bytes()
+    with pytest.raises(ValueError, match="unsupported dtype"):
+        save_arrays(container, {"a": np.ones(3), "s": np.array(["x"])})
+    with pytest.raises(ValueError, match="Out of range float"):
+        write_json(container, {"x": float("nan")})
+    assert container.read_bytes() == old
+    assert [p.name for p in container.parent.iterdir()] == [container.name]
+
+
+def test_atomic_write_replaces_only_on_success(tmp_path):
+    path = tmp_path / "out.txt"
+    path.write_text("old\n")
+    with pytest.raises(RuntimeError):
+        with atomic_write(path) as fh:
+            fh.write("half")
+            raise RuntimeError("killed")
+    assert path.read_text() == "old\n"
+    with atomic_write(path) as fh:
+        fh.write("new\n")
+    assert path.read_text() == "new\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["out.txt"]
+
+
+def test_json_and_csv_writers_keep_their_bytes(tmp_path):
+    obj = {"b": [1, 2.5], "a": {"z": None, "y": "t"}}
+    write_json(tmp_path / "x.json", obj)
+    assert (tmp_path / "x.json").read_bytes() == (
+        json.dumps(obj, sort_keys=True, indent=2) + "\n").encode("utf-8")
+    ScoreMatrix("m", ("q1", "q2"), ("c1", "c2"), [[0.1, 1.0], [2.0, -3.5]]).save_csv(
+        tmp_path / "m.csv")
+    assert (tmp_path / "m.csv").read_bytes() == b",c1,c2\nq1,0.1,1.0\nq2,2.0,-3.5\n"
+
+
+def test_a_header_declaring_a_huge_array_is_refused_before_allocating(tmp_path):
+    path = tmp_path / "huge.bin"
+    text = canonical_json({"meta": {}, "arrays": [
+        {"name": "x", "shape": [1 << 40, 1 << 20], "dtype": "float64"}]}).encode("utf-8")
+    path.write_bytes(CONTAINER_MAGIC + struct.pack("<I", len(text)) + text + bytes(16))
+    _refused(path, f"truncated container: array 'x' holds 16 of its {(1 << 63)} bytes")
