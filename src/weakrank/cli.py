@@ -261,8 +261,8 @@ def cmd_score(args) -> int:
             qids = query_ids[start:start + ENSEMBLE_BLOCK]
             block = ensemble_scores(matrices, np.arange(start, start + len(qids)), cols)
             for qid, scores in zip(qids, block):
-                for cid, score in zip(candidate_ids, scores):
-                    fh.write(f"{qid}\t{cid}\t{float(score)!r}\n")
+                fh.write("".join(f"{qid}\t{cid}\t{s!r}\n"
+                                 for cid, s in zip(candidate_ids, scores.tolist())))
     print(f"wrote {out} ({len(query_ids) * len(candidate_ids)} pairs "
           f"from {len(models)} models)")
     return 0

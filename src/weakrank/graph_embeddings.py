@@ -218,15 +218,15 @@ class AggregationTrainer:
         self.features = np.asarray(features, dtype=np.float64)
         self.neg = neg
         self.rng = np.random.default_rng(seed)
-        self.A = build_neighbor_matrix(graph, sample_size, self.rng)
-        self.M0 = sage_input(self.features, self.A)
+        self.sample = build_neighbor_matrix(graph, sample_size, self.rng)
+        self.M0 = sage_input(self.features, self.sample)
         dims = [self.features.shape[1]] + [hidden] * max(0, n_layers - 1) + ([out_dim] if n_layers else [])
         self.layers = create_layers("agg", dims, self.rng)
         self.opt = OptimizerState("adam", lr=lr)
         self._noise = _strength_noise(graph)
 
     def embeddings(self) -> np.ndarray:
-        H, _ = sage_forward(self.features, self.A, self.layers, self.M0)
+        H, _ = sage_forward(self.features, self.sample, self.layers, self.M0)
         return H
 
     def train(self, pairs: np.ndarray, epochs: int, batch_size: int) -> None:
@@ -243,7 +243,7 @@ class AggregationTrainer:
                 negs = all_negs[i:i + batch_size]
                 B = len(u)
                 zero_grads(self.layers)
-                Z, caches = sage_forward(self.features, self.A, self.layers, self.M0)
+                Z, caches = sage_forward(self.features, self.sample, self.layers, self.M0)
                 s_pos = np.einsum("id,id->i", Z[u], Z[v])
                 s_neg = np.einsum("id,ind->in", Z[u], Z[negs])
                 g_pos = (sigmoid(s_pos) - 1.0) / B  # (B,)
@@ -253,7 +253,7 @@ class AggregationTrainer:
                                  + np.einsum("bn,bnd->bd", g_neg, Z[negs]))
                 scatter_add_rows(dZ, v, g_pos[:, None] * Z[u])
                 scatter_add_rows(dZ, negs, g_neg[:, :, None] * Z[u][:, None, :])
-                sage_backward(dZ, self.A, caches)
+                sage_backward(dZ, self.sample, caches)
                 optimizer_step(self.layers, self.opt)
 
 

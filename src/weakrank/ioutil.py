@@ -78,7 +78,7 @@ def save_arrays(path: str | Path, arrays: dict[str, np.ndarray], meta: dict | No
     header = {"meta": meta or {}, "arrays": []}
     payloads = []
     for name in sorted(arrays):
-        arr = np.ascontiguousarray(arrays[name])
+        arr = np.asarray(arrays[name], order="C")  # keeps a 0-d array's shape
         if arr.dtype.kind == "f":
             arr = arr.astype("<f8", copy=False)
         elif arr.dtype.kind in "iu":

@@ -152,12 +152,12 @@ class RankerBackbone:
         return matrix[self.corpus.query_row[query_id], [column[c] for c in candidate_ids]]
 
     def graph_inputs(self):
-        """(neighbor matrix, node features, node index arrays) for graph rankers."""
+        """(neighbor sample, node features, node index arrays) for graph rankers."""
         if self.graph is None:
             raise ValueError("backbone was built without a graph")
         if self._graph_inputs is None:
             rng = np.random.default_rng(self.graph_seed)
-            A = build_neighbor_matrix(self.graph, self.graph_sample_size, rng)
+            sample = build_neighbor_matrix(self.graph, self.graph_sample_size, rng)
             features = node_feature_matrix(self.graph, self.corpus, self.table)
             q_nodes = np.array(
                 [self.graph.node_index(QUERY, d.id) for d in self.corpus.queries]
@@ -165,7 +165,7 @@ class RankerBackbone:
             c_nodes = np.array(
                 [self.graph.node_index(CANDIDATE, d.id) for d in self.corpus.candidates]
             )
-            self._graph_inputs = (A, features, q_nodes, c_nodes)
+            self._graph_inputs = (sample, features, q_nodes, c_nodes)
         return self._graph_inputs
 
 
@@ -316,10 +316,10 @@ class GraphAggregationRanker(_Ranker):
 
     def __init__(self, backbone: RankerBackbone, spec: SupModelSpec, seed: int):
         super().__init__(backbone, spec, seed)
-        A, features, q_nodes, c_nodes = backbone.graph_inputs()
-        self.A = A
+        sample, features, q_nodes, c_nodes = backbone.graph_inputs()
+        self.sample = sample
         self.features = features
-        self.M0 = sage_input(features, A)  # frozen features, fixed sample
+        self.M0 = sage_input(features, sample)  # frozen features, fixed sample
         self.q_nodes = q_nodes
         self.c_nodes = c_nodes
         hidden, out_dim, n_layers = self.hp["hidden"], self.hp["out_dim"], self.hp["n_layers"]
@@ -333,7 +333,7 @@ class GraphAggregationRanker(_Ranker):
 
     def _embeddings(self) -> np.ndarray:
         if self._Z is None:
-            self._Z, _ = sage_forward(self.features, self.A, self.layers, self.M0)
+            self._Z, _ = sage_forward(self.features, self.sample, self.layers, self.M0)
         return self._Z
 
     def score_matrix(self) -> np.ndarray:
@@ -348,12 +348,12 @@ class GraphAggregationRanker(_Ranker):
         q, p, n = batch.T
         nodes, at = np.unique(np.concatenate([self.q_nodes[q], self.c_nodes[p], self.c_nodes[n]]),
                               return_inverse=True)
-        Z, caches = sage_forward(self.features, self.A, self.layers, self.M0, rows=nodes)
+        Z, caches = sage_forward(self.features, self.sample, self.layers, self.M0, rows=nodes)
         B = len(batch)
         loss, dZq, dZc = _pair_cosine_loss(Z[at[:B]], Z[at[B:]])
         dZ = np.zeros(Z.shape)
         scatter_add_rows(dZ, at, np.concatenate([dZq, dZc]))
-        sage_backward(dZ, self.A, caches)  # node features are frozen
+        sage_backward(dZ, self.sample, caches)  # node features are frozen
         _check_loss(self, loss, batch)
         return loss
 

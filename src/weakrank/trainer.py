@@ -189,7 +189,8 @@ JOB_COST = {
 }
 # Bump a scorer kind's version whenever its output changes, so that its
 # cache entries miss; a key holds the version only once it is above 0.
-SCORER_VERSION = dict.fromkeys(HYPERPARAMETERS["unsupervised"], 0)
+SCORER_VERSION = {**dict.fromkeys(HYPERPARAMETERS["unsupervised"], 0),
+                  "graph-aggregation": 1}  # 1: the sparse neighbor sample
 
 
 @dataclass(frozen=True)

@@ -4,9 +4,10 @@ None of this runs in a search. It holds the exact enumeration of the
 controller's sampling law, the central finite-difference gradient checker,
 the gradient of kernel pooling (production runs the pooling forward-only,
 on frozen word cosines), the random walks' transition laws with a walk
-generator that steps one walk at a time, and the objectives the embedding
-trainers minimise, evaluated on a fixed batch, in the overflow-safe
-log-sigmoid.
+generator that steps one walk at a time, the dense n x n neighbor-mean
+matrix and the GraphSAGE stack run through it, and the objectives the
+embedding trainers minimise, evaluated on a fixed batch, in the
+overflow-safe log-sigmoid.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import numpy as np
 
 from weakrank.controller import Clamp, ControllerParams, _traverse
 from weakrank.graph import HetGraph
-from weakrank.nncore import _EPS_LOG
+from weakrank.nncore import _EPS_LOG, dense_backward, dense_forward
 
 # ---------------------------------------------------------------------------
 # exact policy enumeration (small registries only)
@@ -153,6 +154,40 @@ def kernel_pool_backward(dpooled: np.ndarray, S: np.ndarray, q_counts: np.ndarra
         # dg_h/dS = g_h * sign * (S - mu_h) / sigma_h^2
         dS += (dK @ c_counts) * g * (sign * diff) / sigmas[h] ** 2
     return dS
+
+
+# ---------------------------------------------------------------------------
+# dense neighbor-mean aggregation
+
+
+def dense_neighbor_matrix(graph: HetGraph, sample_size: int,
+                          rng: np.random.Generator) -> np.ndarray:
+    """Row-stochastic n x n matrix averaging each node's sampled neighbors,
+    drawn with ``sageops.build_neighbor_matrix``'s ``rng.choice`` calls."""
+    n = graph.n_nodes
+    A = np.zeros((n, n))
+    for v in range(n):
+        nbrs = graph.neighbors[v]
+        if len(nbrs) > sample_size:
+            nbrs = nbrs[rng.choice(len(nbrs), size=sample_size, replace=False)]
+        A[v, nbrs] = 1.0 / len(nbrs)
+    return A
+
+
+def dense_sage(H0: np.ndarray, A: np.ndarray, layers, dHL: np.ndarray) -> np.ndarray:
+    """The full-graph GraphSAGE stack through the dense matrix ``A``,
+    h_l = relu(W_l @ concat(h_{l-1}, A h_{l-1})): returns H_L and
+    accumulates the layers' weight gradients for the output gradient dHL."""
+    H, caches = H0, []
+    for W in layers:
+        H_next, cache = dense_forward(np.concatenate([H, A @ H], axis=1), W, None, "relu")
+        caches.append((cache, H.shape[1]))
+        H = H_next
+    dH = dHL
+    for cache, d_in in reversed(caches):
+        dM = dense_backward(dH, cache)
+        dH = dM[:, :d_in] + A.T @ dM[:, d_in:]
+    return H
 
 
 # ---------------------------------------------------------------------------

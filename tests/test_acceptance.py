@@ -46,7 +46,14 @@ from weakrank.nncore import (
     zero_grads,
 )
 from weakrank.pseudo_labels import top_k_labels
-from weakrank.sageops import MIN_ROWS, create_layers, sage_backward, sage_forward, sage_input
+from weakrank.sageops import (
+    MIN_ROWS,
+    NeighborSample,
+    create_layers,
+    sage_backward,
+    sage_forward,
+    sage_input,
+)
 from weakrank.scores import ScoreMatrix
 from weakrank.sup_rankers import _pairwise_loss_grads
 from weakrank.synthetic import generate_synthetic
@@ -156,25 +163,45 @@ def test_criterion_2_gradient_suite():
 
             worst["kernel"] = max(worst.get("kernel", 0.0), finite_difference_check(fb_kernel, [S]))
 
-        # GraphSAGE stack with the last layer at a proper subset of the nodes,
-        # the op the graph ranker's training steps run
+        # GraphSAGE stack through a padded neighbor sample: 1-3 neighbors in
+        # 3 slots. The last layer at a proper subset of the nodes is the op
+        # the graph ranker's training steps run; the full graph, the op the
+        # aggregation scorer trains through.
         n_nodes = MIN_ROWS + 8
-        A = np.zeros((n_nodes, n_nodes))
+        index = np.repeat(np.arange(n_nodes)[:, None], 3, axis=1)
+        weight = np.zeros((n_nodes, 3))
         for v in range(n_nodes):
-            A[v, rng.choice(np.delete(np.arange(n_nodes), v), size=3, replace=False)] = 1 / 3
-        H0 = rng.normal(size=(n_nodes, 3))
+            k = rng.integers(1, 4)
+            index[v, :k] = np.sort(rng.choice(np.delete(np.arange(n_nodes), v), size=k,
+                                              replace=False))
+            weight[v, :k] = 1 / k
+        sample = NeighborSample(index, weight)
         layers = create_layers("sage", [3, 4, 4], rng, scale=0.5)
+
+        def clear_of_kinks(H):
+            # central differences at h = 1e-5 need every ReLU input away from 0
+            for W in layers:
+                pre = sage_input(H, sample) @ W.value.T
+                if np.abs(pre).min() < 1e-3:
+                    return False
+                H = np.maximum(pre, 0.0)
+            return True
+
+        H0 = rng.normal(size=(n_nodes, 3))
+        while not clear_of_kinks(H0):
+            H0 = rng.normal(size=(n_nodes, 3))
         rows = np.sort(rng.choice(n_nodes, size=MIN_ROWS + 2, replace=False))
-        sprobe = rng.normal(size=(len(rows), 4))
+        for name, at in (("sage-rows", rows), ("sage-full", None)):
+            sprobe = rng.normal(size=(n_nodes if at is None else len(at), 4))
 
-        def fb_sage():
-            zero_grads(layers)
-            Z, caches = sage_forward(H0, A, layers, sage_input(H0, A), rows=rows)
-            sage_backward(sprobe, A, caches)
-            return float((sprobe * Z).sum())
+            def fb_sage():
+                zero_grads(layers)
+                Z, caches = sage_forward(H0, sample, layers, sage_input(H0, sample), rows=at)
+                sage_backward(sprobe, sample, caches)
+                return float((sprobe * Z).sum())
 
-        worst["sage-rows"] = max(worst.get("sage-rows", 0.0),
-                                 finite_difference_check(fb_sage, list(layers)))
+            worst[name] = max(worst.get(name, 0.0),
+                              finite_difference_check(fb_sage, list(layers)))
 
         # 3-step LSTM unroll
         params = LstmParams.create("lstm", 3, 4, rng)

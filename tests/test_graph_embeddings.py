@@ -5,6 +5,8 @@ from defaults import LIMITS, SETTINGS, text_hp
 from oracles import (
     aggregation_loss,
     biased_transition_probs,
+    dense_neighbor_matrix,
+    dense_sage,
     proximity_loss,
     step_biased,
     step_plain,
@@ -26,6 +28,7 @@ from weakrank.nncore import dense_backward, optimizer_step, sigmoid, zero_grads
 from weakrank.registry import UnsupModelSpec
 from weakrank.sageops import (
     MIN_ROWS,
+    _neighbor_mean_transpose,
     build_neighbor_matrix,
     create_layers,
     sage_backward,
@@ -273,7 +276,7 @@ def _reference_aggregation_epoch(t, pairs, batch_size):
         B = len(batch)
         negs = np.searchsorted(t._noise.table, t.rng.random(B * t.neg)).reshape(B, t.neg)
         zero_grads(t.layers)
-        Z, caches = sage_forward(t.features, t.A, t.layers)
+        Z, caches = sage_forward(t.features, t.sample, t.layers)
         u, v = batch[:, 0], batch[:, 1]
         s_pos = np.einsum("id,id->i", Z[u], Z[v])
         s_neg = np.einsum("id,ind->in", Z[u], Z[negs])
@@ -284,17 +287,65 @@ def _reference_aggregation_epoch(t, pairs, batch_size):
         np.add.at(dZ, v, g_pos[:, None] * Z[u])
         np.add.at(dZ, negs.reshape(-1),
                   (g_neg[:, :, None] * Z[u][:, None, :]).reshape(-1, Z.shape[1]))
-        sage_backward(dZ, t.A, caches)
+        sage_backward(dZ, t.sample, caches)
         optimizer_step(t.layers, t.opt)
 
 
-def _reference_sage_backward(dHL, A, caches):
+def _reference_sage_backward(dHL, sample, caches):
     """Backprop through the stack, with the gradient into the input features."""
     dH = dHL
     for cache, d_in in reversed(caches[0]):
         dM = dense_backward(dH, cache)
-        dH = dM[:, :d_in] + A.T @ dM[:, d_in:]
+        dH = dM[:, :d_in] + _neighbor_mean_transpose(dM[:, d_in:], sample.index, sample.weight,
+                                                     sample.n_nodes)
     return dH
+
+
+class TestNeighborSample:
+    @pytest.mark.parametrize("sample_size", [3, 10])
+    def test_holds_the_dense_oracles_neighbors(self, bench_graph, sample_size):
+        """For one seed the sample holds exactly the dense matrix's neighbors
+        and weights, ascending in each row and padded with the node itself at
+        weight 0, and leaves the generator where the dense builder does."""
+        n = bench_graph.n_nodes
+        rng, rng_dense = np.random.default_rng(6), np.random.default_rng(6)
+        sample = build_neighbor_matrix(bench_graph, sample_size, rng)
+        A = dense_neighbor_matrix(bench_graph, sample_size, rng_dense)
+        assert sample.index.shape == sample.weight.shape == (n, sample_size)
+        assert sample.nbytes == n * sample_size * (8 + 8)
+        rebuilt = np.zeros((n, n))
+        for v in range(n):
+            k = np.count_nonzero(sample.weight[v])
+            assert np.all(np.diff(sample.index[v, :k]) > 0)
+            assert np.all(sample.index[v, k:] == v) and not sample.weight[v, k:].any()
+            rebuilt[v, sample.index[v, :k]] = sample.weight[v, :k]
+        assert rebuilt.tobytes() == A.tobytes()
+        assert rng.random() == rng_dense.random()
+
+    @pytest.mark.parametrize("n_layers", [1, 2, 3])
+    def test_both_paths_match_the_dense_formula(self, bench_graph, n_layers):
+        """The full graph and the last layer at a proper subset of rows give
+        the dense matrix's outputs and layer gradients within 1e-12."""
+        n = bench_graph.n_nodes
+        rng = np.random.default_rng(30 + n_layers)
+        sample = build_neighbor_matrix(bench_graph, 10, np.random.default_rng(1))
+        A = dense_neighbor_matrix(bench_graph, 10, np.random.default_rng(1))
+        feats = rng.normal(size=(n, 16))
+        rows = np.sort(rng.choice(n, size=MIN_ROWS + 16, replace=False))
+        dZ = np.zeros((n, 32))
+        dZ[rows] = rng.normal(size=(len(rows), 32))
+        dims = [16] + [32] * n_layers
+        full, at_rows, dense = (create_layers("agg", dims, np.random.default_rng(4))
+                                for _ in range(3))
+        Z, caches = sage_forward(feats, sample, full)
+        sage_backward(dZ, sample, caches)
+        Z_rows, caches = sage_forward(feats, sample, at_rows, rows=rows)
+        sage_backward(dZ[rows], sample, caches)
+        Z_dense = dense_sage(feats, A, dense, dZ)
+        assert np.abs(Z - Z_dense).max() < 1e-12
+        assert np.abs(Z_rows - Z_dense[rows]).max() < 1e-12
+        for layers in (full, at_rows):
+            assert np.abs(layers.grads - dense.grads).max() < 1e-12
 
 
 class TestBitwiseAgainstReferences:
@@ -303,37 +354,40 @@ class TestBitwiseAgainstReferences:
         _, graph = planted_graph
         rng = np.random.default_rng(n_layers)
         feats = rng.normal(size=(graph.n_nodes, 6))
-        A = build_neighbor_matrix(graph, 4, rng)
+        sample = build_neighbor_matrix(graph, 4, rng)
         dims = [6] + [5] * n_layers
         fast, ref = (create_layers("agg", dims, np.random.default_rng(9)) for _ in range(2))
         dZ = rng.normal(size=(graph.n_nodes, 5))
-        Z, caches = sage_forward(feats, A, fast)
-        assert sage_backward(dZ, A, caches) is None
-        Z_ref, caches_ref = sage_forward(feats, A, ref)
-        _reference_sage_backward(dZ, A, caches_ref)
+        Z, caches = sage_forward(feats, sample, fast)
+        assert sage_backward(dZ, sample, caches) is None
+        Z_ref, caches_ref = sage_forward(feats, sample, ref)
+        _reference_sage_backward(dZ, sample, caches_ref)
         assert Z.tobytes() == Z_ref.tobytes()
         assert fast.grads.tobytes() == ref.grads.tobytes()
 
     @pytest.mark.parametrize("n_layers", [1, 2, 3])
     def test_sage_with_precomputed_first_input(self, planted_graph, n_layers):
-        """Passing ``sage_input(H0, A)`` gives bitwise the outputs and the
-        layer gradients of computing it inside ``sage_forward``."""
+        """Passing ``sage_input(H0, sample)`` gives bitwise the outputs and the
+        layer gradients of computing it inside ``sage_forward``; its second
+        half is the dense neighbor mean up to rounding."""
         _, graph = planted_graph
         rng = np.random.default_rng(10 + n_layers)
         feats = rng.normal(size=(graph.n_nodes, 6))
-        A = build_neighbor_matrix(graph, 4, rng)
+        sample = build_neighbor_matrix(graph, 4, np.random.default_rng(5))
+        A = dense_neighbor_matrix(graph, 4, np.random.default_rng(5))
         dims = [6] + [5] * n_layers
         given, inside = (create_layers("agg", dims, np.random.default_rng(3)) for _ in range(2))
-        M0 = sage_input(feats, A)
+        M0 = sage_input(feats, sample)
         dZ = rng.normal(size=(graph.n_nodes, 5))
         for _ in range(2):  # the same constant input serves every step
-            Z, caches = sage_forward(feats, A, given, M0)
-            sage_backward(dZ, A, caches)
-            Z_ref, caches_ref = sage_forward(feats, A, inside)
-            sage_backward(dZ, A, caches_ref)
+            Z, caches = sage_forward(feats, sample, given, M0)
+            sage_backward(dZ, sample, caches)
+            Z_ref, caches_ref = sage_forward(feats, sample, inside)
+            sage_backward(dZ, sample, caches_ref)
             assert Z.tobytes() == Z_ref.tobytes()
             assert given.grads.tobytes() == inside.grads.tobytes()
-        assert M0.tobytes() == np.concatenate([feats, A @ feats], axis=1).tobytes()
+        assert M0[:, :6].tobytes() == feats.tobytes()
+        assert np.abs(M0[:, 6:] - A @ feats).max() < 1e-12
 
     @pytest.mark.parametrize("n_layers", [1, 2, 3])
     @pytest.mark.parametrize("which", ["one node", "proper subset", "all nodes"])
@@ -344,21 +398,21 @@ class TestBitwiseAgainstReferences:
         n = bench_graph.n_nodes
         rng = np.random.default_rng(20 + n_layers)
         feats = rng.normal(size=(n, 16))
-        A = build_neighbor_matrix(bench_graph, 10, rng)
+        sample = build_neighbor_matrix(bench_graph, 10, rng)
         rows = {"one node": np.array([n // 2]),
                 "proper subset": np.sort(rng.choice(n, size=MIN_ROWS + 16, replace=False)),
                 "all nodes": np.arange(n)}[which]
         dims = [16] + [32] * n_layers
         at_rows, full = (create_layers("agg", dims, np.random.default_rng(4)) for _ in range(2))
-        M0 = sage_input(feats, A)
+        M0 = sage_input(feats, sample)
         dZ_rows = rng.normal(size=(len(rows), 32))
         dZ = np.zeros((n, 32))
         dZ[rows] = dZ_rows
         for _ in range(2):
-            Z_rows, caches = sage_forward(feats, A, at_rows, M0, rows=rows)
-            sage_backward(dZ_rows, A, caches)
-            Z, caches_full = sage_forward(feats, A, full, M0)
-            sage_backward(dZ, A, caches_full)
+            Z_rows, caches = sage_forward(feats, sample, at_rows, M0, rows=rows)
+            sage_backward(dZ_rows, sample, caches)
+            Z, caches_full = sage_forward(feats, sample, full, M0)
+            sage_backward(dZ, sample, caches_full)
             assert Z_rows.tobytes() == Z[rows].tobytes()
             assert at_rows.grads.tobytes() == full.grads.tobytes()
         # past MIN_ROWS the last layer really ran at the rows only
@@ -373,10 +427,10 @@ class TestBitwiseAgainstReferences:
         _, graph = planted_graph
         rng = np.random.default_rng(0)
         feats = rng.normal(size=(graph.n_nodes, 6))
-        A = build_neighbor_matrix(graph, 4, rng)
+        sample = build_neighbor_matrix(graph, 4, rng)
         layers = create_layers("agg", [6, 5, 5], rng)
         with pytest.raises(ValueError, match="strictly increasing node indices"):
-            sage_forward(feats, A, layers, rows=np.array(rows))
+            sage_forward(feats, sample, layers, rows=np.array(rows))
 
     @pytest.mark.parametrize("order", [1, 2])
     def test_proximity_batches(self, planted_graph, order):

@@ -93,6 +93,14 @@ def test_written_bytes_are_the_plain_layout_and_read_back(tmp_path):
         assert got.flags.owndata and got.flags.writeable and got.flags.c_contiguous
 
 
+def test_zero_d_arrays_keep_their_shape(tmp_path):
+    path = tmp_path / "scalars.bin"
+    save_arrays(path, {"f": np.array(2.5), "i": np.int64(3)})
+    arrays, _ = load_arrays(path)
+    assert arrays["f"].shape == () and arrays["f"].dtype == np.dtype("<f8") and arrays["f"] == 2.5
+    assert arrays["i"].shape == () and arrays["i"].dtype == np.dtype("<i8") and arrays["i"] == 3
+
+
 def test_a_write_that_raises_mid_payload_leaves_nothing(tmp_path, monkeypatch):
     calls = []
 

@@ -213,7 +213,8 @@ class TestGraphAggregation:
             mirror_backbone.corpus, mirror_backbone.table,
             graph=mirror_backbone.graph, graph_sample_size=50, graph_seed=99,
         )
-        assert np.array_equal(b1.graph_inputs()[0], b2.graph_inputs()[0])
+        s1, s2 = b1.graph_inputs()[0], b2.graph_inputs()[0]
+        assert np.array_equal(s1.index, s2.index) and np.array_equal(s1.weight, s2.weight)
 
     def test_identical_neighborhood_identical_embedding(self):
         docs = [
@@ -331,9 +332,11 @@ def _reference_loss_and_grads(model, triples):
     """Per-triple string path: id lookups per triple, one cosine call per
     side, and the document means' input gradient. The representation
     ranker's candidate tower runs once over [positives; negatives], as in
-    production, so the stacked GEMMs round alike. The row cosine and
-    ``sage_backward`` are checked bitwise against their masked and full
-    forms in test_nncore and test_graph_embeddings."""
+    production, so the stacked GEMMs round alike. The row cosine is checked
+    bitwise against its masked form in test_nncore. This corpus's batches
+    touch fewer than ``MIN_ROWS`` nodes, so the graph ranker runs the full
+    graph, as here; test_graph_embeddings checks its path at a batch's
+    rows against the full graph."""
     b = model.backbone
     q, c = b.corpus.query_row, b.corpus.candidate_column
     qrows = [q[qid] for qid, _, _ in triples]
@@ -352,7 +355,7 @@ def _reference_loss_and_grads(model, triples):
         yc, ccache = model._tower(b.c_means[prows + nrows], "c")
         yp, yn = yc[:len(prows)], yc[len(prows):]
     else:
-        Z, caches = sup_rankers.sage_forward(model.features, model.A, model.layers)
+        Z, caches = sup_rankers.sage_forward(model.features, model.sample, model.layers)
         qn, pn, nn = model.q_nodes[qrows], model.c_nodes[prows], model.c_nodes[nrows]
         yq, yp, yn = Z[qn], Z[pn], Z[nn]
     r_pos, cache_p = cosine_rows_forward(yq, yp)
@@ -368,7 +371,7 @@ def _reference_loss_and_grads(model, triples):
     scatter_add_rows(dZ, qn, dq_p + dq_n)
     scatter_add_rows(dZ, pn, dp)
     scatter_add_rows(dZ, nn, dn)
-    sup_rankers.sage_backward(dZ, model.A, caches)
+    sup_rankers.sage_backward(dZ, model.sample, caches)
     return loss
 
 
