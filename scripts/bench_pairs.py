@@ -13,10 +13,21 @@ time: the base first on even pairs, the change first on odd ones. After each
 pair the two final run directories (``cache/`` included) and the two first
 score TSVs are compared byte for byte, then both copies are deleted.
 
-Prints, for each end-to-end metric, each side's median and quartiles and the
+Prints, for each end-to-end metric, each side's median and quartiles, the
 pairs the change wins (in the direction ``BENCHMARK.json`` declares; ties
-count for neither), flags each quality metric (unit ``ratio``) that differs
-between the sides on a seed, and writes every pair to ``--out`` as JSON.
+count for neither) and a verdict, the first of these that holds (the bound
+is ``BENCHMARK.json``'s, a share of the parent's median):
+
+- ``gain``: the change wins at least nine tenths of the pairs, and its
+  median is better than the parent's by more than the parent's
+  interquartile range;
+- ``regression``: the change's median is worse than the parent's by more
+  than the bound;
+- ``unresolved``: the parent's interquartile range is wider than the bound;
+- ``no change``.
+
+It flags each quality metric (unit ``ratio``) that differs between the sides
+on a seed, and writes every pair to ``--out`` as JSON.
 Exits 1 when a run fails or reports a failed repetition, 0 otherwise.
 Stopped by SIGTERM, it ends its running benchmark and deletes its copies.
 """
@@ -95,6 +106,21 @@ def _quartiles(values: list[float]) -> dict:
     return {"median": med, "q1": q1, "q3": q3}
 
 
+def verdict(parent: dict, change: dict, wins: int, n_pairs: int, sign: int,
+            bound: float) -> str:
+    """The module docstring's verdict for one metric, from each side's
+    ``_quartiles``; ``sign`` is 1 where higher is better, -1 where lower."""
+    spread = parent["q3"] - parent["q1"]
+    allowed = bound * abs(parent["median"])
+    if 10 * wins >= 9 * n_pairs and sign * (change["median"] - parent["median"]) > spread:
+        return "gain"
+    if sign * (parent["median"] - change["median"]) > allowed:
+        return "regression"
+    if spread > allowed:
+        return "unresolved"
+    return "no change"
+
+
 def summarize(pairs: list[dict], declared: list[dict]) -> tuple[list[str], list[str]]:
     """(one line per metric, one line per quality metric unequal on a seed).
 
@@ -111,7 +137,8 @@ def summarize(pairs: list[dict], declared: list[dict]) -> tuple[list[str], list[
         ps, cs = _quartiles(parent), _quartiles(change)
         lines.append(f"{name}: parent {ps['median']:.4g} [{ps['q1']:.4g}, {ps['q3']:.4g}] "
                      f"change {cs['median']:.4g} [{cs['q1']:.4g}, {cs['q3']:.4g}] {unit}; "
-                     f"change better in {wins} of {len(pairs)} pairs")
+                     f"change better in {wins} of {len(pairs)} pairs; "
+                     f"{verdict(ps, cs, wins, len(pairs), sign, metric['bound'])}")
         if unit == "ratio":
             unequal += [f"{name} differs on seed {p['seed']}: {b} -> {c}"
                         for p, b, c in zip(pairs, parent, change) if b != c]

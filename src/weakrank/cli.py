@@ -31,10 +31,10 @@ from .controller import Configuration
 from .embeddings import EmbeddingTable
 from .graph import build_graph
 from .ioutil import canonical_json, read_json, stable_hash, write_json
-from .metrics import all_metrics, build_eval_lists, score_lists_with_matrix
+from .metrics import ENSEMBLE_BLOCK, all_metrics, build_eval_lists, score_lists_with_matrix
 from .registry import needs_graph
 from .scores import ScoreMatrix
-from .sup_rankers import ENSEMBLE_BLOCK, ensemble_scores, load_checkpoint
+from .sup_rankers import ensemble_scores, load_checkpoint
 from .synthetic import generate_synthetic
 from .trainer import (
     backbone_from_table,
@@ -212,7 +212,7 @@ def cmd_eval(args) -> int:
     matrix = ScoreMatrix.load_csv(args.scores).in_order(corpus.query_ids, corpus.candidate_ids)
     lists = build_eval_lists(annotations, corpus, seed=args.seed,
                              n_negatives=config.eval_negatives)
-    metrics = all_metrics(lists, score_lists_with_matrix(lists, matrix))
+    metrics = all_metrics(score_lists_with_matrix(lists, matrix))
     payload = canonical_json(metrics)
     if args.out:
         Path(args.out).write_text(payload + "\n", encoding="utf-8")

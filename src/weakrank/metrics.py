@@ -1,4 +1,14 @@
-"""Ranking metrics under the 1-positive-plus-sampled-negatives protocol."""
+"""Ranking metrics under the 1-positive-plus-sampled-negatives protocol.
+
+Every evaluation ranks its lists in blocks: ``rank_lists`` gathers the
+scores of at most ``ENSEMBLE_BLOCK`` lists at a time, from one score matrix
+(``score_lists_with_matrix``) or from an ensemble's member matrices
+(``sup_rankers.score_lists_with_ensemble``), ranks each block's positives
+and keeps only the (n,) integer ranks, which ``mrr`` and ``all_metrics``
+read. No (lists x candidates) score array is built, so an evaluation holds
+one block of scores, not one per list: 256 x 50 float64 entries (100 KB)
+where 2,560 lists held 1 MB.
+"""
 
 from __future__ import annotations
 
@@ -9,6 +19,8 @@ import numpy as np
 
 from .corpus import AnnotationSet, Corpus
 from .scores import ScoreMatrix
+
+ENSEMBLE_BLOCK = 256  # eval lists gathered at once: bounds the gather's temporaries
 
 
 @dataclass(frozen=True, eq=False)
@@ -38,8 +50,12 @@ class EvalLists:
 
 def _positives(annotations: AnnotationSet, corpus: Corpus, n_negatives: int):
     """Per annotated query, in order: (its query row, its positives' columns).
-    Raises as soon as a query has no positive or fewer than ``n_negatives``
-    eligible negatives: candidates it does not annotate positive, counted."""
+    Raises for a split with no pairs, which has no evaluation list, and as
+    soon as a query has no positive or fewer than ``n_negatives`` eligible
+    negatives: candidates it does not annotate positive, counted."""
+    if not annotations.pairs:
+        raise ValueError(f"the {annotations.split!r} annotation split is empty: "
+                         "it has no evaluation lists")
     annotations.validate_against(corpus)
     pos_by_query: dict[str, list[int]] = {}
     for qid, cid, label in annotations.pairs:
@@ -75,62 +91,83 @@ def build_eval_lists(
     Negatives are drawn from candidates not annotated positive for that
     query, so a query's other positives never appear as its negatives.
     """
+    queries = list(_positives(annotations, corpus, n_negatives))
+    n_lists = sum(len(positives) for _, positives in queries)
+    rows = np.empty(n_lists, dtype=np.int64)
+    cols = np.empty((n_lists, 1 + n_negatives), dtype=np.int64)
     rng = np.random.default_rng(seed)
-    rows, cols = [], []
-    for row, positives in _positives(annotations, corpus, n_negatives):
+    i = 0
+    for row, positives in queries:
         keep = np.ones(len(corpus.candidate_ids), dtype=bool)
         keep[positives] = False
         eligible = np.flatnonzero(keep)  # candidate columns, in corpus order
         for pos in positives:
             draw = rng.choice(len(eligible), size=n_negatives, replace=False)
-            rows.append(row)
-            cols.append(np.concatenate([[pos], eligible[np.sort(draw)]]))
-    return EvalLists(np.array(rows, dtype=np.int64),
-                     np.array(cols, dtype=np.int64).reshape(len(rows), 1 + n_negatives),
-                     corpus.query_ids, corpus.candidate_ids)
+            rows[i] = row
+            cols[i, 0] = pos
+            cols[i, 1:] = eligible[np.sort(draw)]
+            i += 1
+    return EvalLists(rows, cols, corpus.query_ids, corpus.candidate_ids)
 
 
-def ranks_of_positives(lists: EvalLists, scores) -> np.ndarray:
-    """1-based rank of each list's positive, descending score, ties by id
-    ascending. ``scores`` holds one row per list, the positive's score first."""
+def ranks_of_positives(lists: EvalLists, scores, block: slice = slice(None)) -> np.ndarray:
+    """1-based rank of the positive of each list in ``lists[block]``
+    (all lists by default), descending score, ties by id ascending.
+    ``scores`` holds one row per list of the block, the positive's score
+    first."""
+    cols = lists.cols[block]
     scores = np.asarray(scores, dtype=np.float64)
-    if len(scores) != len(lists):
+    if len(scores) != len(cols):
         raise ValueError("need one score row per eval list")
-    if not lists:
+    if not len(cols):
         return np.zeros(0, dtype=np.int64)
-    if lists.cols.shape[1] != scores.shape[1]:
-        raise ValueError(f"got {scores.shape[1]} scores for {lists.cols.shape[1]} candidates")
+    if cols.shape[1] != scores.shape[1]:
+        raise ValueError(f"got {scores.shape[1]} scores for {cols.shape[1]} candidates")
     pos = scores[:, :1]
     neg = scores[:, 1:]
     ranks = 1 + np.count_nonzero(neg > pos, axis=1)
     tied = neg == pos
     if tied.any():
         order = lists.id_order
-        ranks += np.count_nonzero(tied & (order[lists.cols[:, 1:]] < order[lists.cols[:, :1]]),
-                                  axis=1)
+        ranks += np.count_nonzero(tied & (order[cols[:, 1:]] < order[cols[:, :1]]), axis=1)
     return ranks
 
 
-def mrr(lists, scores) -> float:
-    """Mean reciprocal rank of the positive, no cutoff."""
-    return float(np.mean(1.0 / ranks_of_positives(lists, scores)))
+def rank_lists(lists: EvalLists, block_scores) -> np.ndarray:
+    """``ranks_of_positives`` of every list, from the scores of at most
+    ``ENSEMBLE_BLOCK`` lists at a time: ``block_scores(rows, cols)`` returns
+    the (b, 1 + negatives) scores of the b lists whose query rows and
+    candidate columns it is given. Only the (n,) ranks are kept."""
+    ranks = np.empty(len(lists), dtype=np.int64)
+    for start in range(0, len(lists), ENSEMBLE_BLOCK):
+        block = slice(start, start + ENSEMBLE_BLOCK)
+        ranks[block] = ranks_of_positives(
+            lists, block_scores(lists.rows[block], lists.cols[block]), block)
+    return ranks
 
 
-def all_metrics(lists, scores, k: int = 5) -> dict:
-    ranks = ranks_of_positives(lists, scores)
+def mrr(ranks) -> float:
+    """Mean reciprocal rank of the positive, no cutoff, from its ranks."""
+    return float(np.mean(1.0 / ranks))
+
+
+def all_metrics(ranks, k: int = 5) -> dict:
+    """HR@k, NDCG@k and MRR of the positives' ranks."""
     gains = np.where(ranks <= k, 1.0 / np.log2(ranks + 1.0), 0.0)
     return {
         f"hr@{k}": float(np.mean(ranks <= k)),
         f"ndcg@{k}": float(np.mean(gains)),
         "mrr": float(np.mean(1.0 / ranks)),
-        "n_lists": len(lists),
+        "n_lists": len(ranks),
     }
 
 
 def score_lists_with_matrix(lists: EvalLists, matrix: ScoreMatrix) -> np.ndarray:
-    """Each list's candidate scores in a score matrix, one row per list. The
-    matrix must hold the lists' corpus in corpus order (``ScoreMatrix.in_order``)."""
+    """The rank of each list's positive under a score matrix, ranked block by
+    block (``rank_lists``). The matrix must hold the lists' corpus in corpus
+    order (``ScoreMatrix.in_order``)."""
     if (matrix.query_ids, matrix.candidate_ids) != (lists.query_ids, lists.candidate_ids):
         raise ValueError(f"score matrix {matrix.model_name!r} is not in the eval lists' "
                          "corpus order")
-    return matrix.values[lists.rows[:, None], lists.cols]
+    values = matrix.values
+    return rank_lists(lists, lambda rows, cols: values[rows[:, None], cols])

@@ -14,7 +14,9 @@ def normalize_per_query(m: ScoreMatrix) -> ScoreMatrix:
 
 def aggregate(matrices: list[ScoreMatrix], mask, normalize: bool) -> ScoreMatrix:
     """Entrywise mean of the selected matrices (normalized per query first,
-    unless raw mode is requested)."""
+    unless raw mode is requested). The matrices are added in place, in
+    mask order, then divided by their count: bitwise ``np.mean`` over the
+    stacked matrices, without the (selected, queries, candidates) stack."""
     mask = np.asarray(mask)
     if len(mask) != len(matrices):
         raise ValueError(f"mask length {len(mask)} != {len(matrices)} matrices")
@@ -25,9 +27,11 @@ def aggregate(matrices: list[ScoreMatrix], mask, normalize: bool) -> ScoreMatrix
     for m in selected[1:]:
         if m.query_ids != ref.query_ids or m.candidate_ids != ref.candidate_ids:
             raise ValueError(f"matrix {m.model_name!r} has mismatched query/candidate ids")
-    if normalize:
-        selected = [normalize_per_query(m) for m in selected]
-    values = np.mean([m.values for m in selected], axis=0)
+    parts = (normalize_per_query(m).values if normalize else m.values for m in selected)
+    values = np.array(next(parts))  # a copy, which the sum is built in
+    for part in parts:
+        values += part
+    values /= len(selected)
     return ScoreMatrix("aggregate", ref.query_ids, ref.candidate_ids, values)
 
 

@@ -31,6 +31,7 @@ from .corpus import CANDIDATE, QUERY, Corpus
 from .embeddings import EmbeddingTable, doc_vector, node_feature_matrix, unit_rows
 from .graph import HetGraph
 from .ioutil import load_arrays, save_arrays
+from .metrics import rank_lists
 from .nncore import (
     OptimizerState,
     ParamGroup,
@@ -57,7 +58,6 @@ from .sageops import (
 
 CHECKPOINT_FORMAT_VERSION = 1
 
-ENSEMBLE_BLOCK = 256  # eval lists gathered at once: bounds the gather's temporaries
 PHI_BLOCK = 1 << 16  # word-cosine entries pooled at once: bounds phi's temporaries
 # Part of every cached kernel-feature entry's key: bump it whenever the
 # pooling's rounding can change (PHI_BLOCK, the pooling op), so old entries miss.
@@ -441,11 +441,11 @@ def ensemble_scores(matrices, rows, cols) -> np.ndarray:
 
 
 def score_lists_with_ensemble(lists, models) -> np.ndarray:
-    """Ensemble scores of every eval list's candidates, one row per list.
+    """The rank of each eval list's positive under the models' ensemble.
 
-    Each member's score matrix is computed once; the lists are gathered in
-    blocks of ``ENSEMBLE_BLOCK`` so the temporaries stay small. The lists
-    must come from the models' corpus.
+    Each member's score matrix is computed once; ``rank_lists`` gathers the
+    ensemble scores of one block of lists at a time and keeps only the
+    ranks. The lists must come from the models' corpus.
     """
     if not models:
         raise ValueError("ensemble needs at least one model")
@@ -453,12 +453,7 @@ def score_lists_with_ensemble(lists, models) -> np.ndarray:
     if (lists.query_ids, lists.candidate_ids) != (corpus.query_ids, corpus.candidate_ids):
         raise ValueError("eval lists were built from another corpus than the rankers'")
     matrices = [m.score_matrix() for m in models]
-    rows, cols = lists.rows, lists.cols
-    out = np.empty(cols.shape)
-    for start in range(0, len(lists), ENSEMBLE_BLOCK):
-        block = slice(start, start + ENSEMBLE_BLOCK)
-        out[block] = ensemble_scores(matrices, rows[block], cols[block])
-    return out
+    return rank_lists(lists, lambda rows, cols: ensemble_scores(matrices, rows, cols))
 
 
 def save_checkpoint(model, path, config_hash: str = "") -> None:

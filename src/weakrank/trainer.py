@@ -557,12 +557,12 @@ def run_episode(
         r_unsup, r_sup = reward_cache[sig]
     else:
         agg = aggregate(matrices, cfg.unsup_mask, normalize=config.normalize_scores)
-        r_unsup = mrr(val_lists, score_lists_with_matrix(val_lists, agg))
+        r_unsup = mrr(score_lists_with_matrix(val_lists, agg))
         models = _train_selected_models(
             cfg.sup_mask, cfg.k_value, agg, backbone, config,
             epochs=config.episode_sup_epochs, seed_label=sig,
         )
-        r_sup = mrr(val_lists, score_lists_with_ensemble(val_lists, models))
+        r_sup = mrr(score_lists_with_ensemble(val_lists, models))
         if reward_cache is not None:
             reward_cache[sig] = (r_unsup, r_sup)
     reward = r_unsup + r_sup
@@ -576,8 +576,6 @@ def check_search_inputs(corpus: Corpus, val_annotations: AnnotationSet,
     """Raise the errors a search on these inputs would, before any work:
     a k outside the candidate count, or an empty, unknown-id, overlapping or
     too small annotation split (one whose evaluation lists cannot be drawn)."""
-    if not val_annotations.pairs:
-        raise ValueError("validation annotation split is empty")
     n_cand = len(corpus.candidates)
     if max(config.k_values) >= n_cand:
         raise ValueError(f"k value {max(config.k_values)} out of range for {n_cand} candidates")
@@ -695,7 +693,7 @@ def joint_train(
     agg = aggregate(matrices, best_config.unsup_mask, normalize=config.normalize_scores)
 
     def eval_fn(model):
-        return mrr(val_lists, score_lists_with_ensemble(val_lists, [model]))
+        return mrr(score_lists_with_ensemble(val_lists, [model]))
 
     final_models = _train_selected_models(
         best_config.sup_mask, best_config.k_value, agg, backbone, config,
@@ -703,7 +701,7 @@ def joint_train(
         eval_fn=eval_fn, patience=config.final_patience,
     )
 
-    validation_metrics = all_metrics(val_lists, score_lists_with_ensemble(val_lists, final_models))
+    validation_metrics = all_metrics(score_lists_with_ensemble(val_lists, final_models))
     test_lists = None
     if test_annotations is not None and test_annotations.pairs:
         test_lists = build_eval_lists(
@@ -712,10 +710,10 @@ def joint_train(
             n_negatives=config.eval_negatives,
         )
     test_metrics = None if test_lists is None else all_metrics(
-        test_lists, score_lists_with_ensemble(test_lists, final_models))
+        score_lists_with_ensemble(test_lists, final_models))
 
     def scorer_mrr(lists, matrix):
-        return None if lists is None else mrr(lists, score_lists_with_matrix(lists, matrix))
+        return None if lists is None else mrr(score_lists_with_matrix(lists, matrix))
 
     report = {
         "format_version": REPORT_FORMAT_VERSION,

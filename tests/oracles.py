@@ -5,7 +5,8 @@ controller's sampling law, the central finite-difference gradient checker,
 the gradient of kernel pooling (production runs the pooling forward-only,
 on frozen word cosines), the random walks' transition laws with a walk
 generator that steps one walk at a time, the dense n x n neighbor-mean
-matrix and the GraphSAGE stack run through it, and the objectives the
+matrix and the GraphSAGE stack run through it, the evaluation lists drawn
+one array per list, and the objectives the
 embedding trainers minimise, evaluated on a fixed batch, in the
 overflow-safe log-sigmoid.
 """
@@ -188,6 +189,36 @@ def dense_sage(H0: np.ndarray, A: np.ndarray, layers, dHL: np.ndarray) -> np.nda
         dM = dense_backward(dH, cache)
         dH = dM[:, :d_in] + A.T @ dM[:, d_in:]
     return H
+
+
+# ---------------------------------------------------------------------------
+# evaluation lists drawn one array per list
+
+
+def eval_lists_per_list(annotations, corpus, seed: int,
+                        n_negatives: int) -> tuple[np.ndarray, np.ndarray]:
+    """(rows, cols) of ``metrics.build_eval_lists``'s lists, built as one
+    small array per list in a Python list, then copied together: per
+    annotated query in order, one list per positive, its column first, then
+    ``n_negatives`` uniform draws, one ``rng.choice`` each, from the
+    candidates the query does not annotate positive."""
+    pos_by_query: dict[str, list[int]] = {}
+    for qid, cid, label in annotations.pairs:
+        if label == 1:
+            pos_by_query.setdefault(qid, []).append(corpus.candidate_column[cid])
+    rng = np.random.default_rng(seed)
+    rows, cols = [], []
+    for qid in annotations.query_ids:
+        positives = pos_by_query[qid]
+        keep = np.ones(len(corpus.candidate_ids), dtype=bool)
+        keep[positives] = False
+        eligible = np.flatnonzero(keep)
+        for pos in positives:
+            draw = rng.choice(len(eligible), size=n_negatives, replace=False)
+            rows.append(corpus.query_row[qid])
+            cols.append(np.concatenate([[pos], eligible[np.sort(draw)]]))
+    return (np.array(rows, dtype=np.int64),
+            np.array(cols, dtype=np.int64).reshape(len(rows), 1 + n_negatives))
 
 
 # ---------------------------------------------------------------------------

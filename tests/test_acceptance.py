@@ -31,7 +31,7 @@ from weakrank.controller import (
     sample_configuration,
 )
 from weakrank.corpus import build_corpus, split_annotations
-from weakrank.metrics import EvalLists, all_metrics
+from weakrank.metrics import EvalLists, all_metrics, ranks_of_positives
 from weakrank.nncore import (
     LstmParams,
     ParamTensor,
@@ -91,7 +91,7 @@ def test_criterion_1_metric_oracle_equivalence():
         # quantized scores force tie handling through the oracle too
         scores.append(np.round(rng.random(100) * 20) / 20)
     lists = EvalLists(np.zeros(100, dtype=np.int64), np.array(cols), ("q",), universe)
-    ours = all_metrics(lists, scores)
+    ours = all_metrics(ranks_of_positives(lists, scores))
     oracle = oracle_metrics([[universe[j] for j in c] for c in cols], scores)
     assert ours["hr@5"] == oracle["hr@5"]
     assert ours["ndcg@5"] == pytest.approx(oracle["ndcg@5"], abs=1e-12)

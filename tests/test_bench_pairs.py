@@ -43,13 +43,55 @@ def test_summary_counts_wins_in_the_declared_direction(bench_pairs):
     lines, unequal = bench_pairs.summarize(pairs, DECLARED)
     assert lines == [
         "setup_s: parent 2.05 [1.975, 2.125] change 1.85 [1.775, 1.975] s; "
-        "change better in 3 of 4 pairs",
+        "change better in 3 of 4 pairs; no change",
         "score_pairs_per_s: parent 105 [100, 112.5] change 115 [105, 122.5] pairs/s; "
-        "change better in 3 of 4 pairs",
+        "change better in 3 of 4 pairs; no change",
         "val_mrr: parent 0.75 [0.675, 0.825] change 0.75 [0.675, 0.825] ratio; "
-        "change better in 0 of 4 pairs",
+        "change better in 0 of 4 pairs; no change",
     ]
     assert unequal == []
+
+
+PEAK = [{"name": "peak_rss_mb", "unit": "MB", "better": "lower", "bound": 0.05}]
+
+
+def _verdict(bench_pairs, parent, change):
+    """The verdict ``summarize`` prints for peak_rss_mb on these pairs."""
+    pairs = [{"seed": i, "parent": {"peak_rss_mb": b}, "change": {"peak_rss_mb": c}}
+             for i, (b, c) in enumerate(zip(parent, change))]
+    (line,), _ = bench_pairs.summarize(pairs, PEAK)
+    return line.rpartition("; ")[2]
+
+
+# ten parent runs, median 47.0 MB, quartiles [46.925, 47.075]: an IQR of 0.15 MB
+PARENT = [46.8, 46.9, 46.9, 47.0, 47.0, 47.0, 47.0, 47.1, 47.1, 47.2]
+
+
+@pytest.mark.parametrize("change, expected", [
+    # lower in 10 of 10 pairs, the median 1 MB lower: beyond the parent's IQR
+    ([b - 1.0 for b in PARENT], "gain"),
+    # lower in 9 of 10 pairs is still a gain
+    ([b - 1.0 for b in PARENT[:9]] + [PARENT[9] + 0.1], "gain"),
+    # lower in 8 of 10 pairs is not, whatever the medians
+    ([b - 1.0 for b in PARENT[:8]] + [b + 0.1 for b in PARENT[8:]], "no change"),
+    # lower in every pair, but the medians 0.1 MB apart: within the parent's IQR
+    ([b - 0.1 for b in PARENT], "no change"),
+    # 2.5 MB higher: more than 5% of the parent's median
+    ([b + 2.5 for b in PARENT], "regression"),
+    # 2.0 MB higher: worse, but within the bound
+    ([b + 2.0 for b in PARENT], "no change"),
+])
+def test_verdict_follows_the_pair_rule_and_the_bound(bench_pairs, change, expected):
+    assert _verdict(bench_pairs, PARENT, change) == expected
+
+
+def test_verdict_unresolved_when_the_parent_spreads_beyond_the_bound(bench_pairs):
+    parent = [40.0, 42.0, 44.0, 46.0, 48.0, 50.0, 52.0, 54.0, 56.0, 58.0]  # IQR 9.0, 18% of 49.0
+    assert _verdict(bench_pairs, parent, [b + 0.5 for b in parent]) == "unresolved"
+    # a regression beyond the bound is named as one, however wide the spread
+    assert _verdict(bench_pairs, parent, [b + 10.0 for b in parent]) == "regression"
+    # and a gain by the pair rule too
+    assert _verdict(bench_pairs, parent, [b - 10.0 for b in parent]) == "gain"
 
 
 def test_summary_flags_a_quality_metric_unequal_on_a_seed(bench_pairs):

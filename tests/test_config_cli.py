@@ -285,6 +285,30 @@ class TestCli:
         assert rc == 2
         assert f"duplicate candidate id {first!r}" in capsys.readouterr().err
 
+    def test_eval_refuses_an_annotations_file_without_pairs(self, synth_dir, tmp_path, capsys):
+        """No pair means no evaluation list: the command names the empty split
+        and exits 2 before ranking anything, with no NumPy warning."""
+        import warnings
+
+        from weakrank.bm25 import bm25_matrix
+        from weakrank.corpus import Corpus
+
+        corpus = Corpus.load(synth_dir / "corpus.json")
+        scores = tmp_path / "bm25.csv"
+        bm25_matrix(corpus, **scorer_hp("bm25")).save_csv(scores)
+        empty = tmp_path / "empty.tsv"
+        empty.write_text("", encoding="utf-8")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = main(["eval", "--corpus", str(synth_dir / "corpus.json"),
+                       "--annotations", str(empty), "--scores", str(scores), "--seed", "3",
+                       "--set", "eval_negatives=80"])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: ValueError: the 'all' annotation split is empty: "
+                                "it has no evaluation lists\n")
+
     def test_error_exit_is_machine_parsable(self, capsys):
         rc = main(["eval", "--annotations", "nope.tsv", "--scores", "nope.csv"])
         assert rc == 2

@@ -1,4 +1,5 @@
 import functools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,13 +7,16 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from defaults import SETTINGS
+from oracles import eval_lists_per_list
 from weakrank.corpus import AnnotationSet
 from weakrank.metrics import (
+    ENSEMBLE_BLOCK,
     EvalLists,
     all_metrics,
     build_eval_lists,
     check_eval_lists,
     mrr,
+    rank_lists,
     ranks_of_positives,
     score_lists_with_matrix,
 )
@@ -107,23 +111,23 @@ class TestMetrics:
     def test_hr_counts_top_k(self):
         el3, s3 = _list_with_rank(3)
         el7, s7 = _list_with_rank(7)
-        assert all_metrics(make_lists([el3]), [s3], k=5)["hr@5"] == 1.0
-        assert all_metrics(make_lists([el7]), [s7], k=5)["hr@5"] == 0.0
+        assert all_metrics(ranks_of_positives(make_lists([el3]), [s3]), k=5)["hr@5"] == 1.0
+        assert all_metrics(ranks_of_positives(make_lists([el7]), [s7]), k=5)["hr@5"] == 0.0
 
     def test_ndcg_closed_forms(self):
         el1, s1 = _list_with_rank(1)
         el3, s3 = _list_with_rank(3)
         el6, s6 = _list_with_rank(6)
-        assert all_metrics(make_lists([el1]), [s1], k=5)["ndcg@5"] == pytest.approx(1.0)
-        assert all_metrics(make_lists([el3]), [s3], k=5)["ndcg@5"] == pytest.approx(0.5)
-        assert all_metrics(make_lists([el6]), [s6], k=5)["ndcg@5"] == 0.0
+        for el, s, ndcg in ((el1, s1, 1.0), (el3, s3, 0.5), (el6, s6, 0.0)):
+            ranks = ranks_of_positives(make_lists([el]), [s])
+            assert all_metrics(ranks, k=5)["ndcg@5"] == pytest.approx(ndcg)
 
     def test_mrr_values(self):
         el1, s1 = _list_with_rank(1)
-        assert mrr(make_lists([el1]), [s1]) == pytest.approx(1.0)
+        assert mrr(ranks_of_positives(make_lists([el1]), [s1])) == pytest.approx(1.0)
         el2, s2 = _list_with_rank(2)
         el4, s4 = _list_with_rank(4)
-        assert mrr(make_lists([el2, el4]), [s2, s4]) == pytest.approx(0.375)
+        assert mrr(ranks_of_positives(make_lists([el2, el4]), [s2, s4])) == pytest.approx(0.375)
 
     def test_random_scores_hr5_near_five_percent(self, rng):
         trials = 10_000
@@ -133,14 +137,15 @@ class TestMetrics:
 
     def test_metrics_in_unit_interval(self, rng):
         lists = make_lists([["p"] + [f"n{j:02d}" for j in range(9)]] * 20)
-        m = all_metrics(lists, rng.random((20, 10)))
+        m = all_metrics(ranks_of_positives(lists, rng.random((20, 10))))
         for key in ("hr@5", "ndcg@5", "mrr"):
             assert 0.0 <= m[key] <= 1.0
 
     def test_hr_monotone_in_k(self, rng):
         lists = make_lists([["p"] + [f"n{j:02d}" for j in range(19)]] * 30)
         scores = rng.random((30, 20))
-        values = [all_metrics(lists, scores, k=k)[f"hr@{k}"] for k in range(1, 21)]
+        ranks = ranks_of_positives(lists, scores)
+        values = [all_metrics(ranks, k=k)[f"hr@{k}"] for k in range(1, 21)]
         assert all(a <= b for a, b in zip(values, values[1:]))
 
     @given(st.integers(0, 2**32 - 1))
@@ -148,10 +153,10 @@ class TestMetrics:
         rng = np.random.default_rng(seed)
         lists = make_lists([["p"] + [f"n{j:02d}" for j in range(9)]] * 5)
         scores = list(rng.random((5, 10)))
-        base = all_metrics(lists, scores)
+        base = all_metrics(ranks_of_positives(lists, scores))
         for transform in (lambda x: 3.0 * x + 2.0, np.exp, lambda x: x**3):
             mapped = [transform(s) for s in scores]
-            assert all_metrics(lists, mapped) == base
+            assert all_metrics(ranks_of_positives(lists, mapped)) == base
 
 
 @functools.lru_cache(maxsize=None)
@@ -251,6 +256,31 @@ class TestBuildEvalLists:
                    for r in range(len(lists))]
             assert got == expected
 
+    @given(st.integers(0, 2**32 - 1), st.sampled_from([1, 49, 100]),
+           st.sampled_from([0.0, 0.3]))
+    def test_equal_to_one_array_per_list_reference(self, seed, n_negatives, noise_rate):
+        """Filled in place, the lists hold bitwise what the list-of-arrays
+        construction copied together, from the same draws in the same order."""
+        corpus, ann = generate_synthetic(
+            n_queries=6, n_candidates=150, n_topics=3, vocab_per_topic=8, doc_len=15,
+            noise_rate=noise_rate, seed=seed % 100)
+        lists = build_eval_lists(ann, corpus, seed=seed, n_negatives=n_negatives)
+        rows, cols = eval_lists_per_list(ann, corpus, seed=seed, n_negatives=n_negatives)
+        for got, expected in ((lists.rows, rows), (lists.cols, cols)):
+            assert got.dtype == expected.dtype and got.shape == expected.shape
+            assert got.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("split", ["validation", "test", "all"])
+    def test_empty_split_refused_by_name(self, split):
+        corpus, _ = self._setup()
+        empty = AnnotationSet((), split)
+        message = f"the {split!r} annotation split is empty: it has no evaluation lists"
+        for run in (lambda: check_eval_lists(empty, corpus, n_negatives=5),
+                    lambda: build_eval_lists(empty, corpus, seed=0, n_negatives=5)):
+            with pytest.raises(ValueError) as err:
+                run()
+            assert str(err.value) == message
+
     @given(st.integers(0, 2**32 - 1), st.sampled_from([1, 50, 99, 100]))
     def test_positive_not_in_negatives(self, seed, n_negatives):
         # a property of every draw: the positive is never among its list's
@@ -268,12 +298,15 @@ def test_score_lists_with_matrix(rng, tiny_corpus):
     matrix = ScoreMatrix("m", corpus.query_ids, corpus.candidate_ids, rng.random((2, 3)))
     lists = EvalLists(np.array([1, 0]), np.array([[2, 0, 1], [0, 2, 1]]),
                       corpus.query_ids, corpus.candidate_ids)
-    scores = score_lists_with_matrix(lists, matrix)
+    ranks = score_lists_with_matrix(lists, matrix)
 
-    def row(qid, cids):
-        return [matrix.values[corpus.query_row[qid], corpus.candidate_column[c]] for c in cids]
+    def rank(qid, cids):
+        scores = [matrix.values[corpus.query_row[qid], corpus.candidate_column[c]]
+                  for c in cids]
+        return oracle_rank(cids, scores)
 
-    assert scores.tolist() == [row("q2", ("c3", "c1", "c2")), row("q1", ("c1", "c3", "c2"))]
+    assert ranks.dtype == np.int64
+    assert ranks.tolist() == [rank("q2", ("c3", "c1", "c2")), rank("q1", ("c1", "c3", "c2"))]
 
 
 def test_score_lists_with_matrix_refuses_another_order(rng, tiny_corpus):
@@ -284,8 +317,69 @@ def test_score_lists_with_matrix_refuses_another_order(rng, tiny_corpus):
     with pytest.raises(ValueError, match="not in the eval lists' corpus order"):
         score_lists_with_matrix(lists, flipped)
     ordered = flipped.in_order(corpus.query_ids, corpus.candidate_ids)
+    cids = ("c1", "c2", "c3")
     assert score_lists_with_matrix(lists, ordered).tolist() == [
-        [flipped.values[0, flipped.candidate_ids.index(c)] for c in ("c1", "c2", "c3")]]
+        oracle_rank(cids, [flipped.values[0, flipped.candidate_ids.index(c)] for c in cids])]
+
+
+def _tied_lists(n_lists, n_candidates=50, n_queries=7, levels=3, seed=0):
+    """``n_lists`` lists over a universe whose column order runs against id
+    order, scored by a matrix of ``levels`` values: most positives tie with
+    some of their negatives, so most ranks turn on the id tie-break."""
+    rng = np.random.default_rng(seed)
+    universe = tuple(f"c{j:03d}" for j in range(2 * n_candidates))[::-1]
+    cols = np.array([rng.permutation(len(universe))[:n_candidates] for _ in range(n_lists)])
+    lists = EvalLists(rng.integers(0, n_queries, size=n_lists), cols.reshape(n_lists, -1),
+                      tuple(f"q{i}" for i in range(n_queries)), universe)
+    values = rng.integers(0, levels, size=(n_queries, len(universe))) / levels
+    return lists, ScoreMatrix("m", lists.query_ids, universe, values)
+
+
+class TestBlockedRanks:
+    @pytest.mark.parametrize("n_lists", [1, ENSEMBLE_BLOCK - 1, ENSEMBLE_BLOCK,
+                                         ENSEMBLE_BLOCK + 1, 2 * ENSEMBLE_BLOCK + 37])
+    def test_equal_to_one_shot_ranks(self, n_lists):
+        """A single list, one exact block, and blocks ending in a partial one:
+        ranking block by block gives the one-shot ranks of every list, ties
+        broken by id on both sides of each block edge."""
+        lists, matrix = _tied_lists(n_lists)
+        one_shot = ranks_of_positives(lists, matrix.values[lists.rows[:, None], lists.cols])
+        blocked = score_lists_with_matrix(lists, matrix)
+        assert blocked.dtype == one_shot.dtype == np.int64
+        assert blocked.tobytes() == one_shot.tobytes()
+        # the lists at each block edge really do break ties by id
+        without_ids = 1 + np.count_nonzero(
+            matrix.values[lists.rows[:, None], lists.cols[:, 1:]]
+            > matrix.values[lists.rows, lists.cols[:, 0]][:, None], axis=1)
+        edges = [e for e in (ENSEMBLE_BLOCK - 1, ENSEMBLE_BLOCK) if e < n_lists]
+        assert all(blocked[e] > without_ids[e] for e in edges)
+        assert mrr(blocked) == mrr(one_shot)
+        assert all_metrics(blocked) == all_metrics(one_shot)
+
+    def test_blocks_hold_at_most_ensemble_block_lists(self):
+        lists, matrix = _tied_lists(2 * ENSEMBLE_BLOCK + 37)
+        seen = []
+
+        def block_scores(rows, cols):
+            seen.append(len(rows))
+            return matrix.values[rows[:, None], cols]
+
+        rank_lists(lists, block_scores)
+        assert seen == [ENSEMBLE_BLOCK, ENSEMBLE_BLOCK, 37]
+
+    def test_ranking_holds_no_list_by_candidate_score_array(self):
+        """Ranking 2,560 lists of 50 candidates peaks below one float64 array
+        of their scores (1 MB): the blocks bound what the ranking holds."""
+        lists, matrix = _tied_lists(2560)
+        limit = len(lists) * lists.cols.shape[1] * 8
+        tracemalloc.start()
+        try:
+            ranks = score_lists_with_matrix(lists, matrix)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(ranks) == 2560
+        assert peak < limit, f"traced peak {peak} B, one score array is {limit} B"
 
 
 class TestInOrder:

@@ -64,6 +64,22 @@ class TestAggregate:
         agg = aggregate([raw], [1], normalize=True)
         assert np.allclose(agg.values, normalize_per_query(raw).values)
 
+    @pytest.mark.parametrize("normalize", [False, True])
+    @pytest.mark.parametrize("n_selected", [1, 2, 7])
+    def test_bitwise_equal_to_the_stacked_mean(self, n_selected, normalize):
+        """Added in place in mask order, then divided: bitwise ``np.mean``
+        over the stacked (normalized) matrices, and a new array even when
+        one raw matrix is selected."""
+        rng = np.random.default_rng(n_selected)
+        mats = [_matrix(rng.normal(size=(9, 31)) * 10.0 ** rng.integers(-3, 4), f"m{i}")
+                for i in range(n_selected + 2)]
+        mask = [1] * n_selected + [0, 0]
+        selected = [normalize_per_query(m) if normalize else m for m in mats[:n_selected]]
+        expected = np.mean(np.stack([m.values for m in selected]), axis=0)
+        agg = aggregate(mats, mask, normalize=normalize)
+        assert agg.values.tobytes() == expected.tobytes()
+        assert not any(np.shares_memory(agg.values, m.values) for m in mats)
+
     def test_mean_of_two(self):
         a = _matrix([[0.0, 1.0]], "a")
         b = _matrix([[1.0, 0.0]], "b")

@@ -1,4 +1,6 @@
 import copy
+import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -11,7 +13,7 @@ from weakrank.corpus import build_corpus
 from weakrank.embeddings import train_text_embeddings
 from weakrank.graph import build_graph
 from weakrank.ioutil import load_arrays, save_arrays
-from weakrank.metrics import build_eval_lists, mrr
+from weakrank.metrics import ENSEMBLE_BLOCK, EvalLists, build_eval_lists, mrr, ranks_of_positives
 from weakrank.nncore import (
     OptimizerState,
     cosine_rows_backward,
@@ -24,8 +26,8 @@ from weakrank.nncore import (
 )
 from weakrank.pseudo_labels import aggregate, sample_training_pairs, top_k_labels
 from weakrank.registry import SupModelSpec
+from weakrank.sageops import MIN_ROWS
 from weakrank.sup_rankers import (
-    ENSEMBLE_BLOCK,
     GraphAggregationRanker,
     InteractionRanker,
     RankerBackbone,
@@ -136,9 +138,9 @@ class TestRepresentation:
         backbone, triples, lists = planted_setup
         for seed in range(3):
             model = RepresentationRanker(backbone, _spec("representation", hidden=16), seed=seed)
-            before = mrr(lists, score_lists_with_ensemble(lists, [model]))
+            before = mrr(score_lists_with_ensemble(lists, [model]))
             train_supervised(model, triples, epochs=5, lr=0.005, seed=seed, **TRAINING)
-            after = mrr(lists, score_lists_with_ensemble(lists, [model]))
+            after = mrr(score_lists_with_ensemble(lists, [model]))
             assert after > before
 
 
@@ -269,14 +271,14 @@ class TestTrainSupervised:
         seen = []
 
         def eval_fn(m):
-            value = mrr(lists, score_lists_with_ensemble(lists, [m]))
+            value = mrr(score_lists_with_ensemble(lists, [m]))
             seen.append(value)
             return value
 
         train_supervised(
             model, triples, epochs=6, lr=0.005, seed=1, eval_fn=eval_fn, patience=2, **TRAINING
         )
-        final = mrr(lists, score_lists_with_ensemble(lists, [model]))
+        final = mrr(score_lists_with_ensemble(lists, [model]))
         assert final == pytest.approx(max(seen))
 
     def test_each_model_kind_reaches_mrr_090_on_planted_labels(self, planted_setup):
@@ -290,7 +292,7 @@ class TestTrainSupervised:
             for seed in range(3):
                 model = create_sup_model(_spec(kind, **hp), backbone, seed)
                 train_supervised(model, triples, epochs=8, lr=lr, seed=seed, **TRAINING)
-                values.append(mrr(lists, score_lists_with_ensemble(lists, [model])))
+                values.append(mrr(score_lists_with_ensemble(lists, [model])))
             assert min(values) >= 0.9, f"{kind}: {values}"
 
 
@@ -333,10 +335,10 @@ def _reference_loss_and_grads(model, triples):
     side, and the document means' input gradient. The representation
     ranker's candidate tower runs once over [positives; negatives], as in
     production, so the stacked GEMMs round alike. The row cosine is checked
-    bitwise against its masked form in test_nncore. This corpus's batches
-    touch fewer than ``MIN_ROWS`` nodes, so the graph ranker runs the full
-    graph, as here; test_graph_embeddings checks its path at a batch's
-    rows against the full graph."""
+    bitwise against its masked form in test_nncore. The graph ranker runs
+    the full graph here: batches of 32 triples of this corpus touch fewer
+    than ``MIN_ROWS`` nodes, so production runs it too, and batches of 64
+    run production's top layer at the batch's rows."""
     b = model.backbone
     q, c = b.corpus.query_row, b.corpus.candidate_column
     qrows = [q[qid] for qid, _, _ in triples]
@@ -458,6 +460,43 @@ class TestIndexBatches:
         assert curve == ref_curve
         assert fast.params().values.tobytes() == ref.params().values.tobytes()
 
+    def test_graph_ranker_at_rows_bitwise_equal_to_full_graph_reference(
+            self, planted_setup, monkeypatch):
+        """Batches of 64 triples touch at least ``MIN_ROWS`` nodes, so every
+        production step runs the top layer at its batch's rows; after every
+        step the weights equal, bitwise, those of the reference's step on the
+        full graph."""
+        backbone, triples, _ = planted_setup
+        qids, cids = backbone.corpus.query_ids, backbone.corpus.candidate_ids
+        hp = {"hidden": 8, "out_dim": 8}
+        fast, ref = (create_sup_model(_spec("graph-aggregation", **hp), backbone, seed=3)
+                     for _ in range(2))
+        forward, at_rows = sup_rankers.sage_forward, []
+
+        def recording_forward(*args, rows=None, **kwargs):
+            H, caches = forward(*args, rows=rows, **kwargs)
+            if rows is not None:
+                at_rows.append((len(rows), caches[2]))
+            return H, caches
+
+        monkeypatch.setattr(sup_rankers, "sage_forward", recording_forward)
+        batches = triples[np.random.default_rng(4).permutation(len(triples))][:640]
+        fast_opt, ref_opt = OptimizerState("adam", lr=0.01), OptimizerState("adam", lr=0.01)
+        for step, start in enumerate(range(0, len(batches), 64)):
+            batch = batches[start:start + 64]
+            zero_grads(fast.params())
+            zero_grads(ref.params())
+            loss = fast.loss_and_grads(batch)
+            ref_loss = _reference_loss_and_grads(
+                ref, [(qids[q], cids[p], cids[n]) for q, p, n in batch.tolist()])
+            for model, opt in ((fast, fast_opt), (ref, ref_opt)):
+                optimizer_step(model.params(), opt)
+                model.after_update()
+            assert loss == ref_loss, f"step {step}"
+            assert fast.params().values.tobytes() == ref.params().values.tobytes(), f"step {step}"
+        assert len(at_rows) == 10
+        assert all(n >= MIN_ROWS and ran_at_rows for n, ran_at_rows in at_rows), at_rows
+
     @pytest.mark.parametrize("kind,hp", [
         ("representation", {"hidden": 4}),
         ("interaction", {}),
@@ -548,12 +587,40 @@ class TestEnsemble:
                     axis=0)
             for row, cols in zip(lists.rows, lists.cols)
         ])
-        got = score_lists_with_ensemble(lists, models)
+        matrices = [m.score_matrix() for m in models]
+        got = ensemble_scores(matrices, lists.rows, lists.cols)
         assert got.shape == expected.shape
         assert np.max(np.abs(got - expected)) <= 1e-12
         # the constant member adds exactly 0.5 / 3 to every entry
-        without = score_lists_with_ensemble(lists, models[:2])
+        without = ensemble_scores(matrices[:2], lists.rows, lists.cols)
         assert np.allclose(got, (2 * without + 0.5) / 3, rtol=0, atol=1e-12)
+        # ranked block by block, the lists get the one-shot ranks of those scores
+        ranks = score_lists_with_ensemble(lists, models)
+        assert ranks.tobytes() == ranks_of_positives(lists, got).tobytes()
+
+    def test_ranking_holds_no_list_by_candidate_score_array(self):
+        """Ranking 2,560 lists of 50 candidates under a three-member ensemble
+        peaks below one float64 array of their scores (1 MB): each member's
+        matrix is gathered one block of lists at a time."""
+        rng = np.random.default_rng(0)
+        n_queries, n_candidates = 7, 100
+        corpus = SimpleNamespace(query_ids=tuple(f"q{i}" for i in range(n_queries)),
+                                 candidate_ids=tuple(f"c{j}" for j in range(n_candidates)))
+        cols = np.array([rng.permutation(n_candidates)[:50] for _ in range(2560)])
+        lists = EvalLists(rng.integers(0, n_queries, size=2560), cols, corpus.query_ids,
+                          corpus.candidate_ids)
+        models = [SimpleNamespace(backbone=SimpleNamespace(corpus=corpus),
+                                  score_matrix=lambda S=rng.random((n_queries, n_candidates)): S)
+                  for _ in range(3)]
+        limit = cols.size * 8
+        tracemalloc.start()
+        try:
+            ranks = score_lists_with_ensemble(lists, models)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(ranks) == 2560
+        assert peak < limit, f"traced peak {peak} B, one score array is {limit} B"
 
 
 def _phi_reference(backbone, mus, sigmas, negative_exponent=True):

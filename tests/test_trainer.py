@@ -220,7 +220,7 @@ class TestRunEpisode:
             (1,), 10, agg, backbone, config, epochs=config.episode_sup_epochs,
             seed_label='{"I1":[1],"I3":[1],"k":10,"k_index":0}',
         )
-        expected = mrr(val_lists, score_lists_with_ensemble(val_lists, models))
+        expected = mrr(score_lists_with_ensemble(val_lists, models))
         assert entry.reward_sup == pytest.approx(expected)
 
 
