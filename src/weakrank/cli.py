@@ -30,7 +30,7 @@ from .corpus import (
 from .controller import Configuration
 from .embeddings import EmbeddingTable
 from .graph import build_graph
-from .ioutil import canonical_json, read_json, stable_hash, write_json
+from .ioutil import atomic_write, canonical_json, read_json, stable_hash, write_json
 from .metrics import ENSEMBLE_BLOCK, all_metrics, build_eval_lists, score_lists_with_matrix
 from .registry import needs_graph
 from .scores import ScoreMatrix
@@ -215,7 +215,8 @@ def cmd_eval(args) -> int:
     metrics = all_metrics(score_lists_with_matrix(lists, matrix))
     payload = canonical_json(metrics)
     if args.out:
-        Path(args.out).write_text(payload + "\n", encoding="utf-8")
+        with atomic_write(args.out) as fh:
+            fh.write(payload + "\n")
     print(payload)
     return 0
 
@@ -256,7 +257,7 @@ def cmd_score(args) -> int:
     query_ids, candidate_ids = corpus.query_ids, corpus.candidate_ids
     cols = np.arange(len(candidate_ids))[None, :]
     out = Path(args.out)
-    with open(out, "w", encoding="utf-8") as fh:
+    with atomic_write(out) as fh:
         for start in range(0, len(query_ids), ENSEMBLE_BLOCK):
             qids = query_ids[start:start + ENSEMBLE_BLOCK]
             block = ensemble_scores(matrices, np.arange(start, start + len(qids)), cols)
@@ -277,7 +278,7 @@ def cmd_report(args) -> int:
         raise ValueError(f"{episodes_path} holds no episodes")
 
     curve_path = run_dir / "reward_curve.csv"
-    with open(curve_path, "w", encoding="utf-8") as fh:
+    with atomic_write(curve_path) as fh:
         fh.write("episode,R,Ru,Rs,baseline,best_so_far\n")
         best = -np.inf
         for e in entries:
@@ -301,7 +302,7 @@ def cmd_report(args) -> int:
         names_sup = [f"sup_{i}" for i in range(n3)]
 
     freq_path = run_dir / "selection_frequencies.csv"
-    with open(freq_path, "w", encoding="utf-8") as fh:
+    with atomic_write(freq_path) as fh:
         fh.write("component,choice,frequency\n")
         n = len(entries)
         for i, name in enumerate(names_unsup):

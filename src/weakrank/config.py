@@ -12,7 +12,7 @@ import json
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
-from .ioutil import stable_hash
+from .ioutil import atomic_write, stable_hash
 from .registry import (
     HYPERPARAMETERS,
     SupModelRegistry,
@@ -96,7 +96,8 @@ class ExperimentConfig(SearchSettings):
                  for f in sorted(fields(self), key=lambda f: f.name) if f.name != "hp"]
         lines += [f"hp.{model}.{key}={json.dumps(value)}"
                   for model in sorted(self.hp) for key, value in sorted(self.hp[model].items())]
-        Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+        with atomic_write(path) as fh:
+            fh.write("\n".join(lines) + "\n")
 
     def content_hash(self) -> str:
         return stable_hash(asdict(self))

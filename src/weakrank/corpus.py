@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .ioutil import canonical_json, read_json, stable_hash, write_json
+from .ioutil import atomic_write, canonical_json, read_json, stable_hash, write_json
 
 QUERY = "query"
 CANDIDATE = "candidate"
@@ -245,7 +245,7 @@ def load_documents_jsonl(path: str | Path) -> list[dict]:
 
 
 def save_documents_jsonl(path: str | Path, docs) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_write(path) as fh:
         for doc in docs:
             fh.write(canonical_json({"id": doc["id"], "role": doc["role"], "text": doc["text"]}))
             fh.write("\n")
@@ -267,6 +267,6 @@ def load_annotations_tsv(path: str | Path, split: str = "all") -> AnnotationSet:
 
 
 def save_annotations_tsv(path: str | Path, annotations: AnnotationSet) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_write(path) as fh:
         for qid, cid, label in annotations.pairs:
             fh.write(f"{qid}\t{cid}\t{label}\n")

@@ -17,7 +17,12 @@ from typing import ClassVar, NamedTuple
 
 from .bm25 import bm25_matrix
 from .corpus import Corpus
-from .embeddings import node_feature_matrix, score_matrix_from_embeddings, train_text_embeddings
+from .embeddings import (
+    EmbeddingTable,
+    node_feature_matrix,
+    score_matrix_from_embeddings,
+    train_text_embeddings,
+)
 from .graph import HetGraph
 from .graph_embeddings import train_graph_embeddings
 from .nncore import default_kernel_bank
@@ -201,14 +206,18 @@ def needs_graph(specs) -> bool:
 
 
 def compute_score_matrix(
-    spec: UnsupModelSpec, corpus: Corpus, graph: HetGraph | None, seed: int
+    spec: UnsupModelSpec, corpus: Corpus, graph: HetGraph | None, seed: int,
+    table: EmbeddingTable | None = None,
 ) -> ScoreMatrix:
-    """Pretrain one unsupervised model and score every (query, candidate)."""
+    """Pretrain one unsupervised model and score every (query, candidate). A
+    text-embedding scorer scores with ``table``, the text table of its
+    settings, which ``trainer.pretrain_all`` trains or shares."""
     hp = spec.hyperparameters()
     if spec.kind == "bm25":
         matrix = bm25_matrix(corpus, **hp)
     elif spec.kind == "text-embedding":
-        table = train_text_embeddings(corpus, seed=seed, **hp)
+        if table is None:
+            raise ValueError(f"model {spec.name!r} needs the text table of its settings")
         matrix = score_matrix_from_embeddings(table, corpus, "doc-mean")
     elif spec.kind == "external":
         matrix = ScoreMatrix.load_csv(spec.params["path"], model_name=spec.name)

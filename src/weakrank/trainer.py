@@ -11,7 +11,7 @@ import os
 import pickle
 import time
 import traceback
-from collections.abc import Callable, Sequence
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -178,9 +178,11 @@ def cache_entry(cache_dir: str | Path | None, prefix: str, key: dict) -> Path | 
 # Time of each job kind, in hundredths of a second, each job run alone in
 # one process on the `perfbench/run.py --workload pretrain-cold --seed 41`
 # inputs (the least of 3 runs, not corrected for host speed). A `sup:` kind
-# trains that ranker at the episode budget. It only decides which process
-# runs a job, never what the job computes. At the README's scale the
-# aggregation scorer costs the most instead.
+# trains that ranker at the episode budget. A `text-embedding` job trains a
+# text table only for a scorer whose settings differ from the backbone's;
+# at equal settings the `backbone` job's table serves it. The cost only
+# decides which process runs a job, never what the job computes. At the
+# README's scale the aggregation scorer costs the most instead.
 JOB_COST = {
     "graph-biased-walk": 86, "graph-walk": 85, "graph-proximity-1": 51,
     "graph-proximity-2": 51, "text-embedding": 31, "backbone": 31,
@@ -190,7 +192,10 @@ JOB_COST = {
 # Bump a scorer kind's version whenever its output changes, so that its
 # cache entries miss; a key holds the version only once it is above 0.
 SCORER_VERSION = {**dict.fromkeys(HYPERPARAMETERS["unsupervised"], 0),
-                  "graph-aggregation": 1}  # 1: the sparse neighbor sample
+                  "graph-aggregation": 1,  # 1: the sparse neighbor sample
+                  "text-embedding": 1}  # 1: the backbone's seed label, one table per settings
+# A text table's settings, in its cache key's order; equal settings, one table.
+_TEXT_SETTINGS = ("dim", "window", "neg", "epochs", "lr")
 
 
 @dataclass(frozen=True)
@@ -314,19 +319,23 @@ def pretrain_all(
     cache_dir: str | Path | None,
     master_seed: int,
     workers: int,
-    extra: Sequence[Job] = (),
+    backbone: tuple | None = None,
 ) -> list:
-    """One score matrix per registered model, cache-aware, followed by the
-    result of each ``extra`` job.
+    """One score matrix per registered model, cache-aware. Given
+    ``backbone``, the rankers' backbone as (text settings, table or None),
+    its table follows them, trained here when None.
 
     The cache key covers the corpus content, the model's kind and
     hyperparameters, and its derived seed, so a hit is guaranteed to be
     bit-identical to recomputation; a torn entry is a miss. An ``external``
     matrix is never cached: its CSV is the stored matrix, read afresh on
-    every call. The missing models and the ``extra`` jobs (``pretrain`` adds
-    the backbone's) run through ``run_jobs`` across ``workers`` processes,
-    which cannot change the results for a fixed seed. With ``graph`` None,
-    the graph is built here when a missing model needs it. Only this process
+    every call. Every text table, the backbone's and each text-embedding
+    scorer's, trains with the backbone's seed label, so equal settings name
+    one table: each distinct missing one is one job, and a text-embedding
+    scorer is scored here with the table of its settings. The missing models
+    and tables run through ``run_jobs`` across ``workers`` processes, which
+    cannot change the results for a fixed seed. With ``graph`` None, the
+    graph is built here when a missing model needs it. Only this process
     writes the cache, in registry order.
     """
     corpus_hash = corpus.content_hash()
@@ -348,22 +357,37 @@ def pretrain_all(
     missing = [(spec, seed) for spec, seed, _, matrix in plan if matrix is None]
     if graph is None and needs_graph([spec for spec, _ in missing]):
         graph = build_graph(corpus)
+    texts = {spec.name: tuple(map(spec.hyperparameters().get, _TEXT_SETTINGS))
+             for spec, _ in missing if spec.kind == "text-embedding"}
+    owners = {} if backbone is None else {backbone[0]: ("backbone", "backbone")}
+    for name, settings in texts.items():
+        owners.setdefault(settings, (name, "text-embedding"))
+    tables = {} if backbone is None or backbone[1] is None else {backbone[0]: backbone[1]}
     jobs = [Job(spec.name, spec.kind, compute_score_matrix, (spec, corpus, graph, seed))
-            for spec, seed in missing]
-    results = run_jobs(jobs + list(extra), workers)
+            for spec, seed in missing if spec.name not in texts]
+    table_jobs = [Job(*owner, _train_text_table, (corpus, settings, master_seed))
+                  for settings, owner in owners.items() if settings not in tables]
+    results = run_jobs(jobs + table_jobs, workers)
     trained = {job.name: matrix for job, matrix in zip(jobs, results)}
+    tables.update(zip([job.args[1] for job in table_jobs], results[len(jobs):]))
 
     matrices = []
-    for spec, _, cache_path, matrix in plan:
+    for spec, seed, cache_path, matrix in plan:
         if matrix is None:
-            matrix = trained[spec.name]
+            if spec.name in texts:
+                owner = owners[texts[spec.name]][0]
+                if owner != spec.name:
+                    log.info("%s: served by the %s table", spec.name, owner)
+                matrix = compute_score_matrix(spec, corpus, graph, seed, tables[texts[spec.name]])
+            else:
+                matrix = trained[spec.name]
             if cache_path is not None:
                 matrix.save_cache(cache_path)
                 matrix.save_csv(cache_path.with_suffix(".csv"))
         if (matrix.query_ids, matrix.candidate_ids) != (corpus.query_ids, corpus.candidate_ids):
             raise RuntimeError(f"model {spec.name!r} produced a mismatched score matrix")
         matrices.append(matrix)
-    return matrices + results[len(jobs):]
+    return matrices if backbone is None else matrices + [tables[backbone[0]]]
 
 
 def _read_entry(path: Path | None, load: Callable, what: str):
@@ -381,12 +405,15 @@ def _read_entry(path: Path | None, load: Callable, what: str):
     return value
 
 
+def _backbone_settings(config: RunConfig) -> tuple:
+    return tuple(getattr(config, f"backbone_{key}") for key in _TEXT_SETTINGS)
+
+
 def _backbone_key(corpus: Corpus, config: RunConfig) -> dict:
     return {
         "corpus": corpus.content_hash(),
         "seed": derive_seed(config.effective_pretrain_seed, "backbone"),
-        "hp": [config.backbone_dim, config.backbone_window, config.backbone_neg,
-               config.backbone_epochs, config.backbone_lr],
+        "hp": list(_backbone_settings(config)),
     }
 
 
@@ -427,12 +454,11 @@ def read_kernel_features(backbone: RankerBackbone, banks: list[tuple], config: R
         _phi_entry(cache_dir, key, bank), lambda path: load(path, bank), "kernel features") is None]
 
 
-def _train_backbone_table(corpus: Corpus, config: RunConfig) -> EmbeddingTable:
-    return train_text_embeddings(
-        corpus, dim=config.backbone_dim, window=config.backbone_window,
-        neg=config.backbone_neg, epochs=config.backbone_epochs,
-        lr=config.backbone_lr, seed=derive_seed(config.effective_pretrain_seed, "backbone"),
-    )
+def _train_text_table(corpus: Corpus, settings: tuple, master_seed: int) -> EmbeddingTable:
+    """The text table of ``settings``, the backbone's or a text-embedding
+    scorer's: each trains with the backbone's seed label."""
+    return train_text_embeddings(corpus, **dict(zip(_TEXT_SETTINGS, settings)),
+                                 seed=derive_seed(master_seed, "backbone"))
 
 
 def build_backbone(corpus: Corpus, graph, config: RunConfig,
@@ -443,7 +469,8 @@ def build_backbone(corpus: Corpus, graph, config: RunConfig,
     of every registered interaction ranker's bank: read from the cache, or
     pooled here and written to it."""
     if table is None:
-        table = _train_backbone_table(corpus, config)
+        table = _train_text_table(corpus, _backbone_settings(config),
+                                  config.effective_pretrain_seed)
     backbone = backbone_from_table(corpus, table, graph, config)
     key = _backbone_key(corpus, config)
     for bank in read_kernel_features(backbone, kernel_banks(config.sup_registry), config,
@@ -462,7 +489,8 @@ def pretrain(corpus: Corpus, config: RunConfig, cache_dir: str | Path | None):
     backbone). ``weakrank pretrain`` runs exactly this into the cache a
     later search reads.
 
-    Every cache miss, each scorer and the backbone's table, is one job;
+    Every cache miss, each scorer and each distinct text table (the
+    backbone's serves a text-embedding scorer of its settings), is one job;
     ``pretrain_all`` runs them together through ``run_jobs``, split between
     this process and helpers forked once the corpus and graph exist,
     ``config.workers`` processes in all (0: one per available CPU), the same
@@ -471,15 +499,12 @@ def pretrain(corpus: Corpus, config: RunConfig, cache_dir: str | Path | None):
     """
     graph = build_graph(corpus) if needs_graph(config.sup_registry) else None
     table_path = cache_entry(cache_dir, "backbone", _backbone_key(corpus, config))
-    table = _read_entry(table_path, EmbeddingTable.load, "embedding backbone")
-    backbone_job = [] if table is not None else [
-        Job("backbone", "backbone", _train_backbone_table, (corpus, config))]
-    matrices = pretrain_all(corpus, graph, config.unsup_registry, cache_dir,
-                            config.effective_pretrain_seed, config.workers, extra=backbone_job)
-    if backbone_job:
-        table = matrices.pop()
-        if table_path is not None:
-            table.save(table_path)
+    cached = _read_entry(table_path, EmbeddingTable.load, "embedding backbone")
+    *matrices, table = pretrain_all(corpus, graph, config.unsup_registry, cache_dir,
+                                    config.effective_pretrain_seed, config.workers,
+                                    backbone=(_backbone_settings(config), cached))
+    if cached is None and table_path is not None:
+        table.save(table_path)
     return matrices, build_backbone(corpus, graph, config, cache_dir, table=table)
 
 

@@ -50,20 +50,21 @@ def test_clamped_choice_is_constant_across_episodes(sandbox, mode, fixed, key, v
 @pytest.mark.parametrize("mode", SWEEPS)
 def test_sweep_sub_runs_share_one_cache_and_are_served(sandbox, monkeypatch, capsys, mode):
     trained = Counter()
-    compute, train_backbone = trainer.compute_score_matrix, trainer._train_backbone_table
+    compute, train_table = trainer.compute_score_matrix, trainer._train_text_table
 
     def counting_compute(spec, *args):
         trained[spec.name] += 1
         return compute(spec, *args)
 
-    def counting_backbone(*args):
-        trained["backbone"] += 1
-        return train_backbone(*args)
+    def counting_table(*args):
+        trained["text tables"] += 1
+        return train_table(*args)
 
     monkeypatch.setattr(trainer, "compute_score_matrix", counting_compute)
-    monkeypatch.setattr(trainer, "_train_backbone_table", counting_backbone)
+    monkeypatch.setattr(trainer, "_train_text_table", counting_table)
     assert main(["ablate", "--config", "exp.cfg", "--mode", mode, "--sweep"]) == 0
-    assert trained == {"bm25": 1, "text-embedding": 1, "backbone": 1}
+    # the backbone's table and the text-embedding scorer's, whose settings differ
+    assert trained == {"bm25": 1, "text-embedding": 1, "text tables": 2}
 
     run, subs = sandbox / "run", SWEEPS[mode]
     assert sorted(p.name for p in run.iterdir()) == sorted(

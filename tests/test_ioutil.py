@@ -157,3 +157,54 @@ def test_a_header_declaring_a_huge_array_is_refused_before_allocating(tmp_path):
         {"name": "x", "shape": [1 << 40, 1 << 20], "dtype": "float64"}]}).encode("utf-8")
     path.write_bytes(CONTAINER_MAGIC + struct.pack("<I", len(text)) + text + bytes(16))
     _refused(path, f"truncated container: array 'x' holds 16 of its {(1 << 63)} bytes")
+
+
+class _TornFile:
+    """A file whose every write stores half its text, then raises, as a kill
+    partway through a write would leave it."""
+
+    def __init__(self, fh):
+        self.fh = fh
+
+    def write(self, text):
+        self.fh.write(text[:len(text) // 2])
+        raise OSError("killed partway through a write")
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return self.fh.__exit__(*exc)
+
+
+def tear_every_write(monkeypatch):
+    """Make every file ``atomic_write`` opens tear on its first write; a writer
+    that opens its file elsewhere raises nothing."""
+    def torn_open(file, mode="r", **kwargs):
+        fh = open(file, mode, **kwargs)
+        return _TornFile(fh) if "w" in mode else fh
+
+    monkeypatch.setattr(ioutil, "open", torn_open, raising=False)
+
+
+def assert_old_file_only(path, old: bytes):
+    assert path.read_bytes() == old
+    assert not [p.name for p in path.parent.iterdir() if p.name.endswith(".tmp")]
+
+
+@pytest.mark.parametrize("writer", ["config", "documents", "annotations"])
+def test_a_writer_that_raises_partway_keeps_the_old_file(tmp_path, monkeypatch, writer):
+    from weakrank.config import ExperimentConfig
+    from weakrank.corpus import AnnotationSet, save_annotations_tsv, save_documents_jsonl
+
+    path = tmp_path / "out"
+    path.write_bytes(b"old\n")
+    tear_every_write(monkeypatch)
+    with pytest.raises(OSError, match="partway"):
+        if writer == "config":
+            ExperimentConfig().save(path)
+        elif writer == "documents":
+            save_documents_jsonl(path, [{"id": "q1", "role": "query", "text": "a b"}])
+        else:
+            save_annotations_tsv(path, AnnotationSet((("q1", "c1", 1),), "all"))
+    assert_old_file_only(path, b"old\n")

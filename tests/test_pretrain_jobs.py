@@ -13,10 +13,12 @@ import numpy as np
 import pytest
 
 import weakrank.trainer as trainer
-from defaults import scorer_hp
+from defaults import SETTINGS, scorer_hp
 from weakrank.bm25 import bm25_matrix
 from weakrank.cli import main
+from weakrank.config import ExperimentConfig
 from weakrank.corpus import AnnotationSet, split_annotations
+from weakrank.embeddings import score_matrix_from_embeddings
 from weakrank.pseudo_labels import aggregate
 from weakrank.registry import (
     HYPERPARAMETERS,
@@ -326,7 +328,7 @@ def test_a_version_bump_misses_only_that_kinds_entry(corpus_and_external, tmp_pa
     real = trainer.compute_score_matrix
     monkeypatch.setattr(trainer, "compute_score_matrix",
                         lambda spec, *args: trained.append(spec.name) or real(spec, *args))
-    monkeypatch.setitem(SCORER_VERSION, "text-embedding", 1)
+    monkeypatch.setitem(SCORER_VERSION, "text-embedding", SCORER_VERSION["text-embedding"] + 1)
     pretrain_all(corpus, None, registry, tmp_path, master_seed=0, workers=1)
     assert trained == ["text-embedding"]
     after = _cache_bytes(tmp_path)
@@ -335,6 +337,125 @@ def test_a_version_bump_misses_only_that_kinds_entry(corpus_and_external, tmp_pa
     assert [Path(name).suffix for name in added] == [".bin", ".csv"]
     assert len({Path(name).stem for name in added}) == 1
     assert added[0].startswith("unsup_text-embedding_")
+
+
+# --- one text table per settings ------------------------------------------------
+
+TEXT = {"dim": 8, "epochs": 1}  # the settings of ``_config``'s backbone
+
+
+def _text_config(ext, text_hp, workers=1):
+    return _config(ext, workers, unsup_registry=UnsupModelRegistry([
+        UnsupModelSpec("bm25", "bm25"), UnsupModelSpec("text-embedding", "text-embedding", text_hp)]))
+
+
+def _counting_tables(monkeypatch):
+    """The settings of every text table trained, in this process."""
+    trained = []
+    real = trainer.train_text_embeddings
+
+    def counting(corpus, **kwargs):
+        trained.append(kwargs)
+        return real(corpus, **kwargs)
+
+    monkeypatch.setattr(trainer, "train_text_embeddings", counting)
+    return trained
+
+
+def test_the_text_scorer_scores_with_the_backbones_raw_table(corpus_and_external, monkeypatch):
+    corpus, ext = corpus_and_external
+    trained = _counting_tables(monkeypatch)
+    (_, text), backbone = pretrain(corpus, _text_config(ext, TEXT), None)
+    assert len(trained) == 1
+    expected = score_matrix_from_embeddings(backbone.raw_table, corpus, "doc-mean")
+    assert text.model_name == "text-embedding"
+    assert text.values.tobytes() == expected.values.tobytes()
+
+
+def test_a_default_cold_pretrain_trains_one_text_table(corpus_and_external, tmp_path,
+                                                      monkeypatch, caplog):
+    corpus, ext = corpus_and_external
+    trained = _counting_tables(monkeypatch)
+    config = _config(ext, 1, unsup_registry=UnsupModelRegistry([
+        UnsupModelSpec("text-embedding", "text-embedding")]),
+        backbone_dim=SETTINGS.backbone_dim, backbone_epochs=SETTINGS.backbone_epochs)
+    with caplog.at_level("INFO", logger="weakrank.trainer"):
+        pretrain(corpus, config, tmp_path)
+    assert [kwargs["dim"] for kwargs in trained] == [SETTINGS.backbone_dim]
+    messages = [r.getMessage() for r in caplog.records]
+    assert "text-embedding: served by the backbone table" in messages
+    assert [m.partition(":")[0] for m in messages if m.startswith("pretraining job")] == [
+        "pretraining job backbone"]
+    assert len(list(tmp_path.glob("unsup_text-embedding_*.csv"))) == 1
+
+
+def test_a_warm_backbone_serves_a_missing_text_entry(corpus_and_external, tmp_path,
+                                                    monkeypatch):
+    corpus, ext = corpus_and_external
+    config = _text_config(ext, TEXT)
+    cold, _ = pretrain(corpus, config, tmp_path)
+    for path in tmp_path.glob("unsup_text-embedding_*"):
+        path.unlink()
+    trained = _counting_tables(monkeypatch)
+    monkeypatch.setattr(os, "fork", None)  # a fork would fail
+    warm, _ = pretrain(corpus, dataclasses.replace(config, workers=2), tmp_path)
+    assert trained == []
+    assert [m.values.tobytes() for m in warm] == [m.values.tobytes() for m in cold]
+    assert len(list(tmp_path.glob("unsup_text-embedding_*.csv"))) == 1
+
+
+def test_differing_settings_train_two_tables(corpus_and_external, monkeypatch):
+    corpus, ext = corpus_and_external
+    trained = _counting_tables(monkeypatch)
+    (_, text), backbone = pretrain(corpus, _text_config(ext, {"dim": 8, "epochs": 2}), None)
+    assert sorted(kwargs["epochs"] for kwargs in trained) == [1, 2]
+    assert len({kwargs["seed"] for kwargs in trained}) == 1  # the backbone's seed label
+    shared = score_matrix_from_embeddings(backbone.raw_table, corpus, "doc-mean")
+    assert text.values.tobytes() != shared.values.tobytes()
+
+
+def test_the_default_cold_search_splits_seven_jobs(tmp_path, monkeypatch):
+    """The default menu's cold jobs: the text-embedding scorer has no job of
+    its own, and two processes split the rest as pinned here."""
+    config = ExperimentConfig().to_run_config()
+    corpus, _ = generate_synthetic(6, 10, 2, 6, 12, 0.0, seed=2)
+    seen = []
+
+    def stop(jobs, workers):
+        seen.extend(jobs)
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(trainer, "run_jobs", stop)
+    with pytest.raises(KeyboardInterrupt):
+        pretrain(corpus, config, tmp_path)
+    assert [job.kind for job in seen] == [
+        "bm25", "graph-walk", "graph-biased-walk", "graph-proximity-1", "graph-proximity-2",
+        "graph-aggregation", "backbone"]
+    assert [[seen[i].kind for i in share] for share in split_jobs(seen, 2)] == [
+        ["graph-biased-walk", "graph-proximity-2", "graph-aggregation", "bm25"],
+        ["graph-walk", "graph-proximity-1", "backbone"],
+    ]
+
+
+def test_a_shared_table_run_is_the_same_for_one_or_two_workers(tmp_path, monkeypatch):
+    from test_score_command import _sandbox
+
+    runs = {}
+    for workers in (1, 2):
+        root = tmp_path / f"w{workers}"
+        _sandbox(root, unsup_models="bm25,text-embedding,graph-walk", external_scores="",
+                 workers=str(workers), **{"hp.text-embedding.dim": "8",
+                                          "hp.text-embedding.epochs": "1",
+                                          "hp.graph-walk.n_walks": "1"})
+        monkeypatch.chdir(root)
+        trained = _counting_tables(monkeypatch)
+        assert main(["-q", "search", "--config", "exp.cfg"]) == 0
+        assert len(trained) == (1 if workers == 1 else 0)  # a helper trains it at 2
+        runs[workers] = root / "run"
+        _no_child_left()
+    # only the files that record the workers setting itself differ
+    assert _compare_runs().compare(runs[1], runs[2])[0] == [
+        "differs: config.cfg", "differs: manifest.json"]
 
 
 # --- ranker training -----------------------------------------------------------

@@ -203,3 +203,28 @@ def test_a_short_checkpoint_is_refused_by_name(tmp_path, monkeypatch, capsys):
     err = capsys.readouterr().err
     assert err.startswith(f"error: ValueError: {ckpt.relative_to(tmp_path)}: truncated container")
     assert not (tmp_path / "bad.tsv").exists()
+
+
+def test_cli_writers_that_raise_partway_keep_the_old_files(tmp_path, monkeypatch, capsys):
+    """``score``'s TSV, ``report``'s two CSVs and ``eval --out`` are each
+    written whole or not at all."""
+    from test_ioutil import assert_old_file_only, tear_every_write
+
+    _sandbox(tmp_path)
+    monkeypatch.chdir(tmp_path)
+    assert main(["-q", "search", "--config", "exp.cfg"]) == 0
+    outputs = [tmp_path / "scores.tsv", tmp_path / "metrics.json",
+               tmp_path / "run" / "reward_curve.csv",
+               tmp_path / "run" / "selection_frequencies.csv"]
+    for path in outputs:
+        path.write_bytes(b"old\n")
+    tear_every_write(monkeypatch)
+    assert main(["score", "--run", "run", "--out", "scores.tsv"]) == 2
+    assert main(["eval", "--config", "exp.cfg", "--annotations", "val.tsv",
+                 "--scores", "good.csv", "--out", "metrics.json"]) == 2
+    assert main(["report", "--run", "run"]) == 2
+    assert capsys.readouterr().err.count("killed partway through a write") == 3
+    for path in outputs[:3]:
+        assert_old_file_only(path, b"old\n")
+    # the report stops at its first CSV
+    assert (tmp_path / "run" / "selection_frequencies.csv").read_bytes() == b"old\n"
