@@ -63,7 +63,7 @@ def _load_splits(config: ExperimentConfig, corpus: Corpus):
     if config.val_annotations:
         val = load_annotations_tsv(config.val_annotations, split="validation")
         test = None
-        if config.test_annotations and Path(config.test_annotations).exists():
+        if config.test_annotations:
             loaded = load_annotations_tsv(config.test_annotations, split="test")
             test = loaded if loaded.pairs else None
     elif config.annotations:

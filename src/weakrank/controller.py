@@ -226,7 +226,7 @@ def _sample_mask(probs: np.ndarray, rng: np.random.Generator, step_name: str) ->
 
 def sample_configuration(
     params: ControllerParams,
-    seed_or_rng,
+    rng: np.random.Generator,
     k_values,
     clamp: Clamp | None = None,
 ) -> tuple[Configuration, float]:
@@ -234,8 +234,6 @@ def sample_configuration(
 
     Clamped steps are taken as given and excluded from the log-probability.
     """
-    rng = (seed_or_rng if isinstance(seed_or_rng, np.random.Generator)
-           else np.random.default_rng(seed_or_rng))
     clamp = clamp or Clamp()
     if len(k_values) != params.n_k:
         raise ValueError(f"expected {params.n_k} k values, got {len(k_values)}")

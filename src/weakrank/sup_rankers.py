@@ -456,7 +456,7 @@ def score_lists_with_ensemble(lists, models) -> np.ndarray:
     return rank_lists(lists, lambda rows, cols: ensemble_scores(matrices, rows, cols))
 
 
-def save_checkpoint(model, path, config_hash: str = "") -> None:
+def save_checkpoint(model, path, config_hash: str) -> None:
     """Self-describing parameter container; load requires the same backbone.
 
     Holds shapes and values of every parameter, the model's hyperparameters
@@ -473,14 +473,14 @@ def save_checkpoint(model, path, config_hash: str = "") -> None:
     })
 
 
-def load_checkpoint(path, backbone: RankerBackbone, config_hash: str | None = None):
-    """Rebuild a saved model on ``backbone``. With ``config_hash``, refuse a
-    checkpoint that a different configuration wrote. Arrays that are not
-    the model's parameters are ignored."""
+def load_checkpoint(path, backbone: RankerBackbone, config_hash: str):
+    """Rebuild a saved model on ``backbone``, refusing a checkpoint that a
+    configuration of another hash wrote. Arrays that are not the model's
+    parameters are ignored."""
     arrays, meta = load_arrays(path)
     if meta.get("format_version") != CHECKPOINT_FORMAT_VERSION:
         raise ValueError(f"unsupported checkpoint format_version {meta.get('format_version')!r}")
-    if config_hash is not None and meta.get("config_hash") != config_hash:
+    if meta.get("config_hash") != config_hash:
         raise ValueError(f"checkpoint {str(path)!r} was written under configuration hash "
                          f"{meta.get('config_hash')!r}, not {config_hash!r}")
     spec = SupModelSpec(meta["name"], meta["kind"], meta["params"])

@@ -312,18 +312,10 @@ def run_jobs(jobs: list[Job], workers: int) -> list:
     return results
 
 
-def pretrain_all(
-    corpus: Corpus,
-    graph,
-    registry: UnsupModelRegistry,
-    cache_dir: str | Path | None,
-    master_seed: int,
-    workers: int,
-    backbone: tuple | None = None,
-) -> list:
-    """One score matrix per registered model, cache-aware. Given
-    ``backbone``, the rankers' backbone as (text settings, table or None),
-    its table follows them, trained here when None.
+def pretrain_all(corpus: Corpus, graph, config: RunConfig,
+                 cache_dir: str | Path | None) -> tuple[list, EmbeddingTable]:
+    """One score matrix per registered scorer, and the rankers' backbone
+    table, cache-aware: (matrices, table).
 
     The cache key covers the corpus content, the model's kind and
     hyperparameters, and its derived seed, so a hit is guaranteed to be
@@ -333,17 +325,20 @@ def pretrain_all(
     scorer's, trains with the backbone's seed label, so equal settings name
     one table: each distinct missing one is one job, and a text-embedding
     scorer is scored here with the table of its settings. The missing models
-    and tables run through ``run_jobs`` across ``workers`` processes, which
-    cannot change the results for a fixed seed. With ``graph`` None, the
-    graph is built here when a missing model needs it. Only this process
-    writes the cache, in registry order.
+    and tables run through ``run_jobs`` across ``config.workers`` processes,
+    which cannot change the results for a fixed seed. With ``graph`` None,
+    the graph is built here when a missing model needs it. Only this process
+    writes the cache: the scorers in registry order, then the backbone table.
     """
+    master_seed = config.effective_pretrain_seed
     corpus_hash = corpus.content_hash()
     if cache_dir is not None:
         Path(cache_dir).mkdir(parents=True, exist_ok=True)
+    table_path = cache_entry(cache_dir, "backbone", _backbone_key(corpus, config))
+    cached = _read_entry(table_path, EmbeddingTable.load, "embedding backbone")
 
     plan = []
-    for spec in registry:
+    for spec in config.unsup_registry:
         seed = derive_seed(master_seed, "unsup", spec.name)
         hp_hash = stable_hash({"kind": spec.kind, "params": spec.params})
         key = {"corpus": corpus_hash, "model": spec.name, "hp": hp_hash, "seed": seed}
@@ -359,15 +354,16 @@ def pretrain_all(
         graph = build_graph(corpus)
     texts = {spec.name: tuple(map(spec.hyperparameters().get, _TEXT_SETTINGS))
              for spec, _ in missing if spec.kind == "text-embedding"}
-    owners = {} if backbone is None else {backbone[0]: ("backbone", "backbone")}
+    backbone = _backbone_settings(config)
+    owners = {backbone: ("backbone", "backbone")}
     for name, settings in texts.items():
         owners.setdefault(settings, (name, "text-embedding"))
-    tables = {} if backbone is None or backbone[1] is None else {backbone[0]: backbone[1]}
+    tables = {} if cached is None else {backbone: cached}
     jobs = [Job(spec.name, spec.kind, compute_score_matrix, (spec, corpus, graph, seed))
             for spec, seed in missing if spec.name not in texts]
     table_jobs = [Job(*owner, _train_text_table, (corpus, settings, master_seed))
                   for settings, owner in owners.items() if settings not in tables]
-    results = run_jobs(jobs + table_jobs, workers)
+    results = run_jobs(jobs + table_jobs, config.workers)
     trained = {job.name: matrix for job, matrix in zip(jobs, results)}
     tables.update(zip([job.args[1] for job in table_jobs], results[len(jobs):]))
 
@@ -387,7 +383,9 @@ def pretrain_all(
         if (matrix.query_ids, matrix.candidate_ids) != (corpus.query_ids, corpus.candidate_ids):
             raise RuntimeError(f"model {spec.name!r} produced a mismatched score matrix")
         matrices.append(matrix)
-    return matrices if backbone is None else matrices + [tables[backbone[0]]]
+    if cached is None and table_path is not None:
+        tables[backbone].save(table_path)
+    return matrices, tables[backbone]
 
 
 def _read_entry(path: Path | None, load: Callable, what: str):
@@ -461,16 +459,12 @@ def _train_text_table(corpus: Corpus, settings: tuple, master_seed: int) -> Embe
                                  seed=derive_seed(master_seed, "backbone"))
 
 
-def build_backbone(corpus: Corpus, graph, config: RunConfig,
-                   cache_dir: str | Path | None = None,
-                   table: EmbeddingTable | None = None) -> RankerBackbone:
-    """The rankers' backbone over ``table``, the word embeddings ``pretrain``
-    read or trained (trained here when None), holding the kernel features
-    of every registered interaction ranker's bank: read from the cache, or
-    pooled here and written to it."""
-    if table is None:
-        table = _train_text_table(corpus, _backbone_settings(config),
-                                  config.effective_pretrain_seed)
+def build_backbone(corpus: Corpus, graph, config: RunConfig, cache_dir: str | Path | None,
+                   table: EmbeddingTable) -> RankerBackbone:
+    """The rankers' backbone over ``table``, the word embeddings
+    ``pretrain_all`` read or trained, holding the kernel features of every
+    registered interaction ranker's bank: read from the cache, or pooled
+    here and written to it."""
     backbone = backbone_from_table(corpus, table, graph, config)
     key = _backbone_key(corpus, config)
     for bank in read_kernel_features(backbone, kernel_banks(config.sup_registry), config,
@@ -498,14 +492,8 @@ def pretrain(corpus: Corpus, config: RunConfig, cache_dir: str | Path | None):
     and builds no graph for scorers.
     """
     graph = build_graph(corpus) if needs_graph(config.sup_registry) else None
-    table_path = cache_entry(cache_dir, "backbone", _backbone_key(corpus, config))
-    cached = _read_entry(table_path, EmbeddingTable.load, "embedding backbone")
-    *matrices, table = pretrain_all(corpus, graph, config.unsup_registry, cache_dir,
-                                    config.effective_pretrain_seed, config.workers,
-                                    backbone=(_backbone_settings(config), cached))
-    if cached is None and table_path is not None:
-        table.save(table_path)
-    return matrices, build_backbone(corpus, graph, config, cache_dir, table=table)
+    matrices, table = pretrain_all(corpus, graph, config, cache_dir)
+    return matrices, build_backbone(corpus, graph, config, cache_dir, table)
 
 
 def backbone_from_table(corpus: Corpus, table: EmbeddingTable, graph,
@@ -566,19 +554,20 @@ def run_episode(
     config: RunConfig,
     episode: int,
     sample_rng: np.random.Generator,
+    reward_cache: dict,
     clamp: Clamp | None = None,
-    reward_cache: dict | None = None,
 ) -> EpisodeLog:
     """Sample a configuration, train its rankers, and score it on validation.
     The entry's baseline is 0 until ``joint_train`` sets its batch's.
 
     Rewards are a deterministic function of the sampled configuration (all
     seeds derive from it), so identical configurations earn identical
-    rewards; ``reward_cache`` may exploit that.
+    rewards; ``reward_cache`` maps each configuration's signature to its
+    (unsupervised, supervised) rewards and is filled here.
     """
     cfg, log_prob = sample_configuration(controller, sample_rng, config.k_values, clamp=clamp)
     sig = _config_signature(cfg)
-    if reward_cache is not None and sig in reward_cache:
+    if sig in reward_cache:
         r_unsup, r_sup = reward_cache[sig]
     else:
         agg = aggregate(matrices, cfg.unsup_mask, normalize=config.normalize_scores)
@@ -588,8 +577,7 @@ def run_episode(
             epochs=config.episode_sup_epochs, seed_label=sig,
         )
         r_sup = mrr(score_lists_with_ensemble(val_lists, models))
-        if reward_cache is not None:
-            reward_cache[sig] = (r_unsup, r_sup)
+        reward_cache[sig] = (r_unsup, r_sup)
     reward = r_unsup + r_sup
     if not 0.0 <= reward <= 2.0:
         raise RuntimeError(f"episode reward {reward} outside [0, 2]")

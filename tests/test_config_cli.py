@@ -411,6 +411,31 @@ class TestCli:
         assert message in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("test_annotations", ["tset.tsv", ""], ids=["missing", "empty"])
+    def test_a_named_test_split_must_exist(self, synth_dir, tmp_path, capsys, monkeypatch,
+                                           test_annotations):
+        """A ``test_annotations`` path that names no file fails before the run
+        directory exists; an empty value means there is no test split."""
+        from weakrank.corpus import load_annotations_tsv, save_annotations_tsv, split_annotations
+
+        monkeypatch.chdir(tmp_path)
+        val, _ = split_annotations(load_annotations_tsv(synth_dir / "annotations.tsv"), seed=0)
+        save_annotations_tsv(tmp_path / "val.tsv", val)
+        settings = [f"corpus={synth_dir / 'corpus.json'}", "val_annotations=val.tsv",
+                    f"test_annotations={test_annotations}", "output_dir=run",
+                    "unsup_models=bm25", "sup_models=interaction", "k_values=5", "episodes=1",
+                    "episode_sup_epochs=1", "final_sup_epochs=1", "backbone_dim=8",
+                    "backbone_epochs=1", "eval_negatives=20", "workers=1"]
+        rc = main(["search", *(arg for key in settings for arg in ("--set", key))])
+        if test_annotations:
+            assert rc == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error: FileNotFoundError: ") and "tset.tsv" in err
+            assert [p.name for p in tmp_path.iterdir()] == ["val.tsv"]
+        else:
+            assert rc == 0
+            assert json.loads((tmp_path / "run" / "report.json").read_text())["test"] is None
+
     def test_console_entrypoint(self):
         src = str(Path(__file__).resolve().parents[1] / "src")
         path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)

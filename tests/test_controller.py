@@ -47,8 +47,8 @@ class TestSampling:
 
     def test_reproducible_for_fixed_seed(self):
         params = ControllerParams(4, 3, 3, hidden=8, seed=5)
-        c1, l1 = sample_configuration(params, 77, (1, 2, 3))
-        c2, l2 = sample_configuration(params, 77, (1, 2, 3))
+        c1, l1 = sample_configuration(params, np.random.default_rng(77), (1, 2, 3))
+        c2, l2 = sample_configuration(params, np.random.default_rng(77), (1, 2, 3))
         assert c1 == c2 and l1 == l2
 
     def test_forced_logits_make_sampling_deterministic_with_zero_log_prob(self):
@@ -58,14 +58,14 @@ class TestSampling:
         params.f_b.value[:] = (-1000.0, 1000.0)
         params.q_W.value[:] = 0.0
         params.q_b.value[:] = (-1000.0, 1000.0)
-        cfg, logp = sample_configuration(params, 0, (25,))
+        cfg, logp = sample_configuration(params, np.random.default_rng(0), (25,))
         assert cfg.unsup_mask == (1, 1, 1)
         assert cfg.sup_mask == (1, 1)
         assert logp == 0.0
 
     def test_head_probabilities_normalized(self):
         params = ControllerParams(4, 3, 2, hidden=8, seed=3)
-        cfg, _ = sample_configuration(params, 0, (1, 2, 3))
+        cfg, _ = sample_configuration(params, np.random.default_rng(0), (1, 2, 3))
         state_probs = enumerate_policy(params)
         assert np.all(state_probs["unsup"] >= 0) and np.all(state_probs["unsup"] <= 1)
         assert state_probs["k"].sum() == pytest.approx(1.0)
@@ -90,7 +90,7 @@ class TestActionLogProb:
 
     def test_gradient_vs_finite_differences(self):
         params = ControllerParams(3, 2, 2, hidden=6, seed=1)
-        cfg, _ = sample_configuration(params, 8, (5, 9))
+        cfg, _ = sample_configuration(params, np.random.default_rng(8), (5, 9))
         tensors = params.tensors()
 
         def fb():
@@ -102,7 +102,7 @@ class TestActionLogProb:
 
     def test_entropy_gradient_vs_finite_differences(self):
         params = ControllerParams(2, 2, 2, hidden=5, seed=7)
-        cfg, _ = sample_configuration(params, 3, (1, 2))
+        cfg, _ = sample_configuration(params, np.random.default_rng(3), (1, 2))
         tensors = params.tensors()
 
         def fb():
@@ -120,7 +120,7 @@ class TestActionLogProb:
 
     def test_clamped_step_contributes_no_gradient(self):
         params = ControllerParams(3, 2, 2, hidden=6, seed=2)
-        cfg, _ = sample_configuration(params, 5, (1, 2))
+        cfg, _ = sample_configuration(params, np.random.default_rng(5), (1, 2))
         tensors = params.tensors()
         zero_grads(tensors)
         action_log_prob(
@@ -135,7 +135,7 @@ class TestActionLogProb:
 class TestReinforce:
     def test_positive_advantage_raises_action_probability(self):
         params = ControllerParams(4, 3, 3, hidden=8, seed=6)
-        cfg, before = sample_configuration(params, 1, (1, 2, 3))
+        cfg, before = sample_configuration(params, np.random.default_rng(1), (1, 2, 3))
         baseline = BaselineState(DECAY, value=0.2)
         reinforce_update(params, cfg, reward=1.0, baseline=baseline, lr=0.1, use_baseline=True,
                          entropy_coef=0.0)
@@ -144,7 +144,7 @@ class TestReinforce:
 
     def test_zero_advantage_leaves_parameters_unchanged(self):
         params = ControllerParams(4, 3, 3, hidden=8, seed=6)
-        cfg, _ = sample_configuration(params, 1, (1, 2, 3))
+        cfg, _ = sample_configuration(params, np.random.default_rng(1), (1, 2, 3))
         snapshot = [p.value.copy() for p in params.tensors()]
         baseline = BaselineState(DECAY, value=0.7)
         reinforce_update(params, cfg, reward=0.7, baseline=baseline, lr=0.1, use_baseline=True,
@@ -154,7 +154,7 @@ class TestReinforce:
 
     def test_first_reward_initializes_baseline(self):
         params = ControllerParams(2, 2, 2, hidden=6, seed=0)
-        cfg, _ = sample_configuration(params, 2, (1, 2))
+        cfg, _ = sample_configuration(params, np.random.default_rng(2), (1, 2))
         baseline = BaselineState(DECAY)
         used = reinforce_update(params, cfg, reward=0.8, baseline=baseline, lr=0.1,
                                 use_baseline=True, entropy_coef=0.0)

@@ -112,15 +112,17 @@ def test_edited_external_csv_is_read_afresh(corpus_and_external, tmp_path):
     path = tmp_path / "ext.csv"
     first = bm25_matrix(corpus, **scorer_hp("bm25"))
     first.save_csv(path)
-    registry = UnsupModelRegistry([UnsupModelSpec("ext", "external", {"path": str(path)})])
+    config = _config(path, 1, unsup_registry=UnsupModelRegistry([
+        UnsupModelSpec("ext", "external", {"path": str(path)})]))
     cache_dir = tmp_path / "cache"
-    (got,) = pretrain_all(corpus, None, registry, cache_dir, master_seed=0, workers=1)
+    (got,), _ = pretrain_all(corpus, None, config, cache_dir)
     assert got.values.tobytes() == first.values.tobytes()
     edited = ScoreMatrix("ext", corpus.query_ids, corpus.candidate_ids, first.values[:, ::-1] + 1)
     edited.save_csv(path)  # same path, new scores
-    (again,) = pretrain_all(corpus, None, registry, cache_dir, master_seed=0, workers=1)
+    (again,), _ = pretrain_all(corpus, None, config, cache_dir)
     assert again.values.tobytes() == edited.values.tobytes()
-    assert list(cache_dir.iterdir()) == []  # the CSV is the stored matrix
+    # the CSV is the stored matrix: the backbone table is the one entry
+    assert [p.name.partition("_")[0] for p in cache_dir.iterdir()] == ["backbone"]
 
 
 def test_warm_cache_forks_nothing(corpus_and_external, tmp_path, monkeypatch):
@@ -182,18 +184,20 @@ def test_every_scorer_kind_has_a_cost():
 @pytest.mark.parametrize("broken_first", [True, False])
 def test_failure_names_its_model_and_reaps_every_helper(tmp_path, monkeypatch, broken_first):
     """The broken external job runs in the caller's share when it ranks
-    first, and in the helper's when it ranks second."""
+    first, and in the helper's when it ranks second; the backbone table's
+    job ranks last."""
     corpus, _ = generate_synthetic(6, 10, 2, 6, 12, 0.0, seed=2)
     monkeypatch.setitem(JOB_COST, "external", 20 if broken_first else 5)
     monkeypatch.setitem(JOB_COST, "bm25", 10)
-    registry = UnsupModelRegistry([
-        UnsupModelSpec("bm25", "bm25"),
-        UnsupModelSpec("broken", "external", {"path": str(tmp_path / "missing.csv")}),
-    ])
-    assert (split_jobs(_jobs(["bm25", "external"]), 2)[0] == [1]) == broken_first
+    monkeypatch.setitem(JOB_COST, "backbone", 1)
+    missing = tmp_path / "missing.csv"
+    config = _config(missing, 2, unsup_registry=UnsupModelRegistry([
+        UnsupModelSpec("bm25", "bm25"), UnsupModelSpec("broken", "external", {"path": str(missing)}),
+    ]))
+    assert (split_jobs(_jobs(["bm25", "external", "backbone"]), 2)[0] == [1]) == broken_first
     cache_dir = tmp_path / "cache"
     with pytest.raises(RuntimeError, match="pretraining failed for model 'broken'") as err:
-        pretrain_all(corpus, None, registry, cache_dir, master_seed=0, workers=2)
+        pretrain_all(corpus, None, config, cache_dir)
     # the cause carries the original error, from whichever process ran the job
     assert "missing.csv" in str(err.value.__cause__)
     _no_child_left()
@@ -319,17 +323,17 @@ def test_graph_kinds_are_the_ones_that_need_the_graph():
 
 
 def test_a_version_bump_misses_only_that_kinds_entry(corpus_and_external, tmp_path, monkeypatch):
-    corpus, _ = corpus_and_external
-    registry = UnsupModelRegistry([UnsupModelSpec(kind, kind, SMALL_HP[kind])
-                                   for kind in ("bm25", "text-embedding")])
-    pretrain_all(corpus, None, registry, tmp_path, master_seed=0, workers=1)
+    corpus, ext = corpus_and_external
+    config = _config(ext, 1, unsup_registry=UnsupModelRegistry([
+        UnsupModelSpec(kind, kind, SMALL_HP[kind]) for kind in ("bm25", "text-embedding")]))
+    pretrain_all(corpus, None, config, tmp_path)
     before = _cache_bytes(tmp_path)
     trained = []
     real = trainer.compute_score_matrix
     monkeypatch.setattr(trainer, "compute_score_matrix",
                         lambda spec, *args: trained.append(spec.name) or real(spec, *args))
     monkeypatch.setitem(SCORER_VERSION, "text-embedding", SCORER_VERSION["text-embedding"] + 1)
-    pretrain_all(corpus, None, registry, tmp_path, master_seed=0, workers=1)
+    pretrain_all(corpus, None, config, tmp_path)
     assert trained == ["text-embedding"]
     after = _cache_bytes(tmp_path)
     assert {name: after[name] for name in before} == before

@@ -18,6 +18,7 @@ from weakrank.registry import (
     HYPERPARAMETERS,
     Follows,
     Key,
+    SupModelRegistry,
     SupModelSpec,
     UnsupModelRegistry,
     UnsupModelSpec,
@@ -209,9 +210,11 @@ def test_cache_file_names_are_those_of_user_given_params(tmp_path):
     corpus, _ = generate_synthetic(6, 10, 2, 6, 12, 0.0, seed=2)
     registry = UnsupModelRegistry([UnsupModelSpec("bm25", "bm25", {"k1": 1.5}),
                                    UnsupModelSpec("graph-walk", "graph-walk", {})])
-    pretrain_all(corpus, build_graph(corpus), registry, tmp_path, master_seed=0, workers=1)
+    config = RunConfig(unsup_registry=registry, seed=0, workers=1,
+                       sup_registry=SupModelRegistry([SupModelSpec("interaction", "interaction")]))
+    pretrain_all(corpus, build_graph(corpus), config, tmp_path)
     assert sorted(p.name for p in tmp_path.iterdir()) == [
-        "unsup_bm25_49cf21566e2a94a3.bin", "unsup_bm25_49cf21566e2a94a3.csv",
+        "backbone_75f289bc3f8733d7.bin", "unsup_bm25_49cf21566e2a94a3.bin", "unsup_bm25_49cf21566e2a94a3.csv",
         "unsup_graph-walk_1d991f6a017c633f.bin", "unsup_graph-walk_1d991f6a017c633f.csv",
     ]
     assert [spec.params for spec in registry] == [{"k1": 1.5}, {}]

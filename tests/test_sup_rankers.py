@@ -732,7 +732,7 @@ class TestCheckpoints:
         train_ready = _score(model, "q1", "c2")
         path = tmp_path / f"{kind}.ckpt"
         save_checkpoint(model, path, config_hash="abc")
-        loaded = load_checkpoint(path, mirror_backbone)
+        loaded = load_checkpoint(path, mirror_backbone, config_hash="abc")
         assert _score(loaded, "q1", "c2") == train_ready
         assert loaded.kind == kind
         arrays, meta = load_arrays(path)

@@ -23,9 +23,9 @@ from weakrank.synthetic import generate_synthetic
 from weakrank.trainer import (
     RunConfig,
     _train_selected_models,
-    build_backbone,
     clamp_for_ablation,
     joint_train,
+    pretrain,
     pretrain_all,
     run_episode,
 )
@@ -87,6 +87,16 @@ def _fast_config(oracle_path, noise_path, **overrides):
     return RunConfig(**base)
 
 
+def _pretrain_config(registry, seed=0, workers=SETTINGS.workers):
+    """A config that pretrains ``registry`` from ``seed``, its backbone table
+    at a budget a test can afford."""
+    return RunConfig(
+        unsup_registry=registry,
+        sup_registry=SupModelRegistry([SupModelSpec("interaction", "interaction")]),
+        backbone_dim=8, backbone_epochs=1, seed=seed, workers=workers,
+    )
+
+
 class TestPretrainAll:
     def test_seven_model_registry_yields_seven_matrices(self, tmp_path):
         corpus, _ = generate_synthetic(6, 10, 2, 6, 12, 0.0, seed=2)
@@ -96,21 +106,31 @@ class TestPretrainAll:
                                        for kind in HYPERPARAMETERS["unsupervised"]
                                        if kind != "external"])
         assert len(registry) == 7
-        matrices = pretrain_all(corpus, graph, registry, tmp_path, master_seed=0,
-                                workers=SETTINGS.workers)
+        matrices, _ = pretrain_all(corpus, graph, _pretrain_config(registry), tmp_path)
         assert len(matrices) == 7
         assert [m.model_name for m in matrices] == registry.names
 
     def test_cache_hit_is_bit_identical_and_logged(self, tmp_path, caplog):
         corpus, _ = generate_synthetic(6, 10, 2, 6, 12, 0.0, seed=2)
         registry = UnsupModelRegistry([UnsupModelSpec("bm25", "bm25")])
-        first = pretrain_all(corpus, None, registry, tmp_path, master_seed=0,
-                             workers=SETTINGS.workers)
+        config = _pretrain_config(registry)
+        (first,), _ = pretrain_all(corpus, None, config, tmp_path)
         with caplog.at_level("INFO", logger="weakrank.trainer"):
-            second = pretrain_all(corpus, None, registry, tmp_path, master_seed=0,
-                                  workers=SETTINGS.workers)
+            (second,), _ = pretrain_all(corpus, None, config, tmp_path)
         assert "cache hit" in caplog.text
-        assert np.array_equal(first[0].values, second[0].values)
+        assert np.array_equal(first.values, second.values)
+
+    def test_a_warm_backbone_is_read_and_not_trained(self, tmp_path, caplog):
+        corpus, _ = generate_synthetic(6, 10, 2, 6, 12, 0.0, seed=2)
+        config = _pretrain_config(UnsupModelRegistry([UnsupModelSpec("bm25", "bm25")]),
+                                  workers=1)
+        _, cold = pretrain_all(corpus, None, config, tmp_path)
+        with caplog.at_level("INFO", logger="weakrank.trainer"):
+            _, warm = pretrain_all(corpus, None, config, tmp_path)
+        messages = [r.getMessage() for r in caplog.records]
+        assert "cache hit for embedding backbone" in messages
+        assert [m for m in messages if m.startswith("pretraining job")] == []
+        assert warm.vectors.tobytes() == cold.vectors.tobytes()
 
     def test_each_pretraining_job_logs_its_seconds_once(self, tmp_path, caplog):
         corpus, _ = generate_synthetic(6, 10, 2, 6, 12, 0.0, seed=2)
@@ -118,14 +138,16 @@ class TestPretrainAll:
             UnsupModelSpec("bm25", "bm25"),
             UnsupModelSpec("text-embedding", "text-embedding", {"dim": 4, "epochs": 1}),
         ])
+        config = _pretrain_config(registry, workers=1)
         for run in ("cold", "warm"):
             caplog.clear()
             with caplog.at_level("INFO", logger="weakrank.trainer"):
-                pretrain_all(corpus, None, registry, tmp_path, master_seed=0, workers=1)
+                pretrain_all(corpus, None, config, tmp_path)
             lines = [r.getMessage() for r in caplog.records if "pretraining job" in r.getMessage()]
-            if run == "cold":
+            if run == "cold":  # the scorer's text settings are not the backbone's
                 assert sorted(line.split(":")[0] for line in lines) == [
-                    "pretraining job bm25", "pretraining job text-embedding"]
+                    "pretraining job backbone", "pretraining job bm25",
+                    "pretraining job text-embedding"]
                 assert all(line.endswith(" s in process 0") for line in lines)
             else:
                 assert lines == []
@@ -133,9 +155,10 @@ class TestPretrainAll:
     def test_fresh_and_cached_match_without_cache_dir(self):
         corpus, _ = generate_synthetic(6, 10, 2, 6, 12, 0.0, seed=2)
         registry = UnsupModelRegistry([UnsupModelSpec("bm25", "bm25")])
-        a = pretrain_all(corpus, None, registry, None, master_seed=0, workers=SETTINGS.workers)
-        b = pretrain_all(corpus, None, registry, None, master_seed=0, workers=SETTINGS.workers)
-        assert np.array_equal(a[0].values, b[0].values)
+        config = _pretrain_config(registry)
+        (a,), _ = pretrain_all(corpus, None, config, None)
+        (b,), _ = pretrain_all(corpus, None, config, None)
+        assert np.array_equal(a.values, b.values)
 
     def test_failure_names_model(self, tmp_path):
         corpus, _ = generate_synthetic(6, 10, 2, 6, 12, 0.0, seed=2)
@@ -143,7 +166,7 @@ class TestPretrainAll:
             [UnsupModelSpec("broken", "external", {"path": str(tmp_path / "missing.csv")})]
         )
         with pytest.raises(RuntimeError, match="broken"):
-            pretrain_all(corpus, None, registry, None, master_seed=0, workers=SETTINGS.workers)
+            pretrain_all(corpus, None, _pretrain_config(registry), None)
 
     def test_parallel_pretraining_matches_sequential(self):
         corpus, _ = generate_synthetic(6, 10, 2, 6, 12, 0.0, seed=2)
@@ -153,19 +176,18 @@ class TestPretrainAll:
             UnsupModelSpec("text-embedding", "text-embedding", {"dim": 8, "epochs": 1}),
             UnsupModelSpec("graph-proximity-1", "graph-proximity-1", {"dim": 8, "epochs": 2}),
         ])
-        seq = pretrain_all(corpus, graph, registry, None, master_seed=4, workers=1)
-        par = pretrain_all(corpus, graph, registry, None, master_seed=4, workers=2)
+        seq, seq_table = pretrain_all(corpus, graph, _pretrain_config(registry, 4, 1), None)
+        par, par_table = pretrain_all(corpus, graph, _pretrain_config(registry, 4, 2), None)
         for a, b in zip(seq, par):
             assert a.model_name == b.model_name
             assert np.array_equal(a.values, b.values)
+        assert seq_table.vectors.tobytes() == par_table.vectors.tobytes()
 
 
 class TestRunEpisode:
     def _setup(self, data, config):
         corpus, ann, val, test, oracle_path, noise_path, good_path = data
-        matrices = pretrain_all(corpus, None, config.unsup_registry, None, config.seed,
-                                config.workers)
-        backbone = build_backbone(corpus, None, config)
+        matrices, backbone = pretrain(corpus, config, None)
         val_lists = build_eval_lists(val, corpus, seed=derive_seed(config.seed, "val-lists"),
                                      n_negatives=config.eval_negatives)
         return corpus, matrices, backbone, val_lists
@@ -180,7 +202,7 @@ class TestRunEpisode:
 
         entry = run_episode(
             matrices, controller, backbone, val_lists, config,
-            episode=0, sample_rng=np.random.default_rng(0),
+            episode=0, sample_rng=np.random.default_rng(0), reward_cache={},
             clamp=Clamp(unsup_mask=(1, 0)),
         )
         assert entry.reward_unsup == pytest.approx(1.0)
@@ -195,7 +217,7 @@ class TestRunEpisode:
             controller = ControllerParams(2, 2, 1, hidden=8, seed=5)
             entries.append(run_episode(
                 matrices, controller, backbone, val_lists, config,
-                episode=0, sample_rng=np.random.default_rng(11),
+                episode=0, sample_rng=np.random.default_rng(11), reward_cache={},
             ))
         assert entries[0].to_dict() == entries[1].to_dict()
 
@@ -212,7 +234,7 @@ class TestRunEpisode:
         controller = ControllerParams(1, 1, 1, hidden=8, seed=1)
         entry = run_episode(
             matrices, controller, backbone, val_lists, config,
-            episode=0, sample_rng=np.random.default_rng(3),
+            episode=0, sample_rng=np.random.default_rng(3), reward_cache={},
         )
         # replicate the only possible pipeline by hand
         agg = aggregate(matrices, (1,), normalize=config.normalize_scores)
