@@ -4,8 +4,9 @@ Step 1 samples a mask over unsupervised scorers (one two-way softmax head
 applied to the elementwise product of the hidden state with each scorer's
 embedding), step 2 samples the k category from a softmax head on the hidden
 state, step 3 samples a mask over supervised rankers like step 1. The summed
-representation of each step's selection feeds the next LSTM input. Policy
-updates are plain REINFORCE with an optional moving-average baseline.
+representation of each step's selection feeds the next LSTM input. The
+policy step is REINFORCE with an optional moving-average baseline b: SGD
+through ``nncore.optimizer_step`` on -(R - b) * log pi - entropy_coef * H.
 """
 
 from __future__ import annotations
@@ -17,10 +18,13 @@ import numpy as np
 
 from .nncore import (
     LstmParams,
+    OptimizerState,
+    ParamGroup,
     ParamTensor,
     init_param,
     lstm_backward,
     lstm_forward,
+    optimizer_step,
     zero_grads,
 )
 
@@ -124,12 +128,13 @@ class ControllerParams:
         self.g_b = init_param("ctrl.g_b", (n_k,), rng)
         self.q_W = init_param("ctrl.q_W", (2, d), rng)
         self.q_b = init_param("ctrl.q_b", (2,), rng)
-
-    def tensors(self) -> list[ParamTensor]:
-        return self.lstm.tensors() + [
+        self._group = ParamGroup(self.lstm.tensors() + [
             self.x1, self.w_unsup, self.z_k, self.u_sup,
             self.f_W, self.f_b, self.g_W, self.g_b, self.q_W, self.q_b,
-        ]
+        ])
+
+    def tensors(self) -> ParamGroup:
+        return self._group
 
 
 def _row_softmax(logits: np.ndarray) -> np.ndarray:
@@ -154,28 +159,28 @@ def _k_head_probs(h: np.ndarray, W: ParamTensor, b: ParamTensor) -> np.ndarray:
     return _row_softmax(logits)
 
 
-def _traverse(params: ControllerParams, decide_unsup, decide_k, decide_sup):
-    """Run the three LSTM steps, deferring each decision to a callback.
-
-    Returns everything the backward pass needs. Callbacks receive the step's
-    probabilities and return the chosen mask / index.
-    """
+def _traverse(params: ControllerParams, clamp: Clamp, decide_mask, decide_k):
+    """Run the three LSTM steps; returns everything the backward pass needs.
+    A step that ``clamp`` fixes takes its value, any other the choice of
+    ``decide_mask(probs, step name)`` or ``decide_k(probs)``."""
     d = params.hidden
     h0 = np.zeros(d)
     e0 = np.zeros(d)
     h1, e1, cache1 = lstm_forward(params.x1.value, h0, e0, params.lstm)
     prods1, probs1 = _mask_head_probs(h1, params.w_unsup, params.f_W, params.f_b)
-    unsup_mask = np.asarray(decide_unsup(probs1), dtype=np.int64)
+    unsup_mask = np.asarray(decide_mask(probs1, "unsupervised") if clamp.unsup_mask is None
+                            else clamp.unsup_mask, dtype=np.int64)
 
     x2 = unsup_mask.astype(np.float64) @ params.w_unsup.value
     h2, e2, cache2 = lstm_forward(x2, h1, e1, params.lstm)
     probs2 = _k_head_probs(h2, params.g_W, params.g_b)
-    k_index = int(decide_k(probs2))
+    k_index = int(decide_k(probs2) if clamp.k_index is None else clamp.k_index)
 
     x3 = params.z_k.value[k_index]
     h3, e3, cache3 = lstm_forward(x3, h2, e2, params.lstm)
     prods3, probs3 = _mask_head_probs(h3, params.u_sup, params.q_W, params.q_b)
-    sup_mask = np.asarray(decide_sup(probs3), dtype=np.int64)
+    sup_mask = np.asarray(decide_mask(probs3, "supervised") if clamp.sup_mask is None
+                          else clamp.sup_mask, dtype=np.int64)
 
     return {
         "unsup_mask": unsup_mask, "k_index": k_index, "sup_mask": sup_mask,
@@ -186,9 +191,24 @@ def _traverse(params: ControllerParams, decide_unsup, decide_k, decide_sup):
     }
 
 
-def _mask_log_prob(probs: np.ndarray, mask: np.ndarray) -> float:
-    picked = np.where(mask == 1, probs[:, 1], probs[:, 0])
-    return float(np.log(picked).sum())
+def _configuration(state, k_values) -> Configuration:
+    return Configuration(
+        tuple(int(v) for v in state["unsup_mask"]),
+        state["k_index"],
+        tuple(int(v) for v in state["sup_mask"]),
+        int(k_values[state["k_index"]]),
+    )
+
+
+def _heads(state, clamp: Clamp):
+    """(probabilities, chosen column per row, clamped) for each step's head;
+    the k head is one row."""
+    probs1, probs2, probs3 = state["probs"]
+    return (
+        (probs1, state["unsup_mask"], clamp.unsup_mask is not None),
+        (probs2[None, :], [state["k_index"]], clamp.k_index is not None),
+        (probs3, state["sup_mask"], clamp.sup_mask is not None),
+    )
 
 
 def _row_entropy(probs: np.ndarray) -> np.ndarray:
@@ -196,16 +216,12 @@ def _row_entropy(probs: np.ndarray) -> np.ndarray:
     return -(probs * np.log(probs + 1e-300)).sum(axis=1, keepdims=True)
 
 
-def _log_prob_of(state, clamp: Clamp | None) -> float:
-    clamp = clamp or Clamp()
-    probs1, probs2, probs3 = state["probs"]
+def _log_prob_of(heads) -> float:
+    """Summed log-probability of the chosen columns over the unclamped heads."""
     total = 0.0
-    if clamp.unsup_mask is None:
-        total += _mask_log_prob(probs1, state["unsup_mask"])
-    if clamp.k_index is None:
-        total += float(np.log(probs2[state["k_index"]]))
-    if clamp.sup_mask is None:
-        total += _mask_log_prob(probs3, state["sup_mask"])
+    for probs, chosen, clamped in heads:
+        if not clamped:
+            total += float(np.log(probs[np.arange(len(chosen)), chosen]).sum())
     return total
 
 
@@ -238,29 +254,12 @@ def sample_configuration(
     if len(k_values) != params.n_k:
         raise ValueError(f"expected {params.n_k} k values, got {len(k_values)}")
 
-    def decide_unsup(probs):
-        if clamp.unsup_mask is not None:
-            return clamp.unsup_mask
-        return _sample_mask(probs, rng, "unsupervised")
-
-    def decide_k(probs):
-        if clamp.k_index is not None:
-            return clamp.k_index
-        return int(np.searchsorted(np.cumsum(probs), rng.random(), side="right"))
-
-    def decide_sup(probs):
-        if clamp.sup_mask is not None:
-            return clamp.sup_mask
-        return _sample_mask(probs, rng, "supervised")
-
-    state = _traverse(params, decide_unsup, decide_k, decide_sup)
-    config = Configuration(
-        tuple(int(v) for v in state["unsup_mask"]),
-        state["k_index"],
-        tuple(int(v) for v in state["sup_mask"]),
-        int(k_values[state["k_index"]]),
+    state = _traverse(
+        params, clamp,
+        lambda probs, step: _sample_mask(probs, rng, step),
+        lambda probs: int(np.searchsorted(np.cumsum(probs), rng.random(), side="right")),
     )
-    return config, _log_prob_of(state, clamp)
+    return _configuration(state, k_values), _log_prob_of(_heads(state, clamp))
 
 
 def action_log_prob(
@@ -282,20 +281,10 @@ def action_log_prob(
     if not 0 <= config.k_index < params.n_k:
         raise ValueError(f"k index {config.k_index} out of range")
 
-    state = _traverse(
-        params,
-        lambda probs: np.asarray(config.unsup_mask),
-        lambda probs: config.k_index,
-        lambda probs: np.asarray(config.sup_mask),
-    )
-    probs1, probs2, probs3 = state["probs"]
-    log_prob = _log_prob_of(state, clamp)
-    # (probabilities, chosen column per row, clamped) per head; the k head is one row
-    heads = (
-        (probs1, state["unsup_mask"], clamp.unsup_mask is not None),
-        (probs2[None, :], [config.k_index], clamp.k_index is not None),
-        (probs3, state["sup_mask"], clamp.sup_mask is not None),
-    )
+    replay = Clamp(config.unsup_mask, config.k_index, config.sup_mask)
+    state = _traverse(params, replay, None, None)
+    heads = _heads(state, clamp)
+    log_prob = _log_prob_of(heads)
     row_entropies = [None if clamped else _row_entropy(probs) for probs, _, clamped in heads]
     entropy = 0.0
     for H in row_entropies:
@@ -382,42 +371,25 @@ def reinforce_update(
         b = 0.0
     advantage = reward - b
     if advantage != 0.0 or entropy_coef != 0.0:
-        tensors = params.tensors()
-        zero_grads(tensors)
+        zero_grads(params.tensors())
         action_log_prob(params, config, clamp=clamp,
-                        grad_scale=advantage, entropy_scale=entropy_coef)
-        for p in tensors:
-            if not np.all(np.isfinite(p.grad)):
-                raise ValueError(f"non-finite controller gradient in {p.name!r}")
-            p.value += lr * p.grad
+                        grad_scale=-advantage, entropy_scale=-entropy_coef)
+        optimizer_step(params.tensors(), OptimizerState("sgd", lr=lr))
     if use_baseline:
         baseline.update(reward)
     return b
+
+
+def _greedy_mask(probs: np.ndarray, step_name: str) -> np.ndarray:
+    mask = (probs[:, 1] >= 0.5).astype(np.int64)
+    if not mask.any():
+        mask[int(np.argmax(probs[:, 1]))] = 1
+    return mask
 
 
 def greedy_decode(params: ControllerParams, k_values, clamp: Clamp | None = None) -> Configuration:
     """Most-likely configuration step by step: select every choice with
     select-probability >= 0.5 (falling back to the single best choice for an
     empty mask) and the argmax k category."""
-    clamp = clamp or Clamp()
-
-    def decide_mask(probs, clamped):
-        if clamped is not None:
-            return clamped
-        mask = (probs[:, 1] >= 0.5).astype(np.int64)
-        if not mask.any():
-            mask[int(np.argmax(probs[:, 1]))] = 1
-        return mask
-
-    state = _traverse(
-        params,
-        lambda probs: decide_mask(probs, clamp.unsup_mask),
-        lambda probs: clamp.k_index if clamp.k_index is not None else int(np.argmax(probs)),
-        lambda probs: decide_mask(probs, clamp.sup_mask),
-    )
-    return Configuration(
-        tuple(int(v) for v in state["unsup_mask"]),
-        state["k_index"],
-        tuple(int(v) for v in state["sup_mask"]),
-        int(k_values[state["k_index"]]),
-    )
+    state = _traverse(params, clamp or Clamp(), _greedy_mask, lambda probs: int(np.argmax(probs)))
+    return _configuration(state, k_values)

@@ -62,6 +62,7 @@ class Corpus:
         self.queries = tuple(queries)
         self.candidates = tuple(candidates)
         self.vocab = tuple(vocab)
+        self._content_hash = None
         self.id_of_token = {t: i for i, t in enumerate(vocab)}
         if len(self.id_of_token) != len(vocab):
             raise ValueError("vocabulary contains duplicate tokens")
@@ -134,7 +135,10 @@ class Corpus:
         return cls.from_dict(read_json(path))
 
     def content_hash(self) -> str:
-        return stable_hash(self.to_dict())
+        """Computed on the first call: a corpus does not change."""
+        if self._content_hash is None:
+            self._content_hash = stable_hash(self.to_dict())
+        return self._content_hash
 
 
 def build_corpus(raw_docs, max_query_len: int, max_candidate_len: int) -> Corpus:

@@ -9,7 +9,8 @@ input_grad=False)`` is for a frozen input: it skips the input gradient and
 returns None. The row cosine masks only when some row has a zero norm;
 without one it computes directly, with bitwise the masked formula's values.
 
-A model's parameters form a ``ParamGroup``: each tensor's value and gradient
+Every model trained through these ops, the search controller included,
+keeps its parameters in a ``ParamGroup``: each tensor's value and gradient
 are views into one flat value buffer and one flat gradient buffer. Zeroing
 the gradients is then one fill, and an optimizer step is a few vector
 operations over the whole model, elementwise identical to updating tensor
@@ -86,12 +87,8 @@ def init_param(name: str, shape, rng: np.random.Generator, scale: float = 0.1) -
     return ParamTensor(name, rng.uniform(-scale, scale, size=shape))
 
 
-def zero_grads(params) -> None:
-    if isinstance(params, ParamGroup):
-        params.grads.fill(0.0)
-    else:
-        for p in params:
-            p.grad.fill(0.0)
+def zero_grads(group: ParamGroup) -> None:
+    group.grads.fill(0.0)
 
 
 # ---------------------------------------------------------------------------

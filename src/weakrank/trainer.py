@@ -45,7 +45,7 @@ from .metrics import (
     mrr,
     score_lists_with_matrix,
 )
-from .nncore import OPTIMIZERS, zero_grads
+from .nncore import OPTIMIZERS, OptimizerState, optimizer_step, zero_grads
 from .pseudo_labels import aggregate, sample_training_pairs, top_k_labels
 from .registry import (
     HYPERPARAMETERS,
@@ -633,6 +633,7 @@ def joint_train(
         len(config.unsup_registry), len(config.k_values), len(config.sup_registry),
         hidden=config.controller_hidden, seed=derive_seed(config.seed, "controller"),
     )
+    policy, policy_opt = controller.tensors(), OptimizerState("sgd", lr=config.controller_lr)
     baseline = BaselineState(decay=config.baseline_decay)
     reward_cache: dict = {}
     episodes: list[EpisodeLog] = []
@@ -661,22 +662,19 @@ def joint_train(
         b = baseline.value if config.use_baseline else 0.0
         for entry in batch:
             entry.baseline = b
-        tensors = controller.tensors()
-        zero_grads(tensors)
+        zero_grads(policy)
         entropy = 0.0
         for entry in batch:
             entropy += action_log_prob(
                 controller, entry.config, clamp=clamp,
-                grad_scale=(entry.reward - b) / config.n_monte_carlo,
-                entropy_scale=config.entropy_coef / config.n_monte_carlo,
+                grad_scale=-(entry.reward - b) / config.n_monte_carlo,
+                entropy_scale=-config.entropy_coef / config.n_monte_carlo,
             )[1] / config.n_monte_carlo
-        for p in tensors:
-            if not np.all(np.isfinite(p.grad)):
-                raise RuntimeError(f"non-finite controller gradient in {p.name!r}")
-            p.value += config.controller_lr * p.grad
+        optimizer_step(policy, policy_opt)
         if config.use_baseline:
             baseline.update(mean_reward)
 
+        improved = False
         for entry in batch:
             episodes.append(entry)
             if episodes_path is not None:
@@ -684,9 +682,8 @@ def joint_train(
                     fh.write(canonical_json(entry.to_dict()) + "\n")
             if best_entry is None or entry.reward > best_entry.reward:
                 best_entry = entry
-                stale = 0
-            else:
-                stale += 1
+                improved = True
+        stale = 0 if improved else stale + 1
         # done/budget, then ids as episodes.jsonl numbers them; seconds go to the log only
         log.info("%d/%d episodes: R %.4f, best %.4f at episode %d, cached %d/%d, "
                  "entropy %.4f, %.3f s", ep + 1, config.episodes, mean_reward,

@@ -52,12 +52,7 @@ def enumerate_policy(params: ControllerParams, clamp: Clamp | None = None) -> di
     p_sup = np.zeros(params.n_sup)
 
     def probs_for(mask, k_index):
-        state = _traverse(
-            params,
-            lambda probs: np.asarray(mask),
-            lambda probs: k_index if k_index is not None else 0,
-            lambda probs: np.zeros(params.n_sup, dtype=np.int64) + 1,
-        )
+        state = _traverse(params, Clamp(mask, k_index, (1,) * params.n_sup), None, None)
         return state["probs"]
 
     if clamp.unsup_mask is not None:
@@ -89,12 +84,7 @@ def enumerate_policy(params: ControllerParams, clamp: Clamp | None = None) -> di
 
 def sup_mask_distribution(params: ControllerParams, unsup_mask, k_index: int) -> dict:
     """Exact step-3 mask law for a fixed prefix (resampling correction included)."""
-    state = _traverse(
-        params,
-        lambda probs: np.asarray(unsup_mask),
-        lambda probs: k_index,
-        lambda probs: np.ones(params.n_sup, dtype=np.int64),
-    )
+    state = _traverse(params, Clamp(unsup_mask, k_index, (1,) * params.n_sup), None, None)
     return _nonzero_mask_distribution(state["probs"][2])
 
 

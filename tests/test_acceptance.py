@@ -34,6 +34,7 @@ from weakrank.corpus import build_corpus, split_annotations
 from weakrank.metrics import EvalLists, all_metrics, ranks_of_positives
 from weakrank.nncore import (
     LstmParams,
+    ParamGroup,
     ParamTensor,
     cosine_rows_backward,
     cosine_rows_forward,
@@ -117,30 +118,32 @@ def test_criterion_2_gradient_suite():
             b = init_param("b", (4,), rng)
             x = ParamTensor("x", rng.normal(size=(1, 3)))
             probe = rng.normal(size=(1, 4))
+            group = ParamGroup([W, b, x])
 
             def fb_dense():
-                zero_grads([W, b, x])
+                zero_grads(group)
                 y, cache = dense_forward(x.value, W, b, act)
                 x.grad += dense_backward(probe, cache)
                 return float((probe * y).sum())
 
-            err = finite_difference_check(fb_dense, [W, b, x])
+            err = finite_difference_check(fb_dense, group)
             worst[f"dense-{act}"] = max(worst.get(f"dense-{act}", 0.0), err)
 
         # row cosine, the op the cosine rankers train through
         U = ParamTensor("U", rng.normal(size=(3, 5)))
         V = ParamTensor("V", rng.normal(size=(3, 5)))
         cprobe = rng.normal(size=3)
+        cos_group = ParamGroup([U, V])
 
         def fb_cos():
-            zero_grads([U, V])
+            zero_grads(cos_group)
             c, cache = cosine_rows_forward(U.value, V.value)
             dU, dV = cosine_rows_backward(cprobe, cache)
             U.grad += dU
             V.grad += dV
             return float(cprobe @ c)
 
-        worst["cosine"] = max(worst.get("cosine", 0.0), finite_difference_check(fb_cos, [U, V]))
+        worst["cosine"] = max(worst.get("cosine", 0.0), finite_difference_check(fb_cos, cos_group))
 
         # kernel pooling, the forward phi_features runs, against the test-side
         # backward: a block of word cosines against integer word counts (some
@@ -150,18 +153,19 @@ def test_criterion_2_gradient_suite():
         q_counts = rng.integers(0, 3, size=(2, 4)).astype(np.float64)
         c_counts = rng.integers(0, 3, size=(3, 5)).astype(np.float64)
         kprobe = rng.normal(size=(3, 2, 3))
+        kernel_group = ParamGroup([S])
         for negative_exponent, sigmas in ((True, np.array([0.1, 0.2, 0.3])),
                                           (False, np.array([0.5, 0.6, 0.7]))):
 
             def fb_kernel():
-                zero_grads([S])
+                zero_grads(kernel_group)
                 pooled = kernel_pool_forward(S.value, q_counts, c_counts, mus, sigmas,
                                              negative_exponent)
                 S.grad += kernel_pool_backward(kprobe, S.value, q_counts, c_counts, mus, sigmas,
                                                negative_exponent)
                 return float((kprobe * pooled).sum())
 
-            worst["kernel"] = max(worst.get("kernel", 0.0), finite_difference_check(fb_kernel, [S]))
+            worst["kernel"] = max(worst.get("kernel", 0.0), finite_difference_check(fb_kernel, kernel_group))
 
         # GraphSAGE stack through a padded neighbor sample: 1-3 neighbors in
         # 3 slots. The last layer at a proper subset of the nodes is the op
@@ -207,7 +211,7 @@ def test_criterion_2_gradient_suite():
         params = LstmParams.create("lstm", 3, 4, rng)
         xs = [ParamTensor(f"x{t}", rng.normal(size=3)) for t in range(3)]
         hprobe = rng.normal(size=4)
-        tensors = params.tensors() + xs
+        tensors = ParamGroup(params.tensors() + xs)
 
         def fb_lstm():
             zero_grads(tensors)
@@ -229,16 +233,17 @@ def test_criterion_2_gradient_suite():
         # supervised pairwise loss w.r.t. the scores
         r_pos = ParamTensor("r_pos", rng.normal(size=4))
         r_neg = ParamTensor("r_neg", rng.normal(size=4))
+        loss_group = ParamGroup([r_pos, r_neg])
 
         def fb_loss():
-            zero_grads([r_pos, r_neg])
+            zero_grads(loss_group)
             loss, d_pos, d_neg = _pairwise_loss_grads(r_pos.value, r_neg.value)
             r_pos.grad += d_pos
             r_neg.grad += d_neg
             return loss
 
         worst["sup-loss"] = max(worst.get("sup-loss", 0.0),
-                                finite_difference_check(fb_loss, [r_pos, r_neg]))
+                                finite_difference_check(fb_loss, loss_group))
 
     elapsed = time.monotonic() - started
     for name, err in worst.items():

@@ -10,10 +10,11 @@ from weakrank.controller import (
     ControllerParams,
     EpisodeLog,
     action_log_prob,
+    greedy_decode,
     reinforce_update,
     sample_configuration,
 )
-from weakrank.nncore import zero_grads
+from weakrank.nncore import OptimizerState, optimizer_step, zero_grads
 
 K_VALUES = (10, 20, 30, 40, 50)
 DECAY = SETTINGS.baseline_decay
@@ -70,13 +71,18 @@ class TestSampling:
         assert np.all(state_probs["unsup"] >= 0) and np.all(state_probs["unsup"] <= 1)
         assert state_probs["k"].sum() == pytest.approx(1.0)
 
-    def test_clamped_step_held_constant(self):
+    @pytest.mark.parametrize("field", ["unsup_mask", "k_index", "sup_mask"])
+    def test_clamped_step_held_constant(self, field):
         params = ControllerParams(4, 3, 3, hidden=8, seed=9)
-        clamp = Clamp(unsup_mask=(0, 1, 0, 1))
+        value = {"unsup_mask": (0, 1, 0, 1), "k_index": 2, "sup_mask": (0, 1, 1)}[field]
+        clamp = Clamp(**{field: value})
+        assert getattr(greedy_decode(params, (1, 2, 3)), field) != value
+        assert getattr(greedy_decode(params, (1, 2, 3), clamp=clamp), field) == value
         rng = np.random.default_rng(0)
         for _ in range(20):
-            cfg, _ = sample_configuration(params, rng, (1, 2, 3), clamp=clamp)
-            assert cfg.unsup_mask == (0, 1, 0, 1)
+            cfg, logp = sample_configuration(params, rng, (1, 2, 3), clamp=clamp)
+            assert getattr(cfg, field) == value
+            assert logp == action_log_prob(params, cfg, clamp=clamp)[0]
 
 
 class TestActionLogProb:
@@ -159,6 +165,25 @@ class TestReinforce:
         used = reinforce_update(params, cfg, reward=0.8, baseline=baseline, lr=0.1,
                                 use_baseline=True, entropy_coef=0.0)
         assert used == 0.8 and baseline.value == 0.8
+
+    def test_policy_step_is_an_exact_ascent_step(self):
+        # joint_train's step: SGD on the gradient accumulated at negated scales
+        # moves each value by exactly +lr * G, G accumulated at positive ones
+        params = ControllerParams(5, 4, 3, hidden=17, seed=3)
+        rng = np.random.default_rng(2)
+        configs = [sample_configuration(params, rng, (1, 2, 3, 4))[0] for _ in range(2)]
+        rewards, b, lr, coef, n = (0.9, 0.4), 0.55, 0.1, 0.01, 2
+        group = params.tensors()
+        zero_grads(group)
+        for cfg, r in zip(configs, rewards):
+            action_log_prob(params, cfg, grad_scale=(r - b) / n, entropy_scale=coef / n)
+        expected = [p.value + lr * p.grad for p in group]
+        zero_grads(group)
+        for cfg, r in zip(configs, rewards):
+            action_log_prob(params, cfg, grad_scale=-(r - b) / n, entropy_scale=-coef / n)
+        optimizer_step(group, OptimizerState("sgd", lr=lr))
+        for p, v in zip(group, expected):
+            assert np.array_equal(p.value, v), p.name
 
     def test_baseline_ema_update_order(self):
         baseline = BaselineState(value=1.0, decay=0.9)

@@ -4,6 +4,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from defaults import LIMITS
+from weakrank import corpus as corpus_module
 from weakrank.corpus import (
     AnnotationSet,
     Corpus,
@@ -15,6 +16,7 @@ from weakrank.corpus import (
     split_annotations,
     tokenize,
 )
+from weakrank.ioutil import stable_hash
 from weakrank.synthetic import generate_synthetic
 
 
@@ -109,6 +111,15 @@ class TestBuildCorpus:
         path = tmp_path / "corpus.json"
         tiny_corpus.save(path)
         assert Corpus.load(path).content_hash() == tiny_corpus.content_hash()
+
+    def test_content_hash_is_computed_once(self, tiny_corpus, monkeypatch):
+        corpus = Corpus.from_dict(tiny_corpus.to_dict())
+        first = corpus.content_hash()
+        assert first == stable_hash(corpus.to_dict())
+        calls = []
+        monkeypatch.setattr(corpus_module, "stable_hash", lambda data: calls.append(data))
+        assert corpus.content_hash() == first
+        assert calls == []
 
 
 class TestAnnotations:

@@ -120,14 +120,15 @@ class TestDense:
         b = init_param("b", (4,), rng)
         x = ParamTensor("x", rng.normal(size=(1, 3)))
         probe = rng.normal(size=(1, 4))
+        group = ParamGroup([W, b, x])
 
         def fb():
-            zero_grads([W, b, x])
+            zero_grads(group)
             y, cache = dense_forward(x.value, W, b, act)
             x.grad += dense_backward(probe, cache)
             return float((probe * y).sum())
 
-        assert finite_difference_check(fb, [W, b, x]) < 1e-4
+        assert finite_difference_check(fb, group) < 1e-4
 
     def test_shape_mismatch(self):
         W = ParamTensor("W", np.zeros((2, 3)))
@@ -264,16 +265,17 @@ class TestCosine:
         rng = np.random.default_rng(3)
         u = ParamTensor("u", rng.normal(size=(1, 5)))
         v = ParamTensor("v", rng.normal(size=(1, 5)))
+        group = ParamGroup([u, v])
 
         def fb():
-            zero_grads([u, v])
+            zero_grads(group)
             c, cache = cosine_rows_forward(u.value, v.value)
             du, dv = cosine_rows_backward(np.ones(1), cache)
             u.grad += du
             v.grad += dv
             return float(c[0])
 
-        assert finite_difference_check(fb, [u, v]) < 1e-4
+        assert finite_difference_check(fb, group) < 1e-4
 
     def test_rows_variant_matches_scalar(self, rng):
         U, V = rng.normal(size=(6, 4)), rng.normal(size=(6, 4))
@@ -295,16 +297,17 @@ class TestCosine:
         U = ParamTensor("U", rng.normal(size=(3, 4)))
         V = ParamTensor("V", rng.normal(size=(3, 4)))
         probe = rng.normal(size=3)
+        group = ParamGroup([U, V])
 
         def fb():
-            zero_grads([U, V])
+            zero_grads(group)
             c, cache = cosine_rows_forward(U.value, V.value)
             dU, dV = cosine_rows_backward(probe, cache)
             U.grad += dU
             V.grad += dV
             return float(probe @ c)
 
-        assert finite_difference_check(fb, [U, V]) < 1e-4
+        assert finite_difference_check(fb, group) < 1e-4
 
 
 def _pool(S, mus, sigmas, negative_exponent=True):
@@ -325,15 +328,16 @@ def _kernel_fd(rng, negative_exponent, sigmas):
     q_counts = rng.integers(0, 3, size=(2, 4)).astype(np.float64)
     c_counts = rng.integers(0, 3, size=(3, 5)).astype(np.float64)
     probe = rng.normal(size=(3, 2, 3))
+    group = ParamGroup([S])
 
     def fb():
-        zero_grads([S])
+        zero_grads(group)
         pooled = kernel_pool_forward(S.value, q_counts, c_counts, mus, sigmas, negative_exponent)
         S.grad += kernel_pool_backward(probe, S.value, q_counts, c_counts, mus, sigmas,
                                        negative_exponent)
         return float((probe * pooled).sum())
 
-    return finite_difference_check(fb, [S])
+    return finite_difference_check(fb, group)
 
 
 # sigmas for each exponent sign: the positive one grows as exp(4 / (2 sigma^2))
@@ -391,7 +395,7 @@ class TestLstm:
         params = LstmParams.create("lstm", 3, 4, rng)
         xs = [ParamTensor(f"x{t}", rng.normal(size=3)) for t in range(3)]
         probe = rng.normal(size=4)
-        tensors = params.tensors() + xs
+        tensors = ParamGroup(params.tensors() + xs)
 
         def fb():
             zero_grads(tensors)
@@ -534,13 +538,14 @@ class TestParamGroup:
 class TestFiniteDifferenceHarness:
     def test_catches_wrong_gradient(self):
         p = ParamTensor("p", np.array([0.5]))
+        group = ParamGroup([p])
 
         def fb():
-            zero_grads([p])
+            zero_grads(group)
             p.grad[:] = 1.0  # claimed gradient of f(p)=2p is wrong
             return float(2.0 * p.value[0])
 
-        assert finite_difference_check(fb, [p]) > 0.1
+        assert finite_difference_check(fb, group) > 0.1
 
     def test_multiseed_gradients_all_ops(self):
         # 20-seed sweep across every differentiable op at its tolerance.
@@ -550,28 +555,30 @@ class TestFiniteDifferenceHarness:
             b = init_param("b", (3,), rng)
             x = ParamTensor("x", rng.normal(size=(1, 3)))
             probe = rng.normal(size=(1, 3))
+            dense_group = ParamGroup([W, b, x])
 
             def fb_dense():
-                zero_grads([W, b, x])
+                zero_grads(dense_group)
                 y, cache = dense_forward(x.value, W, b, "tanh")
                 x.grad += dense_backward(probe, cache)
                 return float((probe * y).sum())
 
-            assert finite_difference_check(fb_dense, [W, b, x]) < 1e-4
+            assert finite_difference_check(fb_dense, dense_group) < 1e-4
 
             U = ParamTensor("U", rng.normal(size=(3, 4)))
             V = ParamTensor("V", rng.normal(size=(3, 4)))
             cprobe = rng.normal(size=3)
+            cos_group = ParamGroup([U, V])
 
             def fb_cos():
-                zero_grads([U, V])
+                zero_grads(cos_group)
                 c, cache = cosine_rows_forward(U.value, V.value)
                 dU, dV = cosine_rows_backward(cprobe, cache)
                 U.grad += dU
                 V.grad += dV
                 return float(cprobe @ c)
 
-            assert finite_difference_check(fb_cos, [U, V]) < 1e-4
+            assert finite_difference_check(fb_cos, cos_group) < 1e-4
 
             for negative_exponent, sigmas in KERNEL_SIGMAS.items():
                 assert _kernel_fd(rng, negative_exponent, sigmas) < 1e-4

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from defaults import SETTINGS
-from weakrank.controller import ControllerParams
+from weakrank import trainer
+from weakrank.controller import ControllerParams, EpisodeLog, sample_configuration
 from weakrank.corpus import split_annotations
 from weakrank.graph import build_graph
 from weakrank.ioutil import derive_seed
@@ -340,6 +341,25 @@ class TestJointTrain:
         config = _fast_config(oracle_path, noise_path, episodes=30, early_stop_patience=5)
         result = joint_train(corpus, val, None, config)
         assert len(result.episodes) < 30
+
+    def test_early_stop_counts_episodes_not_samples(self, data, monkeypatch):
+        """Two samples an episode, rewards falling after the first: patience 2
+        stops the search after two whole episodes without a better reward."""
+        corpus, ann, val, test, oracle_path, noise_path, good_path = data
+        rewards = iter([1.0, 0.5, 0.4, 0.3, 0.2, 0.1, 0.05, 0.02, 0.01, 0.0])
+
+        def fake_episode(matrices, controller, backbone, val_lists, config, *,
+                         episode, sample_rng, reward_cache, clamp=None):
+            cfg, log_prob = sample_configuration(controller, sample_rng, config.k_values)
+            reward = next(rewards)
+            return EpisodeLog(episode, cfg, log_prob, reward, 0.0, reward, baseline=0.0)
+
+        monkeypatch.setattr(trainer, "run_episode", fake_episode)
+        config = _fast_config(oracle_path, noise_path, episodes=5, n_monte_carlo=2,
+                              early_stop_patience=2)
+        result = joint_train(corpus, val, None, config)
+        assert [e.episode for e in result.episodes] == [0, 0, 1, 1, 2, 2]
+        assert result.best_reward == 1.0
 
     def test_overlapping_splits_rejected(self, data):
         corpus, ann, val, test, oracle_path, noise_path, good_path = data
