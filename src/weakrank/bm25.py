@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .corpus import CANDIDATE, Corpus
+from .corpus import Corpus
 from .scores import ScoreMatrix
 
 
@@ -18,21 +18,18 @@ def bm25_matrix(corpus: Corpus, k1: float, b: float) -> ScoreMatrix:
     retained token counts. A query token occurring twice contributes twice.
     """
     n_cand = len(corpus.candidates)
-    avgdl = corpus.avg_len[CANDIDATE]
-    if avgdl <= 0:
-        raise ValueError("candidates must have positive average length")
-    vocab_size = len(corpus.vocab)
-
-    df = corpus.df[CANDIDATE].astype(np.float64)
-    idf = np.log(1.0 + (n_cand - df + 0.5) / (df + 0.5))
-
     # tf[c, t] for every candidate; dense is fine at the corpus sizes this
-    # library targets.
-    tf = np.zeros((n_cand, vocab_size), dtype=np.float64)
+    # library targets. df and avgdl are integer counts, so they are exact.
+    tf = np.zeros((n_cand, len(corpus.vocab)), dtype=np.float64)
     for ci, doc in enumerate(corpus.candidates):
         for tid in doc.token_ids:
             tf[ci, tid] += 1.0
     doc_len = np.array([len(d.token_ids) for d in corpus.candidates], dtype=np.float64)
+    avgdl = float(doc_len.mean())
+    if avgdl <= 0:
+        raise ValueError("candidates must have positive average length")
+    df = (tf > 0).sum(axis=0).astype(np.float64)
+    idf = np.log(1.0 + (n_cand - df + 0.5) / (df + 0.5))
     norm = k1 * (1.0 - b + b * doc_len / avgdl)  # per candidate
 
     values = np.zeros((len(corpus.queries), n_cand), dtype=np.float64)

@@ -68,8 +68,12 @@ class ExperimentConfig(SearchSettings):
         if key not in schema or key == "hp":
             raise ValueError(f"unknown configuration key {key!r}")
         # every module declaring fields postpones annotations: types are names
-        parse = {"int": int, "float": float, "bool": _parse_bool}.get(schema[key].type, str)
-        setattr(self, key, parse(raw))
+        parse, noun = {"int": (int, "an integer"), "float": (float, "a number"),
+                       "bool": (_parse_bool, "a boolean")}.get(schema[key].type, (str, ""))
+        try:
+            setattr(self, key, parse(raw))
+        except ValueError:
+            raise ValueError(f"{key} must be {noun}, not {raw!r}") from None
 
     @classmethod
     def from_file(cls, path: str | Path | None,
@@ -82,9 +86,9 @@ class ExperimentConfig(SearchSettings):
             stripped = line.strip()
             if not stripped or stripped.startswith("#"):
                 continue
-            config.set_key(*_key_value(stripped, f"{path}:{lineno}"))
+            _set_item(config, stripped, f"{path}:{lineno}")
         for item in overrides or []:
-            config.set_key(*_key_value(item, "--set"))
+            _set_item(config, item, "--set")
         built_in = {kind for kinds in HYPERPARAMETERS.values() for kind in kinds} - {"external"}
         externals = {entry.partition("=")[0] for entry in _split_names(config.external_scores)}
         check_config(config, [(name, name if name in built_in else "external" if name in externals
@@ -136,11 +140,15 @@ class ExperimentConfig(SearchSettings):
         )
 
 
-def _key_value(item: str, where: str) -> tuple[str, str]:
+def _set_item(config: ExperimentConfig, item: str, where: str) -> None:
+    """Set the ``key=value`` ``item`` on ``config``; an error names ``where``."""
     if "=" not in item:
         raise ValueError(f"{where}: expected key=value, got {item!r}")
     key, _, raw = item.partition("=")
-    return key.strip(), raw.strip()
+    try:
+        config.set_key(key.strip(), raw.strip())
+    except ValueError as exc:
+        raise ValueError(f"{where}: {exc}") from None
 
 
 def _parse_bool(raw: str) -> bool:

@@ -61,7 +61,7 @@ class Configuration:
         return cls(tuple(data["I1"]), data["k_index"], tuple(data["I3"]), data["k"])
 
 
-@dataclass
+@dataclass(frozen=True)
 class Clamp:
     """Fixes one or more steps for ablation runs; fixed steps are not sampled
     and contribute neither log-probability nor gradient."""
@@ -244,13 +244,12 @@ def sample_configuration(
     params: ControllerParams,
     rng: np.random.Generator,
     k_values,
-    clamp: Clamp | None = None,
+    clamp: Clamp = Clamp(),
 ) -> tuple[Configuration, float]:
     """Sample one pipeline configuration; returns it with its log-probability.
 
     Clamped steps are taken as given and excluded from the log-probability.
     """
-    clamp = clamp or Clamp()
     if len(k_values) != params.n_k:
         raise ValueError(f"expected {params.n_k} k values, got {len(k_values)}")
 
@@ -265,7 +264,7 @@ def sample_configuration(
 def action_log_prob(
     params: ControllerParams,
     config: Configuration,
-    clamp: Clamp | None = None,
+    clamp: Clamp = Clamp(),
     grad_scale: float = 0.0,
     entropy_scale: float = 0.0,
 ) -> tuple[float, float]:
@@ -275,7 +274,6 @@ def action_log_prob(
     either scale is non-zero, accumulates the gradient of
     grad_scale * log pi + entropy_scale * entropy into the parameters.
     """
-    clamp = clamp or Clamp()
     if len(config.unsup_mask) != params.n_unsup or len(config.sup_mask) != params.n_sup:
         raise ValueError("configuration masks do not match registry sizes")
     if not 0 <= config.k_index < params.n_k:
@@ -354,7 +352,7 @@ def reinforce_update(
     lr: float,
     use_baseline: bool,
     entropy_coef: float,
-    clamp: Clamp | None = None,
+    clamp: Clamp = Clamp(),
 ) -> float:
     """One gradient-ascent step along (reward - baseline) * grad log pi.
 
@@ -387,9 +385,9 @@ def _greedy_mask(probs: np.ndarray, step_name: str) -> np.ndarray:
     return mask
 
 
-def greedy_decode(params: ControllerParams, k_values, clamp: Clamp | None = None) -> Configuration:
+def greedy_decode(params: ControllerParams, k_values, clamp: Clamp = Clamp()) -> Configuration:
     """Most-likely configuration step by step: select every choice with
     select-probability >= 0.5 (falling back to the single best choice for an
     empty mask) and the argmax k category."""
-    state = _traverse(params, clamp or Clamp(), _greedy_mask, lambda probs: int(np.argmax(probs)))
+    state = _traverse(params, clamp, _greedy_mask, lambda probs: int(np.argmax(probs)))
     return _configuration(state, k_values)

@@ -48,8 +48,6 @@ class Document:
 class Corpus:
     """Tokenized queries and candidates with a shared vocabulary.
 
-    Exposes per-role document frequency and average length, which the
-    lexical scorer needs, plus id -> document lookups for everything else.
     It owns the id <-> position map: query row i is ``query_ids[i]``,
     candidate column j is ``candidate_ids[j]``, and ``query_row`` /
     ``candidate_column`` map back. Inside a search every label, triple and
@@ -80,16 +78,6 @@ class Corpus:
             for tid in doc.token_ids:
                 if not 0 <= tid < len(vocab):
                     raise ValueError(f"document {doc.id!r} has token id {tid} outside vocabulary")
-
-        self.df = {role: np.zeros(len(vocab), dtype=np.int64) for role in ROLES}
-        for role, docs in ((QUERY, self.queries), (CANDIDATE, self.candidates)):
-            for doc in docs:
-                for tid in set(doc.token_ids):
-                    self.df[role][tid] += 1
-        self.avg_len = {
-            QUERY: float(np.mean([len(d.token_ids) for d in self.queries])),
-            CANDIDATE: float(np.mean([len(d.token_ids) for d in self.candidates])),
-        }
 
     def document(self, role: str, doc_id: str) -> Document:
         docs, position = ((self.queries, self.query_row) if role == QUERY
@@ -240,7 +228,13 @@ def load_documents_jsonl(path: str | Path) -> list[dict]:
             line = line.strip()
             if not line:
                 continue
-            obj = json.loads(line)
+            try:
+                obj = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise ValueError(f"{path}:{lineno}: not valid JSON: {exc}") from None
+            if not isinstance(obj, dict):
+                raise ValueError(f"{path}:{lineno}: expected a JSON object with "
+                                 "id, role and text")
             for key in ("id", "role", "text"):
                 if key not in obj:
                     raise ValueError(f"{path}:{lineno}: missing field {key!r}")
@@ -266,7 +260,11 @@ def load_annotations_tsv(path: str | Path, split: str = "all") -> AnnotationSet:
             parts = line.split("\t")
             if len(parts) != 3:
                 raise ValueError(f"{path}:{lineno}: expected 3 tab-separated fields")
-            pairs.append((parts[0], parts[1], int(parts[2])))
+            try:
+                pairs.append((parts[0], parts[1], int(parts[2])))
+            except ValueError:
+                raise ValueError(f"{path}:{lineno}: label of ({parts[0]!r}, {parts[1]!r}) "
+                                 f"must be 0 or 1, not {parts[2]!r}") from None
     return AnnotationSet(tuple(pairs), split)
 
 

@@ -1,8 +1,10 @@
 """Skip-gram embeddings with negative sampling, trained by explicit SGD.
 
 The same trainer runs over token sequences (text embeddings) and over node
-id sequences produced by graph walks; callers map their entities to integer
-ids and back.
+row sequences produced by graph walks. Vectors become scores in one place,
+``cosine_matrix``: the text scorer takes it of ``doc_means``, the graph
+scorers of node rows at ``graph.HetGraph.doc_nodes``, and the cosine rankers
+of their outputs.
 
 An epoch takes one SGD step per centre position, in a seeded shuffled
 order of the sequences. It works through that order in blocks of
@@ -26,14 +28,13 @@ import numpy as np
 
 from .corpus import Corpus
 from .ioutil import load_arrays, save_arrays
-from .scores import ScoreMatrix
 
 SEQ_BLOCK = 64  # sequences laid out at once: bounds the layout's memory
 DRAW_CHUNK = 1 << 14  # uniforms a CdfSampler pass takes: bounds its temporaries
 
 
 class EmbeddingTable:
-    """Fixed-dimension vectors keyed by entity id (token or graph node)."""
+    """Fixed-dimension vectors keyed by token."""
 
     def __init__(self, ids, vectors: np.ndarray):
         self.ids = tuple(ids)
@@ -243,25 +244,14 @@ def unit_rows(X: np.ndarray) -> np.ndarray:
     return X / np.where(norms > 0, norms, 1.0)
 
 
-def score_matrix_from_embeddings(table: EmbeddingTable, corpus: Corpus, mode: str) -> ScoreMatrix:
-    """Cosine score matrix from an embedding table.
+def doc_means(table: EmbeddingTable, corpus: Corpus) -> tuple[np.ndarray, np.ndarray]:
+    """The ``doc_vector`` of every query and of every candidate, stacked in
+    corpus order: (queries, dim) and (candidates, dim)."""
+    return tuple(np.stack([doc_vector(table, corpus.tokens(d)) for d in docs])
+                 for docs in (corpus.queries, corpus.candidates))
 
-    mode "doc-mean" averages token vectors per document; mode "node" looks
-    up the graph node entity directly ("q:<id>" / "c:<id>"). Zero vectors
-    score 0 against everything.
-    """
-    from .graph import node_entity_id  # local import avoids a cycle
 
-    if mode == "doc-mean":
-        def vec(doc):
-            return doc_vector(table, corpus.tokens(doc))
-    elif mode == "node":
-        def vec(doc):
-            return table.vector(node_entity_id(doc.role, doc.id))
-    else:
-        raise ValueError(f"unknown scoring mode {mode!r}")
-
-    q_mat = unit_rows(np.stack([vec(d) for d in corpus.queries]))
-    c_mat = unit_rows(np.stack([vec(d) for d in corpus.candidates]))
-    values = q_mat @ c_mat.T
-    return ScoreMatrix(f"emb-{mode}", corpus.query_ids, corpus.candidate_ids, values)
+def cosine_matrix(U: np.ndarray, V: np.ndarray) -> np.ndarray:
+    """Cosine of every row of U with every row of V; zero-norm rows score 0.
+    Every embedding scorer and cosine ranker turns its vectors into scores here."""
+    return unit_rows(U) @ unit_rows(V).T

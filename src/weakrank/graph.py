@@ -1,8 +1,10 @@
 """Typed query-word-candidate graph built from a corpus.
 
-Nodes are integer-indexed for speed; each carries a (type, key) pair and a
-stable string id usable as an embedding-table entity id. The only edges are
-document-word links weighted by term frequency.
+Nodes are addressed by row; each carries a (type, key) pair, and
+``node_index`` maps a pair back to its row. ``HetGraph.doc_nodes`` is the
+one map from a corpus's documents to node rows: node embeddings are read at
+these rows. The only edges are document-word links weighted by term
+frequency.
 """
 
 from __future__ import annotations
@@ -12,13 +14,6 @@ import numpy as np
 from .corpus import CANDIDATE, QUERY, Corpus
 
 WORD = "word"
-
-_PREFIX = {QUERY: "q", CANDIDATE: "c", WORD: "w"}
-
-
-def node_entity_id(ntype: str, key: str) -> str:
-    """Stable string id for a graph node, e.g. "q:j12" or "w:python"."""
-    return f"{_PREFIX[ntype]}:{key}"
 
 
 class HetGraph:
@@ -59,8 +54,11 @@ class HetGraph:
         except KeyError:
             raise KeyError(f"no {ntype} node with key {key!r}") from None
 
-    def entity_ids(self) -> list[str]:
-        return [node_entity_id(t, k) for t, k in self.nodes]
+    def doc_nodes(self, corpus: Corpus) -> tuple[np.ndarray, np.ndarray]:
+        """Node rows of the corpus's queries and of its candidates, in corpus
+        order; a ``KeyError`` names a document the graph lacks."""
+        return tuple(np.array([self.node_index(role, d.id) for d in docs])
+                     for role, docs in ((QUERY, corpus.queries), (CANDIDATE, corpus.candidates)))
 
     def edge_weight_sum(self, idx: int) -> float:
         return float(self.weights[idx].sum())

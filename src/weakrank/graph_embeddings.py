@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .embeddings import CdfSampler, EmbeddingTable, SkipGramTrainer, window_layout
+from .embeddings import CdfSampler, SkipGramTrainer, window_layout
 from .graph import HetGraph
 from .nncore import (
     OptimizerState,
@@ -153,7 +153,6 @@ class EdgeProximityTrainer:
         if order not in (1, 2):
             raise ValueError("order must be 1 or 2")
         _check_no_isolated(graph)
-        self.graph = graph
         self.dim = dim
         self.order = order
         self.neg = neg
@@ -198,9 +197,6 @@ class EdgeProximityTrainer:
                 # for order 1 ctx aliases emb, so both updates land in one table
                 scatter_add_rows(self.ctx, targets, -self.lr * dout)
                 scatter_add_rows(self.emb, src, -self.lr * dh)
-
-    def table(self) -> EmbeddingTable:
-        return EmbeddingTable(self.graph.entity_ids(), self.emb.copy())
 
 
 # ---------------------------------------------------------------------------
@@ -274,8 +270,9 @@ def train_graph_embeddings(
     hp: dict,
     seed: int,
     node_features: np.ndarray | None = None,
-) -> EmbeddingTable:
-    """Train node embeddings with one of the five methods.
+) -> np.ndarray:
+    """Train node embeddings with one of the five methods: a (nodes, dim)
+    array whose row i is node i's vector.
 
     ``hp`` holds every hyperparameter the method's kind declares in
     ``registry.HYPERPARAMETERS`` (``spec.hyperparameters()``). The
@@ -290,16 +287,16 @@ def train_graph_embeddings(
         trainer = SkipGramTrainer(graph.n_nodes, hp["dim"], hp["window"], hp["neg"], hp["lr"],
                                   seed, counts=counts)
         trainer.train(walks, hp["epochs"])
-        return EmbeddingTable(graph.entity_ids(), trainer.w_in.copy())
+        return trainer.w_in
     if method in ("proximity-1", "proximity-2"):
         trainer = EdgeProximityTrainer(graph, hp["dim"], int(method[-1]), hp["neg"], hp["lr"],
                                        seed)
         trainer.train(hp["epochs"], hp["batch_size"])
-        return trainer.table()
+        return trainer.emb
     if node_features is None:
         raise ValueError("aggregation needs node_features")
     trainer = AggregationTrainer(graph, node_features, hp["hidden"], hp["out_dim"],
                                  hp["n_layers"], hp["neg"], hp["lr"], hp["sample_size"], seed)
     walks = generate_walks(graph, hp["n_walks"], hp["walk_len"], seed + 1, None, None)
     trainer.train(cooccurrence_pairs(walks, hp["window"]), hp["epochs"], hp["batch_size"])
-    return EmbeddingTable(graph.entity_ids(), trainer.embeddings())
+    return trainer.embeddings()

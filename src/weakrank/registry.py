@@ -19,8 +19,9 @@ from .bm25 import bm25_matrix
 from .corpus import Corpus
 from .embeddings import (
     EmbeddingTable,
+    cosine_matrix,
+    doc_means,
     node_feature_matrix,
-    score_matrix_from_embeddings,
     train_text_embeddings,
 )
 from .graph import HetGraph
@@ -213,19 +214,20 @@ def compute_score_matrix(
     text-embedding scorer scores with ``table``, the text table of its
     settings, which ``trainer.pretrain_all`` trains or shares."""
     hp = spec.hyperparameters()
-    if spec.kind == "bm25":
-        matrix = bm25_matrix(corpus, **hp)
-    elif spec.kind == "text-embedding":
-        if table is None:
-            raise ValueError(f"model {spec.name!r} needs the text table of its settings")
-        matrix = score_matrix_from_embeddings(table, corpus, "doc-mean")
-    elif spec.kind == "external":
+    if spec.kind == "external":
         matrix = ScoreMatrix.load_csv(spec.params["path"], model_name=spec.name)
         if (matrix.query_ids, matrix.candidate_ids) != (corpus.query_ids, corpus.candidate_ids):
             raise ValueError(
                 f"external matrix {spec.name!r} does not cover this corpus's "
                 "queries/candidates in order"
             )
+        return matrix
+    if spec.kind == "bm25":
+        values = bm25_matrix(corpus, **hp).values
+    elif spec.kind == "text-embedding":
+        if table is None:
+            raise ValueError(f"model {spec.name!r} needs the text table of its settings")
+        values = cosine_matrix(*doc_means(table, corpus))
     else:
         if graph is None:
             raise ValueError(f"model {spec.name!r} needs the heterogeneous graph")
@@ -235,7 +237,8 @@ def compute_score_matrix(
                           if key.startswith("feature_")}
             table = train_text_embeddings(corpus, seed=seed, **feature_hp)
             features = node_feature_matrix(graph, corpus, table)
-        node_table = train_graph_embeddings(graph, spec.kind.removeprefix("graph-"), hp, seed,
-                                            node_features=features)
-        matrix = score_matrix_from_embeddings(node_table, corpus, "node")
-    return ScoreMatrix(spec.name, matrix.query_ids, matrix.candidate_ids, matrix.values)
+        Z = train_graph_embeddings(graph, spec.kind.removeprefix("graph-"), hp, seed,
+                                   node_features=features)
+        q_nodes, c_nodes = graph.doc_nodes(corpus)
+        values = cosine_matrix(Z[q_nodes], Z[c_nodes])
+    return ScoreMatrix(spec.name, corpus.query_ids, corpus.candidate_ids, values)

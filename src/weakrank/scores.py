@@ -80,7 +80,10 @@ class ScoreMatrix:
                 if len(parts) != len(candidate_ids) + 1:
                     raise ValueError(f"{path}: ragged row for query {parts[0]!r}")
                 query_ids.append(parts[0])
-                rows.append([float(v) for v in parts[1:]])
+                try:
+                    rows.append([float(v) for v in parts[1:]])
+                except ValueError as exc:
+                    raise ValueError(f"{path}: row for query {parts[0]!r}: {exc}") from None
         name = model_name if model_name is not None else Path(path).stem
         return cls(name, tuple(query_ids), candidate_ids, np.array(rows, dtype=np.float64))
 

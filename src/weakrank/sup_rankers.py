@@ -4,7 +4,11 @@ Three model families: a two-tower representation model over mean word
 embeddings, an interaction model pooling word-by-word cosines through RBF
 kernels, and a graph ranker aggregating sampled neighborhoods. All share a
 RankerBackbone of frozen inputs (word embeddings, document means, kernel
-feature caches) so per-episode models are cheap to create and train.
+feature caches) so per-episode models are cheap to create and train. The
+document means are ``embeddings.doc_means``, and the graph ranker reads its
+documents' node rows from ``graph.HetGraph.doc_nodes``. The two cosine
+rankers turn their outputs into scores through ``embeddings.cosine_matrix``,
+the op the embedding scorers score through.
 
 Rankers score whole matrices: ``score_matrix()`` returns every (query,
 candidate) score in one batched pass. Everything that scores a trained
@@ -27,8 +31,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .corpus import CANDIDATE, QUERY, Corpus
-from .embeddings import EmbeddingTable, doc_vector, node_feature_matrix, unit_rows
+from .corpus import Corpus
+from .embeddings import EmbeddingTable, cosine_matrix, doc_means, node_feature_matrix, unit_rows
 from .graph import HetGraph
 from .ioutil import load_arrays, save_arrays
 from .metrics import rank_lists
@@ -94,9 +98,7 @@ class RankerBackbone:
         self.graph_sample_size = graph_sample_size
         self.graph_seed = graph_seed
 
-        self.q_means, self.c_means = (
-            np.stack([doc_vector(self.table, corpus.tokens(d)) for d in docs])
-            for docs in (corpus.queries, corpus.candidates))
+        self.q_means, self.c_means = doc_means(self.table, corpus)
 
         self._phi_cache: dict = {}
         self._graph_inputs = None
@@ -159,19 +161,8 @@ class RankerBackbone:
             rng = np.random.default_rng(self.graph_seed)
             sample = build_neighbor_matrix(self.graph, self.graph_sample_size, rng)
             features = node_feature_matrix(self.graph, self.corpus, self.table)
-            q_nodes = np.array(
-                [self.graph.node_index(QUERY, d.id) for d in self.corpus.queries]
-            )
-            c_nodes = np.array(
-                [self.graph.node_index(CANDIDATE, d.id) for d in self.corpus.candidates]
-            )
-            self._graph_inputs = (sample, features, q_nodes, c_nodes)
+            self._graph_inputs = (sample, features, *self.graph.doc_nodes(self.corpus))
         return self._graph_inputs
-
-
-def _cosine_matrix(U: np.ndarray, V: np.ndarray) -> np.ndarray:
-    """Cosine of every row of U with every row of V; zero-norm rows score 0."""
-    return unit_rows(U) @ unit_rows(V).T
 
 
 def _pairwise_loss_grads(r_pos: np.ndarray, r_neg: np.ndarray):
@@ -256,7 +247,7 @@ class RepresentationRanker(_Ranker):
     def score_matrix(self) -> np.ndarray:
         yq, _ = self._tower(self.backbone.q_means, "q")
         yc, _ = self._tower(self.backbone.c_means, "c")
-        return _cosine_matrix(yq, yc)
+        return cosine_matrix(yq, yc)
 
     def score_pairs(self, query_id: str, candidate_ids) -> np.ndarray:
         return self.backbone.gather(self.score_matrix(), query_id, candidate_ids)
@@ -338,7 +329,7 @@ class GraphAggregationRanker(_Ranker):
 
     def score_matrix(self) -> np.ndarray:
         Z = self._embeddings()
-        return _cosine_matrix(Z[self.q_nodes], Z[self.c_nodes])
+        return cosine_matrix(Z[self.q_nodes], Z[self.c_nodes])
 
     def score_pairs(self, query_id: str, candidate_ids) -> np.ndarray:
         return self.backbone.gather(self.score_matrix(), query_id, candidate_ids)

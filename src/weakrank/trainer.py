@@ -555,7 +555,7 @@ def run_episode(
     episode: int,
     sample_rng: np.random.Generator,
     reward_cache: dict,
-    clamp: Clamp | None = None,
+    clamp: Clamp = Clamp(),
 ) -> EpisodeLog:
     """Sample a configuration, train its rankers, and score it on validation.
     The entry's baseline is 0 until ``joint_train`` sets its batch's.
@@ -607,7 +607,7 @@ def joint_train(
     config: RunConfig,
     workdir: str | Path | None = None,
     cache_dir: str | Path | None = None,
-    clamp: Clamp | None = None,
+    clamp: Clamp = Clamp(),
 ) -> RunResult:
     """The full search: pretrain, episode loop, best-config retrain, test eval.
 

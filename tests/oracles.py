@@ -39,14 +39,13 @@ def _nonzero_mask_distribution(probs: np.ndarray) -> dict[tuple[int, ...], float
     return {m: p / total for m, p in out.items()}
 
 
-def enumerate_policy(params: ControllerParams, clamp: Clamp | None = None) -> dict:
+def enumerate_policy(params: ControllerParams, clamp: Clamp = Clamp()) -> dict:
     """Exact marginals of the sampling policy, resampling correction included.
 
     Enumerates every non-zero step-1 mask (so the unsupervised registry must
     stay small), then every k, then the step-3 marginals conditioned on each
     prefix. Returns marginal select probabilities per step.
     """
-    clamp = clamp or Clamp()
     p_unsup = np.zeros(params.n_unsup)
     p_k = np.zeros(params.n_k)
     p_sup = np.zeros(params.n_sup)

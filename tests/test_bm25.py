@@ -1,3 +1,6 @@
+import math
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -5,6 +8,7 @@ from defaults import LIMITS, scorer_hp
 from weakrank.bm25 import bm25_matrix
 from weakrank.corpus import build_corpus
 from weakrank.scores import ScoreMatrix
+from weakrank.synthetic import generate_synthetic
 
 # Hand evaluation of the scoring formula on the tiny_corpus fixture
 # (k1=1.2, b=0.75, avgdl=13/3, candidate-side df):
@@ -79,9 +83,42 @@ def test_adding_candidate_only_recomputes_idf():
         assert [small.vocab[t] for t in before.token_ids] == [
             grown.vocab[t] for t in after.token_ids
         ]
-    # scores change only through idf / avgdl recomputation, which both use
-    tid = grown.id_of_token["shared"]
-    assert grown.df["candidate"][tid] == 2 and small.df["candidate"][small.id_of_token["shared"]] == 1
+    # scores change only through idf / avgdl recomputation; with b = 0 and
+    # tf 1, q1's score on c1 is idf(shared): df 1 of 2 candidates, then 2 of 3
+    assert _at(bm25_matrix(small, k1=1.2, b=0.0), small, "q1", "c1") == pytest.approx(
+        math.log(1.0 + 1.5 / 1.5))
+    assert _at(bm25_matrix(grown, k1=1.2, b=0.0), grown, "q1", "c1") == pytest.approx(
+        math.log(1.0 + 1.5 / 2.5))
+
+
+def test_document_frequency_counts_the_candidates_holding_a_token(tiny_corpus):
+    """q1 shares only "python" (twice) with c1, where it occurs once: with
+    b = 0 the score is 2 * idf(python), and python is in 2 of 3 candidates."""
+    matrix = bm25_matrix(tiny_corpus, k1=1.2, b=0.0)
+    assert _at(matrix, tiny_corpus, "q1", "c1") == pytest.approx(2.0 * math.log(1.6), abs=1e-12)
+
+
+def _recounted_bm25(corpus, k1, b):
+    """Pair by pair, with df and avgdl recounted from the candidates."""
+    n = len(corpus.candidates)
+    avgdl = sum(len(c.token_ids) for c in corpus.candidates) / n
+    df = Counter(t for c in corpus.candidates for t in set(c.token_ids))
+    values = np.zeros((len(corpus.queries), n))
+    for qi, query in enumerate(corpus.queries):
+        for ci, cand in enumerate(corpus.candidates):
+            tf, norm = Counter(cand.token_ids), k1 * (1 - b + b * len(cand.token_ids) / avgdl)
+            values[qi, ci] = sum(math.log(1 + (n - df[t] + 0.5) / (df[t] + 0.5))
+                                 * tf[t] * (k1 + 1) / (tf[t] + norm)
+                                 for t in query.token_ids if tf[t])
+    return values
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_df_and_avgdl_match_a_recount(seed):
+    corpus, _ = generate_synthetic(n_queries=5, n_candidates=12, n_topics=3, vocab_per_topic=5,
+                                   doc_len=9, noise_rate=0.3, seed=seed)
+    matrix = bm25_matrix(corpus, **scorer_hp("bm25"))
+    assert np.allclose(matrix.values, _recounted_bm25(corpus, 1.2, 0.75), rtol=1e-12, atol=0)
 
 
 def test_csv_roundtrip(tiny_corpus, tmp_path):
@@ -92,6 +129,15 @@ def test_csv_roundtrip(tiny_corpus, tmp_path):
     assert loaded.query_ids == matrix.query_ids
     assert loaded.candidate_ids == matrix.candidate_ids
     assert np.array_equal(loaded.values, matrix.values)
+
+
+def test_a_malformed_csv_cell_names_its_file_and_query(tmp_path):
+    path = tmp_path / "ext.csv"
+    path.write_text(",c1,c2\nq1,0.5,1.0\nq2,abc,1.0\n", encoding="utf-8")
+    with pytest.raises(ValueError) as err:
+        ScoreMatrix.load_csv(path)
+    assert str(err.value) == (f"{path}: row for query 'q2': "
+                              "could not convert string to float: 'abc'")
 
 
 def test_csv_bytes_match_the_per_value_repr(tmp_path):

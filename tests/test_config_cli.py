@@ -110,6 +110,23 @@ class TestExperimentConfig:
         with pytest.raises(ValueError, match="--set: expected key=value, got 'episodes'"):
             ExperimentConfig.from_file(None, overrides=["episodes"])
 
+    @pytest.mark.parametrize("line,message", [
+        ("seed=abc", "seed must be an integer, not 'abc'"),
+        ("controller_lr=fast", "controller_lr must be a number, not 'fast'"),
+        ("use_baseline=maybe", "use_baseline must be a boolean, not 'maybe'"),
+    ])
+    def test_a_malformed_value_names_its_source_and_key(self, tmp_path, capsys, line, message):
+        path = tmp_path / "exp.cfg"
+        path.write_text(f"# a comment\n{line}\n", encoding="utf-8")
+        with pytest.raises(ValueError) as err:
+            ExperimentConfig.from_file(path)
+        assert str(err.value) == f"{path}:2: {message}"
+        with pytest.raises(ValueError) as err:
+            ExperimentConfig.from_file(None, overrides=[line])
+        assert str(err.value) == f"--set: {message}"
+        assert main(["search", "--config", str(path)]) == 2
+        assert capsys.readouterr().err == f"error: ValueError: {path}:2: {message}\n"
+
     def test_registry_construction(self):
         config = ExperimentConfig()
         config.unsup_models = "bm25,text-embedding"

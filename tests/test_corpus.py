@@ -1,4 +1,3 @@
-import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -70,10 +69,6 @@ class TestBuildCorpus:
         # vocabulary covers retained tokens only
         assert "tok150" not in corpus.id_of_token
 
-    def test_document_frequency(self, tiny_corpus):
-        tid = tiny_corpus.id_of_token["python"]
-        assert tiny_corpus.df["candidate"][tid] == 2
-
     def test_rejects_empty_document(self):
         docs = [
             {"id": "q1", "role": "query", "text": "a b"},
@@ -94,14 +89,6 @@ class TestBuildCorpus:
     def test_retokenizing_stored_text_reproduces_tokens(self, tiny_corpus):
         for doc in tiny_corpus.queries + tiny_corpus.candidates:
             assert tokenize(doc.text)[:200] == tiny_corpus.tokens(doc)
-
-    def test_df_matches_recount(self, tiny_corpus):
-        for role, docs in (("query", tiny_corpus.queries), ("candidate", tiny_corpus.candidates)):
-            recount = np.zeros(len(tiny_corpus.vocab), dtype=np.int64)
-            for doc in docs:
-                for tid in set(doc.token_ids):
-                    recount[tid] += 1
-            assert np.array_equal(recount, tiny_corpus.df[role])
 
     def test_roundtrip_via_dict(self, tiny_corpus):
         clone = Corpus.from_dict(tiny_corpus.to_dict())
@@ -163,6 +150,26 @@ class TestAnnotations:
         path = tmp_path / "ann.tsv"
         save_annotations_tsv(path, ann)
         assert load_annotations_tsv(path).pairs == ann.pairs
+
+    def test_a_malformed_label_names_its_line_and_pair(self, tmp_path):
+        path = tmp_path / "ann.tsv"
+        path.write_text("q1\tc1\t1\nq1\tc2\tyes\n", encoding="utf-8")
+        with pytest.raises(ValueError) as err:
+            load_annotations_tsv(path)
+        assert str(err.value) == f"{path}:2: label of ('q1', 'c2') must be 0 or 1, not 'yes'"
+
+    @pytest.mark.parametrize("line,message", [
+        ('{"id": q2}', "not valid JSON: Expecting value: line 1 column 8 (char 7)"),
+        ('["q2", "query", "text"]', "expected a JSON object with id, role and text"),
+        ("7", "expected a JSON object with id, role and text"),
+    ])
+    def test_a_malformed_documents_line_names_its_line(self, tmp_path, line, message):
+        path = tmp_path / "docs.jsonl"
+        path.write_text('{"id": "q1", "role": "query", "text": "alpha"}\n' + line + "\n",
+                        encoding="utf-8")
+        with pytest.raises(ValueError) as err:
+            load_documents_jsonl(path)
+        assert str(err.value) == f"{path}:2: {message}"
 
     def test_jsonl_roundtrip(self, tmp_path):
         docs = [

@@ -14,8 +14,9 @@ from weakrank.embeddings import (
     CdfSampler,
     EmbeddingTable,
     SkipGramTrainer,
+    cosine_matrix,
+    doc_means,
     doc_vector,
-    score_matrix_from_embeddings,
     train_text_embeddings,
 )
 from weakrank.graph import build_graph
@@ -328,6 +329,8 @@ class TestDocVector:
 
 
 class TestScoreMatrixFromEmbeddings:
+    """The text scorer's scores: ``cosine_matrix(*doc_means(table, corpus))``."""
+
     def _corpus(self):
         docs = [
             {"id": "q1", "role": "query", "text": "aa aa"},
@@ -343,8 +346,8 @@ class TestScoreMatrixFromEmbeddings:
         table = EmbeddingTable(
             ["aa", "bb", "cc"], np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]])
         )
-        m = score_matrix_from_embeddings(table, corpus, "doc-mean")
-        q1 = m.values[corpus.query_row["q1"]]
+        values = cosine_matrix(*doc_means(table, corpus))
+        q1 = values[corpus.query_row["q1"]]
         c1, c2, c3 = (corpus.candidate_column[c] for c in ("c1", "c2", "c3"))
         assert q1[c1] == pytest.approx(1.0)  # identical vectors
         assert q1[c2] == pytest.approx(0.0)  # orthogonal
@@ -357,26 +360,14 @@ class TestScoreMatrixFromEmbeddings:
         scaled = base.copy()
         scaled[0] *= 3.0
         t2 = EmbeddingTable(["aa", "bb", "cc"], scaled)
-        m1 = score_matrix_from_embeddings(t1, corpus, "doc-mean")
-        m2 = score_matrix_from_embeddings(t2, corpus, "doc-mean")
+        m1 = cosine_matrix(*doc_means(t1, corpus))
+        m2 = cosine_matrix(*doc_means(t2, corpus))
         q1 = corpus.query_row["q1"]
-        assert np.allclose(m1.values[q1], m2.values[q1])
+        assert np.allclose(m1[q1], m2[q1])
 
     def test_values_within_cosine_range(self, planted):
         corpus, _ = planted
         table = train_text_embeddings(corpus, **text_hp(dim=8, epochs=1), seed=1)
-        m = score_matrix_from_embeddings(table, corpus, "doc-mean")
-        assert m.values.min() >= -1.0 - 1e-12
-        assert m.values.max() <= 1.0 + 1e-12
-
-    def test_node_mode_unresolvable_id_named(self):
-        corpus = self._corpus()
-        table = EmbeddingTable(["q:q1"], np.ones((1, 2)))
-        with pytest.raises(KeyError, match="q2"):
-            score_matrix_from_embeddings(table, corpus, "node")
-
-    def test_unknown_mode_rejected(self):
-        corpus = self._corpus()
-        table = EmbeddingTable(["aa"], np.ones((1, 2)))
-        with pytest.raises(ValueError, match="mode"):
-            score_matrix_from_embeddings(table, corpus, "bogus")
+        m = cosine_matrix(*doc_means(table, corpus))
+        assert m.min() >= -1.0 - 1e-12
+        assert m.max() <= 1.0 + 1e-12

@@ -52,6 +52,33 @@ def test_edge_weight_sum_equals_token_count(corpus):
         assert g.edge_weight_sum(idx) == len(doc.token_ids)
 
 
+def test_doc_nodes_follow_node_index():
+    """On a graph whose node order is not ``build_graph``'s, each document's
+    row is its ``node_index``, in corpus order."""
+    docs = [
+        {"id": "q1", "role": "query", "text": "ml systems"},
+        {"id": "q2", "role": "query", "text": "db"},
+        {"id": "c1", "role": "candidate", "text": "ml db"},
+        {"id": "c2", "role": "candidate", "text": "systems"},
+    ]
+    corpus = build_corpus(docs, **LIMITS)
+    nodes = [("word", "db"), ("candidate", "c2"), ("query", "q2"), ("word", "ml"),
+             ("candidate", "c1"), ("word", "systems"), ("query", "q1")]
+    g = HetGraph(nodes, [(6, 3, 1.0), (6, 5, 1.0), (2, 0, 1.0), (4, 3, 1.0), (4, 0, 1.0),
+                         (1, 5, 1.0)])
+    q_nodes, c_nodes = g.doc_nodes(corpus)
+    assert q_nodes.tolist() == [6, 2]
+    assert c_nodes.tolist() == [4, 1]
+    assert q_nodes.tolist() == [g.node_index("query", q) for q in corpus.query_ids]
+    assert c_nodes.tolist() == [g.node_index("candidate", c) for c in corpus.candidate_ids]
+
+
+def test_doc_nodes_names_a_document_the_graph_lacks(corpus):
+    g = HetGraph([("query", "q1"), ("word", "ml")], [(0, 1, 1.0)])
+    with pytest.raises(KeyError, match="'c1'"):
+        g.doc_nodes(corpus)
+
+
 def test_rejects_word_word_edge():
     nodes = [("word", "aa"), ("word", "bb")]
     with pytest.raises(ValueError, match="document node and a word node"):

@@ -14,7 +14,12 @@ from oracles import (
     walks_per_step,
 )
 from weakrank.corpus import build_corpus
-from weakrank.embeddings import CdfSampler, node_feature_matrix, train_text_embeddings
+from weakrank.embeddings import (
+    CdfSampler,
+    cosine_matrix,
+    node_feature_matrix,
+    train_text_embeddings,
+)
 from weakrank.graph import HetGraph, build_graph
 from weakrank.graph_embeddings import (
     AggregationTrainer,
@@ -25,7 +30,7 @@ from weakrank.graph_embeddings import (
     train_graph_embeddings,
 )
 from weakrank.nncore import dense_backward, optimizer_step, sigmoid, zero_grads
-from weakrank.registry import UnsupModelSpec
+from weakrank.registry import UnsupModelSpec, compute_score_matrix
 from weakrank.sageops import (
     MIN_ROWS,
     _neighbor_mean_transpose,
@@ -474,15 +479,16 @@ class TestBitwiseAgainstReferences:
 class TestProximityTrainers:
     def test_first_order_separates_shared_word_candidates(self, planted_graph):
         corpus, graph = planted_graph
-        table = _train(graph, "proximity-1", {"dim": 16, "epochs": 40}, seed=3)
+        Z = _train(graph, "proximity-1", {"dim": 16, "epochs": 40}, seed=3)
 
         def cos(a, b):
-            u, v = table.vector(a), table.vector(b)
+            u, v = Z[a], Z[b]
             return float(u @ v / (np.linalg.norm(u) * np.linalg.norm(v)))
 
         topics = {}
         for c in corpus.candidates:
-            topics.setdefault(corpus.tokens(c)[0][:2], []).append(f"c:{c.id}")
+            topics.setdefault(corpus.tokens(c)[0][:2], []).append(
+                graph.node_index("candidate", c.id))
         t_ids = sorted(topics)
         same = [cos(a, b) for t in t_ids for a in topics[t] for b in topics[t] if a < b]
         cross = [cos(a, b) for a in topics[t_ids[0]] for b in topics[t_ids[1]]]
@@ -515,7 +521,36 @@ class TestProximityTrainers:
         _, graph = planted_graph
         t1 = _train(graph, "proximity-2", {"dim": 8, "epochs": 3}, seed=11)
         t2 = _train(graph, "proximity-2", {"dim": 8, "epochs": 3}, seed=11)
-        assert np.array_equal(t1.vectors, t2.vectors)
+        assert np.array_equal(t1, t2)
+
+
+SMALL_SCORERS = {
+    "graph-walk": {"dim": 8, "n_walks": 2, "walk_len": 6, "epochs": 1},
+    "graph-biased-walk": {"dim": 8, "n_walks": 2, "walk_len": 6, "epochs": 1, "q": 2.0},
+    "graph-proximity-1": {"dim": 8, "epochs": 2},
+    "graph-proximity-2": {"dim": 8, "epochs": 2},
+    "graph-aggregation": {"hidden": 8, "out_dim": 8, "epochs": 1, "n_walks": 1,
+                          "walk_len": 6, "feature_dim": 8, "feature_epochs": 1},
+}
+
+
+@pytest.mark.parametrize("kind", sorted(SMALL_SCORERS))
+def test_graph_scorer_is_the_cosine_of_its_rows_at_doc_nodes(planted_graph, kind):
+    """A graph scorer's matrix is, bitwise, ``cosine_matrix`` of the trained
+    node embeddings' rows at ``doc_nodes``."""
+    corpus, graph = planted_graph
+    spec = UnsupModelSpec(kind, kind, SMALL_SCORERS[kind])
+    hp, seed, features = spec.hyperparameters(), 4, None
+    if kind == "graph-aggregation":
+        table = train_text_embeddings(corpus, seed=seed, **{
+            key.removeprefix("feature_"): v for key, v in hp.items() if key.startswith("feature_")})
+        features = node_feature_matrix(graph, corpus, table)
+    Z = train_graph_embeddings(graph, kind.removeprefix("graph-"), hp, seed,
+                               node_features=features)
+    q_nodes, c_nodes = graph.doc_nodes(corpus)
+    matrix = compute_score_matrix(spec, corpus, graph, seed)
+    assert matrix.model_name == kind
+    assert matrix.values.tobytes() == cosine_matrix(Z[q_nodes], Z[c_nodes]).tobytes()
 
 
 class TestAggregation:
@@ -531,8 +566,8 @@ class TestAggregation:
         hp = {"hidden": 8, "out_dim": 8, "epochs": 1, "n_walks": 2, "walk_len": 10}
         t1 = _train(graph, "aggregation", hp, seed=5, node_features=feats)
         t2 = _train(graph, "aggregation", hp, seed=5, node_features=feats)
-        assert np.array_equal(t1.vectors, t2.vectors)
-        assert t1.vectors.shape == (graph.n_nodes, 8)
+        assert np.array_equal(t1, t2)
+        assert t1.shape == (graph.n_nodes, 8)
 
     def test_loss_decreases(self, planted_graph):
         corpus, graph = planted_graph

@@ -18,7 +18,7 @@ from weakrank.bm25 import bm25_matrix
 from weakrank.cli import main
 from weakrank.config import ExperimentConfig
 from weakrank.corpus import AnnotationSet, split_annotations
-from weakrank.embeddings import score_matrix_from_embeddings
+from weakrank.embeddings import cosine_matrix, doc_means
 from weakrank.pseudo_labels import aggregate
 from weakrank.registry import (
     HYPERPARAMETERS,
@@ -371,9 +371,9 @@ def test_the_text_scorer_scores_with_the_backbones_raw_table(corpus_and_external
     trained = _counting_tables(monkeypatch)
     (_, text), backbone = pretrain(corpus, _text_config(ext, TEXT), None)
     assert len(trained) == 1
-    expected = score_matrix_from_embeddings(backbone.raw_table, corpus, "doc-mean")
+    expected = cosine_matrix(*doc_means(backbone.raw_table, corpus))
     assert text.model_name == "text-embedding"
-    assert text.values.tobytes() == expected.values.tobytes()
+    assert text.values.tobytes() == expected.tobytes()
 
 
 def test_a_default_cold_pretrain_trains_one_text_table(corpus_and_external, tmp_path,
@@ -414,8 +414,8 @@ def test_differing_settings_train_two_tables(corpus_and_external, monkeypatch):
     (_, text), backbone = pretrain(corpus, _text_config(ext, {"dim": 8, "epochs": 2}), None)
     assert sorted(kwargs["epochs"] for kwargs in trained) == [1, 2]
     assert len({kwargs["seed"] for kwargs in trained}) == 1  # the backbone's seed label
-    shared = score_matrix_from_embeddings(backbone.raw_table, corpus, "doc-mean")
-    assert text.values.tobytes() != shared.values.tobytes()
+    shared = cosine_matrix(*doc_means(backbone.raw_table, corpus))
+    assert text.values.tobytes() != shared.tobytes()
 
 
 def test_the_default_cold_search_splits_seven_jobs(tmp_path, monkeypatch):
