@@ -50,8 +50,6 @@ class ExperimentConfig(SearchSettings):
     k_values: str = "10,20,30,40,50"
 
     # --- misc ----------------------------------------------------------------
-    # True is the standard RBF form; False reproduces the unbounded printed variant
-    kernel_negative_exponent: bool = setting(True)
     split_seed: int = setting(0, low=0)
     hp: dict = field(default_factory=dict)  # {model name: {hyperparameter: value}}
 
@@ -122,13 +120,8 @@ class ExperimentConfig(SearchSettings):
         return UnsupModelRegistry(specs)
 
     def build_sup_registry(self) -> SupModelRegistry:
-        specs = []
-        for name in _split_names(self.sup_models):
-            params = dict(self.hp.get(name, {}))
-            if name == "interaction":
-                params.setdefault("negative_exponent", self.kernel_negative_exponent)
-            specs.append(SupModelSpec(name, name, params))
-        return SupModelRegistry(specs)
+        return SupModelRegistry([SupModelSpec(name, name, dict(self.hp.get(name, {})))
+                                 for name in _split_names(self.sup_models)])
 
     def to_run_config(self) -> RunConfig:
         """The run's settings and menus."""

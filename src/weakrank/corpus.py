@@ -261,10 +261,13 @@ def load_annotations_tsv(path: str | Path, split: str = "all") -> AnnotationSet:
             if len(parts) != 3:
                 raise ValueError(f"{path}:{lineno}: expected 3 tab-separated fields")
             try:
-                pairs.append((parts[0], parts[1], int(parts[2])))
+                label = int(parts[2])
             except ValueError:
+                label = None
+            if label not in (0, 1):
                 raise ValueError(f"{path}:{lineno}: label of ({parts[0]!r}, {parts[1]!r}) "
-                                 f"must be 0 or 1, not {parts[2]!r}") from None
+                                 f"must be 0 or 1, not {parts[2]!r}")
+            pairs.append((parts[0], parts[1], label))
     return AnnotationSet(tuple(pairs), split)
 
 

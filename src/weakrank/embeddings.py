@@ -46,9 +46,6 @@ class EmbeddingTable:
         self.dim = self.vectors.shape[1]
         self.index = {e: i for i, e in enumerate(self.ids)}
 
-    def __contains__(self, entity_id: str) -> bool:
-        return entity_id in self.index
-
     def vector(self, entity_id: str) -> np.ndarray:
         try:
             return self.vectors[self.index[entity_id]]

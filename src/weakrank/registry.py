@@ -77,8 +77,6 @@ def setting(default, **rule):
     return field(default=default, metadata={"key": Key(default, **rule)})
 
 
-_TEXT = {"dim": Key(32, low=1), "window": Key(5, low=1), "neg": Key(5, low=0),
-         "epochs": Key(3, low=1), "lr": Key(0.05, above=0)}
 _WALK = {"dim": Key(32, low=1), "n_walks": Key(10, low=1), "walk_len": Key(40, low=2),
          "window": Key(5, low=1), "neg": Key(5, low=0), "epochs": Key(2, low=1),
          "lr": Key(0.05, above=0)}
@@ -93,7 +91,7 @@ _MU, _SIGMA = (bank.tolist() for bank in default_kernel_bank())
 HYPERPARAMETERS = {
     "unsupervised": {
         "bm25": {"k1": Key(1.2, above=0), "b": Key(0.75, low=0, high=1)},
-        "text-embedding": _TEXT,
+        "text-embedding": {},  # it scores with the backbone's table, set by backbone_*
         "graph-walk": _WALK,
         "graph-biased-walk": {**_WALK, "p": Key(1.0, above=0), "q": Key(0.5, above=0)},
         "graph-proximity-1": _PROXIMITY,
@@ -103,8 +101,9 @@ HYPERPARAMETERS = {
                               "lr": Key(0.01, above=0), "sample_size": Key(10, low=1),
                               "n_walks": Key(5, low=1), "walk_len": Key(20, low=2),
                               "window": Key(5, low=1), "batch_size": Key(256, low=1),
-                              **{f"feature_{name}": entry for name, entry in _TEXT.items()},
-                              "feature_epochs": Key(2, low=1)},
+                              "feature_dim": Key(32, low=1), "feature_window": Key(5, low=1),
+                              "feature_neg": Key(5, low=0), "feature_epochs": Key(2, low=1),
+                              "feature_lr": Key(0.05, above=0)},
         "external": {},
     },
     "supervised": {
@@ -211,8 +210,8 @@ def compute_score_matrix(
     table: EmbeddingTable | None = None,
 ) -> ScoreMatrix:
     """Pretrain one unsupervised model and score every (query, candidate). A
-    text-embedding scorer scores with ``table``, the text table of its
-    settings, which ``trainer.pretrain_all`` trains or shares."""
+    text-embedding scorer trains nothing: it scores with ``table``, the
+    run's one text table, which ``trainer.pretrain_all`` reads or trains."""
     hp = spec.hyperparameters()
     if spec.kind == "external":
         matrix = ScoreMatrix.load_csv(spec.params["path"], model_name=spec.name)
@@ -226,7 +225,7 @@ def compute_score_matrix(
         values = bm25_matrix(corpus, **hp).values
     elif spec.kind == "text-embedding":
         if table is None:
-            raise ValueError(f"model {spec.name!r} needs the text table of its settings")
+            raise ValueError(f"model {spec.name!r} needs the backbone's text table")
         values = cosine_matrix(*doc_means(table, corpus))
     else:
         if graph is None:

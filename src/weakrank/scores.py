@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -84,6 +85,10 @@ class ScoreMatrix:
                     rows.append([float(v) for v in parts[1:]])
                 except ValueError as exc:
                     raise ValueError(f"{path}: row for query {parts[0]!r}: {exc}") from None
+                bad = [v for v, x in zip(parts[1:], rows[-1]) if not math.isfinite(x)]
+                if bad:
+                    raise ValueError(f"{path}: row for query {parts[0]!r}: "
+                                     f"non-finite score {bad[0]!r}")
         name = model_name if model_name is not None else Path(path).stem
         return cls(name, tuple(query_ids), candidate_ids, np.array(rows, dtype=np.float64))
 

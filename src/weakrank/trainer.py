@@ -178,14 +178,13 @@ def cache_entry(cache_dir: str | Path | None, prefix: str, key: dict) -> Path | 
 # Time of each job kind, in hundredths of a second, each job run alone in
 # one process on the `perfbench/run.py --workload pretrain-cold --seed 41`
 # inputs (the least of 3 runs, not corrected for host speed). A `sup:` kind
-# trains that ranker at the episode budget. A `text-embedding` job trains a
-# text table only for a scorer whose settings differ from the backbone's;
-# at equal settings the `backbone` job's table serves it. The cost only
-# decides which process runs a job, never what the job computes. At the
-# README's scale the aggregation scorer costs the most instead.
+# trains that ranker at the episode budget. The text-embedding scorer is no
+# job: it scores with the `backbone` job's table. The cost only decides
+# which process runs a job, never what the job computes. At the README's
+# scale the aggregation scorer costs the most instead.
 JOB_COST = {
     "graph-biased-walk": 86, "graph-walk": 85, "graph-proximity-1": 51,
-    "graph-proximity-2": 51, "text-embedding": 31, "backbone": 31,
+    "graph-proximity-2": 51, "backbone": 31,
     "graph-aggregation": 28, "bm25": 0, "external": 0,
     "sup:graph-aggregation": 20, "sup:representation": 10, "sup:interaction": 2,
 }
@@ -193,8 +192,8 @@ JOB_COST = {
 # cache entries miss; a key holds the version only once it is above 0.
 SCORER_VERSION = {**dict.fromkeys(HYPERPARAMETERS["unsupervised"], 0),
                   "graph-aggregation": 1,  # 1: the sparse neighbor sample
-                  "text-embedding": 1}  # 1: the backbone's seed label, one table per settings
-# A text table's settings, in its cache key's order; equal settings, one table.
+                  "text-embedding": 1}  # 1: the backbone's seed label
+# The text table's settings, the `backbone_*` keys, in its cache key's order.
 _TEXT_SETTINGS = ("dim", "window", "neg", "epochs", "lr")
 
 
@@ -314,28 +313,30 @@ def run_jobs(jobs: list[Job], workers: int) -> list:
 
 def pretrain_all(corpus: Corpus, graph, config: RunConfig,
                  cache_dir: str | Path | None) -> tuple[list, EmbeddingTable]:
-    """One score matrix per registered scorer, and the rankers' backbone
-    table, cache-aware: (matrices, table).
+    """One score matrix per registered scorer, and the run's one text table,
+    cache-aware: (matrices, table).
 
     The cache key covers the corpus content, the model's kind and
     hyperparameters, and its derived seed, so a hit is guaranteed to be
     bit-identical to recomputation; a torn entry is a miss. An ``external``
     matrix is never cached: its CSV is the stored matrix, read afresh on
-    every call. Every text table, the backbone's and each text-embedding
-    scorer's, trains with the backbone's seed label, so equal settings name
-    one table: each distinct missing one is one job, and a text-embedding
-    scorer is scored here with the table of its settings. The missing models
-    and tables run through ``run_jobs`` across ``config.workers`` processes,
-    which cannot change the results for a fixed seed. With ``graph`` None,
-    the graph is built here when a missing model needs it. Only this process
-    writes the cache: the scorers in registry order, then the backbone table.
+    every call. The text table is the backbone's, set by the ``backbone_*``
+    settings alone: read from the cache or trained as the ``backbone`` job.
+    A text-embedding scorer is scored here with it, and its key holds the
+    backbone's. The missing models and the table run through ``run_jobs``
+    across ``config.workers`` processes, which cannot change the results for
+    a fixed seed. With ``graph`` None, the graph is built here when a missing
+    model needs it. Only this process writes the cache: the scorers in
+    registry order, then the table.
     """
     master_seed = config.effective_pretrain_seed
     corpus_hash = corpus.content_hash()
     if cache_dir is not None:
         Path(cache_dir).mkdir(parents=True, exist_ok=True)
-    table_path = cache_entry(cache_dir, "backbone", _backbone_key(corpus, config))
-    cached = _read_entry(table_path, EmbeddingTable.load, "embedding backbone")
+    backbone_key = _backbone_key(corpus, config)
+    table_path = cache_entry(cache_dir, "backbone", backbone_key)
+    table = _read_entry(table_path, EmbeddingTable.load, "embedding backbone")
+    cached = table is not None
 
     plan = []
     for spec in config.unsup_registry:
@@ -344,6 +345,8 @@ def pretrain_all(corpus: Corpus, graph, config: RunConfig,
         key = {"corpus": corpus_hash, "model": spec.name, "hp": hp_hash, "seed": seed}
         if SCORER_VERSION[spec.kind]:  # at version 0, the key made before versions
             key["version"] = SCORER_VERSION[spec.kind]
+        if spec.kind == "text-embedding":
+            key["backbone"] = backbone_key
         cache_path = None if spec.kind == "external" else cache_entry(
             cache_dir, f"unsup_{spec.name}", key)
         matrix = _read_entry(cache_path, ScoreMatrix.load_cache, f"unsupervised model {spec.name}")
@@ -352,40 +355,29 @@ def pretrain_all(corpus: Corpus, graph, config: RunConfig,
     missing = [(spec, seed) for spec, seed, _, matrix in plan if matrix is None]
     if graph is None and needs_graph([spec for spec, _ in missing]):
         graph = build_graph(corpus)
-    texts = {spec.name: tuple(map(spec.hyperparameters().get, _TEXT_SETTINGS))
-             for spec, _ in missing if spec.kind == "text-embedding"}
-    backbone = _backbone_settings(config)
-    owners = {backbone: ("backbone", "backbone")}
-    for name, settings in texts.items():
-        owners.setdefault(settings, (name, "text-embedding"))
-    tables = {} if cached is None else {backbone: cached}
     jobs = [Job(spec.name, spec.kind, compute_score_matrix, (spec, corpus, graph, seed))
-            for spec, seed in missing if spec.name not in texts]
-    table_jobs = [Job(*owner, _train_text_table, (corpus, settings, master_seed))
-                  for settings, owner in owners.items() if settings not in tables]
-    results = run_jobs(jobs + table_jobs, config.workers)
+            for spec, seed in missing if spec.kind != "text-embedding"]
+    if not cached:
+        jobs.append(Job("backbone", "backbone", _train_text_table, (corpus, config)))
+    results = run_jobs(jobs, config.workers)
+    if not cached:
+        table = results.pop()  # its own slot: an external scorer may be named backbone
     trained = {job.name: matrix for job, matrix in zip(jobs, results)}
-    tables.update(zip([job.args[1] for job in table_jobs], results[len(jobs):]))
 
     matrices = []
     for spec, seed, cache_path, matrix in plan:
         if matrix is None:
-            if spec.name in texts:
-                owner = owners[texts[spec.name]][0]
-                if owner != spec.name:
-                    log.info("%s: served by the %s table", spec.name, owner)
-                matrix = compute_score_matrix(spec, corpus, graph, seed, tables[texts[spec.name]])
-            else:
-                matrix = trained[spec.name]
+            matrix = (compute_score_matrix(spec, corpus, graph, seed, table)
+                      if spec.kind == "text-embedding" else trained[spec.name])
             if cache_path is not None:
                 matrix.save_cache(cache_path)
                 matrix.save_csv(cache_path.with_suffix(".csv"))
         if (matrix.query_ids, matrix.candidate_ids) != (corpus.query_ids, corpus.candidate_ids):
             raise RuntimeError(f"model {spec.name!r} produced a mismatched score matrix")
         matrices.append(matrix)
-    if cached is None and table_path is not None:
-        tables[backbone].save(table_path)
-    return matrices, tables[backbone]
+    if not cached and table_path is not None:
+        table.save(table_path)
+    return matrices, table
 
 
 def _read_entry(path: Path | None, load: Callable, what: str):
@@ -403,15 +395,16 @@ def _read_entry(path: Path | None, load: Callable, what: str):
     return value
 
 
-def _backbone_settings(config: RunConfig) -> tuple:
-    return tuple(getattr(config, f"backbone_{key}") for key in _TEXT_SETTINGS)
+def _backbone_settings(config: SearchSettings) -> dict:
+    """The text table's settings, ``backbone_*`` without its prefix."""
+    return {key: getattr(config, f"backbone_{key}") for key in _TEXT_SETTINGS}
 
 
 def _backbone_key(corpus: Corpus, config: RunConfig) -> dict:
     return {
         "corpus": corpus.content_hash(),
         "seed": derive_seed(config.effective_pretrain_seed, "backbone"),
-        "hp": list(_backbone_settings(config)),
+        "hp": list(_backbone_settings(config).values()),
     }
 
 
@@ -452,11 +445,11 @@ def read_kernel_features(backbone: RankerBackbone, banks: list[tuple], config: R
         _phi_entry(cache_dir, key, bank), lambda path: load(path, bank), "kernel features") is None]
 
 
-def _train_text_table(corpus: Corpus, settings: tuple, master_seed: int) -> EmbeddingTable:
-    """The text table of ``settings``, the backbone's or a text-embedding
-    scorer's: each trains with the backbone's seed label."""
-    return train_text_embeddings(corpus, **dict(zip(_TEXT_SETTINGS, settings)),
-                                 seed=derive_seed(master_seed, "backbone"))
+def _train_text_table(corpus: Corpus, config: RunConfig) -> EmbeddingTable:
+    """The run's one text table, the rankers' backbone that the
+    text-embedding scorer also scores with."""
+    return train_text_embeddings(corpus, **_backbone_settings(config),
+                                 seed=derive_seed(config.effective_pretrain_seed, "backbone"))
 
 
 def build_backbone(corpus: Corpus, graph, config: RunConfig, cache_dir: str | Path | None,
@@ -483,13 +476,13 @@ def pretrain(corpus: Corpus, config: RunConfig, cache_dir: str | Path | None):
     backbone). ``weakrank pretrain`` runs exactly this into the cache a
     later search reads.
 
-    Every cache miss, each scorer and each distinct text table (the
-    backbone's serves a text-embedding scorer of its settings), is one job;
-    ``pretrain_all`` runs them together through ``run_jobs``, split between
-    this process and helpers forked once the corpus and graph exist,
-    ``config.workers`` processes in all (0: one per available CPU), the same
-    setting that spreads each episode's rankers. A warm cache forks nothing
-    and builds no graph for scorers.
+    Every cache miss is one job, each scorer's and the text table's, but
+    the text-embedding scorer's, which is scored in this process with that
+    table. ``pretrain_all`` runs the jobs together through ``run_jobs``,
+    split between this process and helpers forked once the corpus and graph
+    exist, ``config.workers`` processes in all (0: one per available CPU),
+    the same setting that spreads each episode's rankers. A warm cache forks
+    nothing and builds no graph for scorers.
     """
     graph = build_graph(corpus) if needs_graph(config.sup_registry) else None
     matrices, table = pretrain_all(corpus, graph, config, cache_dir)

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from weakrank.config import ExperimentConfig
 from weakrank.registry import UnsupModelSpec
+from weakrank.trainer import _backbone_settings
 
 SETTINGS = ExperimentConfig()
 LIMITS = {"max_query_len": SETTINGS.max_query_len,
@@ -26,5 +27,6 @@ def scorer_hp(kind: str, **given) -> dict:
 
 
 def text_hp(**given) -> dict:
-    """``scorer_hp`` of the text embedding, which several models train."""
-    return scorer_hp("text-embedding", **given)
+    """The text table's settings, ``train_text_embeddings``' keywords but
+    the seed: ``given``, else the ``backbone_*`` default."""
+    return {**_backbone_settings(SETTINGS), **given}

@@ -63,8 +63,8 @@ def test_sweep_sub_runs_share_one_cache_and_are_served(sandbox, monkeypatch, cap
     monkeypatch.setattr(trainer, "compute_score_matrix", counting_compute)
     monkeypatch.setattr(trainer, "_train_text_table", counting_table)
     assert main(["ablate", "--config", "exp.cfg", "--mode", mode, "--sweep"]) == 0
-    # the backbone's table and the text-embedding scorer's, whose settings differ
-    assert trained == {"bm25": 1, "text-embedding": 1, "text tables": 2}
+    # one text table: the backbone's, which the text-embedding scorer scores with
+    assert trained == {"bm25": 1, "text-embedding": 1, "text tables": 1}
 
     run, subs = sandbox / "run", SWEEPS[mode]
     assert sorted(p.name for p in run.iterdir()) == sorted(

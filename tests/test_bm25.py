@@ -140,6 +140,15 @@ def test_a_malformed_csv_cell_names_its_file_and_query(tmp_path):
                               "could not convert string to float: 'abc'")
 
 
+@pytest.mark.parametrize("cell", ["nan", "inf", "-Infinity"])
+def test_a_non_finite_csv_cell_names_its_file_and_query(tmp_path, cell):
+    path = tmp_path / "ext.csv"
+    path.write_text(f",c1,c2\nq1,0.5,1.0\nq2,0.25,{cell}\n", encoding="utf-8")
+    with pytest.raises(ValueError) as err:
+        ScoreMatrix.load_csv(path)
+    assert str(err.value) == f"{path}: row for query 'q2': non-finite score {cell!r}"
+
+
 def test_csv_bytes_match_the_per_value_repr(tmp_path):
     """Rows are written from ``tolist()``; each value keeps the bytes of
     ``repr(float(v))``, the per-value form, on signed zero, the smallest

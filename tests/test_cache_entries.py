@@ -110,7 +110,7 @@ def test_cached_features_equal_computed_ones_bitwise(clean):
 @pytest.mark.parametrize("change", [
     {"hp.interaction.mus": "[1.0,0.5]", "hp.interaction.sigmas": "[0.001,0.1]"},
     {"hp.interaction.sigmas": "[0.001,0.2,0.2,0.2,0.2,0.2,0.2,0.2,0.2,0.2,0.2]"},
-    {"kernel_negative_exponent": "false"},
+    {"hp.interaction.negative_exponent": "false"},
     {"backbone_dim": "9"}, {"backbone_window": "4"}, {"backbone_neg": "4"},
     {"backbone_epochs": "2"}, {"backbone_lr": "0.04"}, {"pretrain_seed": "9"},
     {"corpus": "other.json"},

@@ -13,7 +13,9 @@ from weakrank.config import ExperimentConfig
 from weakrank.trainer import SearchSettings
 
 # What ExperimentConfig().save() wrote before the search settings had one
-# declaration: every configuration file in use names a subset of these keys.
+# declaration, less kernel_negative_exponent, which
+# hp.interaction.negative_exponent replaced: every configuration file in use
+# names a subset of these keys.
 RELEASED_DEFAULT_CFG = """\
 annotations=
 backbone_dim=32
@@ -37,7 +39,6 @@ final_patience=5
 final_sup_epochs=30
 graph_sample_size=10
 k_values=10,20,30,40,50
-kernel_negative_exponent=True
 max_candidate_len=200
 max_query_len=100
 n_monte_carlo=1
@@ -57,7 +58,7 @@ use_baseline=True
 val_annotations=
 workers=0
 """
-RELEASED_DEFAULT_HASH = "4200b1e40e2dafa3c2d4dee037018ac0aff5693cb6f33b96405b66fa1aebaa7a"
+RELEASED_DEFAULT_HASH = "756e52652dcb86b5dca09a03a8f1389728d40292d5a2c30c2b270edaa7715a46"
 
 
 class TestExperimentConfig:
@@ -145,7 +146,7 @@ class TestExperimentConfig:
 
     def test_kernel_exponent_flag_reaches_interaction_spec(self):
         config = ExperimentConfig()
-        config.kernel_negative_exponent = False
+        config.set_key("hp.interaction.negative_exponent", "false")
         registry = config.build_sup_registry()
         inter = registry[registry.names.index("interaction")]
         assert inter.params["negative_exponent"] is False
@@ -178,19 +179,39 @@ class TestExperimentConfig:
     def test_accepts_exactly_the_released_keys(self):
         lines = RELEASED_DEFAULT_CFG.splitlines()
         keys = [line.partition("=")[0] for line in lines] + ["hp"]
-        assert len(keys) == 42
+        assert len(keys) == 41
         assert sorted(f.name for f in fields(ExperimentConfig)) == sorted(keys)
         config = ExperimentConfig()
         for line in lines:
             config.set_key(*line.split("=", 1))
         config.set_key("hp.bm25.k1", "1.5")
-        with pytest.raises(ValueError, match="unknown configuration key"):
-            config.set_key("hp", "{}")
+        for removed in ("hp", "kernel_negative_exponent"):
+            with pytest.raises(ValueError, match="unknown configuration key"):
+                config.set_key(removed, "{}")
 
     def test_default_save_writes_the_released_bytes(self, tmp_path):
         ExperimentConfig().save(tmp_path / "exp.cfg")
         assert (tmp_path / "exp.cfg").read_text(encoding="utf-8") == RELEASED_DEFAULT_CFG
         assert ExperimentConfig().content_hash() == RELEASED_DEFAULT_HASH
+
+
+def test_every_key_of_the_readme_quick_start_is_accepted(tmp_path):
+    """The README quick start's ``exp.cfg`` block parses through the one
+    configuration check, and each of its lines sets its key: a removed or
+    renamed key cannot leave the quick start stale."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("cat > exp.cfg <<EOF\n", 1)[1].split("\nEOF\n", 1)[0]
+    (tmp_path / "exp.cfg").write_text(block + "\n", encoding="utf-8")
+    config = ExperimentConfig.from_file(tmp_path / "exp.cfg")
+    items = [line.partition("=")[::2] for line in block.splitlines()
+             if line.strip() and not line.startswith("#")]
+    assert len(items) >= 8
+    for key, value in items:
+        if key.startswith("hp."):
+            _, model, name = key.split(".", 2)
+            assert config.hp[model][name] == json.loads(value), key
+        else:
+            assert str(getattr(config, key)) == value, key
 
 
 @pytest.fixture(scope="module")
@@ -351,6 +372,7 @@ class TestCli:
         "hp.graph-walk.lr=NaN", "hp.graph-walk.dim=32.5",
         "external_scores=ext=ext.csv;hp.ext.dim=8",
         "hp.graph-walk.dim=0", "hp.interaction.mus=[0.5]", "hp.text-embedding.epochs=-1",
+        "hp.text-embedding.dim=8", "hp.text-embedding.epochs=10",
         "hp.graph-biased-walk.q=0.0", "hp.representation.hidden=0", "hp.bm25.b=5.0",
         "max_query_len=-3",
     ])
@@ -381,9 +403,24 @@ class TestCli:
         # neither the run directory nor its pretrain cache exists
         assert [p.name for p in tmp_path.iterdir()] == ["ext.csv"]
 
+    @pytest.mark.parametrize("key", ["dim", "window", "neg", "epochs", "lr"])
+    def test_a_text_embedding_key_in_a_config_file_writes_nothing(self, synth_dir, tmp_path,
+                                                                  capsys, monkeypatch, key):
+        """The text-embedding scorer scores with the backbone's table, so
+        ``backbone_*`` alone sets it: a key of its own is refused."""
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "exp.cfg").write_text(
+            f"corpus={synth_dir / 'corpus.json'}\nannotations={synth_dir / 'annotations.tsv'}\n"
+            f"output_dir=run\nunsup_models=bm25,text-embedding\nhp.text-embedding.{key}=3\n")
+        assert main(["search", "--config", "exp.cfg"]) == 2
+        err = capsys.readouterr().err
+        assert err == (f"error: ValueError: hp.text-embedding.{key}: model 'text-embedding' "
+                       f"has no hyperparameter {key!r} (accepted keys: none)\n")
+        assert [p.name for p in tmp_path.iterdir()] == ["exp.cfg"]
+
     @pytest.mark.parametrize("setting,value", [
         ("hp.graph-walk.dim=0", "0"), ("hp.interaction.mus=[0.5]", "[0.5]"),
-        ("hp.text-embedding.epochs=-1", "-1"), ("hp.graph-biased-walk.q=0.0", "0.0"),
+        ("hp.graph-walk.epochs=-1", "-1"), ("hp.graph-biased-walk.q=0.0", "0.0"),
         ("hp.representation.hidden=0", "0"), ("hp.bm25.b=5.0", "5.0"),
     ])
     def test_a_value_outside_its_rule_is_named_with_its_key(self, setting, value):

@@ -158,6 +158,14 @@ class TestAnnotations:
             load_annotations_tsv(path)
         assert str(err.value) == f"{path}:2: label of ('q1', 'c2') must be 0 or 1, not 'yes'"
 
+    @pytest.mark.parametrize("label", ["2", "-1"])
+    def test_an_integer_label_out_of_range_names_its_line_and_pair(self, tmp_path, label):
+        path = tmp_path / "ann.tsv"
+        path.write_text(f"q1\tc1\t1\nq1\tc2\t{label}\n", encoding="utf-8")
+        with pytest.raises(ValueError) as err:
+            load_annotations_tsv(path)
+        assert str(err.value) == f"{path}:2: label of ('q1', 'c2') must be 0 or 1, not {label!r}"
+
     @pytest.mark.parametrize("line,message", [
         ('{"id": q2}', "not valid JSON: Expecting value: line 1 column 8 (char 7)"),
         ('["q2", "query", "text"]', "expected a JSON object with id, role and text"),

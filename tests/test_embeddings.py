@@ -36,7 +36,7 @@ def planted():
 class TestEmbeddingTable:
     def test_lookup_and_contains(self):
         table = EmbeddingTable(["aa", "bb"], np.array([[1.0, 0.0], [0.0, 1.0]]))
-        assert "aa" in table and "cc" not in table
+        assert table.index == {"aa": 0, "bb": 1}
         assert np.array_equal(table.vector("bb"), [0.0, 1.0])
 
     def test_missing_entity_named_in_error(self):

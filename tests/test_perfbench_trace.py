@@ -29,7 +29,6 @@ CONFIG = (
     "sup_models=representation,interaction,graph-aggregation\nk_values=5\nepisodes=1\n"
     "eval_negatives=5\n"
     "episode_sup_epochs=1\nfinal_sup_epochs=1\nbackbone_epochs=1\nbackbone_dim=8\n"
-    "hp.text-embedding.dim=8\nhp.text-embedding.epochs=1\n"
     "hp.graph-walk.dim=8\nhp.graph-walk.n_walks=1\nhp.graph-walk.walk_len=5\n"
     "hp.graph-walk.epochs=1\n"
     "hp.graph-aggregation.hidden=8\nhp.graph-aggregation.out_dim=8\n"

@@ -21,7 +21,7 @@ def _sandbox(root):
     lines = {
         "corpus": "corpus.json", "val_annotations": "val.tsv", "test_annotations": "test.tsv",
         "output_dir": "run", "unsup_models": "bm25,text-embedding",
-        "hp.text-embedding.epochs": "1", "sup_models": "representation", "k_values": "5",
+        "sup_models": "representation", "k_values": "5",
         "episodes": "1", "episode_sup_epochs": "1", "final_sup_epochs": "1",
         "backbone_epochs": "1", "backbone_dim": "8", "eval_negatives": "19",
         "seed": "3", "pretrain_seed": "8",

@@ -49,7 +49,7 @@ from weakrank.trainer import (
 # every built-in kind at a budget a test can afford
 SMALL_HP = {
     "bm25": {},
-    "text-embedding": {"dim": 8, "epochs": 1},
+    "text-embedding": {},
     "graph-walk": {"dim": 8, "n_walks": 1, "walk_len": 8, "epochs": 1},
     "graph-biased-walk": {"dim": 8, "n_walks": 1, "walk_len": 8, "epochs": 1},
     "graph-proximity-1": {"dim": 8, "epochs": 2},
@@ -144,16 +144,16 @@ def _jobs(kinds):
 
 
 def test_split_is_longest_first_and_deterministic():
-    kinds = list(SMALL_HP) + ["backbone"]
+    kinds = [kind for kind in SMALL_HP if kind != "text-embedding"] + ["backbone"]
     jobs = _jobs(kinds)
     shares = split_jobs(jobs, 2)
     assert shares == split_jobs(_jobs(kinds), 2)
     names = [[kinds[i] for i in share] for share in shares]
     assert names == [
-        ["graph-biased-walk", "graph-proximity-2", "backbone", "bm25"],
-        ["graph-walk", "graph-proximity-1", "text-embedding", "graph-aggregation"],
+        ["graph-biased-walk", "graph-proximity-2", "graph-aggregation", "bm25"],
+        ["graph-walk", "graph-proximity-1", "backbone"],
     ]
-    # at most one process per job: bm25, text-embedding, graph-walk
+    # at most one process per job: bm25, graph-walk, graph-biased-walk
     assert split_jobs(jobs[:3], 8) == [[2], [1], [0]]
     # a three-ranker episode: the graph ranker alone in the caller's share
     rankers = [Job(kind, f"sup:{kind}", int, ("0",))
@@ -174,11 +174,13 @@ def test_split_covers_every_job_once_and_the_caller_always_works(processes):
 
 
 def test_every_scorer_kind_has_a_cost():
-    """Every job kind: each scorer, the backbone and each ranker, whose key
-    is prefixed because the graph-aggregation scorer and ranker share a
-    kind."""
+    """Every job kind, and no other: each scorer but the text embedding,
+    which is scored with the backbone's table and so is no job, the backbone
+    and each ranker, whose key is prefixed because the graph-aggregation
+    scorer and ranker share a kind."""
     rankers = {f"sup:{kind}" for kind in HYPERPARAMETERS["supervised"]}
-    assert set(HYPERPARAMETERS["unsupervised"]) | {"backbone"} | rankers == set(JOB_COST)
+    scorers = set(HYPERPARAMETERS["unsupervised"]) - {"text-embedding"}
+    assert scorers | {"backbone"} | rankers == set(JOB_COST)
 
 
 @pytest.mark.parametrize("broken_first", [True, False])
@@ -227,7 +229,7 @@ def test_pretraining_jobs_log_the_process_that_ran_them(caplog):
 
 def test_helpers_return_results_in_job_order():
     jobs = [Job(f"m{i}", kind, pow, (i, 2))
-            for i, kind in enumerate(["bm25", "graph-walk", "text-embedding", "backbone"])]
+            for i, kind in enumerate(["bm25", "graph-walk", "graph-proximity-1", "backbone"])]
     assert run_jobs(jobs, 3) == [0, 1, 4, 9]
     _no_child_left()
 
@@ -274,7 +276,7 @@ class TestInfeasibleEvalListsFailFirst:
         config = RunConfig(
             unsup_registry=UnsupModelRegistry([
                 UnsupModelSpec("bm25", "bm25"),
-                UnsupModelSpec("text-embedding", "text-embedding", {"dim": 8, "epochs": 1})]),
+                UnsupModelSpec("text-embedding", "text-embedding")]),
             sup_registry=SupModelRegistry([SupModelSpec("interaction", "interaction")]),
             k_values=(5,), episodes=1, episode_sup_epochs=1, final_sup_epochs=1,
             backbone_dim=8, backbone_epochs=1, eval_negatives=eval_negatives, workers=1,
@@ -343,14 +345,11 @@ def test_a_version_bump_misses_only_that_kinds_entry(corpus_and_external, tmp_pa
     assert added[0].startswith("unsup_text-embedding_")
 
 
-# --- one text table per settings ------------------------------------------------
+# --- one text table per run ----------------------------------------------------
 
-TEXT = {"dim": 8, "epochs": 1}  # the settings of ``_config``'s backbone
-
-
-def _text_config(ext, text_hp, workers=1):
+def _text_config(ext, workers=1):
     return _config(ext, workers, unsup_registry=UnsupModelRegistry([
-        UnsupModelSpec("bm25", "bm25"), UnsupModelSpec("text-embedding", "text-embedding", text_hp)]))
+        UnsupModelSpec("bm25", "bm25"), UnsupModelSpec("text-embedding", "text-embedding")]))
 
 
 def _counting_tables(monkeypatch):
@@ -369,7 +368,7 @@ def _counting_tables(monkeypatch):
 def test_the_text_scorer_scores_with_the_backbones_raw_table(corpus_and_external, monkeypatch):
     corpus, ext = corpus_and_external
     trained = _counting_tables(monkeypatch)
-    (_, text), backbone = pretrain(corpus, _text_config(ext, TEXT), None)
+    (_, text), backbone = pretrain(corpus, _text_config(ext), None)
     assert len(trained) == 1
     expected = cosine_matrix(*doc_means(backbone.raw_table, corpus))
     assert text.model_name == "text-embedding"
@@ -387,7 +386,6 @@ def test_a_default_cold_pretrain_trains_one_text_table(corpus_and_external, tmp_
         pretrain(corpus, config, tmp_path)
     assert [kwargs["dim"] for kwargs in trained] == [SETTINGS.backbone_dim]
     messages = [r.getMessage() for r in caplog.records]
-    assert "text-embedding: served by the backbone table" in messages
     assert [m.partition(":")[0] for m in messages if m.startswith("pretraining job")] == [
         "pretraining job backbone"]
     assert len(list(tmp_path.glob("unsup_text-embedding_*.csv"))) == 1
@@ -396,7 +394,7 @@ def test_a_default_cold_pretrain_trains_one_text_table(corpus_and_external, tmp_
 def test_a_warm_backbone_serves_a_missing_text_entry(corpus_and_external, tmp_path,
                                                     monkeypatch):
     corpus, ext = corpus_and_external
-    config = _text_config(ext, TEXT)
+    config = _text_config(ext)
     cold, _ = pretrain(corpus, config, tmp_path)
     for path in tmp_path.glob("unsup_text-embedding_*"):
         path.unlink()
@@ -408,14 +406,37 @@ def test_a_warm_backbone_serves_a_missing_text_entry(corpus_and_external, tmp_pa
     assert len(list(tmp_path.glob("unsup_text-embedding_*.csv"))) == 1
 
 
-def test_differing_settings_train_two_tables(corpus_and_external, monkeypatch):
+@pytest.mark.parametrize("setting, value", [
+    ("backbone_dim", 6), ("backbone_window", 3), ("backbone_neg", 2), ("backbone_epochs", 2),
+    ("backbone_lr", 0.04)])
+def test_each_backbone_setting_keys_both_text_entries(corpus_and_external, tmp_path,
+                                                      monkeypatch, setting, value):
+    """A ``backbone_*`` change misses the table's entry and the text
+    scorer's, and trains one table that the scorer scores with; bm25's entry
+    still hits. A warm cache then hits both, trains no table and forks
+    nothing."""
     corpus, ext = corpus_and_external
+    config = _text_config(ext)
+    pretrain_all(corpus, None, config, tmp_path)
+    before = set(_cache_bytes(tmp_path))
+    changed = dataclasses.replace(config, **{setting: value})
     trained = _counting_tables(monkeypatch)
-    (_, text), backbone = pretrain(corpus, _text_config(ext, {"dim": 8, "epochs": 2}), None)
-    assert sorted(kwargs["epochs"] for kwargs in trained) == [1, 2]
-    assert len({kwargs["seed"] for kwargs in trained}) == 1  # the backbone's seed label
-    shared = cosine_matrix(*doc_means(backbone.raw_table, corpus))
-    assert text.values.tobytes() != shared.tobytes()
+    (_, text), table = pretrain_all(corpus, None, changed, tmp_path)
+    assert [kwargs[setting.removeprefix("backbone_")] for kwargs in trained] == [value]
+    assert text.values.tobytes() == cosine_matrix(*doc_means(table, corpus)).tobytes()
+    after = _cache_bytes(tmp_path)
+    added = sorted(set(after) - before)
+    assert [name.rpartition("_")[0] + Path(name).suffix for name in added] == [
+        "backbone.bin", "unsup_text-embedding.bin", "unsup_text-embedding.csv"]
+
+    trained.clear()
+    monkeypatch.setattr(os, "fork", None)  # a fork would fail
+    (_, warm), warm_table = pretrain_all(corpus, None, dataclasses.replace(changed, workers=2),
+                                         tmp_path)
+    assert trained == []
+    assert warm.values.tobytes() == text.values.tobytes()
+    assert warm_table.vectors.tobytes() == table.vectors.tobytes()
+    assert _cache_bytes(tmp_path) == after
 
 
 def test_the_default_cold_search_splits_seven_jobs(tmp_path, monkeypatch):
@@ -448,9 +469,7 @@ def test_a_shared_table_run_is_the_same_for_one_or_two_workers(tmp_path, monkeyp
     for workers in (1, 2):
         root = tmp_path / f"w{workers}"
         _sandbox(root, unsup_models="bm25,text-embedding,graph-walk", external_scores="",
-                 workers=str(workers), **{"hp.text-embedding.dim": "8",
-                                          "hp.text-embedding.epochs": "1",
-                                          "hp.graph-walk.n_walks": "1"})
+                 workers=str(workers), **{"hp.graph-walk.n_walks": "1"})
         monkeypatch.chdir(root)
         trained = _counting_tables(monkeypatch)
         assert main(["-q", "search", "--config", "exp.cfg"]) == 0

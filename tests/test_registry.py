@@ -50,8 +50,7 @@ def _run_config(*settings):
      f"(accepted keys: {WALK_KEYS})"),
     (["hp.bm25.k=1"], "model 'bm25' has no hyperparameter 'k' (accepted keys: b, k1)"),
     (["hp.text-embedding.seed=3"],
-     "model 'text-embedding' has no hyperparameter 'seed' (accepted keys: dim, epochs, lr, "
-     "neg, window)"),
+     "model 'text-embedding' has no hyperparameter 'seed' (accepted keys: none)"),
     (["hp.representation.hiden=64"],
      "model 'representation' has no hyperparameter 'hiden' (accepted keys: hidden, lr)"),
     (["hp.nosuch.dim=3"],
@@ -84,7 +83,7 @@ def _run_config(*settings):
     (["hp.interaction.sigmas=[0.1, 0]", "hp.interaction.mus=[1, 0.5]"],
      "takes a non-empty list, each a finite number > 0, as long as mus for 'sigmas', "
      "not [0.1, 0]"),
-    (["hp.text-embedding.epochs=-1"], "for 'epochs', not -1"),
+    (["hp.graph-walk.epochs=-1"], "for 'epochs', not -1"),
     (["hp.graph-biased-walk.q=0.0"], "takes a finite number > 0 for 'q', not 0.0"),
     (["hp.representation.hidden=0"], "for 'hidden', not 0"),
     (["hp.bm25.b=5.0"], "hp.bm25.b: model 'bm25' takes a finite number >= 0, <= 1 for 'b', "
@@ -148,7 +147,7 @@ def test_ranker_lr_follows_sup_lr_unless_given():
 
 
 def test_interaction_negative_exponent_follows_the_setting():
-    run = _run_config("kernel_negative_exponent=false")
+    run = _run_config("hp.interaction.negative_exponent=false")
     inter = run.sup_registry[run.sup_registry.names.index("interaction")]
     assert inter.params == {"negative_exponent": False}
     assert inter.hyperparameters()["negative_exponent"] is False
@@ -231,9 +230,7 @@ def test_benchmark_configurations_pass_the_check(monkeypatch):
             run = _run_config(*(f"{k}={v}" for k, v in keys.items()), *budget)
             assert run.unsup_registry.names == list(workloads.SCORERS)
             for spec in [*run.unsup_registry, *run.sup_registry]:
-                shared = workloads.SCORERS.get(spec.name, {})
-                assert spec.params == (shared if spec.kind != "interaction" else
-                                       {**shared, "negative_exponent": True})
+                assert spec.params == workloads.SCORERS.get(spec.name, {})
 
 
 # ExperimentConfig fields that hold no plain value: paths, the menus, the k

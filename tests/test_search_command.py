@@ -35,7 +35,6 @@ def _sandbox(root: Path) -> None:
         f"unsup_models={','.join(SCORERS)}\nexternal_scores=noise=data/noise.csv\n"
         "sup_models=representation,interaction\nk_values=5,10\nepisodes=2\n"
         "episode_sup_epochs=1\nfinal_sup_epochs=2\nbackbone_epochs=2\nbackbone_dim=8\n"
-        "hp.text-embedding.dim=8\nhp.text-embedding.epochs=2\n"
         "hp.graph-proximity-1.dim=8\nhp.graph-proximity-1.epochs=5\n"
         "hp.graph-proximity-2.dim=8\nhp.graph-proximity-2.epochs=5\n")
 

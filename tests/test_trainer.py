@@ -102,7 +102,7 @@ class TestPretrainAll:
     def test_seven_model_registry_yields_seven_matrices(self, tmp_path):
         corpus, _ = generate_synthetic(6, 10, 2, 6, 12, 0.0, seed=2)
         graph = build_graph(corpus)
-        hp = {"bm25": {}, "graph-aggregation": {"out_dim": 8}}
+        hp = {"bm25": {}, "text-embedding": {}, "graph-aggregation": {"out_dim": 8}}
         registry = UnsupModelRegistry([UnsupModelSpec(kind, kind, hp.get(kind, {"dim": 8}))
                                        for kind in HYPERPARAMETERS["unsupervised"]
                                        if kind != "external"])
@@ -137,7 +137,7 @@ class TestPretrainAll:
         corpus, _ = generate_synthetic(6, 10, 2, 6, 12, 0.0, seed=2)
         registry = UnsupModelRegistry([
             UnsupModelSpec("bm25", "bm25"),
-            UnsupModelSpec("text-embedding", "text-embedding", {"dim": 4, "epochs": 1}),
+            UnsupModelSpec("text-embedding", "text-embedding"),
         ])
         config = _pretrain_config(registry, workers=1)
         for run in ("cold", "warm"):
@@ -145,10 +145,9 @@ class TestPretrainAll:
             with caplog.at_level("INFO", logger="weakrank.trainer"):
                 pretrain_all(corpus, None, config, tmp_path)
             lines = [r.getMessage() for r in caplog.records if "pretraining job" in r.getMessage()]
-            if run == "cold":  # the scorer's text settings are not the backbone's
+            if run == "cold":  # the text scorer is no job: it scores with the table
                 assert sorted(line.split(":")[0] for line in lines) == [
-                    "pretraining job backbone", "pretraining job bm25",
-                    "pretraining job text-embedding"]
+                    "pretraining job backbone", "pretraining job bm25"]
                 assert all(line.endswith(" s in process 0") for line in lines)
             else:
                 assert lines == []
@@ -174,7 +173,7 @@ class TestPretrainAll:
         graph = build_graph(corpus)
         registry = UnsupModelRegistry([
             UnsupModelSpec("bm25", "bm25"),
-            UnsupModelSpec("text-embedding", "text-embedding", {"dim": 8, "epochs": 1}),
+            UnsupModelSpec("text-embedding", "text-embedding"),
             UnsupModelSpec("graph-proximity-1", "graph-proximity-1", {"dim": 8, "epochs": 2}),
         ])
         seq, seq_table = pretrain_all(corpus, graph, _pretrain_config(registry, 4, 1), None)
