@@ -27,13 +27,18 @@ is ``BENCHMARK.json``'s, a share of the parent's median):
 - ``no change``.
 
 It flags each quality metric (unit ``ratio``) that differs between the sides
-on a seed, and writes every pair to ``--out`` as JSON.
+on a seed, and writes every pair to ``--out`` as JSON, with each side's raw
+timings (``raw_timings``). Each pair's line shows the uncorrected ``search_s``
+median and the ratio of the search's host speed to the score's: a change
+that loads the second core slows the search's host-speed probe, so its
+corrected times read low, and this ratio falls.
 Exits 1 when a run fails or reports a failed repetition, 0 otherwise.
 Stopped by SIGTERM, it ends its running benchmark and deletes its copies.
 """
 
 import argparse
 import json
+import re
 import shutil
 import signal
 import statistics
@@ -73,9 +78,49 @@ def metrics_of(result_line: str) -> dict | None:
     return {name: m["value"] for name, m in result["metrics"].items()}
 
 
-def run_bench(copy: Path, workload: str, seed: int, seconds: float) -> dict:
-    """The metrics of one perfbench run in ``copy``; exits the script when
-    the run fails."""
+_UNCORRECTED = re.compile(r"uncorrected medians: setup (\S+) s, search (\S+) s, "
+                          r"score (\S+) s; host speed (\S+)")
+_COMMAND = re.compile(r"\b(search|score)(?:-\d+)? [\d.]+ s \(host speed ([\d.]+)\)")
+
+
+def raw_timings(stderr: str) -> dict:
+    """What perfbench's standard error says before host-speed correction:
+    its ``uncorrected medians`` line, as seconds and the median host speed,
+    and the host speed of each repetition's search and score commands."""
+    found = _UNCORRECTED.search(stderr)
+    if found is None:
+        raise ValueError("no 'uncorrected medians' line in perfbench's output")
+    setup, search, score, speed = map(float, found.groups())
+    raw = {"setup_s": setup, "search_s": search, "score_s": score, "host_speed": speed,
+           "search_host_speeds": [], "score_host_speeds": []}
+    for line in stderr.splitlines():
+        if line.startswith("rep "):
+            for command, command_speed in _COMMAND.findall(line):
+                raw[f"{command}_host_speeds"].append(float(command_speed))
+    return raw
+
+
+def host_speed_ratio(raw: dict) -> float:
+    """The median search host speed over the median score host speed."""
+    return (statistics.median(raw["search_host_speeds"])
+            / statistics.median(raw["score_host_speeds"]))
+
+
+def raw_summary(pairs: list[dict]) -> str:
+    """Each side's median, over the pairs, of the uncorrected ``search_s``
+    and of ``host_speed_ratio``."""
+    def med(side, value):
+        return statistics.median(value(p["raw"][side]) for p in pairs)
+
+    return ("uncorrected search_s: " + ", ".join(
+        f"{side} {med(side, lambda raw: raw['search_s']):.4g}" for side in ("parent", "change"))
+        + " s; search/score host speed: " + ", ".join(
+        f"{side} {med(side, host_speed_ratio):.3f}" for side in ("parent", "change")))
+
+
+def run_bench(copy: Path, workload: str, seed: int, seconds: float) -> tuple[dict, dict]:
+    """The metrics and the ``raw_timings`` of one perfbench run in ``copy``;
+    exits the script when the run fails."""
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
          "--seconds", str(seconds), "--trace", "0"],
@@ -85,7 +130,7 @@ def run_bench(copy: Path, workload: str, seed: int, seconds: float) -> dict:
     if metrics is None:
         sys.stderr.write(proc.stderr[-4000:])
         raise SystemExit(f"bench_pairs: the {copy.name} run failed on seed {seed}")
-    return metrics
+    return metrics, raw_timings(proc.stderr)
 
 
 def same_bits(a: Path, b: Path, workload: str) -> list[str]:
@@ -163,14 +208,19 @@ def main(argv=None) -> int:
     try:
         for i, seed in enumerate(args.seeds):
             sides = [("parent", args.base), ("change", args.change)]
-            pair = {"seed": seed, "first": sides[i % 2][0]}
+            pair = {"seed": seed, "first": sides[i % 2][0], "raw": {}}
             for side, rev in sides[i % 2:] + sides[:i % 2]:
                 extract(rev, work / side)
-                pair[side] = run_bench(work / side, args.workload, seed, args.seconds)
+                pair[side], pair["raw"][side] = run_bench(
+                    work / side, args.workload, seed, args.seconds)
             pair["bit_differences"] = same_bits(work / "parent", work / "change", args.workload)
+            raw = pair["raw"]
             print(f"seed {seed} ({pair['first']} first): " + ", ".join(
                 f"{m} {pair['parent'][m]:.4g} -> {pair['change'][m]:.4g}"
                 for m in ("setup_s", "search_s", "peak_rss_mb"))
+                + f"; uncorrected search_s {raw['parent']['search_s']:.4g} -> "
+                f"{raw['change']['search_s']:.4g}, search/score host speed "
+                f"{host_speed_ratio(raw['parent']):.3f} -> {host_speed_ratio(raw['change']):.3f}"
                 + f"; {len(pair['bit_differences'])} bit difference(s)", file=sys.stderr)
             pairs.append(pair)
             for side in ("parent", "change"):
@@ -179,6 +229,7 @@ def main(argv=None) -> int:
         shutil.rmtree(work, ignore_errors=True)
         signal.signal(signal.SIGTERM, previous)
     lines, unequal = summarize(pairs, declared)
+    lines.append(raw_summary(pairs))
     for line in lines:
         print(line)
     for line in unequal:

@@ -78,19 +78,19 @@ class ExperimentConfig(SearchSettings):
                   overrides: list[str] | None = None) -> "ExperimentConfig":
         """The defaults, then ``path``'s keys (when given), then each
         ``key=value`` override in turn, checked before it is returned."""
-        config = cls()
+        config, places = cls(), {}
         text = Path(path).read_text(encoding="utf-8") if path else ""
         for lineno, line in enumerate(text.splitlines(), 1):
             stripped = line.strip()
             if not stripped or stripped.startswith("#"):
                 continue
-            _set_item(config, stripped, f"{path}:{lineno}")
+            _set_item(config, stripped, f"{path}:{lineno}", places)
         for item in overrides or []:
-            _set_item(config, item, "--set")
+            _set_item(config, item, "--set", places)
         built_in = {kind for kinds in HYPERPARAMETERS.values() for kind in kinds} - {"external"}
         externals = {entry.partition("=")[0] for entry in _split_names(config.external_scores)}
         check_config(config, [(name, name if name in built_in else "external" if name in externals
-                               else None, params) for name, params in config.hp.items()])
+                               else None, params) for name, params in config.hp.items()], places)
         return config
 
     def save(self, path: str | Path) -> None:
@@ -133,8 +133,9 @@ class ExperimentConfig(SearchSettings):
         )
 
 
-def _set_item(config: ExperimentConfig, item: str, where: str) -> None:
-    """Set the ``key=value`` ``item`` on ``config``; an error names ``where``."""
+def _set_item(config: ExperimentConfig, item: str, where: str, places: dict) -> None:
+    """Set the ``key=value`` ``item`` on ``config`` and record ``where`` as
+    its key's place in ``places``; an error names ``where``."""
     if "=" not in item:
         raise ValueError(f"{where}: expected key=value, got {item!r}")
     key, _, raw = item.partition("=")
@@ -142,6 +143,7 @@ def _set_item(config: ExperimentConfig, item: str, where: str) -> None:
         config.set_key(key.strip(), raw.strip())
     except ValueError as exc:
         raise ValueError(f"{where}: {exc}") from None
+    places[key.strip()] = where
 
 
 def _parse_bool(raw: str) -> bool:

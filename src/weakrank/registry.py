@@ -115,11 +115,13 @@ HYPERPARAMETERS = {
 }
 
 
-def check_config(settings, models=()) -> None:
+def check_config(settings, models=(), where=None) -> None:
     """The one check of a configuration, before anything is trained or
     written: refuses, naming key and value, a field of ``settings`` or an
     ``hp.<name>.<key>`` of a ``(name, kind, params)`` in ``models`` that
-    breaks its rule, or that ``kind`` (None: no such model) does not declare."""
+    breaks its rule, or that ``kind`` (None: no such model) does not declare.
+    ``where`` maps an ``hp.<name>.<key>`` to the place that set it, which
+    its refusal names first."""
     for f in fields(settings):
         declared, value = f.metadata.get("key"), getattr(settings, f.name)
         if declared and not declared.holds(value, {}):
@@ -129,13 +131,16 @@ def check_config(settings, models=()) -> None:
         resolved = {key: params.get(key, entry.default) for key, entry in table.items()}
         accepted = ", ".join(sorted(table)) or "none"
         for key, value in params.items():
+            label = f"hp.{name}.{key}"
+            if where and label in where:
+                label = f"{where[label]}: {label}"
             if key not in table:
-                raise ValueError(f"hp.{name}.{key}: " + (
+                raise ValueError(f"{label}: " + (
                     f"model {name!r} has no hyperparameter {key!r}" if kind else
                     f"no built-in model or external_scores entry is named {name!r}")
                     + f" (accepted keys: {accepted})")
             if not table[key].holds(value, resolved):
-                raise ValueError(f"hp.{name}.{key}: model {name!r} takes {table[key]} for "
+                raise ValueError(f"{label}: model {name!r} takes {table[key]} for "
                                  f"{key!r}, not {value!r}")
 
 

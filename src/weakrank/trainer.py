@@ -9,10 +9,11 @@ from __future__ import annotations
 import logging
 import os
 import pickle
+import signal
 import time
 import traceback
 from collections.abc import Callable
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -115,7 +116,8 @@ class SearchSettings:
     pretrain_seed: int = setting(-1, low=-1)  # -1 follows `seed`; fix to share scorers,
                                               # backbone and eval lists across seeds
     workers: int = setting(0, low=0)  # pretraining and ranker-training processes, this one
-                                      # included; 0 = one per CPU; results never depend on it
+                                      # included; 0 = one per CPU; results never depend on it;
+                                      # at 2 or more a search adds one prefetch helper (nice 19)
 
 
 @dataclass(kw_only=True)
@@ -248,11 +250,16 @@ def _run_job(job: Job) -> tuple:
         raise RuntimeError(_failure(job, exc)) from exc
 
 
-def _fork_helper(jobs: list[Job], share: list[int]):
-    """Run ``share`` in a forked process that inherits the jobs' inputs and
-    pickles back through a pipe only its results, or its first failure's
-    message and traceback. The helper leaves through ``os._exit``: it never unwinds into
-    the caller's stack, never runs exit handlers and never writes the cache."""
+def _run_share(jobs: list[Job], share: list[int]) -> list:
+    return [_run_job(jobs[i]) for i in share]
+
+
+def _fork_helper(fn: Callable, *args) -> tuple:
+    """Run ``fn(*args)`` in a forked process that inherits its inputs and
+    pickles back through a pipe only its result, or its failure's message and
+    traceback: (pid, the pipe's reading end). The helper leaves through
+    ``os._exit``: it never unwinds into the caller's stack, never runs exit
+    handlers and never writes the cache."""
     read_fd, write_fd = os.pipe()
     pid = os.fork()
     if pid == 0:
@@ -260,16 +267,31 @@ def _fork_helper(jobs: list[Job], share: list[int]):
         try:
             os.close(read_fd)
             try:
-                out = [_run_job(jobs[i]) for i in share]
-            except RuntimeError as exc:
-                out = (str(exc), traceback.format_exc())
+                out = (fn(*args), None)
+            except Exception as exc:
+                out = (None, (str(exc), traceback.format_exc()))
             with os.fdopen(write_fd, "wb") as fh:
                 pickle.dump(out, fh, protocol=pickle.HIGHEST_PROTOCOL)
             code = 0
         finally:
             os._exit(code)
     os.close(write_fd)
-    return pid, os.fdopen(read_fd, "rb"), share
+    return pid, os.fdopen(read_fd, "rb")
+
+
+def _reap(pid: int, reader) -> int:
+    """Close a helper's pipe and wait for it to end: its exit code."""
+    reader.close()
+    return os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+
+
+def _sent_result(data: bytes):
+    """What a helper that exited with code 0 sent: its result, or its
+    failure raised here as a RuntimeError with the helper's message."""
+    result, failure = pickle.loads(data)
+    if failure is not None:  # (message, the helper's traceback)
+        raise RuntimeError(failure[0]) from RuntimeError(failure[1])
+    return result
 
 
 def run_jobs(jobs: list[Job], workers: int) -> list:
@@ -287,22 +309,18 @@ def run_jobs(jobs: list[Job], workers: int) -> list:
     try:
         for share in shares[1:]:
             if share:
-                helpers.append(_fork_helper(jobs, share))
+                helpers.append((*_fork_helper(_run_share, jobs, share), share))
         for i in shares[0]:
             results[i], seconds[i] = _run_job(jobs[i])
         sent = [reader.read() for _, reader, _ in helpers]
     finally:
         for pid, reader, _ in helpers:
-            reader.close()
-            exit_codes[pid] = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            exit_codes[pid] = _reap(pid, reader)
     for (pid, _, share), data in zip(helpers, sent):
         if exit_codes[pid] != 0:
             raise RuntimeError(_failure(
                 jobs[share[0]], f"its helper process exited with code {exit_codes[pid]}"))
-        out = pickle.loads(data)
-        if isinstance(out, tuple):  # (message, the helper's traceback)
-            raise RuntimeError(out[0]) from RuntimeError(out[1])
-        for i, (result, secs) in zip(share, out):
+        for i, (result, secs) in zip(share, _sent_result(data)):
             results[i], seconds[i] = result, secs
     for p, share in enumerate(shares):
         for i in share:
@@ -539,6 +557,102 @@ def _train_ranker(model, triples, config: RunConfig, epochs: int, seed_label: st
     return model.params().values
 
 
+def configuration_rewards(cfg: Configuration, matrices: list[ScoreMatrix],
+                          backbone: RankerBackbone, val_lists,
+                          config: RunConfig) -> tuple[float, float]:
+    """A configuration's (unsupervised, supervised) rewards: the validation
+    MRR of its aggregated scorers, and of its rankers trained on their top-k
+    pseudo labels. Every seed derives from the configuration, so they are a
+    function of it."""
+    agg = aggregate(matrices, cfg.unsup_mask, normalize=config.normalize_scores)
+    r_unsup = mrr(score_lists_with_matrix(val_lists, agg))
+    models = _train_selected_models(
+        cfg.sup_mask, cfg.k_value, agg, backbone, config,
+        epochs=config.episode_sup_epochs, seed_label=_config_signature(cfg),
+    )
+    return r_unsup, mrr(score_lists_with_ensemble(val_lists, models))
+
+
+def _prefetched_rewards(cfg: Configuration, matrices, backbone, val_lists,
+                        config: RunConfig) -> tuple[float, float]:
+    """``configuration_rewards`` in a prefetch helper: in that one process,
+    at the lowest CPU priority."""
+    os.nice(19)
+    return configuration_rewards(cfg, matrices, backbone, val_lists, replace(config, workers=1))
+
+
+def _sample_rng(config: RunConfig, episode: int) -> np.random.Generator:
+    """The generator an episode draws its configurations from."""
+    return np.random.default_rng(derive_seed(config.seed, "episode", episode))
+
+
+class _Prefetch:
+    """The rewards of the configuration a search is predicted to train next,
+    computed by one forked helper while this process trains the current one.
+
+    The prediction draws the later episodes in order, each from its own
+    ``_sample_rng``, under the current policy and clamp: the first draw the
+    cache lacks. The policy moves little per update, so it is often the next
+    configuration trained. A collected reward is the one the episode would
+    have computed, as rewards are a function of the configuration; a helper
+    whose configuration is no longer predicted is killed and reaped."""
+
+    def __init__(self, matrices, controller: ControllerParams, backbone, val_lists,
+                 config: RunConfig, clamp: Clamp, reward_cache: dict):
+        self.inputs = (matrices, backbone, val_lists, config)
+        self.controller, self.clamp, self.reward_cache = controller, clamp, reward_cache
+        self.pending = None  # (signature, pid, reader)
+        self.used = self.discarded = 0
+
+    def rewards(self, cfg: Configuration, sig: str, episode: int) -> tuple[float, float]:
+        """``cfg``'s rewards: the helper's when it computed them, else
+        computed here after starting the helper on the next prediction. A
+        helper's failure raises here as the training would have."""
+        if self.pending is not None and self.pending[0] == sig:
+            _, pid, reader = self.pending
+            self.pending = None
+            try:
+                data = reader.read()
+            finally:
+                code = _reap(pid, reader)
+            if code == 0:
+                self.used += 1
+                return _sent_result(data)
+            self.discarded += 1  # it died sending nothing: train here
+        predicted = self._predict(episode, sig)
+        if self.pending is not None and (predicted is None or predicted[1] != self.pending[0]):
+            self.close()
+        if predicted is not None and self.pending is None:
+            log.debug("prefetching the rewards of %s", predicted[1])
+            self.pending = (predicted[1], *_fork_helper(_prefetched_rewards, predicted[0],
+                                                        *self.inputs))
+        return configuration_rewards(cfg, *self.inputs)
+
+    def _predict(self, episode: int, current: str) -> tuple[Configuration, str] | None:
+        """The first configuration drawn after ``episode`` that the cache
+        lacks and is not ``current``, with its signature; None if none."""
+        config = self.inputs[3]
+        for ep in range(episode + 1, config.episodes):
+            rng = _sample_rng(config, ep)
+            for _ in range(config.n_monte_carlo):
+                cfg = sample_configuration(self.controller, rng, config.k_values,
+                                           clamp=self.clamp)[0]
+                sig = _config_signature(cfg)
+                if sig != current and sig not in self.reward_cache:
+                    return cfg, sig
+        return None
+
+    def close(self) -> None:
+        """Kill and reap the helper, if one is running."""
+        if self.pending is not None:
+            sig, pid, reader = self.pending
+            self.pending = None
+            os.kill(pid, signal.SIGKILL)
+            _reap(pid, reader)
+            self.discarded += 1
+            log.debug("discarded the prefetch of %s", sig)
+
+
 def run_episode(
     matrices: list[ScoreMatrix],
     controller: ControllerParams,
@@ -549,6 +663,7 @@ def run_episode(
     sample_rng: np.random.Generator,
     reward_cache: dict,
     clamp: Clamp = Clamp(),
+    prefetch: _Prefetch | None = None,
 ) -> EpisodeLog:
     """Sample a configuration, train its rankers, and score it on validation.
     The entry's baseline is 0 until ``joint_train`` sets its batch's.
@@ -556,21 +671,16 @@ def run_episode(
     Rewards are a deterministic function of the sampled configuration (all
     seeds derive from it), so identical configurations earn identical
     rewards; ``reward_cache`` maps each configuration's signature to its
-    (unsupervised, supervised) rewards and is filled here.
+    (unsupervised, supervised) rewards and is filled here, from ``prefetch``
+    when given.
     """
     cfg, log_prob = sample_configuration(controller, sample_rng, config.k_values, clamp=clamp)
     sig = _config_signature(cfg)
-    if sig in reward_cache:
-        r_unsup, r_sup = reward_cache[sig]
-    else:
-        agg = aggregate(matrices, cfg.unsup_mask, normalize=config.normalize_scores)
-        r_unsup = mrr(score_lists_with_matrix(val_lists, agg))
-        models = _train_selected_models(
-            cfg.sup_mask, cfg.k_value, agg, backbone, config,
-            epochs=config.episode_sup_epochs, seed_label=sig,
-        )
-        r_sup = mrr(score_lists_with_ensemble(val_lists, models))
-        reward_cache[sig] = (r_unsup, r_sup)
+    if sig not in reward_cache:
+        reward_cache[sig] = (
+            configuration_rewards(cfg, matrices, backbone, val_lists, config)
+            if prefetch is None else prefetch.rewards(cfg, sig, episode))
+    r_unsup, r_sup = reward_cache[sig]
     reward = r_unsup + r_sup
     if not 0.0 <= reward <= 2.0:
         raise RuntimeError(f"episode reward {reward} outside [0, 2]")
@@ -636,55 +746,68 @@ def joint_train(
 
     best_entry: EpisodeLog | None = None
     stale = 0
-    for ep in range(config.episodes):
-        start = time.perf_counter()
-        cached_before = len(reward_cache)
-        sample_rng = np.random.default_rng(derive_seed(config.seed, "episode", ep))
-        batch: list[EpisodeLog] = []
-        for mc in range(config.n_monte_carlo):
-            entry = run_episode(
-                matrices, controller, backbone, val_lists, config,
-                episode=ep, sample_rng=sample_rng, clamp=clamp, reward_cache=reward_cache,
-            )
-            batch.append(entry)
-        cached = len(batch) - (len(reward_cache) - cached_before)
+    # the one process beyond `workers`: a helper computing, at the lowest
+    # priority, the rewards the search is predicted to need next
+    prefetch = (_Prefetch(matrices, controller, backbone, val_lists, config, clamp, reward_cache)
+                if hasattr(os, "fork") and resolve_workers(config.workers) > 1 else None)
+    try:
+        for ep in range(config.episodes):
+            start = time.perf_counter()
+            cached_before = len(reward_cache)
+            used_before = prefetch.used if prefetch is not None else 0
+            sample_rng = _sample_rng(config, ep)
+            batch: list[EpisodeLog] = []
+            for mc in range(config.n_monte_carlo):
+                entry = run_episode(
+                    matrices, controller, backbone, val_lists, config,
+                    episode=ep, sample_rng=sample_rng, clamp=clamp, reward_cache=reward_cache,
+                    prefetch=prefetch,
+                )
+                batch.append(entry)
+            cached = len(batch) - (len(reward_cache) - cached_before)
+            prefetched = (prefetch.used if prefetch is not None else 0) - used_before
 
-        mean_reward = float(np.mean([e.reward for e in batch]))
-        if config.use_baseline and baseline.value is None:
-            baseline.value = mean_reward
-        b = baseline.value if config.use_baseline else 0.0
-        for entry in batch:
-            entry.baseline = b
-        zero_grads(policy)
-        entropy = 0.0
-        for entry in batch:
-            entropy += action_log_prob(
-                controller, entry.config, clamp=clamp,
-                grad_scale=-(entry.reward - b) / config.n_monte_carlo,
-                entropy_scale=-config.entropy_coef / config.n_monte_carlo,
-            )[1] / config.n_monte_carlo
-        optimizer_step(policy, policy_opt)
-        if config.use_baseline:
-            baseline.update(mean_reward)
+            mean_reward = float(np.mean([e.reward for e in batch]))
+            if config.use_baseline and baseline.value is None:
+                baseline.value = mean_reward
+            b = baseline.value if config.use_baseline else 0.0
+            for entry in batch:
+                entry.baseline = b
+            zero_grads(policy)
+            entropy = 0.0
+            for entry in batch:
+                entropy += action_log_prob(
+                    controller, entry.config, clamp=clamp,
+                    grad_scale=-(entry.reward - b) / config.n_monte_carlo,
+                    entropy_scale=-config.entropy_coef / config.n_monte_carlo,
+                )[1] / config.n_monte_carlo
+            optimizer_step(policy, policy_opt)
+            if config.use_baseline:
+                baseline.update(mean_reward)
 
-        improved = False
-        for entry in batch:
-            episodes.append(entry)
-            if episodes_path is not None:
-                with open(episodes_path, "a", encoding="utf-8") as fh:
-                    fh.write(canonical_json(entry.to_dict()) + "\n")
-            if best_entry is None or entry.reward > best_entry.reward:
-                best_entry = entry
-                improved = True
-        stale = 0 if improved else stale + 1
-        # done/budget, then ids as episodes.jsonl numbers them; seconds go to the log only
-        log.info("%d/%d episodes: R %.4f, best %.4f at episode %d, cached %d/%d, "
-                 "entropy %.4f, %.3f s", ep + 1, config.episodes, mean_reward,
-                 best_entry.reward, best_entry.episode, cached, len(batch), entropy,
-                 time.perf_counter() - start)
-        if config.early_stop_patience and stale >= config.early_stop_patience:
-            log.info("search early-stopped after %d episodes", ep + 1)
-            break
+            improved = False
+            for entry in batch:
+                episodes.append(entry)
+                if episodes_path is not None:
+                    with open(episodes_path, "a", encoding="utf-8") as fh:
+                        fh.write(canonical_json(entry.to_dict()) + "\n")
+                if best_entry is None or entry.reward > best_entry.reward:
+                    best_entry = entry
+                    improved = True
+            stale = 0 if improved else stale + 1
+            # done/budget, then ids as episodes.jsonl numbers them; seconds go to the log only
+            log.info("%d/%d episodes: R %.4f, best %.4f at episode %d, cached %d/%d, "
+                     "prefetched %d/%d, entropy %.4f, %.3f s", ep + 1, config.episodes,
+                     mean_reward, best_entry.reward, best_entry.episode, cached, len(batch),
+                     prefetched, len(batch), entropy, time.perf_counter() - start)
+            if config.early_stop_patience and stale >= config.early_stop_patience:
+                log.info("search early-stopped after %d episodes", ep + 1)
+                break
+    finally:
+        if prefetch is not None:
+            prefetch.close()
+            log.info("prefetched rewards: %d used, %d discarded", prefetch.used,
+                     prefetch.discarded)
 
     assert best_entry is not None
     if config.best_selection == "greedy":

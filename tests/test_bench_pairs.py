@@ -129,3 +129,38 @@ def test_sigterm_deletes_the_copies(bench_pairs, tmp_path, monkeypatch):
     assert len(extracted) == 1
     assert not list(tmp_path.glob("bench_pairs_*"))
     assert signal.getsignal(signal.SIGTERM) == handler  # restored
+
+
+# perfbench's standard error on an untraced run, as it prints it
+STDERR = """\
+rep 1: search 0.986 s (host speed 0.840), score-1 0.338 s (host speed 0.586)
+rep 2: search 1.498 s (host speed 0.551), score-1 0.432 s (host speed 0.561), \
+score-2 0.401 s (host speed 0.600)
+rep 3: search 1.485 s (host speed 0.558), score-1 0.405 s (host speed 0.537)
+uncorrected medians: setup 0.3752 s, search 1.4853 s, score 0.4053 s; host speed 0.5597
+"""
+
+
+def test_raw_timings_read_the_uncorrected_medians_and_each_host_speed(bench_pairs):
+    raw = bench_pairs.raw_timings(STDERR)
+    assert raw == {"setup_s": 0.3752, "search_s": 1.4853, "score_s": 0.4053,
+                   "host_speed": 0.5597, "search_host_speeds": [0.84, 0.551, 0.558],
+                   "score_host_speeds": [0.586, 0.561, 0.6, 0.537]}
+    assert bench_pairs.host_speed_ratio(raw) == pytest.approx(0.558 / ((0.561 + 0.586) / 2))
+
+
+def test_raw_timings_refuse_output_without_the_uncorrected_line(bench_pairs):
+    with pytest.raises(ValueError, match="uncorrected medians"):
+        bench_pairs.raw_timings(STDERR.rpartition("uncorrected")[0])
+
+
+def test_raw_summary_gives_each_side_its_median_over_the_pairs(bench_pairs):
+    def raw(search_s, search_speed):
+        return {"search_s": search_s, "search_host_speeds": [search_speed],
+                "score_host_speeds": [0.5]}
+
+    pairs = [{"raw": {"parent": raw(b, 0.5), "change": raw(c, 0.4)}}
+             for b, c in ((0.9, 0.7), (0.8, 0.6), (1.0, 0.8))]
+    assert bench_pairs.raw_summary(pairs) == (
+        "uncorrected search_s: parent 0.9, change 0.7 s; "
+        "search/score host speed: parent 1.000, change 0.800")

@@ -414,8 +414,8 @@ class TestCli:
             f"output_dir=run\nunsup_models=bm25,text-embedding\nhp.text-embedding.{key}=3\n")
         assert main(["search", "--config", "exp.cfg"]) == 2
         err = capsys.readouterr().err
-        assert err == (f"error: ValueError: hp.text-embedding.{key}: model 'text-embedding' "
-                       f"has no hyperparameter {key!r} (accepted keys: none)\n")
+        assert err == (f"error: ValueError: exp.cfg:5: hp.text-embedding.{key}: model "
+                       f"'text-embedding' has no hyperparameter {key!r} (accepted keys: none)\n")
         assert [p.name for p in tmp_path.iterdir()] == ["exp.cfg"]
 
     @pytest.mark.parametrize("setting,value", [
@@ -426,8 +426,18 @@ class TestCli:
     def test_a_value_outside_its_rule_is_named_with_its_key(self, setting, value):
         with pytest.raises(ValueError) as err:
             ExperimentConfig.from_file(None, [setting])
-        assert str(err.value).startswith(setting.partition("=")[0] + ": ")
+        assert str(err.value).startswith("--set: " + setting.partition("=")[0] + ": ")
         assert str(err.value).endswith(f", not {value}")
+
+    def test_a_refused_hyperparameter_names_the_place_that_set_it_last(self, tmp_path):
+        path = tmp_path / "exp.cfg"
+        path.write_text("seed=1\nhp.bm25.b=5.0\n")
+        with pytest.raises(ValueError, match=r"^.*exp\.cfg:2: hp\.bm25\.b: "):
+            ExperimentConfig.from_file(path)
+        assert ExperimentConfig.from_file(path, ["hp.bm25.b=0.5"]).hp == {"bm25": {"b": 0.5}}
+        path.write_text("hp.bm25.b=0.5\n")
+        with pytest.raises(ValueError, match=r"^--set: hp\.bm25\.b: "):
+            ExperimentConfig.from_file(path, ["hp.bm25.b=5.0"])
 
     @pytest.mark.parametrize("limit", ["max_query_len=-3", "max_query_len=0",
                                        "max_candidate_len=0"])

@@ -2,6 +2,7 @@
 trained, under the configuration its run recorded."""
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -169,9 +170,10 @@ def test_refuses_a_value_outside_its_rule_before_reading_a_checkpoint(tmp_path, 
     out = tmp_path / "scores.tsv"
     assert not (run / "manifest.json").exists()
     assert main(["score", "--run", str(run), "--out", str(out)]) == 2
+    line = (run / "config.cfg").read_text().splitlines().index("hp.graph-walk.dim=0") + 1
     assert capsys.readouterr().err.strip() == (
-        "error: ValueError: hp.graph-walk.dim: model 'graph-walk' takes an integer >= 1 "
-        "for 'dim', not 0")
+        f"error: ValueError: {run / 'config.cfg'}:{line}: hp.graph-walk.dim: model 'graph-walk' "
+        "takes an integer >= 1 for 'dim', not 0")
     assert not out.exists()
 
 
@@ -182,9 +184,12 @@ def test_refuses_a_hyperparameter_the_model_does_not_declare(tmp_path, monkeypat
     monkeypatch.chdir(tmp_path)
     assert main(["search", "--config", "exp.cfg"]) == 0
     capsys.readouterr()
-    expected = ("error: ValueError: hp.representation.hiden: model 'representation' has no "
+    config = tmp_path / "run" / "config.cfg"
+    line = len(config.read_text().splitlines()) + 1
+    expected = (f"error: ValueError: {Path('run') / 'config.cfg'}:{line}: "
+                "hp.representation.hiden: model 'representation' has no "
                 "hyperparameter 'hiden' (accepted keys: hidden, lr)")
-    with open(tmp_path / "run" / "config.cfg", "a", encoding="utf-8") as fh:
+    with open(config, "a", encoding="utf-8") as fh:
         fh.write("hp.representation.hiden=64\n")
     assert main(["score", "--run", "run", "--out", "bad.tsv"]) == 2
     assert capsys.readouterr().err.strip() == expected

@@ -1,4 +1,6 @@
 import json
+import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -348,7 +350,7 @@ class TestJointTrain:
         rewards = iter([1.0, 0.5, 0.4, 0.3, 0.2, 0.1, 0.05, 0.02, 0.01, 0.0])
 
         def fake_episode(matrices, controller, backbone, val_lists, config, *,
-                         episode, sample_rng, reward_cache, clamp=None):
+                         episode, sample_rng, reward_cache, clamp=None, prefetch=None):
             cfg, log_prob = sample_configuration(controller, sample_rng, config.k_values)
             reward = next(rewards)
             return EpisodeLog(episode, cfg, log_prob, reward, 0.0, reward, baseline=0.0)
@@ -377,6 +379,171 @@ class TestJointTrain:
         config = _fast_config(oracle_path, noise_path, best_selection="greedy")
         result = joint_train(corpus, val, None, config)
         assert sum(result.best_config.unsup_mask) >= 1
+
+
+def _no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _prefetch_counts(caplog) -> tuple[int, int]:
+    """(used, discarded) from a search's closing prefetch line."""
+    (line,) = [r.getMessage() for r in caplog.records
+               if r.getMessage().startswith("prefetched rewards: ")]
+    used, discarded = line.removeprefix("prefetched rewards: ").split(", ")
+    return int(used.split()[0]), int(discarded.split()[0])
+
+
+def _compare_runs():
+    import importlib.util
+
+    path = Path(__file__).resolve().parents[1] / "scripts" / "compare_runs.py"
+    spec = importlib.util.spec_from_file_location("compare_runs", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.compare
+
+
+class TestPrefetch:
+    """With two processes, a forked helper computes the rewards of the
+    configuration predicted to train next; nothing it does shows in a run."""
+
+    def _config(self, data, **overrides):
+        corpus, ann, val, test, oracle_path, noise_path, good_path = data
+        return _fast_config(good_path, noise_path, **overrides)
+
+    def test_a_run_with_a_hit_and_a_miss_is_the_run_of_one_process(self, data, tmp_path,
+                                                                    caplog):
+        corpus, ann, val, test = data[:4]
+        for workers in (1, 2):
+            caplog.clear()
+            with caplog.at_level("INFO", logger="weakrank.trainer"):
+                joint_train(corpus, val, test, self._config(data, workers=workers),
+                            workdir=tmp_path / f"w{workers}")
+            _no_child_left()
+        used, discarded = _prefetch_counts(caplog)
+        assert used >= 1 and discarded >= 1
+        lines = [r.getMessage() for r in caplog.records if " episodes: R " in r.getMessage()]
+        assert sum(", prefetched 1/1, " in line for line in lines) == used
+        assert _compare_runs()(tmp_path / "w1", tmp_path / "w2")[0] == []
+
+    def test_a_sweep_is_the_sweep_of_one_process(self, tmp_path, monkeypatch, caplog):
+        from test_score_command import _sandbox
+
+        from weakrank.cli import main
+
+        for workers in (1, 2):
+            root = tmp_path / f"w{workers}"
+            _sandbox(root, unsup_models="bm25,text-embedding", external_scores="",
+                     k_values="5,10", episodes="4", workers=str(workers))
+            monkeypatch.chdir(root)
+            with caplog.at_level("INFO", logger="weakrank.trainer"):
+                assert main(["-q", "ablate", "--config", "exp.cfg", "--mode", "fix-k",
+                             "--sweep"]) == 0
+            _no_child_left()
+        assert any(r.getMessage().startswith("prefetched rewards: ") for r in caplog.records)
+        # only the files that record the workers setting itself differ
+        differences = _compare_runs()(tmp_path / "w1" / "run", tmp_path / "w2" / "run")[0]
+        assert {Path(line.removeprefix("differs: ")).name for line in differences} == {
+            "config.cfg", "manifest.json"}
+        assert len(differences) == 3 * 2  # the sweep's run and its two sub-runs
+
+    def test_one_process_forks_no_prefetch(self, data, caplog):
+        corpus, ann, val, test = data[:4]
+        with caplog.at_level("INFO", logger="weakrank.trainer"):
+            joint_train(corpus, val, test, self._config(data, workers=1))
+        assert not any(r.getMessage().startswith("prefetched") for r in caplog.records)
+
+    def test_an_early_stop_leaves_no_helper(self, data, caplog):
+        corpus, ann, val, test = data[:4]
+        with caplog.at_level("INFO", logger="weakrank.trainer"):
+            result = joint_train(corpus, val, test, self._config(
+                data, workers=2, episodes=30, early_stop_patience=2))
+        assert len(result.episodes) < 30
+        assert sum(_prefetch_counts(caplog)) >= 1
+        _no_child_left()
+
+    def test_an_error_in_a_later_episode_leaves_no_helper(self, data, monkeypatch):
+        corpus, ann, val, test = data[:4]
+        calls, parent, compute = [], os.getpid(), trainer.configuration_rewards
+
+        def failing_second(*args):
+            if os.getpid() == parent:
+                calls.append(args)
+                if len(calls) == 2:  # this process's second training, a helper running
+                    raise KeyboardInterrupt
+            return compute(*args)
+
+        monkeypatch.setattr(trainer, "configuration_rewards", failing_second)
+        with pytest.raises(KeyboardInterrupt):
+            joint_train(corpus, val, test, self._config(data, workers=2))
+        _no_child_left()
+
+    def _failing_in_helpers(self, monkeypatch):
+        """``train_supervised`` that fails in any forked process, naming its seed."""
+        parent, train = os.getpid(), trainer.train_supervised
+
+        def train_here(model, triples, **kwargs):
+            if os.getpid() != parent:
+                raise ValueError(f"no training at seed {kwargs['seed']}")
+            return train(model, triples, **kwargs)
+
+        monkeypatch.setattr(trainer, "train_supervised", train_here)
+
+    def test_a_failed_prefetch_fails_the_episode_that_draws_it(self, data, tmp_path,
+                                                              monkeypatch):
+        """The single ranker trains in this process, so only the prefetch
+        helper fails; the episode raises what its own training would have."""
+        corpus, ann, val, test = data[:4]
+        self._failing_in_helpers(monkeypatch)
+        with pytest.raises(RuntimeError, match="^training failed for model 'interaction': "
+                                               "no training at seed ") as failed:
+            joint_train(corpus, val, test, self._config(data, workers=2),
+                        workdir=tmp_path / "w2")
+        _no_child_left()
+        seed = str(failed.value).rpartition(" ")[2]
+        train = trainer.train_supervised
+
+        def failing_at_that_seed(model, triples, **kwargs):
+            if str(kwargs["seed"]) == seed:
+                raise ValueError(f"no training at seed {seed}")
+            return train(model, triples, **kwargs)
+
+        monkeypatch.setattr(trainer, "train_supervised", failing_at_that_seed)
+        with pytest.raises(RuntimeError) as own:
+            joint_train(corpus, val, test, self._config(data, workers=1),
+                        workdir=tmp_path / "w1")
+        assert str(own.value) == str(failed.value)
+        # raised by the same episode, after the same ones were logged
+        assert ((tmp_path / "w1" / "episodes.jsonl").read_bytes()
+                == (tmp_path / "w2" / "episodes.jsonl").read_bytes())
+
+    def test_a_failed_prefetch_that_is_not_drawn_is_ignored(self, data, monkeypatch, caplog):
+        corpus, ann, val, test = data[:4]
+        self._failing_in_helpers(monkeypatch)
+        predict = trainer._Prefetch._predict
+
+        def never_drawn(self, episode, current):
+            predicted = predict(self, episode, current)
+            return predicted and (predicted[0], "not " + predicted[1])
+
+        monkeypatch.setattr(trainer._Prefetch, "_predict", never_drawn)
+        with caplog.at_level("INFO", logger="weakrank.trainer"):
+            prefetched = joint_train(corpus, val, test, self._config(data, workers=2))
+        used, discarded = _prefetch_counts(caplog)
+        assert used == 0 and discarded >= 1
+        _no_child_left()
+        alone = joint_train(corpus, val, test, self._config(data, workers=1))
+        assert prefetched.report == alone.report
+
+    def test_a_helper_that_dies_is_replaced_by_training_here(self, data, monkeypatch, caplog):
+        corpus, ann, val, test = data[:4]
+        monkeypatch.setattr(trainer, "_prefetched_rewards", lambda *args: os._exit(3))
+        with caplog.at_level("INFO", logger="weakrank.trainer"):
+            died = joint_train(corpus, val, test, self._config(data, workers=2))
+        assert _prefetch_counts(caplog)[0] == 0
+        _no_child_left()
+        assert died.report == joint_train(corpus, val, test, self._config(data, workers=1)).report
 
 
 class TestAblation:
