@@ -9,7 +9,6 @@ from __future__ import annotations
 import logging
 import os
 import pickle
-import signal
 import time
 import traceback
 from collections.abc import Callable
@@ -115,9 +114,9 @@ class SearchSettings:
     seed: int = setting(0, low=0)
     pretrain_seed: int = setting(-1, low=-1)  # -1 follows `seed`; fix to share scorers,
                                               # backbone and eval lists across seeds
-    workers: int = setting(0, low=0)  # pretraining and ranker-training processes, this one
-                                      # included; 0 = one per CPU; results never depend on it;
-                                      # at 2 or more a search adds one prefetch helper (nice 19)
+    workers: int = setting(0, low=0)  # processes that pretrain and train rankers or rewards,
+                                      # this one included; 0 = one per CPU; results never
+                                      # depend on it
 
 
 @dataclass(kw_only=True)
@@ -183,12 +182,15 @@ def cache_entry(cache_dir: str | Path | None, prefix: str, key: dict) -> Path | 
 # trains that ranker at the episode budget. The text-embedding scorer is no
 # job: it scores with the `backbone` job's table. The cost only decides
 # which process runs a job, never what the job computes. At the README's
-# scale the aggregation scorer costs the most instead.
+# scale the aggregation scorer costs the most instead. A `reward` job trains
+# one configuration's rankers; its cost only places one reward job per
+# process, the episode's own in the caller's.
 JOB_COST = {
     "graph-biased-walk": 86, "graph-walk": 85, "graph-proximity-1": 51,
     "graph-proximity-2": 51, "backbone": 31,
     "graph-aggregation": 28, "bm25": 0, "external": 0,
     "sup:graph-aggregation": 20, "sup:representation": 10, "sup:interaction": 2,
+    "reward": 1,
 }
 # Bump a scorer kind's version whenever its output changes, so that its
 # cache entries miss; a key holds the version only once it is above 0.
@@ -201,20 +203,24 @@ _TEXT_SETTINGS = ("dim", "window", "neg", "epochs", "lr")
 
 @dataclass(frozen=True)
 class Job:
-    """``fn(*args)`` trains ``name`` during ``stage``; ``kind`` ranks its cost."""
+    """``fn(*args)`` trains ``name`` during ``stage``; ``kind`` ranks its cost.
+    An optional job's failure leaves its result None instead of raising."""
 
     name: str
     kind: str
     fn: Callable
     args: tuple
     stage: str = "pretraining"
+    optional: bool = False
 
 
 def resolve_workers(workers: int) -> int:
     """The process count ``workers`` asks for: itself when positive, one
-    per CPU this process may run on when 0."""
+    per CPU this process may run on when 0; 1 without ``os.fork``."""
     if workers < 0:
         raise ValueError(f"workers must be >= 0, got {workers}")
+    if not hasattr(os, "fork"):
+        return 1
     if workers:
         return workers
     if hasattr(os, "sched_getaffinity"):
@@ -242,24 +248,23 @@ def _failure(job: Job, reason) -> str:
 
 
 def _run_job(job: Job) -> tuple:
-    """The job's result and its seconds."""
+    """The job's result and its seconds; an optional job that fails gives None."""
     start = time.perf_counter()
     try:
         return job.fn(*job.args), time.perf_counter() - start
     except Exception as exc:
-        raise RuntimeError(_failure(job, exc)) from exc
+        if not job.optional:
+            raise RuntimeError(_failure(job, exc)) from exc
+        log.debug("%s", _failure(job, exc))
+        return None, time.perf_counter() - start
 
 
-def _run_share(jobs: list[Job], share: list[int]) -> list:
-    return [_run_job(jobs[i]) for i in share]
-
-
-def _fork_helper(fn: Callable, *args) -> tuple:
-    """Run ``fn(*args)`` in a forked process that inherits its inputs and
-    pickles back through a pipe only its result, or its failure's message and
-    traceback: (pid, the pipe's reading end). The helper leaves through
-    ``os._exit``: it never unwinds into the caller's stack, never runs exit
-    handlers and never writes the cache."""
+def _fork_helper(jobs: list[Job], share: list[int]) -> tuple:
+    """Run ``share`` in a forked process that inherits the jobs' inputs and
+    pickles back through a pipe only its results, or its first failure's
+    message and traceback: (pid, the pipe's reading end, ``share``). The
+    helper leaves through ``os._exit``: it never unwinds into the caller's
+    stack, never runs exit handlers and never writes the cache."""
     read_fd, write_fd = os.pipe()
     pid = os.fork()
     if pid == 0:
@@ -267,8 +272,8 @@ def _fork_helper(fn: Callable, *args) -> tuple:
         try:
             os.close(read_fd)
             try:
-                out = (fn(*args), None)
-            except Exception as exc:
+                out = ([_run_job(jobs[i]) for i in share], None)
+            except RuntimeError as exc:
                 out = (None, (str(exc), traceback.format_exc()))
             with os.fdopen(write_fd, "wb") as fh:
                 pickle.dump(out, fh, protocol=pickle.HIGHEST_PROTOCOL)
@@ -276,51 +281,45 @@ def _fork_helper(fn: Callable, *args) -> tuple:
         finally:
             os._exit(code)
     os.close(write_fd)
-    return pid, os.fdopen(read_fd, "rb")
-
-
-def _reap(pid: int, reader) -> int:
-    """Close a helper's pipe and wait for it to end: its exit code."""
-    reader.close()
-    return os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-
-
-def _sent_result(data: bytes):
-    """What a helper that exited with code 0 sent: its result, or its
-    failure raised here as a RuntimeError with the helper's message."""
-    result, failure = pickle.loads(data)
-    if failure is not None:  # (message, the helper's traceback)
-        raise RuntimeError(failure[0]) from RuntimeError(failure[1])
-    return result
+    return pid, os.fdopen(read_fd, "rb"), share
 
 
 def run_jobs(jobs: list[Job], workers: int) -> list:
     """Each job's result, in job order, computed across ``workers`` processes
     (0: one per available CPU): this one and forked helpers, split by
-    ``split_jobs``. Pretraining and each ranker training run their jobs here.
-    Every job seeds itself, so the results are the same for any worker count.
-    A failing job raises a RuntimeError naming its stage and model, after
-    every helper has been reaped. Without ``os.fork`` they run here in turn.
-    Each pretraining job logs its seconds and its process (0: this one)."""
-    processes = resolve_workers(workers) if hasattr(os, "fork") else 1
-    shares = split_jobs(jobs, processes)
+    ``split_jobs``. Pretraining, each ranker training and each episode's
+    reward jobs run here. Every job seeds itself, so the results are the
+    same for any worker count. A failing job raises a RuntimeError naming
+    its stage and model, after every helper has been reaped; an optional
+    one, whether it raises or its helper dies, leaves its result None.
+    Without ``os.fork`` they run here in turn. Each pretraining job logs its
+    seconds and its process (0: this one)."""
+    shares = split_jobs(jobs, resolve_workers(workers))
     results, seconds = [None] * len(jobs), [0.0] * len(jobs)
     helpers, exit_codes = [], {}
     try:
         for share in shares[1:]:
             if share:
-                helpers.append((*_fork_helper(_run_share, jobs, share), share))
+                helpers.append(_fork_helper(jobs, share))
         for i in shares[0]:
             results[i], seconds[i] = _run_job(jobs[i])
         sent = [reader.read() for _, reader, _ in helpers]
     finally:
         for pid, reader, _ in helpers:
-            exit_codes[pid] = _reap(pid, reader)
+            reader.close()
+            exit_codes[pid] = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
     for (pid, _, share), data in zip(helpers, sent):
         if exit_codes[pid] != 0:
-            raise RuntimeError(_failure(
-                jobs[share[0]], f"its helper process exited with code {exit_codes[pid]}"))
-        for i, (result, secs) in zip(share, _sent_result(data)):
+            required = [i for i in share if not jobs[i].optional]
+            if required:
+                raise RuntimeError(_failure(
+                    jobs[required[0]], f"its helper process exited with code {exit_codes[pid]}"))
+            log.debug("a helper of optional jobs exited with code %d", exit_codes[pid])
+            continue
+        out, failure = pickle.loads(data)
+        if failure is not None:  # (message, the helper's traceback)
+            raise RuntimeError(failure[0]) from RuntimeError(failure[1])
+        for i, (result, secs) in zip(share, out):
             results[i], seconds[i] = result, secs
     for p, share in enumerate(shares):
         for i in share:
@@ -573,84 +572,30 @@ def configuration_rewards(cfg: Configuration, matrices: list[ScoreMatrix],
     return r_unsup, mrr(score_lists_with_ensemble(val_lists, models))
 
 
-def _prefetched_rewards(cfg: Configuration, matrices, backbone, val_lists,
-                        config: RunConfig) -> tuple[float, float]:
-    """``configuration_rewards`` in a prefetch helper: in that one process,
-    at the lowest CPU priority."""
-    os.nice(19)
-    return configuration_rewards(cfg, matrices, backbone, val_lists, replace(config, workers=1))
-
-
 def _sample_rng(config: RunConfig, episode: int) -> np.random.Generator:
     """The generator an episode draws its configurations from."""
     return np.random.default_rng(derive_seed(config.seed, "episode", episode))
 
 
-class _Prefetch:
-    """The rewards of the configuration a search is predicted to train next,
-    computed by one forked helper while this process trains the current one.
-
-    The prediction draws the later episodes in order, each from its own
-    ``_sample_rng``, under the current policy and clamp: the first draw the
-    cache lacks. The policy moves little per update, so it is often the next
-    configuration trained. A collected reward is the one the episode would
-    have computed, as rewards are a function of the configuration; a helper
-    whose configuration is no longer predicted is killed and reaped."""
-
-    def __init__(self, matrices, controller: ControllerParams, backbone, val_lists,
-                 config: RunConfig, clamp: Clamp, reward_cache: dict):
-        self.inputs = (matrices, backbone, val_lists, config)
-        self.controller, self.clamp, self.reward_cache = controller, clamp, reward_cache
-        self.pending = None  # (signature, pid, reader)
-        self.used = self.discarded = 0
-
-    def rewards(self, cfg: Configuration, sig: str, episode: int) -> tuple[float, float]:
-        """``cfg``'s rewards: the helper's when it computed them, else
-        computed here after starting the helper on the next prediction. A
-        helper's failure raises here as the training would have."""
-        if self.pending is not None and self.pending[0] == sig:
-            _, pid, reader = self.pending
-            self.pending = None
-            try:
-                data = reader.read()
-            finally:
-                code = _reap(pid, reader)
-            if code == 0:
-                self.used += 1
-                return _sent_result(data)
-            self.discarded += 1  # it died sending nothing: train here
-        predicted = self._predict(episode, sig)
-        if self.pending is not None and (predicted is None or predicted[1] != self.pending[0]):
-            self.close()
-        if predicted is not None and self.pending is None:
-            log.debug("prefetching the rewards of %s", predicted[1])
-            self.pending = (predicted[1], *_fork_helper(_prefetched_rewards, predicted[0],
-                                                        *self.inputs))
-        return configuration_rewards(cfg, *self.inputs)
-
-    def _predict(self, episode: int, current: str) -> tuple[Configuration, str] | None:
-        """The first configuration drawn after ``episode`` that the cache
-        lacks and is not ``current``, with its signature; None if none."""
-        config = self.inputs[3]
-        for ep in range(episode + 1, config.episodes):
-            rng = _sample_rng(config, ep)
-            for _ in range(config.n_monte_carlo):
-                cfg = sample_configuration(self.controller, rng, config.k_values,
-                                           clamp=self.clamp)[0]
-                sig = _config_signature(cfg)
-                if sig != current and sig not in self.reward_cache:
-                    return cfg, sig
-        return None
-
-    def close(self) -> None:
-        """Kill and reap the helper, if one is running."""
-        if self.pending is not None:
-            sig, pid, reader = self.pending
-            self.pending = None
-            os.kill(pid, signal.SIGKILL)
-            _reap(pid, reader)
-            self.discarded += 1
-            log.debug("discarded the prefetch of %s", sig)
+def predicted_configurations(controller: ControllerParams, config: RunConfig, episode: int,
+                             clamp: Clamp, reward_cache: dict, current: str,
+                             n: int) -> list[tuple[str, Configuration]]:
+    """Up to ``n`` configurations that the episodes after ``episode`` are
+    predicted to draw, (signature, configuration) in draw order: each later
+    episode's draws from its own ``_sample_rng``, under the current policy
+    and clamp, that the cache lacks and that are not ``current``. The policy
+    moves little per update, so later episodes often draw them."""
+    predicted: dict = {}
+    for ep in range(episode + 1, config.episodes):
+        rng = _sample_rng(config, ep)
+        for _ in range(config.n_monte_carlo):
+            if len(predicted) >= n:
+                return list(predicted.items())
+            cfg = sample_configuration(controller, rng, config.k_values, clamp=clamp)[0]
+            sig = _config_signature(cfg)
+            if sig != current and sig not in reward_cache:
+                predicted.setdefault(sig, cfg)
+    return list(predicted.items())
 
 
 def run_episode(
@@ -663,7 +608,6 @@ def run_episode(
     sample_rng: np.random.Generator,
     reward_cache: dict,
     clamp: Clamp = Clamp(),
-    prefetch: _Prefetch | None = None,
 ) -> EpisodeLog:
     """Sample a configuration, train its rankers, and score it on validation.
     The entry's baseline is 0 until ``joint_train`` sets its batch's.
@@ -671,15 +615,29 @@ def run_episode(
     Rewards are a deterministic function of the sampled configuration (all
     seeds derive from it), so identical configurations earn identical
     rewards; ``reward_cache`` maps each configuration's signature to its
-    (unsupervised, supervised) rewards and is filled here, from ``prefetch``
-    when given.
+    (unsupervised, supervised) rewards and is filled here. On a miss, the
+    configuration and up to ``workers - 1`` predicted ones
+    (``predicted_configurations``) run as reward jobs through ``run_jobs``,
+    one process each, the episode's own in this one. A predicted one that
+    fails is left out of the cache: the episode that draws it trains it
+    again. Without a prediction, or when its own job failed, the episode
+    trains its configuration here, its rankers across ``config.workers``.
     """
     cfg, log_prob = sample_configuration(controller, sample_rng, config.k_values, clamp=clamp)
     sig = _config_signature(cfg)
     if sig not in reward_cache:
-        reward_cache[sig] = (
-            configuration_rewards(cfg, matrices, backbone, val_lists, config)
-            if prefetch is None else prefetch.rewards(cfg, sig, episode))
+        ahead = predicted_configurations(controller, config, episode, clamp, reward_cache, sig,
+                                         resolve_workers(config.workers) - 1)
+        if ahead:
+            alone = replace(config, workers=1)
+            jobs = [Job(name, "reward", configuration_rewards,
+                        (job_cfg, matrices, backbone, val_lists, alone), "training", optional=True)
+                    for name, job_cfg in [(sig, cfg), *ahead]]
+            for job, rewards in zip(jobs, run_jobs(jobs, len(jobs))):
+                if rewards is not None:
+                    reward_cache[job.name] = rewards
+        if sig not in reward_cache:
+            reward_cache[sig] = configuration_rewards(cfg, matrices, backbone, val_lists, config)
     r_unsup, r_sup = reward_cache[sig]
     reward = r_unsup + r_sup
     if not 0.0 <= reward <= 2.0:
@@ -746,68 +704,66 @@ def joint_train(
 
     best_entry: EpisodeLog | None = None
     stale = 0
-    # the one process beyond `workers`: a helper computing, at the lowest
-    # priority, the rewards the search is predicted to need next
-    prefetch = (_Prefetch(matrices, controller, backbone, val_lists, config, clamp, reward_cache)
-                if hasattr(os, "fork") and resolve_workers(config.workers) > 1 else None)
-    try:
-        for ep in range(config.episodes):
-            start = time.perf_counter()
-            cached_before = len(reward_cache)
-            used_before = prefetch.used if prefetch is not None else 0
-            sample_rng = _sample_rng(config, ep)
-            batch: list[EpisodeLog] = []
-            for mc in range(config.n_monte_carlo):
-                entry = run_episode(
-                    matrices, controller, backbone, val_lists, config,
-                    episode=ep, sample_rng=sample_rng, clamp=clamp, reward_cache=reward_cache,
-                    prefetch=prefetch,
-                )
-                batch.append(entry)
-            cached = len(batch) - (len(reward_cache) - cached_before)
-            prefetched = (prefetch.used if prefetch is not None else 0) - used_before
+    ahead: set = set()  # configurations trained ahead that no episode has drawn yet
+    trained_ahead = drawn_ahead = 0
+    for ep in range(config.episodes):
+        start = time.perf_counter()
+        sample_rng = _sample_rng(config, ep)
+        batch: list[EpisodeLog] = []
+        cached, ahead_before = 0, trained_ahead
+        for mc in range(config.n_monte_carlo):
+            size = len(reward_cache)
+            entry = run_episode(
+                matrices, controller, backbone, val_lists, config,
+                episode=ep, sample_rng=sample_rng, clamp=clamp, reward_cache=reward_cache,
+            )
+            batch.append(entry)
+            sig = _config_signature(entry.config)
+            cached += len(reward_cache) == size and sig not in ahead  # an earlier draw trained it
+            drawn_ahead += sig in ahead
+            ahead.discard(sig)
+            new = [key for key in list(reward_cache)[size:] if key != sig]
+            ahead.update(new)
+            trained_ahead += len(new)
 
-            mean_reward = float(np.mean([e.reward for e in batch]))
-            if config.use_baseline and baseline.value is None:
-                baseline.value = mean_reward
-            b = baseline.value if config.use_baseline else 0.0
-            for entry in batch:
-                entry.baseline = b
-            zero_grads(policy)
-            entropy = 0.0
-            for entry in batch:
-                entropy += action_log_prob(
-                    controller, entry.config, clamp=clamp,
-                    grad_scale=-(entry.reward - b) / config.n_monte_carlo,
-                    entropy_scale=-config.entropy_coef / config.n_monte_carlo,
-                )[1] / config.n_monte_carlo
-            optimizer_step(policy, policy_opt)
-            if config.use_baseline:
-                baseline.update(mean_reward)
+        mean_reward = float(np.mean([e.reward for e in batch]))
+        if config.use_baseline and baseline.value is None:
+            baseline.value = mean_reward
+        b = baseline.value if config.use_baseline else 0.0
+        for entry in batch:
+            entry.baseline = b
+        zero_grads(policy)
+        entropy = 0.0
+        for entry in batch:
+            entropy += action_log_prob(
+                controller, entry.config, clamp=clamp,
+                grad_scale=-(entry.reward - b) / config.n_monte_carlo,
+                entropy_scale=-config.entropy_coef / config.n_monte_carlo,
+            )[1] / config.n_monte_carlo
+        optimizer_step(policy, policy_opt)
+        if config.use_baseline:
+            baseline.update(mean_reward)
 
-            improved = False
-            for entry in batch:
-                episodes.append(entry)
-                if episodes_path is not None:
-                    with open(episodes_path, "a", encoding="utf-8") as fh:
-                        fh.write(canonical_json(entry.to_dict()) + "\n")
-                if best_entry is None or entry.reward > best_entry.reward:
-                    best_entry = entry
-                    improved = True
-            stale = 0 if improved else stale + 1
-            # done/budget, then ids as episodes.jsonl numbers them; seconds go to the log only
-            log.info("%d/%d episodes: R %.4f, best %.4f at episode %d, cached %d/%d, "
-                     "prefetched %d/%d, entropy %.4f, %.3f s", ep + 1, config.episodes,
-                     mean_reward, best_entry.reward, best_entry.episode, cached, len(batch),
-                     prefetched, len(batch), entropy, time.perf_counter() - start)
-            if config.early_stop_patience and stale >= config.early_stop_patience:
-                log.info("search early-stopped after %d episodes", ep + 1)
-                break
-    finally:
-        if prefetch is not None:
-            prefetch.close()
-            log.info("prefetched rewards: %d used, %d discarded", prefetch.used,
-                     prefetch.discarded)
+        improved = False
+        for entry in batch:
+            episodes.append(entry)
+            if episodes_path is not None:
+                with open(episodes_path, "a", encoding="utf-8") as fh:
+                    fh.write(canonical_json(entry.to_dict()) + "\n")
+            if best_entry is None or entry.reward > best_entry.reward:
+                best_entry = entry
+                improved = True
+        stale = 0 if improved else stale + 1
+        # done/budget, then ids as episodes.jsonl numbers them; seconds go to the log only
+        log.info("%d/%d episodes: R %.4f, best %.4f at episode %d, cached %d/%d, "
+                 "trained ahead %d, entropy %.4f, %.3f s", ep + 1, config.episodes,
+                 mean_reward, best_entry.reward, best_entry.episode, cached, len(batch),
+                 trained_ahead - ahead_before, entropy, time.perf_counter() - start)
+        if config.early_stop_patience and stale >= config.early_stop_patience:
+            log.info("search early-stopped after %d episodes", ep + 1)
+            break
+    log.info("configurations trained ahead: %d, drawn by a later episode: %d",
+             trained_ahead, drawn_ahead)
 
     assert best_entry is not None
     if config.best_selection == "greedy":

@@ -175,12 +175,35 @@ def test_split_covers_every_job_once_and_the_caller_always_works(processes):
 
 def test_every_scorer_kind_has_a_cost():
     """Every job kind, and no other: each scorer but the text embedding,
-    which is scored with the backbone's table and so is no job, the backbone
-    and each ranker, whose key is prefixed because the graph-aggregation
-    scorer and ranker share a kind."""
+    which is scored with the backbone's table and so is no job, the backbone,
+    each ranker, whose key is prefixed because the graph-aggregation scorer
+    and ranker share a kind, and an episode's reward."""
     rankers = {f"sup:{kind}" for kind in HYPERPARAMETERS["supervised"]}
     scorers = set(HYPERPARAMETERS["unsupervised"]) - {"text-embedding"}
-    assert scorers | {"backbone"} | rankers == set(JOB_COST)
+    assert scorers | {"backbone", "reward"} | rankers == set(JOB_COST)
+
+
+@pytest.mark.parametrize("processes", [1, 2, 3, 5])
+def test_reward_jobs_go_one_per_process_the_first_to_the_caller(processes):
+    shares = split_jobs(_jobs(["reward"] * min(processes, 3)), processes)
+    assert shares == [[i] for i in range(min(processes, 3))]
+
+
+def _refuse(value):
+    raise ValueError(f"refused {value}")
+
+
+def test_an_optional_job_that_fails_or_dies_leaves_none():
+    """Failing in this process, failing in a helper and killing its helper."""
+    jobs = [Job("here", "reward", _refuse, ("here",), optional=True),
+            Job("ok", "reward", int, ("2",), optional=True),
+            Job("there", "reward", _refuse, ("there",), optional=True),
+            Job("dies", "reward", os._exit, (3,), optional=True)]
+    assert run_jobs(jobs, 4) == [None, 2, None, None]
+    _no_child_left()
+    with pytest.raises(RuntimeError, match="^training failed for model 'there': refused there$"):
+        run_jobs([jobs[1], dataclasses.replace(jobs[2], stage="training", optional=False)], 2)
+    _no_child_left()
 
 
 @pytest.mark.parametrize("broken_first", [True, False])

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 from pathlib import Path
@@ -350,7 +351,7 @@ class TestJointTrain:
         rewards = iter([1.0, 0.5, 0.4, 0.3, 0.2, 0.1, 0.05, 0.02, 0.01, 0.0])
 
         def fake_episode(matrices, controller, backbone, val_lists, config, *,
-                         episode, sample_rng, reward_cache, clamp=None, prefetch=None):
+                         episode, sample_rng, reward_cache, clamp=None):
             cfg, log_prob = sample_configuration(controller, sample_rng, config.k_values)
             reward = next(rewards)
             return EpisodeLog(episode, cfg, log_prob, reward, 0.0, reward, baseline=0.0)
@@ -386,12 +387,36 @@ def _no_child_left():
         os.waitpid(-1, os.WNOHANG)
 
 
-def _prefetch_counts(caplog) -> tuple[int, int]:
-    """(used, discarded) from a search's closing prefetch line."""
+def _ahead_counts(caplog) -> tuple[int, int]:
+    """(trained ahead, drawn by a later episode) from a search's closing line."""
     (line,) = [r.getMessage() for r in caplog.records
-               if r.getMessage().startswith("prefetched rewards: ")]
-    used, discarded = line.removeprefix("prefetched rewards: ").split(", ")
-    return int(used.split()[0]), int(discarded.split()[0])
+               if r.getMessage().startswith("configurations trained ahead: ")]
+    trained, drawn = line.removeprefix("configurations trained ahead: ").split(
+        ", drawn by a later episode: ")
+    return int(trained), int(drawn)
+
+
+def _counting_live_children(monkeypatch) -> list[int]:
+    """At each fork, the number of this process's children not yet reaped,
+    the new one included."""
+    live, counts = set(), []
+    fork, waitpid = os.fork, os.waitpid
+
+    def counting_fork():
+        pid = fork()
+        if pid:
+            live.add(pid)
+            counts.append(len(live))
+        return pid
+
+    def counting_waitpid(pid, options):
+        reaped = waitpid(pid, options)
+        live.discard(reaped[0])
+        return reaped
+
+    monkeypatch.setattr(os, "fork", counting_fork)
+    monkeypatch.setattr(os, "waitpid", counting_waitpid)
+    return counts
 
 
 def _compare_runs():
@@ -404,9 +429,10 @@ def _compare_runs():
     return module.compare
 
 
-class TestPrefetch:
-    """With two processes, a forked helper computes the rewards of the
-    configuration predicted to train next; nothing it does shows in a run."""
+class TestTrainingAhead:
+    """With more processes than one, an episode that trains trains the
+    configurations later episodes are predicted to draw alongside its own,
+    one reward job per process; nothing it does shows in a run."""
 
     def _config(self, data, **overrides):
         corpus, ann, val, test, oracle_path, noise_path, good_path = data
@@ -418,14 +444,53 @@ class TestPrefetch:
         for workers in (1, 2):
             caplog.clear()
             with caplog.at_level("INFO", logger="weakrank.trainer"):
-                joint_train(corpus, val, test, self._config(data, workers=workers),
-                            workdir=tmp_path / f"w{workers}")
+                result = joint_train(corpus, val, test, self._config(data, workers=workers),
+                                     workdir=tmp_path / f"w{workers}")
             _no_child_left()
-        used, discarded = _prefetch_counts(caplog)
-        assert used >= 1 and discarded >= 1
+        trained, drawn = _ahead_counts(caplog)
+        assert trained > drawn >= 1  # a hit, and a prediction no episode drew
         lines = [r.getMessage() for r in caplog.records if " episodes: R " in r.getMessage()]
-        assert sum(", prefetched 1/1, " in line for line in lines) == used
+        assert sum(int(line.split(", trained ahead ")[1].split(",")[0]) for line in lines) == trained
+        # `cached` counts the draws an earlier draw trained, never a trained-ahead one
+        seen = set()
+        for line, entry in zip(lines, result.episodes):
+            signature = json.dumps(entry.config.to_dict(), sort_keys=True)
+            assert f"cached {int(signature in seen)}/1," in line
+            seen.add(signature)
         assert _compare_runs()(tmp_path / "w1", tmp_path / "w2")[0] == []
+
+    def test_never_more_busy_processes_than_workers(self, data, monkeypatch):
+        """Two rankers, so an episode that predicts nothing splits them over
+        both processes, and one that predicts trains them in one."""
+        corpus, ann, val, test = data[:4]
+        rankers = SupModelRegistry([SupModelSpec("representation", "representation"),
+                                    SupModelSpec("interaction", "interaction")])
+        live = _counting_live_children(monkeypatch)
+        joint_train(corpus, val, test, self._config(data, workers=2, sup_registry=rankers,
+                                                    episodes=8))
+        assert live and max(live) == 1
+        _no_child_left()
+
+    def test_a_miss_trains_two_predictions_at_three_workers(self, tmp_path, monkeypatch, caplog):
+        from test_score_command import _sandbox
+
+        from weakrank.cli import main
+
+        live = _counting_live_children(monkeypatch)
+        for workers in (1, 3):
+            caplog.clear()
+            root = tmp_path / f"w{workers}"
+            _sandbox(root, unsup_models="bm25,text-embedding", k_values="5,10", episodes="4",
+                     workers=str(workers))
+            monkeypatch.chdir(root)
+            with caplog.at_level("INFO", logger="weakrank.trainer"):
+                assert main(["-q", "search", "--config", "exp.cfg"]) == 0
+            _no_child_left()
+        assert max(live) == 2
+        assert any(", trained ahead 2, " in r.getMessage() for r in caplog.records)
+        # only the files that record the workers setting itself differ
+        differences = _compare_runs()(tmp_path / "w1" / "run", tmp_path / "w3" / "run")[0]
+        assert differences == ["differs: config.cfg", "differs: manifest.json"]
 
     def test_a_sweep_is_the_sweep_of_one_process(self, tmp_path, monkeypatch, caplog):
         from test_score_command import _sandbox
@@ -433,6 +498,7 @@ class TestPrefetch:
         from weakrank.cli import main
 
         for workers in (1, 2):
+            caplog.clear()
             root = tmp_path / f"w{workers}"
             _sandbox(root, unsup_models="bm25,text-embedding", external_scores="",
                      k_values="5,10", episodes="4", workers=str(workers))
@@ -441,18 +507,22 @@ class TestPrefetch:
                 assert main(["-q", "ablate", "--config", "exp.cfg", "--mode", "fix-k",
                              "--sweep"]) == 0
             _no_child_left()
-        assert any(r.getMessage().startswith("prefetched rewards: ") for r in caplog.records)
+        closing = [r.getMessage() for r in caplog.records
+                   if r.getMessage().startswith("configurations trained ahead: ")]
+        assert any(not line.startswith("configurations trained ahead: 0,") for line in closing)
         # only the files that record the workers setting itself differ
         differences = _compare_runs()(tmp_path / "w1" / "run", tmp_path / "w2" / "run")[0]
         assert {Path(line.removeprefix("differs: ")).name for line in differences} == {
             "config.cfg", "manifest.json"}
         assert len(differences) == 3 * 2  # the sweep's run and its two sub-runs
 
-    def test_one_process_forks_no_prefetch(self, data, caplog):
+    def test_one_process_trains_nothing_ahead(self, data, monkeypatch, caplog):
         corpus, ann, val, test = data[:4]
+        live = _counting_live_children(monkeypatch)
         with caplog.at_level("INFO", logger="weakrank.trainer"):
             joint_train(corpus, val, test, self._config(data, workers=1))
-        assert not any(r.getMessage().startswith("prefetched") for r in caplog.records)
+        assert _ahead_counts(caplog) == (0, 0)
+        assert live == []
 
     def test_an_early_stop_leaves_no_helper(self, data, caplog):
         corpus, ann, val, test = data[:4]
@@ -460,7 +530,7 @@ class TestPrefetch:
             result = joint_train(corpus, val, test, self._config(
                 data, workers=2, episodes=30, early_stop_patience=2))
         assert len(result.episodes) < 30
-        assert sum(_prefetch_counts(caplog)) >= 1
+        assert _ahead_counts(caplog)[0] >= 1
         _no_child_left()
 
     def test_an_error_in_a_later_episode_leaves_no_helper(self, data, monkeypatch):
@@ -490,58 +560,76 @@ class TestPrefetch:
 
         monkeypatch.setattr(trainer, "train_supervised", train_here)
 
-    def test_a_failed_prefetch_fails_the_episode_that_draws_it(self, data, tmp_path,
-                                                              monkeypatch):
-        """The single ranker trains in this process, so only the prefetch
-        helper fails; the episode raises what its own training would have."""
+    def test_a_failed_prediction_fails_only_the_episode_that_draws_it(self, data, tmp_path,
+                                                                      monkeypatch):
+        """A configuration trained ahead fails in its helper, and again in
+        the episode that draws it, which raises what one process raises."""
         corpus, ann, val, test = data[:4]
-        self._failing_in_helpers(monkeypatch)
-        with pytest.raises(RuntimeError, match="^training failed for model 'interaction': "
-                                               "no training at seed ") as failed:
-            joint_train(corpus, val, test, self._config(data, workers=2),
-                        workdir=tmp_path / "w2")
-        _no_child_left()
-        seed = str(failed.value).rpartition(" ")[2]
+        config = self._config(data, workers=2)
+        predicted, predict = [], trainer.predicted_configurations
+
+        def recording(*args):
+            ahead = predict(*args)
+            predicted.extend(sig for sig, _ in ahead)
+            return ahead
+
+        monkeypatch.setattr(trainer, "predicted_configurations", recording)
+        drawn = {trainer._config_signature(e.config)
+                 for e in joint_train(corpus, val, test, config).episodes}
+        sig = next(sig for sig in predicted if sig in drawn)
+        seed = derive_seed(config.seed, "sup-train", "interaction", sig)
         train = trainer.train_supervised
 
         def failing_at_that_seed(model, triples, **kwargs):
-            if str(kwargs["seed"]) == seed:
+            if kwargs["seed"] == seed:
                 raise ValueError(f"no training at seed {seed}")
             return train(model, triples, **kwargs)
 
         monkeypatch.setattr(trainer, "train_supervised", failing_at_that_seed)
-        with pytest.raises(RuntimeError) as own:
+        predicted.clear()
+        message = f"^training failed for model 'interaction': no training at seed {seed}$"
+        with pytest.raises(RuntimeError, match=message):
+            joint_train(corpus, val, test, config, workdir=tmp_path / "w2")
+        assert sig in predicted  # it failed ahead first
+        _no_child_left()
+        with pytest.raises(RuntimeError, match=message):
             joint_train(corpus, val, test, self._config(data, workers=1),
                         workdir=tmp_path / "w1")
-        assert str(own.value) == str(failed.value)
         # raised by the same episode, after the same ones were logged
         assert ((tmp_path / "w1" / "episodes.jsonl").read_bytes()
                 == (tmp_path / "w2" / "episodes.jsonl").read_bytes())
 
-    def test_a_failed_prefetch_that_is_not_drawn_is_ignored(self, data, monkeypatch, caplog):
+    def test_a_failed_prediction_that_is_not_drawn_is_ignored(self, data, monkeypatch, caplog):
         corpus, ann, val, test = data[:4]
         self._failing_in_helpers(monkeypatch)
-        predict = trainer._Prefetch._predict
+        predict = trainer.predicted_configurations
 
-        def never_drawn(self, episode, current):
-            predicted = predict(self, episode, current)
-            return predicted and (predicted[0], "not " + predicted[1])
+        def never_drawn(*args):  # a k outside the grid, which no episode draws
+            ahead = [dataclasses.replace(cfg, k_value=7) for _, cfg in predict(*args)]
+            return [(trainer._config_signature(cfg), cfg) for cfg in ahead]
 
-        monkeypatch.setattr(trainer._Prefetch, "_predict", never_drawn)
+        monkeypatch.setattr(trainer, "predicted_configurations", never_drawn)
+        live = _counting_live_children(monkeypatch)
         with caplog.at_level("INFO", logger="weakrank.trainer"):
-            prefetched = joint_train(corpus, val, test, self._config(data, workers=2))
-        used, discarded = _prefetch_counts(caplog)
-        assert used == 0 and discarded >= 1
+            ahead = joint_train(corpus, val, test, self._config(data, workers=2))
+        assert live and _ahead_counts(caplog) == (0, 0)
         _no_child_left()
         alone = joint_train(corpus, val, test, self._config(data, workers=1))
-        assert prefetched.report == alone.report
+        assert ahead.report == alone.report
 
     def test_a_helper_that_dies_is_replaced_by_training_here(self, data, monkeypatch, caplog):
         corpus, ann, val, test = data[:4]
-        monkeypatch.setattr(trainer, "_prefetched_rewards", lambda *args: os._exit(3))
+        parent, compute = os.getpid(), trainer.configuration_rewards
+
+        def dying_in_helpers(*args):
+            if os.getpid() != parent:
+                os._exit(3)
+            return compute(*args)
+
+        monkeypatch.setattr(trainer, "configuration_rewards", dying_in_helpers)
         with caplog.at_level("INFO", logger="weakrank.trainer"):
             died = joint_train(corpus, val, test, self._config(data, workers=2))
-        assert _prefetch_counts(caplog)[0] == 0
+        assert _ahead_counts(caplog) == (0, 0)
         _no_child_left()
         assert died.report == joint_train(corpus, val, test, self._config(data, workers=1)).report
 
