@@ -26,6 +26,9 @@ is ``BENCHMARK.json``'s, a share of the parent's median):
 - ``unresolved``: the parent's interquartile range is wider than the bound;
 - ``no change``.
 
+A ``search_s`` gain whose uncorrected median (below) did not fall ends with
+``(uncorrected not faster)``: the host-speed correction alone may make it.
+
 It flags each quality metric (unit ``ratio``) that differs between the sides
 on a seed, and writes every pair to ``--out`` as JSON, with each side's raw
 timings (``raw_timings``). Each pair's line shows the uncorrected ``search_s``
@@ -106,16 +109,20 @@ def host_speed_ratio(raw: dict) -> float:
             / statistics.median(raw["score_host_speeds"]))
 
 
+def _raw_median(pairs: list[dict], side: str, value=lambda raw: raw["search_s"]) -> float:
+    """One side's median, over the pairs, of ``value`` of its ``raw_timings``:
+    by default the uncorrected ``search_s``."""
+    return statistics.median(value(p["raw"][side]) for p in pairs)
+
+
 def raw_summary(pairs: list[dict]) -> str:
     """Each side's median, over the pairs, of the uncorrected ``search_s``
     and of ``host_speed_ratio``."""
-    def med(side, value):
-        return statistics.median(value(p["raw"][side]) for p in pairs)
-
     return ("uncorrected search_s: " + ", ".join(
-        f"{side} {med(side, lambda raw: raw['search_s']):.4g}" for side in ("parent", "change"))
+        f"{side} {_raw_median(pairs, side):.4g}" for side in ("parent", "change"))
         + " s; search/score host speed: " + ", ".join(
-        f"{side} {med(side, host_speed_ratio):.3f}" for side in ("parent", "change")))
+        f"{side} {_raw_median(pairs, side, host_speed_ratio):.3f}"
+        for side in ("parent", "change")))
 
 
 def run_bench(copy: Path, workload: str, seed: int, seconds: float) -> tuple[dict, dict]:
@@ -170,7 +177,8 @@ def summarize(pairs: list[dict], declared: list[dict]) -> tuple[list[str], list[
     """(one line per metric, one line per quality metric unequal on a seed).
 
     ``pairs`` holds one ``{"seed", "parent", "change"}`` per pair, each side
-    a perfbench metrics dict of name to value; ``declared`` is
+    a perfbench metrics dict of name to value, and a ``raw`` dict of each
+    side's ``raw_timings`` where ``search_s`` is declared; ``declared`` is
     ``BENCHMARK.json``'s ``end_to_end`` list."""
     lines, unequal = [], []
     for metric in declared:
@@ -180,10 +188,13 @@ def summarize(pairs: list[dict], declared: list[dict]) -> tuple[list[str], list[
         sign = 1 if metric["better"] == "higher" else -1
         wins = sum(sign * (c - b) > 0 for b, c in zip(parent, change))
         ps, cs = _quartiles(parent), _quartiles(change)
+        said = verdict(ps, cs, wins, len(pairs), sign, metric["bound"])
+        if (name == "search_s" and said == "gain"
+                and _raw_median(pairs, "change") >= _raw_median(pairs, "parent")):
+            said += " (uncorrected not faster)"
         lines.append(f"{name}: parent {ps['median']:.4g} [{ps['q1']:.4g}, {ps['q3']:.4g}] "
                      f"change {cs['median']:.4g} [{cs['q1']:.4g}, {cs['q3']:.4g}] {unit}; "
-                     f"change better in {wins} of {len(pairs)} pairs; "
-                     f"{verdict(ps, cs, wins, len(pairs), sign, metric['bound'])}")
+                     f"change better in {wins} of {len(pairs)} pairs; {said}")
         if unit == "ratio":
             unequal += [f"{name} differs on seed {p['seed']}: {b} -> {c}"
                         for p, b, c in zip(pairs, parent, change) if b != c]

@@ -9,10 +9,11 @@ from __future__ import annotations
 import logging
 import os
 import pickle
+import signal
 import time
 import traceback
 from collections.abc import Callable
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -114,7 +115,7 @@ class SearchSettings:
     seed: int = setting(0, low=0)
     pretrain_seed: int = setting(-1, low=-1)  # -1 follows `seed`; fix to share scorers,
                                               # backbone and eval lists across seeds
-    workers: int = setting(0, low=0)  # processes that pretrain and train rankers or rewards,
+    workers: int = setting(0, low=0)  # processes that run the pretraining and member jobs,
                                       # this one included; 0 = one per CPU; results never
                                       # depend on it
 
@@ -182,15 +183,14 @@ def cache_entry(cache_dir: str | Path | None, prefix: str, key: dict) -> Path | 
 # trains that ranker at the episode budget. The text-embedding scorer is no
 # job: it scores with the `backbone` job's table. The cost only decides
 # which process runs a job, never what the job computes. At the README's
-# scale the aggregation scorer costs the most instead. A `reward` job trains
-# one configuration's rankers; its cost only places one reward job per
-# process, the episode's own in the caller's.
+# scale the aggregation scorer costs the most instead. Each member, one
+# ranker of one configuration, is one `sup:` job, the episode's own and its
+# predicted configurations' alike, so the split weighs them all together.
 JOB_COST = {
     "graph-biased-walk": 86, "graph-walk": 85, "graph-proximity-1": 51,
     "graph-proximity-2": 51, "backbone": 31,
     "graph-aggregation": 28, "bm25": 0, "external": 0,
     "sup:graph-aggregation": 20, "sup:representation": 10, "sup:interaction": 2,
-    "reward": 1,
 }
 # Bump a scorer kind's version whenever its output changes, so that its
 # cache entries miss; a key holds the version only once it is above 0.
@@ -287,13 +287,14 @@ def _fork_helper(jobs: list[Job], share: list[int]) -> tuple:
 def run_jobs(jobs: list[Job], workers: int) -> list:
     """Each job's result, in job order, computed across ``workers`` processes
     (0: one per available CPU): this one and forked helpers, split by
-    ``split_jobs``. Pretraining, each ranker training and each episode's
-    reward jobs run here. Every job seeds itself, so the results are the
-    same for any worker count. A failing job raises a RuntimeError naming
-    its stage and model, after every helper has been reaped; an optional
-    one, whether it raises or its helper dies, leaves its result None.
-    Without ``os.fork`` they run here in turn. Each pretraining job logs its
-    seconds and its process (0: this one)."""
+    ``split_jobs``: every pretraining job, and every member a search trains.
+    Every job seeds itself, so the results are the same for any worker
+    count. A failing required job raises a RuntimeError naming its stage and
+    model; an optional one, whether it raises or its helper dies, leaves its
+    result None. Every helper is reaped before this returns or raises, and
+    killed first when this process's own share raises. Without ``os.fork``
+    the jobs run here in turn. Each pretraining job logs its seconds and its
+    process (0: this one)."""
     shares = split_jobs(jobs, resolve_workers(workers))
     results, seconds = [None] * len(jobs), [0.0] * len(jobs)
     helpers, exit_codes = [], {}
@@ -304,6 +305,10 @@ def run_jobs(jobs: list[Job], workers: int) -> list:
         for i in shares[0]:
             results[i], seconds[i] = _run_job(jobs[i])
         sent = [reader.read() for _, reader, _ in helpers]
+    except BaseException:
+        for pid, _, _ in helpers:
+            os.kill(pid, signal.SIGKILL)
+        raise
     finally:
         for pid, reader, _ in helpers:
             reader.close()
@@ -491,15 +496,8 @@ def pretrain(corpus: Corpus, config: RunConfig, cache_dir: str | Path | None):
     graph when a graph ranker is registered or a graph scorer misses the
     cache, all seeded from the effective pretrain seed. Returns (matrices,
     backbone). ``weakrank pretrain`` runs exactly this into the cache a
-    later search reads.
-
-    Every cache miss is one job, each scorer's and the text table's, but
-    the text-embedding scorer's, which is scored in this process with that
-    table. ``pretrain_all`` runs the jobs together through ``run_jobs``,
-    split between this process and helpers forked once the corpus and graph
-    exist, ``config.workers`` processes in all (0: one per available CPU),
-    the same setting that spreads each episode's rankers. A warm cache forks
-    nothing and builds no graph for scorers.
+    later search reads. Every cache miss is one ``pretrain_all`` job; a warm
+    cache forks nothing and builds no graph for scorers.
     """
     graph = build_graph(corpus) if needs_graph(config.sup_registry) else None
     matrices, table = pretrain_all(corpus, graph, config, cache_dir)
@@ -522,28 +520,36 @@ def _config_signature(config: Configuration) -> str:
     return canonical_json(config.to_dict())
 
 
-def _train_selected_models(
-    mask, labels_k: int, agg, backbone, config: RunConfig, epochs: int,
-    seed_label: str, eval_fn=None, patience: int = 0,
-):
-    """Train the rankers a mask selects on the top-k pseudo labels of ``agg``,
-    one ``run_jobs`` job each. Every model is created here first, so forked
-    helpers inherit the backbone's cached inputs; a job sends back only its
-    model's flat parameter buffer."""
-    triples = sample_training_pairs(
-        top_k_labels(agg, labels_k), labels_k, config.n_neg_per_pos,
-        seed=derive_seed(config.seed, "pairs", seed_label),
-    )
-    models = [create_sup_model(spec, backbone, derive_seed(config.seed, "sup-init", spec.name,
-                                                           seed_label))
-              for selected, spec in zip(mask, config.sup_registry) if selected]
-    jobs = [Job(model.spec.name, f"sup:{model.kind}", _train_ranker,
-                (model, triples, config, epochs, seed_label, eval_fn, patience), "training")
-            for model in models]
-    for model, values in zip(models, run_jobs(jobs, config.workers)):
-        np.copyto(model.params().values, values)
-        model.after_update()
-    return models
+def _train_selected_models(plans, backbone, config: RunConfig, epochs: int, eval_fn=None,
+                           patience: int = 0) -> list:
+    """Each plan's trained rankers, or None for an optional plan whose
+    member failed. A plan (seed label, mask, k, aggregate, optional) trains
+    the rankers its mask selects on the top-k pseudo labels of its aggregate,
+    each such member one job of a single ``run_jobs`` call. Models are
+    created here, so forked helpers inherit the backbone's cached inputs; a
+    job sends back only its model's flat parameter buffer."""
+    plan_models, jobs = [], []
+    for seed_label, mask, labels_k, agg, optional in plans:
+        triples = sample_training_pairs(top_k_labels(agg, labels_k), labels_k, config.n_neg_per_pos,
+                                        seed=derive_seed(config.seed, "pairs", seed_label))
+        plan_models.append([create_sup_model(spec, backbone, derive_seed(
+            config.seed, "sup-init", spec.name, seed_label))
+            for selected, spec in zip(mask, config.sup_registry) if selected])
+        jobs += [Job(model.spec.name, f"sup:{model.kind}", _train_ranker,
+                     (model, triples, config, epochs, seed_label, eval_fn, patience),
+                     "training", optional) for model in plan_models[-1]]
+    results = iter(run_jobs(jobs, config.workers))
+    trained = []
+    for models in plan_models:
+        values = [next(results) for _ in models]
+        if any(v is None for v in values):
+            models = None
+        else:
+            for model, v in zip(models, values):
+                np.copyto(model.params().values, v)
+                model.after_update()
+        trained.append(models)
+    return trained
 
 
 def _train_ranker(model, triples, config: RunConfig, epochs: int, seed_label: str, eval_fn,
@@ -556,20 +562,22 @@ def _train_ranker(model, triples, config: RunConfig, epochs: int, seed_label: st
     return model.params().values
 
 
-def configuration_rewards(cfg: Configuration, matrices: list[ScoreMatrix],
-                          backbone: RankerBackbone, val_lists,
-                          config: RunConfig) -> tuple[float, float]:
-    """A configuration's (unsupervised, supervised) rewards: the validation
-    MRR of its aggregated scorers, and of its rankers trained on their top-k
-    pseudo labels. Every seed derives from the configuration, so they are a
-    function of it."""
-    agg = aggregate(matrices, cfg.unsup_mask, normalize=config.normalize_scores)
-    r_unsup = mrr(score_lists_with_matrix(val_lists, agg))
-    models = _train_selected_models(
-        cfg.sup_mask, cfg.k_value, agg, backbone, config,
-        epochs=config.episode_sup_epochs, seed_label=_config_signature(cfg),
-    )
-    return r_unsup, mrr(score_lists_with_ensemble(val_lists, models))
+def configuration_rewards(cfgs: list[Configuration], matrices: list[ScoreMatrix],
+                          backbone: RankerBackbone, val_lists, config: RunConfig) -> dict:
+    """Each configuration's (unsupervised, supervised) rewards by signature:
+    the validation MRR of its aggregated scorers, and of its rankers trained
+    on their top-k pseudo labels, every member of ``cfgs`` in one
+    ``_train_selected_models`` call. The first configuration's members are
+    required; a later one whose member fails is left out. Every seed derives
+    from the configuration, so the rewards are a function of it."""
+    aggs = [aggregate(matrices, cfg.unsup_mask, normalize=config.normalize_scores) for cfg in cfgs]
+    trained = _train_selected_models(
+        [(_config_signature(cfg), cfg.sup_mask, cfg.k_value, agg, i > 0)
+         for i, (cfg, agg) in enumerate(zip(cfgs, aggs))],
+        backbone, config, epochs=config.episode_sup_epochs)
+    return {_config_signature(cfg): (mrr(score_lists_with_matrix(val_lists, agg)),
+                                     mrr(score_lists_with_ensemble(val_lists, models)))
+            for cfg, agg, models in zip(cfgs, aggs, trained) if models is not None}
 
 
 def _sample_rng(config: RunConfig, episode: int) -> np.random.Generator:
@@ -579,23 +587,23 @@ def _sample_rng(config: RunConfig, episode: int) -> np.random.Generator:
 
 def predicted_configurations(controller: ControllerParams, config: RunConfig, episode: int,
                              clamp: Clamp, reward_cache: dict, current: str,
-                             n: int) -> list[tuple[str, Configuration]]:
+                             n: int) -> list[Configuration]:
     """Up to ``n`` configurations that the episodes after ``episode`` are
-    predicted to draw, (signature, configuration) in draw order: each later
-    episode's draws from its own ``_sample_rng``, under the current policy
-    and clamp, that the cache lacks and that are not ``current``. The policy
-    moves little per update, so later episodes often draw them."""
+    predicted to draw, in draw order: each later episode's draws from its
+    own ``_sample_rng``, under the current policy and clamp, that the cache
+    lacks and that are not ``current``. The policy moves little per update,
+    so later episodes often draw them."""
     predicted: dict = {}
     for ep in range(episode + 1, config.episodes):
         rng = _sample_rng(config, ep)
         for _ in range(config.n_monte_carlo):
             if len(predicted) >= n:
-                return list(predicted.items())
+                return list(predicted.values())
             cfg = sample_configuration(controller, rng, config.k_values, clamp=clamp)[0]
             sig = _config_signature(cfg)
             if sig != current and sig not in reward_cache:
                 predicted.setdefault(sig, cfg)
-    return list(predicted.items())
+    return list(predicted.values())
 
 
 def run_episode(
@@ -616,28 +624,20 @@ def run_episode(
     seeds derive from it), so identical configurations earn identical
     rewards; ``reward_cache`` maps each configuration's signature to its
     (unsupervised, supervised) rewards and is filled here. On a miss, the
-    configuration and up to ``workers - 1`` predicted ones
-    (``predicted_configurations``) run as reward jobs through ``run_jobs``,
-    one process each, the episode's own in this one. A predicted one that
-    fails is left out of the cache: the episode that draws it trains it
-    again. Without a prediction, or when its own job failed, the episode
-    trains its configuration here, its rankers across ``config.workers``.
+    configuration's members and those of up to ``workers - 1`` predicted
+    ones (``predicted_configurations``) train together in one
+    ``configuration_rewards`` call. The episode's own members are required:
+    a failure raises as it would in one process. A predicted configuration
+    whose member fails is left out, and the episode that draws it trains it
+    again.
     """
     cfg, log_prob = sample_configuration(controller, sample_rng, config.k_values, clamp=clamp)
     sig = _config_signature(cfg)
     if sig not in reward_cache:
         ahead = predicted_configurations(controller, config, episode, clamp, reward_cache, sig,
                                          resolve_workers(config.workers) - 1)
-        if ahead:
-            alone = replace(config, workers=1)
-            jobs = [Job(name, "reward", configuration_rewards,
-                        (job_cfg, matrices, backbone, val_lists, alone), "training", optional=True)
-                    for name, job_cfg in [(sig, cfg), *ahead]]
-            for job, rewards in zip(jobs, run_jobs(jobs, len(jobs))):
-                if rewards is not None:
-                    reward_cache[job.name] = rewards
-        if sig not in reward_cache:
-            reward_cache[sig] = configuration_rewards(cfg, matrices, backbone, val_lists, config)
+        reward_cache.update(configuration_rewards([cfg, *ahead], matrices, backbone, val_lists,
+                                                  config))
     r_unsup, r_sup = reward_cache[sig]
     reward = r_unsup + r_sup
     if not 0.0 <= reward <= 2.0:
@@ -777,11 +777,11 @@ def joint_train(
     def eval_fn(model):
         return mrr(score_lists_with_ensemble(val_lists, [model]))
 
-    final_models = _train_selected_models(
-        best_config.sup_mask, best_config.k_value, agg, backbone, config,
-        epochs=config.final_sup_epochs, seed_label="final:" + _config_signature(best_config),
-        eval_fn=eval_fn, patience=config.final_patience,
-    )
+    final_models, = _train_selected_models(
+        [("final:" + _config_signature(best_config), best_config.sup_mask,
+          best_config.k_value, agg, False)],
+        backbone, config, epochs=config.final_sup_epochs, eval_fn=eval_fn,
+        patience=config.final_patience)
 
     validation_metrics = all_metrics(score_lists_with_ensemble(val_lists, final_models))
     test_lists = None

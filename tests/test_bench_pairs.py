@@ -164,3 +164,23 @@ def test_raw_summary_gives_each_side_its_median_over_the_pairs(bench_pairs):
     assert bench_pairs.raw_summary(pairs) == (
         "uncorrected search_s: parent 0.9, change 0.7 s; "
         "search/score host speed: parent 1.000, change 0.800")
+
+
+SEARCH = [{"name": "search_s", "unit": "s", "better": "lower", "bound": 0.2}]
+
+
+@pytest.mark.parametrize("uncorrected_change, flagged", [(0.897, True), (0.836, True),
+                                                         (0.801, False)])
+def test_a_search_gain_the_uncorrected_times_do_not_show_is_flagged(
+        bench_pairs, uncorrected_change, flagged):
+    """Corrected 0.658 -> 0.609 s, better in 10 of 10 pairs, while the
+    uncorrected median rises (0.836 -> 0.897 s), stays or falls."""
+    pairs = [{"seed": i, "parent": {"search_s": 0.658 + d}, "change": {"search_s": 0.609 + d},
+              "raw": {"parent": {"search_s": 0.836 + d},
+                      "change": {"search_s": uncorrected_change + d}}}
+             for i, d in enumerate((-0.004, -0.002, 0.0, 0.0, 0.002) * 2)]
+    (line,), _ = bench_pairs.summarize(pairs, SEARCH)
+    assert line.startswith("search_s: parent 0.658 [0.656, 0.658] change 0.609 [0.607, 0.609] s; "
+                           "change better in 10 of 10 pairs; gain")
+    assert line.endswith("; gain (uncorrected not faster)") == flagged
+    assert line.endswith("; gain") != flagged

@@ -7,6 +7,7 @@ retires one kind at a time."""
 import dataclasses
 import importlib.util
 import os
+import time
 from pathlib import Path
 
 import numpy as np
@@ -17,6 +18,7 @@ from defaults import SETTINGS, scorer_hp
 from weakrank.bm25 import bm25_matrix
 from weakrank.cli import main
 from weakrank.config import ExperimentConfig
+from weakrank.controller import Configuration
 from weakrank.corpus import AnnotationSet, split_annotations
 from weakrank.embeddings import cosine_matrix, doc_means
 from weakrank.pseudo_labels import aggregate
@@ -176,16 +178,19 @@ def test_split_covers_every_job_once_and_the_caller_always_works(processes):
 def test_every_scorer_kind_has_a_cost():
     """Every job kind, and no other: each scorer but the text embedding,
     which is scored with the backbone's table and so is no job, the backbone,
-    each ranker, whose key is prefixed because the graph-aggregation scorer
-    and ranker share a kind, and an episode's reward."""
+    and each ranker, whose key is prefixed because the graph-aggregation
+    scorer and ranker share a kind."""
     rankers = {f"sup:{kind}" for kind in HYPERPARAMETERS["supervised"]}
     scorers = set(HYPERPARAMETERS["unsupervised"]) - {"text-embedding"}
-    assert scorers | {"backbone", "reward"} | rankers == set(JOB_COST)
+    assert scorers | {"backbone"} | rankers == set(JOB_COST)
 
 
 @pytest.mark.parametrize("processes", [1, 2, 3, 5])
 def test_reward_jobs_go_one_per_process_the_first_to_the_caller(processes):
-    shares = split_jobs(_jobs(["reward"] * min(processes, 3)), processes)
+    """An episode's reward and its predictions' are trained as ranker jobs:
+    with one interaction member per configuration, the equal-cost members
+    go one per process, the first to the caller."""
+    shares = split_jobs(_jobs(["sup:interaction"] * min(processes, 3)), processes)
     assert shares == [[i] for i in range(min(processes, 3))]
 
 
@@ -195,10 +200,10 @@ def _refuse(value):
 
 def test_an_optional_job_that_fails_or_dies_leaves_none():
     """Failing in this process, failing in a helper and killing its helper."""
-    jobs = [Job("here", "reward", _refuse, ("here",), optional=True),
-            Job("ok", "reward", int, ("2",), optional=True),
-            Job("there", "reward", _refuse, ("there",), optional=True),
-            Job("dies", "reward", os._exit, (3,), optional=True)]
+    jobs = [Job("here", "sup:interaction", _refuse, ("here",), optional=True),
+            Job("ok", "sup:interaction", int, ("2",), optional=True),
+            Job("there", "sup:interaction", _refuse, ("there",), optional=True),
+            Job("dies", "sup:interaction", os._exit, (3,), optional=True)]
     assert run_jobs(jobs, 4) == [None, 2, None, None]
     _no_child_left()
     with pytest.raises(RuntimeError, match="^training failed for model 'there': refused there$"):
@@ -227,6 +232,24 @@ def test_failure_names_its_model_and_reaps_every_helper(tmp_path, monkeypatch, b
     assert "missing.csv" in str(err.value.__cause__)
     _no_child_left()
     assert not list(cache_dir.glob("unsup_broken_*"))
+
+
+def _interrupt(value):
+    raise KeyboardInterrupt
+
+
+@pytest.mark.parametrize("fail, error", [(_interrupt, KeyboardInterrupt),
+                                         (_refuse, RuntimeError)])
+def test_a_failure_here_kills_the_helpers_at_once(fail, error):
+    """This process's share raises, or is interrupted, while a helper is
+    still three seconds from done."""
+    jobs = [Job("here", "graph-walk", fail, ("here",)), Job("there", "bm25", time.sleep, (3,))]
+    assert split_jobs(jobs, 2) == [[0], [1]]
+    start = time.monotonic()
+    with pytest.raises(error):
+        run_jobs(jobs, 2)
+    assert time.monotonic() - start < 1
+    _no_child_left()
 
 
 def test_a_helper_that_dies_is_reported_by_its_first_model():
@@ -524,7 +547,7 @@ def _train(ranker_inputs, mask, workers):
     corpus, config, (matrices, backbone) = ranker_inputs
     config = dataclasses.replace(config, workers=workers)
     agg = aggregate(matrices, [1] * len(matrices), normalize=config.normalize_scores)
-    models = _train_selected_models(mask, 3, agg, backbone, config, epochs=2, seed_label="t")
+    (models,) = _train_selected_models([("t", mask, 3, agg, False)], backbone, config, epochs=2)
     return [(m.spec.name, m.params().values.tobytes()) for m in models]
 
 
@@ -550,6 +573,32 @@ def test_each_training_forks_at_most_one_helper_per_extra_ranker(
     assert _train(ranker_inputs, mask, workers) == serial
     assert len(forks) == helpers
     _no_child_left()
+
+
+def test_an_episode_and_its_predictions_split_their_members_by_cost(ranker_inputs,
+                                                                    monkeypatch):
+    """Each ranker of each configuration is one job, the episode's own
+    required and its predictions' optional, and ``split_jobs`` weighs them
+    all by ``JOB_COST``: here the episode's lone interaction member goes to
+    a helper."""
+    corpus, config, (matrices, backbone) = ranker_inputs
+    seen = []
+
+    def stop(jobs, workers):
+        seen.extend(jobs)
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(trainer, "run_jobs", stop)
+    scorers = (1,) * len(matrices)
+    own = Configuration(scorers, 0, (0, 1, 0), 3)
+    predicted = Configuration(scorers, 0, (1, 1, 1), 3)
+    with pytest.raises(KeyboardInterrupt):
+        trainer.configuration_rewards([own, predicted], matrices, backbone, None, config)
+    assert [(job.kind, job.optional) for job in seen] == [
+        ("sup:interaction", False), ("sup:representation", True), ("sup:interaction", True),
+        ("sup:graph-aggregation", True)]
+    assert split_jobs(seen, 2) == [[3], [1, 0, 2]]
+    assert split_jobs(seen, 3) == [[3], [1], [0, 2]]
 
 
 @pytest.mark.parametrize("broken", [RepresentationRanker, InteractionRanker,

@@ -28,7 +28,7 @@ ROOT = Path(__file__).resolve().parents[1]
 # through ``nncore.optimizer_step`` like the episode loop; what it keeps of
 # its own is the non-finite reward check and the skipped step at zero
 # advantage without an entropy bonus. It merges into the episode loop's step
-# under ROADMAP item 6, which a benchmark change must unblock first:
+# under ROADMAP item 8, which a benchmark change must unblock first:
 # perfbench's ``TARGETS`` looks up ``zero_grads`` in ``controller`` and
 # ``action_log_prob`` and ``zero_grads`` in ``trainer``. Wherever the single
 # step lives, one of those sites stops resolving (``test_trace_targets.py``)

@@ -241,9 +241,9 @@ class TestRunEpisode:
         )
         # replicate the only possible pipeline by hand
         agg = aggregate(matrices, (1,), normalize=config.normalize_scores)
-        models = _train_selected_models(
-            (1,), 10, agg, backbone, config, epochs=config.episode_sup_epochs,
-            seed_label='{"I1":[1],"I3":[1],"k":10,"k_index":0}',
+        models, = _train_selected_models(
+            [('{"I1":[1],"I3":[1],"k":10,"k_index":0}', (1,), 10, agg, False)],
+            backbone, config, epochs=config.episode_sup_epochs,
         )
         expected = mrr(score_lists_with_ensemble(val_lists, models))
         assert entry.reward_sup == pytest.approx(expected)
@@ -429,10 +429,15 @@ def _compare_runs():
     return module.compare
 
 
+BOTH_RANKERS = SupModelRegistry([SupModelSpec("representation", "representation"),
+                                 SupModelSpec("interaction", "interaction")])
+
+
 class TestTrainingAhead:
     """With more processes than one, an episode that trains trains the
     configurations later episodes are predicted to draw alongside its own,
-    one reward job per process; nothing it does shows in a run."""
+    each ranker of each one a ``run_jobs`` job; nothing it does shows in a
+    run."""
 
     def _config(self, data, **overrides):
         corpus, ann, val, test, oracle_path, noise_path, good_path = data
@@ -460,13 +465,11 @@ class TestTrainingAhead:
         assert _compare_runs()(tmp_path / "w1", tmp_path / "w2")[0] == []
 
     def test_never_more_busy_processes_than_workers(self, data, monkeypatch):
-        """Two rankers, so an episode that predicts nothing splits them over
-        both processes, and one that predicts trains them in one."""
+        """Two rankers, so an episode and its prediction bring up to four
+        members for the two processes."""
         corpus, ann, val, test = data[:4]
-        rankers = SupModelRegistry([SupModelSpec("representation", "representation"),
-                                    SupModelSpec("interaction", "interaction")])
         live = _counting_live_children(monkeypatch)
-        joint_train(corpus, val, test, self._config(data, workers=2, sup_registry=rankers,
+        joint_train(corpus, val, test, self._config(data, workers=2, sup_registry=BOTH_RANKERS,
                                                     episodes=8))
         assert live and max(live) == 1
         _no_child_left()
@@ -535,16 +538,16 @@ class TestTrainingAhead:
 
     def test_an_error_in_a_later_episode_leaves_no_helper(self, data, monkeypatch):
         corpus, ann, val, test = data[:4]
-        calls, parent, compute = [], os.getpid(), trainer.configuration_rewards
+        calls, parent, train = [], os.getpid(), trainer.train_supervised
 
-        def failing_second(*args):
+        def failing_second(*args, **kwargs):
             if os.getpid() == parent:
                 calls.append(args)
                 if len(calls) == 2:  # this process's second training, a helper running
                     raise KeyboardInterrupt
-            return compute(*args)
+            return train(*args, **kwargs)
 
-        monkeypatch.setattr(trainer, "configuration_rewards", failing_second)
+        monkeypatch.setattr(trainer, "train_supervised", failing_second)
         with pytest.raises(KeyboardInterrupt):
             joint_train(corpus, val, test, self._config(data, workers=2))
         _no_child_left()
@@ -570,7 +573,7 @@ class TestTrainingAhead:
 
         def recording(*args):
             ahead = predict(*args)
-            predicted.extend(sig for sig, _ in ahead)
+            predicted.extend(trainer._config_signature(cfg) for cfg in ahead)
             return ahead
 
         monkeypatch.setattr(trainer, "predicted_configurations", recording)
@@ -605,8 +608,7 @@ class TestTrainingAhead:
         predict = trainer.predicted_configurations
 
         def never_drawn(*args):  # a k outside the grid, which no episode draws
-            ahead = [dataclasses.replace(cfg, k_value=7) for _, cfg in predict(*args)]
-            return [(trainer._config_signature(cfg), cfg) for cfg in ahead]
+            return [dataclasses.replace(cfg, k_value=7) for cfg in predict(*args)]
 
         monkeypatch.setattr(trainer, "predicted_configurations", never_drawn)
         live = _counting_live_children(monkeypatch)
@@ -617,21 +619,67 @@ class TestTrainingAhead:
         alone = joint_train(corpus, val, test, self._config(data, workers=1))
         assert ahead.report == alone.report
 
-    def test_a_helper_that_dies_is_replaced_by_training_here(self, data, monkeypatch, caplog):
-        corpus, ann, val, test = data[:4]
-        parent, compute = os.getpid(), trainer.configuration_rewards
+    def _dying_in_helpers(self, monkeypatch):
+        parent, train = os.getpid(), trainer.train_supervised
 
-        def dying_in_helpers(*args):
+        def train_here(*args, **kwargs):
             if os.getpid() != parent:
                 os._exit(3)
-            return compute(*args)
+            return train(*args, **kwargs)
 
-        monkeypatch.setattr(trainer, "configuration_rewards", dying_in_helpers)
+        monkeypatch.setattr(trainer, "train_supervised", train_here)
+
+    def test_a_helper_holding_only_predictions_that_dies_is_left_out(self, data, monkeypatch,
+                                                                     caplog):
+        """One ranker: the episode's one member runs here, its prediction's
+        in the helper."""
+        corpus, ann, val, test = data[:4]
+        self._dying_in_helpers(monkeypatch)
         with caplog.at_level("INFO", logger="weakrank.trainer"):
             died = joint_train(corpus, val, test, self._config(data, workers=2))
         assert _ahead_counts(caplog) == (0, 0)
         _no_child_left()
         assert died.report == joint_train(corpus, val, test, self._config(data, workers=1)).report
+
+    def test_a_helper_holding_an_own_member_that_dies_fails_the_episode(self, data,
+                                                                        monkeypatch):
+        """Both rankers and one episode, which predicts nothing: the
+        representation ranker trains here, the interaction ranker in the
+        helper."""
+        corpus, ann, val, test = data[:4]
+        self._dying_in_helpers(monkeypatch)
+        config = self._config(data, workers=2, sup_registry=BOTH_RANKERS, episodes=1)
+        with pytest.raises(RuntimeError, match="^training failed for model 'interaction': "
+                                               "its helper process exited with code 3$"):
+            joint_train(corpus, val, test, config, clamp=clamp_for_ablation(
+                "fix-sup", ["representation", "interaction"], config))
+        _no_child_left()
+
+    def test_an_own_member_placed_in_a_helper_writes_the_same_run(self, data, tmp_path,
+                                                                 monkeypatch):
+        """Free ranker choice at seed 7: episode 0 selects the interaction
+        ranker alone and its prediction both, so at two workers the cheap
+        own member goes to the helper."""
+        corpus, ann, val, test = data[:4]
+        placed, split = [], trainer.split_jobs
+
+        def recording(jobs, processes):
+            shares = split(jobs, processes)
+            placed.append([[(jobs[i].name, jobs[i].optional) for i in share] for share in shares])
+            return shares
+
+        monkeypatch.setattr(trainer, "split_jobs", recording)
+        for workers in (1, 2, 3):
+            placed.clear()
+            joint_train(corpus, val, test, self._config(data, workers=workers, seed=7,
+                                                        sup_registry=BOTH_RANKERS),
+                        workdir=tmp_path / f"w{workers}")
+            _no_child_left()
+            if workers == 2:  # (name, optional) per process, the episode's own required
+                assert [[("representation", True)],
+                        [("interaction", False), ("interaction", True)]] in placed
+        for workers in (2, 3):
+            assert _compare_runs()(tmp_path / "w1", tmp_path / f"w{workers}")[0] == []
 
 
 class TestAblation:
