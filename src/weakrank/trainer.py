@@ -10,6 +10,7 @@ import logging
 import os
 import pickle
 import signal
+import threading
 import time
 import traceback
 from collections.abc import Callable
@@ -259,17 +260,29 @@ def _run_job(job: Job) -> tuple:
         return None, time.perf_counter() - start
 
 
+_SENT_FAILURE = 2  # a helper's exit code once it has sent its failure
+
+
+class _HelperFailed(BaseException):
+    """A helper holding a required job, its pid the one argument, exited
+    non-zero while the command's own share ran. A BaseException, so that no
+    job's ``except Exception`` takes it for its own failure."""
+
+
 def _fork_helper(jobs: list[Job], share: list[int]) -> tuple:
     """Run ``share`` in a forked process that inherits the jobs' inputs and
     pickles back through a pipe only its results, or its first failure's
-    message and traceback: (pid, the pipe's reading end, ``share``). The
-    helper leaves through ``os._exit``: it never unwinds into the caller's
-    stack, never runs exit handlers and never writes the cache."""
+    message and traceback, exiting with ``_SENT_FAILURE``: (pid, the pipe's
+    reading end, ``share``). The helper leaves through ``os._exit``: it
+    never unwinds into the caller's stack, never runs exit handlers and
+    never writes the cache."""
     read_fd, write_fd = os.pipe()
     pid = os.fork()
     if pid == 0:
         code = 1
         try:
+            signal.signal(signal.SIGCHLD, signal.SIG_DFL)
+            signal.pthread_sigmask(signal.SIG_UNBLOCK, {signal.SIGCHLD})
             os.close(read_fd)
             try:
                 out = ([_run_job(jobs[i]) for i in share], None)
@@ -277,11 +290,29 @@ def _fork_helper(jobs: list[Job], share: list[int]) -> tuple:
                 out = (None, (str(exc), traceback.format_exc()))
             with os.fdopen(write_fd, "wb") as fh:
                 pickle.dump(out, fh, protocol=pickle.HIGHEST_PROTOCOL)
-            code = 0
+            code = 0 if out[1] is None else _SENT_FAILURE
         finally:
             os._exit(code)
     os.close(write_fd)
     return pid, os.fdopen(read_fd, "rb"), share
+
+
+def _helper_results(jobs: list[Job], share: list[int], code: int, data: bytes) -> list | None:
+    """What a helper that exited with ``code`` sent: its (result, seconds)
+    per job of ``share``, or None when it died holding only optional jobs.
+    A required job's failure raises its message, a helper's death the
+    message of its first required job."""
+    if code == _SENT_FAILURE:
+        message, helper_traceback = pickle.loads(data)[1]
+        raise RuntimeError(message) from RuntimeError(helper_traceback)
+    if code != 0:
+        required = [i for i in share if not jobs[i].optional]
+        if required:
+            raise RuntimeError(_failure(
+                jobs[required[0]], f"its helper process exited with code {code}"))
+        log.debug("a helper of optional jobs exited with code %d", code)
+        return None
+    return pickle.loads(data)[0]
 
 
 def run_jobs(jobs: list[Job], workers: int) -> list:
@@ -291,45 +322,78 @@ def run_jobs(jobs: list[Job], workers: int) -> list:
     Every job seeds itself, so the results are the same for any worker
     count. A failing required job raises a RuntimeError naming its stage and
     model; an optional one, whether it raises or its helper dies, leaves its
-    result None. Every helper is reaped before this returns or raises, and
-    killed first when this process's own share raises. Without ``os.fork``
-    the jobs run here in turn. Each pretraining job logs its seconds and its
-    process (0: this one)."""
+    result None. A helper holding a required job that exits non-zero while
+    this process's own share runs raises at once: a SIGCHLD handler, in the
+    main thread, looks at the helpers without reaping them. Every helper is
+    reaped before this returns or raises, and killed first when this
+    process's share raises or a helper fails. Without ``os.fork`` the jobs
+    run here in turn. Each pretraining job logs its seconds and its process
+    (0: this one), and the call logs how long it waited for its helpers'
+    results after its own share, at DEBUG for member jobs."""
     shares = split_jobs(jobs, resolve_workers(workers))
     results, seconds = [None] * len(jobs), [0.0] * len(jobs)
-    helpers, exit_codes = [], {}
+    helpers, exit_codes, sent = [], {}, {}
+    watched: list[int] = []  # helpers holding a required job, while this share runs
+
+    def on_child_exit(signum, frame):  # looks at each watched helper without reaping it
+        for pid in watched:
+            info = os.waitid(os.P_PID, pid, os.WEXITED | os.WNOHANG | os.WNOWAIT)
+            if info is not None and (info.si_code, info.si_status) != (os.CLD_EXITED, 0):
+                watched.clear()  # raise once: the other helpers are killed next
+                raise _HelperFailed(pid)
+
+    watching = len(shares) > 1 and threading.current_thread() is threading.main_thread()
+    previous = signal.signal(signal.SIGCHLD, on_child_exit) if watching else None
+    failed = None
     try:
-        for share in shares[1:]:
-            if share:
-                helpers.append(_fork_helper(jobs, share))
-        for i in shares[0]:
-            results[i], seconds[i] = _run_job(jobs[i])
-        sent = [reader.read() for _, reader, _ in helpers]
-    except BaseException:
-        for pid, _, _ in helpers:
-            os.kill(pid, signal.SIGKILL)
-        raise
+        try:
+            if watching:  # no handler runs between a fork and its helper's entry
+                signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGCHLD})
+            try:
+                for share in shares[1:]:
+                    if share:
+                        helpers.append(_fork_helper(jobs, share))
+                        if any(not jobs[i].optional for i in share):
+                            watched.append(helpers[-1][0])
+            finally:
+                if watching:
+                    signal.pthread_sigmask(signal.SIG_UNBLOCK, {signal.SIGCHLD})
+            for i in shares[0]:
+                results[i], seconds[i] = _run_job(jobs[i])
+            watched.clear()
+            start = time.perf_counter()
+            sent = {pid: reader.read() for pid, reader, _ in helpers}
+            waited = time.perf_counter() - start
+        except BaseException:
+            watched.clear()
+            for pid, _, _ in helpers:
+                os.kill(pid, signal.SIGKILL)
+            raise
+    except _HelperFailed as exc:  # also when it came while another failure unwound
+        failed = exc.args[0]
+        for pid, reader, _ in helpers:
+            if pid == failed:
+                sent[pid] = reader.read()
+            else:
+                os.kill(pid, signal.SIGKILL)
     finally:
+        if watching:  # None: a handler not installed from Python
+            signal.signal(signal.SIGCHLD, signal.SIG_DFL if previous is None else previous)
         for pid, reader, _ in helpers:
             reader.close()
             exit_codes[pid] = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-    for (pid, _, share), data in zip(helpers, sent):
-        if exit_codes[pid] != 0:
-            required = [i for i in share if not jobs[i].optional]
-            if required:
-                raise RuntimeError(_failure(
-                    jobs[required[0]], f"its helper process exited with code {exit_codes[pid]}"))
-            log.debug("a helper of optional jobs exited with code %d", exit_codes[pid])
-            continue
-        out, failure = pickle.loads(data)
-        if failure is not None:  # (message, the helper's traceback)
-            raise RuntimeError(failure[0]) from RuntimeError(failure[1])
-        for i, (result, secs) in zip(share, out):
+    for pid, _, share in sorted(helpers, key=lambda helper: helper[0] != failed):
+        out = _helper_results(jobs, share, exit_codes[pid], sent[pid])  # the failed one raises
+        for i, (result, secs) in zip(share, out or ()):
             results[i], seconds[i] = result, secs
     for p, share in enumerate(shares):
         for i in share:
             if jobs[i].stage == "pretraining":
                 log.info("pretraining job %s: %.3f s in process %d", jobs[i].name, seconds[i], p)
+    if helpers:
+        log.log(logging.INFO if any(job.stage == "pretraining" for job in jobs) else logging.DEBUG,
+                "waited %.3f s for %d helper process(es) after this one's share", waited,
+                len(helpers))
     return results
 
 

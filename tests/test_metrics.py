@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import weakrank.metrics as metrics
 from defaults import SETTINGS
 from oracles import eval_lists_per_list
 from weakrank.corpus import AnnotationSet
@@ -269,6 +270,48 @@ class TestBuildEvalLists:
         for got, expected in ((lists.rows, rows), (lists.cols, cols)):
             assert got.dtype == expected.dtype and got.shape == expected.shape
             assert got.tobytes() == expected.tobytes()
+
+    def test_lists_drawn_one_by_one_when_the_joint_draw_declines(self, monkeypatch):
+        """``_draw_sorted`` declines on a rejected word or a large
+        population, its rows half written; the lists are then those of
+        ``rng.choice`` per list."""
+        corpus, ann = self._setup()
+
+        def decline(seed, pops, out):
+            out[:] = 0
+            return False
+
+        monkeypatch.setattr(metrics, "_draw_sorted", decline)
+        lists = build_eval_lists(ann, corpus, seed=3, n_negatives=40)
+        rows, cols = eval_lists_per_list(ann, corpus, seed=3, n_negatives=40)
+        assert lists.rows.tobytes() == rows.tobytes() and lists.cols.tobytes() == cols.tobytes()
+
+    @pytest.mark.parametrize("block", [1, 97, 1 << 15])
+    def test_joint_draw_equals_one_choice_per_list(self, monkeypatch, block):
+        """Every list's sorted picks are ``rng.choice``'s, over blocks of one
+        list up to all of them (an odd word count per list leaves a half
+        word between blocks), populations equal to the sample (whose first
+        step draws no word), and samples of 0 and 1."""
+        monkeypatch.setattr(metrics, "DRAW_BLOCK", block)
+        draws = np.random.default_rng(0)
+        for seed, size in [(1, 0), (2, 1), (3, 7), (4, 49), (5, 99)]:
+            pops = size + draws.integers(0, 60, size=40)
+            pops[::5] = size
+            rng = np.random.default_rng(seed)
+            expected = [np.sort(rng.choice(pop, size=size, replace=False)) for pop in pops]
+            got = np.full((len(pops), size), -1)
+            assert metrics._draw_sorted(seed, pops, got)
+            assert np.array_equal(got, np.array(expected).reshape(len(pops), size))
+
+    def test_joint_draw_declines_a_rejected_word_and_a_large_population(self):
+        # seed 1548 draws one word that Lemire's method rejects, so that
+        # keeping it would pick other negatives than rng.choice
+        def draws(seed, pops, size):
+            return metrics._draw_sorted(seed, pops, np.empty((len(pops), size), dtype=np.int64))
+
+        assert not draws(1548, np.full(4, 10_000), 100)
+        assert draws(1547, np.full(4, 10_000), 100)
+        assert not draws(0, np.array([5, metrics.FLOYD_MAX_POP + 1]), 5)
 
     @pytest.mark.parametrize("split", ["validation", "test", "all"])
     def test_empty_split_refused_by_name(self, split):

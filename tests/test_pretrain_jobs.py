@@ -7,6 +7,7 @@ retires one kind at a time."""
 import dataclasses
 import importlib.util
 import os
+import re
 import time
 from pathlib import Path
 
@@ -252,6 +253,22 @@ def test_a_failure_here_kills_the_helpers_at_once(fail, error):
     _no_child_left()
 
 
+@pytest.mark.parametrize("fail, arg, message", [
+    (_refuse, "x", "refused x"), (os._exit, 3, "its helper process exited with code 3")])
+def test_a_required_failure_in_a_helper_raises_while_this_share_runs(fail, arg, message):
+    """A helper's required job fails, or the helper dies, while this
+    process's share has two seconds left and another helper three: the call
+    raises at once and leaves no child."""
+    jobs = [Job("here", "graph-walk", time.sleep, (2,)), Job("there", "bm25", fail, (arg,)),
+            Job("other", "graph-proximity-1", time.sleep, (3,))]
+    assert split_jobs(jobs, 3) == [[0], [2], [1]]
+    start = time.monotonic()
+    with pytest.raises(RuntimeError, match=f"^pretraining failed for model 'there': {message}$"):
+        run_jobs(jobs, 3)
+    assert time.monotonic() - start < 0.5
+    _no_child_left()
+
+
 def test_a_helper_that_dies_is_reported_by_its_first_model():
     jobs = [Job("fine", "graph-walk", int, ("7",)),
             Job("dies", "bm25", os._exit, (3,))]
@@ -267,9 +284,22 @@ def test_pretraining_jobs_log_the_process_that_ran_them(caplog):
     assert split_jobs(jobs, 2) == [[1], [2, 0]]
     with caplog.at_level("INFO", logger="weakrank.trainer"):
         assert run_jobs(jobs, 2) == [7, 8, 9]
-    lines = [r.getMessage().split(": ") for r in caplog.records]
+    *jobs_lines, waited = [r.getMessage() for r in caplog.records]
+    lines = [line.split(": ") for line in jobs_lines]
     assert [(name, where.split(" s in ")[1]) for name, where in lines] == [
         ("pretraining job dear", "process 0"), ("pretraining job cheap", "process 1")]
+    assert re.fullmatch(r"waited \d+\.\d{3} s for 1 helper process\(es\) after this one's share",
+                        waited)
+    _no_child_left()
+
+
+def test_member_jobs_log_their_wait_at_debug(caplog):
+    jobs = [Job("a", "sup:interaction", int, ("1",), "training"),
+            Job("b", "sup:interaction", int, ("2",), "training")]
+    with caplog.at_level("DEBUG", logger="weakrank.trainer"):
+        assert run_jobs(jobs, 2) == [1, 2]
+    assert [(r.levelname, r.getMessage().split(" s ")[0].split()[0]) for r in caplog.records] == [
+        ("DEBUG", "waited")]
     _no_child_left()
 
 
