@@ -106,7 +106,8 @@ def _draw_sorted(seed: int, pops: np.ndarray, out: np.ndarray) -> bool:
     word per i = size - 1, ..., 1, which only moves the stream here, as the
     picks are sorted. A bound of 0 takes no word. The words are the bit
     generator's 64-bit outputs, low half first. Here every list's v come
-    first, then Floyd's steps run over many lists at once."""
+    first, then Floyd's steps run over many lists at once, marking each
+    list's picks in a row of candidates, which lists them sorted."""
     n, size = out.shape
     if n == 0 or size == 0:
         return True
@@ -143,10 +144,8 @@ def _draw_sorted(seed: int, pops: np.ndarray, out: np.ndarray) -> bool:
         picked = np.zeros(len(block) * width, dtype=bool)
         for t in range(size):
             v = block[:, t] + base
-            v = np.where(picked[v], first + t, v)  # v, or j itself when v is picked already
-            picked[v] = True
-            block[:, t] = v - base
-    out.sort(axis=1)
+            picked[np.where(picked[v], first + t, v)] = True  # v, or j itself when v is picked
+        block[:] = np.flatnonzero(picked).reshape(len(block), size) - base[:, None]  # sorted
     return True
 
 
