@@ -21,12 +21,8 @@ from .corpus import AnnotationSet, Corpus
 from .scores import ScoreMatrix
 
 ENSEMBLE_BLOCK = 256  # eval lists gathered at once: bounds the gather's temporaries
-# Generator.choice without replacement draws by Floyd's algorithm up to this
-# population; above it, only when the sample is at most a fiftieth of it.
-FLOYD_MAX_POP = 10_000
-# Words drawn per block of lists (and a block's candidate marks, over 8): it
-# keeps each of the draw's temporaries near 64 KB, where blocks of 2**14
-# words raised a warm search's peak memory by 0.4 MB.
+# Keys drawn per block of lists: it keeps the draw's temporaries near 64 KB,
+# where blocks of 2**14 raised a warm search's peak memory by 0.4 MB.
 DRAW_BLOCK = 1 << 13
 
 
@@ -83,70 +79,10 @@ def _positives(annotations: AnnotationSet, corpus: Corpus, n_negatives: int):
 
 
 def check_eval_lists(annotations: AnnotationSet, corpus: Corpus, n_negatives: int) -> None:
-    """Raise the error ``build_eval_lists`` would, without drawing a list or
-    building a query's eligible negatives, so an infeasible split fails
-    before any training."""
+    """Raise the error ``build_eval_lists`` would, without drawing a list,
+    so an infeasible split fails before any training."""
     for _ in _positives(annotations, corpus, n_negatives):
         pass
-
-
-def _draw_sorted(seed: int, pops: np.ndarray, out: np.ndarray) -> bool:
-    """Fill row i of ``out``, (n, size), with the sorted picks of
-    ``rng.choice(pops[i], size, replace=False)`` for each list i in turn,
-    all from one ``default_rng(seed)``, drawn at once. False, ``out`` partly
-    written, when Generator.choice would pick another way (a population
-    above ``FLOYD_MAX_POP``), or when it would reject a word (below 10,000
-    candidates, fewer than one word in 430,000), which moves the words of
-    every later list: the caller then draws list by list.
-
-    Generator.choice uses Floyd's algorithm: for j = pop - size, ...,
-    pop - 1 one 32-bit word w, v = w * (j + 1) >> 32 (Lemire's method,
-    which rejects w when its low product bits fall below 2**32 % (j + 1)),
-    and j itself when v is already picked. It then shuffles the picks, one
-    word per i = size - 1, ..., 1, which only moves the stream here, as the
-    picks are sorted. A bound of 0 takes no word. The words are the bit
-    generator's 64-bit outputs, low half first. Here every list's v come
-    first, then Floyd's steps run over many lists at once, marking each
-    list's picks in a row of candidates, which lists them sorted."""
-    n, size = out.shape
-    if n == 0 or size == 0:
-        return True
-    if pops.max() > FLOYD_MAX_POP:
-        return False
-    words = np.random.default_rng(seed).bit_generator
-    spare = np.zeros(0, dtype=np.uint32)  # the high half a block left of its last word
-    shuffle = np.arange(size, 1, -1)  # the shuffle's exclusive bounds i + 1
-    per_block = max(1, DRAW_BLOCK // (2 * size))
-    for start in range(0, n, per_block):  # every list's v of each step, a block of words at a time
-        pop = pops[start:start + per_block]
-        excl = np.empty((len(pop), 2 * size - 1), dtype=np.uint64)  # each word's exclusive bound
-        excl[:, :size] = (pop - size + 1)[:, None] + np.arange(size)  # Floyd's j + 1
-        excl[:, size:] = shuffle
-        taken = excl > 1
-        needed = int(np.count_nonzero(taken))
-        raw = words.random_raw(max(0, needed - len(spare) + 1) // 2)
-        stream = np.concatenate([spare, raw.astype("<u8", copy=False).view("<u4")])
-        spare = stream[needed:]
-        scaled = np.zeros(excl.shape, dtype=np.uint64)
-        scaled[taken] = stream[:needed]
-        scaled *= excl
-        out[start:start + len(pop)] = scaled[:, :size] >> 32
-        scaled &= 0xFFFFFFFF
-        near = np.flatnonzero(scaled < excl)  # a rejection needs low < 2**32 % (j + 1) < j + 1
-        if len(near) and np.any(scaled.flat[near] < 2**32 % excl.flat[near]):
-            return False
-    width = int(pops.max())
-    per_block = max(1, 8 * DRAW_BLOCK // width)
-    for start in range(0, n, per_block):  # Floyd's steps in turn, over a block of lists
-        block = out[start:start + per_block]
-        base = np.arange(len(block)) * width  # each list's marks are one row of `picked`
-        first = pops[start:start + per_block] - size + base
-        picked = np.zeros(len(block) * width, dtype=bool)
-        for t in range(size):
-            v = block[:, t] + base
-            picked[np.where(picked[v], first + t, v)] = True  # v, or j itself when v is picked
-        block[:] = np.flatnonzero(picked).reshape(len(block), size) - base[:, None]  # sorted
-    return True
 
 
 def build_eval_lists(
@@ -154,11 +90,13 @@ def build_eval_lists(
 ) -> EvalLists:
     """One list per (query, positive) pair with seeded uniform negatives.
 
-    Negatives are drawn from candidates not annotated positive for that
-    query, so a query's other positives never appear as its negatives. Each
-    list's negatives are those ``rng.choice(eligible, n_negatives,
-    replace=False)`` picks, one generator for all lists in turn, sorted;
-    ``_draw_sorted`` draws them all at once where it can reproduce that.
+    Negatives are drawn without replacement from candidates not annotated
+    positive for that query, so a query's other positives never appear as
+    its negatives. Each list draws one uniform key per candidate, its
+    query's positives set above every key, and keeps the ``n_negatives``
+    smallest, sorted: lists in turn from one ``default_rng(seed)``, a block
+    of at most ``DRAW_BLOCK`` keys at a time, which draws what one
+    ``rng.random(n_candidates)`` per list would.
     """
     queries = list(_positives(annotations, corpus, n_negatives))
     counts = [len(positives) for _, positives in queries]
@@ -166,22 +104,19 @@ def build_eval_lists(
     rows = np.repeat(np.array([row for row, _ in queries], dtype=np.int64), counts)
     cols = np.empty((len(rows), 1 + n_negatives), dtype=np.int64)
     cols[:, 0] = [pos for _, positives in queries for pos in positives]
-    drawn = _draw_sorted(seed, np.repeat(n_cand - np.array(counts, dtype=np.int64), counts),
-                         cols[:, 1:])  # each list's picks, positions among its eligible
-    rng = None if drawn else np.random.default_rng(seed)
-    i = 0
-    for _, positives in queries:
-        keep = np.ones(n_cand, dtype=bool)
-        keep[positives] = False
-        eligible = np.flatnonzero(keep)  # candidate columns, in corpus order
-        end = i + len(positives)
-        if drawn:
-            cols[i:end, 1:] = eligible[cols[i:end, 1:]]
-        else:
-            for k in range(i, end):
-                draw = rng.choice(len(eligible), size=n_negatives, replace=False)
-                cols[k, 1:] = eligible[np.sort(draw)]
-        i = end
+    query_of = np.repeat(np.arange(len(queries)), counts)  # each list's query
+    own = np.zeros((len(queries), n_cand), dtype=bool)  # each query's positives, 1 byte a pair
+    own[query_of, cols[:, 0]] = True
+    rng = np.random.default_rng(seed)
+    per_block = max(1, DRAW_BLOCK // n_cand)
+    for start in range(0, len(rows), per_block):
+        stop = min(start + per_block, len(rows))
+        keys = rng.random((stop - start, n_cand))
+        keys[own[query_of[start:stop]]] = 2.0
+        # kth = n_negatives < n_cand, as each query has a positive: the keys
+        # before it are the smallest, also for no negative
+        picks = np.argpartition(keys, n_negatives, axis=1)[:, :n_negatives]
+        cols[start:stop, 1:] = np.sort(picks, axis=1)
     return EvalLists(rows, cols, corpus.query_ids, corpus.candidate_ids)
 
 

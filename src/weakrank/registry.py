@@ -39,14 +39,16 @@ class Key(NamedTuple):
     """A declared key's default, and the rule its value keeps besides being
     of the default's type (an integer passes for a float, a bool only for a
     bool): finite, >= ``low``, > ``above``, <= ``high``, one of ``members``
-    when given. A list is non-empty, each item so, and as long as the key
-    ``like``'s resolved list. ``str(key)`` states the rule."""
+    when given. A list is non-empty, each item so, its items ``distinct``
+    when set, and as long as the key ``like``'s resolved list. ``str(key)``
+    states the rule."""
     default: object
     low: float = -math.inf
     above: float = -math.inf
     high: float = math.inf
     members: tuple = ()
     like: str = ""
+    distinct: bool = False
 
     def holds(self, value, resolved: dict) -> bool:
         kind = type(self.default)
@@ -54,6 +56,7 @@ class Key(NamedTuple):
             other = resolved.get(self.like)
             return (type(value) in (list, tuple) and len(value) > 0
                     and all(self._replace(default=self.default[0]).holds(v, {}) for v in value)
+                    and (not self.distinct or len(set(value)) == len(value))
                     and (type(other) not in (list, tuple) or len(value) == len(other)))
         if kind in (bool, str):
             return type(value) is kind and (not self.members or value in self.members)
@@ -62,7 +65,8 @@ class Key(NamedTuple):
 
     def __str__(self):
         if type(self.default) in (list, tuple):
-            return (f"a non-empty list, each {self._replace(default=self.default[0])}"
+            return (f"a non-empty list{' of distinct values' * self.distinct}, "
+                    f"each {self._replace(default=self.default[0])}"
                     + (self.like and f", as long as {self.like}"))
         if type(self.default) in (bool, str):
             return " or ".join(self.members or ("true", "false"))

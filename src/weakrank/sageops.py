@@ -155,13 +155,12 @@ def _valid_rows(rows, n: int) -> np.ndarray:
 
 
 def sage_forward(H0: np.ndarray, sample: NeighborSample, layers: list[ParamTensor],
-                 M0: np.ndarray | None = None, rows: np.ndarray | None = None):
+                 M0: np.ndarray, rows: np.ndarray | None = None):
     """Returns (H_L, caches). With no layers this is the identity on H0.
-    ``M0``, when given, is ``sage_input(H0, sample)``; the first layer then
-    uses it as is, with bitwise the same result. With ``rows``, H_L holds
-    only those nodes' rows (see the module docstring). ``caches`` holds the
-    layers' (dense cache, input width) pairs, the checked rows (or None) and
-    whether the last layer ran at the rows."""
+    ``M0`` is ``sage_input(H0, sample)``, the first layer's input. With
+    ``rows``, H_L holds only those nodes' rows (see the module docstring).
+    ``caches`` holds the layers' (dense cache, input width) pairs, the
+    checked rows (or None) and whether the last layer ran at the rows."""
     at_rows = False
     if rows is not None:
         rows = _valid_rows(rows, sample.n_nodes)
@@ -170,7 +169,7 @@ def sage_forward(H0: np.ndarray, sample: NeighborSample, layers: list[ParamTenso
     layer_caches = []
     for l, W in enumerate(layers):
         top = at_rows and l == len(layers) - 1
-        if l == 0 and M0 is not None:
+        if l == 0:
             M = M0[rows] if top else M0
         elif top:
             M = np.concatenate(

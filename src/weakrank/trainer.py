@@ -127,7 +127,7 @@ class RunConfig(SearchSettings):
 
     unsup_registry: UnsupModelRegistry
     sup_registry: SupModelRegistry
-    k_values: tuple[int, ...] = setting((10, 20, 30, 40, 50), low=1)
+    k_values: tuple[int, ...] = setting((10, 20, 30, 40, 50), low=1, distinct=True)
 
     def __post_init__(self):
         check_config(self, [(m.name, m.kind, m.params) for m in self.unsup_registry

@@ -6,9 +6,8 @@ the gradient of kernel pooling (production runs the pooling forward-only,
 on frozen word cosines), the random walks' transition laws with a walk
 generator that steps one walk at a time, the dense n x n neighbor-mean
 matrix and the GraphSAGE stack run through it, the evaluation lists drawn
-one array per list, and the objectives the
-embedding trainers minimise, evaluated on a fixed batch, in the
-overflow-safe log-sigmoid.
+one list at a time, and the objectives the embedding trainers minimise,
+evaluated on a fixed batch, in the overflow-safe log-sigmoid.
 """
 
 from __future__ import annotations
@@ -181,16 +180,17 @@ def dense_sage(H0: np.ndarray, A: np.ndarray, layers, dHL: np.ndarray) -> np.nda
 
 
 # ---------------------------------------------------------------------------
-# evaluation lists drawn one array per list
+# evaluation lists drawn one list at a time
 
 
 def eval_lists_per_list(annotations, corpus, seed: int,
                         n_negatives: int) -> tuple[np.ndarray, np.ndarray]:
-    """(rows, cols) of ``metrics.build_eval_lists``'s lists, built as one
-    small array per list in a Python list, then copied together: per
-    annotated query in order, one list per positive, its column first, then
-    ``n_negatives`` uniform draws, one ``rng.choice`` each, from the
-    candidates the query does not annotate positive."""
+    """(rows, cols) of ``metrics.build_eval_lists``'s lists, built one list
+    at a time: per annotated query in order, one list per positive, its
+    column first, then the ``n_negatives`` candidates the query does not
+    annotate positive whose keys are smallest, in column order. Each list's
+    keys are one ``rng.random(n_candidates)``, lists in turn from one
+    generator."""
     pos_by_query: dict[str, list[int]] = {}
     for qid, cid, label in annotations.pairs:
         if label == 1:
@@ -199,13 +199,12 @@ def eval_lists_per_list(annotations, corpus, seed: int,
     rows, cols = [], []
     for qid in annotations.query_ids:
         positives = pos_by_query[qid]
-        keep = np.ones(len(corpus.candidate_ids), dtype=bool)
-        keep[positives] = False
-        eligible = np.flatnonzero(keep)
+        eligible = np.setdiff1d(np.arange(len(corpus.candidate_ids)), positives)
         for pos in positives:
-            draw = rng.choice(len(eligible), size=n_negatives, replace=False)
+            keys = rng.random(len(corpus.candidate_ids))
+            smallest = eligible[np.argsort(keys[eligible], kind="stable")[:n_negatives]]
             rows.append(corpus.query_row[qid])
-            cols.append(np.concatenate([[pos], eligible[np.sort(draw)]]))
+            cols.append(np.concatenate([[pos], np.sort(smallest)]))
     return (np.array(rows, dtype=np.int64),
             np.array(cols, dtype=np.int64).reshape(len(rows), 1 + n_negatives))
 

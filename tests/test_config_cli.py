@@ -453,17 +453,21 @@ class TestCli:
 
     @pytest.mark.parametrize("command,setting,message", [
         (["search"], "k_values=500", "k value 500 out of range"),
+        (["search"], "k_values=10,10,20", "k_values must be a non-empty list of distinct values"),
         (["search"], "eval_negatives=99", "eligible negatives"),
         (["ablate", "--mode", "fix-k", "--fixed", "35"], "k_values=10", "fixed k 35 not in"),
         (["ablate", "--mode", "fix-unsup", "--fixed", "nope"], "seed=0", "nope"),
         (["ablate", "--mode", "fix-k", "--sweep"], "k_values=10,500", "k value 500 out of range"),
+        (["ablate", "--mode", "fix-k", "--sweep"], "k_values=10,10,20",
+         "k_values must be a non-empty list of distinct values, each an integer >= 1, "
+         "not (10, 10, 20)"),
         (["ablate", "--mode", "fix-unsup", "--sweep"], "external_scores=cache=scores.csv",
          "sub-run cannot be its pretrain cache"),
         (["ablate", "--mode", "fix-k", "--sweep", "--fixed", "10"], "seed=0",
          "exactly one of --fixed and --sweep"),
         (["ablate", "--mode", "fix-sup"], "seed=0", "exactly one of --fixed and --sweep"),
-    ], ids=["k-range", "eval-lists", "fixed-k", "fixed-scorer", "sweep-k-range",
-            "sweep-into-cache", "fixed-and-sweep", "neither"])
+    ], ids=["k-range", "repeated-k", "eval-lists", "fixed-k", "fixed-scorer", "sweep-k-range",
+            "sweep-repeated-k", "sweep-into-cache", "fixed-and-sweep", "neither"])
     def test_failed_search_input_check_writes_nothing(self, synth_dir, tmp_path, capsys,
                                                       command, setting, message):
         out = tmp_path / "run"

@@ -281,7 +281,7 @@ def _reference_aggregation_epoch(t, pairs, batch_size):
         B = len(batch)
         negs = np.searchsorted(t._noise.table, t.rng.random(B * t.neg)).reshape(B, t.neg)
         zero_grads(t.layers)
-        Z, caches = sage_forward(t.features, t.sample, t.layers)
+        Z, caches = sage_forward(t.features, t.sample, t.layers, t.M0)
         u, v = batch[:, 0], batch[:, 1]
         s_pos = np.einsum("id,id->i", Z[u], Z[v])
         s_neg = np.einsum("id,ind->in", Z[u], Z[negs])
@@ -342,9 +342,10 @@ class TestNeighborSample:
         dims = [16] + [32] * n_layers
         full, at_rows, dense = (create_layers("agg", dims, np.random.default_rng(4))
                                 for _ in range(3))
-        Z, caches = sage_forward(feats, sample, full)
+        M0 = sage_input(feats, sample)
+        Z, caches = sage_forward(feats, sample, full, M0)
         sage_backward(dZ, sample, caches)
-        Z_rows, caches = sage_forward(feats, sample, at_rows, rows=rows)
+        Z_rows, caches = sage_forward(feats, sample, at_rows, M0, rows=rows)
         sage_backward(dZ[rows], sample, caches)
         Z_dense = dense_sage(feats, A, dense, dZ)
         assert np.abs(Z - Z_dense).max() < 1e-12
@@ -363,34 +364,32 @@ class TestBitwiseAgainstReferences:
         dims = [6] + [5] * n_layers
         fast, ref = (create_layers("agg", dims, np.random.default_rng(9)) for _ in range(2))
         dZ = rng.normal(size=(graph.n_nodes, 5))
-        Z, caches = sage_forward(feats, sample, fast)
+        M0 = sage_input(feats, sample)
+        Z, caches = sage_forward(feats, sample, fast, M0)
         assert sage_backward(dZ, sample, caches) is None
-        Z_ref, caches_ref = sage_forward(feats, sample, ref)
+        Z_ref, caches_ref = sage_forward(feats, sample, ref, M0)
         _reference_sage_backward(dZ, sample, caches_ref)
         assert Z.tobytes() == Z_ref.tobytes()
         assert fast.grads.tobytes() == ref.grads.tobytes()
 
     @pytest.mark.parametrize("n_layers", [1, 2, 3])
     def test_sage_with_precomputed_first_input(self, planted_graph, n_layers):
-        """Passing ``sage_input(H0, sample)`` gives bitwise the outputs and the
-        layer gradients of computing it inside ``sage_forward``; its second
-        half is the dense neighbor mean up to rounding."""
+        """``sage_input(H0, sample)`` is the features, then their dense
+        neighbor mean up to rounding, and a forward and backward leave it as
+        it was, so one array serves every step."""
         _, graph = planted_graph
         rng = np.random.default_rng(10 + n_layers)
         feats = rng.normal(size=(graph.n_nodes, 6))
         sample = build_neighbor_matrix(graph, 4, np.random.default_rng(5))
         A = dense_neighbor_matrix(graph, 4, np.random.default_rng(5))
-        dims = [6] + [5] * n_layers
-        given, inside = (create_layers("agg", dims, np.random.default_rng(3)) for _ in range(2))
+        layers = create_layers("agg", [6] + [5] * n_layers, np.random.default_rng(3))
         M0 = sage_input(feats, sample)
+        before = M0.copy()
         dZ = rng.normal(size=(graph.n_nodes, 5))
-        for _ in range(2):  # the same constant input serves every step
-            Z, caches = sage_forward(feats, sample, given, M0)
+        for _ in range(2):
+            _, caches = sage_forward(feats, sample, layers, M0)
             sage_backward(dZ, sample, caches)
-            Z_ref, caches_ref = sage_forward(feats, sample, inside)
-            sage_backward(dZ, sample, caches_ref)
-            assert Z.tobytes() == Z_ref.tobytes()
-            assert given.grads.tobytes() == inside.grads.tobytes()
+            assert M0.tobytes() == before.tobytes()
         assert M0[:, :6].tobytes() == feats.tobytes()
         assert np.abs(M0[:, 6:] - A @ feats).max() < 1e-12
 
@@ -435,7 +434,7 @@ class TestBitwiseAgainstReferences:
         sample = build_neighbor_matrix(graph, 4, rng)
         layers = create_layers("agg", [6, 5, 5], rng)
         with pytest.raises(ValueError, match="strictly increasing node indices"):
-            sage_forward(feats, sample, layers, rows=np.array(rows))
+            sage_forward(feats, sample, layers, sage_input(feats, sample), rows=np.array(rows))
 
     @pytest.mark.parametrize("order", [1, 2])
     def test_proximity_batches(self, planted_graph, order):

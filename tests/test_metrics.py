@@ -239,19 +239,22 @@ class TestBuildEvalLists:
             build_eval_lists(bad, corpus, seed=0, n_negatives=SETTINGS.eval_negatives)
 
     def test_equal_to_per_candidate_filter_reference(self):
-        # the string-id path: filter ids per query, one id tuple per list
+        # the string-id path: one key per candidate id, the query's
+        # positives filtered out, the smallest keys' ids in corpus order
         corpus, ann = self._setup()
         pos_by_query = _positives_by_query(ann)
-        all_cands = np.array(corpus.candidate_ids)
         for n_negatives in (1, 30, 100):
             rng = np.random.default_rng(7)
             expected = []
             for qid in ann.query_ids:
                 pos_set = set(pos_by_query[qid])
-                eligible = all_cands[[c not in pos_set for c in all_cands]]
                 for pos in pos_by_query[qid]:
-                    draw = rng.choice(len(eligible), size=n_negatives, replace=False)
-                    expected.append((qid, pos) + tuple(eligible[np.sort(draw)].tolist()))
+                    keys = rng.random(len(corpus.candidate_ids))
+                    ranked = sorted((key, cid) for key, cid in zip(keys, corpus.candidate_ids)
+                                    if cid not in pos_set)
+                    chosen = {cid for _, cid in ranked[:n_negatives]}
+                    expected.append((qid, pos) + tuple(c for c in corpus.candidate_ids
+                                                       if c in chosen))
             lists = build_eval_lists(ann, corpus, seed=7, n_negatives=n_negatives)
             got = [(corpus.query_ids[lists.rows[r]], *ids_of(lists, r))
                    for r in range(len(lists))]
@@ -260,8 +263,8 @@ class TestBuildEvalLists:
     @given(st.integers(0, 2**32 - 1), st.sampled_from([1, 49, 100]),
            st.sampled_from([0.0, 0.3]))
     def test_equal_to_one_array_per_list_reference(self, seed, n_negatives, noise_rate):
-        """Filled in place, the lists hold bitwise what the list-of-arrays
-        construction copied together, from the same draws in the same order."""
+        """Drawn a block of lists at a time, the lists hold bitwise what
+        drawing one list's keys at a time picks."""
         corpus, ann = generate_synthetic(
             n_queries=6, n_candidates=150, n_topics=3, vocab_per_topic=8, doc_len=15,
             noise_rate=noise_rate, seed=seed % 100)
@@ -271,47 +274,34 @@ class TestBuildEvalLists:
             assert got.dtype == expected.dtype and got.shape == expected.shape
             assert got.tobytes() == expected.tobytes()
 
-    def test_lists_drawn_one_by_one_when_the_joint_draw_declines(self, monkeypatch):
-        """``_draw_sorted`` declines on a rejected word or a large
-        population, its rows half written; the lists are then those of
-        ``rng.choice`` per list."""
+    @pytest.mark.parametrize("block", [1, 997, 1 << 30], ids=["one list", "odd", "all lists"])
+    @pytest.mark.parametrize("n_negatives", [0, 1, 40, 100], ids=lambda n: f"{n} negatives")
+    def test_lists_do_not_depend_on_the_block(self, monkeypatch, block, n_negatives):
+        """Blocks of one list (150 keys), of an odd number of keys, and of
+        every list draw the same lists as one list at a time, down to no
+        negative and up to every eligible candidate (100)."""
+        monkeypatch.setattr(metrics, "DRAW_BLOCK", block)
         corpus, ann = self._setup()
-
-        def decline(seed, pops, out):
-            out[:] = 0
-            return False
-
-        monkeypatch.setattr(metrics, "_draw_sorted", decline)
-        lists = build_eval_lists(ann, corpus, seed=3, n_negatives=40)
-        rows, cols = eval_lists_per_list(ann, corpus, seed=3, n_negatives=40)
+        lists = build_eval_lists(ann, corpus, seed=3, n_negatives=n_negatives)
+        rows, cols = eval_lists_per_list(ann, corpus, seed=3, n_negatives=n_negatives)
         assert lists.rows.tobytes() == rows.tobytes() and lists.cols.tobytes() == cols.tobytes()
 
-    @pytest.mark.parametrize("block", [1, 97, 1 << 15])
-    def test_joint_draw_equals_one_choice_per_list(self, monkeypatch, block):
-        """Every list's sorted picks are ``rng.choice``'s, over blocks of one
-        list up to all of them (an odd word count per list leaves a half
-        word between blocks), populations equal to the sample (whose first
-        step draws no word), and samples of 0 and 1."""
-        monkeypatch.setattr(metrics, "DRAW_BLOCK", block)
-        draws = np.random.default_rng(0)
-        for seed, size in [(1, 0), (2, 1), (3, 7), (4, 49), (5, 99)]:
-            pops = size + draws.integers(0, 60, size=40)
-            pops[::5] = size
-            rng = np.random.default_rng(seed)
-            expected = [np.sort(rng.choice(pop, size=size, replace=False)) for pop in pops]
-            got = np.full((len(pops), size), -1)
-            assert metrics._draw_sorted(seed, pops, got)
-            assert np.array_equal(got, np.array(expected).reshape(len(pops), size))
-
-    def test_joint_draw_declines_a_rejected_word_and_a_large_population(self):
-        # seed 1548 draws one word that Lemire's method rejects, so that
-        # keeping it would pick other negatives than rng.choice
-        def draws(seed, pops, size):
-            return metrics._draw_sorted(seed, pops, np.empty((len(pops), size), dtype=np.int64))
-
-        assert not draws(1548, np.full(4, 10_000), 100)
-        assert draws(1547, np.full(4, 10_000), 100)
-        assert not draws(0, np.array([5, metrics.FLOYD_MAX_POP + 1]), 5)
+    def test_negatives_are_uniform_over_subsets(self):
+        """A query with one positive among 6 candidates: over 2,000 seeds,
+        the C(5, 2) = 10 subsets of 2 negatives each come up about 200 times
+        (chi-squared with 9 degrees of freedom below its 0.999 quantile,
+        27.88)."""
+        corpus, _ = generate_synthetic(n_queries=2, n_candidates=6, n_topics=2,
+                                       vocab_per_topic=8, doc_len=15, noise_rate=0.0, seed=0)
+        q, c = corpus.query_ids, corpus.candidate_ids
+        ann = AnnotationSet(((q[0], c[3], 1),), "all")
+        counts = {}
+        for seed in range(2000):
+            negatives = tuple(build_eval_lists(ann, corpus, seed=seed, n_negatives=2).cols[0, 1:])
+            counts[negatives] = counts.get(negatives, 0) + 1
+        assert len(counts) == 10 and all(3 not in subset for subset in counts)
+        observed = np.array(list(counts.values()))
+        assert ((observed - 200) ** 2 / 200).sum() < 27.88
 
     @pytest.mark.parametrize("split", ["validation", "test", "all"])
     def test_empty_split_refused_by_name(self, split):

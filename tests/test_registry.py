@@ -91,7 +91,8 @@ def _run_config(*settings):
     (["episodes=0"], "episodes must be an integer >= 1, not 0"),
     (["sup_optimizer=rmsprop"], "sup_optimizer must be adam or sgd, not 'rmsprop'"),
     (["max_query_len=-3"], "max_query_len must be an integer >= 1, not -3"),
-    (["k_values=,"], "k_values must be a non-empty list, each an integer >= 1, not ()"),
+    (["k_values=,"], "k_values must be a non-empty list of distinct values, each an integer "
+                     ">= 1, not ()"),
 ], ids=["misspelt", "bm25-k", "text-seed", "ranker-misspelt", "no-such-model",
         "external-key", "external-kind", "string-for-int", "nan", "inf", "float-for-int",
         "bool-for-int", "int-for-bool", "nan-in-list", "ranker-lr-nan", "zero-dim",
@@ -293,10 +294,11 @@ def _edges(entry: Key) -> list[tuple]:
 
 
 def _as_value(entry: Key, item):
-    """``item`` as the key's value: a list of the length its rule asks for."""
+    """``item`` as the key's value: a list of the length its rule asks for
+    (one item where its items must be distinct)."""
     if type(entry.default) not in (list, tuple):
         return item
-    return [item] * len(entry.default)
+    return [item] * (1 if entry.distinct else len(entry.default))
 
 
 def test_every_setting_and_hyperparameter_declares_a_rule():
@@ -326,6 +328,9 @@ def test_each_bound_of_a_rule_is_exact(name):
     if type(entry.default) in (list, tuple):
         with pytest.raises(ValueError, match="non-empty list"):
             check([])
+    if entry.distinct:
+        with pytest.raises(ValueError, match="of distinct values"):
+            check([entry.default[0]] * 2)
 
 
 @pytest.mark.parametrize("name", sorted(DECLARED))

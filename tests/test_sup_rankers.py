@@ -357,7 +357,8 @@ def _reference_loss_and_grads(model, triples):
         yc, ccache = model._tower(b.c_means[prows + nrows], "c")
         yp, yn = yc[:len(prows)], yc[len(prows):]
     else:
-        Z, caches = sup_rankers.sage_forward(model.features, model.sample, model.layers)
+        Z, caches = sup_rankers.sage_forward(model.features, model.sample, model.layers,
+                                             model.M0)
         qn, pn, nn = model.q_nodes[qrows], model.c_nodes[prows], model.c_nodes[nrows]
         yq, yp, yn = Z[qn], Z[pn], Z[nn]
     r_pos, cache_p = cosine_rows_forward(yq, yp)
