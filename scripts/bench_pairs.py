@@ -4,8 +4,10 @@
     python scripts/bench_pairs.py BASE CHANGE --workload W --seeds A-B
         [--seconds S] [--work DIR] [--out FILE]
 
-BASE and CHANGE are git tree-ishes: a commit, a branch, or the tree that
-``git write-tree`` makes of the staged files. For each seed from A to B, both
+BASE and CHANGE are git tree-ishes of the repository that holds this
+script: a commit, a branch, or the tree that ``git write-tree`` makes of the
+staged files. The script reads that repository's ``BENCHMARK.json``, so it
+runs from any directory. For each seed from A to B, both
 revisions are extracted with ``git archive`` into new directories under
 ``--work`` (a temporary directory by default), and ``perfbench/run.py
 --workload W --seed SEED --seconds S --trace 0`` runs in each, one at a
@@ -50,7 +52,8 @@ import sys
 import tempfile
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parent))
+ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "scripts"))
 from compare_runs import compare  # noqa: E402
 
 
@@ -66,7 +69,7 @@ def seed_range(text: str) -> list[int]:
 
 def extract(rev: str, dest: Path) -> None:
     """The files of ``rev`` in the repository, written under ``dest``."""
-    tar = subprocess.run(["git", "archive", "--format=tar", rev], check=True,
+    tar = subprocess.run(["git", "-C", str(ROOT), "archive", "--format=tar", rev], check=True,
                          capture_output=True).stdout
     dest.mkdir(parents=True)
     subprocess.run(["tar", "-x", "-C", str(dest)], input=tar, check=True)
@@ -212,7 +215,7 @@ def main(argv=None) -> int:
     parser.add_argument("--work", type=Path, help="where the copies go")
     parser.add_argument("--out", type=Path, help="write every pair here as JSON")
     args = parser.parse_args(argv)
-    declared = json.loads(Path("BENCHMARK.json").read_text(encoding="utf-8"))["end_to_end"]
+    declared = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))["end_to_end"]
     previous = signal.signal(signal.SIGTERM, _exit_on_sigterm)
     work = Path(tempfile.mkdtemp(prefix="bench_pairs_", dir=args.work))
     pairs = []

@@ -3,15 +3,16 @@
 Step 1 samples a mask over unsupervised scorers (one two-way softmax head
 applied to the elementwise product of the hidden state with each scorer's
 embedding), step 2 samples the k category from a softmax head on the hidden
-state, step 3 samples a mask over supervised rankers like step 1. The summed
-representation of each step's selection feeds the next LSTM input. The
-policy step is REINFORCE with an optional moving-average baseline b: SGD
-through ``nncore.optimizer_step`` on -(R - b) * log pi - entropy_coef * H.
+state, step 3 samples a mask over supervised rankers like step 1. A mask is
+drawn from its per-choice Bernoulli product conditioned on being non-empty,
+and log pi is taken under that same law. The summed representation of each
+step's selection feeds the next LSTM input. The policy step is REINFORCE
+with an optional moving-average baseline b: SGD through
+``nncore.optimizer_step`` on -(R - b) * log pi - entropy_coef * H.
 """
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,10 +28,6 @@ from .nncore import (
     optimizer_step,
     zero_grads,
 )
-
-log = logging.getLogger(__name__)
-
-MAX_RESAMPLE = 10
 
 
 @dataclass(frozen=True)
@@ -162,13 +159,13 @@ def _k_head_probs(h: np.ndarray, W: ParamTensor, b: ParamTensor) -> np.ndarray:
 def _traverse(params: ControllerParams, clamp: Clamp, decide_mask, decide_k):
     """Run the three LSTM steps; returns everything the backward pass needs.
     A step that ``clamp`` fixes takes its value, any other the choice of
-    ``decide_mask(probs, step name)`` or ``decide_k(probs)``."""
+    ``decide_mask(probs)`` or ``decide_k(probs)``."""
     d = params.hidden
     h0 = np.zeros(d)
     e0 = np.zeros(d)
     h1, e1, cache1 = lstm_forward(params.x1.value, h0, e0, params.lstm)
     prods1, probs1 = _mask_head_probs(h1, params.w_unsup, params.f_W, params.f_b)
-    unsup_mask = np.asarray(decide_mask(probs1, "unsupervised") if clamp.unsup_mask is None
+    unsup_mask = np.asarray(decide_mask(probs1) if clamp.unsup_mask is None
                             else clamp.unsup_mask, dtype=np.int64)
 
     x2 = unsup_mask.astype(np.float64) @ params.w_unsup.value
@@ -179,7 +176,7 @@ def _traverse(params: ControllerParams, clamp: Clamp, decide_mask, decide_k):
     x3 = params.z_k.value[k_index]
     h3, e3, cache3 = lstm_forward(x3, h2, e2, params.lstm)
     prods3, probs3 = _mask_head_probs(h3, params.u_sup, params.q_W, params.q_b)
-    sup_mask = np.asarray(decide_mask(probs3, "supervised") if clamp.sup_mask is None
+    sup_mask = np.asarray(decide_mask(probs3) if clamp.sup_mask is None
                           else clamp.sup_mask, dtype=np.int64)
 
     return {
@@ -201,13 +198,13 @@ def _configuration(state, k_values) -> Configuration:
 
 
 def _heads(state, clamp: Clamp):
-    """(probabilities, chosen column per row, clamped) for each step's head;
-    the k head is one row."""
+    """(probabilities, chosen column per row, clamped, P0) for each step's
+    head: P0 is a mask head's P(empty mask), 0 for the one-row k head."""
     probs1, probs2, probs3 = state["probs"]
     return (
-        (probs1, state["unsup_mask"], clamp.unsup_mask is not None),
-        (probs2[None, :], [state["k_index"]], clamp.k_index is not None),
-        (probs3, state["sup_mask"], clamp.sup_mask is not None),
+        (probs1, state["unsup_mask"], clamp.unsup_mask is not None, float(np.prod(probs1[:, 0]))),
+        (probs2[None, :], [state["k_index"]], clamp.k_index is not None, 0.0),
+        (probs3, state["sup_mask"], clamp.sup_mask is not None, float(np.prod(probs3[:, 0]))),
     )
 
 
@@ -217,26 +214,27 @@ def _row_entropy(probs: np.ndarray) -> np.ndarray:
 
 
 def _log_prob_of(heads) -> float:
-    """Summed log-probability of the chosen columns over the unclamped heads."""
+    """Summed log-probability of the chosen columns over the unclamped heads,
+    each mask conditioned on being non-empty: - log(1 - P0) per mask head."""
     total = 0.0
-    for probs, chosen, clamped in heads:
+    for probs, chosen, clamped, p_empty in heads:
         if not clamped:
-            total += float(np.log(probs[np.arange(len(chosen)), chosen]).sum())
+            picked = probs[np.arange(len(chosen)), chosen]
+            total += float(np.log(picked).sum() - np.log1p(-p_empty))
     return total
 
 
-def _sample_mask(probs: np.ndarray, rng: np.random.Generator, step_name: str) -> np.ndarray:
-    """Independent Bernoulli draws per choice; all-zero masks are redrawn up
-    to MAX_RESAMPLE times, then the highest-probability choice is forced."""
-    for _ in range(1 + MAX_RESAMPLE):
-        mask = (rng.random(len(probs)) < probs[:, 1]).astype(np.int64)
-        if mask.any():
-            return mask
-    forced = int(np.argmax(probs[:, 1]))
-    mask = np.zeros(len(probs), dtype=np.int64)
-    mask[forced] = 1
-    log.info("all-zero %s mask after %d resamples; forcing choice %d",
-             step_name, MAX_RESAMPLE, forced)
+def _sample_mask(probs: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """One draw of the Bernoulli product over ``probs[:, 1]`` conditioned on
+    a non-empty mask, from n + 1 uniforms: the first selected choice i has
+    P(first = i) proportional to p_i * prod_{j<i} (1 - p_j), and every later
+    choice is selected with its own p."""
+    u = rng.random(len(probs) + 1)
+    cum = np.cumsum(probs[:, 1] * np.cumprod(np.concatenate([[1.0], probs[:-1, 0]])))
+    first = int(np.searchsorted(cum, u[0] * cum[-1], side="right"))
+    mask = (u[1:] < probs[:, 1]).astype(np.int64)
+    mask[:first] = 0
+    mask[first] = 1
     return mask
 
 
@@ -255,7 +253,7 @@ def sample_configuration(
 
     state = _traverse(
         params, clamp,
-        lambda probs, step: _sample_mask(probs, rng, step),
+        lambda probs: _sample_mask(probs, rng),
         lambda probs: int(np.searchsorted(np.cumsum(probs), rng.random(), side="right")),
     )
     return _configuration(state, k_values), _log_prob_of(_heads(state, clamp))
@@ -283,7 +281,7 @@ def action_log_prob(
     state = _traverse(params, replay, None, None)
     heads = _heads(state, clamp)
     log_prob = _log_prob_of(heads)
-    row_entropies = [None if clamped else _row_entropy(probs) for probs, _, clamped in heads]
+    row_entropies = [None if clamped else _row_entropy(probs) for probs, _, clamped, _ in heads]
     entropy = 0.0
     for H in row_entropies:
         if H is not None:
@@ -297,20 +295,22 @@ def action_log_prob(
     h1, h2, h3 = state["h"]
     prods1, prods3 = state["prods"]
 
-    def dlogits(probs, chosen, H):
+    def dlogits(probs, chosen, p_empty, H):
         """d(grad_scale * log pi + entropy_scale * entropy) / d logits, per row."""
         d = np.zeros_like(probs)
         if H is not None:  # the head is not clamped
             if grad_scale != 0.0:
-                onehot = np.zeros_like(probs)
-                onehot[np.arange(len(chosen)), chosen] = 1.0
-                d += grad_scale * (onehot - probs)
+                # onehot - probs + P0 / (1 - P0) * (e0 - probs)
+                target = np.zeros_like(probs)
+                target[np.arange(len(chosen)), chosen] = 1.0
+                target[:, 0] += p_empty / (1.0 - p_empty)
+                d += grad_scale * (target - probs / (1.0 - p_empty))
             if entropy_scale != 0.0:
                 d += entropy_scale * (-probs * (np.log(probs + 1e-300) + H))
         return d
 
-    d1, d2, d3 = (dlogits(probs, chosen, H)
-                  for (probs, chosen, _), H in zip(heads, row_entropies))
+    d1, d2, d3 = (dlogits(probs, chosen, p_empty, H)
+                  for (probs, chosen, _, p_empty), H in zip(heads, row_entropies))
 
     # step 3 head
     params.q_W.grad += d3.T @ prods3
@@ -378,7 +378,7 @@ def reinforce_update(
     return b
 
 
-def _greedy_mask(probs: np.ndarray, step_name: str) -> np.ndarray:
+def _greedy_mask(probs: np.ndarray) -> np.ndarray:
     mask = (probs[:, 1] >= 0.5).astype(np.int64)
     if not mask.any():
         mask[int(np.argmax(probs[:, 1]))] = 1

@@ -221,16 +221,14 @@ def default_kernel_bank() -> tuple[np.ndarray, np.ndarray]:
 
 
 def kernel_pool_forward(S: np.ndarray, q_counts: np.ndarray, c_counts: np.ndarray,
-                        mus, sigmas, negative_exponent: bool):
+                        mus, sigmas):
     """RBF kernel pooling of a block of word cosines into (query, candidate)
     features, K-NRM style: ``pooled[h] = q_counts @ log(g_h(S) @ c_counts.T
     + eps)`` with ``g_h = exp(-(S - mu_h)^2 / (2 sigma_h^2))``.
 
     ``S`` is (query words, candidate words); ``q_counts`` is (queries, query
     words) and ``c_counts`` (candidates, candidate words), each document's
-    count of each word. ``negative_exponent=False`` flips the exponent sign;
-    that variant grows without bound as |s - mu| does and exists only for
-    comparison runs. Returns the (H, queries, candidates) pooled array.
+    count of each word. Returns the (H, queries, candidates) pooled array.
     """
     mus = np.asarray(mus, dtype=np.float64)
     sigmas = np.asarray(sigmas, dtype=np.float64)
@@ -238,10 +236,9 @@ def kernel_pool_forward(S: np.ndarray, q_counts: np.ndarray, c_counts: np.ndarra
         raise ValueError("mus and sigmas must be equal-length 1-D arrays")
     if np.any(sigmas <= 0):
         raise ValueError("kernel sigmas must be positive")
-    sign = -1.0 if negative_exponent else 1.0
     pooled = np.empty((len(mus), q_counts.shape[0], c_counts.shape[0]))
     for h in range(len(mus)):
-        g = np.exp(sign * (S - mus[h]) ** 2 / (2.0 * sigmas[h] ** 2))
+        g = np.exp(-(S - mus[h]) ** 2 / (2.0 * sigmas[h] ** 2))
         pooled[h] = q_counts @ np.log(g @ c_counts.T + _EPS_LOG)
     return pooled
 

@@ -113,7 +113,7 @@ HYPERPARAMETERS = {
     "supervised": {
         "representation": {"hidden": Key(32, low=1), "lr": Key(Follows("sup_lr"), above=0)},
         "interaction": {"mus": Key(_MU, like="sigmas"), "sigmas": Key(_SIGMA, above=0, like="mus"),
-                        "negative_exponent": Key(True), "lr": Key(Follows("sup_lr"), above=0)},
+                        "lr": Key(Follows("sup_lr"), above=0)},
         "graph-aggregation": {**_LAYERS, "lr": Key(Follows("sup_lr"), above=0)},
     },
 }

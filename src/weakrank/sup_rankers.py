@@ -68,12 +68,10 @@ PHI_BLOCK = 1 << 16  # word-cosine entries pooled at once: bounds phi's temporar
 PHI_VERSION = 1
 
 
-def kernel_bank(mus, sigmas, negative_exponent) -> tuple:
-    """A kernel bank as a hashable key: (mus, sigmas, sign), plain floats
-    and a bool."""
+def kernel_bank(mus, sigmas) -> tuple:
+    """A kernel bank as a hashable key: (mus, sigmas) as plain floats."""
     return (tuple(float(m) for m in np.asarray(mus, dtype=np.float64)),
-            tuple(float(s) for s in np.asarray(sigmas, dtype=np.float64)),
-            bool(negative_exponent))
+            tuple(float(s) for s in np.asarray(sigmas, dtype=np.float64)))
 
 
 class RankerBackbone:
@@ -112,7 +110,7 @@ class RankerBackbone:
         np.add.at(counts, (doc_of, word_of), 1.0)
         return words, counts
 
-    def phi_features(self, mus, sigmas, negative_exponent: bool) -> np.ndarray:
+    def phi_features(self, mus, sigmas) -> np.ndarray:
         """Kernel-pooled match features for every (query, candidate) pair.
 
         phi[i, j, h] = sum over query words of log(K_h(similarity row) + eps),
@@ -125,7 +123,7 @@ class RankerBackbone:
         pretraining puts in (``put_phi_features``) the features it read from
         the cache.
         """
-        bank = kernel_bank(mus, sigmas, negative_exponent)
+        bank = kernel_bank(mus, sigmas)
         if bank in self._phi_cache:
             return self._phi_cache[bank]
         q_words, q_counts = self._word_counts(self.corpus.queries)
@@ -136,8 +134,7 @@ class RankerBackbone:
         step = max(1, PHI_BLOCK // len(c_words))
         for lo in range(0, len(q_words), step):
             S = hats[q_words[lo:lo + step]] @ c_hats.T  # (query words, candidate words)
-            pooled += kernel_pool_forward(S, q_counts[:, lo:lo + step], c_counts, mus, sigmas,
-                                          negative_exponent)
+            pooled += kernel_pool_forward(S, q_counts[:, lo:lo + step], c_counts, mus, sigmas)
         phi = np.ascontiguousarray(pooled.transpose(1, 2, 0))
         self._phi_cache[bank] = phi
         return phi
@@ -273,8 +270,7 @@ class InteractionRanker(_Ranker):
         super().__init__(backbone, spec, seed)
         self.mus = np.asarray(self.hp["mus"], dtype=np.float64)
         self.sigmas = np.asarray(self.hp["sigmas"], dtype=np.float64)
-        self.negative_exponent = bool(self.hp["negative_exponent"])
-        self.phi = backbone.phi_features(self.mus, self.sigmas, self.negative_exponent)
+        self.phi = backbone.phi_features(self.mus, self.sigmas)
         rng = np.random.default_rng(seed)
         H = len(self.mus)
         self.w = init_param("inter.w", (H,), rng)

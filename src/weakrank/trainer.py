@@ -497,10 +497,12 @@ def _backbone_key(corpus: Corpus, config: RunConfig) -> dict:
 def _phi_entry(cache_dir, backbone_key: dict, bank: tuple) -> Path | None:
     """Where the cache keeps the kernel features of ``bank`` over the
     backbone that ``backbone_key`` names."""
-    mus, sigmas, negative_exponent = bank
+    mus, sigmas = bank
+    # "negative_exponent" names the kernels' sign, once a setting: it stays in
+    # the key so that entries keep the names they had then
     return cache_entry(cache_dir, "phi", {
         "backbone": backbone_key, "mus": list(mus), "sigmas": list(sigmas),
-        "negative_exponent": negative_exponent, "version": PHI_VERSION,
+        "negative_exponent": True, "version": PHI_VERSION,
     })
 
 
@@ -511,7 +513,7 @@ def kernel_banks(specs) -> list[tuple]:
     for spec in specs:
         if spec.kind == "interaction":
             hp = spec.hyperparameters()
-            bank = kernel_bank(hp["mus"], hp["sigmas"], hp["negative_exponent"])
+            bank = kernel_bank(hp["mus"], hp["sigmas"])
             if bank not in banks:
                 banks.append(bank)
     return banks

@@ -23,8 +23,9 @@ from weakrank.nncore import _EPS_LOG, dense_backward, dense_forward
 
 
 def _nonzero_mask_distribution(probs: np.ndarray) -> dict[tuple[int, ...], float]:
-    """Joint law of a Bernoulli mask conditioned on not being all-zero, which
-    is what redraw-until-nonzero sampling converges to."""
+    """Joint law of a Bernoulli mask conditioned on not being all-zero: the
+    law ``controller._sample_mask`` draws from and ``action_log_prob``
+    scores."""
     n = len(probs)
     if n > 16:
         raise ValueError("mask enumeration is limited to 16 choices")
@@ -39,7 +40,8 @@ def _nonzero_mask_distribution(probs: np.ndarray) -> dict[tuple[int, ...], float
 
 
 def enumerate_policy(params: ControllerParams, clamp: Clamp = Clamp()) -> dict:
-    """Exact marginals of the sampling policy, resampling correction included.
+    """Exact marginals of the sampling policy, each mask head's law
+    conditioned on a non-empty mask.
 
     Enumerates every non-zero step-1 mask (so the unsupervised registry must
     stay small), then every k, then the step-3 marginals conditioned on each
@@ -81,7 +83,7 @@ def enumerate_policy(params: ControllerParams, clamp: Clamp = Clamp()) -> dict:
 
 
 def sup_mask_distribution(params: ControllerParams, unsup_mask, k_index: int) -> dict:
-    """Exact step-3 mask law for a fixed prefix (resampling correction included)."""
+    """Exact step-3 mask law for a fixed prefix, conditioned on a non-empty mask."""
     state = _traverse(params, Clamp(unsup_mask, k_index, (1,) * params.n_sup), None, None)
     return _nonzero_mask_distribution(state["probs"][2])
 
@@ -128,20 +130,18 @@ def finite_difference_check(forward_backward, tensors, h: float = 1e-5,
 
 
 def kernel_pool_backward(dpooled: np.ndarray, S: np.ndarray, q_counts: np.ndarray,
-                         c_counts: np.ndarray, mus, sigmas,
-                         negative_exponent: bool = True) -> np.ndarray:
+                         c_counts: np.ndarray, mus, sigmas) -> np.ndarray:
     """Gradient of ``nncore.kernel_pool_forward`` (same arguments) with
     respect to ``S``; the counts are data."""
     mus = np.asarray(mus, dtype=np.float64)
     sigmas = np.asarray(sigmas, dtype=np.float64)
-    sign = -1.0 if negative_exponent else 1.0
     dS = np.zeros_like(S)
     for h in range(len(mus)):
         diff = S - mus[h]
-        g = np.exp(sign * diff ** 2 / (2.0 * sigmas[h] ** 2))
+        g = np.exp(-diff ** 2 / (2.0 * sigmas[h] ** 2))
         dK = (q_counts.T @ dpooled[h]) / (g @ c_counts.T + _EPS_LOG)
-        # dg_h/dS = g_h * sign * (S - mu_h) / sigma_h^2
-        dS += (dK @ c_counts) * g * (sign * diff) / sigmas[h] ** 2
+        # dg_h/dS = -g_h * (S - mu_h) / sigma_h^2
+        dS -= (dK @ c_counts) * g * diff / sigmas[h] ** 2
     return dS
 
 

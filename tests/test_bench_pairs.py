@@ -2,6 +2,7 @@ import importlib.util
 import json
 import os
 import signal
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -111,7 +112,6 @@ def test_seed_ranges_are_inclusive(bench_pairs):
 
 
 def test_sigterm_deletes_the_copies(bench_pairs, tmp_path, monkeypatch):
-    (tmp_path / "BENCHMARK.json").write_text(json.dumps({"end_to_end": DECLARED}))
     monkeypatch.chdir(tmp_path)
     extracted = []
 
@@ -129,6 +129,35 @@ def test_sigterm_deletes_the_copies(bench_pairs, tmp_path, monkeypatch):
     assert len(extracted) == 1
     assert not list(tmp_path.glob("bench_pairs_*"))
     assert signal.getsignal(signal.SIGTERM) == handler  # restored
+
+
+def test_runs_from_any_directory(bench_pairs, tmp_path, monkeypatch):
+    """Started outside the repository, the script reads the repository's
+    ``BENCHMARK.json`` and archives from the repository."""
+    monkeypatch.chdir(tmp_path)  # holds no BENCHMARK.json and no repository
+    declared = json.loads((_SCRIPT.parents[1] / "BENCHMARK.json").read_text())["end_to_end"]
+    commands = []
+
+    def recorded_run(command, **kwargs):
+        commands.append(command)
+        return subprocess.CompletedProcess(command, 0, stdout=b"")
+
+    def bench(copy, workload, seed, seconds):
+        metrics = {m["name"]: 1.0 for m in declared}
+        raw = {"search_s": 1.0, "search_host_speeds": [1.0], "score_host_speeds": [1.0]}
+        return metrics, raw
+
+    monkeypatch.setattr(bench_pairs.subprocess, "run", recorded_run)
+    monkeypatch.setattr(bench_pairs, "run_bench", bench)
+    monkeypatch.setattr(bench_pairs, "same_bits", lambda a, b, workload: [])
+    out = tmp_path / "pairs.json"
+    assert bench_pairs.main(["HEAD", "HEAD~1", "--workload", "search-warm", "--seeds", "1",
+                             "--work", str(tmp_path), "--out", str(out)]) == 0
+    summary = json.loads(out.read_text())["summary"]
+    assert [line.partition(":")[0] for line in summary[:-1]] == [m["name"] for m in declared]
+    archives = [c for c in commands if c[0] == "git"]
+    assert archives == [["git", "-C", str(_SCRIPT.parents[1]), "archive", "--format=tar", rev]
+                        for rev in ("HEAD", "HEAD~1")]
 
 
 # perfbench's standard error on an untraced run, as it prints it

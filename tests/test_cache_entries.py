@@ -16,6 +16,7 @@ from weakrank.config import ExperimentConfig
 from weakrank.corpus import Corpus, save_annotations_tsv, split_annotations
 from weakrank.embeddings import EmbeddingTable
 from weakrank.ioutil import CONTAINER_MAGIC, load_arrays
+from weakrank.nncore import default_kernel_bank
 from weakrank.synthetic import generate_synthetic
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -101,7 +102,7 @@ def test_cached_features_equal_computed_ones_bitwise(clean):
     (spec,) = [s for s in config.sup_registry if s.kind == "interaction"]
     hp = spec.hyperparameters()
     computed = trainer.backbone_from_table(corpus, table, None, config).phi_features(
-        hp["mus"], hp["sigmas"], hp["negative_exponent"])
+        hp["mus"], hp["sigmas"])
     cached = load_arrays(_entry(clean, "phi"))[0]["phi"]
     assert cached.dtype == computed.dtype and cached.shape == computed.shape
     assert cached.tobytes() == computed.tobytes()
@@ -110,7 +111,7 @@ def test_cached_features_equal_computed_ones_bitwise(clean):
 @pytest.mark.parametrize("change", [
     {"hp.interaction.mus": "[1.0,0.5]", "hp.interaction.sigmas": "[0.001,0.1]"},
     {"hp.interaction.sigmas": "[0.001,0.2,0.2,0.2,0.2,0.2,0.2,0.2,0.2,0.2,0.2]"},
-    {"hp.interaction.negative_exponent": "false"},
+    {"hp.interaction.mus": "[1.0,0.9,0.7,0.5,0.3,0.1,-0.1,-0.3,-0.5,-0.7,-0.8]"},
     {"backbone_dim": "9"}, {"backbone_window": "4"}, {"backbone_neg": "4"},
     {"backbone_epochs": "2"}, {"backbone_lr": "0.04"}, {"pretrain_seed": "9"},
     {"corpus": "other.json"},
@@ -129,6 +130,14 @@ def test_each_input_of_the_features_is_in_their_key(tmp_path, change):
         return trainer._phi_entry(tmp_path, key, bank)
 
     assert entry([f"{k}={v}" for k, v in change.items()]) != entry([])
+
+
+def test_features_keep_their_entry_name():
+    """The name the default bank's features had while the kernels' sign was
+    a setting (true, the only value left), so existing caches still hit."""
+    bank = sup_rankers.kernel_bank(*default_kernel_bank())
+    key = {"corpus": "abc", "seed": 1, "hp": [32, 5]}
+    assert trainer._phi_entry("c", key, bank).name == "phi_0cb582087ca8858e.bin"
 
 
 def test_warm_search_and_score_read_the_features(copy, clean, compare_runs, monkeypatch):

@@ -144,12 +144,13 @@ class TestExperimentConfig:
         with pytest.raises(ValueError, match="unknown unsupervised model"):
             config.build_unsup_registry()
 
-    def test_kernel_exponent_flag_reaches_interaction_spec(self):
+    def test_kernel_bank_reaches_interaction_spec(self):
         config = ExperimentConfig()
-        config.set_key("hp.interaction.negative_exponent", "false")
+        config.set_key("hp.interaction.mus", "[1.0, 0.5]")
+        config.set_key("hp.interaction.sigmas", "[0.001, 0.1]")
         registry = config.build_sup_registry()
         inter = registry[registry.names.index("interaction")]
-        assert inter.params["negative_exponent"] is False
+        assert inter.params == {"mus": [1.0, 0.5], "sigmas": [0.001, 0.1]}
 
     def test_to_run_config(self):
         config = ExperimentConfig()

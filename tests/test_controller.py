@@ -1,14 +1,22 @@
+import itertools
+
 import numpy as np
 import pytest
 
 from defaults import SETTINGS
-from oracles import enumerate_policy, finite_difference_check, sup_mask_distribution
+from oracles import (
+    _nonzero_mask_distribution,
+    enumerate_policy,
+    finite_difference_check,
+    sup_mask_distribution,
+)
 from weakrank.controller import (
     BaselineState,
     Clamp,
     Configuration,
     ControllerParams,
     EpisodeLog,
+    _traverse,
     action_log_prob,
     greedy_decode,
     reinforce_update,
@@ -217,7 +225,7 @@ class TestReinforce:
         for bits in range(4):
             mask = (bits & 1, (bits >> 1) & 1)
             if sum(mask) == 0:
-                continue  # never evaluated: resampled away, reward 0
+                continue  # the empty mask is never drawn
             cfg = Configuration((1,), 0, mask, 10)
             zero_grads(tensors)
             lp, _ = action_log_prob(params, cfg, grad_scale=1.0)
@@ -237,6 +245,55 @@ class TestReinforce:
 
         inner = sum(float((a * b).sum()) for a, b in zip(exact, est))
         assert inner > 0.0
+
+
+def _every_configuration(params, k_values):
+    """Every configuration the policy can draw: each non-empty mask per mask
+    head, each k."""
+    def masks(n):
+        return [m for m in itertools.product((0, 1), repeat=n) if any(m)]
+
+    return [Configuration(u, t, s, k_values[t])
+            for u in masks(params.n_unsup) for t in range(params.n_k)
+            for s in masks(params.n_sup)]
+
+
+class TestExactLaw:
+    """On a menu small enough to enumerate, log pi is the log of a
+    probability law over every configuration, and its REINFORCE estimator
+    is the gradient of the expected reward."""
+
+    K = (5, 9)
+
+    def test_probabilities_sum_to_one(self):
+        params = ControllerParams(3, 2, 2, hidden=6, seed=4)
+        total = sum(np.exp(action_log_prob(params, cfg)[0])
+                    for cfg in _every_configuration(params, self.K))
+        assert total == pytest.approx(1.0, abs=1e-12)
+
+    def test_score_function_has_mean_zero_and_gives_the_reward_gradient(self):
+        params = ControllerParams(2, 2, 2, hidden=2, seed=5)
+        tensors = params.tensors()
+        configs = _every_configuration(params, self.K)
+        rewards = np.random.default_rng(0).random(len(configs))
+
+        zero_grads(tensors)
+        for cfg in configs:
+            pi = np.exp(action_log_prob(params, cfg)[0])
+            action_log_prob(params, cfg, grad_scale=pi)
+        assert np.abs(tensors.grads).max() < 1e-12  # sum of pi * grad log pi
+
+        def expected_reward():
+            """sum of pi * R, leaving sum of pi * R * grad log pi in the grads."""
+            zero_grads(tensors)
+            total = 0.0
+            for cfg, r in zip(configs, rewards):
+                pi = np.exp(action_log_prob(params, cfg)[0])
+                action_log_prob(params, cfg, grad_scale=pi * r)
+                total += pi * r
+            return total
+
+        assert finite_difference_check(expected_reward, tensors) < 1e-4
 
 
 class TestFrequencyConsistency:
@@ -259,6 +316,38 @@ class TestFrequencyConsistency:
                 assert tv < 0.02
         tv_k = 0.5 * np.abs(f_k / n - marginals["k"]).sum()
         assert tv_k < 0.02
+
+    @pytest.mark.parametrize("head", [0, 2], ids=["unsupervised", "supervised"])
+    def test_masks_follow_the_nonempty_law_when_empty_is_likely(self, head):
+        """Each choice selected with p of 0.001-0.004, so P(empty) >= 0.99: 3,000
+        draws of one mask head, binned as each one-choice mask and every
+        larger mask pooled, against the enumerated law (chi-squared with 3
+        degrees of freedom below its 0.999 quantile, 16.27)."""
+        params = ControllerParams(3, 2, 3, hidden=8, seed=3)
+        for W, b in ((params.f_W, params.f_b), (params.q_W, params.q_b)):
+            W.value *= 1000.0
+            b.value[:] = (3.0, -3.0)
+        field = "unsup_mask" if head == 0 else "sup_mask"
+        clamp = Clamp(sup_mask=(1, 1, 1)) if head == 0 else Clamp((1, 0, 1), 1)
+        probs = _traverse(params, Clamp((1, 0, 1), 1, (1, 1, 1)), None, None)["probs"][head]
+        assert np.prod(probs[:, 0]) >= 0.99
+        law = _nonzero_mask_distribution(probs)
+
+        def bin_of(mask):
+            return mask.index(1) if sum(mask) == 1 else 3
+
+        expected = np.zeros(4)
+        for mask, p in law.items():
+            expected[bin_of(mask)] += p
+        n = 3000
+        expected *= n
+        assert expected.min() >= 5
+        observed = np.zeros(4)
+        rng = np.random.default_rng(17)
+        for _ in range(n):
+            cfg, _ = sample_configuration(params, rng, (1, 2), clamp=clamp)
+            observed[bin_of(getattr(cfg, field))] += 1
+        assert ((observed - expected) ** 2 / expected).sum() < 16.27
 
 
 def test_episode_log_serialization():

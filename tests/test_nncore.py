@@ -310,16 +310,16 @@ class TestCosine:
         assert finite_difference_check(fb, group) < 1e-4
 
 
-def _pool(S, mus, sigmas, negative_exponent=True):
+def _pool(S, mus, sigmas):
     """One query holding each row word once against one candidate holding
     each column word once: pooled[h] = sum over rows of log(K_h(row) + eps)."""
     S = np.atleast_2d(np.asarray(S, dtype=np.float64))
     pooled = kernel_pool_forward(S, np.ones((1, S.shape[0])), np.ones((1, S.shape[1])),
-                                 mus, sigmas, negative_exponent)
+                                 mus, sigmas)
     return pooled[:, 0, 0]
 
 
-def _kernel_fd(rng, negative_exponent, sigmas):
+def _kernel_fd(rng, sigmas):
     """Finite-difference error of the test-side kernel gradient w.r.t. the
     cosines against the production forward, with random integer counts (some
     words repeated, some absent)."""
@@ -332,16 +332,15 @@ def _kernel_fd(rng, negative_exponent, sigmas):
 
     def fb():
         zero_grads(group)
-        pooled = kernel_pool_forward(S.value, q_counts, c_counts, mus, sigmas, negative_exponent)
-        S.grad += kernel_pool_backward(probe, S.value, q_counts, c_counts, mus, sigmas,
-                                       negative_exponent)
+        pooled = kernel_pool_forward(S.value, q_counts, c_counts, mus, sigmas)
+        S.grad += kernel_pool_backward(probe, S.value, q_counts, c_counts, mus, sigmas)
         return float((probe * pooled).sum())
 
     return finite_difference_check(fb, group)
 
 
-# sigmas for each exponent sign: the positive one grows as exp(4 / (2 sigma^2))
-KERNEL_SIGMAS = {True: (0.1, 0.2, 0.3), False: (0.5, 0.6, 0.7)}
+# narrow and wide kernels
+KERNEL_SIGMAS = ((0.1, 0.2, 0.3), (0.5, 0.6, 0.7))
 
 
 class TestKernelPool:
@@ -352,12 +351,6 @@ class TestKernelPool:
     def test_far_tail_vanishes(self):
         pooled = _pool(np.array([0.0]), np.array([0.9]), np.array([0.1]))
         assert pooled[0] < np.log(1e-7)
-
-    def test_positive_exponent_variant_diverges(self):
-        pooled_neg = _pool(np.array([0.0]), np.array([0.9]), np.array([0.1]))
-        pooled_pos = _pool(np.array([0.0]), np.array([0.9]), np.array([0.1]),
-                           negative_exponent=False)
-        assert pooled_pos[0] > 0.0 > pooled_neg[0]
 
     def test_rejects_non_positive_sigma(self):
         with pytest.raises(ValueError, match="positive"):
@@ -370,8 +363,8 @@ class TestKernelPool:
 
     def test_gradient_vs_finite_differences(self):
         rng = np.random.default_rng(5)
-        for negative_exponent, sigmas in KERNEL_SIGMAS.items():
-            assert _kernel_fd(rng, negative_exponent, sigmas) < 1e-4
+        for sigmas in KERNEL_SIGMAS:
+            assert _kernel_fd(rng, sigmas) < 1e-4
 
 
 class TestLstm:
@@ -580,5 +573,5 @@ class TestFiniteDifferenceHarness:
 
             assert finite_difference_check(fb_cos, cos_group) < 1e-4
 
-            for negative_exponent, sigmas in KERNEL_SIGMAS.items():
-                assert _kernel_fd(rng, negative_exponent, sigmas) < 1e-4
+            for sigmas in KERNEL_SIGMAS:
+                assert _kernel_fd(rng, sigmas) < 1e-4

@@ -67,9 +67,6 @@ def _run_config(*settings):
     (["hp.graph-walk.lr=Infinity"], "for 'lr', not inf"),
     (["hp.graph-walk.dim=32.5"], "takes an integer >= 1 for 'dim', not 32.5"),
     (["hp.graph-walk.dim=true"], "takes an integer >= 1 for 'dim', not True"),
-    (["hp.interaction.negative_exponent=1"],
-     "hp.interaction.negative_exponent: model 'interaction' takes true or false for "
-     "'negative_exponent', not 1"),
     (["hp.interaction.mus=[0.5, NaN]"], "for 'mus', not [0.5, nan]"),
     (["hp.representation.lr=NaN"],
      "hp.representation.lr: model 'representation' takes a finite number > 0 for 'lr', "
@@ -95,7 +92,7 @@ def _run_config(*settings):
                      ">= 1, not ()"),
 ], ids=["misspelt", "bm25-k", "text-seed", "ranker-misspelt", "no-such-model",
         "external-key", "external-kind", "string-for-int", "nan", "inf", "float-for-int",
-        "bool-for-int", "int-for-bool", "nan-in-list", "ranker-lr-nan", "zero-dim",
+        "bool-for-int", "nan-in-list", "ranker-lr-nan", "zero-dim",
         "short-mus", "short-sigmas", "zero-sigma", "negative-epochs", "zero-q", "zero-hidden",
         "b-above-1", "zero-episodes", "unknown-optimizer", "negative-query-len",
         "empty-k-values"])
@@ -125,9 +122,9 @@ def test_unknown_graph_hyperparameter_is_refused_before_pretraining():
 @pytest.mark.parametrize("settings", [
     ["hp.graph-walk.lr=1"], ["hp.bm25.k1=2", "hp.bm25.b=0.5"],
     ["hp.interaction.mus=[0.5, -0.5]", "hp.interaction.sigmas=[0.1, 0.2]"],
-    ["hp.interaction.negative_exponent=false"], ["hp.representation.lr=0.01"],
+    ["hp.representation.lr=0.01"],
     ["hp.graph-walk.walk_len=60", "unsup_models=bm25"],
-], ids=["int-for-float", "bm25", "kernel-bank", "bool", "ranker-lr", "model-off-the-menu"])
+], ids=["int-for-float", "bm25", "kernel-bank", "ranker-lr", "model-off-the-menu"])
 def test_declared_hyperparameters_are_accepted(settings):
     _run_config(*settings)
 
@@ -145,14 +142,6 @@ def test_ranker_lr_follows_sup_lr_unless_given():
     run = _run_config("sup_lr=0.02", "hp.interaction.lr=0.1")
     lrs = {spec.name: spec.hyperparameters(run)["lr"] for spec in run.sup_registry}
     assert lrs == {"representation": 0.02, "interaction": 0.1, "graph-aggregation": 0.02}
-
-
-def test_interaction_negative_exponent_follows_the_setting():
-    run = _run_config("hp.interaction.negative_exponent=false")
-    inter = run.sup_registry[run.sup_registry.names.index("interaction")]
-    assert inter.params == {"negative_exponent": False}
-    assert inter.hyperparameters()["negative_exponent"] is False
-    assert SupModelSpec("i", "interaction").hyperparameters()["negative_exponent"] is True
 
 
 def test_resolving_defaults_leaves_params_as_given():

@@ -166,8 +166,8 @@ class TestInteraction:
                                **GRAPH_SAMPLE)
         mus = np.array([0.9, 0.5, -0.5])
         sigmas = np.array([0.1, 0.2, 0.3])
-        assert np.allclose(base.phi_features(mus, sigmas, True),
-                           other.phi_features(mus, sigmas, True))
+        assert np.allclose(base.phi_features(mus, sigmas),
+                           other.phi_features(mus, sigmas))
 
     def test_reference_scorer_matches_cached_features(self, mirror_backbone):
         model = InteractionRanker(mirror_backbone, _spec("interaction"), seed=4)
@@ -189,7 +189,7 @@ class TestInteraction:
                                   center=False, **GRAPH_SAMPLE)
         mus = np.array([0.9, 0.0, -0.9])
         sigmas = np.array([0.1, 0.1, 0.1])
-        got = backbone.phi_features(mus, sigmas, True)
+        got = backbone.phi_features(mus, sigmas)
         assert np.isfinite(got).all()
         assert np.max(np.abs(got - _phi_reference(backbone, mus, sigmas))) <= 1e-9
 
@@ -624,9 +624,8 @@ class TestEnsemble:
         assert peak < limit, f"traced peak {peak} B, one score array is {limit} B"
 
 
-def _phi_reference(backbone, mus, sigmas, negative_exponent=True):
+def _phi_reference(backbone, mus, sigmas):
     """Per-query kernel pooling over every token pair, repeated words included."""
-    sign = -1.0 if negative_exponent else 1.0
     corpus, table = backbone.corpus, backbone.table
 
     def hats(doc):
@@ -641,7 +640,7 @@ def _phi_reference(backbone, mus, sigmas, negative_exponent=True):
         for j, c_hat in enumerate(c_hats):
             S = q_hat @ c_hat.T
             for h in range(len(mus)):
-                g = np.exp(sign * (S - mus[h]) ** 2 / (2.0 * sigmas[h] ** 2))
+                g = np.exp(-(S - mus[h]) ** 2 / (2.0 * sigmas[h] ** 2))
                 phi[i, j, h] = np.log(g.sum(axis=1) + 1e-10).sum()
     return phi
 
@@ -663,25 +662,24 @@ class TestMatrixScoring:
         return RankerBackbone(corpus, table, graph=build_graph(corpus), graph_sample_size=2,
                               graph_seed=1)
 
-    @pytest.mark.parametrize("negative_exponent", [True, False])
+    @pytest.mark.parametrize("narrow", [True, False])
     @pytest.mark.parametrize("block", [sup_rankers.PHI_BLOCK, 7])
     def test_vocabulary_phi_matches_per_query_loop(self, repeat_backbone, planted_setup,
-                                                   negative_exponent, block, monkeypatch):
+                                                   narrow, block, monkeypatch):
         monkeypatch.setattr(sup_rankers, "PHI_BLOCK", block)  # 7: a few query words a block
         mus = np.array([1.0, 0.9, 0.5, 0.0, -0.5])
-        sigmas = np.array([1e-3, 0.1, 0.3, 0.5, 0.6]) if negative_exponent else \
-            np.array([0.5, 0.6, 0.7, 0.8, 0.9])
+        sigmas = np.array([1e-3, 0.1, 0.3, 0.5, 0.6] if narrow else [0.5, 0.6, 0.7, 0.8, 0.9])
         for backbone in (repeat_backbone, planted_setup[0]):
             got = RankerBackbone(backbone.corpus, backbone.raw_table, **GRAPH_SAMPLE).phi_features(
-                mus, sigmas, negative_exponent)
-            ref = _phi_reference(backbone, mus, sigmas, negative_exponent)
+                mus, sigmas)
+            ref = _phi_reference(backbone, mus, sigmas)
             assert got.shape == ref.shape
             assert np.max(np.abs(got - ref)) <= 1e-9
 
     def test_phi_repeat_call_returns_cached_array(self, repeat_backbone):
         mus, sigmas = np.array([0.5]), np.array([0.2])
-        first = repeat_backbone.phi_features(mus, sigmas, True)
-        assert repeat_backbone.phi_features(mus, sigmas, True) is first
+        first = repeat_backbone.phi_features(mus, sigmas)
+        assert repeat_backbone.phi_features(mus, sigmas) is first
 
     @pytest.mark.parametrize("kind,hp", [
         ("representation", {"hidden": 8}),
