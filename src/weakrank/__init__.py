@@ -22,7 +22,7 @@ from .controller import (
 from .corpus import AnnotationSet, Corpus, Document, build_corpus, split_annotations, tokenize
 from .graph import HetGraph, build_graph
 from .metrics import EvalLists, build_eval_lists, mrr
-from .pseudo_labels import aggregate, normalize_per_query, sample_training_pairs, top_k_labels
+from .pseudo_labels import aggregate, sample_training_pairs, top_k_labels
 from .registry import (
     SupModelRegistry,
     SupModelSpec,
@@ -60,7 +60,6 @@ __all__ = [
     "generate_synthetic",
     "joint_train",
     "mrr",
-    "normalize_per_query",
     "pretrain_all",
     "reinforce_update",
     "sample_configuration",

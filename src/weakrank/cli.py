@@ -31,10 +31,10 @@ from .controller import Configuration
 from .embeddings import EmbeddingTable
 from .graph import build_graph
 from .ioutil import atomic_write, canonical_json, read_json, stable_hash, write_json
-from .metrics import ENSEMBLE_BLOCK, all_metrics, build_eval_lists, score_lists_with_matrix
+from .metrics import all_metrics, build_eval_lists, score_lists_with_matrix
 from .registry import needs_graph
-from .scores import ScoreMatrix
-from .sup_rankers import ensemble_scores, load_checkpoint
+from .scores import ScoreMatrix, ensemble_scores
+from .sup_rankers import load_checkpoint
 from .synthetic import generate_synthetic
 from .trainer import (
     backbone_from_table,
@@ -253,17 +253,13 @@ def cmd_score(args) -> int:
     config_hash = stable_hash(run_config.signature())
     models = [load_checkpoint(run_dir / "checkpoints" / f"{spec.name}.ckpt", backbone,
                               config_hash=config_hash) for spec in specs]
-    matrices = [m.score_matrix() for m in models]
+    values = ensemble_scores([m.score_matrix() for m in models], normalize=True)
     query_ids, candidate_ids = corpus.query_ids, corpus.candidate_ids
-    cols = np.arange(len(candidate_ids))[None, :]
     out = Path(args.out)
     with atomic_write(out) as fh:
-        for start in range(0, len(query_ids), ENSEMBLE_BLOCK):
-            qids = query_ids[start:start + ENSEMBLE_BLOCK]
-            block = ensemble_scores(matrices, np.arange(start, start + len(qids)), cols)
-            for qid, scores in zip(qids, block):
-                fh.write("".join(f"{qid}\t{cid}\t{s!r}\n"
-                                 for cid, s in zip(candidate_ids, scores.tolist())))
+        for qid, scores in zip(query_ids, values):
+            fh.write("".join(f"{qid}\t{cid}\t{s!r}\n"
+                             for cid, s in zip(candidate_ids, scores.tolist())))
     print(f"wrote {out} ({len(query_ids) * len(candidate_ids)} pairs "
           f"from {len(models)} models)")
     return 0

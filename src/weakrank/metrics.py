@@ -1,13 +1,14 @@
 """Ranking metrics under the 1-positive-plus-sampled-negatives protocol.
 
-Every evaluation ranks its lists in blocks: ``rank_lists`` gathers the
-scores of at most ``ENSEMBLE_BLOCK`` lists at a time, from one score matrix
-(``score_lists_with_matrix``) or from an ensemble's member matrices
-(``sup_rankers.score_lists_with_ensemble``), ranks each block's positives
-and keeps only the (n,) integer ranks, which ``mrr`` and ``all_metrics``
-read. No (lists x candidates) score array is built, so an evaluation holds
-one block of scores, not one per list: 256 x 50 float64 entries (100 KB)
-where 2,560 lists held 1 MB.
+Every evaluation ranks its lists from one (queries x candidates) score
+array: a scorer's matrix (``score_lists_with_matrix``) or the rankers'
+ensemble, ``scores.ensemble_scores`` of their matrices
+(``sup_rankers.score_lists_with_ensemble``), the matrix ``weakrank score``
+serves. ``rank_lists`` gathers the scores of at most ``ENSEMBLE_BLOCK`` lists
+at a time, ranks each block's positives and keeps only the (n,) integer
+ranks, which ``mrr`` and ``all_metrics`` read. No (lists x candidates) score
+array is built, so an evaluation holds one block of scores, not one per
+list: 256 x 50 float64 entries (100 KB) where 2,560 lists held 1 MB.
 """
 
 from __future__ import annotations
@@ -143,16 +144,15 @@ def ranks_of_positives(lists: EvalLists, scores, block: slice = slice(None)) -> 
     return ranks
 
 
-def rank_lists(lists: EvalLists, block_scores) -> np.ndarray:
-    """``ranks_of_positives`` of every list, from the scores of at most
-    ``ENSEMBLE_BLOCK`` lists at a time: ``block_scores(rows, cols)`` returns
-    the (b, 1 + negatives) scores of the b lists whose query rows and
-    candidate columns it is given. Only the (n,) ranks are kept."""
+def rank_lists(lists: EvalLists, values: np.ndarray) -> np.ndarray:
+    """``ranks_of_positives`` of every list under the (queries x candidates)
+    scores ``values``, gathered for at most ``ENSEMBLE_BLOCK`` lists at a
+    time. Only the (n,) ranks are kept."""
     ranks = np.empty(len(lists), dtype=np.int64)
     for start in range(0, len(lists), ENSEMBLE_BLOCK):
         block = slice(start, start + ENSEMBLE_BLOCK)
         ranks[block] = ranks_of_positives(
-            lists, block_scores(lists.rows[block], lists.cols[block]), block)
+            lists, values[lists.rows[block, None], lists.cols[block]], block)
     return ranks
 
 
@@ -179,5 +179,4 @@ def score_lists_with_matrix(lists: EvalLists, matrix: ScoreMatrix) -> np.ndarray
     if (matrix.query_ids, matrix.candidate_ids) != (lists.query_ids, lists.candidate_ids):
         raise ValueError(f"score matrix {matrix.model_name!r} is not in the eval lists' "
                          "corpus order")
-    values = matrix.values
-    return rank_lists(lists, lambda rows, cols: values[rows[:, None], cols])
+    return rank_lists(lists, matrix.values)

@@ -1,22 +1,17 @@
-"""Aggregate unsupervised score matrices into top-k pseudo labels."""
+"""Aggregate unsupervised score matrices into top-k pseudo labels; the
+aggregate is ``scores.ensemble_scores``, the combine of the rankers too."""
 
 from __future__ import annotations
 
 import numpy as np
 
-from .scores import ScoreMatrix, min_max_rows
-
-
-def normalize_per_query(m: ScoreMatrix) -> ScoreMatrix:
-    """Min-max scale each query row to [0, 1]; constant rows become all 0.5."""
-    return ScoreMatrix(m.model_name, m.query_ids, m.candidate_ids, min_max_rows(m.values))
+from .scores import ScoreMatrix, ensemble_scores
 
 
 def aggregate(matrices: list[ScoreMatrix], mask, normalize: bool) -> ScoreMatrix:
-    """Entrywise mean of the selected matrices (normalized per query first,
-    unless raw mode is requested). The matrices are added in place, in
-    mask order, then divided by their count: bitwise ``np.mean`` over the
-    stacked matrices, without the (selected, queries, candidates) stack."""
+    """``ensemble_scores`` of the selected matrices, in mask order: their
+    entrywise mean, each query row min-max scaled first unless raw mode is
+    requested."""
     mask = np.asarray(mask)
     if len(mask) != len(matrices):
         raise ValueError(f"mask length {len(mask)} != {len(matrices)} matrices")
@@ -27,12 +22,8 @@ def aggregate(matrices: list[ScoreMatrix], mask, normalize: bool) -> ScoreMatrix
     for m in selected[1:]:
         if m.query_ids != ref.query_ids or m.candidate_ids != ref.candidate_ids:
             raise ValueError(f"matrix {m.model_name!r} has mismatched query/candidate ids")
-    parts = (normalize_per_query(m).values if normalize else m.values for m in selected)
-    values = np.array(next(parts))  # a copy, which the sum is built in
-    for part in parts:
-        values += part
-    values /= len(selected)
-    return ScoreMatrix("aggregate", ref.query_ids, ref.candidate_ids, values)
+    return ScoreMatrix("aggregate", ref.query_ids, ref.candidate_ids,
+                       ensemble_scores([m.values for m in selected], normalize))
 
 
 def _check_k(k: int, n_cand: int) -> None:

@@ -1,4 +1,6 @@
-"""Dense per-model relevance score matrices and their on-disk forms."""
+"""Dense per-model relevance score matrices, their on-disk forms, and
+``ensemble_scores``, the one combine: of the scorers' aggregate, of the
+rankers' ensemble every evaluation ranks, and of the TSV ``score`` serves."""
 
 from __future__ import annotations
 
@@ -18,6 +20,23 @@ def min_max_rows(values: np.ndarray) -> np.ndarray:
     scaled = (values - lo) / np.where(span == 0.0, 1.0, span)
     scaled[span[:, 0] == 0.0] = 0.5
     return scaled
+
+
+def ensemble_scores(matrices, normalize: bool) -> np.ndarray:
+    """Entrywise mean of (queries x candidates) score matrices, each row
+    first min-max scaled over all candidates (``min_max_rows``) unless
+    ``normalize`` is off; a member constant on a row contributes 0.5 there.
+    The members are added in place, in order, then divided by their count:
+    bitwise ``np.mean`` over the stacked matrices, without the stack, and
+    always a new array."""
+    if not matrices:
+        raise ValueError("ensemble needs at least one model")
+    scale = min_max_rows if normalize else np.array  # each a new array
+    total = scale(matrices[0])
+    for m in matrices[1:]:
+        total += min_max_rows(m) if normalize else m
+    total /= len(matrices)
+    return total
 
 
 @dataclass

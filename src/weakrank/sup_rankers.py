@@ -11,11 +11,13 @@ rankers turn their outputs into scores through ``embeddings.cosine_matrix``,
 the op the embedding scorers score through.
 
 Rankers score whole matrices: ``score_matrix()`` returns every (query,
-candidate) score in one batched pass. Everything that scores a trained
-ranker (validation rewards, the final retrain's early stopping, the test
-metrics and ``weakrank score``) gathers columns from those matrices and
-combines them with ``ensemble_scores``. Each model's parameters form one
-``ParamGroup``, so a training step zeroes and updates flat buffers.
+candidate) score in one batched pass. An ensemble is one matrix,
+``scores.ensemble_scores`` of its members': the mean of their rows, each
+min-max scaled over all candidates. Everything that scores trained rankers
+(validation rewards, the final retrain's early stopping, the test metrics
+and ``weakrank score``) ranks or serves that matrix. Each model's
+parameters form one ``ParamGroup``, so a training step zeroes and updates
+flat buffers.
 
 Training runs on integer batches: ``train_supervised`` takes (query row,
 positive column, negative column) triples in corpus positions and hands
@@ -51,7 +53,7 @@ from .nncore import (
     zero_grads,
 )
 from .registry import SupModelSpec
-from .scores import min_max_rows
+from .scores import ensemble_scores
 from .sageops import (
     build_neighbor_matrix,
     create_layers,
@@ -410,37 +412,18 @@ def train_supervised(
     return curve
 
 
-def ensemble_scores(matrices, rows, cols) -> np.ndarray:
-    """Mean of member scores, each min-max scaled over its row's candidates.
-
-    ``matrices`` are the members' (queries x candidates) score matrices.
-    Entry (i, j) of the result combines column ``cols[i, j]`` of query row
-    ``rows[i]``; ``cols`` may be a single row shared by every query. A member
-    constant on a row contributes 0.5 there.
-    """
-    if not matrices:
-        raise ValueError("ensemble needs at least one model")
-    rows = np.asarray(rows)[:, None]
-    total = 0.0
-    for S in matrices:
-        total = total + min_max_rows(S[rows, cols])
-    return total / len(matrices)
-
-
 def score_lists_with_ensemble(lists, models) -> np.ndarray:
-    """The rank of each eval list's positive under the models' ensemble.
-
-    Each member's score matrix is computed once; ``rank_lists`` gathers the
-    ensemble scores of one block of lists at a time and keeps only the
-    ranks. The lists must come from the models' corpus.
+    """The rank of each eval list's positive under the models' ensemble,
+    ``ensemble_scores`` of their score matrices, the matrix ``weakrank
+    score`` serves. The lists must come from the models' corpus.
     """
     if not models:
         raise ValueError("ensemble needs at least one model")
     corpus = models[0].backbone.corpus
     if (lists.query_ids, lists.candidate_ids) != (corpus.query_ids, corpus.candidate_ids):
         raise ValueError("eval lists were built from another corpus than the rankers'")
-    matrices = [m.score_matrix() for m in models]
-    return rank_lists(lists, lambda rows, cols: ensemble_scores(matrices, rows, cols))
+    return rank_lists(lists, ensemble_scores([m.score_matrix() for m in models],
+                                             normalize=True))
 
 
 def save_checkpoint(model, path, config_hash: str) -> None:

@@ -837,14 +837,15 @@ def joint_train(
     else:
         best_config = best_entry.config
 
-    # final retrain of the winning configuration at the larger budget
+    # final retrain of the winning configuration at the larger budget, under its
+    # episode's seed label: its first episode_sup_epochs epochs replay the episode's
     agg = aggregate(matrices, best_config.unsup_mask, normalize=config.normalize_scores)
 
     def eval_fn(model):
         return mrr(score_lists_with_ensemble(val_lists, [model]))
 
     final_models, = _train_selected_models(
-        [("final:" + _config_signature(best_config), best_config.sup_mask,
+        [(_config_signature(best_config), best_config.sup_mask,
           best_config.k_value, agg, False)],
         backbone, config, epochs=config.final_sup_epochs, eval_fn=eval_fn,
         patience=config.final_patience)

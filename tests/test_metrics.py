@@ -389,16 +389,22 @@ class TestBlockedRanks:
         assert mrr(blocked) == mrr(one_shot)
         assert all_metrics(blocked) == all_metrics(one_shot)
 
-    def test_blocks_hold_at_most_ensemble_block_lists(self):
+    def test_blocks_hold_at_most_ensemble_block_lists(self, monkeypatch):
+        """``rank_lists`` gathers its array's scores for at most
+        ``ENSEMBLE_BLOCK`` lists at a time."""
         lists, matrix = _tied_lists(2 * ENSEMBLE_BLOCK + 37)
         seen = []
 
-        def block_scores(rows, cols):
-            seen.append(len(rows))
-            return matrix.values[rows[:, None], cols]
+        def recording(lists, scores, block):
+            seen.append(scores.shape)
+            return ranks_of_positives(lists, scores, block)
 
-        rank_lists(lists, block_scores)
-        assert seen == [ENSEMBLE_BLOCK, ENSEMBLE_BLOCK, 37]
+        monkeypatch.setattr(metrics, "ranks_of_positives", recording)
+        ranks = rank_lists(lists, matrix.values)
+        width = lists.cols.shape[1]
+        assert seen == [(ENSEMBLE_BLOCK, width), (ENSEMBLE_BLOCK, width), (37, width)]
+        assert ranks.tobytes() == ranks_of_positives(
+            lists, matrix.values[lists.rows[:, None], lists.cols]).tobytes()
 
     def test_ranking_holds_no_list_by_candidate_score_array(self):
         """Ranking 2,560 lists of 50 candidates peaks below one float64 array

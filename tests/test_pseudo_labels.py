@@ -4,13 +4,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from defaults import SETTINGS
-from weakrank.pseudo_labels import (
-    aggregate,
-    normalize_per_query,
-    sample_training_pairs,
-    top_k_labels,
-)
-from weakrank.scores import ScoreMatrix
+from weakrank.pseudo_labels import aggregate, sample_training_pairs, top_k_labels
+from weakrank.scores import ScoreMatrix, min_max_rows
 
 
 def _matrix(values, name="m"):
@@ -32,20 +27,20 @@ def brute_force_top_k(matrix, k):
 
 
 class TestNormalize:
+    """``min_max_rows``, the scaling ``aggregate`` applies to each scorer."""
+
     def test_min_max(self):
-        m = normalize_per_query(_matrix([[2.0, 4.0, 6.0]]))
-        assert np.allclose(m.values, [[0.0, 0.5, 1.0]])
+        assert np.allclose(min_max_rows(np.array([[2.0, 4.0, 6.0]])), [[0.0, 0.5, 1.0]])
 
     def test_constant_row(self):
-        m = normalize_per_query(_matrix([[7.0, 7.0]]))
-        assert np.allclose(m.values, [[0.5, 0.5]])
+        assert np.allclose(min_max_rows(np.array([[7.0, 7.0]])), [[0.5, 0.5]])
 
     @given(st.lists(st.floats(-100, 100), min_size=2, max_size=8))
     def test_preserves_ranking(self, row):
         # monotone map: pairwise orderings never flip (equalities may appear
         # only through floating-point underflow of tiny gaps)
         row = np.asarray(row)
-        norm = normalize_per_query(_matrix([row])).values[0]
+        norm = min_max_rows(row[None, :])[0]
         for i in range(len(row)):
             for j in range(len(row)):
                 if row[i] < row[j]:
@@ -54,15 +49,15 @@ class TestNormalize:
                     assert norm[i] == norm[j]
 
     def test_output_in_unit_interval(self, rng):
-        m = normalize_per_query(_matrix(rng.normal(size=(5, 7)) * 100))
-        assert m.values.min() >= 0.0 and m.values.max() <= 1.0
+        scaled = min_max_rows(rng.normal(size=(5, 7)) * 100)
+        assert scaled.min() >= 0.0 and scaled.max() <= 1.0
 
 
 class TestAggregate:
     def test_single_matrix_is_normalized_self(self):
         raw = _matrix([[1.0, 3.0, 5.0]])
         agg = aggregate([raw], [1], normalize=True)
-        assert np.allclose(agg.values, normalize_per_query(raw).values)
+        assert np.allclose(agg.values, min_max_rows(raw.values))
 
     @pytest.mark.parametrize("normalize", [False, True])
     @pytest.mark.parametrize("n_selected", [1, 2, 7])
@@ -74,8 +69,9 @@ class TestAggregate:
         mats = [_matrix(rng.normal(size=(9, 31)) * 10.0 ** rng.integers(-3, 4), f"m{i}")
                 for i in range(n_selected + 2)]
         mask = [1] * n_selected + [0, 0]
-        selected = [normalize_per_query(m) if normalize else m for m in mats[:n_selected]]
-        expected = np.mean(np.stack([m.values for m in selected]), axis=0)
+        selected = [min_max_rows(m.values) if normalize else m.values
+                    for m in mats[:n_selected]]
+        expected = np.mean(np.stack(selected), axis=0)
         agg = aggregate(mats, mask, normalize=normalize)
         assert agg.values.tobytes() == expected.tobytes()
         assert not any(np.shares_memory(agg.values, m.values) for m in mats)

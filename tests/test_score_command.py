@@ -11,7 +11,9 @@ import weakrank.cli as cli
 import weakrank.trainer as trainer
 from weakrank.cli import main
 from weakrank.config import ExperimentConfig
-from weakrank.corpus import Corpus, save_annotations_tsv, split_annotations
+from weakrank.corpus import Corpus, load_annotations_tsv, save_annotations_tsv, split_annotations
+from weakrank.ioutil import derive_seed
+from weakrank.metrics import all_metrics, build_eval_lists, score_lists_with_matrix
 from weakrank.scores import ScoreMatrix
 from weakrank.synthetic import generate_synthetic
 
@@ -90,6 +92,28 @@ def test_serves_only_the_selected_rankers(tmp_path, monkeypatch, trained):
     assert set(trained) == {"representation"}
     served = _served(tmp_path, corpus)
     assert np.max(np.abs(served - _ensemble([trained["representation"]]))) <= 1e-12
+
+
+def test_serves_the_ensemble_the_search_scored(tmp_path, monkeypatch):
+    """Ranked at the run's validation and test lists, drawn with the seeds
+    ``joint_train`` draws them with, the TSV served for a pick of two
+    rankers gives exactly the metrics ``report.json`` records."""
+    corpus = _sandbox(tmp_path)
+    monkeypatch.chdir(tmp_path)
+    assert main(["ablate", "--config", "exp.cfg", "--mode", "fix-sup",
+                 "--fixed", "representation,interaction"]) == 0
+    run = tmp_path / "run"
+    assert json.loads((run / "best_config.json").read_text())["I3"] == [1, 1]
+    served = ScoreMatrix("served", corpus.query_ids, corpus.candidate_ids,
+                         _served(tmp_path, corpus))
+    report = json.loads((run / "report.json").read_text())
+    config = ExperimentConfig.from_file(run / "config.cfg").to_run_config()
+    for split, path, label in (("validation", "val.tsv", "val-lists"),
+                               ("test", "test.tsv", "test-lists")):
+        lists = build_eval_lists(load_annotations_tsv(tmp_path / path), corpus,
+                                 seed=derive_seed(config.effective_pretrain_seed, label),
+                                 n_negatives=config.eval_negatives)
+        assert all_metrics(score_lists_with_matrix(lists, served)) == report[split]
 
 
 def _edit(run, key, value, rehash=False):

@@ -13,7 +13,14 @@ from weakrank.corpus import build_corpus
 from weakrank.embeddings import train_text_embeddings
 from weakrank.graph import build_graph
 from weakrank.ioutil import load_arrays, save_arrays
-from weakrank.metrics import ENSEMBLE_BLOCK, EvalLists, build_eval_lists, mrr, ranks_of_positives
+from weakrank.metrics import (
+    ENSEMBLE_BLOCK,
+    EvalLists,
+    build_eval_lists,
+    mrr,
+    ranks_of_positives,
+    score_lists_with_matrix,
+)
 from weakrank.nncore import (
     OptimizerState,
     cosine_rows_backward,
@@ -27,6 +34,7 @@ from weakrank.nncore import (
 from weakrank.pseudo_labels import aggregate, sample_training_pairs, top_k_labels
 from weakrank.registry import SupModelSpec
 from weakrank.sageops import MIN_ROWS
+from weakrank.scores import ScoreMatrix, ensemble_scores
 from weakrank.sup_rankers import (
     GraphAggregationRanker,
     InteractionRanker,
@@ -34,7 +42,6 @@ from weakrank.sup_rankers import (
     RepresentationRanker,
     _pairwise_loss_grads,
     create_sup_model,
-    ensemble_scores,
     load_checkpoint,
     save_checkpoint,
     score_lists_with_ensemble,
@@ -519,37 +526,30 @@ class TestIndexBatches:
         assert finite_difference_check(fb, params) < 1e-4
 
 
-def _index(backbone, qid, cands):
-    """Ensemble index arrays for one query's candidate list."""
-    corpus = backbone.corpus
-    return [corpus.query_row[qid]], [[corpus.candidate_column[c] for c in cands]]
-
-
 class TestEnsemble:
     def test_single_model_preserves_ranking(self, mirror_backbone):
-        model = RepresentationRanker(mirror_backbone, _spec("representation"), seed=0)
-        cands = ["c1", "c2", "c3"]
-        raw = model.score_pairs("q1", cands)
-        ens = ensemble_scores([model.score_matrix()], *_index(mirror_backbone, "q1", cands))[0]
-        assert np.array_equal(np.argsort(raw), np.argsort(ens))
+        raw = RepresentationRanker(mirror_backbone, _spec("representation"),
+                                   seed=0).score_matrix()
+        ens = ensemble_scores([raw], normalize=True)
+        for raw_row, ens_row in zip(raw, ens):
+            assert np.array_equal(np.argsort(raw_row), np.argsort(ens_row))
 
     def test_identical_members_identical_ranking(self, mirror_backbone):
         m1 = RepresentationRanker(mirror_backbone, _spec("representation"), seed=7)
         m2 = RepresentationRanker(mirror_backbone, _spec("representation"), seed=7)
-        index = _index(mirror_backbone, "q1", ["c1", "c2", "c3"])
-        single = ensemble_scores([m1.score_matrix()], *index)
-        double = ensemble_scores([m1.score_matrix(), m2.score_matrix()], *index)
+        single = ensemble_scores([m1.score_matrix()], normalize=True)
+        double = ensemble_scores([m1.score_matrix(), m2.score_matrix()], normalize=True)
         assert np.allclose(single, double)
 
     def test_constant_member_contributes_half(self):
         flat = np.zeros((1, 3))
         rising = np.arange(3, dtype=float)[None, :]
-        ens = ensemble_scores([flat, rising], [0], [[0, 1, 2]])[0]
+        ens = ensemble_scores([flat, rising], normalize=True)[0]
         assert np.allclose(ens, (0.5 + np.array([0.0, 0.5, 1.0])) / 2)
 
     def test_empty_selection_rejected(self):
         with pytest.raises(ValueError, match="at least one"):
-            ensemble_scores([], [0], [[0]])
+            ensemble_scores([], normalize=True)
 
     def test_lists_from_another_corpus_rejected(self, mirror_backbone, planted_setup):
         _, _, lists = planted_setup
@@ -557,7 +557,9 @@ class TestEnsemble:
         with pytest.raises(ValueError, match="another corpus"):
             score_lists_with_ensemble(lists, [model])
 
-    def test_lists_match_per_list_min_max_reference(self, planted_setup):
+    def test_lists_match_per_row_min_max_reference(self, planted_setup):
+        """The ensemble scales each member's query row over all candidates,
+        and every list is ranked from that one matrix, block by block."""
         backbone, _, lists = planted_setup
         assert len(lists) > ENSEMBLE_BLOCK and len(lists) % ENSEMBLE_BLOCK != 0
 
@@ -582,27 +584,39 @@ class TestEnsemble:
             lo, hi = row.min(), row.max()
             return np.full_like(row, 0.5) if hi == lo else (row - lo) / (hi - lo)
 
-        qids, cids = backbone.corpus.query_ids, backbone.corpus.candidate_ids
-        expected = np.array([
-            np.mean([min_max(m.score_pairs(qids[row], [cids[j] for j in cols])) for m in models],
-                    axis=0)
-            for row, cols in zip(lists.rows, lists.cols)
-        ])
+        cids = backbone.corpus.candidate_ids
+        expected = np.array([np.mean([min_max(m.score_pairs(qid, cids)) for m in models], axis=0)
+                             for qid in backbone.corpus.query_ids])
         matrices = [m.score_matrix() for m in models]
-        got = ensemble_scores(matrices, lists.rows, lists.cols)
+        got = ensemble_scores(matrices, normalize=True)
         assert got.shape == expected.shape
         assert np.max(np.abs(got - expected)) <= 1e-12
         # the constant member adds exactly 0.5 / 3 to every entry
-        without = ensemble_scores(matrices[:2], lists.rows, lists.cols)
+        without = ensemble_scores(matrices[:2], normalize=True)
         assert np.allclose(got, (2 * without + 0.5) / 3, rtol=0, atol=1e-12)
         # ranked block by block, the lists get the one-shot ranks of those scores
         ranks = score_lists_with_ensemble(lists, models)
-        assert ranks.tobytes() == ranks_of_positives(lists, got).tobytes()
+        assert ranks.tobytes() == ranks_of_positives(
+            lists, got[lists.rows[:, None], lists.cols]).tobytes()
+
+    def test_ranks_as_the_aggregate_of_its_members(self, planted_setup):
+        """The rankers' ensemble is the scorers' aggregate of its members'
+        matrices: one combine, bit for bit."""
+        backbone, _, lists = planted_setup
+        models = [RepresentationRanker(backbone, _spec("representation", hidden=8), seed=1),
+                  InteractionRanker(backbone, _spec("interaction"), seed=2)]
+        corpus = backbone.corpus
+        members = [ScoreMatrix(m.spec.name, corpus.query_ids, corpus.candidate_ids,
+                               m.score_matrix()) for m in models]
+        combined = aggregate(members, [1] * len(members), normalize=True)
+        assert score_lists_with_ensemble(lists, models).tobytes() == \
+            score_lists_with_matrix(lists, combined).tobytes()
 
     def test_ranking_holds_no_list_by_candidate_score_array(self):
         """Ranking 2,560 lists of 50 candidates under a three-member ensemble
-        peaks below one float64 array of their scores (1 MB): each member's
-        matrix is gathered one block of lists at a time."""
+        peaks below one float64 array of their scores (1 MB): the ensemble is
+        one (queries x candidates) matrix, gathered one block of lists at a
+        time."""
         rng = np.random.default_rng(0)
         n_queries, n_candidates = 7, 100
         corpus = SimpleNamespace(query_ids=tuple(f"q{i}" for i in range(n_queries)),

@@ -338,6 +338,19 @@ class TestJointTrain:
         assert all(value["test"] is None for value in joint_train(
             corpus, val, None, config).report["baselines"].values())
 
+    def test_the_final_retrain_serves_at_least_its_episode_reward(self, data):
+        """The final retrain replays its episode's training (triples, initial
+        weights, shuffles) for the first ``episode_sup_epochs`` epochs and
+        keeps its best validation epoch, so a single-ranker pick serves at
+        least the ``Rs`` that picked it."""
+        corpus, ann, val, test, oracle_path, noise_path, good_path = data
+        for seed in range(5):
+            config = _fast_config(good_path, noise_path, seed=seed)
+            assert config.final_sup_epochs >= config.episode_sup_epochs
+            result = joint_train(corpus, val, None, config)
+            best, = [e for e in result.episodes if e.episode == result.best_episode]
+            assert result.validation_metrics["mrr"] >= best.reward_sup, seed
+
     def test_early_stop(self, data):
         corpus, ann, val, test, oracle_path, noise_path, good_path = data
         config = _fast_config(oracle_path, noise_path, episodes=30, early_stop_patience=5)
